@@ -54,13 +54,16 @@ void FaultInjectorPlugin::apply_flip() {
       const u32 value = s4e_read_gpr_hart(vm(), spec_.hart, spec_.reg);
       s4e_write_gpr_hart(vm(), spec_.hart, spec_.reg,
                          flip_bit(value, spec_.bit));
+      ++applications_;
       break;
     }
     case FaultTarget::kMemory: {
       u8 byte = 0;
       if (s4e_read_mem(vm(), spec_.address, &byte, 1) == 0) {
         byte = static_cast<u8>(byte ^ (1u << (spec_.bit & 7)));
-        s4e_write_mem(vm(), spec_.address, &byte, 1);
+        if (s4e_write_mem(vm(), spec_.address, &byte, 1) == 0) {
+          ++applications_;
+        }
       }
       break;
     }
@@ -68,13 +71,14 @@ void FaultInjectorPlugin::apply_flip() {
       u32 word = 0;
       if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
         word = flip_bit(word, spec_.bit);
-        s4e_write_mem(vm(), spec_.address, &word, 4);
-        s4e_flush_tb_cache(vm());
+        if (s4e_write_mem(vm(), spec_.address, &word, 4) == 0) {
+          s4e_invalidate_tb_range(vm(), spec_.address, 4);
+          ++applications_;
+        }
       }
       break;
     }
   }
-  ++applications_;
 }
 
 void FaultInjectorPlugin::apply_stuck() {
@@ -102,40 +106,34 @@ void FaultInjectorPlugin::apply_stuck() {
       }
       break;
     }
-    case FaultTarget::kCode:
-      // Handled once in on_insn_exec (code bytes don't change on their own).
+    case FaultTarget::kCode: {
+      u32 word = 0;
+      if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
+        const u32 forced = spec_.stuck_value ? (word | (u32{1} << spec_.bit))
+                                             : (word & ~(u32{1} << spec_.bit));
+        if (forced != word) {
+          s4e_write_mem(vm(), spec_.address, &forced, 4);
+          s4e_invalidate_tb_range(vm(), spec_.address, 4);
+          ++applications_;
+        }
+      }
       break;
+    }
+  }
+}
+
+void FaultInjectorPlugin::on_icount(u64 icount) {
+  (void)icount;
+  if (spec_.kind == FaultKind::kTransient) {
+    apply_flip();
+  } else {
+    apply_stuck();  // code stuck-at: patched once, before the first insn
   }
 }
 
 void FaultInjectorPlugin::on_insn_exec(const s4e_insn_info& insn) {
   (void)insn;
-  if (spec_.kind == FaultKind::kStuckAt) {
-    if (spec_.target == FaultTarget::kCode) {
-      if (!fired_) {
-        fired_ = true;
-        u32 word = 0;
-        if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
-          const u32 forced = spec_.stuck_value
-                                 ? (word | (u32{1} << spec_.bit))
-                                 : (word & ~(u32{1} << spec_.bit));
-          if (forced != word) {
-            s4e_write_mem(vm(), spec_.address, &forced, 4);
-            s4e_flush_tb_cache(vm());
-            ++applications_;
-          }
-        }
-      }
-      return;
-    }
-    apply_stuck();
-    return;
-  }
-  // Transient: one flip at the trigger point.
-  if (!fired_ && s4e_icount(vm()) >= spec_.trigger) {
-    fired_ = true;
-    apply_flip();
-  }
+  apply_stuck();  // GPR and memory stuck-at
 }
 
 void FaultInjectorPlugin::on_mem(const s4e_mem_event& event) {

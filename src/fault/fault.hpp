@@ -42,25 +42,33 @@ struct FaultSpec {
   std::string to_string() const;
 };
 
-// Plugin applying one FaultSpec to a running VP.
+// Plugin applying one FaultSpec to a running VP. Transient faults and code
+// stuck-at faults act once, from the one-shot icount event, so the run stays
+// on the VP's chained fast path; GPR and memory stuck-at faults re-force
+// their bit from per-instruction (and, for memory, per-store) hooks.
 class FaultInjectorPlugin final : public vp::PluginBase {
  public:
   explicit FaultInjectorPlugin(const FaultSpec& spec) : spec_(spec) {}
 
   Subscriptions subscriptions() const override {
     Subscriptions subs;
-    subs.insn_exec = true;  // trigger + per-instruction stuck-at enforcement
-    if (spec_.target == FaultTarget::kMemory &&
-        spec_.kind == FaultKind::kStuckAt) {
-      subs.mem = true;  // re-force after stores
+    if (spec_.kind == FaultKind::kTransient) {
+      subs.icount = spec_.trigger;  // one flip at the trigger point
+    } else if (spec_.target == FaultTarget::kCode) {
+      subs.icount = 0;  // code bytes don't change on their own: patch once
+    } else {
+      subs.insn_exec = true;  // per-instruction stuck-at enforcement
+      subs.mem = spec_.target == FaultTarget::kMemory;  // re-force after stores
     }
     return subs;
   }
 
+  void on_icount(u64 icount) override;
   void on_insn_exec(const s4e_insn_info& insn) override;
   void on_mem(const s4e_mem_event& event) override;
 
-  // Number of state manipulations performed (>= 1 once triggered).
+  // Number of state writes performed (>= 1 once triggered, unless the
+  // target was unwritable or a stuck-at bit already held its value).
   u64 applications() const noexcept { return applications_; }
 
  private:
@@ -68,7 +76,6 @@ class FaultInjectorPlugin final : public vp::PluginBase {
   void apply_stuck();
 
   FaultSpec spec_;
-  bool fired_ = false;
   u64 applications_ = 0;
 };
 

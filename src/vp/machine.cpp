@@ -194,7 +194,9 @@ void Machine::restore_state(const Snapshot& snap) {
   icache_.restore(snap.icache_tags, snap.icache_misses);
   bimodal_.table() = snap.bimodal;
   pending_stop_.reset();
-  tb_flush_pending_ = false;
+  tb_maint_pending_ = false;
+  tb_flush_all_ = false;
+  tb_invalidations_.clear();
   chain_epoch_recheck_ = false;
   scratch_block_.reset();
   // Dirty pages carry everything the run wrote — including patched code, so
@@ -299,6 +301,8 @@ void Machine::clear_plugins() noexcept {
   mem_cbs_.clear();
   trap_cbs_.clear();
   exit_cbs_.clear();
+  icount_cbs_.clear();
+  icount_cb_at_ = ~u64{0};
   update_mem_slow();
 }
 
@@ -789,8 +793,9 @@ struct ExecOps {
       }
       m.cycles_ += d.c_fall;
       if (m.tb_cache_.overlaps_code(address, kSize)) [[unlikely]] {
-        // Self-modifying code: flush at the block boundary.
-        m.tb_flush_pending_ = true;
+        // Self-modifying code: drop the overlapping translations at the
+        // block boundary.
+        m.request_tb_invalidate(address, kSize);
         m.cpu_.pc = d.link;
         return O::kStop;
       }
@@ -820,11 +825,11 @@ struct ExecOps {
     }
     if (!m.watchpoints_.empty()) m.check_watchpoints(address, kSize, true);
     if (!mmio && m.tb_cache_.overlaps_code(address, kSize)) {
-      m.tb_flush_pending_ = true;
+      m.request_tb_invalidate(address, kSize);
     }
     m.cycles_ += mmio ? d.c_mmio : d.c_fall;
     m.cpu_.pc = d.link;
-    return (m.pending_stop_ || m.tb_flush_pending_) ? O::kStop : O::kNext;
+    return (m.pending_stop_ || m.tb_maint_pending_) ? O::kStop : O::kNext;
   }
 
   static O csr_op(Machine& m, const DecodedInsn& d) {
@@ -1037,7 +1042,7 @@ struct ExecOps {
     }
     m.cycles_ += d.c_fall;
     if (m.tb_cache_.overlaps_code(address, 4)) [[unlikely]] {
-      m.tb_flush_pending_ = true;
+      m.request_tb_invalidate(address, 4);
       m.cpu_.pc = d.link;
       return O::kStop;
     }
@@ -1089,7 +1094,7 @@ struct ExecOps {
     }
     m.cycles_ += d.c_fall;
     if (m.tb_cache_.overlaps_code(address, 4)) [[unlikely]] {
-      m.tb_flush_pending_ = true;
+      m.request_tb_invalidate(address, 4);
       m.cpu_.pc = d.link;
       return O::kStop;
     }
@@ -1281,6 +1286,7 @@ void Machine::exec_insns_careful(TranslationBlock* tb, u64 limit) {
   s4e_vm* vm = vm_handle_.get();
   for (const DecodedInsn& d : tb->code) {
     if (icount_ >= limit) break;
+    if (icount_ >= icount_cb_at_) fire_icount_cbs();
     if (have_insn_cbs) {
       const s4e_insn_info info = to_insn_info(d);
       for (const auto& reg : insn_exec_cbs_) {
@@ -1294,7 +1300,7 @@ void Machine::exec_insns_careful(TranslationBlock* tb, u64 limit) {
     } else if (out != ExecOutcome::kNextSpliced) {
       break;  // redirect or stop: the block ends here
     }
-    if (pending_stop_ || tb_flush_pending_) break;
+    if (pending_stop_ || tb_maint_pending_) break;
   }
 }
 
@@ -1392,26 +1398,37 @@ TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
   return nullptr;  // epoch bumped; the caller re-dispatches centrally
 }
 
+void Machine::run_tb_careful(TranslationBlock* tb, u64 limit) {
+  ++tb->exec_count;
+  ++estats_.blocks_careful;
+  probe_icache(tb->start);
+  exec_insns_careful(tb, limit);
+}
+
 void Machine::run_chain(u64 limit) {
   const u64 epoch = tb_cache_.chain_epoch();
+  // From `careful_from` on, instructions run one at a time: the budget ends
+  // there, or an armed icount callback must fire between two instructions.
+  const u64 careful_from = std::min(limit, icount_cb_at_);
   const u64 quantum_end =
-      std::min(limit, saturating_add(icount_, kChainQuantum));
+      std::min(careful_from, saturating_add(icount_, kChainQuantum));
   TranslationBlock* tb = lookup_or_translate(cpu_.pc);
   if (tb == nullptr) return;  // fetch trap taken (or a stop is pending)
   if (tb->superblock != nullptr) tb = tb->superblock;
+  if (icount_ >= careful_from) {
+    // The armed icount is already reached (run_loop guarantees the budget
+    // is not): it fires before this block's first instruction.
+    run_tb_careful(tb, limit);
+    return;
+  }
 
   for (;;) {
     if (icount_ >= quantum_end) return;  // epoch due
     if (tb->code.size() > quantum_end - icount_) {
-      if (quantum_end == limit) {
-        // The instruction budget ends inside this block: execute it with
-        // exact per-instruction limit semantics (at least one instruction
-        // runs, so exec_count stays truthful).
-        ++tb->exec_count;
-        ++estats_.blocks_careful;
-        probe_icache(tb->start);
-        exec_insns_careful(tb, limit);
-      }
+      // The budget or the armed icount falls inside this block: execute it
+      // with exact per-instruction semantics (at least one instruction
+      // runs, so exec_count stays truthful).
+      if (quantum_end == careful_from) run_tb_careful(tb, limit);
       return;  // otherwise: quantum boundary — epoch work, then resume
     }
 
@@ -1420,7 +1437,7 @@ void Machine::run_chain(u64 limit) {
     if (icache_.enabled()) probe_icache(tb->start);
     const BlockExit ex = exec_block_fast(tb);
     if (ex == BlockExit::kStopped || ex == BlockExit::kSide) return;
-    if (tb_flush_pending_ || chain_epoch_recheck_) return;
+    if (tb_maint_pending_ || chain_epoch_recheck_) return;
     if (!config_.enable_chaining) return;  // ablation: per-block dispatch
 
     TranslationBlock* next = nullptr;
@@ -1439,7 +1456,7 @@ void Machine::run_chain(u64 limit) {
       } else {
         ++estats_.jump_cache_misses;
         next = lookup_or_translate(next_pc);
-        if (next == nullptr || tb_flush_pending_) return;
+        if (next == nullptr || tb_maint_pending_) return;
         if (next->superblock != nullptr) next = next->superblock;
         jc[1] = jc[0];
         jc[0] = {next_pc, next, epoch};
@@ -1456,7 +1473,7 @@ void Machine::run_chain(u64 limit) {
         }
       } else {
         next = lookup_or_translate(cpu_.pc);
-        if (next == nullptr || tb_flush_pending_) return;
+        if (next == nullptr || tb_maint_pending_) return;
         if (next->superblock != nullptr) next = next->superblock;
         slot = ChainSlot{next, epoch, 0};
         ++estats_.chain_patches;
@@ -1523,12 +1540,10 @@ RunResult Machine::run_loop(u64 max_insns, StopReason budget_reason) {
     bus_.tick(cycles_);
     check_interrupts();
     if (pending_stop_) break;
-    if (tb_flush_pending_) {
-      // Requested from a plugin callback (or a self-modifying store) while
-      // the previous block was executing; apply at the block boundary.
-      tb_flush_pending_ = false;
-      tb_cache_.flush();
-    }
+    // Requested from a plugin callback (or a self-modifying store) while
+    // the previous block was executing, or between runs; apply at the
+    // block boundary.
+    if (tb_maint_pending_) apply_tb_maintenance();
 
     const u64 dispatch_limit = smp_ ? std::min(limit, slice_end_) : limit;
     if (fast_path_ok()) {
@@ -1537,10 +1552,7 @@ RunResult Machine::run_loop(u64 max_insns, StopReason budget_reason) {
     } else {
       run_block_careful(dispatch_limit);
     }
-    if (tb_flush_pending_) {
-      tb_flush_pending_ = false;
-      tb_cache_.flush();
-    }
+    if (tb_maint_pending_) apply_tb_maintenance();
   }
 
   RunResult result;
@@ -1589,6 +1601,42 @@ u64 Machine::add_trap_cb(s4e_trap_cb cb, void* userdata) {
 u64 Machine::add_exit_cb(s4e_exit_cb cb, void* userdata) {
   exit_cbs_.push_back({cb, userdata});
   return exit_cbs_.size();
+}
+
+u64 Machine::add_icount_cb(u64 icount, s4e_icount_cb cb, void* userdata) {
+  icount_cbs_.push_back({icount, cb, userdata});
+  icount_cb_at_ = std::min(icount_cb_at_, icount);
+  return icount_cbs_.size();
+}
+
+void Machine::fire_icount_cbs() {
+  // Detach the due registrations before calling them: a callback may arm a
+  // new one.
+  const auto due = std::stable_partition(
+      icount_cbs_.begin(), icount_cbs_.end(),
+      [this](const IcountRegistration& reg) { return reg.icount > icount_; });
+  const std::vector<IcountRegistration> fired(due, icount_cbs_.end());
+  icount_cbs_.erase(due, icount_cbs_.end());
+  icount_cb_at_ = ~u64{0};
+  for (const IcountRegistration& reg : icount_cbs_) {
+    icount_cb_at_ = std::min(icount_cb_at_, reg.icount);
+  }
+  for (const IcountRegistration& reg : fired) {
+    reg.callback(reg.userdata, vm_handle(), icount_);
+  }
+}
+
+void Machine::apply_tb_maintenance() {
+  if (tb_flush_all_) {
+    tb_cache_.flush();
+  } else {
+    for (const auto& [address, size] : tb_invalidations_) {
+      tb_cache_.invalidate_range(address, size);
+    }
+  }
+  tb_invalidations_.clear();
+  tb_flush_all_ = false;
+  tb_maint_pending_ = false;
 }
 
 void Machine::request_exit(int exit_code) noexcept {

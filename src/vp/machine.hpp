@@ -184,7 +184,8 @@ class Machine {
   // Cumulative save/restore cost counters for this machine.
   const SnapshotStats& snapshot_stats() const noexcept { return snap_stats_; }
 
-  // Drop every registered plugin callback (per-run plugin attachment on a
+  // Drop every registered plugin callback, including armed one-shot icount
+  // callbacks that have not fired yet (per-run plugin attachment on a
   // long-lived machine). Warm translation blocks survive; their tb_trans
   // events have already fired and are not replayed.
   void clear_plugins() noexcept;
@@ -267,11 +268,26 @@ class Machine {
   u64 add_mem_cb(s4e_mem_cb cb, void* userdata);
   u64 add_trap_cb(s4e_trap_cb cb, void* userdata);
   u64 add_exit_cb(s4e_exit_cb cb, void* userdata);
+  // One-shot: fires once, before the first instruction that starts at
+  // icount() >= `icount` (an icount already reached fires before the next
+  // instruction). Does not force the careful loop: the fast path clamps its
+  // chain runs to the armed icount and executes only the block holding it
+  // one instruction at a time.
+  u64 add_icount_cb(u64 icount, s4e_icount_cb cb, void* userdata);
   void request_exit(int exit_code) noexcept;
 
-  // Deferred TB-cache flush: safe to call from plugin callbacks while a
-  // block is executing (the flush happens at the next block boundary).
-  void request_tb_flush() noexcept { tb_flush_pending_ = true; }
+  // Deferred TB maintenance: safe to call from plugin callbacks while a
+  // block is executing. The executing block ends after its current
+  // instruction and the flush (or the drop of the blocks overlapping
+  // [address, address+size)) happens at that block boundary.
+  void request_tb_flush() noexcept {
+    tb_flush_all_ = true;
+    tb_maint_pending_ = true;
+  }
+  void request_tb_invalidate(u32 address, u32 size) {
+    tb_invalidations_.emplace_back(address, size);
+    tb_maint_pending_ = true;
+  }
 
  private:
   struct PendingStop {
@@ -310,9 +326,10 @@ class Machine {
   void run_chain(u64 limit);
   void run_block_careful(u64 limit);
   BlockExit exec_block_fast(TranslationBlock* tb);
-  // Per-insn execution with exact limit/stop/flush boundaries (the careful
-  // inner loop; also the fast path's partial-block fallback when the
-  // instruction budget ends inside a block).
+  // Per-insn execution with exact limit/stop/flush boundaries and icount
+  // callback firing (the careful inner loop; also the fast path's
+  // partial-block fallback when the budget or an armed icount callback
+  // falls inside a block).
   void exec_insns_careful(TranslationBlock* tb, u64 limit);
   void lower_block(TranslationBlock& block);
   TranslationBlock* lookup_or_translate(u32 pc);
@@ -321,6 +338,11 @@ class Machine {
   // caller must return to central dispatch).
   TranslationBlock* maybe_form_superblock(TranslationBlock* src, BlockExit ex,
                                           TranslationBlock* dst);
+  // The careful run of one block from the fast path (budget end or armed
+  // icount callback inside it).
+  void run_tb_careful(TranslationBlock* tb, u64 limit);
+  void apply_tb_maintenance();
+  void fire_icount_cbs();
   void refresh_ram_window() noexcept;
   void update_mem_slow() noexcept {
     mem_slow_ = !mem_cbs_.empty() || !watchpoints_.empty();
@@ -377,7 +399,15 @@ class Machine {
   std::vector<u64> hart_icount_;
   std::optional<PendingStop> pending_stop_;
   u32 current_insn_pc_ = 0;
-  bool tb_flush_pending_ = false;
+  // Deferred TB maintenance (request_tb_flush/request_tb_invalidate, also
+  // raised by self-modifying guest stores). `tb_maint_pending_` is the one
+  // flag the dispatch loops test; apply_tb_maintenance() clears all three.
+  bool tb_maint_pending_ = false;
+  bool tb_flush_all_ = false;
+  std::vector<std::pair<u32, u32>> tb_invalidations_;
+  // Earliest armed one-shot icount callback (~0 when none is armed): the
+  // fast path's chain runs end here, the careful loop fires at it.
+  u64 icount_cb_at_ = ~u64{0};
   // Set by a CSR write that may change the fast-path gate (mie/mstatus):
   // ends the current chain run so interrupt arming re-evaluates centrally.
   bool chain_epoch_recheck_ = false;
@@ -413,6 +443,12 @@ class Machine {
   std::vector<Registration<s4e_mem_cb>> mem_cbs_;
   std::vector<Registration<s4e_trap_cb>> trap_cbs_;
   std::vector<Registration<s4e_exit_cb>> exit_cbs_;
+  struct IcountRegistration {
+    u64 icount;
+    s4e_icount_cb callback;
+    void* userdata;
+  };
+  std::vector<IcountRegistration> icount_cbs_;
 
   std::unique_ptr<s4e_vm> vm_handle_;
 };

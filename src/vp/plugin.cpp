@@ -30,6 +30,10 @@ void exit_tramp(void* userdata, s4e_vm*, int exit_code) {
   static_cast<PluginBase*>(userdata)->on_exit(exit_code);
 }
 
+void icount_tramp(void* userdata, s4e_vm*, uint64_t icount) {
+  static_cast<PluginBase*>(userdata)->on_icount(icount);
+}
+
 }  // namespace
 
 void PluginBase::attach(s4e_vm* vm) {
@@ -42,6 +46,7 @@ void PluginBase::attach(s4e_vm* vm) {
   if (subs.mem) s4e_register_mem_cb(vm, mem_tramp, this);
   if (subs.trap) s4e_register_trap_cb(vm, trap_tramp, this);
   if (subs.exit) s4e_register_exit_cb(vm, exit_tramp, this);
+  if (subs.icount) s4e_register_icount_cb(vm, *subs.icount, icount_tramp, this);
 }
 
 }  // namespace s4e::vp

@@ -6,6 +6,8 @@
 // stable C boundary, not on VP internals (the QEMU TCG-plugin discipline).
 #pragma once
 
+#include <optional>
+
 #include "common/bits.hpp"
 #include "vp/s4e_plugin.h"
 
@@ -28,6 +30,7 @@ class PluginBase {
   virtual void on_mem(const s4e_mem_event& event) { (void)event; }
   virtual void on_trap(const s4e_trap_event& event) { (void)event; }
   virtual void on_exit(int exit_code) { (void)exit_code; }
+  virtual void on_icount(u64 icount) { (void)icount; }
 
   // Which events to register for; default registers everything overridden
   // cannot be detected in C++, so derived classes state their needs.
@@ -38,6 +41,8 @@ class PluginBase {
     bool mem = false;
     bool trap = false;
     bool exit = false;
+    // One-shot on_icount() at this instruction count (s4e_register_icount_cb).
+    std::optional<u64> icount;
   };
   virtual Subscriptions subscriptions() const = 0;
 

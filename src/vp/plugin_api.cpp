@@ -45,6 +45,12 @@ uint64_t s4e_register_exit_cb(s4e_vm* vm, s4e_exit_cb cb, void* userdata) {
   return vm->machine->add_exit_cb(cb, userdata);
 }
 
+uint64_t s4e_register_icount_cb(s4e_vm* vm, uint64_t icount, s4e_icount_cb cb,
+                                void* userdata) {
+  if (vm == nullptr || cb == nullptr) return 0;
+  return vm->machine->add_icount_cb(icount, cb, userdata);
+}
+
 uint32_t s4e_read_gpr(s4e_vm* vm, unsigned index) {
   return vm->machine->cpu().read_gpr(index);
 }
@@ -101,5 +107,9 @@ void s4e_request_exit(s4e_vm* vm, int exit_code) {
 }
 
 void s4e_flush_tb_cache(s4e_vm* vm) { vm->machine->request_tb_flush(); }
+
+void s4e_invalidate_tb_range(s4e_vm* vm, uint32_t address, uint32_t size) {
+  vm->machine->request_tb_invalidate(address, size);
+}
 
 }  // extern "C"

@@ -17,6 +17,10 @@
  *   - mem:       one data memory access executed (load or store).
  *   - trap:      an exception or interrupt was taken.
  *   - exit:      the guest terminated.
+ *   - icount:    one-shot: the retired-instruction count reached a value
+ *                armed at registration. Unlike insn_exec it does not force
+ *                the VP's careful per-instruction loop; only the block that
+ *                holds the armed count runs one instruction at a time.
  */
 #ifndef S4E_PLUGIN_H_
 #define S4E_PLUGIN_H_
@@ -75,15 +79,28 @@ typedef void (*s4e_mem_cb)(void* userdata, s4e_vm* vm,
 typedef void (*s4e_trap_cb)(void* userdata, s4e_vm* vm,
                             const s4e_trap_event* event);
 typedef void (*s4e_exit_cb)(void* userdata, s4e_vm* vm, int exit_code);
+typedef void (*s4e_icount_cb)(void* userdata, s4e_vm* vm, uint64_t icount);
 
 /* Registration. Each returns a plugin handle id (>0) or 0 on failure.
- * Callbacks remain registered until the VM is destroyed. */
+ * Callbacks stay registered until the host drops the VM's plugins (a
+ * campaign worker does so before every run on its reused VM) or destroys
+ * the VM. */
 uint64_t s4e_register_tb_trans_cb(s4e_vm* vm, s4e_tb_trans_cb cb, void* userdata);
 uint64_t s4e_register_tb_exec_cb(s4e_vm* vm, s4e_tb_exec_cb cb, void* userdata);
 uint64_t s4e_register_insn_exec_cb(s4e_vm* vm, s4e_insn_exec_cb cb, void* userdata);
 uint64_t s4e_register_mem_cb(s4e_vm* vm, s4e_mem_cb cb, void* userdata);
 uint64_t s4e_register_trap_cb(s4e_vm* vm, s4e_trap_cb cb, void* userdata);
 uint64_t s4e_register_exit_cb(s4e_vm* vm, s4e_exit_cb cb, void* userdata);
+
+/* One-shot icount event: `cb` fires once, at exactly the point where an
+ * insn_exec callback would first observe s4e_icount() >= `icount` — before
+ * the next instruction executes and before any insn_exec callback for it.
+ * An `icount` at or below the current count fires before the next
+ * instruction. If the run stops first (exit, trap or instruction budget)
+ * it does not fire during that run; an unfired callback is dropped with the
+ * VM's other plugins. The callback receives the current s4e_icount(). */
+uint64_t s4e_register_icount_cb(s4e_vm* vm, uint64_t icount, s4e_icount_cb cb,
+                                void* userdata);
 
 /* Architectural state access. Indexes are architectural (x0..x31).
  * Writes to x0 are ignored, as in hardware. The plain forms address the
@@ -117,8 +134,15 @@ uint64_t s4e_cycles(s4e_vm* vm);     /* modelled cycles */
  * reported through the exit callbacks and the run result). */
 void s4e_request_exit(s4e_vm* vm, int exit_code);
 
-/* Flush the translation-block cache (after patching code bytes). */
+/* Translation-block maintenance after patching code bytes. Both requests
+ * are deferred: the executing block ends after its current instruction and
+ * the request is applied at that block boundary (the current instruction
+ * still runs its old translation). s4e_flush_tb_cache drops every
+ * translated block; s4e_invalidate_tb_range drops only the blocks (and hot
+ * traces) overlapping [address, address+size), so the rest of the
+ * translated code stays warm. */
 void s4e_flush_tb_cache(s4e_vm* vm);
+void s4e_invalidate_tb_range(s4e_vm* vm, uint32_t address, uint32_t size);
 
 #ifdef __cplusplus
 }

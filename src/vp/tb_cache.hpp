@@ -2,9 +2,9 @@
 //
 // Guest code is decoded once per basic block, lowered to the threaded
 // DecodedInsn form (see exec_engine.hpp), and reused on every re-execution;
-// only stores into already-translated code (self-modification, e.g. by the
-// fault injector) force a flush. The E1 experiment ablates this cache
-// against per-instruction re-decoding.
+// only stores into already-translated code (self-modification, or a code
+// fault injected through the plugin API) drop the overlapping blocks. The E1
+// experiment ablates this cache against per-instruction re-decoding.
 //
 // Chaining model: blocks carry direct successor pointers (fall-through and
 // static-branch edges) plus a 2-entry jump cache per indirect exit, patched

@@ -11,9 +11,20 @@
 //   E-R3  snapshot-restore with live chains replays to the same final state
 //   E-C1  the engine counters move the way the design says they must
 //   E-M1  the obs MetricsRegistry export carries the same numbers
+//   E-I1  the one-shot icount callback fires exactly once, at the exact
+//         instruction, in fast and careful modes and inside a superblock
+//   E-I2  it never fires when the budget ends first, does not outlive
+//         WorkerVm::prepare, and never stalls a run
+//   E-I3  a range invalidation from the callback keeps unrelated blocks warm
+//   E-F1  exactness oracle: the fast-path fault injector reproduces the
+//         insn_exec-triggered reference injector bit for bit
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "asm/assembler.hpp"
+#include "fault/fault.hpp"
 #include "obs/engine_metrics.hpp"
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
@@ -51,10 +62,57 @@ bump:
     ret
 )";
 
+// A periodic timer interrupt (MTIE armed: the whole run is careful) driving
+// a work loop; the handler re-arms mtimecmp five times.
+const char* kTimerLoop = R"(
+.equ CLINT, 0x2000000
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    li s2, 0
+    li s3, 0
+    li t0, CLINT + 0x4000
+    li t1, 300
+    sw t1, 0(t0)
+    sw zero, 4(t0)
+    li t2, 128
+    csrw mie, t2
+    csrsi mstatus, 8
+work:
+    addi s3, s3, 3
+    xor s3, s3, s2
+    li t3, 5
+    blt s2, t3, work
+    la t4, result
+    sw s3, 0(t4)
+    andi a0, s3, 255
+    li a7, 93
+    ecall
+handler:
+    addi s2, s2, 1
+    li t5, CLINT + 0x4000
+    lw t6, 0(t5)
+    addi t6, t6, 300
+    sw t6, 0(t5)
+    mret
+.data
+result:
+    .word 0
+)";
+
 assembler::Program assemble_or_die(const char* source) {
   auto program = assembler::assemble(source);
   S4E_CHECK(program.ok());
   return *program;
+}
+
+// Address of the first occurrence of `word` at or after `from`.
+u32 find_word(vp::Machine& machine, u32 from, u32 word) {
+  for (u32 address = from;; address += 4) {
+    u32 value = 0;
+    S4E_CHECK(machine.bus().ram_read(address, &value, 4).ok());
+    if (value == word) return address;
+  }
 }
 
 vp::MachineConfig unchained_config() {
@@ -132,15 +190,7 @@ TEST(EngineChaining, BreakpointSeversChainsMidRun) {
 
   // The `bump` callee body starts with `addi s0, s0, 1` (0x00140413); its
   // block is a chained/jump-cached successor of the loop body.
-  u32 word = 0;
-  u32 target = 0;
-  for (u32 address = program.entry;; address += 4) {
-    ASSERT_TRUE(machine.bus().ram_read(address, &word, 4).ok());
-    if (word == 0x00140413u) {
-      target = address;
-      break;
-    }
-  }
+  const u32 target = find_word(machine, program.entry, 0x00140413u);
   machine.add_breakpoint(target);
   EXPECT_GT(machine.tb_cache().chain_severs(), severs_before);
 
@@ -175,15 +225,8 @@ TEST(EngineChaining, InvalidateRangeOnChainedSuccessor) {
     const auto paused = machine.run_slice(3000);
     S4E_CHECK(paused.reason == vp::StopReason::kDebugSlice);
 
-    u32 word = 0;
-    u32 target = 0;
-    for (u32 address = program.entry;; address += 4) {
-      S4E_CHECK(machine.bus().ram_read(address, &word, 4).ok());
-      if (word == 0x00140413u) {  // first `addi s0, s0, 1` of `bump`
-        target = address;
-        break;
-      }
-    }
+    // The first `addi s0, s0, 1` of `bump`.
+    const u32 target = find_word(machine, program.entry, 0x00140413u);
     // Patch the immediate from 1 to 5 and drop the stale translation.
     const u32 patched = 0x00540413u;  // addi s0, s0, 5
     S4E_CHECK(machine.bus().ram_write(target, &patched, 4).ok());
@@ -306,6 +349,527 @@ TEST(EngineMetrics, RegistryExportMatchesMachineCounters) {
   EXPECT_NE(json.find("\"engine.chain_patches\""), std::string::npos);
   EXPECT_NE(json.find("\"engine.tb_front_hits\""), std::string::npos);
 }
+
+// --- Careful-mode profile of a fault-free run: the reference trace the
+// icount tests and the fault oracle index by instruction count.
+
+struct Observed {
+  vp::RunResult run;
+  std::string uart;
+  u64 data_hash = 0;
+};
+
+Observed observe(vp::Machine& machine, const assembler::Program& program) {
+  Observed observed;
+  observed.run = machine.run();
+  observed.uart = machine.uart()->tx_log();
+  observed.data_hash = vp::data_memory_hash(machine, program);
+  return observed;
+}
+
+struct GoldenProfile {
+  Observed observed;
+  std::vector<u32> pcs;           // pc of every executed instruction
+  std::vector<u64> block_starts;  // icount at every careful block dispatch
+  std::vector<u32> touched;       // data addresses accessed
+};
+
+GoldenProfile profile_golden(const vp::MachineConfig& config,
+                             const assembler::Program& program) {
+  vp::Machine machine(config);
+  S4E_CHECK(machine.load_program(program).ok());
+  GoldenProfile profile;
+  std::set<u32> touched;
+  s4e_vm* vm = machine.vm_handle();
+  s4e_register_insn_exec_cb(
+      vm,
+      [](void* userdata, s4e_vm*, const s4e_insn_info* insn) {
+        static_cast<GoldenProfile*>(userdata)->pcs.push_back(insn->address);
+      },
+      &profile);
+  s4e_register_tb_exec_cb(
+      vm,
+      [](void* userdata, s4e_vm* vm, uint32_t) {
+        static_cast<GoldenProfile*>(userdata)->block_starts.push_back(
+            s4e_icount(vm));
+      },
+      &profile);
+  s4e_register_mem_cb(
+      vm,
+      [](void* userdata, s4e_vm*, const s4e_mem_event* event) {
+        static_cast<std::set<u32>*>(userdata)->insert(event->vaddr);
+      },
+      &touched);
+  profile.observed = observe(machine, program);
+  profile.touched.assign(touched.begin(), touched.end());
+  return profile;
+}
+
+// --- One-shot icount callback.
+
+struct IcountProbe {
+  unsigned fires = 0;
+  u64 icount = 0;  // as passed to the callback
+  u32 pc = 0;      // pc of the instruction about to execute
+};
+
+void record_icount(void* userdata, s4e_vm* vm, uint64_t icount) {
+  auto* probe = static_cast<IcountProbe*>(userdata);
+  ++probe->fires;
+  probe->icount = icount;
+  probe->pc = s4e_read_pc(vm);
+}
+
+void noop_insn_cb(void*, s4e_vm*, const s4e_insn_info*) {}
+
+// E-I1 — the callback fires once, before the armed instruction, with the
+// same architectural view in the chained and the careful loop; the chained
+// run executes only the block holding the armed count carefully.
+TEST(IcountCallback, FiresOnceAtExactInstructionFastAndCareful) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  const std::vector<u32> pcs = profile_golden({}, program).pcs;
+  vp::Machine plain;
+  ASSERT_TRUE(plain.load_program(program).ok());
+  const auto reference = plain.run();
+
+  for (const u64 at : {u64{0}, u64{1}, u64{57}, vp::kChainQuantum,
+                       u64{9001}, u64{pcs.size() - 1}}) {
+    for (const bool careful : {false, true}) {
+      vp::Machine machine;
+      ASSERT_TRUE(machine.load_program(program).ok());
+      if (careful) machine.add_insn_exec_cb(noop_insn_cb, nullptr);
+      IcountProbe probe;
+      ASSERT_NE(s4e_register_icount_cb(machine.vm_handle(), at,
+                                       record_icount, &probe),
+                0u);
+      const auto run = machine.run();
+      const std::string label =
+          "at=" + std::to_string(at) + (careful ? " careful" : " fast");
+      EXPECT_EQ(probe.fires, 1u) << label;
+      EXPECT_EQ(probe.icount, at) << label;
+      EXPECT_EQ(probe.pc, pcs[at]) << label;
+      EXPECT_EQ(run.instructions, reference.instructions) << label;
+      EXPECT_EQ(run.cycles, reference.cycles) << label;
+      if (careful) {
+        EXPECT_EQ(machine.engine_stats().blocks_fast, 0u) << label;
+      } else {
+        // The block holding the armed count runs carefully — plus, at most,
+        // a superblock before it whose full length overhangs the count but
+        // which side-exits first.
+        EXPECT_GT(machine.engine_stats().blocks_fast, 0u) << label;
+        EXPECT_GE(machine.engine_stats().blocks_careful, 1u) << label;
+        EXPECT_LE(machine.engine_stats().blocks_careful, 2u) << label;
+      }
+    }
+  }
+}
+
+// E-I1 — armed in the middle of a hot superblock: the spliced trace is
+// executed one instruction at a time up to the exact instruction.
+TEST(IcountCallback, FiresInsideSuperblock) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  const std::vector<u32> pcs = profile_golden({}, program).pcs;
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  ASSERT_EQ(machine.run_slice(3000).reason, vp::StopReason::kDebugSlice);
+  ASSERT_GT(machine.tb_cache().superblock_count(), 0u);
+
+  // The second `addi s0, s0, 1` of `bump` sits mid-trace once `call bump`
+  // and the callee are spliced together.
+  const u32 interior = find_word(machine, program.entry, 0x00140413u) + 4;
+  u64 at = machine.icount() + 100;
+  while (pcs[at] != interior) ++at;
+
+  IcountProbe probe;
+  s4e_register_icount_cb(machine.vm_handle(), at, record_icount, &probe);
+  const u64 careful_before = machine.engine_stats().blocks_careful;
+  const auto done = machine.run();
+  ASSERT_EQ(done.reason, vp::StopReason::kExitEcall);
+  EXPECT_EQ(probe.fires, 1u);
+  EXPECT_EQ(probe.icount, at);
+  EXPECT_EQ(probe.pc, interior);
+  EXPECT_EQ(machine.engine_stats().blocks_careful - careful_before, 1u);
+  EXPECT_EQ(done.instructions, pcs.size());
+}
+
+// E-I2 — the budget wins ties: an instruction budget that ends at (or
+// before) the armed count stops without firing. Resuming fires it before
+// the next instruction, and a count already passed does the same — neither
+// may stall the run.
+TEST(IcountCallback, NeverFiresWhenBudgetEndsFirst) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  IcountProbe probe;
+  s4e_register_icount_cb(machine.vm_handle(), 1000, record_icount, &probe);
+
+  auto paused = machine.run(700);
+  EXPECT_EQ(paused.reason, vp::StopReason::kMaxInstructions);
+  paused = machine.run(300);
+  EXPECT_EQ(paused.instructions, 1000u);
+  EXPECT_EQ(probe.fires, 0u);
+
+  const auto one = machine.run(1);
+  EXPECT_EQ(one.instructions, 1001u);
+  EXPECT_EQ(probe.fires, 1u);
+  EXPECT_EQ(probe.icount, 1000u);
+
+  IcountProbe late;
+  s4e_register_icount_cb(machine.vm_handle(), 5, record_icount, &late);
+  EXPECT_EQ(machine.run(1).instructions, 1002u);
+  EXPECT_EQ(late.fires, 1u);
+  EXPECT_EQ(late.icount, 1001u);
+  EXPECT_EQ(probe.fires, 1u);  // one-shot
+}
+
+// E-I2 — an armed callback that did not fire belongs to the run that armed
+// it: the next prepare() on a reused worker VM drops it.
+TEST(IcountCallback, UnfiredCallbackDoesNotSurvivePrepare) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  auto worker = vp::WorkerVm::create(vp::MachineConfig{}, program);
+  ASSERT_TRUE(worker.ok());
+  vp::Machine& first = (*worker)->prepare();
+  IcountProbe probe;
+  s4e_register_icount_cb(first.vm_handle(), 100, record_icount, &probe);
+  first.run(50);
+  EXPECT_EQ(probe.fires, 0u);
+
+  vp::Machine& second = (*worker)->prepare();
+  EXPECT_EQ(second.run().reason, vp::StopReason::kExitEcall);
+  EXPECT_EQ(probe.fires, 0u);
+  EXPECT_GT(second.engine_stats().blocks_fast, 0u);
+}
+
+// E-I3 — a code patch from inside the callback, made visible with a range
+// invalidation: only the overlapping translations are dropped (no flush),
+// unrelated warm blocks keep their translation, and the result matches the
+// careful loop's.
+TEST(IcountCallback, RangeInvalidationKeepsUnrelatedBlocksWarm) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  struct Patch {
+    u32 address = 0;
+  };
+  const auto patch_cb = [](void* userdata, s4e_vm* vm, uint64_t) {
+    const u32 address = static_cast<Patch*>(userdata)->address;
+    const u32 patched = 0x00540413u;  // addi s0, s0, 5
+    S4E_CHECK(s4e_write_mem(vm, address, &patched, 4) == 0);
+    s4e_invalidate_tb_range(vm, address, 4);
+  };
+  constexpr u64 kAt = 3010;
+
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  ASSERT_EQ(machine.run_slice(3000).reason, vp::StopReason::kDebugSlice);
+  Patch patch{find_word(machine, program.entry, 0x00140413u)};
+  const vp::TranslationBlock* entry_block =
+      machine.tb_cache().lookup(program.entry);
+  ASSERT_NE(entry_block, nullptr);
+  const std::size_t warm =
+      machine.tb_cache().size() + machine.tb_cache().superblock_count();
+  const u64 flushes = machine.tb_cache().flush_count();
+  const u64 invalidated = machine.tb_cache().invalidated_blocks();
+
+  s4e_register_icount_cb(machine.vm_handle(), kAt, patch_cb, &patch);
+  const auto done = machine.run();
+  ASSERT_EQ(done.reason, vp::StopReason::kExitEcall);
+  const u64 dropped = machine.tb_cache().invalidated_blocks() - invalidated;
+  EXPECT_EQ(machine.tb_cache().flush_count(), flushes);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LT(dropped, warm);
+  EXPECT_EQ(machine.tb_cache().lookup(program.entry), entry_block);
+  EXPECT_GT(done.exit_code, 4000);  // the patched +5 took effect
+
+  vp::Machine careful;
+  ASSERT_TRUE(careful.load_program(program).ok());
+  careful.add_insn_exec_cb(noop_insn_cb, nullptr);
+  Patch careful_patch{patch.address};
+  s4e_register_icount_cb(careful.vm_handle(), kAt, patch_cb, &careful_patch);
+  const auto ref = careful.run();
+  EXPECT_EQ(done.exit_code, ref.exit_code);
+  EXPECT_EQ(done.instructions, ref.instructions);
+  EXPECT_EQ(done.cycles, ref.cycles);
+}
+
+// --- E-F1: exactness oracle for the fast-path fault injector.
+
+// The insn_exec-triggered injector the fast path replaced, kept verbatim in
+// behaviour as the reference: it looks for its trigger before every
+// instruction (so the whole run is careful) and flushes the whole TB cache
+// after patching code.
+class ReferenceInjector final : public vp::PluginBase {
+ public:
+  explicit ReferenceInjector(const fault::FaultSpec& spec) : spec_(spec) {}
+
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.insn_exec = true;
+    subs.mem = spec_.target == fault::FaultTarget::kMemory &&
+               spec_.kind == fault::FaultKind::kStuckAt;
+    return subs;
+  }
+
+  void on_insn_exec(const s4e_insn_info&) override {
+    if (spec_.kind == fault::FaultKind::kStuckAt) {
+      if (spec_.target != fault::FaultTarget::kCode) {
+        force_stuck();
+      } else if (!fired_) {
+        fired_ = true;
+        u32 word = 0;
+        if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
+          const u32 mask = u32{1} << spec_.bit;
+          const u32 forced = spec_.stuck_value ? (word | mask) : (word & ~mask);
+          if (forced != word) {
+            s4e_write_mem(vm(), spec_.address, &forced, 4);
+            s4e_flush_tb_cache(vm());
+          }
+        }
+      }
+      return;
+    }
+    if (!fired_ && s4e_icount(vm()) >= spec_.trigger) {
+      fired_ = true;
+      flip();
+    }
+  }
+
+  void on_mem(const s4e_mem_event& event) override {
+    if (event.is_store && event.vaddr <= spec_.address &&
+        spec_.address < event.vaddr + event.size) {
+      force_stuck();
+    }
+  }
+
+ private:
+  void force_stuck() {
+    if (spec_.target == fault::FaultTarget::kGpr) {
+      const u32 value = s4e_read_gpr_hart(vm(), spec_.hart, spec_.reg);
+      const u32 mask = u32{1} << spec_.bit;
+      const u32 forced = spec_.stuck_value ? (value | mask) : (value & ~mask);
+      if (forced != value) {
+        s4e_write_gpr_hart(vm(), spec_.hart, spec_.reg, forced);
+      }
+      return;
+    }
+    u8 byte = 0;
+    if (s4e_read_mem(vm(), spec_.address, &byte, 1) != 0) return;
+    const u8 mask = static_cast<u8>(1u << (spec_.bit & 7));
+    const u8 forced =
+        spec_.stuck_value ? static_cast<u8>(byte | mask)
+                          : static_cast<u8>(byte & ~mask);
+    if (forced != byte) s4e_write_mem(vm(), spec_.address, &forced, 1);
+  }
+
+  void flip() {
+    switch (spec_.target) {
+      case fault::FaultTarget::kGpr: {
+        const u32 value = s4e_read_gpr_hart(vm(), spec_.hart, spec_.reg);
+        s4e_write_gpr_hart(vm(), spec_.hart, spec_.reg,
+                           flip_bit(value, spec_.bit));
+        break;
+      }
+      case fault::FaultTarget::kMemory: {
+        u8 byte = 0;
+        if (s4e_read_mem(vm(), spec_.address, &byte, 1) == 0) {
+          byte = static_cast<u8>(byte ^ (1u << (spec_.bit & 7)));
+          s4e_write_mem(vm(), spec_.address, &byte, 1);
+        }
+        break;
+      }
+      case fault::FaultTarget::kCode: {
+        u32 word = 0;
+        if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
+          word = flip_bit(word, spec_.bit);
+          s4e_write_mem(vm(), spec_.address, &word, 4);
+          s4e_flush_tb_cache(vm());
+        }
+        break;
+      }
+    }
+  }
+
+  fault::FaultSpec spec_;
+  bool fired_ = false;
+};
+
+// fault::Campaign's outcome rule.
+fault::Outcome outcome_of(const Observed& run, const Observed& golden) {
+  if (run.run.reason == vp::StopReason::kMaxInstructions) {
+    return fault::Outcome::kHang;
+  }
+  if (!run.run.normal_exit()) return fault::Outcome::kCrash;
+  if (run.run.exit_code != golden.run.exit_code || run.uart != golden.uart ||
+      run.data_hash != golden.data_hash) {
+    return fault::Outcome::kSdc;
+  }
+  return fault::Outcome::kMasked;
+}
+
+template <typename Injector>
+Observed run_injected(vp::WorkerVm& worker, const fault::FaultSpec& spec,
+                      const assembler::Program& program) {
+  vp::Machine& machine = worker.prepare();
+  Injector injector(spec);
+  injector.attach(machine.vm_handle());
+  return observe(machine, program);
+}
+
+// Triggers at 0 and 1, at block starts and at the last instruction of the
+// block before them, around the chain quantum edge, and at the last golden
+// instruction.
+std::vector<u64> oracle_triggers(const GoldenProfile& golden) {
+  const u64 n = golden.pcs.size();
+  std::set<u64> triggers = {0, 1, vp::kChainQuantum - 1, vp::kChainQuantum,
+                            vp::kChainQuantum + 1, n - 1};
+  const std::vector<u64>& starts = golden.block_starts;
+  for (const std::size_t i : {std::size_t{1}, std::size_t{2}, starts.size() / 3,
+                              starts.size() / 2, starts.size() - 1}) {
+    if (i >= starts.size()) continue;
+    triggers.insert(starts[i]);
+    if (starts[i] > 0) triggers.insert(starts[i] - 1);
+  }
+  std::vector<u64> in_run;
+  for (const u64 trigger : triggers) {
+    if (trigger < n) in_run.push_back(trigger);
+  }
+  return in_run;
+}
+
+// All six target x kind combinations: transient faults at every oracle
+// trigger (code faults on the instruction about to execute — whose stale
+// translation still runs once — and on one a few instructions ahead),
+// stuck-at faults at a spread of registers, bytes and code words.
+std::vector<fault::FaultSpec> oracle_faults(const GoldenProfile& golden,
+                                            unsigned harts) {
+  using fault::FaultKind;
+  using fault::FaultTarget;
+  const std::vector<u32>& pcs = golden.pcs;
+  const std::vector<u32>& touched = golden.touched;
+  const u64 n = pcs.size();
+  std::vector<fault::FaultSpec> faults;
+  const auto add = [&faults](FaultTarget target, FaultKind kind, u64 trigger,
+                             unsigned reg, u32 address, unsigned bit,
+                             bool stuck_value, unsigned hart) {
+    fault::FaultSpec spec;
+    spec.target = target;
+    spec.kind = kind;
+    spec.trigger = trigger;
+    spec.reg = reg;
+    spec.address = address;
+    spec.bit = static_cast<u8>(bit);
+    spec.stuck_value = stuck_value;
+    spec.hart = hart;
+    faults.push_back(spec);
+  };
+  for (const u64 t : oracle_triggers(golden)) {
+    add(FaultTarget::kGpr, FaultKind::kTransient, t,
+        1 + static_cast<unsigned>((t * 7 + 3) % 31),
+        0, static_cast<unsigned>(t * 13 % 32), false,
+        static_cast<unsigned>(t % harts));
+    if (!touched.empty()) {
+      add(FaultTarget::kMemory, FaultKind::kTransient, t, 0,
+          touched[t % touched.size()], static_cast<unsigned>(t % 8), false, 0);
+    }
+    for (const u64 ahead : {u64{0}, u64{3}}) {
+      add(FaultTarget::kCode, FaultKind::kTransient, t, 0,
+          pcs[std::min(t + ahead, n - 1)],
+          static_cast<unsigned>((t * 5 + 20) % 32), false, 0);
+    }
+  }
+  for (unsigned k = 0; k < 4; ++k) {
+    const bool value = (k & 1) != 0;
+    add(FaultTarget::kGpr, FaultKind::kStuckAt, 0, 1 + (k * 11 + 5) % 31, 0,
+        k * 9 % 32, value, k % harts);
+    if (!touched.empty()) {
+      add(FaultTarget::kMemory, FaultKind::kStuckAt, 0, 0,
+          touched[k * touched.size() / 4], k * 3 % 8, value, 0);
+    }
+    add(FaultTarget::kCode, FaultKind::kStuckAt, 0, 0, pcs[k * n / 4],
+        (k * 7 + 2) % 32, !value, 0);
+  }
+  return faults;
+}
+
+struct OracleConfig {
+  const char* name;
+  vp::MachineConfig config;
+};
+
+std::vector<OracleConfig> oracle_configs() {
+  std::vector<OracleConfig> configs(5);
+  configs[0].name = "Default";
+  configs[1].name = "Icache";
+  configs[1].config.timing.icache_miss_cycles = 10;
+  configs[2].name = "BranchPredictor";
+  configs[2].config.timing.branch_predictor = true;
+  configs[3].name = "Unchained";
+  configs[3].config = unchained_config();
+  configs[4].name = "TwoHarts";
+  configs[4].config.num_harts = 2;
+  return configs;
+}
+
+class FaultOracle : public ::testing::TestWithParam<std::size_t> {};
+
+// E-F1 — every fault kind, over torture programs, a long chained loop and a
+// timer-interrupt program: the fast-path injector on a reused worker VM
+// must reproduce the reference injector's run exactly.
+TEST_P(FaultOracle, FastPathInjectorMatchesInsnExecReference) {
+  const vp::MachineConfig base = oracle_configs()[GetParam()].config;
+  std::vector<std::pair<std::string, assembler::Program>> programs;
+  for (const u64 seed : {u64{11}, u64{22}}) {
+    for (const auto& test : programs_for_seed(seed, 2)) {
+      auto program = assembler::assemble(test.source);
+      ASSERT_TRUE(program.ok()) << test.name;
+      programs.emplace_back(test.name, std::move(*program));
+    }
+  }
+  programs.emplace_back("call_loop", assemble_or_die(kCallLoop));
+  programs.emplace_back("timer_loop", assemble_or_die(kTimerLoop));
+
+  for (const auto& [name, program] : programs) {
+    const GoldenProfile golden = profile_golden(base, program);
+    vp::MachineConfig config = base;
+    config.max_instructions = vp::hang_budget(golden.pcs.size(), 8,
+                                              base.max_instructions);
+    auto reference_vm = vp::WorkerVm::create(config, program);
+    auto fast_vm = vp::WorkerVm::create(config, program);
+    ASSERT_TRUE(reference_vm.ok() && fast_vm.ok()) << name;
+    u64 careful_blocks = 0;
+    u64 fast_blocks = 0;
+    for (const fault::FaultSpec& spec : oracle_faults(golden, config.num_harts)) {
+      const Observed want =
+          run_injected<ReferenceInjector>(**reference_vm, spec, program);
+      const vp::EngineStats before = (*fast_vm)->machine().engine_stats();
+      const Observed got =
+          run_injected<fault::FaultInjectorPlugin>(**fast_vm, spec, program);
+      const vp::EngineStats& after = (*fast_vm)->machine().engine_stats();
+      careful_blocks += after.blocks_careful - before.blocks_careful;
+      fast_blocks += after.blocks_fast - before.blocks_fast;
+      const std::string label = name + ": " + spec.to_string();
+      EXPECT_EQ(got.run.reason, want.run.reason) << label;
+      EXPECT_EQ(got.run.exit_code, want.run.exit_code) << label;
+      EXPECT_EQ(got.run.instructions, want.run.instructions) << label;
+      EXPECT_EQ(got.run.cycles, want.run.cycles) << label;
+      EXPECT_EQ(got.run.final_pc, want.run.final_pc) << label;
+      EXPECT_EQ(got.uart, want.uart) << label;
+      EXPECT_EQ(got.data_hash, want.data_hash) << label;
+      EXPECT_EQ(outcome_of(got, golden.observed),
+                outcome_of(want, golden.observed))
+          << label;
+    }
+    // Outside the timer program (whose armed MTIE keeps every run careful)
+    // the injected runs ride the fast path.
+    if (name != "timer_loop") {
+      EXPECT_GT(fast_blocks, careful_blocks) << name;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, FaultOracle, ::testing::Range(std::size_t{0}, std::size_t{5}),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(oracle_configs()[info.param].name);
+    });
 
 }  // namespace
 }  // namespace s4e

@@ -108,7 +108,7 @@ TEST(Injector, MemoryFaultCorruptsData) {
   EXPECT_EQ(run.exit_code, 36 + 128);
 }
 
-TEST(Injector, CodeFaultTriggersTbFlush) {
+TEST(Injector, CodeFaultRetranslatesFlippedBlock) {
   auto program = build(kChecksumSource);
   const u32 text_base = program.find_section(".text")->base;
   vp::Machine machine;
@@ -118,14 +118,65 @@ TEST(Injector, CodeFaultTriggersTbFlush) {
   spec.kind = FaultKind::kTransient;
   spec.address = text_base + 0x10;  // the lw inside the loop
   spec.bit = 20;
-  spec.trigger = 10;
+  spec.trigger = 10;  // inside the loop's second iteration
+  // Every translation of a block holding the faulty word: (icount at
+  // translation, the word as decoded).
+  struct Translation {
+    u64 icount;
+    u32 encoding;
+  };
+  struct Log {
+    u32 address;
+    std::vector<Translation> translations;
+  } log{spec.address, {}};
+  s4e_register_tb_trans_cb(
+      machine.vm_handle(),
+      [](void* userdata, s4e_vm* vm, const s4e_tb_info* tb) {
+        auto* log = static_cast<Log*>(userdata);
+        for (u32 i = 0; i < tb->n_insns; ++i) {
+          if (tb->insns[i].address == log->address) {
+            log->translations.push_back({s4e_icount(vm), tb->insns[i].encoding});
+          }
+        }
+      },
+      &log);
+  FaultInjectorPlugin injector(spec);
+  injector.attach(machine.vm_handle());
+  const u64 flushes_before = machine.tb_cache().flush_count();
+  const u64 invalidated_before = machine.tb_cache().invalidated_blocks();
+  auto run = machine.run();
+  (void)run;
+  EXPECT_EQ(injector.applications(), 1u);
+  // The flipped word's translations were dropped — and nothing else was
+  // flushed wholesale...
+  EXPECT_GE(machine.tb_cache().invalidated_blocks(), invalidated_before + 1);
+  EXPECT_EQ(machine.tb_cache().flush_count(), flushes_before);
+  // ...and the word was re-translated after the trigger, decoding the
+  // flipped encoding.
+  ASSERT_GE(log.translations.size(), 2u);
+  const Translation& before = log.translations.front();
+  const Translation& after = log.translations.back();
+  EXPECT_LE(before.icount, spec.trigger);
+  EXPECT_GT(after.icount, spec.trigger);
+  EXPECT_EQ(after.encoding, before.encoding ^ (u32{1} << spec.bit));
+}
+
+TEST(Injector, UnwritableTargetCountsNoApplication) {
+  auto program = build(kChecksumSource);
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  FaultSpec spec;
+  spec.target = FaultTarget::kMemory;
+  spec.kind = FaultKind::kTransient;
+  spec.address = 0x1000;  // not RAM: nothing can be written
+  spec.bit = 3;
+  spec.trigger = 2;
   FaultInjectorPlugin injector(spec);
   injector.attach(machine.vm_handle());
   auto run = machine.run();
-  // Whatever the outcome, the injection must have happened and flushed.
-  EXPECT_EQ(injector.applications(), 1u);
-  EXPECT_GE(machine.tb_cache().flush_count(), 1u);
-  (void)run;
+  EXPECT_TRUE(run.normal_exit());
+  EXPECT_EQ(run.exit_code, 36);
+  EXPECT_EQ(injector.applications(), 0u);
 }
 
 TEST(Injector, StuckAtZeroForcesBitLow) {

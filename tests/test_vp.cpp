@@ -500,7 +500,10 @@ patch_site:
     ecall
   )");
   EXPECT_EQ(result.exit_code, 1);
-  EXPECT_GE(machine.tb_cache().flush_count(), 1u);
+  // The store dropped the patched block (a range invalidation, not a flush
+  // of the whole cache: only construction and load_program flushed).
+  EXPECT_GE(machine.tb_cache().invalidated_blocks(), 1u);
+  EXPECT_EQ(machine.tb_cache().flush_count(), 2u);
 }
 
 TEST(Machine, TbCacheReusesBlocks) {
