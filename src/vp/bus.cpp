@@ -12,9 +12,10 @@ void Bus::add_ram(u32 base, u32 size) {
   S4E_CHECK_MSG(size > 0, "RAM region must be non-empty");
   RamRegion region;
   region.base = base;
-  region.bytes.assign(size, 0);
+  region.bytes = PageBuffer(size);
   const std::size_t pages = (size + kRamPageBytes - 1) / kRamPageBytes;
   region.dirty.assign((pages + 63) / 64, 0);
+  region.populated.assign(region.dirty.size(), 0);
   ram_.push_back(std::move(region));
 }
 
@@ -159,16 +160,33 @@ void Bus::reset_devices() {
   for (auto& mapping : devices_) mapping.device->reset();
 }
 
-void Bus::ram_snapshot(std::vector<RamImage>& images) {
+u64 Bus::ram_snapshot(std::vector<RamImage>& images) {
   images.clear();
   images.reserve(ram_.size());
+  u64 copied = 0;
   for (auto& region : ram_) {
     RamImage image;
     image.base = region.base;
-    image.bytes = region.bytes;  // full copy, paid once per snapshot
+    image.bytes = PageBuffer(region.bytes.size());
+    for (std::size_t word = 0; word < region.dirty.size(); ++word) {
+      region.populated[word] |= region.dirty[word];
+      region.dirty[word] = 0;
+      u64 bits = region.populated[word];
+      while (bits != 0) {
+        const std::size_t offset =
+            (word * 64 + static_cast<unsigned>(std::countr_zero(bits))) *
+            kRamPageBytes;
+        bits &= bits - 1;
+        const std::size_t size =
+            std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
+        std::memcpy(image.bytes.data() + offset, region.bytes.data() + offset,
+                    size);
+        ++copied;
+      }
+    }
     images.push_back(std::move(image));
-    std::fill(region.dirty.begin(), region.dirty.end(), 0);
   }
+  return copied;
 }
 
 u64 Bus::ram_restore(const std::vector<RamImage>& images,
@@ -202,6 +220,7 @@ u64 Bus::ram_restore(const std::vector<RamImage>& images,
                                  static_cast<u32>(size));
         }
       }
+      region.populated[word] |= region.dirty[word];
       region.dirty[word] = 0;
     }
   }

@@ -13,6 +13,7 @@
 #include "common/bits.hpp"
 #include "common/status.hpp"
 #include "vp/device.hpp"
+#include "vp/page_buffer.hpp"
 
 namespace s4e::vp {
 
@@ -79,13 +80,16 @@ class Bus {
 
   // --- Snapshot support (see vp/snapshot.hpp).
 
-  // Capture a full image of every RAM region and mark all pages clean, so
-  // the next ram_restore() copies back only what execution dirtied after
-  // this call.
-  void ram_snapshot(std::vector<RamImage>& images);
+  // Capture an image of every RAM region and mark all pages clean, so the
+  // next ram_restore() copies back only what execution dirtied after this
+  // call. Each image is a fresh lazily zeroed buffer into which only the
+  // region's populated pages (written since construction) are copied; the
+  // rest are known to be zero. Returns the number of pages copied.
+  u64 ram_snapshot(std::vector<RamImage>& images);
 
   // Write back the dirty pages from `images` (captured by ram_snapshot on
-  // this bus) and clear the dirty map. Returns the number of pages copied.
+  // this bus; a page first written after the capture comes back as zero)
+  // and clear the dirty map. Returns the number of pages copied.
   // `restored` (optional) collects the [address, size) extent of each
   // copied page so the caller can invalidate overlapping translation
   // blocks.
@@ -103,10 +107,13 @@ class Bus {
  private:
   struct RamRegion {
     u32 base = 0;
-    std::vector<u8> bytes;
+    PageBuffer bytes;  // lazily zeroed: untouched pages cost nothing
     // One bit per kRamPageBytes page, set on every write path into the
     // region (CPU stores, ram_write); cleared by ram_snapshot/ram_restore.
     std::vector<u64> dirty;
+    // Pages written since construction: `dirty` is folded in before each
+    // clear, so a page outside populated|dirty still holds zero.
+    std::vector<u64> populated;
     u32 end() const noexcept { return base + static_cast<u32>(bytes.size()); }
     void mark_dirty(std::size_t offset, u32 size) noexcept {
       const std::size_t last = (offset + size - 1) / kRamPageBytes;

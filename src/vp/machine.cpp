@@ -87,7 +87,7 @@ Machine::~Machine() = default;
 
 s4e_vm* Machine::vm_handle() noexcept { return vm_handle_.get(); }
 
-void Machine::reset(bool clear_ram) {
+void Machine::reset() {
   // Stacks grow down from the top of RAM with a 16-byte red zone; SMP harts
   // get staggered stack tops so bare-metal code that never partitions the
   // stack itself still runs (hart 0 keeps the exact single-hart layout).
@@ -121,10 +121,6 @@ void Machine::reset(bool clear_ram) {
   icache_.reset(config_.timing);
   bimodal_.reset();
   bus_.reset_devices();
-  if (clear_ram) {
-    std::vector<u8> zeros(config_.ram_size, 0);
-    (void)bus_.ram_write(config_.ram_base, zeros.data(), config_.ram_size);
-  }
 }
 
 void Machine::sync_active_hart() {
@@ -169,7 +165,7 @@ void Machine::save_state(Snapshot& snap) {
   snap.icache_misses = icache_.misses();
   snap.icache_tags = icache_.tags();
   snap.bimodal = bimodal_.table();
-  bus_.ram_snapshot(snap.ram);
+  snap_stats_.pages_saved += bus_.ram_snapshot(snap.ram);
   bus_.save_device_state(snap.device_state);
   snap.valid = true;
   ++snap_stats_.snapshots;
@@ -202,10 +198,10 @@ void Machine::restore_state(const Snapshot& snap) {
   // Dirty pages carry everything the run wrote — including patched code, so
   // invalidating the blocks on restored pages is exactly what keeps the
   // warm TB cache consistent with the restored RAM.
-  std::vector<std::pair<u32, u32>> restored;
-  snap_stats_.pages_copied += bus_.ram_restore(snap.ram, &restored);
+  restored_pages_.clear();
+  snap_stats_.pages_copied += bus_.ram_restore(snap.ram, &restored_pages_);
   snap_stats_.pages_total += bus_.ram_pages();
-  for (const auto& [address, size] : restored) {
+  for (const auto& [address, size] : restored_pages_) {
     snap_stats_.tb_blocks_invalidated +=
         tb_cache_.invalidate_range(address, size);
   }

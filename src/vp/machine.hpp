@@ -164,14 +164,15 @@ class Machine {
   void invalidate_code(u32 address, u32 size);
 
   // Reset architectural state, counters and every mapped device (keeps
-  // loaded RAM contents unless `clear_ram`).
-  void reset(bool clear_ram = false);
+  // loaded RAM contents).
+  void reset();
 
   // --- Snapshot/restore (see vp/snapshot.hpp).
 
-  // Capture complete machine state into `snap` (full RAM copy, paid once)
-  // and reset the dirty-page baseline: the next restore_state() copies back
-  // only pages written after this call.
+  // Capture complete machine state into `snap` (RAM pages written since
+  // construction are copied; the rest are zero) and reset the dirty-page
+  // baseline: the next restore_state() copies back only pages written after
+  // this call.
   void save_state(Snapshot& snap);
 
   // Restore the state captured by save_state() on *this* machine. RAM
@@ -434,6 +435,9 @@ class Machine {
   IcacheSim icache_;
   BimodalPredictor bimodal_;
   SnapshotStats snap_stats_;
+  // Page extents copied by the last restore_state() (reused, not
+  // reallocated, across per-mutant restores).
+  std::vector<std::pair<u32, u32>> restored_pages_;
   // Holds the current block when the TB cache is disabled (E1 ablation).
   std::unique_ptr<TranslationBlock> scratch_block_;
 

@@ -10,16 +10,14 @@ namespace s4e::vp {
 u64 data_memory_hash(Machine& machine, const assembler::Program& program) {
   const assembler::Section* data = program.find_section(".data");
   if (data == nullptr || data->bytes.empty()) return 0;
-  std::vector<u8> buffer(data->bytes.size());
-  if (!machine.bus()
-           .ram_read(data->base, buffer.data(),
-                     static_cast<u32>(buffer.size()))
-           .ok()) {
-    return 0;
-  }
+  // Hashed in place: .data must lie wholly inside one RAM region.
+  const Bus::RamWindow window = machine.bus().ram_window(data->base);
+  if (window.data == nullptr) return 0;
+  const u64 offset = u64{data->base} - window.base;
+  if (offset + data->bytes.size() > window.size) return 0;
   u64 hash = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (u8 byte : buffer) {
-    hash ^= byte;
+  for (std::size_t i = 0; i < data->bytes.size(); ++i) {
+    hash ^= window.data[offset + i];
     hash *= 0x100000001b3ULL;
   }
   return hash;

@@ -10,9 +10,10 @@ std::string SnapshotStats::to_string() const {
                        : 100.0 * static_cast<double>(pages_copied) /
                              static_cast<double>(pages_total);
   return format(
-      "snapshot: %llu snapshots, %llu restores, %llu/%llu pages copied "
-      "(%.2f%%), %llu tb blocks invalidated",
+      "snapshot: %llu snapshots (%llu pages saved), %llu restores, "
+      "%llu/%llu pages copied (%.2f%%), %llu tb blocks invalidated",
       static_cast<unsigned long long>(snapshots),
+      static_cast<unsigned long long>(pages_saved),
       static_cast<unsigned long long>(restores),
       static_cast<unsigned long long>(pages_copied),
       static_cast<unsigned long long>(pages_total), copied_pct,

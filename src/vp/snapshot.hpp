@@ -2,10 +2,13 @@
 //
 // A Snapshot captures complete machine state: hart (GPRs/PC/CSRs), cycle
 // and instret counters, microarchitectural model state (icache tags, branch
-// predictor), full RAM images, and one opaque blob per mapped device. The
-// capture is a full copy (paid once); restores are proportional to what the
-// run *dirtied*: the bus maintains a per-page dirty bitmap on its RAM write
-// path, and restore copies back only touched pages. Campaign engines
+// predictor), RAM images, and one opaque blob per mapped device. Both
+// directions cost what the program touched, not the configured RAM size:
+// the bus maintains a per-page dirty bitmap on its RAM write path, folded
+// into a `populated` bitmap (every page written since construction) at each
+// capture and restore. A capture copies only the populated pages into a
+// lazily zeroed image (vp/page_buffer.hpp) — every other page is known to be
+// zero — and a restore copies back only the dirty pages. Campaign engines
 // snapshot once per worker and restore per mutant, keeping the translation-
 // block cache warm across runs (restore invalidates only the blocks on
 // restored pages).
@@ -22,6 +25,7 @@
 #include "common/bits.hpp"
 #include "common/status.hpp"
 #include "vp/cpu.hpp"
+#include "vp/page_buffer.hpp"
 #include "vp/timing.hpp"  // kBimodalEntries
 
 namespace s4e::vp {
@@ -100,10 +104,11 @@ class StateReader {
   std::size_t pos_ = 0;
 };
 
-// Full image of one bus RAM region at snapshot time.
+// Image of one bus RAM region at snapshot time: the region's populated
+// pages are copied in, every other page reads as zero.
 struct RamImage {
   u32 base = 0;
-  std::vector<u8> bytes;
+  PageBuffer bytes;
 };
 
 // Complete machine state captured by Machine::save_state().
@@ -132,6 +137,7 @@ struct Snapshot {
 struct SnapshotStats {
   u64 snapshots = 0;
   u64 restores = 0;
+  u64 pages_saved = 0;    // populated pages copied in across all captures
   u64 pages_copied = 0;   // dirty pages written back across all restores
   u64 pages_total = 0;    // pages a full-RAM restore would copy, summed
   u64 tb_blocks_invalidated = 0;
@@ -139,6 +145,7 @@ struct SnapshotStats {
   SnapshotStats& operator+=(const SnapshotStats& other) noexcept {
     snapshots += other.snapshots;
     restores += other.restores;
+    pages_saved += other.pages_saved;
     pages_copied += other.pages_copied;
     pages_total += other.pages_total;
     tb_blocks_invalidated += other.tb_blocks_invalidated;

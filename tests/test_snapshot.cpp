@@ -2,17 +2,21 @@
 //   * StateWriter/StateReader blob round-trips
 //   * per-device reset() regression (UART, CLINT, GPIO, test finisher)
 //   * dirty-page tracking: restore cost proportional to pages written
+//   * sparse capture: a snapshot copies only the pages written since
+//     construction, and never-written pages restore as zero
 //   * TB-cache range invalidation drops only overlapping blocks
 //   * fresh-run == restored-run equivalence, property-tested over
 //     generated torture programs
 //   * campaign engines produce bit-identical results with and without
-//     per-worker machine reuse
+//     per-worker machine reuse, on one and two worker lanes
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "core/workloads.hpp"
 #include "fault/fault.hpp"
 #include "mutation/mutation.hpp"
 #include "testgen/testgen.hpp"
@@ -226,6 +230,104 @@ TEST(DirtyPages, SecondRestoreAfterNoWritesCopiesNothing) {
 }
 
 // --------------------------------------------------------------------------
+// Sparse capture: save_state copies only the pages written since
+// construction; every other page of the image is known to be zero.
+
+// Distinct kRamPageBytes pages spanned by the program's loaded sections.
+u64 program_pages(const assembler::Program& program, u32 ram_base) {
+  std::set<u64> pages;
+  for (const auto& section : program.sections) {
+    if (section.bytes.empty()) continue;
+    const u64 first = u64{section.base} - ram_base;
+    const u64 last = first + section.bytes.size() - 1;
+    for (u64 page = first / kRamPageBytes; page <= last / kRamPageBytes;
+         ++page) {
+      pages.insert(page);
+    }
+  }
+  return pages.size();
+}
+
+u32 read_word(Machine& machine, u32 address) {
+  u32 value = 0xffff'ffff;
+  EXPECT_TRUE(machine.bus().ram_read(address, &value, 4).ok());
+  return value;
+}
+
+void write_word(Machine& machine, u32 address, u32 value) {
+  ASSERT_TRUE(machine.bus().ram_write(address, &value, 4).ok());
+}
+
+TEST(SparseCapture, FreshMachineSavesNoPages) {
+  Machine machine;
+  Snapshot snap;
+  machine.save_state(snap);
+  EXPECT_EQ(machine.snapshot_stats().pages_saved, 0u);
+  EXPECT_EQ(read_word(machine, machine.config().ram_base), 0u);
+}
+
+TEST(SparseCapture, WorkerVmSavesExactlyTheProgramPages) {
+  auto workload = core::find_workload("bubble_sort");
+  ASSERT_TRUE(workload.ok());
+  const auto program = assemble_or_die(workload->source.c_str());
+  const MachineConfig config;
+  auto vm = WorkerVm::create(config, program);
+  ASSERT_TRUE(vm.ok());
+  const u64 expected = program_pages(program, config.ram_base);
+  ASSERT_GT(expected, 0u);
+  EXPECT_EQ((*vm)->stats().pages_saved, expected);
+}
+
+TEST(SparseCapture, ResaveKeepsPagesWrittenBeforeTheFirstSave) {
+  Machine machine;
+  const u32 page_a = machine.config().ram_base + 5 * kRamPageBytes;
+  const u32 page_b = machine.config().ram_base + 40 * kRamPageBytes;
+  Snapshot snap;
+  write_word(machine, page_a, 0x1111'1111);
+  machine.save_state(snap);
+  write_word(machine, page_b, 0x2222'2222);
+  // Page A is clean now; only the populated map still knows it holds data.
+  machine.save_state(snap);
+  EXPECT_EQ(machine.snapshot_stats().pages_saved, 3u);  // 1 + 2
+
+  write_word(machine, page_a, 0x9999'9999);
+  write_word(machine, page_b, 0x8888'8888);
+  machine.restore_state(snap);
+  EXPECT_EQ(read_word(machine, page_a), 0x1111'1111u);
+  EXPECT_EQ(read_word(machine, page_b), 0x2222'2222u);
+}
+
+// Stores to a page far from the program's code and data.
+const char* kFarStoreSource = R"(
+_start:
+    li t0, 0x80200000
+    li t1, 0x5a5a5a5a
+    sw t1, 0(t0)
+    li a0, 0
+    li a7, 93
+    ecall
+)";
+
+TEST(SparseCapture, PageFirstWrittenAfterSnapshotRestoresToZero) {
+  auto program = assemble_or_die(kFarStoreSource);
+  Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  Snapshot snap;
+  machine.save_state(snap);
+  const u32 guest_page = 0x8020'0000;
+  const u32 host_page = machine.config().ram_base + 3000 * kRamPageBytes;
+
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_TRUE(machine.run().normal_exit()) << pass;
+    write_word(machine, host_page, 0x7777'7777);
+    EXPECT_EQ(read_word(machine, guest_page), 0x5a5a'5a5au) << pass;
+    machine.restore_state(snap);
+    EXPECT_EQ(read_word(machine, guest_page), 0u) << pass;  // guest store
+    EXPECT_EQ(read_word(machine, host_page), 0u) << pass;   // ram_write
+  }
+}
+
+// --------------------------------------------------------------------------
 // TB-cache range invalidation.
 
 std::unique_ptr<TranslationBlock> make_block(u32 start, u32 byte_size) {
@@ -354,8 +456,8 @@ TEST(WorkerVm, PrepareYieldsIdenticalRunsAndCountsStats) {
 }
 
 // --------------------------------------------------------------------------
-// Campaign engines: reuse on vs off must be bit-identical (jobs = 1; the
-// parallel variant lives in test_exec_pool under the tsan label).
+// Campaign engines: reuse on vs off must be bit-identical (jobs = 1, then
+// two lanes; test_exec_pool checks jobs = 2 field by field).
 
 const char* kCampaignSource = R"(
 _start:
@@ -434,6 +536,43 @@ TEST(CampaignReuse, MutationCampaignMatchesFreshMachines) {
   }
   EXPECT_EQ(reused_score->snapshot_stats.restores,
             reused_score->results.size());
+}
+
+// Two worker lanes build, map and unmap their machines and snapshot images
+// concurrently (the race surface `ctest -L tsan` checks). Each lane's one
+// capture copies exactly the program's pages, summed across lanes.
+TEST(CampaignReuse, TwoLaneCampaignsMatchFreshMachines) {
+  auto program = assemble_or_die(kCampaignSource);
+  const u64 pages = program_pages(program, MachineConfig{}.ram_base);
+
+  fault::CampaignConfig fault_config;
+  fault_config.seed = 77;
+  fault_config.mutant_count = 80;
+  fault_config.jobs = 2;
+  fault_config.reuse_machines = false;
+  auto fresh_faults = fault::Campaign(program, fault_config).run();
+  ASSERT_TRUE(fresh_faults.ok()) << fresh_faults.error().to_string();
+  fault_config.reuse_machines = true;
+  auto reused_faults = fault::Campaign(program, fault_config).run();
+  ASSERT_TRUE(reused_faults.ok()) << reused_faults.error().to_string();
+  EXPECT_EQ(fresh_faults->to_string(), reused_faults->to_string());
+  const SnapshotStats& fault_stats = reused_faults->snapshot_stats;
+  EXPECT_GE(fault_stats.snapshots, 1u);
+  EXPECT_EQ(fault_stats.pages_saved, fault_stats.snapshots * pages);
+
+  mutation::MutationConfig mutation_config;
+  mutation_config.jobs = 2;
+  mutation_config.reuse_machines = false;
+  auto fresh_score = mutation::MutationCampaign(program, mutation_config).run();
+  ASSERT_TRUE(fresh_score.ok()) << fresh_score.error().to_string();
+  mutation_config.reuse_machines = true;
+  auto reused_score =
+      mutation::MutationCampaign(program, mutation_config).run();
+  ASSERT_TRUE(reused_score.ok()) << reused_score.error().to_string();
+  EXPECT_EQ(fresh_score->to_string(), reused_score->to_string());
+  const SnapshotStats& mutation_stats = reused_score->snapshot_stats;
+  EXPECT_GE(mutation_stats.snapshots, 1u);
+  EXPECT_EQ(mutation_stats.pages_saved, mutation_stats.snapshots * pages);
 }
 
 }  // namespace
