@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "bench/bench_report.hpp"
+#include "bench/fresh_campaign.hpp"
 #include "common/strings.hpp"
 #include "core/ecosystem.hpp"
 #include "core/workloads.hpp"
@@ -135,10 +136,10 @@ int main() {
                 seconds, mutants / seconds);
   }
 
-  // Fresh-vs-reuse x serial-vs-parallel matrix on one workload: per-worker
-  // machine reuse (snapshot once, dirty-page restore per mutant) against
-  // the fresh-machine-per-mutant path, at jobs=1 and jobs=hw. All four
-  // results must be bit-identical.
+  // Fresh-vs-reuse x serial-vs-parallel matrix on one workload: the
+  // campaign's per-worker machine reuse (snapshot once, dirty-page restore
+  // per mutant) against a fresh machine per mutant (bench/fresh_campaign),
+  // at jobs=1 and jobs=hw. All four results must be bit-identical.
   {
     // Floor at 2 so the pooled path is exercised even on a 1-core host
     // (there the comparison degenerates to ~1.0x, as expected).
@@ -162,16 +163,21 @@ int main() {
         {"fresh parallel", hw, false, 0, {}},
         {"reuse parallel", hw, true, 0, {}},
     };
+    par.machine = ecosystem.machine_config();
     for (Cell& cell : cells) {
       par.jobs = cell.jobs;
-      par.reuse_machines = cell.reuse;
       const auto start = std::chrono::steady_clock::now();
-      auto result = ecosystem.run_campaign(*sort_program, par);
+      if (cell.reuse) {
+        auto result = fault::Campaign(*sort_program, par).run();
+        S4E_CHECK_MSG(result.ok(), cell.name);
+        cell.result = std::move(*result);
+      } else {
+        cell.result = bench::fresh_campaign(
+            fault::FaultModel(*sort_program, par), cell.jobs);
+      }
       cell.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-      S4E_CHECK_MSG(result.ok(), cell.name);
-      cell.result = std::move(*result);
     }
     bool all_identical = true;
     for (const Cell& cell : cells) {

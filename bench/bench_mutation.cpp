@@ -12,6 +12,7 @@
 
 #include "asm/assembler.hpp"
 #include "bench/bench_report.hpp"
+#include "bench/fresh_campaign.hpp"
 #include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "elf/elf32.hpp"
@@ -211,10 +212,10 @@ int main(int argc, char** argv) {
                 "kills)\n");
   }
 
-  // Fresh-vs-reuse x serial-vs-parallel matrix: per-worker machine reuse
-  // (snapshot once, dirty-page restore + patch per mutant) against the
-  // fresh-machine path, at jobs=1 and jobs=hw. All four scores must be
-  // bit-identical.
+  // Fresh-vs-reuse x serial-vs-parallel matrix: the campaign's per-worker
+  // machine reuse (snapshot once, dirty-page restore + patch per mutant)
+  // against a fresh machine per mutant (bench/fresh_campaign), at jobs=1
+  // and jobs=hw. All four scores must be bit-identical.
   {
     // Floor at 2 so the pooled path is exercised even on a 1-core host
     // (there the comparison degenerates to ~1.0x, as expected).
@@ -239,15 +240,18 @@ int main(int argc, char** argv) {
     for (Cell& cell : cells) {
       mutation::MutationConfig config;
       config.jobs = cell.jobs;
-      config.reuse_machines = cell.reuse;
-      mutation::MutationCampaign campaign(*program, config);
       const auto start = std::chrono::steady_clock::now();
-      auto score = campaign.run();
+      if (cell.reuse) {
+        auto score = mutation::MutationCampaign(*program, config).run();
+        S4E_CHECK_MSG(score.ok(), cell.name);
+        cell.score = std::move(*score);
+      } else {
+        cell.score = bench::fresh_campaign(
+            mutation::MutationModel(*program, config), cell.jobs);
+      }
       cell.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-      S4E_CHECK_MSG(score.ok(), cell.name);
-      cell.score = std::move(*score);
     }
     const double runs = static_cast<double>(cells[0].score.results.size());
     std::printf("\n[E10-reuse] bubble_sort, %.0f mutants, fresh vs reused "

@@ -1,0 +1,194 @@
+// The generic campaign driver: Campaign<Model>::run(). A fault campaign
+// and a mutation campaign are the same loop — run a golden reference,
+// enumerate the items (faults / mutants), decide what static triage can,
+// run every other item on the VP and classify it against the golden run —
+// so everything but the model lives here:
+//
+//   * shard validation and the shard's contiguous index range;
+//   * static triage (off on SMP machines), the pruned short-circuit that
+//     needs no VM, and the kVerify cross-check;
+//   * the hang budget;
+//   * run_affine fan-out with one lazily created vp::WorkerVm per lane,
+//     slot/error arrays, progress, telemetry and the snapshot-stats sum;
+//   * the in-order fold that makes the report bit-identical to a serial
+//     run for any `jobs`.
+//
+// A Model supplies (see fault::FaultModel, mutation::MutationModel):
+//   Config, Item, ItemResult, Report  its config and result types
+//   kBuckets                          telemetry names of the result buckets
+//   config(), program()
+//   enumerate(golden&)                golden run + the full item list
+//   decide(triage, item)              static triage of one item
+//   run_one(machine, item, golden)    inject/patch, run, classify
+//   pruned(item)                      the statically proven result
+//   bucket(result)                    result bucket (an enum with to_string)
+//   describe(item)                    item text for the verify error
+//   open(golden, total), fold(report, result), results(report)
+//
+// Only the models' .cpp files include this header, each instantiating
+// Campaign<Model> once.
+#pragma once
+
+#include <iterator>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "campaign/campaign.hpp"
+#include "common/strings.hpp"
+#include "exec/campaign_executor.hpp"
+#include "obs/metrics.hpp"
+#include "vp/runner.hpp"
+
+namespace s4e::campaign {
+
+template <class Model>
+Result<typename Model::Report> Campaign<Model>::run() {
+  using ItemResult = typename Model::ItemResult;
+  DriverConfig config = model_.config();
+  if (config.shard_count < 1 || config.shard_index >= config.shard_count) {
+    return Error(ErrorCode::kInvalidArgument,
+                 format("invalid shard %u/%u", config.shard_index,
+                        config.shard_count));
+  }
+  S4E_TRY(enumerated, model_.enumerate(golden_));
+  items_ = std::move(enumerated);
+
+  // Static triage: decide every item up front. Enumeration is unaffected,
+  // so the non-pruned subset is identical to a triage-off run. Triage
+  // reasons about a single sequential instruction stream; on an SMP machine
+  // a register another hart never reads can still change the
+  // interleaving-visible state, so triage is conservatively disabled.
+  if (config.machine.num_harts > 1) {
+    config.triage = dataflow::TriageMode::kOff;
+  }
+  std::vector<dataflow::TriageDecision> decisions(items_.size());
+  if (config.triage != dataflow::TriageMode::kOff) {
+    dataflow::TriageOptions triage_options;
+    triage_options.stack_top =
+        config.machine.ram_base + config.machine.ram_size;
+    S4E_TRY(triage, dataflow::StaticTriage::build(model_.program(),
+                                                  triage_options));
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      decisions[i] = model_.decide(triage, items_[i]);
+    }
+  }
+  const bool skip_pruned = config.triage == dataflow::TriageMode::kOn;
+  const vp::MachineConfig item_machine =
+      config.item_machine(golden_.result.instructions);
+
+  // Shard selection: the item list and triage decisions above cover the
+  // *full* campaign; only the contiguous global index range [begin, end)
+  // runs here.
+  const u64 total = items_.size();
+  const u64 begin = total * config.shard_index / config.shard_count;
+  const u64 end = total * (config.shard_index + 1) / config.shard_count;
+  const std::size_t count = static_cast<std::size_t>(end - begin);
+  Report report = Model::open(golden_, total);
+  report.shard_begin = begin;
+
+  // Fan the independent item runs out over the executor. Every job writes
+  // only its own slot; the report is folded afterwards by walking the slots
+  // in submission order, so it is bit-identical to the jobs=1 serial run
+  // regardless of scheduling.
+  std::vector<ItemResult> slots(count);
+  std::vector<std::optional<Error>> errors(count);
+  progress_.begin(count);
+  exec::CampaignExecutor executor(config.jobs);
+  // Telemetry shards are per worker lane (lock-free: each lane writes only
+  // its own shard) and fold deterministically after the barrier.
+  std::unique_ptr<obs::CampaignTelemetry> telemetry;
+  if (config.collect_metrics) {
+    telemetry = std::make_unique<obs::CampaignTelemetry>(
+        std::vector<std::string>(std::begin(Model::kBuckets),
+                                 std::end(Model::kBuckets)),
+        executor.jobs());
+    telemetry->set_campaign(count, golden_.result.instructions,
+                            item_machine.max_instructions);
+  }
+  const auto record = [&](unsigned worker, std::size_t index,
+                          Result<ItemResult> result) {
+    if (result.ok()) {
+      const auto bucket = static_cast<unsigned>(Model::bucket(*result));
+      // Statically decided items were never run; they count toward the
+      // bucket histogram but not the run telemetry.
+      if (telemetry != nullptr && !(skip_pruned && result->pruned)) {
+        telemetry->record_run(worker, bucket, result->instructions,
+                              !result->post_mortem.empty());
+      }
+      slots[index] = std::move(*result);
+      progress_.record(bucket);
+    } else {
+      errors[index] = result.error();
+      progress_.record(exec::CampaignProgress::kBuckets);  // count done only
+    }
+  };
+  // The short-circuit for statically decided items (triage on), and the
+  // verify-mode cross-check for items that *would* have been pruned. These
+  // index the *global* item list; `record` takes the local slot index.
+  const auto pruned = [&](std::size_t global) {
+    ItemResult result = Model::pruned(items_[global]);
+    result.exit_code = golden_.result.exit_code;
+    result.pruned = true;
+    result.prune_reason = decisions[global].reason;
+    return result;
+  };
+  const auto finish = [&](std::size_t global,
+                          Result<ItemResult> result) -> Result<ItemResult> {
+    if (!result.ok() || !decisions[global].pruned) return result;
+    result->pruned = true;
+    result->prune_reason = decisions[global].reason;
+    const auto bucket = Model::bucket(*result);
+    if (config.triage == dataflow::TriageMode::kVerify &&
+        bucket != Model::bucket(Model::pruned(items_[global]))) {
+      return Error(ErrorCode::kAnalysisError,
+                   format("triage verify mismatch: %s statically pruned as "
+                          "'%s' but dynamically %s",
+                          Model::describe(items_[global]).c_str(),
+                          result->prune_reason.c_str(),
+                          std::string(to_string(bucket)).c_str()));
+    }
+    return result;
+  };
+  // One long-lived machine per worker lane, loaded and snapshotted on the
+  // lane's first item; every run starts from a dirty-page restore with a
+  // warm TB cache instead of a fresh build + full program load.
+  std::vector<std::unique_ptr<vp::WorkerVm>> vms(executor.jobs());
+  executor.run_affine(count, [&](unsigned worker, std::size_t index) {
+    const std::size_t global = static_cast<std::size_t>(begin) + index;
+    if (skip_pruned && decisions[global].pruned) {
+      record(worker, index, pruned(global));  // no VM needed
+      return;
+    }
+    if (vms[worker] == nullptr) {
+      auto vm = vp::WorkerVm::create(item_machine, model_.program());
+      if (!vm.ok()) {
+        record(worker, index, vm.error());
+        return;
+      }
+      vms[worker] = std::move(*vm);
+    }
+    record(worker, index,
+           finish(global, model_.run_one(vms[worker]->prepare(),
+                                         items_[global], golden_)));
+  });
+  for (const auto& vm : vms) {
+    if (vm != nullptr) report.snapshot_stats += vm->stats();
+  }
+
+  Model::results(report).reserve(slots.size());
+  for (std::size_t index = 0; index < slots.size(); ++index) {
+    if (errors[index].has_value()) return *errors[index];
+    Model::fold(report, std::move(slots[index]));
+  }
+  if (telemetry != nullptr) {
+    if (config.triage != dataflow::TriageMode::kOff) {
+      telemetry->set_pruned(report.pruned_count);
+    }
+    report.metrics_json = telemetry->to_json();
+  }
+  return report;
+}
+
+}  // namespace s4e::campaign

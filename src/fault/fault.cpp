@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <memory>
 
+#include "campaign/driver.hpp"
 #include "common/strings.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "vp/runner.hpp"
 
 namespace s4e::fault {
@@ -147,45 +147,32 @@ void FaultInjectorPlugin::on_mem(const s4e_mem_event& event) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign.
+// Fault model.
 
-Result<Campaign::Profile> Campaign::profile_run(CampaignResult& result) {
-  vp::Machine machine(config_.machine);
-  coverage::CoveragePlugin coverage_plugin;
-  coverage_plugin.attach(machine.vm_handle());
+namespace {
 
-  S4E_TRY(golden, vp::run_golden(machine, program_));
-  result.golden_exit_code = golden.result.exit_code;
-  result.golden_instructions = golden.result.instructions;
-  result.golden_uart = golden.uart;
-  result.golden_memory_hash = golden.memory_hash;
-
-  Profile profile;
-  profile.coverage = coverage_plugin.data();
-  profile.touched_memory = std::move(golden.touched_memory);
-  profile.executed_code = std::move(golden.executed_code);
-  return profile;
-}
-
-std::vector<FaultSpec> Campaign::generate_faults(const Profile& profile) {
-  Rng rng(config_.seed);
+// The fault list, drawn from what the golden (profiling) run exercised.
+std::vector<FaultSpec> generate_faults(const assembler::Program& program,
+                                       const CampaignConfig& config,
+                                       const coverage::CoverageData& coverage,
+                                       const vp::GoldenRun& golden) {
+  Rng rng(config.seed);
   std::vector<FaultSpec> faults;
 
   // Candidate registers: coverage-directed -> registers the binary reads
   // (a fault in a never-read register cannot propagate); blind -> x1..x31.
   std::vector<unsigned> registers;
   for (unsigned reg = 1; reg < isa::kGprCount; ++reg) {
-    if (!config_.coverage_directed ||
-        profile.coverage.gpr_reads[reg] != 0) {
+    if (!config.coverage_directed || coverage.gpr_reads[reg] != 0) {
       registers.push_back(reg);
     }
   }
 
   // Candidate memory: touched addresses, or the whole data section.
-  std::vector<u32> memory = profile.touched_memory;
-  if (!config_.coverage_directed || memory.empty()) {
+  std::vector<u32> memory = golden.touched_memory;
+  if (!config.coverage_directed || memory.empty()) {
     memory.clear();
-    if (const assembler::Section* data = program_.find_section(".data")) {
+    if (const assembler::Section* data = program.find_section(".data")) {
       for (u32 offset = 0; offset < data->bytes.size(); ++offset) {
         memory.push_back(data->base + offset);
       }
@@ -193,10 +180,10 @@ std::vector<FaultSpec> Campaign::generate_faults(const Profile& profile) {
   }
 
   // Candidate code: executed addresses, or the whole text section.
-  std::vector<u32> code = profile.executed_code;
-  if (!config_.coverage_directed || code.empty()) {
+  std::vector<u32> code = golden.executed_code;
+  if (!config.coverage_directed || code.empty()) {
     code.clear();
-    if (const assembler::Section* text = program_.find_section(".text")) {
+    if (const assembler::Section* text = program.find_section(".text")) {
       for (u32 offset = 0; offset + 4 <= text->bytes.size(); offset += 4) {
         code.push_back(text->base + offset);
       }
@@ -204,19 +191,19 @@ std::vector<FaultSpec> Campaign::generate_faults(const Profile& profile) {
   }
 
   std::vector<FaultTarget> targets;
-  if (config_.gpr_faults && !registers.empty()) {
+  if (config.gpr_faults && !registers.empty()) {
     targets.push_back(FaultTarget::kGpr);
   }
-  if (config_.memory_faults && !memory.empty()) {
+  if (config.memory_faults && !memory.empty()) {
     targets.push_back(FaultTarget::kMemory);
   }
-  if (config_.code_faults && !code.empty()) {
+  if (config.code_faults && !code.empty()) {
     targets.push_back(FaultTarget::kCode);
   }
   if (targets.empty()) return faults;
 
-  const u64 golden_icount = std::max<u64>(profile.coverage.total_instructions, 1);
-  for (unsigned i = 0; i < config_.mutant_count; ++i) {
+  const u64 golden_icount = std::max<u64>(coverage.total_instructions, 1);
+  for (unsigned i = 0; i < config.mutant_count; ++i) {
     FaultSpec spec;
     spec.target = targets[rng.next_below(static_cast<u32>(targets.size()))];
     spec.kind = rng.chance(1, 4) ? FaultKind::kStuckAt : FaultKind::kTransient;
@@ -228,8 +215,8 @@ std::vector<FaultSpec> Campaign::generate_faults(const Profile& profile) {
         spec.bit = static_cast<u8>(rng.next_below(32));
         // The hart draw happens only on SMP machines so single-hart fault
         // lists consume the exact RNG sequence of pre-SMP builds.
-        if (config_.machine.num_harts > 1) {
-          spec.hart = rng.next_below(config_.machine.num_harts);
+        if (config.machine.num_harts > 1) {
+          spec.hart = rng.next_below(config.machine.num_harts);
         }
         break;
       case FaultTarget::kMemory:
@@ -247,24 +234,49 @@ std::vector<FaultSpec> Campaign::generate_faults(const Profile& profile) {
   return faults;
 }
 
-Outcome Campaign::classify(const vp::RunResult& run, const std::string& uart,
-                           u64 memory_hash,
-                           const CampaignResult& golden) const {
+Outcome classify(const vp::RunResult& run, const std::string& uart,
+                 u64 memory_hash, const vp::GoldenRun& golden,
+                 bool compare_memory) {
   if (run.reason == vp::StopReason::kMaxInstructions) return Outcome::kHang;
   if (!run.normal_exit()) return Outcome::kCrash;
-  if (run.exit_code != golden.golden_exit_code ||
-      uart != golden.golden_uart) {
+  if (run.exit_code != golden.result.exit_code || uart != golden.uart) {
     return Outcome::kSdc;
   }
-  if (config_.compare_memory && memory_hash != golden.golden_memory_hash) {
+  if (compare_memory && memory_hash != golden.memory_hash) {
     return Outcome::kSdc;  // silent corruption below the output surface
   }
   return Outcome::kMasked;
 }
 
-Result<MutantResult> Campaign::run_mutant_on(
-    vp::Machine& machine, const FaultSpec& spec,
-    const CampaignResult& golden) const {
+}  // namespace
+
+Result<std::vector<FaultSpec>> FaultModel::enumerate(
+    vp::GoldenRun& golden) const {
+  vp::Machine machine(config_.machine);
+  coverage::CoveragePlugin coverage_plugin;
+  coverage_plugin.attach(machine.vm_handle());
+  S4E_TRY(run, vp::run_golden(machine, program_));
+  golden = std::move(run);
+  return generate_faults(program_, config_, coverage_plugin.data(), golden);
+}
+
+dataflow::TriageDecision FaultModel::decide(
+    const dataflow::StaticTriage& triage, const FaultSpec& spec) const {
+  switch (spec.target) {
+    case FaultTarget::kGpr:
+      return triage.gpr_fault(spec.reg);
+    case FaultTarget::kMemory:
+      break;  // the flipped byte lands in the hashed .data image
+    case FaultTarget::kCode:
+      return triage.code_fault(spec.address, spec.kind == FaultKind::kStuckAt,
+                               spec.bit, spec.stuck_value);
+  }
+  return {};
+}
+
+Result<MutantResult> FaultModel::run_one(vp::Machine& machine,
+                                         const FaultSpec& spec,
+                                         const vp::GoldenRun& golden) const {
   FaultInjectorPlugin injector(spec);
   injector.attach(machine.vm_handle());
   // The recorder is passive (it only reads the event structs), so outcomes
@@ -283,7 +295,8 @@ Result<MutantResult> Campaign::run_mutant_on(
   mutant.instructions = run.instructions;
   mutant.outcome = classify(
       run, machine.uart() != nullptr ? machine.uart()->tx_log() : "",
-      vp::data_memory_hash(machine, program_), golden);
+      vp::data_memory_hash(machine, program_), golden,
+      config_.compare_memory);
   if (recorder != nullptr && (mutant.outcome == Outcome::kHang ||
                               mutant.outcome == Outcome::kCrash)) {
     mutant.post_mortem = recorder->post_mortem(config_.post_mortem_events);
@@ -291,196 +304,35 @@ Result<MutantResult> Campaign::run_mutant_on(
   return mutant;
 }
 
-Result<MutantResult> Campaign::run_mutant(
-    const FaultSpec& spec, const vp::MachineConfig& machine_config,
-    const CampaignResult& golden) const {
-  vp::Machine machine(machine_config);
-  S4E_TRY_STATUS(machine.load_program(program_));
-  return run_mutant_on(machine, spec, golden);
+MutantResult FaultModel::pruned(const FaultSpec& spec) {
+  MutantResult mutant;
+  mutant.spec = spec;
+  mutant.outcome = Outcome::kMasked;
+  return mutant;
 }
 
-Result<CampaignResult> Campaign::run() {
-  if (config_.shard_count < 1 || config_.shard_index >= config_.shard_count) {
-    return Error(ErrorCode::kInvalidArgument,
-                 format("invalid shard %u/%u", config_.shard_index,
-                        config_.shard_count));
-  }
-  CampaignResult result;
-  S4E_TRY(profile, profile_run(result));
-  faults_ = generate_faults(profile);
+MutantResult FaultModel::from_class(unsigned klass, unsigned bucket) {
+  MutantResult mutant;
+  mutant.spec.target = static_cast<FaultTarget>(klass);
+  mutant.outcome = static_cast<Outcome>(bucket);
+  return mutant;
+}
 
-  // Static triage: decide every fault site up front. Fault-list generation
-  // is unaffected, so the non-pruned subset is identical to a triage-off
-  // run over the same seed.
-  // Static triage reasons about a single sequential instruction stream; on
-  // an SMP machine a register another hart never reads can still change the
-  // interleaving-visible state, so triage is conservatively disabled.
-  if (config_.machine.num_harts > 1) {
-    config_.triage = dataflow::TriageMode::kOff;
-  }
-  std::vector<dataflow::TriageDecision> decisions(faults_.size());
-  if (config_.triage != dataflow::TriageMode::kOff) {
-    dataflow::TriageOptions triage_options;
-    triage_options.stack_top = config_.machine.ram_base + config_.machine.ram_size;
-    S4E_TRY(triage, dataflow::StaticTriage::build(program_, triage_options));
-    for (std::size_t i = 0; i < faults_.size(); ++i) {
-      const FaultSpec& spec = faults_[i];
-      switch (spec.target) {
-        case FaultTarget::kGpr:
-          decisions[i] = triage.gpr_fault(spec.reg);
-          break;
-        case FaultTarget::kMemory:
-          break;  // the flipped byte lands in the hashed .data image
-        case FaultTarget::kCode:
-          decisions[i] = triage.code_fault(spec.address,
-                                           spec.kind == FaultKind::kStuckAt,
-                                           spec.bit, spec.stuck_value);
-          break;
-      }
-    }
-  }
-  const bool skip_pruned = config_.triage == dataflow::TriageMode::kOn;
+CampaignResult FaultModel::open(const vp::GoldenRun& golden, u64 total) {
+  CampaignResult report;
+  report.golden_exit_code = golden.result.exit_code;
+  report.golden_instructions = golden.result.instructions;
+  report.golden_uart = golden.uart;
+  report.golden_memory_hash = golden.memory_hash;
+  report.total_faults = total;
+  return report;
+}
 
-  vp::MachineConfig mutant_config = config_.machine;
-  mutant_config.max_instructions =
-      vp::hang_budget(result.golden_instructions, config_.hang_budget_factor,
-                      config_.machine.max_instructions);
-
-  // Shard selection: the fault list and triage decisions above cover the
-  // *full* campaign (identical RNG sequence for every shard); only the
-  // contiguous global index range [begin, end) is simulated here.
-  const u64 total = faults_.size();
-  const u64 begin = total * config_.shard_index / config_.shard_count;
-  const u64 end = total * (config_.shard_index + 1) / config_.shard_count;
-  const std::size_t count = static_cast<std::size_t>(end - begin);
-  result.shard_begin = begin;
-  result.total_faults = total;
-
-  // Fan the independent mutant simulations out over the executor. Every
-  // job writes only its own slot; the per-outcome counters and the
-  // floating-point instruction total are aggregated afterwards by walking
-  // the slots in submission order, so the CampaignResult is bit-identical
-  // to the jobs=1 serial run regardless of scheduling — with or without
-  // machine reuse.
-  std::vector<MutantResult> slots(count);
-  std::vector<std::optional<Error>> errors(count);
-  progress_.begin(count);
-  exec::CampaignExecutor executor(config_.jobs);
-  // Telemetry shards are per worker lane (lock-free: each lane writes only
-  // its own shard) and fold deterministically after the barrier.
-  std::unique_ptr<obs::CampaignTelemetry> telemetry;
-  if (config_.collect_metrics) {
-    telemetry = std::make_unique<obs::CampaignTelemetry>(
-        std::vector<std::string>{"masked", "sdc", "crash", "hang"},
-        executor.jobs());
-    telemetry->set_campaign(count, result.golden_instructions,
-                            mutant_config.max_instructions);
-  }
-  const auto record = [&](unsigned worker, std::size_t index,
-                          Result<MutantResult> mutant) {
-    if (mutant.ok()) {
-      const unsigned bucket = static_cast<unsigned>(mutant->outcome);
-      // Statically decided mutants were never simulated; they count toward
-      // the outcome histogram but not the run telemetry.
-      if (telemetry != nullptr && !(skip_pruned && mutant->pruned)) {
-        telemetry->record_run(worker, bucket, mutant->instructions,
-                              !mutant->post_mortem.empty());
-      }
-      slots[index] = std::move(*mutant);
-      progress_.record(bucket);
-    } else {
-      errors[index] = mutant.error();
-      progress_.record(exec::CampaignProgress::kBuckets);  // count done only
-    }
-  };
-  // Short-circuit for statically decided faults (triage on), and the
-  // verify-mode cross-check for faults that *would* have been pruned.
-  // These index the *global* fault list; `record` above takes the local
-  // slot index within the shard.
-  const auto synthesize = [&](std::size_t global) -> MutantResult {
-    MutantResult mutant;
-    mutant.spec = faults_[global];
-    mutant.outcome = Outcome::kMasked;
-    mutant.exit_code = result.golden_exit_code;
-    mutant.pruned = true;
-    mutant.prune_reason = decisions[global].reason;
-    return mutant;
-  };
-  const auto finish = [&](std::size_t global,
-                          Result<MutantResult> mutant) -> Result<MutantResult> {
-    if (!mutant.ok() || !decisions[global].pruned) return mutant;
-    mutant->pruned = true;
-    mutant->prune_reason = decisions[global].reason;
-    if (config_.triage == dataflow::TriageMode::kVerify &&
-        mutant->outcome != Outcome::kMasked) {
-      return Error(
-          ErrorCode::kAnalysisError,
-          format("triage verify mismatch: %s statically pruned as '%s' but "
-                 "dynamically %s",
-                 mutant->spec.to_string().c_str(),
-                 mutant->prune_reason.c_str(),
-                 std::string(fault::to_string(mutant->outcome)).c_str()));
-    }
-    return mutant;
-  };
-  if (config_.reuse_machines) {
-    // One long-lived machine per worker lane, loaded and snapshotted on the
-    // lane's first mutant; every run starts from a dirty-page restore with
-    // a warm TB cache instead of a fresh build + full program load.
-    std::vector<std::unique_ptr<vp::WorkerVm>> vms(executor.jobs());
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));  // no VM needed
-        return;
-      }
-      if (vms[worker] == nullptr) {
-        auto vm = vp::WorkerVm::create(mutant_config, program_);
-        if (!vm.ok()) {
-          record(worker, index, vm.error());
-          return;
-        }
-        vms[worker] = std::move(*vm);
-      }
-      record(worker, index,
-             finish(global, run_mutant_on(vms[worker]->prepare(),
-                                          faults_[global], result)));
-    });
-    for (const auto& vm : vms) {
-      if (vm != nullptr) result.snapshot_stats += vm->stats();
-    }
-  } else {
-    // Fresh machine per mutant, still lane-affine so the metric shards have
-    // a stable worker index (slot determinism is unchanged).
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));
-        return;
-      }
-      record(worker, index,
-             finish(global,
-                    run_mutant(faults_[global], mutant_config, result)));
-    });
-  }
-
-  result.mutants.reserve(slots.size());
-  for (std::size_t index = 0; index < slots.size(); ++index) {
-    if (errors[index].has_value()) return *errors[index];
-    MutantResult& mutant = slots[index];
-    ++result.outcome_counts[static_cast<unsigned>(mutant.outcome)];
-    result.pruned_count += mutant.pruned ? 1 : 0;
-    result.simulated_instructions +=
-        static_cast<double>(mutant.instructions);
-    result.mutants.push_back(std::move(mutant));
-  }
-  if (telemetry != nullptr) {
-    if (config_.triage != dataflow::TriageMode::kOff) {
-      telemetry->set_pruned(result.pruned_count);
-    }
-    result.metrics_json = telemetry->to_json();
-  }
-  return result;
+void FaultModel::fold(CampaignResult& report, MutantResult mutant) {
+  ++report.outcome_counts[static_cast<unsigned>(mutant.outcome)];
+  report.pruned_count += mutant.pruned ? 1 : 0;
+  report.simulated_instructions += static_cast<double>(mutant.instructions);
+  report.mutants.push_back(std::move(mutant));
 }
 
 double CampaignResult::informative_fraction(FaultTarget target) const {
@@ -526,3 +378,6 @@ std::string CampaignResult::to_string() const {
 }
 
 }  // namespace s4e::fault
+
+// The generic driver (campaign/driver.hpp), instantiated for this model.
+template class s4e::campaign::Campaign<s4e::fault::FaultModel>;

@@ -12,13 +12,14 @@
 #include <vector>
 
 #include "asm/program.hpp"
+#include "campaign/campaign.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "coverage/coverage.hpp"
 #include "dataflow/triage.hpp"
-#include "exec/campaign_executor.hpp"
 #include "vp/machine.hpp"
 #include "vp/plugin.hpp"
+#include "vp/runner.hpp"
 
 namespace s4e::fault {
 
@@ -89,71 +90,29 @@ enum class Outcome : u8 {
 
 std::string_view to_string(Outcome outcome) noexcept;
 
-struct MutantResult {
+// One mutant's result: the common fields (exit code, instructions, triage,
+// post-mortem) plus the fault and its outcome. Pruned mutants are kMasked.
+struct MutantResult : campaign::ResultFields {
   FaultSpec spec;
   Outcome outcome = Outcome::kMasked;
-  int exit_code = 0;
-  u64 instructions = 0;
-  // Static triage: true = the outcome was proven (kMasked) without running
-  // the VP; `prune_reason` is the triage class tag. In verify mode the
-  // mutant still executes and `pruned` marks what *would* have been skipped.
-  bool pruned = false;
-  std::string prune_reason;
-  // Flight-recorder dump (the mutant's last executed instructions, memory
-  // accesses and traps) captured for kHang/kCrash mutants when the campaign
-  // runs with `post_mortem` enabled; empty otherwise.
-  std::string post_mortem;
 };
 
-struct CampaignConfig {
+// The fault model's knobs; the driver-owned ones (jobs, triage, shards,
+// hang budget, observability, machine) come from campaign::DriverConfig.
+struct CampaignConfig : campaign::DriverConfig {
   u64 seed = 1;
   unsigned mutant_count = 200;
   bool coverage_directed = true;  // E5 ablation switch
   bool gpr_faults = true;
   bool memory_faults = true;
   bool code_faults = true;
-  // Hang budget as a multiple of the golden run's instruction count.
-  u64 hang_budget_factor = 8;
   // Deep-state comparison: also compare the final .data contents against
   // the golden run, catching silent corruption that never reaches the exit
   // code or the UART (classified as SDC).
   bool compare_memory = true;
-  // Worker threads for the mutant simulations (each worker owns a private
-  // vp::Machine, so results are bit-identical to the serial run). 0 =
-  // hardware_concurrency, 1 = run inline on the calling thread (the exact
-  // serial code path).
-  unsigned jobs = 0;
-  // Reuse one long-lived machine per worker across its mutants: the loaded
-  // state is snapshotted once and restored (dirty pages only, warm TB
-  // cache) before every run. Off = build a fresh machine per mutant (the
-  // pre-snapshot code path); results are bit-identical either way.
-  bool reuse_machines = true;
-  // --- Observability (src/obs). Neither switch changes any mutant outcome
-  // or the campaign's stdout report — runs are only observed.
-  // Collect campaign telemetry into CampaignResult::metrics_json.
-  bool collect_metrics = false;
-  // Attach a flight recorder to every mutant run and keep a post-mortem of
-  // the last `post_mortem_events` events for every kHang/kCrash mutant.
-  bool post_mortem = false;
-  unsigned post_mortem_events = 16;
-  // Static campaign triage (dataflow::StaticTriage). kOn skips mutants whose
-  // outcome is statically provable (they report kMasked with zero simulated
-  // instructions); kVerify runs them anyway and errors on any mismatch
-  // between the static verdict and the dynamic outcome.
-  dataflow::TriageMode triage = dataflow::TriageMode::kOff;
-  // Shard selection for multi-process fleets (s4e-campaignd): the full
-  // fault list is still generated deterministically (same RNG sequence for
-  // every shard), then only the contiguous index range
-  // [floor(i*M/N), floor((i+1)*M/N)) is simulated, where M is the full
-  // list size, i = shard_index and N = shard_count. The union of all N
-  // shards' results is exactly the serial campaign; shard_count == 1 is
-  // the whole campaign (the default, bit-identical to the pre-shard code).
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
-  vp::MachineConfig machine;
 };
 
-struct CampaignResult {
+struct CampaignResult : campaign::ReportFields {
   // Golden reference.
   int golden_exit_code = 0;
   u64 golden_instructions = 0;
@@ -161,21 +120,9 @@ struct CampaignResult {
   u64 golden_memory_hash = 0;  // FNV-1a over the final .data contents
 
   std::vector<MutantResult> mutants;
-  // Sharded runs: global index of mutants[0] in the full fault list, and
-  // the full list's size. Whole-campaign runs have shard_begin == 0 and
-  // total_faults == mutants.size().
-  u64 shard_begin = 0;
-  u64 total_faults = 0;
+  u64 total_faults = 0;  // the full fault list's size (all shards)
   u64 outcome_counts[4] = {0, 0, 0, 0};
-  u64 pruned_count = 0;  // mutants decided statically (triage)
   double simulated_instructions = 0;  // across all mutants
-  // Aggregate snapshot/restore cost over all reused worker machines (zeroed
-  // when reuse_machines is off).
-  vp::SnapshotStats snapshot_stats;
-  // One-line JSON campaign telemetry ("{}" unless collect_metrics). Only
-  // partition-invariant values are exported, so the string is
-  // byte-identical across `jobs` counts and machine reuse on/off.
-  std::string metrics_json = "{}";
 
   u64 count(Outcome outcome) const {
     return outcome_counts[static_cast<unsigned>(outcome)];
@@ -185,49 +132,69 @@ struct CampaignResult {
   std::string to_string() const;
 };
 
-class Campaign {
+// The fault-effect model of the generic campaign driver
+// (campaign/driver.hpp): a coverage-directed fault list, static triage per
+// fault site, and one injected run per fault classified against the golden
+// run. The static members are the result vocabulary the driver, the tools
+// and the fleet merge share.
+class FaultModel {
  public:
-  Campaign(assembler::Program program, const CampaignConfig& config)
+  using Config = CampaignConfig;
+  using Item = FaultSpec;
+  using ItemResult = MutantResult;
+  using Report = CampaignResult;
+  // Telemetry names of the result buckets, in Outcome order.
+  static constexpr const char* kBuckets[] = {"masked", "sdc", "crash",
+                                             "hang"};
+
+  FaultModel(assembler::Program program, const CampaignConfig& config)
       : program_(std::move(program)), config_(config) {}
 
-  // Golden run + fault-list generation + one simulation per mutant
-  // (fanned out over `config.jobs` workers; aggregation is deterministic).
-  Result<CampaignResult> run();
+  const assembler::Program& program() const noexcept { return program_; }
+  const CampaignConfig& config() const noexcept { return config_; }
 
-  // The generated fault list (valid after run()).
-  const std::vector<FaultSpec>& fault_list() const noexcept { return faults_; }
+  // Golden (profiling) run into `golden`, then the fault list drawn from
+  // the registers, memory and code it exercised.
+  Result<std::vector<FaultSpec>> enumerate(vp::GoldenRun& golden) const;
+  dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
+                                  const FaultSpec& spec) const;
+  // One mutant simulation on `machine`, which must hold the freshly loaded
+  // (or snapshot-restored) program with no plugins attached, configured
+  // with the campaign's item_machine(). Thread-safe: shares only the
+  // immutable program and golden reference.
+  Result<MutantResult> run_one(vp::Machine& machine, const FaultSpec& spec,
+                               const vp::GoldenRun& golden) const;
 
-  // Live progress of an in-flight run(): mutants done plus an Outcome
-  // histogram snapshot (indexed by static_cast<unsigned>(Outcome)).
-  // Safe to read from any thread while run() executes.
-  const exec::CampaignProgress& progress() const noexcept { return progress_; }
+  static MutantResult pruned(const FaultSpec& spec);  // statically masked
+  static Outcome bucket(const MutantResult& mutant) { return mutant.outcome; }
+  static std::string describe(const FaultSpec& spec) {
+    return spec.to_string();
+  }
+  // Fleet records carry a result as (class, bucket): the fault target and
+  // the outcome.
+  static unsigned klass(const MutantResult& mutant) {
+    return static_cast<unsigned>(mutant.spec.target);
+  }
+  static MutantResult from_class(unsigned klass, unsigned bucket);
+  // The report: golden reference and full-list size, then one in-order
+  // fold per result (the driver's and the fleet merge's).
+  static CampaignResult open(const vp::GoldenRun& golden, u64 total);
+  static void fold(CampaignResult& report, MutantResult mutant);
+  static std::vector<MutantResult>& results(CampaignResult& report) {
+    return report.mutants;
+  }
 
  private:
-  struct Profile {
-    coverage::CoverageData coverage;
-    std::vector<u32> touched_memory;   // data addresses accessed
-    std::vector<u32> executed_code;    // instruction addresses executed
-  };
-
-  Result<Profile> profile_run(CampaignResult& result);
-  std::vector<FaultSpec> generate_faults(const Profile& profile);
-  Outcome classify(const vp::RunResult& run, const std::string& uart,
-                   u64 memory_hash, const CampaignResult& golden) const;
-  // One mutant simulation on `machine`, which must hold the freshly loaded
-  // (or snapshot-restored) program with no plugins attached. Thread-safe:
-  // shares only the immutable program and golden reference.
-  Result<MutantResult> run_mutant_on(vp::Machine& machine,
-                                     const FaultSpec& spec,
-                                     const CampaignResult& golden) const;
-  // Fresh-machine path (reuse_machines off): build, load, run one mutant.
-  Result<MutantResult> run_mutant(const FaultSpec& spec,
-                                  const vp::MachineConfig& machine_config,
-                                  const CampaignResult& golden) const;
-
   assembler::Program program_;
   CampaignConfig config_;
-  std::vector<FaultSpec> faults_;
-  exec::CampaignProgress progress_;
+};
+
+class Campaign : public campaign::Campaign<FaultModel> {
+ public:
+  using campaign::Campaign<FaultModel>::Campaign;
+
+  // The generated fault list (valid after run()).
+  const std::vector<FaultSpec>& fault_list() const noexcept { return items(); }
 };
 
 }  // namespace s4e::fault

@@ -15,7 +15,9 @@
 
 #include "common/strings.hpp"
 #include "debug/tcp.hpp"
+#include "fault/fault.hpp"
 #include "fleet/worker.hpp"
+#include "mutation/mutation.hpp"
 #include "obs/metrics.hpp"
 
 namespace s4e::fleet {
@@ -182,6 +184,22 @@ Status note_golden(GoldenRef& golden, u64 total, int exit_code,
                exit_code));
   }
   return Status();
+}
+
+// The campaign report from the merged slot array, folded exactly like the
+// in-process driver folds its slots.
+template <class Model>
+std::string merge_report(const GoldenRef& golden,
+                         const std::vector<RecordLine>& slots) {
+  vp::GoldenRun reference;
+  reference.result.exit_code = golden.exit_code;
+  reference.result.instructions = golden.instructions;
+  typename Model::Report report = Model::open(reference, golden.total);
+  Model::results(report).reserve(slots.size());
+  for (const RecordLine& record : slots) {
+    Model::fold(report, from_record<Model>(record));
+  }
+  return report.to_string();
 }
 
 u64 shard_bound(u64 total, unsigned index, unsigned shards) {
@@ -648,43 +666,9 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
     }
   }
 
-  if (options.mode == Mode::kFault) {
-    fault::CampaignResult result;
-    result.golden_exit_code = golden.exit_code;
-    result.golden_instructions = golden.instructions;
-    result.total_faults = golden.total;
-    result.mutants.reserve(slots.size());
-    for (const RecordLine& record : slots) {
-      fault::MutantResult mutant;
-      mutant.spec.target = static_cast<fault::FaultTarget>(record.klass);
-      mutant.outcome = static_cast<fault::Outcome>(record.bucket);
-      mutant.exit_code = record.exit_code;
-      mutant.instructions = record.instructions;
-      mutant.pruned = record.pruned;
-      ++result.outcome_counts[record.bucket];
-      result.pruned_count += record.pruned ? 1 : 0;
-      result.simulated_instructions +=
-          static_cast<double>(record.instructions);
-      result.mutants.push_back(std::move(mutant));
-    }
-    out.report = result.to_string();
-  } else {
-    mutation::MutationScore score;
-    score.total_mutants = golden.total;
-    score.results.reserve(slots.size());
-    for (const RecordLine& record : slots) {
-      mutation::MutantResult result;
-      result.mutant.op = static_cast<mutation::Operator>(record.klass);
-      result.verdict = static_cast<mutation::Verdict>(record.bucket);
-      result.exit_code = record.exit_code;
-      result.instructions = record.instructions;
-      result.pruned = record.pruned;
-      ++score.verdict_counts[record.bucket];
-      score.pruned_count += record.pruned ? 1 : 0;
-      score.results.push_back(std::move(result));
-    }
-    out.report = score.to_string();
-  }
+  out.report = options.mode == Mode::kFault
+                   ? merge_report<fault::FaultModel>(golden, slots)
+                   : merge_report<mutation::MutationModel>(golden, slots);
   out.metrics_json = registry.to_json();
   return out;
 }

@@ -102,28 +102,6 @@ std::string encode(const DoneLine& done) {
                 static_cast<unsigned long long>(done.count));
 }
 
-std::string encode_record(const fault::MutantResult& mutant, u64 index) {
-  RecordLine record;
-  record.index = index;
-  record.klass = static_cast<u8>(mutant.spec.target);
-  record.bucket = static_cast<u8>(mutant.outcome);
-  record.exit_code = mutant.exit_code;
-  record.instructions = mutant.instructions;
-  record.pruned = mutant.pruned;
-  return encode(Mode::kFault, record);
-}
-
-std::string encode_record(const mutation::MutantResult& result, u64 index) {
-  RecordLine record;
-  record.index = index;
-  record.klass = static_cast<u8>(result.mutant.op);
-  record.bucket = static_cast<u8>(result.verdict);
-  record.exit_code = result.exit_code;
-  record.instructions = result.instructions;
-  record.pruned = result.pruned;
-  return encode(Mode::kMutation, record);
-}
-
 std::optional<std::string> json_field(std::string_view line,
                                       std::string_view key) {
   const std::string needle = "\"" + std::string(key) + "\":";

@@ -19,8 +19,6 @@
 
 #include "common/bits.hpp"
 #include "common/status.hpp"
-#include "fault/fault.hpp"
-#include "mutation/mutation.hpp"
 
 namespace s4e::fleet {
 
@@ -80,9 +78,30 @@ std::string encode(const DoneLine& done);
 // Strict parse of one worker line; errors name the offending field.
 Result<ParsedLine> parse_line(std::string_view line, Mode mode);
 
-// Convenience encoders straight from campaign results (the worker side).
-std::string encode_record(const fault::MutantResult& mutant, u64 index);
-std::string encode_record(const mutation::MutantResult& result, u64 index);
+// A campaign model's result as a wire record (the worker side) and back
+// (the orchestrator side, which folds it with the model's own fold). The
+// model maps its class and bucket; the other fields are common to every
+// result type.
+template <class Model>
+RecordLine to_record(const typename Model::ItemResult& result, u64 index) {
+  RecordLine record;
+  record.index = index;
+  record.klass = static_cast<u8>(Model::klass(result));
+  record.bucket = static_cast<u8>(Model::bucket(result));
+  record.exit_code = result.exit_code;
+  record.instructions = result.instructions;
+  record.pruned = result.pruned;
+  return record;
+}
+
+template <class Model>
+typename Model::ItemResult from_record(const RecordLine& record) {
+  auto result = Model::from_class(record.klass, record.bucket);
+  result.exit_code = record.exit_code;
+  result.instructions = record.instructions;
+  result.pruned = record.pruned;
+  return result;
+}
 
 // Flat-JSON field access (shared with the checkpoint journal): the raw
 // value token for `key`, unquoted and unescaped for strings.

@@ -4,13 +4,13 @@
 #include <memory>
 #include <set>
 
+#include "campaign/driver.hpp"
 #include "common/strings.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encoder.hpp"
 #include "isa/rvc.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "vp/runner.hpp"
 
 namespace s4e::mutation {
@@ -244,15 +244,11 @@ std::vector<Mutant> enumerate_mutants(const assembler::Program& program,
   return mutants;
 }
 
-Result<MutationScore> MutationCampaign::run() {
-  if (config_.shard_count < 1 || config_.shard_index >= config_.shard_count) {
-    return Error(ErrorCode::kInvalidArgument,
-                 format("invalid shard %u/%u", config_.shard_index,
-                        config_.shard_count));
-  }
-  // Golden run + executed-address profile.
+Result<std::vector<Mutant>> MutationModel::enumerate(
+    vp::GoldenRun& golden) const {
   vp::Machine machine(config_.machine);
-  S4E_TRY(golden, vp::run_golden(machine, program_));
+  S4E_TRY(run, vp::run_golden(machine, program_));
+  golden = std::move(run);
 
   std::vector<u32> executed_list;
   if (config_.executed_only) executed_list = std::move(golden.executed_code);
@@ -260,167 +256,18 @@ Result<MutationScore> MutationCampaign::run() {
   if (config_.max_mutants != 0 && mutants.size() > config_.max_mutants) {
     mutants.resize(config_.max_mutants);
   }
-
-  // Static triage: classify every mutant up front. Enumeration and the cap
-  // are unaffected, so the non-pruned subset matches a triage-off run.
-  std::vector<dataflow::TriageDecision> decisions(mutants.size());
-  if (config_.triage != dataflow::TriageMode::kOff) {
-    dataflow::TriageOptions triage_options;
-    triage_options.stack_top =
-        config_.machine.ram_base + config_.machine.ram_size;
-    S4E_TRY(triage, dataflow::StaticTriage::build(program_, triage_options));
-    for (std::size_t i = 0; i < mutants.size(); ++i) {
-      decisions[i] =
-          triage.mutant(mutants[i].address, mutants[i].length,
-                        mutants[i].original, mutants[i].mutated);
-    }
-  }
-  const bool skip_pruned = config_.triage == dataflow::TriageMode::kOn;
-
-  vp::MachineConfig mutant_config = config_.machine;
-  mutant_config.max_instructions = vp::hang_budget(
-      golden.result.instructions, config_.hang_budget_factor,
-      config_.machine.max_instructions);
-
-  // Shard selection: enumeration and triage above cover the *full* mutant
-  // list (identical for every shard); only the contiguous global index
-  // range [begin, end) is executed here.
-  const u64 total = mutants.size();
-  const u64 begin = total * config_.shard_index / config_.shard_count;
-  const u64 end = total * (config_.shard_index + 1) / config_.shard_count;
-  const std::size_t count = static_cast<std::size_t>(end - begin);
-
-  // Independent mutant runs fanned out over the executor; each job fills
-  // only its own slot, and the verdict histogram is aggregated afterwards
-  // in submission order — the score is bit-identical to a serial run,
-  // with or without machine reuse.
-  MutationScore score;
-  score.shard_begin = begin;
-  score.total_mutants = total;
-  std::vector<MutantResult> slots(count);
-  std::vector<std::optional<Error>> errors(count);
-  progress_.begin(count);
-  exec::CampaignExecutor executor(config_.jobs);
-  // Telemetry shards are per worker lane (lock-free: each lane writes only
-  // its own shard) and fold deterministically after the barrier.
-  std::unique_ptr<obs::CampaignTelemetry> telemetry;
-  if (config_.collect_metrics) {
-    telemetry = std::make_unique<obs::CampaignTelemetry>(
-        std::vector<std::string>{"killed_result", "killed_crash",
-                                 "killed_hang", "survived"},
-        executor.jobs());
-    telemetry->set_campaign(count, golden.result.instructions,
-                            mutant_config.max_instructions);
-  }
-  const auto record = [&](unsigned worker, std::size_t index,
-                          Result<MutantResult> result) {
-    if (result.ok()) {
-      const unsigned bucket = static_cast<unsigned>(result->verdict);
-      // Statically decided mutants were never run; they count toward the
-      // verdict histogram but not the run telemetry.
-      if (telemetry != nullptr && !(skip_pruned && result->pruned)) {
-        telemetry->record_run(worker, bucket, result->instructions,
-                              !result->post_mortem.empty());
-      }
-      slots[index] = std::move(*result);
-      progress_.record(bucket);
-    } else {
-      errors[index] = result.error();
-      progress_.record(exec::CampaignProgress::kBuckets);  // count done only
-    }
-  };
-  // Short-circuit for statically proven-equivalent mutants (triage on), and
-  // the verify-mode cross-check for mutants that *would* have been pruned.
-  // These index the *global* mutant list; `record` above takes the local
-  // slot index within the shard.
-  const auto synthesize = [&](std::size_t global) -> MutantResult {
-    MutantResult result;
-    result.mutant = mutants[global];
-    result.verdict = Verdict::kSurvived;
-    result.exit_code = golden.result.exit_code;
-    result.pruned = true;
-    result.prune_reason = decisions[global].reason;
-    return result;
-  };
-  const auto finish = [&](std::size_t global,
-                          Result<MutantResult> result) -> Result<MutantResult> {
-    if (!result.ok() || !decisions[global].pruned) return result;
-    result->pruned = true;
-    result->prune_reason = decisions[global].reason;
-    if (config_.triage == dataflow::TriageMode::kVerify &&
-        result->verdict != Verdict::kSurvived) {
-      return Error(
-          ErrorCode::kAnalysisError,
-          format("triage verify mismatch: mutant 0x%08x (%s) statically "
-                 "pruned as '%s' but dynamically %s",
-                 result->mutant.address, result->mutant.description.c_str(),
-                 result->prune_reason.c_str(),
-                 std::string(mutation::to_string(result->verdict)).c_str()));
-    }
-    return result;
-  };
-  if (config_.reuse_machines) {
-    // One long-lived machine per worker lane; each mutant starts from a
-    // dirty-page restore of the loaded state instead of a fresh build.
-    std::vector<std::unique_ptr<vp::WorkerVm>> vms(executor.jobs());
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));  // no VM needed
-        return;
-      }
-      if (vms[worker] == nullptr) {
-        auto vm = vp::WorkerVm::create(mutant_config, program_);
-        if (!vm.ok()) {
-          record(worker, index, vm.error());
-          return;
-        }
-        vms[worker] = std::move(*vm);
-      }
-      record(worker, index,
-             finish(global, run_mutant_on(vms[worker]->prepare(),
-                                          mutants[global],
-                                          golden.result.exit_code,
-                                          golden.uart)));
-    });
-    for (const auto& vm : vms) {
-      if (vm != nullptr) score.snapshot_stats += vm->stats();
-    }
-  } else {
-    // Fresh machine per mutant, still lane-affine so the metric shards have
-    // a stable worker index (slot determinism is unchanged).
-    executor.run_affine(count, [&](unsigned worker, std::size_t index) {
-      const std::size_t global = static_cast<std::size_t>(begin) + index;
-      if (skip_pruned && decisions[global].pruned) {
-        record(worker, index, synthesize(global));
-        return;
-      }
-      record(worker, index,
-             finish(global, run_mutant(mutants[global], mutant_config,
-                                       golden.result.exit_code,
-                                       golden.uart)));
-    });
-  }
-
-  score.results.reserve(slots.size());
-  for (std::size_t index = 0; index < slots.size(); ++index) {
-    if (errors[index].has_value()) return *errors[index];
-    ++score.verdict_counts[static_cast<unsigned>(slots[index].verdict)];
-    score.pruned_count += slots[index].pruned ? 1 : 0;
-    score.results.push_back(std::move(slots[index]));
-  }
-  if (telemetry != nullptr) {
-    if (config_.triage != dataflow::TriageMode::kOff) {
-      telemetry->set_pruned(score.pruned_count);
-    }
-    score.metrics_json = telemetry->to_json();
-  }
-  return score;
+  return mutants;
 }
 
-Result<MutantResult> MutationCampaign::run_mutant_on(
-    vp::Machine& vm, const Mutant& mutant, int golden_exit_code,
-    const std::string& golden_uart) const {
+dataflow::TriageDecision MutationModel::decide(
+    const dataflow::StaticTriage& triage, const Mutant& mutant) const {
+  return triage.mutant(mutant.address, mutant.length, mutant.original,
+                       mutant.mutated);
+}
+
+Result<MutantResult> MutationModel::run_one(
+    vp::Machine& vm, const Mutant& mutant,
+    const vp::GoldenRun& golden) const {
   // Patch the mutated encoding over the original bytes. On a reused
   // machine warm translation blocks cover the patched address, so the
   // overlapping blocks must be dropped explicitly (ram_write bypasses the
@@ -449,8 +296,8 @@ Result<MutantResult> MutationCampaign::run_mutant_on(
     result.verdict = Verdict::kKilledHang;
   } else if (!run.normal_exit()) {
     result.verdict = Verdict::kKilledCrash;
-  } else if (run.exit_code != golden_exit_code ||
-             (vm.uart() != nullptr && vm.uart()->tx_log() != golden_uart)) {
+  } else if (run.exit_code != golden.result.exit_code ||
+             (vm.uart() != nullptr && vm.uart()->tx_log() != golden.uart)) {
     result.verdict = Verdict::kKilledResult;
   } else {
     result.verdict = Verdict::kSurvived;
@@ -462,12 +309,39 @@ Result<MutantResult> MutationCampaign::run_mutant_on(
   return result;
 }
 
-Result<MutantResult> MutationCampaign::run_mutant(
-    const Mutant& mutant, const vp::MachineConfig& machine_config,
-    int golden_exit_code, const std::string& golden_uart) const {
-  vp::Machine vm(machine_config);
-  S4E_TRY_STATUS(vm.load_program(program_));
-  return run_mutant_on(vm, mutant, golden_exit_code, golden_uart);
+MutantResult MutationModel::pruned(const Mutant& mutant) {
+  MutantResult result;
+  result.mutant = mutant;
+  result.verdict = Verdict::kSurvived;
+  return result;
+}
+
+std::string MutationModel::describe(const Mutant& mutant) {
+  return format("mutant 0x%08x (%s)", mutant.address,
+                mutant.description.c_str());
+}
+
+MutantResult MutationModel::from_class(unsigned klass, unsigned bucket) {
+  MutantResult result;
+  result.mutant.op = static_cast<Operator>(klass);
+  result.verdict = static_cast<Verdict>(bucket);
+  return result;
+}
+
+// The score reports no golden figures.
+MutationScore MutationModel::open(const vp::GoldenRun&, u64 total) {
+  MutationScore report;
+  report.total_mutants = total;
+  return report;
+}
+
+void MutationModel::fold(MutationScore& report, MutantResult result) {
+  ++report.verdict_counts[static_cast<unsigned>(result.verdict)];
+  report.pruned_count += result.pruned ? 1 : 0;
+  report.results.push_back(std::move(result));
 }
 
 }  // namespace s4e::mutation
+
+// The generic driver (campaign/driver.hpp), instantiated for this model.
+template class s4e::campaign::Campaign<s4e::mutation::MutationModel>;

@@ -16,11 +16,12 @@
 #include <vector>
 
 #include "asm/program.hpp"
+#include "campaign/campaign.hpp"
 #include "common/status.hpp"
 #include "dataflow/triage.hpp"
-#include "exec/campaign_executor.hpp"
 #include "isa/instr.hpp"
 #include "vp/machine.hpp"
+#include "vp/runner.hpp"
 
 namespace s4e::mutation {
 
@@ -50,39 +51,18 @@ enum class Verdict : u8 {
 
 std::string_view to_string(Verdict verdict) noexcept;
 
-struct MutantResult {
+// One mutant's result: the common fields (exit code, instructions, triage,
+// post-mortem) plus the mutant and its verdict. Pruned (proven-equivalent)
+// mutants are kSurvived.
+struct MutantResult : campaign::ResultFields {
   Mutant mutant;
   Verdict verdict = Verdict::kSurvived;
-  int exit_code = 0;
-  u64 instructions = 0;  // guest instructions the mutant executed
-  // Static triage: true = the verdict was proven (kSurvived, equivalent
-  // mutant) without running the VP; `prune_reason` is the triage class. In
-  // verify mode the mutant still executes and `pruned` marks what *would*
-  // have been skipped.
-  bool pruned = false;
-  std::string prune_reason;
-  // Flight-recorder dump (the mutant's last executed instructions, memory
-  // accesses and traps) captured for kKilledHang/kKilledCrash mutants when
-  // the campaign runs with `post_mortem` enabled; empty otherwise.
-  std::string post_mortem;
 };
 
-struct MutationScore {
+struct MutationScore : campaign::ReportFields {
   std::vector<MutantResult> results;
-  // Sharded runs: global index of results[0] in the full mutant
-  // enumeration, and the full enumeration's size. Whole-campaign runs have
-  // shard_begin == 0 and total_mutants == results.size().
-  u64 shard_begin = 0;
-  u64 total_mutants = 0;
+  u64 total_mutants = 0;  // the full enumeration's size (all shards)
   u64 verdict_counts[4] = {0, 0, 0, 0};
-  u64 pruned_count = 0;  // mutants decided statically (triage)
-  // Aggregate snapshot/restore cost over all reused worker machines (zeroed
-  // when reuse_machines is off).
-  vp::SnapshotStats snapshot_stats;
-  // One-line JSON campaign telemetry ("{}" unless collect_metrics). Only
-  // partition-invariant values are exported, so the string is
-  // byte-identical across `jobs` counts and machine reuse on/off.
-  std::string metrics_json = "{}";
 
   u64 count(Verdict verdict) const {
     return verdict_counts[static_cast<unsigned>(verdict)];
@@ -102,45 +82,15 @@ struct MutationScore {
   std::string to_string() const;
 };
 
-struct MutationConfig {
+// The mutation model's knobs; the driver-owned ones (jobs, triage, shards,
+// hang budget, observability, machine) come from campaign::DriverConfig.
+struct MutationConfig : campaign::DriverConfig {
   // Only mutate instructions the golden run actually executes (everything
   // else trivially survives and would dilute the score meaninglessly).
   bool executed_only = true;
   // Cap on generated mutants (0 = unlimited); selection is deterministic
   // (first-N in address order).
   unsigned max_mutants = 0;
-  u64 hang_budget_factor = 8;
-  // Worker threads for the mutant runs (one private vp::Machine per
-  // worker; the score is bit-identical to the serial run). 0 =
-  // hardware_concurrency, 1 = inline serial execution.
-  unsigned jobs = 0;
-  // Reuse one long-lived machine per worker across its mutants (snapshot
-  // once, dirty-page restore + patch per mutant, warm TB cache except the
-  // mutated block). Off = fresh machine per mutant; the score is
-  // bit-identical either way.
-  bool reuse_machines = true;
-  // --- Observability (src/obs). Neither switch changes any verdict or the
-  // campaign's stdout report — runs are only observed.
-  // Collect campaign telemetry into MutationScore::metrics_json.
-  bool collect_metrics = false;
-  // Attach a flight recorder to every mutant run and keep a post-mortem of
-  // the last `post_mortem_events` events for every hang/crash kill.
-  bool post_mortem = false;
-  unsigned post_mortem_events = 16;
-  // Static campaign triage (dataflow::StaticTriage). kOn skips mutants the
-  // analysis proves equivalent to the original under the kill criteria
-  // (they report kSurvived with zero executed instructions); kVerify runs
-  // them anyway and errors on any static/dynamic mismatch.
-  dataflow::TriageMode triage = dataflow::TriageMode::kOff;
-  // Shard selection for multi-process fleets (s4e-campaignd): mutants are
-  // still enumerated for the *whole* program (identical ordering for every
-  // shard, max_mutants cap applied first), then only the contiguous index
-  // range [floor(i*M/N), floor((i+1)*M/N)) is executed. The union of all N
-  // shards' results is exactly the serial campaign; shard_count == 1 is
-  // the whole campaign (the default, bit-identical to the pre-shard code).
-  unsigned shard_index = 0;
-  unsigned shard_count = 1;
-  vp::MachineConfig machine;
 };
 
 // Enumerate all mutants of `program` (deterministic, address-ordered).
@@ -148,40 +98,62 @@ struct MutationConfig {
 std::vector<Mutant> enumerate_mutants(const assembler::Program& program,
                                       const std::vector<u32>& executed);
 
-class MutationCampaign {
+// The binary-mutation model of the generic campaign driver
+// (campaign/driver.hpp): the mutant enumeration over the golden run's
+// executed instructions, static equivalence triage, and one patched run
+// per mutant judged by the kill criteria (exit code, UART output). The
+// static members are the result vocabulary the driver, the tools and the
+// fleet merge share.
+class MutationModel {
  public:
-  MutationCampaign(assembler::Program program, const MutationConfig& config)
+  using Config = MutationConfig;
+  using Item = Mutant;
+  using ItemResult = MutantResult;
+  using Report = MutationScore;
+  // Telemetry names of the result buckets, in Verdict order.
+  static constexpr const char* kBuckets[] = {"killed_result", "killed_crash",
+                                             "killed_hang", "survived"};
+
+  MutationModel(assembler::Program program, const MutationConfig& config)
       : program_(std::move(program)), config_(config) {}
 
-  // Golden run + enumerate + one run per mutant (fanned out over
-  // `config.jobs` workers; aggregation is deterministic).
-  Result<MutationScore> run();
+  const assembler::Program& program() const noexcept { return program_; }
+  const MutationConfig& config() const noexcept { return config_; }
 
-  // Live progress of an in-flight run(): mutants done plus a Verdict
-  // histogram snapshot (indexed by static_cast<unsigned>(Verdict)).
-  // Safe to read from any thread while run() executes.
-  const exec::CampaignProgress& progress() const noexcept {
-    return progress_;
+  // Golden run into `golden`, then the (capped) mutant enumeration.
+  Result<std::vector<Mutant>> enumerate(vp::GoldenRun& golden) const;
+  dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
+                                  const Mutant& mutant) const;
+  // One mutant run on `machine`, which must hold the freshly loaded (or
+  // snapshot-restored) unmutated program with no plugins attached,
+  // configured with the campaign's item_machine(); the mutated encoding is
+  // patched in here and the touched translation blocks invalidated.
+  // Thread-safe: shares only the immutable program and golden reference.
+  Result<MutantResult> run_one(vp::Machine& machine, const Mutant& mutant,
+                               const vp::GoldenRun& golden) const;
+
+  static MutantResult pruned(const Mutant& mutant);  // proven equivalent
+  static Verdict bucket(const MutantResult& result) { return result.verdict; }
+  static std::string describe(const Mutant& mutant);
+  // Fleet records carry a result as (class, bucket): the mutation operator
+  // and the verdict.
+  static unsigned klass(const MutantResult& result) {
+    return static_cast<unsigned>(result.mutant.op);
+  }
+  static MutantResult from_class(unsigned klass, unsigned bucket);
+  // The report: full-list size, then one in-order fold per result (the
+  // driver's and the fleet merge's).
+  static MutationScore open(const vp::GoldenRun& golden, u64 total);
+  static void fold(MutationScore& report, MutantResult result);
+  static std::vector<MutantResult>& results(MutationScore& report) {
+    return report.results;
   }
 
  private:
-  // One mutant run on `machine`, which must hold the freshly loaded (or
-  // snapshot-restored) unmutated program; the mutated encoding is patched
-  // in here and the touched translation blocks invalidated. Thread-safe:
-  // shares only the immutable program and the golden reference.
-  Result<MutantResult> run_mutant_on(vp::Machine& machine,
-                                     const Mutant& mutant,
-                                     int golden_exit_code,
-                                     const std::string& golden_uart) const;
-  // Fresh-machine path (reuse_machines off): build, load, run one mutant.
-  Result<MutantResult> run_mutant(const Mutant& mutant,
-                                  const vp::MachineConfig& machine_config,
-                                  int golden_exit_code,
-                                  const std::string& golden_uart) const;
-
   assembler::Program program_;
   MutationConfig config_;
-  exec::CampaignProgress progress_;
 };
+
+using MutationCampaign = campaign::Campaign<MutationModel>;
 
 }  // namespace s4e::mutation

@@ -111,7 +111,7 @@ class MetricsRegistry {
 // totals, a caller-named outcome histogram, guest-instruction volume, and
 // post-mortem capture counts. Values are chosen to be partition-invariant
 // (nothing depends on worker count or lane assignment), so the JSON export
-// is byte-identical across `jobs` settings and machine reuse on/off.
+// is byte-identical across `jobs` settings.
 class CampaignTelemetry {
  public:
   CampaignTelemetry(const std::vector<std::string>& bucket_names,

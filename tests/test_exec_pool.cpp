@@ -15,6 +15,7 @@
 #include "exec/campaign_executor.hpp"
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
+#include "fresh_reference.hpp"
 #include "mutation/mutation.hpp"
 #include "obs/metrics.hpp"
 
@@ -113,39 +114,6 @@ TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
   pool.submit([&completed] { ++completed; });
   pool.wait_idle();  // no stale exception left behind
   EXPECT_EQ(completed.load(), 11);
-}
-
-TEST(CampaignExecutor, FillsEverySlotExactlyOnce) {
-  CampaignExecutor executor(8);
-  EXPECT_EQ(executor.jobs(), 8u);
-  std::vector<std::atomic<int>> slots(500);
-  executor.run(slots.size(), [&](std::size_t i) { ++slots[i]; });
-  for (const auto& slot : slots) {
-    EXPECT_EQ(slot.load(), 1);
-  }
-}
-
-TEST(CampaignExecutor, SingleJobRunsInlineInSubmissionOrder) {
-  CampaignExecutor executor(1);
-  const auto caller = std::this_thread::get_id();
-  std::vector<std::size_t> order;
-  executor.run(10, [&](std::size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  ASSERT_EQ(order.size(), 10u);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(CampaignExecutor, PropagatesJobException) {
-  CampaignExecutor executor(4);
-  EXPECT_THROW(executor.run(20,
-                            [](std::size_t i) {
-                              if (i == 7) throw std::runtime_error("job 7");
-                            }),
-               std::runtime_error);
 }
 
 TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {
@@ -362,7 +330,7 @@ TEST(Determinism, MutationCampaignSerialEqualsParallel) {
 // Per-worker machine reuse under threads: with --jobs 2 each worker lane
 // owns a long-lived vp::Machine that is snapshot-restored between mutants.
 // Run under tsan (ctest -L tsan) this is the race check for that path; the
-// results must also stay bit-identical to the fresh-machine path.
+// results must also match a fresh machine per mutant, bit for bit.
 TEST(Determinism, FaultCampaignMachineReuseAcrossTwoWorkers) {
   auto program = build_checksum();
   fault::CampaignConfig config;
@@ -370,25 +338,11 @@ TEST(Determinism, FaultCampaignMachineReuseAcrossTwoWorkers) {
   config.mutant_count = 80;
   config.jobs = 2;
 
-  config.reuse_machines = false;
-  fault::Campaign fresh(program, config);
-  auto fresh_result = fresh.run();
-  ASSERT_TRUE(fresh_result.ok()) << fresh_result.error().to_string();
-
-  config.reuse_machines = true;
   fault::Campaign reused(program, config);
   auto reused_result = reused.run();
   ASSERT_TRUE(reused_result.ok()) << reused_result.error().to_string();
-
-  EXPECT_EQ(fresh_result->to_string(), reused_result->to_string());
-  ASSERT_EQ(fresh_result->mutants.size(), reused_result->mutants.size());
-  for (std::size_t i = 0; i < fresh_result->mutants.size(); ++i) {
-    const auto& a = fresh_result->mutants[i];
-    const auto& b = reused_result->mutants[i];
-    EXPECT_EQ(a.outcome, b.outcome) << "mutant " << i;
-    EXPECT_EQ(a.exit_code, b.exit_code) << "mutant " << i;
-    EXPECT_EQ(a.instructions, b.instructions) << "mutant " << i;
-  }
+  test_support::expect_matches_fresh(fault::FaultModel(program, config),
+                                     *reused_result);
   // Every mutant ran on a restored machine; the stats aggregate over the
   // (at most 2) worker lanes that actually claimed work.
   EXPECT_EQ(reused_result->snapshot_stats.restores, 80u);
@@ -401,25 +355,12 @@ TEST(Determinism, MutationCampaignMachineReuseAcrossTwoWorkers) {
   mutation::MutationConfig config;
   config.jobs = 2;
 
-  config.reuse_machines = false;
-  mutation::MutationCampaign fresh(program, config);
-  auto fresh_score = fresh.run();
-  ASSERT_TRUE(fresh_score.ok()) << fresh_score.error().to_string();
-
-  config.reuse_machines = true;
   mutation::MutationCampaign reused(program, config);
   auto reused_score = reused.run();
   ASSERT_TRUE(reused_score.ok()) << reused_score.error().to_string();
-
-  EXPECT_EQ(fresh_score->to_string(), reused_score->to_string());
-  ASSERT_EQ(fresh_score->results.size(), reused_score->results.size());
   EXPECT_GT(reused_score->results.size(), 0u);
-  for (std::size_t i = 0; i < fresh_score->results.size(); ++i) {
-    const auto& a = fresh_score->results[i];
-    const auto& b = reused_score->results[i];
-    EXPECT_EQ(a.verdict, b.verdict) << "mutant " << i;
-    EXPECT_EQ(a.exit_code, b.exit_code) << "mutant " << i;
-  }
+  test_support::expect_matches_fresh(
+      mutation::MutationModel(program, config), *reused_score);
   EXPECT_EQ(reused_score->snapshot_stats.restores,
             reused_score->results.size());
 }

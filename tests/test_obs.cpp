@@ -1,7 +1,7 @@
 // Observability layer tests: flight-recorder ring semantics and post-mortem
 // content, deterministic metric shard aggregation, campaign telemetry
-// invariance across worker counts and machine reuse, JSONL trace
-// well-formedness, and the bench-report failure path.
+// invariance across worker counts, JSONL trace well-formedness, and the
+// bench-report failure path.
 //
 // Labeled `obs` (run with `ctest -L obs`) and `tsan`: the campaign
 // invariance tests drive the thread pool with per-worker metric shards, the
@@ -199,12 +199,11 @@ TEST(Metrics, AggregationIsPartitionInvariant) {
 
 TEST(CampaignTelemetry, FaultMetricsInvariantAcrossJobsAndReuse) {
   auto program = build(kChecksumSource);
-  auto campaign_result = [&](unsigned jobs, bool reuse) {
+  auto campaign_result = [&](unsigned jobs) {
     fault::CampaignConfig config;
     config.mutant_count = 30;
     config.seed = 3;
     config.jobs = jobs;
-    config.reuse_machines = reuse;
     config.collect_metrics = true;
     config.post_mortem = true;
     auto result = fault::Campaign(program, config).run();
@@ -212,15 +211,13 @@ TEST(CampaignTelemetry, FaultMetricsInvariantAcrossJobsAndReuse) {
     return *result;
   };
 
-  const auto serial = campaign_result(1, true);
+  const auto serial = campaign_result(1);
   EXPECT_NE(serial.metrics_json, "{}");
   EXPECT_NE(serial.metrics_json.find("\"mutants_total\": 30"),
             std::string::npos)
       << serial.metrics_json;
 
-  for (const auto& other :
-       {campaign_result(2, true), campaign_result(1, false),
-        campaign_result(2, false)}) {
+  for (const auto& other : {campaign_result(2), campaign_result(3)}) {
     // Byte-identical telemetry AND byte-identical stdout report.
     EXPECT_EQ(serial.metrics_json, other.metrics_json);
     EXPECT_EQ(serial.to_string(), other.to_string());
@@ -274,22 +271,21 @@ TEST(CampaignTelemetry, HangMutantCarriesPostMortem) {
 
 TEST(CampaignTelemetry, MutationMetricsInvariantAcrossJobs) {
   auto program = build(kChecksumSource);
-  auto score_for = [&](unsigned jobs, bool reuse) {
+  auto score_for = [&](unsigned jobs) {
     mutation::MutationConfig config;
     config.max_mutants = 25;
     config.jobs = jobs;
-    config.reuse_machines = reuse;
     config.collect_metrics = true;
     config.post_mortem = true;
     auto score = mutation::MutationCampaign(program, config).run();
     EXPECT_TRUE(score.ok());
     return *score;
   };
-  const auto serial = score_for(1, true);
+  const auto serial = score_for(1);
   EXPECT_NE(serial.metrics_json.find("\"killed_result\":"),
             std::string::npos)
       << serial.metrics_json;
-  for (const auto& other : {score_for(2, true), score_for(2, false)}) {
+  for (const auto& other : {score_for(2), score_for(3)}) {
     EXPECT_EQ(serial.metrics_json, other.metrics_json);
     EXPECT_EQ(serial.to_string(), other.to_string());
   }

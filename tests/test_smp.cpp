@@ -9,8 +9,9 @@
 //   * CLINT per-hart banks: msip delivery to a specific hart, a timer on
 //     hart 1 while hart 0 spins uninterruptible, bank reset/save/restore
 //   * snapshot save/restore covering every hart mid-run
-//   * fault campaigns on SMP machines: byte-identical across jobs x reuse,
-//     hart-targeted GPR faults, triage forced off
+//   * fault campaigns on SMP machines: identical to a fresh machine per
+//     mutant at any jobs, hart-targeted GPR faults, triage forced off;
+//     mutation campaigns identical across jobs x triage
 //   * the GDB stub's multi-thread RSP surface (thread info, Hg switching,
 //     per-hart stop attribution) and its single-hart byte-compatibility
 #include <gtest/gtest.h>
@@ -22,6 +23,8 @@
 #include "debug/server.hpp"
 #include "debug/target.hpp"
 #include "fault/fault.hpp"
+#include "fresh_reference.hpp"
+#include "mutation/mutation.hpp"
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
 #include "vp/runner.hpp"
@@ -545,39 +548,51 @@ fault::CampaignConfig smp_campaign_config() {
 
 TEST(SmpCampaign, ByteIdenticalAcrossJobsAndReuse) {
   const assembler::Program program = workload_program("smp_spinlock");
+  for (const unsigned jobs : {1u, 4u}) {
+    fault::CampaignConfig config = smp_campaign_config();
+    config.jobs = jobs;
+    auto result = fault::Campaign(program, config).run();
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    EXPECT_EQ(result->golden_exit_code, 0);
+    test_support::expect_matches_fresh(fault::FaultModel(program, config),
+                                       *result);
+  }
+}
 
-  fault::CampaignConfig serial = smp_campaign_config();
-  serial.jobs = 1;
-  serial.reuse_machines = false;
-  fault::Campaign serial_campaign(program, serial);
-  auto serial_result = serial_campaign.run();
-  ASSERT_TRUE(serial_result.ok()) << serial_result.error().to_string();
+// Mutation campaigns on SMP machines: triage is forced off there too, so
+// every jobs x triage combination reports the serial triage-off score.
+TEST(SmpCampaign, MutationIdenticalAcrossJobsAndTriage) {
+  const assembler::Program program = workload_program("smp_spinlock");
+  mutation::MutationConfig config;
+  config.machine = smp_config(2, 101);
+  config.jobs = 1;
+  auto serial = mutation::MutationCampaign(program, config).run();
+  ASSERT_TRUE(serial.ok()) << serial.error().to_string();
+  ASSERT_GT(serial->results.size(), 0u);
+  test_support::expect_matches_fresh(mutation::MutationModel(program, config),
+                                     *serial);
 
-  fault::CampaignConfig parallel = smp_campaign_config();
-  parallel.jobs = 4;
-  parallel.reuse_machines = true;
-  fault::Campaign parallel_campaign(program, parallel);
-  auto parallel_result = parallel_campaign.run();
-  ASSERT_TRUE(parallel_result.ok()) << parallel_result.error().to_string();
-
-  EXPECT_EQ(serial_result->golden_exit_code, 0);
-  EXPECT_EQ(serial_result->golden_exit_code,
-            parallel_result->golden_exit_code);
-  EXPECT_EQ(serial_result->golden_instructions,
-            parallel_result->golden_instructions);
-  EXPECT_EQ(serial_result->golden_memory_hash,
-            parallel_result->golden_memory_hash);
-  ASSERT_EQ(serial_result->mutants.size(), parallel_result->mutants.size());
-  for (std::size_t i = 0; i < serial_result->mutants.size(); ++i) {
-    EXPECT_EQ(serial_result->mutants[i].outcome,
-              parallel_result->mutants[i].outcome)
-        << "#" << i;
-    EXPECT_EQ(serial_result->mutants[i].exit_code,
-              parallel_result->mutants[i].exit_code)
-        << "#" << i;
-    EXPECT_EQ(serial_result->mutants[i].instructions,
-              parallel_result->mutants[i].instructions)
-        << "#" << i;
+  for (const unsigned jobs : {1u, 3u}) {
+    for (const auto triage :
+         {dataflow::TriageMode::kOff, dataflow::TriageMode::kOn,
+          dataflow::TriageMode::kVerify}) {
+      config.jobs = jobs;
+      config.triage = triage;
+      auto score = mutation::MutationCampaign(program, config).run();
+      ASSERT_TRUE(score.ok()) << score.error().to_string();
+      EXPECT_EQ(score->pruned_count, 0u);
+      EXPECT_EQ(score->to_string(), serial->to_string());
+      ASSERT_EQ(score->results.size(), serial->results.size());
+      for (std::size_t i = 0; i < score->results.size(); ++i) {
+        EXPECT_EQ(score->results[i].verdict, serial->results[i].verdict)
+            << "#" << i;
+        EXPECT_EQ(score->results[i].exit_code, serial->results[i].exit_code)
+            << "#" << i;
+        EXPECT_EQ(score->results[i].instructions,
+                  serial->results[i].instructions)
+            << "#" << i;
+      }
+    }
   }
 }
 

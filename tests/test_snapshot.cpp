@@ -7,8 +7,8 @@
 //   * TB-cache range invalidation drops only overlapping blocks
 //   * fresh-run == restored-run equivalence, property-tested over
 //     generated torture programs
-//   * campaign engines produce bit-identical results with and without
-//     per-worker machine reuse, on one and two worker lanes
+//   * campaigns on reused worker machines match a fresh machine per
+//     mutant, on one and two worker lanes
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +18,7 @@
 #include "asm/assembler.hpp"
 #include "core/workloads.hpp"
 #include "fault/fault.hpp"
+#include "fresh_reference.hpp"
 #include "mutation/mutation.hpp"
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
@@ -456,8 +457,8 @@ TEST(WorkerVm, PrepareYieldsIdenticalRunsAndCountsStats) {
 }
 
 // --------------------------------------------------------------------------
-// Campaign engines: reuse on vs off must be bit-identical (jobs = 1, then
-// two lanes; test_exec_pool checks jobs = 2 field by field).
+// Campaign engines: the reused worker machines must match a fresh machine
+// per mutant bit for bit (jobs = 1, then two lanes).
 
 const char* kCampaignSource = R"(
 _start:
@@ -484,30 +485,14 @@ TEST(CampaignReuse, FaultCampaignMatchesFreshMachines) {
   config.mutant_count = 120;
   config.jobs = 1;
 
-  config.reuse_machines = false;
-  fault::Campaign fresh(program, config);
-  auto fresh_result = fresh.run();
-  ASSERT_TRUE(fresh_result.ok()) << fresh_result.error().to_string();
-
-  config.reuse_machines = true;
   fault::Campaign reused(program, config);
   auto reused_result = reused.run();
   ASSERT_TRUE(reused_result.ok()) << reused_result.error().to_string();
-
-  EXPECT_EQ(fresh_result->to_string(), reused_result->to_string());
-  ASSERT_EQ(fresh_result->mutants.size(), reused_result->mutants.size());
-  for (std::size_t i = 0; i < fresh_result->mutants.size(); ++i) {
-    const auto& a = fresh_result->mutants[i];
-    const auto& b = reused_result->mutants[i];
-    EXPECT_EQ(a.outcome, b.outcome) << "mutant " << i;
-    EXPECT_EQ(a.exit_code, b.exit_code) << "mutant " << i;
-    EXPECT_EQ(a.instructions, b.instructions) << "mutant " << i;
-  }
-  // The reuse path snapshots once and restores per mutant...
+  test_support::expect_matches_fresh(fault::FaultModel(program, config),
+                                     *reused_result);
+  // The campaign snapshots once and restores per mutant.
   EXPECT_EQ(reused_result->snapshot_stats.snapshots, 1u);
   EXPECT_EQ(reused_result->snapshot_stats.restores, 120u);
-  // ...while the fresh path never touches the snapshot layer.
-  EXPECT_EQ(fresh_result->snapshot_stats.restores, 0u);
 }
 
 TEST(CampaignReuse, MutationCampaignMatchesFreshMachines) {
@@ -515,25 +500,12 @@ TEST(CampaignReuse, MutationCampaignMatchesFreshMachines) {
   mutation::MutationConfig config;
   config.jobs = 1;
 
-  config.reuse_machines = false;
-  mutation::MutationCampaign fresh(program, config);
-  auto fresh_score = fresh.run();
-  ASSERT_TRUE(fresh_score.ok()) << fresh_score.error().to_string();
-  ASSERT_GT(fresh_score->results.size(), 0u);
-
-  config.reuse_machines = true;
   mutation::MutationCampaign reused(program, config);
   auto reused_score = reused.run();
   ASSERT_TRUE(reused_score.ok()) << reused_score.error().to_string();
-
-  EXPECT_EQ(fresh_score->to_string(), reused_score->to_string());
-  ASSERT_EQ(fresh_score->results.size(), reused_score->results.size());
-  for (std::size_t i = 0; i < fresh_score->results.size(); ++i) {
-    const auto& a = fresh_score->results[i];
-    const auto& b = reused_score->results[i];
-    EXPECT_EQ(a.verdict, b.verdict) << "mutant " << i;
-    EXPECT_EQ(a.exit_code, b.exit_code) << "mutant " << i;
-  }
+  ASSERT_GT(reused_score->results.size(), 0u);
+  test_support::expect_matches_fresh(
+      mutation::MutationModel(program, config), *reused_score);
   EXPECT_EQ(reused_score->snapshot_stats.restores,
             reused_score->results.size());
 }
@@ -549,27 +521,21 @@ TEST(CampaignReuse, TwoLaneCampaignsMatchFreshMachines) {
   fault_config.seed = 77;
   fault_config.mutant_count = 80;
   fault_config.jobs = 2;
-  fault_config.reuse_machines = false;
-  auto fresh_faults = fault::Campaign(program, fault_config).run();
-  ASSERT_TRUE(fresh_faults.ok()) << fresh_faults.error().to_string();
-  fault_config.reuse_machines = true;
   auto reused_faults = fault::Campaign(program, fault_config).run();
   ASSERT_TRUE(reused_faults.ok()) << reused_faults.error().to_string();
-  EXPECT_EQ(fresh_faults->to_string(), reused_faults->to_string());
+  test_support::expect_matches_fresh(fault::FaultModel(program, fault_config),
+                                     *reused_faults);
   const SnapshotStats& fault_stats = reused_faults->snapshot_stats;
   EXPECT_GE(fault_stats.snapshots, 1u);
   EXPECT_EQ(fault_stats.pages_saved, fault_stats.snapshots * pages);
 
   mutation::MutationConfig mutation_config;
   mutation_config.jobs = 2;
-  mutation_config.reuse_machines = false;
-  auto fresh_score = mutation::MutationCampaign(program, mutation_config).run();
-  ASSERT_TRUE(fresh_score.ok()) << fresh_score.error().to_string();
-  mutation_config.reuse_machines = true;
   auto reused_score =
       mutation::MutationCampaign(program, mutation_config).run();
   ASSERT_TRUE(reused_score.ok()) << reused_score.error().to_string();
-  EXPECT_EQ(fresh_score->to_string(), reused_score->to_string());
+  test_support::expect_matches_fresh(
+      mutation::MutationModel(program, mutation_config), *reused_score);
   const SnapshotStats& mutation_stats = reused_score->snapshot_stats;
   EXPECT_GE(mutation_stats.snapshots, 1u);
   EXPECT_EQ(mutation_stats.pages_saved, mutation_stats.snapshots * pages);

@@ -15,6 +15,9 @@
 #ifndef S4E_TOOL_DIR
 #error "S4E_TOOL_DIR must be defined by the build system"
 #endif
+#ifndef S4E_SOURCE_DIR
+#error "S4E_SOURCE_DIR must be defined by the build system"
+#endif
 
 namespace {
 
@@ -23,9 +26,11 @@ struct CommandResult {
   std::string output;  // stdout + stderr
 };
 
-CommandResult run_command(const std::string& command) {
+// `with_stderr` off captures stdout alone (stderr goes to the test log).
+CommandResult run_command(const std::string& command,
+                          bool with_stderr = true) {
   CommandResult result;
-  const std::string full = command + " 2>&1";
+  const std::string full = with_stderr ? command + " 2>&1" : command;
   FILE* pipe = popen(full.c_str(), "r");
   if (pipe == nullptr) return result;
   std::array<char, 4096> buffer;
@@ -341,6 +346,41 @@ TEST(ToolFlags, UnknownFlagIsRejectedWithSuggestion) {
   EXPECT_EQ(wild.output.find("did you mean"), std::string::npos);
 }
 
+// Numeric flags fail loudly: a missing, non-numeric or out-of-range value
+// is a usage error (exit 2, naming the flag), never a silent default.
+TEST(ToolFlags, BadNumericValueIsRejected) {
+  const std::string elf_path = temp_path("tools_numeric.elf");
+  ASSERT_EQ(run_command(tool("s4e-as") + " --workload bubble_sort -o " +
+                        elf_path)
+                .exit_code,
+            0);
+  const struct {
+    const char* tool;
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"s4e-faultsim", "--mutants 12x", "--mutants"},
+      {"s4e-faultsim", "--seed abc", "--seed"},
+      {"s4e-faultsim", "--harts 0", "--harts"},
+      {"s4e-mutate", "--max -5", "--max"},
+      {"s4e-mutate", "--jobs", "--jobs"},  // trailing, no value
+      {"s4e-faultsim", "--jobs 5000", "--jobs"},
+      {"s4e-campaignd", "--worker-jobs 9999", "--worker-jobs"},
+      {"s4e-campaignd", "--workers x", "--workers"},
+  };
+  for (const auto& c : cases) {
+    auto result =
+        run_command(tool(c.tool) + " " + elf_path + " " + c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.tool << " " << c.args << ": "
+                                   << result.output;
+    EXPECT_NE(result.output.find(std::string(c.tool) + ": " + c.flag +
+                                 " expects"),
+              std::string::npos)
+        << c.tool << " " << c.args << ": " << result.output;
+  }
+  std::remove(elf_path.c_str());
+}
+
 TEST(ToolFlags, EveryToolRejectsUnknownFlags) {
   for (const char* name : kAllTools) {
     auto result = run_command(tool(name) + " --no-such-flag-zz");
@@ -398,6 +438,65 @@ TEST(ToolFaultsim, BrokenStdoutAfterCampaignExitsNonZero) {
   EXPECT_NE(result.output.find("error writing to stdout"), std::string::npos)
       << result.output;
   std::remove(elf_path.c_str());
+}
+
+// Byte-identity guard for the campaign tools: stdout of fixed campaigns,
+// and the record and done lines of a fleet shard, compared byte for byte
+// with reports checked in under tests/golden/.
+std::string read_golden(const std::string& name) {
+  std::ifstream in(std::string(S4E_SOURCE_DIR) + "/tests/golden/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string without_meta_line(const std::string& stream) {
+  std::string out;
+  std::size_t start = 0;
+  while (start < stream.size()) {
+    std::size_t end = stream.find('\n', start);
+    end = end == std::string::npos ? stream.size() : end + 1;
+    const std::string line = stream.substr(start, end - start);
+    if (line.find("\"meta\"") == std::string::npos) out += line;
+    start = end;
+  }
+  return out;
+}
+
+TEST(ToolCampaign, ReportsMatchCheckedInBytes) {
+  const std::string sort_elf = temp_path("tools_golden_sort.elf");
+  const std::string sum_elf = temp_path("tools_golden_sum.elf");
+  ASSERT_EQ(run_command(tool("s4e-as") + " --workload bubble_sort -o " +
+                        sort_elf)
+                .exit_code,
+            0);
+  ASSERT_EQ(
+      run_command(tool("s4e-as") + " --workload checksum -o " + sum_elf)
+          .exit_code,
+      0);
+  const std::string faultsim = tool("s4e-faultsim") + " " + sort_elf +
+                               " --mutants 25 --seed 3 --jobs 1";
+  const std::string mutate =
+      tool("s4e-mutate") + " " + sum_elf + " --max 40 --jobs 1";
+
+  auto list = run_command(faultsim + " --list", false);
+  EXPECT_EQ(list.exit_code, 0);
+  EXPECT_EQ(list.output, read_golden("faultsim_bubble_sort_list.txt"));
+  auto survivors = run_command(mutate + " --survivors", false);
+  EXPECT_EQ(survivors.exit_code, 0);
+  EXPECT_EQ(survivors.output, read_golden("mutate_checksum_survivors.txt"));
+  auto fault_shard =
+      run_command(faultsim + " --emit-jsonl --shard 1/3", false);
+  EXPECT_EQ(fault_shard.exit_code, 0);
+  EXPECT_EQ(without_meta_line(fault_shard.output),
+            read_golden("faultsim_bubble_sort_shard1of3.jsonl"));
+  auto mutate_shard = run_command(mutate + " --emit-jsonl --shard 1/3", false);
+  EXPECT_EQ(mutate_shard.exit_code, 0);
+  EXPECT_EQ(without_meta_line(mutate_shard.output),
+            read_golden("mutate_checksum_shard1of3.jsonl"));
+  std::remove(sort_elf.c_str());
+  std::remove(sum_elf.c_str());
 }
 
 TEST(ToolRun, UartInputReachesGuest) {

@@ -1,0 +1,220 @@
+// The shared main() body of the campaign tools (s4e-faultsim, s4e-mutate).
+// It owns every flag a campaign takes whatever its model: --jobs, --triage,
+// --shard, --progress, --metrics-out, --post-mortem[-dir],
+// --snapshot-stats, and the fleet worker mode (--emit-jsonl streams the
+// shard to stdout or, with --result-port, over loopback TCP). Observability
+// flags never change the stdout report.
+//
+// Each tool supplies a `Tool` description with its own flags, config,
+// listing and labels:
+//   Model                           the campaign model
+//   kName, kTag, kMode, kUsage      tool name, stderr tag, fleet mode, and
+//                                   the usage text of its own flags
+//   kProgress[4]                    progress-line names of the buckets
+//   kValueKeys, kFlagKeys           its own options
+//   configure(args, config)         parse them (exit 2 on a bad value)
+//   fingerprint(elf, config)        fleet campaign identity
+//   list(args, report)              its optional stdout listing
+//   label(result)                   post-mortem header: bucket and item
+#pragma once
+
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "bench/bench_report.hpp"
+#include "campaign/campaign.hpp"
+#include "dataflow/triage.hpp"
+#include "elf/elf32.hpp"
+#include "fleet/records.hpp"
+#include "fleet/worker.hpp"
+#include "tools/tool_util.hpp"
+
+namespace s4e::tools {
+
+inline constexpr char kCampaignUsage[] =
+    "[--jobs N] [--progress] [--triage[=off|verify]] [--snapshot-stats] "
+    "[--metrics-out FILE] [--post-mortem] [--post-mortem-dir DIR] "
+    "[--shard I/N] [--emit-jsonl] [--result-port P] "
+    "[--test-stall-after N]\n";
+
+template <class Tool>
+int campaign_main(int argc, char** argv) {
+  using Model = typename Tool::Model;
+  const char* name = Tool::kName;
+  const std::string usage = std::string(Tool::kUsage) + kCampaignUsage;
+  std::vector<std::string> value_keys = {"--jobs", "--metrics-out",
+                                         "--post-mortem-dir", "--shard",
+                                         "--result-port",
+                                         "--test-stall-after"};
+  std::vector<std::string> flag_keys = {"--progress", "--triage",
+                                        "--snapshot-stats", "--post-mortem",
+                                        "--emit-jsonl"};
+  value_keys.insert(value_keys.end(), std::begin(Tool::kValueKeys),
+                    std::end(Tool::kValueKeys));
+  flag_keys.insert(flag_keys.end(), std::begin(Tool::kFlagKeys),
+                   std::end(Tool::kFlagKeys));
+  Args args(argc, argv, value_keys, flag_keys);
+  if (const int code = standard_flags(args, name, usage.c_str());
+      code >= 0) {
+    return code;
+  }
+  if (args.positional().empty()) {
+    std::fprintf(stderr, "%s", usage.c_str());
+    return 2;
+  }
+
+  typename Model::Config config;
+  config.jobs = static_cast<unsigned>(args.integer("--jobs", 0, 0, 4096));
+  // --triage prunes statically decided items, =verify runs them anyway and
+  // errors on any static/dynamic mismatch.
+  if (args.has("--triage")) {
+    const auto mode = dataflow::parse_triage_mode(args.value("--triage"));
+    if (!mode) {
+      std::fprintf(stderr, "%s: --triage expects on|off|verify (got %s)\n",
+                   name, args.value("--triage").c_str());
+      return 2;
+    }
+    config.triage = *mode;
+  }
+  config.collect_metrics = args.has("--metrics-out");
+  config.post_mortem =
+      args.has("--post-mortem") || args.has("--post-mortem-dir");
+  if (args.has("--shard")) {
+    const auto shard = fleet::parse_shard(args.value("--shard"));
+    if (!shard) {
+      std::fprintf(stderr, "%s: --shard expects I/N (got %s)\n", name,
+                   args.value("--shard").c_str());
+      return 2;
+    }
+    config.shard_index = shard->first;
+    config.shard_count = shard->second;
+  }
+  fleet::EmitOptions emit;
+  emit.result_port =
+      static_cast<int>(args.integer("--result-port", -1, 0, 65535));
+  emit.stall_after = static_cast<unsigned>(
+      args.integer("--test-stall-after", 0, 0, 0xffffffffLL));
+  Tool::configure(args, config);
+
+  auto program = elf::read_elf_file(args.positional()[0]);
+  if (!program.ok()) {
+    std::fprintf(stderr, "%s: %s\n", name,
+                 program.error().to_string().c_str());
+    return 1;
+  }
+  campaign::Campaign<Model> campaign(*program, config);
+
+  // Optional status line fed by the campaign's atomic progress counters.
+  std::atomic<bool> campaign_done{false};
+  std::thread status_thread;
+  if (args.has("--progress")) {
+    status_thread = std::thread([&campaign, &campaign_done] {
+      while (!campaign_done.load(std::memory_order_acquire)) {
+        const auto snap = campaign.progress().snapshot();
+        if (snap.total != 0) {
+          std::string line = format(
+              "\r[%s] %llu/%llu mutants  (", Tool::kTag,
+              static_cast<unsigned long long>(snap.completed),
+              static_cast<unsigned long long>(snap.total));
+          for (unsigned b = 0; b < 4; ++b) {
+            line += format("%s%s %llu", b == 0 ? "" : ", ", Tool::kProgress[b],
+                           static_cast<unsigned long long>(snap.buckets[b]));
+          }
+          std::fprintf(stderr, "%s)", line.c_str());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      }
+      std::fprintf(stderr, "\n");
+    });
+  }
+
+  auto report = campaign.run();
+  campaign_done.store(true, std::memory_order_release);
+  if (status_thread.joinable()) status_thread.join();
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s: %s\n", name,
+                 report.error().to_string().c_str());
+    return 1;
+  }
+  const auto& results = Model::results(*report);
+
+  // Fleet worker mode: stream the shard instead of printing the report.
+  if (args.has("--emit-jsonl")) {
+    auto elf_bytes = fleet::read_file_bytes(args.positional()[0]);
+    if (!elf_bytes.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name,
+                   elf_bytes.error().to_string().c_str());
+      return 1;
+    }
+    fleet::MetaLine meta;
+    meta.mode = Tool::kMode;
+    meta.shard = config.shard_index;
+    meta.shards = config.shard_count;
+    meta.begin = report->shard_begin;
+    meta.end = report->shard_begin + results.size();
+    meta.total = campaign.items().size();
+    meta.golden_exit = campaign.golden().result.exit_code;
+    meta.golden_instructions = campaign.golden().result.instructions;
+    meta.fingerprint = Tool::fingerprint(*elf_bytes, config);
+    std::vector<std::string> lines;
+    lines.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      lines.push_back(fleet::encode(
+          Tool::kMode,
+          fleet::to_record<Model>(results[i], report->shard_begin + i)));
+    }
+    if (auto status = fleet::emit_stream(meta, lines, emit); !status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", name, status.to_string().c_str());
+      return 1;
+    }
+    return finish_stdout(name);
+  }
+
+  std::printf("%s", report->to_string().c_str());
+  if (args.has("--snapshot-stats")) {
+    // Debug aid on stderr so the stdout report stays byte-identical with
+    // and without the flag.
+    std::fprintf(stderr, "[%s] %s\n", Tool::kTag,
+                 report->snapshot_stats.to_string().c_str());
+  }
+  Tool::list(args, *report);
+
+  // Post-mortems are emitted after the campaign, in submission order, so
+  // the output is deterministic regardless of worker scheduling — and on
+  // stderr (or per-mutant files), so stdout stays byte-identical.
+  if (config.post_mortem) {
+    const std::string dir = args.value("--post-mortem-dir");
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const auto& result = results[i];
+      if (result.post_mortem.empty()) continue;
+      const std::string header = format("[%s] post-mortem #%03zu %s\n",
+                                        Tool::kTag, i,
+                                        Tool::label(result).c_str());
+      if (dir.empty()) {
+        std::fprintf(stderr, "%s%s", header.c_str(),
+                     result.post_mortem.c_str());
+      } else {
+        const std::string path = format("%s/mutant_%03zu.txt", dir.c_str(), i);
+        if (auto status = write_file(path, header + result.post_mortem);
+            !status.ok()) {
+          std::fprintf(stderr, "%s: %s\n", name, status.to_string().c_str());
+          return 1;
+        }
+      }
+    }
+  }
+
+  if (args.has("--metrics-out")) {
+    if (!bench::merge_bench_entry(args.value("--metrics-out"), name,
+                                  report->metrics_json)) {
+      return 1;  // merge_bench_entry already reported on stderr
+    }
+  }
+  return finish_stdout(name);
+}
+
+}  // namespace s4e::tools

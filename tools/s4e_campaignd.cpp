@@ -69,36 +69,28 @@ int main(int argc, char** argv) {
   fleet::FleetOptions options;
   options.elf_path = args.positional()[0];
   const std::string mode = args.value("--mode", "fault");
-  if (mode == "fault") {
-    options.mode = fleet::Mode::kFault;
-  } else if (mode == "mutation") {
-    options.mode = fleet::Mode::kMutation;
-  } else {
+  const auto parsed_mode = fleet::parse_mode(mode);
+  if (!parsed_mode) {
     std::fprintf(stderr,
                  "s4e-campaignd: --mode expects fault|mutation (got %s)\n",
                  mode.c_str());
     return 2;
   }
-  const auto workers = parse_integer(args.value("--workers", "2"));
-  if (!workers.ok() || *workers < 1 || *workers > 256) {
-    std::fprintf(stderr, "s4e-campaignd: --workers expects 1..256\n");
-    return 2;
-  }
-  options.workers = static_cast<unsigned>(*workers);
-  const auto shards = parse_integer(args.value("--shards", "0"));
-  if (!shards.ok() || *shards < 0 || *shards > 1 << 16) {
-    std::fprintf(stderr, "s4e-campaignd: --shards expects 0..65536\n");
-    return 2;
-  }
-  options.shards = static_cast<unsigned>(*shards);
+  options.mode = *parsed_mode;
+  constexpr long long kCount = 0xffffffffLL;
+  options.workers = static_cast<unsigned>(
+      args.integer("--workers", options.workers, 1, 256));
+  options.shards = static_cast<unsigned>(
+      args.integer("--shards", options.shards, 0, 1 << 16));
   options.worker_jobs = static_cast<unsigned>(
-      parse_integer(args.value("--worker-jobs", "1")).value_or(1));
-  options.seed = static_cast<u64>(
-      parse_integer(args.value("--seed", "1")).value_or(1));
+      args.integer("--worker-jobs", options.worker_jobs, 0, 4096));
+  options.seed = static_cast<u64>(args.integer(
+      "--seed", static_cast<long long>(options.seed), 0,
+      0x7fffffffffffffffLL));
   options.mutants = static_cast<unsigned>(
-      parse_integer(args.value("--mutants", "200")).value_or(200));
+      args.integer("--mutants", options.mutants, 0, kCount));
   options.max_mutants = static_cast<unsigned>(
-      parse_integer(args.value("--max", "0")).value_or(0));
+      args.integer("--max", options.max_mutants, 0, kCount));
   options.worker_path = args.value(
       "--worker", sibling_tool(options.mode == fleet::Mode::kFault
                                    ? "s4e-faultsim"
@@ -106,20 +98,19 @@ int main(int argc, char** argv) {
   options.checkpoint_path = args.value("--checkpoint");
   options.tcp_transport = args.has("--tcp");
   if (args.has("--status-port")) {
-    options.status_port = static_cast<int>(
-        parse_integer(args.value("--status-port", "0")).value_or(0));
+    options.status_port =
+        static_cast<int>(args.integer("--status-port", 0, 0, 65535));
     options.on_status_port = [](int port) {
       std::fprintf(stderr, "[campaignd] status endpoint on 127.0.0.1:%d\n",
                    port);
     };
   }
   options.max_retries = static_cast<unsigned>(
-      parse_integer(args.value("--max-retries", "3")).value_or(3));
+      args.integer("--max-retries", options.max_retries, 0, kCount));
   options.test_kill_after_records = static_cast<unsigned>(
-      parse_integer(args.value("--test-kill-after", "0")).value_or(0));
+      args.integer("--test-kill-after", 0, 0, kCount));
   options.test_fail_after_commits = static_cast<unsigned>(
-      parse_integer(args.value("--test-fail-after-commits", "0"))
-          .value_or(0));
+      args.integer("--test-fail-after-commits", 0, 0, kCount));
 
   auto fleet_run = fleet::run_fleet(options);
   if (!fleet_run.ok()) {

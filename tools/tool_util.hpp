@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
@@ -50,6 +51,10 @@ class Args {
   Args(int argc, char** argv, std::vector<std::string> value_keys,
        std::vector<std::string> flag_keys = {})
       : value_keys_(std::move(value_keys)), flag_keys_(std::move(flag_keys)) {
+    if (argc > 0) {
+      tool_ = argv[0];
+      tool_.erase(0, tool_.rfind('/') + 1);
+    }
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.size() > 1 && arg[0] == '-' &&
@@ -91,6 +96,21 @@ class Args {
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // Integer option `key` in [min, max], or `fallback` when it is absent. A
+  // missing, non-numeric or out-of-range value is a usage error: it is
+  // reported on stderr, naming the flag, and the tool exits 2.
+  long long integer(const std::string& key, long long fallback, long long min,
+                    long long max) const {
+    if (!has(key)) return fallback;
+    const std::string text = value(key);
+    const auto parsed = parse_integer(text);
+    if (parsed.ok() && *parsed >= min && *parsed <= max) return *parsed;
+    std::fprintf(stderr, "%s: %s expects an integer in %lld..%lld (got %s)\n",
+                 tool_.c_str(), key.c_str(), min, max,
+                 text.empty() ? "no value" : ("'" + text + "'").c_str());
+    std::exit(2);
+  }
+
   // Every declared option (sorted; without the built-in --help/--list-flags).
   std::vector<std::string> known_options() const {
     std::vector<std::string> all = value_keys_;
@@ -126,6 +146,7 @@ class Args {
     if (!best.empty()) error_ += " (did you mean '" + best + "'?)";
   }
 
+  std::string tool_;  // argv[0] without its directory
   std::vector<std::string> value_keys_;
   std::vector<std::string> flag_keys_;
   std::map<std::string, std::string> options_;
