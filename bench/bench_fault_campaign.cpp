@@ -259,8 +259,7 @@ int main() {
     options.worker_path = std::string(S4E_TOOL_DIR) + "/s4e-faultsim";
     options.workers = hw;
     options.shards = hw;  // one shard per worker: no respawn slack needed
-    options.seed = config.seed;
-    options.mutants = kFleetMutants;
+    options.spec = campaign::spec_argv<fault::FaultModel>(config);
     start = std::chrono::steady_clock::now();
     auto fleet_run = fleet::run_fleet(options);
     const double fleet_seconds =

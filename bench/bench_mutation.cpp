@@ -331,6 +331,7 @@ int main(int argc, char** argv) {
     options.elf_path = elf_path;
     options.mode = fleet::Mode::kMutation;
     options.worker_path = std::string(S4E_TOOL_DIR) + "/s4e-mutate";
+    options.spec = campaign::spec_argv<mutation::MutationModel>(config);
     options.workers = hw;
     options.shards = hw;
     start = std::chrono::steady_clock::now();

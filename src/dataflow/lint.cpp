@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "isa/disasm.hpp"
 #include "isa/registers.hpp"
@@ -378,30 +379,6 @@ std::string Finding::to_string() const {
                 std::string(check_name(kind)).c_str(), pc, function.c_str(),
                 message.c_str());
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string Finding::to_json() const {
   return format("{\"check\":\"%s\",\"pc\":\"0x%08x\",\"function\":\"%s\","

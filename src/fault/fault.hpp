@@ -13,6 +13,7 @@
 
 #include "asm/program.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/spec.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "coverage/coverage.hpp"
@@ -146,6 +147,24 @@ class FaultModel {
   // Telemetry names of the result buckets, in Outcome order.
   static constexpr const char* kBuckets[] = {"masked", "sdc", "crash",
                                              "hang"};
+  // The fault campaign's knobs (campaign/spec.hpp).
+  static constexpr campaign::Knob<CampaignConfig> kKnobs[] = {
+      campaign::field_knob<CampaignConfig, &CampaignConfig::machine,
+                           &vp::MachineConfig::num_harts>(
+          "--harts", campaign::KnobKind::kInteger, 1, vp::Clint::kMaxHarts),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::mutant_count>(
+          "--mutants", campaign::KnobKind::kInteger, 0, 0xffffffffLL),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::seed>(
+          "--seed", campaign::KnobKind::kInteger, 0, 0x7fffffffffffffffLL),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::coverage_directed>(
+          "--blind", campaign::KnobKind::kSwitch),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::gpr_faults>(
+          "--no-gpr", campaign::KnobKind::kSwitch),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::memory_faults>(
+          "--no-mem", campaign::KnobKind::kSwitch),
+      campaign::field_knob<CampaignConfig, &CampaignConfig::code_faults>(
+          "--no-code", campaign::KnobKind::kSwitch),
+  };
 
   FaultModel(assembler::Program program, const CampaignConfig& config)
       : program_(std::move(program)), config_(config) {}

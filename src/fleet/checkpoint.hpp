@@ -1,11 +1,12 @@
 // Crash-safe checkpoint journal for the campaign fleet service.
 //
 // The journal is an append-only text file. Line one is a header binding the
-// file to one campaign (fingerprint, mode, shard count). Every time a shard
-// finishes, the daemon appends one block:
+// file to one campaign: its mode and fingerprint (which covers the ELF, the
+// knobs and the shard count). Every time a shard finishes, the daemon
+// appends one block:
 //
-//   {"shard":i,"count":K,"begin":B,"end":E,"total":T,...golden...}
-//   <K record lines, global index order>
+//   <the worker's meta line: shard, range, total, golden run, fingerprint>
+//   <end - begin record lines, global index order>
 //   {"commit":i}
 //
 // and flushes + fsyncs before acknowledging the shard as done. A block
@@ -17,6 +18,8 @@
 #pragma once
 
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,33 +31,17 @@ namespace s4e::fleet {
 struct CheckpointHeader {
   Mode mode = Mode::kFault;
   u64 fingerprint = 0;
-  unsigned shards = 1;
 };
 
-// One committed shard: its range, the golden reference the worker reported,
-// and every record in global index order.
+// One committed shard: the worker's meta line (its range and golden
+// reference) and every record in global index order.
 struct CompletedShard {
-  unsigned shard = 0;
-  u64 begin = 0;
-  u64 end = 0;
-  u64 total = 0;
-  int golden_exit = 0;
-  u64 golden_instructions = 0;
+  MetaLine meta;
   std::vector<RecordLine> records;
 };
 
 class CheckpointJournal {
  public:
-  CheckpointJournal() = default;
-  CheckpointJournal(CheckpointJournal&& other) noexcept
-      : file_(other.file_), mode_(other.mode_) {
-    other.file_ = nullptr;
-  }
-  CheckpointJournal& operator=(CheckpointJournal&& other) noexcept;
-  CheckpointJournal(const CheckpointJournal&) = delete;
-  CheckpointJournal& operator=(const CheckpointJournal&) = delete;
-  ~CheckpointJournal();
-
   // Open `path` for the campaign described by `header`. If the file holds a
   // matching journal, committed shards are returned through `recovered`
   // (sorted by shard index) and appends continue after them. If the file is
@@ -69,21 +56,22 @@ class CheckpointJournal {
   // Append one committed shard block and fsync it to disk.
   Status commit(const CompletedShard& shard);
 
-  void close();
-
  private:
-  std::FILE* file_ = nullptr;
+  struct Closer {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+  std::unique_ptr<std::FILE, Closer> file_;
   Mode mode_ = Mode::kFault;
 };
 
-// Parse helper shared with tests: reads a journal stream, returning only
-// fully committed shard blocks (a partial trailing block is discarded, not
-// an error). Fails only when the header is missing or malformed.
-Result<std::vector<CompletedShard>> parse_journal(const std::string& text,
-                                                  const CheckpointHeader& header,
-                                                  bool& header_matches);
+// Parse helper shared with tests: the fully committed shard blocks of a
+// journal stream (a partial trailing block is discarded, not an error), or
+// nullopt when the stream does not start with `header`'s line.
+std::optional<std::vector<CompletedShard>> parse_journal(
+    const std::string& text, const CheckpointHeader& header);
 
 std::string encode_header(const CheckpointHeader& header);
-std::string encode_shard_header(const CompletedShard& shard);
+// One shard block: meta line, records and commit line, newline-terminated.
+std::string encode_block(Mode mode, const CompletedShard& shard);
 
 }  // namespace s4e::fleet

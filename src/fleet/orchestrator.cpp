@@ -11,14 +11,15 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "campaign/spec.hpp"
 #include "common/strings.hpp"
 #include "debug/tcp.hpp"
 #include "fault/fault.hpp"
 #include "fleet/worker.hpp"
 #include "mutation/mutation.hpp"
-#include "obs/metrics.hpp"
 
 namespace s4e::fleet {
 
@@ -73,26 +74,17 @@ struct ReapGuard {
 };
 
 std::vector<std::string> worker_argv(const FleetOptions& options,
+                                     const std::vector<std::string>& spec,
                                      unsigned shard, unsigned shards,
                                      int result_port, unsigned stall_after) {
-  std::vector<std::string> argv;
-  argv.push_back(options.worker_path);
-  argv.push_back(options.elf_path);
-  argv.push_back("--shard");
-  argv.push_back(format("%u/%u", shard, shards));
-  argv.push_back("--emit-jsonl");
-  argv.push_back("--jobs");
-  argv.push_back(format("%u", options.worker_jobs));
-  if (options.mode == Mode::kFault) {
-    argv.push_back("--seed");
-    argv.push_back(format("%llu", static_cast<unsigned long long>(
-                                      options.seed)));
-    argv.push_back("--mutants");
-    argv.push_back(format("%u", options.mutants));
-  } else {
-    argv.push_back("--max");
-    argv.push_back(format("%u", options.max_mutants));
-  }
+  std::vector<std::string> argv = {options.worker_path,
+                                   options.elf_path,
+                                   "--shard",
+                                   format("%u/%u", shard, shards),
+                                   "--emit-jsonl",
+                                   "--jobs",
+                                   format("%u", options.worker_jobs)};
+  argv.insert(argv.end(), spec.begin(), spec.end());
   if (result_port >= 0) {
     argv.push_back("--result-port");
     argv.push_back(format("%d", result_port));
@@ -107,8 +99,9 @@ std::vector<std::string> worker_argv(const FleetOptions& options,
 // fork/exec one worker. Pipe transport: the child's stdout becomes the
 // stream and `out_fd` receives the read end. TCP transport (result_port
 // >= 0): the child dials back and out_fd stays -1.
-Result<pid_t> spawn_worker(const FleetOptions& options, unsigned shard,
-                           unsigned shards, int result_port,
+Result<pid_t> spawn_worker(const FleetOptions& options,
+                           const std::vector<std::string>& spec,
+                           unsigned shard, unsigned shards, int result_port,
                            unsigned stall_after, int& out_fd) {
   out_fd = -1;
   int fds[2] = {-1, -1};
@@ -119,7 +112,7 @@ Result<pid_t> spawn_worker(const FleetOptions& options, unsigned shard,
   }
 
   const auto argv_strings =
-      worker_argv(options, shard, shards, result_port, stall_after);
+      worker_argv(options, spec, shard, shards, result_port, stall_after);
   std::vector<char*> argv;
   argv.reserve(argv_strings.size() + 1);
   for (const std::string& arg : argv_strings) {
@@ -154,34 +147,23 @@ Result<pid_t> spawn_worker(const FleetOptions& options, unsigned shard,
   return pid;
 }
 
-// Campaign-wide facts learned from the first meta line (or the recovered
-// checkpoint) and enforced on every subsequent one.
-struct GoldenRef {
-  bool known = false;
-  u64 total = 0;
-  int exit_code = 0;
-  u64 instructions = 0;
-};
-
-Status note_golden(GoldenRef& golden, u64 total, int exit_code,
-                   u64 instructions) {
-  if (!golden.known) {
-    golden.known = true;
-    golden.total = total;
-    golden.exit_code = exit_code;
-    golden.instructions = instructions;
+// The campaign-wide facts of the first meta line (or recovered block),
+// enforced on every later one.
+Status note_golden(std::optional<MetaLine>& golden, const MetaLine& meta) {
+  if (!golden.has_value()) {
+    golden = meta;
     return Status();
   }
-  if (golden.total != total || golden.exit_code != exit_code ||
-      golden.instructions != instructions) {
+  if (golden->total != meta.total || golden->golden_exit != meta.golden_exit ||
+      golden->golden_instructions != meta.golden_instructions) {
     return Error(
         ErrorCode::kStateError,
         format("fleet: workers disagree on the campaign (total %llu vs "
                "%llu, golden exit %d vs %d) — mixed binaries or a "
                "non-deterministic workload",
-               static_cast<unsigned long long>(golden.total),
-               static_cast<unsigned long long>(total), golden.exit_code,
-               exit_code));
+               static_cast<unsigned long long>(golden->total),
+               static_cast<unsigned long long>(meta.total),
+               golden->golden_exit, meta.golden_exit));
   }
   return Status();
 }
@@ -189,11 +171,11 @@ Status note_golden(GoldenRef& golden, u64 total, int exit_code,
 // The campaign report from the merged slot array, folded exactly like the
 // in-process driver folds its slots.
 template <class Model>
-std::string merge_report(const GoldenRef& golden,
+std::string merge_report(const MetaLine& golden,
                          const std::vector<RecordLine>& slots) {
   vp::GoldenRun reference;
-  reference.result.exit_code = golden.exit_code;
-  reference.result.instructions = golden.instructions;
+  reference.result.exit_code = golden.golden_exit;
+  reference.result.instructions = golden.golden_instructions;
   typename Model::Report report = Model::open(reference, golden.total);
   Model::results(report).reserve(slots.size());
   for (const RecordLine& record : slots) {
@@ -202,13 +184,39 @@ std::string merge_report(const GoldenRef& golden,
   return report.to_string();
 }
 
+// The canonical form of the caller's knob tokens, as the worker tool will
+// parse and fingerprint them.
+template <class Model>
+Result<std::vector<std::string>> canonical_spec(const FleetOptions& options) {
+  auto config = campaign::parse_spec<Model>(options.spec);
+  if (!config.ok()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "fleet: " + std::string(to_string(options.mode)) +
+                     " campaign: " + config.error().message());
+  }
+  return campaign::spec_argv<Model>(*config);
+}
+
+// The status endpoint's JSON line.
+std::string stats_json(const FleetStats& stats) {
+  return format("{\"fleet_records\": %llu, \"fleet_shards_done\": %u, "
+                "\"fleet_shards_recovered\": %u, "
+                "\"fleet_workers_spawned\": %u, "
+                "\"fleet_worker_restarts\": %u, \"fleet_shards_total\": %u}",
+                static_cast<unsigned long long>(stats.records),
+                stats.shards_done, stats.shards_recovered,
+                stats.workers_spawned, stats.worker_restarts,
+                stats.shards_total);
+}
+
 u64 shard_bound(u64 total, unsigned index, unsigned shards) {
   return total * index / shards;
 }
 
 // Consume complete lines from `buffer`, feeding them to `worker`'s block.
 Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
-                     unsigned shards, GoldenRef& golden, u64& records_seen) {
+                     unsigned shards, std::optional<MetaLine>& golden,
+                     u64& records) {
   std::size_t newline;
   while ((newline = worker.buffer.find('\n')) != std::string::npos) {
     const std::string line = worker.buffer.substr(0, newline);
@@ -235,10 +243,9 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
                             "ELF?)",
                             worker.shard));
       }
-      S4E_TRY_STATUS(note_golden(golden, meta.total, meta.golden_exit,
-                                 meta.golden_instructions));
-      if (meta.begin != shard_bound(golden.total, meta.shard, shards) ||
-          meta.end != shard_bound(golden.total, meta.shard + 1, shards)) {
+      S4E_TRY_STATUS(note_golden(golden, meta));
+      if (meta.begin != shard_bound(golden->total, meta.shard, shards) ||
+          meta.end != shard_bound(golden->total, meta.shard + 1, shards)) {
         return Error(ErrorCode::kStateError,
                      format("fleet: shard %u announced range [%llu,%llu) "
                             "outside the contract",
@@ -247,12 +254,7 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
                             static_cast<unsigned long long>(meta.end)));
       }
       worker.meta_seen = true;
-      worker.block.shard = meta.shard;
-      worker.block.begin = meta.begin;
-      worker.block.end = meta.end;
-      worker.block.total = meta.total;
-      worker.block.golden_exit = meta.golden_exit;
-      worker.block.golden_instructions = meta.golden_instructions;
+      worker.block.meta = meta;
       continue;
     }
     if (parsed.record.has_value()) {
@@ -263,9 +265,9 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
                             worker.shard));
       }
       const u64 expected =
-          worker.block.begin + worker.block.records.size();
+          worker.block.meta.begin + worker.block.records.size();
       if (parsed.record->index != expected ||
-          parsed.record->index >= worker.block.end) {
+          parsed.record->index >= worker.block.meta.end) {
         return Error(ErrorCode::kStateError,
                      format("fleet: shard %u record index %llu, expected "
                             "%llu",
@@ -275,13 +277,14 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
                             static_cast<unsigned long long>(expected)));
       }
       worker.block.records.push_back(*parsed.record);
-      ++records_seen;
+      ++records;
       continue;
     }
     // done line
     if (!worker.meta_seen || parsed.done->shard != worker.shard ||
         parsed.done->count != worker.block.records.size() ||
-        worker.block.begin + parsed.done->count != worker.block.end) {
+        worker.block.meta.begin + parsed.done->count !=
+            worker.block.meta.end) {
       return Error(ErrorCode::kStateError,
                    format("fleet: shard %u done line disagrees with its "
                           "stream",
@@ -294,7 +297,8 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
 
 }  // namespace
 
-Result<FleetReport> run_fleet(const FleetOptions& options) {
+Result<FleetReport> run_fleet(const FleetOptions& options,
+                              FleetStats* stats_out) {
   if (options.workers == 0 || options.worker_path.empty() ||
       options.elf_path.empty()) {
     return Error(ErrorCode::kInvalidArgument,
@@ -306,58 +310,43 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
 
   const unsigned shards =
       options.shards != 0 ? options.shards : options.workers * 4;
+  S4E_TRY(spec, options.mode == Mode::kFault
+                    ? canonical_spec<fault::FaultModel>(options)
+                    : canonical_spec<mutation::MutationModel>(options));
   S4E_TRY(elf_bytes, read_file_bytes(options.elf_path));
-  // Only the mode's own knobs shape the mutant space; the irrelevant ones
-  // are zeroed so both sides of the wire hash the same inputs.
-  const u64 fingerprint = campaign_fingerprint(
-      elf_bytes, options.mode,
-      options.mode == Mode::kFault ? options.seed : 0,
-      options.mode == Mode::kFault ? options.mutants : 0,
-      options.mode == Mode::kMutation ? options.max_mutants : 0, shards);
+  const u64 fingerprint =
+      campaign_fingerprint(elf_bytes, options.mode, spec, shards);
 
   FleetReport out;
-  out.stats.shards_total = shards;
-
-  // --- Metrics: the status endpoint's source of truth.
-  obs::MetricsRegistry registry;
-  const auto m_records = registry.add_counter("fleet_records");
-  const auto m_done = registry.add_counter("fleet_shards_done");
-  const auto m_recovered = registry.add_counter("fleet_shards_recovered");
-  const auto m_spawned = registry.add_counter("fleet_workers_spawned");
-  const auto m_restarts = registry.add_counter("fleet_worker_restarts");
-  const auto m_total = registry.add_gauge("fleet_shards_total");
-  registry.open_shards(1);
-  auto& metrics = registry.shard(0);
-  metrics.set(m_total, shards);
+  FleetStats own_stats;
+  FleetStats& stats = stats_out != nullptr ? *stats_out : own_stats;
+  stats = FleetStats{};
+  stats.shards_total = shards;
 
   // --- Checkpoint: recover committed shards, keep the journal open.
-  GoldenRef golden;
+  std::optional<MetaLine> golden;
   std::map<unsigned, CompletedShard> committed;
   std::unique_ptr<CheckpointJournal> journal;
   if (!options.checkpoint_path.empty()) {
     std::vector<CompletedShard> recovered;
     bool replaced = false;
-    CheckpointHeader header;
-    header.mode = options.mode;
-    header.fingerprint = fingerprint;
-    header.shards = shards;
-    auto opened = CheckpointJournal::open(options.checkpoint_path, header,
+    auto opened = CheckpointJournal::open(options.checkpoint_path,
+                                          {options.mode, fingerprint},
                                           recovered, replaced);
     if (!opened.ok()) return opened.error();
     journal = std::make_unique<CheckpointJournal>(std::move(*opened));
-    out.stats.checkpoint_replaced = replaced;
+    stats.checkpoint_replaced = replaced;
     for (CompletedShard& shard : recovered) {
-      if (shard.shard >= shards || committed.count(shard.shard) != 0) {
+      const unsigned index = shard.meta.shard;
+      if (index >= shards || committed.count(index) != 0) {
         return Error(ErrorCode::kStateError,
                      format("fleet: checkpoint holds invalid shard %u",
-                            shard.shard));
+                            index));
       }
-      S4E_TRY_STATUS(note_golden(golden, shard.total, shard.golden_exit,
-                                 shard.golden_instructions));
-      committed.emplace(shard.shard, std::move(shard));
+      S4E_TRY_STATUS(note_golden(golden, shard.meta));
+      committed.emplace(index, std::move(shard));
     }
-    out.stats.shards_recovered = static_cast<unsigned>(committed.size());
-    metrics.add(m_recovered, committed.size());
+    stats.shards_recovered = static_cast<unsigned>(committed.size());
   }
 
   // --- Listeners.
@@ -369,7 +358,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
     if (status_listener == nullptr) {
       return Error(ErrorCode::kIoError, "fleet: status listener: " + error);
     }
-    out.stats.status_port = status_listener->port();
+    stats.status_port = status_listener->port();
     if (options.on_status_port) {
       options.on_status_port(status_listener->port());
     }
@@ -394,9 +383,6 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
   std::vector<WorkerProc> workers;
   std::vector<PendingChannel> dialing;
   ReapGuard guard{&workers};
-  unsigned spawned_total = 0;
-  unsigned live_commits = 0;
-  u64 records_seen = 0;
   bool kill_hook_pending = options.test_kill_after_records != 0;
 
   const auto active_workers = [&workers] {
@@ -415,20 +401,19 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       // The stall hook rides on the very first spawn only: that worker is
       // the designated victim.
       const unsigned stall =
-          (kill_hook_pending && spawned_total == 0)
+          (kill_hook_pending && stats.workers_spawned == 0)
               ? options.test_kill_after_records
               : 0;
       int fd = -1;
-      auto pid = spawn_worker(options, shard, shards, result_port, stall, fd);
+      auto pid =
+          spawn_worker(options, spec, shard, shards, result_port, stall, fd);
       if (!pid.ok()) return pid.error();
       WorkerProc worker;
       worker.pid = *pid;
       worker.shard = shard;
-      worker.spawn_index = spawned_total++;
+      worker.spawn_index = stats.workers_spawned++;
       worker.fd = fd;
       workers.push_back(std::move(worker));
-      ++out.stats.workers_spawned;
-      metrics.add(m_spawned, 1);
     }
 
     // Poll every live stream plus the listeners.
@@ -467,7 +452,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       bool timed_out = false;
       auto client = status_listener->accept_one_for(0, error, timed_out);
       if (client != nullptr) {
-        client->write_all(registry.to_json() + "\n");
+        client->write_all(stats_json(stats) + "\n");
       }
     }
 
@@ -493,11 +478,8 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       const ssize_t n = ::read(worker.fd, chunk, sizeof chunk);
       if (n > 0) {
         worker.buffer.append(chunk, static_cast<std::size_t>(n));
-        const u64 before = records_seen;
         S4E_TRY_STATUS(consume_lines(worker, options.mode, fingerprint,
-                                     shards, golden, records_seen));
-        out.stats.records += records_seen - before;
-        metrics.add(m_records, records_seen - before);
+                                     shards, golden, stats.records));
         // Kill hook: the victim has streamed enough — SIGKILL it mid-shard.
         if (kill_hook_pending && worker.spawn_index == 0 &&
             worker.block.records.size() >=
@@ -547,12 +529,9 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
               // worker can finish before it is identified); consume it now
               // — the socket might never signal POLLIN with fresh data
               // again, only EOF.
-              const u64 before = records_seen;
               S4E_TRY_STATUS(consume_lines(worker, options.mode,
                                            fingerprint, shards, golden,
-                                           records_seen));
-              out.stats.records += records_seen - before;
-              metrics.add(m_records, records_seen - before);
+                                           stats.records));
               identified = true;
               break;
             }
@@ -575,6 +554,14 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
       if (::waitpid(worker.pid, &status, WNOHANG) == worker.pid) {
         worker.exited = true;
         worker.wait_status = status;
+        // Exit 2 is a usage error (the worker's message is on stderr): a
+        // respawn would be rejected the same way, so stop at once.
+        if (WIFEXITED(status) && WEXITSTATUS(status) == 2) {
+          return Error(ErrorCode::kInvalidArgument,
+                       format("fleet: worker %s rejected its arguments "
+                              "(exit 2) on shard %u; not retried",
+                              options.worker_path.c_str(), worker.shard));
+        }
         // TCP worker gone before its dial-in was identified: give the
         // connection a bounded window to arrive (the stream outlives the
         // process in the socket buffers). A worker that died pre-connect
@@ -607,15 +594,13 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
           S4E_TRY_STATUS(journal->commit(worker.block));
         }
         committed.emplace(worker.shard, std::move(worker.block));
-        ++out.stats.shards_done;
-        metrics.add(m_done, 1);
-        ++live_commits;
+        ++stats.shards_done;
         if (options.test_fail_after_commits != 0 &&
-            live_commits >= options.test_fail_after_commits) {
+            stats.shards_done >= options.test_fail_after_commits) {
           return Error(ErrorCode::kStateError,
                        format("fleet: test-induced daemon failure after %u "
                               "commits",
-                              live_commits));
+                              stats.shards_done));
         }
       } else {
         // Worker died (or its stream broke) mid-shard: drop the partial
@@ -629,26 +614,25 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
                      static_cast<unsigned>(worker.wait_status)));
         }
         pending.push_back(worker.shard);
-        ++out.stats.worker_restarts;
-        metrics.add(m_restarts, 1);
+        ++stats.worker_restarts;
       }
       workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
 
-  if (!golden.known) {
+  if (!golden.has_value()) {
     return Error(ErrorCode::kStateError, "fleet: no worker reported");
   }
 
   // --- Deterministic aggregation: fill the slot array in global index
   // order from the committed blocks, then fold exactly like the serial
   // engines do.
-  std::vector<RecordLine> slots(static_cast<std::size_t>(golden.total));
+  std::vector<RecordLine> slots(static_cast<std::size_t>(golden->total));
   std::vector<bool> filled(slots.size(), false);
   for (const auto& [shard, block] : committed) {
     for (std::size_t offset = 0; offset < block.records.size(); ++offset) {
-      const u64 index = block.begin + offset;
-      if (index >= golden.total || filled[static_cast<std::size_t>(index)]) {
+      const u64 index = block.meta.begin + offset;
+      if (index >= golden->total || filled[static_cast<std::size_t>(index)]) {
         return Error(ErrorCode::kStateError,
                      format("fleet: duplicate or out-of-range record %llu",
                             static_cast<unsigned long long>(index)));
@@ -667,9 +651,9 @@ Result<FleetReport> run_fleet(const FleetOptions& options) {
   }
 
   out.report = options.mode == Mode::kFault
-                   ? merge_report<fault::FaultModel>(golden, slots)
-                   : merge_report<mutation::MutationModel>(golden, slots);
-  out.metrics_json = registry.to_json();
+                   ? merge_report<fault::FaultModel>(*golden, slots)
+                   : merge_report<mutation::MutationModel>(*golden, slots);
+  out.stats = stats;
   return out;
 }
 

@@ -14,13 +14,16 @@
 // Fault tolerance: a worker that dies mid-shard is detected by stream EOF
 // before its `done` line (or by a non-zero exit); its partial records are
 // discarded and the shard is requeued, up to `max_retries` respawns per
-// shard. Completed shards are committed to an append-only checkpoint
-// journal (fsync before acknowledge), so a daemon crash loses at most the
-// in-flight shards and a restart resumes from the committed set.
+// shard. A worker that exits 2 rejected its arguments, which a respawn
+// would too: the fleet stops at once. Completed shards are committed to an
+// append-only checkpoint journal (fsync before acknowledge), so a daemon
+// crash loses at most the in-flight shards and a restart resumes from the
+// committed set.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/status.hpp"
 #include "fleet/checkpoint.hpp"
@@ -37,12 +40,13 @@ struct FleetOptions {
   unsigned shards = 0;    // shard count; 0 = 4x workers (restart granularity)
   unsigned worker_jobs = 1;  // threads inside each worker process
 
-  // Campaign shape, forwarded to the workers (and folded into the
-  // fingerprint). `mutants`/`seed` drive the fault engine, `max_mutants`
-  // caps the mutation enumeration.
-  u64 seed = 1;
-  unsigned mutants = 200;
-  unsigned max_mutants = 0;
+  // The campaign knobs, one "--flag" or "--flag=value" token each, e.g.
+  // {"--mutants=40", "--triage=verify"} (campaign/spec.hpp). Before any
+  // worker starts, run_fleet parses them with the mode's knob table (so a
+  // knob the worker would not take is an error) and forwards their
+  // canonical form (campaign::spec_argv) to every worker and into the
+  // fingerprint.
+  std::vector<std::string> spec;
 
   // Checkpoint journal path; empty disables checkpointing (and resume).
   std::string checkpoint_path;
@@ -78,9 +82,11 @@ struct FleetReport {
   // The campaign report, byte-identical to the serial tool's stdout.
   std::string report;
   FleetStats stats;
-  std::string metrics_json;  // the status endpoint's final snapshot
 };
 
-Result<FleetReport> run_fleet(const FleetOptions& options);
+// `stats_out`, when given, also receives the statistics of a run that
+// fails (read it after run_fleet returns).
+Result<FleetReport> run_fleet(const FleetOptions& options,
+                              FleetStats* stats_out = nullptr);
 
 }  // namespace s4e::fleet

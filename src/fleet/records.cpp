@@ -1,5 +1,7 @@
 #include "fleet/records.hpp"
 
+#include <charconv>
+
 #include "common/strings.hpp"
 
 namespace s4e::fleet {
@@ -22,20 +24,37 @@ std::optional<u8> match(const std::string_view (&names)[N],
   return std::nullopt;
 }
 
-}  // namespace
-
-std::optional<u64> parse_hex_u64(std::string_view text) {
-  if (text.empty() || text.size() > 16) return std::nullopt;
-  u64 value = 0;
-  for (const char c : text) {
-    value <<= 4;
-    if (c >= '0' && c <= '9') value |= static_cast<u64>(c - '0');
-    else if (c >= 'a' && c <= 'f') value |= static_cast<u64>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') value |= static_cast<u64>(c - 'A' + 10);
-    else return std::nullopt;
+// Flat-JSON field access: the raw value token for `key`, unquoted for
+// strings.
+std::optional<std::string> json_field(std::string_view line,
+                                      std::string_view key) {
+  const std::string needle = "\"" + std::string(key) + "\":";
+  const auto pos = line.find(needle);
+  if (pos == std::string_view::npos) return std::nullopt;
+  std::size_t i = pos + needle.size();
+  if (i >= line.size()) return std::nullopt;
+  if (line[i] == '"') {  // no escapes: the lines carry no free text
+    const std::size_t close = line.find('"', i + 1);
+    if (close == std::string_view::npos) return std::nullopt;
+    return std::string(line.substr(i + 1, close - i - 1));
   }
-  return value;
+  std::size_t end = i;
+  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
+  if (end == i || end == line.size()) return std::nullopt;
+  return std::string(line.substr(i, end - i));
 }
+
+// Integer field; nullopt when absent or non-numeric.
+std::optional<long long> json_int_field(std::string_view line,
+                                        std::string_view key) {
+  const auto raw = json_field(line, key);
+  if (!raw.has_value()) return std::nullopt;
+  const auto value = parse_integer(*raw);
+  if (!value.ok()) return std::nullopt;
+  return *value;
+}
+
+}  // namespace
 
 std::string_view to_string(Mode mode) noexcept {
   return mode == Mode::kFault ? "fault" : "mutation";
@@ -47,24 +66,21 @@ std::optional<Mode> parse_mode(std::string_view text) noexcept {
   return std::nullopt;
 }
 
-u64 campaign_fingerprint(const std::string& elf_bytes, Mode mode, u64 seed,
-                         u64 mutants, u64 max_mutants, unsigned shards) {
+u64 campaign_fingerprint(const std::string& elf_bytes, Mode mode,
+                         const std::vector<std::string>& spec,
+                         unsigned shards) {
+  // The fields after the image are NUL-separated, so no two field lists
+  // hash the same bytes.
+  std::string fields(to_string(mode));
+  for (const std::string& token : spec) fields += '\0' + token;
+  fields += '\0' + std::to_string(shards);
   u64 hash = 0xcbf29ce484222325ull;  // FNV-1a
-  const auto mix = [&hash](u64 value) {
-    for (unsigned i = 0; i < 8; ++i) {
-      hash ^= (value >> (8 * i)) & 0xff;
+  for (const std::string_view bytes : {elf_bytes, fields}) {
+    for (const char c : bytes) {
+      hash ^= static_cast<u8>(c);
       hash *= 0x100000001b3ull;
     }
-  };
-  for (const char c : elf_bytes) {
-    hash ^= static_cast<u8>(c);
-    hash *= 0x100000001b3ull;
   }
-  mix(static_cast<u64>(mode));
-  mix(seed);
-  mix(mutants);
-  mix(max_mutants);
-  mix(shards);
   return hash;
 }
 
@@ -102,59 +118,6 @@ std::string encode(const DoneLine& done) {
                 static_cast<unsigned long long>(done.count));
 }
 
-std::optional<std::string> json_field(std::string_view line,
-                                      std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + needle.size();
-  if (i >= line.size()) return std::nullopt;
-  if (line[i] == '"') {
-    std::string value;
-    for (++i; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        const char next = line[++i];
-        value += next == 'n' ? '\n' : next == 't' ? '\t' : next;
-        continue;
-      }
-      if (line[i] == '"') return value;
-      value += line[i];
-    }
-    return std::nullopt;  // unterminated string
-  }
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  if (end == i || end == line.size()) return std::nullopt;
-  return std::string(line.substr(i, end - i));
-}
-
-std::optional<long long> json_int_field(std::string_view line,
-                                        std::string_view key) {
-  const auto raw = json_field(line, key);
-  if (!raw.has_value()) return std::nullopt;
-  const auto value = parse_integer(*raw);
-  if (!value.ok()) return std::nullopt;
-  return *value;
-}
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 Result<ParsedLine> parse_line(std::string_view line, Mode mode) {
   ParsedLine parsed;
   if (line.find("\"meta\"") != std::string_view::npos) {
@@ -179,8 +142,12 @@ Result<ParsedLine> parse_line(std::string_view line, Mode mode) {
         !golden_insns || !fingerprint) {
       return Error(ErrorCode::kParseError, "fleet meta line: missing field");
     }
-    const auto fp = parse_hex_u64(*fingerprint);
-    if (!fp) {
+    // Fingerprints travel as quoted hex: parse_integer's signed range
+    // cannot hold them.
+    const char* fp_end = fingerprint->data() + fingerprint->size();
+    const auto fp = std::from_chars(fingerprint->data(), fp_end,
+                                    meta.fingerprint, 16);
+    if (fingerprint->empty() || fp.ec != std::errc() || fp.ptr != fp_end) {
       return Error(ErrorCode::kParseError,
                    "fleet meta line: bad fingerprint");
     }
@@ -191,7 +158,6 @@ Result<ParsedLine> parse_line(std::string_view line, Mode mode) {
     meta.total = static_cast<u64>(*total);
     meta.golden_exit = static_cast<int>(*golden_exit);
     meta.golden_instructions = static_cast<u64>(*golden_insns);
-    meta.fingerprint = *fp;
     if (meta.begin > meta.end || meta.end > meta.total ||
         meta.shards == 0 || meta.shard >= meta.shards) {
       return Error(ErrorCode::kParseError,

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/status.hpp"
@@ -27,11 +28,13 @@ enum class Mode : u8 { kFault, kMutation };
 std::string_view to_string(Mode mode) noexcept;
 std::optional<Mode> parse_mode(std::string_view text) noexcept;
 
-// Campaign identity: FNV-1a over the program image bytes plus the
-// campaign-shaping configuration. Two runs with the same fingerprint
-// generate the same mutant space, so their shards and checkpoints compose.
-u64 campaign_fingerprint(const std::string& elf_bytes, Mode mode, u64 seed,
-                         u64 mutants, u64 max_mutants, unsigned shards);
+// Campaign identity: FNV-1a over the program image bytes, the mode, the
+// canonical campaign spec (campaign::spec_argv: every knob's value) and the
+// shard count. Two runs with the same fingerprint run the same campaign,
+// so their shards and checkpoints compose.
+u64 campaign_fingerprint(const std::string& elf_bytes, Mode mode,
+                         const std::vector<std::string>& spec,
+                         unsigned shards);
 
 // First line of a worker stream.
 struct MetaLine {
@@ -102,19 +105,5 @@ typename Model::ItemResult from_record(const RecordLine& record) {
   result.pruned = record.pruned;
   return result;
 }
-
-// Flat-JSON field access (shared with the checkpoint journal): the raw
-// value token for `key`, unquoted and unescaped for strings.
-std::optional<std::string> json_field(std::string_view line,
-                                      std::string_view key);
-// Integer field; nullopt when absent or non-numeric.
-std::optional<long long> json_int_field(std::string_view line,
-                                        std::string_view key);
-// Minimal string escaping for the few free-text fields (quotes,
-// backslashes, control characters).
-std::string json_escape(std::string_view text);
-// Full-width u64 from zero-padded hex (fingerprints travel as quoted hex
-// because parse_integer's signed range cannot hold them).
-std::optional<u64> parse_hex_u64(std::string_view text);
 
 }  // namespace s4e::fleet

@@ -17,6 +17,7 @@
 
 #include "asm/program.hpp"
 #include "campaign/campaign.hpp"
+#include "campaign/spec.hpp"
 #include "common/status.hpp"
 #include "dataflow/triage.hpp"
 #include "isa/instr.hpp"
@@ -113,6 +114,13 @@ class MutationModel {
   // Telemetry names of the result buckets, in Verdict order.
   static constexpr const char* kBuckets[] = {"killed_result", "killed_crash",
                                              "killed_hang", "survived"};
+  // The mutation campaign's knobs (campaign/spec.hpp).
+  static constexpr campaign::Knob<MutationConfig> kKnobs[] = {
+      campaign::field_knob<MutationConfig, &MutationConfig::max_mutants>(
+          "--max", campaign::KnobKind::kInteger, 0, 0xffffffffLL),
+      campaign::field_knob<MutationConfig, &MutationConfig::executed_only>(
+          "--all-sites", campaign::KnobKind::kSwitch),
+  };
 
   MutationModel(assembler::Program program, const MutationConfig& config)
       : program_(std::move(program)), config_(config) {}

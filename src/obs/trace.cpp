@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/hex.hpp"
+#include "common/json.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/rvc.hpp"
@@ -10,19 +11,6 @@
 namespace s4e::obs {
 
 namespace {
-
-// The disassembler never emits quotes or backslashes today, but the trace
-// promises well-formed JSON, so escape defensively.
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // control chars
-    out.push_back(c);
-  }
-  return out;
-}
 
 std::string disassemble_encoding(u32 encoding, u32 pc) {
   auto decoded = s4e::isa::decoder().decode(encoding);

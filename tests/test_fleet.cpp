@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "asm/assembler.hpp"
+#include "campaign/spec.hpp"
 #include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "debug/tcp.hpp"
@@ -68,18 +69,24 @@ CommandResult run_command(const std::string& command) {
   return result;
 }
 
+// Assemble standard workload `name` into an ELF at `path`.
+assembler::Program write_workload_elf(const std::string& name,
+                                      const std::string& path) {
+  auto workload = core::find_workload(name);
+  EXPECT_TRUE(workload.ok()) << name;
+  auto program = assembler::assemble(workload->source);
+  EXPECT_TRUE(program.ok()) << program.error().to_string();
+  EXPECT_TRUE(elf::write_elf_file(*program, path).ok());
+  return *program;
+}
+
 // Fixture: one checksum ELF on disk plus the serial reference reports,
 // computed in-process through the same engines the worker binaries use.
 class Fleet : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto workload = core::find_workload("checksum");
-    ASSERT_TRUE(workload.ok());
-    auto program = assembler::assemble(workload->source);
-    ASSERT_TRUE(program.ok()) << program.error().to_string();
     elf_ = temp_path("fleet.elf");
-    ASSERT_TRUE(elf::write_elf_file(*program, elf_).ok());
-    program_ = *program;
+    program_ = write_workload_elf("checksum", elf_);
   }
   void TearDown() override { std::remove(elf_.c_str()); }
 
@@ -109,8 +116,8 @@ class Fleet : public ::testing::Test {
     options.elf_path = elf_;
     options.mode = Mode::kFault;
     options.worker_path = tool("s4e-faultsim");
-    options.mutants = mutants;
-    options.seed = seed;
+    options.spec = {"--mutants=" + std::to_string(mutants),
+                    "--seed=" + std::to_string(seed)};
     return options;
   }
 
@@ -196,17 +203,119 @@ TEST(FleetRecords, RejectsMalformedLines) {
   EXPECT_FALSE(parse_line(encode(meta), Mode::kFault).ok());
 }
 
-TEST(FleetRecords, FingerprintSeparatesCampaigns) {
+// `config` with one knob moved off its current value (to another valid
+// one).
+template <class Config, class Knob>
+Config with_knob_changed(Config config, const Knob& knob) {
+  const long long value = knob.get(config);
+  if (knob.kind == campaign::KnobKind::kSwitch) {
+    knob.set(config, value == 0 ? 1 : 0);
+  } else if (knob.kind == campaign::KnobKind::kInteger) {
+    knob.set(config, value == knob.min ? knob.max : knob.min);
+  } else {
+    knob.set(config, (value + 1) % static_cast<long long>(
+                                         split(knob.choices, '|').size()));
+  }
+  return config;
+}
+
+// Every single-knob change of both models' default campaign changes the
+// fingerprint. The loop runs over the knob tables, so a knob added later is
+// covered without touching this test.
+template <class Model>
+void expect_every_knob_fingerprinted(Mode mode) {
   const std::string elf_bytes = "\x7f" "ELF-ish";
-  const u64 a = campaign_fingerprint(elf_bytes, Mode::kFault, 1, 200, 0, 4);
-  EXPECT_NE(a, campaign_fingerprint(elf_bytes, Mode::kFault, 2, 200, 0, 4));
-  EXPECT_NE(a, campaign_fingerprint(elf_bytes, Mode::kFault, 1, 100, 0, 4));
-  EXPECT_NE(a, campaign_fingerprint(elf_bytes, Mode::kFault, 1, 200, 0, 8));
-  EXPECT_NE(a,
-            campaign_fingerprint(elf_bytes, Mode::kMutation, 1, 200, 0, 4));
-  EXPECT_NE(a,
-            campaign_fingerprint(elf_bytes + "x", Mode::kFault, 1, 200, 0, 4));
-  EXPECT_EQ(a, campaign_fingerprint(elf_bytes, Mode::kFault, 1, 200, 0, 4));
+  const typename Model::Config base;
+  const auto spec = campaign::spec_argv<Model>(base);
+  const u64 a = campaign_fingerprint(elf_bytes, mode, spec, 4);
+  EXPECT_EQ(a, campaign_fingerprint(elf_bytes, mode, spec, 4));
+  EXPECT_NE(a, campaign_fingerprint(elf_bytes, mode, spec, 8));
+  EXPECT_NE(a, campaign_fingerprint(elf_bytes + "x", mode, spec, 4));
+  EXPECT_NE(a, campaign_fingerprint(
+                   elf_bytes,
+                   mode == Mode::kFault ? Mode::kMutation : Mode::kFault,
+                   spec, 4));
+  campaign::for_each_knob<Model>([&](const auto& knob) {
+    const auto changed =
+        campaign::spec_argv<Model>(with_knob_changed(base, knob));
+    EXPECT_NE(a, campaign_fingerprint(elf_bytes, mode, changed, 4))
+        << knob.flag;
+  });
+}
+
+TEST(FleetRecords, FingerprintSeparatesCampaigns) {
+  expect_every_knob_fingerprinted<fault::FaultModel>(Mode::kFault);
+  expect_every_knob_fingerprinted<mutation::MutationModel>(Mode::kMutation);
+}
+
+// --- campaign spec ---------------------------------------------------------
+
+// parse_spec(spec_argv(c)) gives back c, knob for knob, for the default
+// campaign and every single-knob change of it.
+template <class Model>
+void expect_spec_round_trips() {
+  std::vector<typename Model::Config> configs(1);
+  campaign::for_each_knob<Model>([&](const auto& knob) {
+    configs.push_back(with_knob_changed(configs[0], knob));
+  });
+  for (const auto& config : configs) {
+    const auto spec = campaign::spec_argv<Model>(config);
+    auto parsed = campaign::parse_spec<Model>(spec);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    campaign::for_each_knob<Model>([&](const auto& knob) {
+      EXPECT_EQ(knob.get(*parsed), knob.get(config)) << knob.flag;
+    });
+    EXPECT_EQ(campaign::spec_argv<Model>(*parsed), spec);
+  }
+}
+
+TEST(CampaignSpec, ParseOfSpecArgvRoundTrips) {
+  expect_spec_round_trips<fault::FaultModel>();
+  expect_spec_round_trips<mutation::MutationModel>();
+}
+
+template <class Model>
+std::vector<std::string> canonical(const std::vector<std::string>& tokens) {
+  auto config = campaign::parse_spec<Model>(tokens);
+  EXPECT_TRUE(config.ok()) << config.error().to_string();
+  return config.ok() ? campaign::spec_argv<Model>(*config)
+                     : std::vector<std::string>{};
+}
+
+TEST(CampaignSpec, RecanonicalisingIsIdempotent) {
+  using Tokens = std::vector<std::string>;
+  const Tokens seven = canonical<fault::FaultModel>({"--seed=7"});
+  EXPECT_EQ(seven, (Tokens{"--harts=1", "--mutants=200", "--seed=7",
+                           "--triage=off"}));
+  EXPECT_EQ(canonical<fault::FaultModel>({"--seed=007"}), seven);
+  EXPECT_EQ(canonical<fault::FaultModel>({"--seed=0x7"}), seven);
+  EXPECT_EQ(canonical<fault::FaultModel>(seven), seven);
+  const Tokens knobs = canonical<fault::FaultModel>(
+      {"--no-code", "--triage", "--blind", "--mutants=9"});
+  EXPECT_EQ(knobs, (Tokens{"--harts=1", "--mutants=9", "--seed=1", "--blind",
+                           "--no-code", "--triage=on"}));
+  EXPECT_EQ(canonical<fault::FaultModel>(knobs), knobs);
+  EXPECT_EQ(canonical<mutation::MutationModel>(
+                {"--all-sites", "--triage=verify", "--max=05"}),
+            (Tokens{"--max=5", "--all-sites", "--triage=verify"}));
+}
+
+// A knob of the other mode, or a bad value, is an error naming the flag.
+TEST(CampaignSpec, RejectsUnknownKnobsAndBadValues) {
+  auto max = campaign::parse_spec<fault::FaultModel>({"--max=5"});
+  ASSERT_FALSE(max.ok());
+  EXPECT_EQ(max.error().message(), "no knob '--max'");
+  auto seed = campaign::parse_spec<mutation::MutationModel>({"--seed=9"});
+  ASSERT_FALSE(seed.ok());
+  EXPECT_EQ(seed.error().message(), "no knob '--seed'");
+  auto range = campaign::parse_spec<fault::FaultModel>({"--harts=0"});
+  ASSERT_FALSE(range.ok());
+  EXPECT_NE(range.error().message().find("--harts expects an integer"),
+            std::string::npos);
+  auto triage = campaign::parse_spec<fault::FaultModel>({"--triage=bogus"});
+  ASSERT_FALSE(triage.ok());
+  EXPECT_EQ(triage.error().message(),
+            "--triage expects off|on|verify (got bogus)");
 }
 
 TEST(FleetRecords, ParseShardSelector) {
@@ -225,12 +334,13 @@ TEST(FleetRecords, ParseShardSelector) {
 
 CompletedShard make_shard(unsigned shard, u64 begin, u64 end, u64 total) {
   CompletedShard block;
-  block.shard = shard;
-  block.begin = begin;
-  block.end = end;
-  block.total = total;
-  block.golden_exit = 36;
-  block.golden_instructions = 999;
+  block.meta.shard = shard;
+  block.meta.shards = 4;
+  block.meta.begin = begin;
+  block.meta.end = end;
+  block.meta.total = total;
+  block.meta.golden_exit = 36;
+  block.meta.golden_instructions = 999;
   for (u64 i = begin; i < end; ++i) {
     RecordLine record;
     record.index = i;
@@ -248,7 +358,6 @@ TEST(FleetCheckpoint, CommitAndRecover) {
   CheckpointHeader header;
   header.mode = Mode::kFault;
   header.fingerprint = 0xabcdef0123456789ull;
-  header.shards = 4;
 
   std::vector<CompletedShard> recovered;
   bool replaced = false;
@@ -265,11 +374,12 @@ TEST(FleetCheckpoint, CommitAndRecover) {
     ASSERT_TRUE(journal.ok());
     EXPECT_FALSE(replaced);
     ASSERT_EQ(recovered.size(), 2u);
-    EXPECT_EQ(recovered[0].shard, 0u);  // sorted by shard index
-    EXPECT_EQ(recovered[1].shard, 2u);
+    EXPECT_EQ(recovered[0].meta.shard, 0u);  // sorted by shard index
+    EXPECT_EQ(recovered[1].meta.shard, 2u);
     EXPECT_EQ(recovered[1].records.size(), 10u);
     EXPECT_EQ(recovered[1].records[0].index, 10u);
-    EXPECT_EQ(recovered[0].golden_exit, 36);
+    EXPECT_EQ(recovered[0].meta.golden_exit, 36);
+    EXPECT_EQ(recovered[1].meta.total, 40u);
   }
   std::remove(path.c_str());
 }
@@ -278,26 +388,21 @@ TEST(FleetCheckpoint, PartialTrailingBlockIsDiscarded) {
   CheckpointHeader header;
   header.mode = Mode::kMutation;
   header.fingerprint = 7;
-  header.shards = 2;
   std::string text = encode_header(header) + "\n";
-  const CompletedShard good = make_shard(0, 0, 3, 6);
-  text += encode_shard_header(good) + "\n";
-  for (const RecordLine& record : good.records) {
-    text += encode(Mode::kMutation, record) + "\n";
-  }
-  text += "{\"commit\":0}\n";
-  // Second block: shard header + one record, then the daemon died — no
+  CompletedShard good = make_shard(0, 0, 3, 6);
+  good.meta.mode = Mode::kMutation;
+  text += encode_block(Mode::kMutation, good);
+  // Second block: meta line + one record, then the daemon died — no
   // commit line.
-  const CompletedShard bad = make_shard(1, 3, 6, 6);
-  text += encode_shard_header(bad) + "\n";
+  CompletedShard bad = make_shard(1, 3, 6, 6);
+  bad.meta.mode = Mode::kMutation;
+  text += encode(bad.meta) + "\n";
   text += encode(Mode::kMutation, bad.records[0]) + "\n";
 
-  bool matches = false;
-  auto parsed = parse_journal(text, header, matches);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(matches);
+  auto parsed = parse_journal(text, header);
+  ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ((*parsed)[0].shard, 0u);
+  EXPECT_EQ((*parsed)[0].meta.shard, 0u);
 }
 
 TEST(FleetCheckpoint, StaleJournalIsReplaced) {
@@ -305,7 +410,6 @@ TEST(FleetCheckpoint, StaleJournalIsReplaced) {
   CheckpointHeader header;
   header.mode = Mode::kFault;
   header.fingerprint = 1;
-  header.shards = 2;
   std::vector<CompletedShard> recovered;
   bool replaced = false;
   {
@@ -346,7 +450,7 @@ TEST_F(Fleet, MutationReportMatchesSerialEngine) {
   options.elf_path = elf_;
   options.mode = Mode::kMutation;
   options.worker_path = tool("s4e-mutate");
-  options.max_mutants = 50;
+  options.spec = {"--max=50"};
   options.workers = 2;
   options.shards = 4;
   auto fleet = run_fleet(options);
@@ -427,6 +531,33 @@ TEST_F(Fleet, KillCrashAndResumeCombined) {
   std::remove(checkpoint.c_str());
 }
 
+TEST_F(Fleet, WorkerUsageErrorIsPermanent) {
+  // s4e-mutate rejects the fault knobs with exit 2; a respawn would be
+  // rejected the same way, so the fleet stops after the first worker.
+  FleetOptions options = fault_options(10, 1);
+  options.worker_path = tool("s4e-mutate");
+  options.workers = 1;
+  options.shards = 2;
+  FleetStats stats;
+  auto fleet = run_fleet(options, &stats);
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_NE(fleet.error().message().find("(exit 2)"), std::string::npos)
+      << fleet.error().message();
+  EXPECT_EQ(stats.workers_spawned, 1u);
+  EXPECT_EQ(stats.worker_restarts, 0u);
+}
+
+TEST_F(Fleet, SpecIsValidatedBeforeAnyWorkerStarts) {
+  FleetOptions options = fault_options(10, 1);
+  options.spec.push_back("--all-sites");  // a mutation knob
+  FleetStats stats;
+  auto fleet = run_fleet(options, &stats);
+  ASSERT_FALSE(fleet.ok());
+  EXPECT_NE(fleet.error().message().find("'--all-sites'"), std::string::npos)
+      << fleet.error().message();
+  EXPECT_EQ(stats.workers_spawned, 0u);
+}
+
 TEST_F(Fleet, BrokenWorkerBinaryExhaustsRetries) {
   FleetOptions options = fault_options(10, 1);
   options.worker_path = "/nonexistent/worker";
@@ -475,10 +606,7 @@ TEST_F(Fleet, StatusEndpointServesLiveMetrics) {
       << response;
   EXPECT_NE(response.find("fleet_records"), std::string::npos);
   EXPECT_EQ(fleet->stats.status_port, port.load());
-  // The final registry snapshot is also exported on the report.
-  EXPECT_NE(fleet->metrics_json.find("\"fleet_shards_done\": 8"),
-            std::string::npos)
-      << fleet->metrics_json;
+  EXPECT_EQ(fleet->stats.shards_done, 8u);
 }
 
 // --- shard property: union of shards == whole campaign ----------------------
@@ -546,6 +674,77 @@ TEST_F(Fleet, DaemonBinaryMatchesSerialTool) {
                             " --workers 2 --shards 3 --mutants 20 --seed 5");
   ASSERT_EQ(daemon.exit_code, 0) << daemon.output;
   EXPECT_EQ(daemon.output, serial.output);
+}
+
+// The daemon takes every knob its mode's tool takes and forwards it: for
+// each knob that had no way to reach the workers before the knob tables,
+// the merged stdout equals the serial tool's, and the knob visibly changes
+// that report.
+TEST_F(Fleet, DaemonForwardsEveryKnob) {
+  const std::string crc = temp_path("fleet_crc32.elf");
+  const std::string calls = temp_path("fleet_callchain.elf");
+  const std::string smp = temp_path("fleet_smp.elf");
+  write_workload_elf("crc32", crc);
+  write_workload_elf("callchain", calls);
+  write_workload_elf("smp_spinlock", smp);
+  const std::string fault_base = "--mutants 30 --seed 4";
+  const struct {
+    const char* tool;
+    const std::string& elf;
+    const std::string base;
+    const char* knob;
+  } cases[] = {
+      {"s4e-faultsim", elf_, fault_base, "--triage"},
+      {"s4e-faultsim", elf_, fault_base, "--triage=verify"},
+      {"s4e-faultsim", elf_, fault_base, "--blind"},
+      {"s4e-faultsim", elf_, fault_base, "--no-gpr"},
+      {"s4e-faultsim", elf_, fault_base, "--no-mem"},
+      {"s4e-faultsim", elf_, fault_base, "--no-code"},
+      {"s4e-faultsim", smp, "--mutants 20", "--harts 2"},
+      {"s4e-mutate", calls, "--max 20", "--triage"},
+      {"s4e-mutate", crc, "--max 0", "--all-sites"},
+  };
+  for (const auto& c : cases) {
+    const std::string mode =
+        std::string(c.tool) == "s4e-faultsim" ? "fault" : "mutation";
+    const std::string knobs = c.base + " " + c.knob;
+    auto plain = run_command(tool(c.tool) + " " + c.elf + " --jobs 1 " +
+                             c.base);
+    auto serial = run_command(tool(c.tool) + " " + c.elf + " --jobs 1 " +
+                              knobs);
+    ASSERT_EQ(serial.exit_code, 0) << knobs << ": " << serial.output;
+    EXPECT_NE(serial.output, plain.output) << c.tool << " " << knobs;
+    auto daemon = run_command(tool("s4e-campaignd") + " " + c.elf +
+                              " --mode " + mode +
+                              " --workers 2 --shards 3 " + knobs);
+    ASSERT_EQ(daemon.exit_code, 0) << knobs << ": " << daemon.output;
+    EXPECT_EQ(daemon.output, serial.output) << c.tool << " " << knobs;
+  }
+  std::remove(crc.c_str());
+  std::remove(calls.c_str());
+  std::remove(smp.c_str());
+}
+
+TEST_F(Fleet, DaemonRejectsTheOtherModesKnob) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"--mode mutation --mutants 5", "--mutants"},
+      {"--mode mutation --seed 9", "--seed"},
+      {"--mode mutation --harts 2", "--harts"},
+      {"--mode mutation --blind", "--blind"},
+      {"--max 5", "--max"},
+      {"--mode fault --all-sites", "--all-sites"},
+  };
+  for (const auto& c : cases) {
+    auto result =
+        run_command(tool("s4e-campaignd") + " " + elf_ + " " + c.args);
+    EXPECT_EQ(result.exit_code, 2) << c.args << ": " << result.output;
+    EXPECT_NE(result.output.find(std::string("no knob '") + c.flag + "'"),
+              std::string::npos)
+        << c.args << ": " << result.output;
+  }
 }
 
 TEST_F(Fleet, DaemonRejectsBadMode) {

@@ -346,9 +346,10 @@ TEST(ToolFlags, UnknownFlagIsRejectedWithSuggestion) {
   EXPECT_EQ(wild.output.find("did you mean"), std::string::npos);
 }
 
-// Numeric flags fail loudly: a missing, non-numeric or out-of-range value
-// is a usage error (exit 2, naming the flag), never a silent default.
-TEST(ToolFlags, BadNumericValueIsRejected) {
+// Value flags fail loudly: a missing, non-numeric or out-of-range value is
+// a usage error (exit 2, naming the flag), never a silent default — and
+// neither is a value flag given last, with no value to take.
+TEST(ToolFlags, BadOrMissingValueIsRejected) {
   const std::string elf_path = temp_path("tools_numeric.elf");
   ASSERT_EQ(run_command(tool("s4e-as") + " --workload bubble_sort -o " +
                         elf_path)
@@ -367,6 +368,11 @@ TEST(ToolFlags, BadNumericValueIsRejected) {
       {"s4e-faultsim", "--jobs 5000", "--jobs"},
       {"s4e-campaignd", "--worker-jobs 9999", "--worker-jobs"},
       {"s4e-campaignd", "--workers x", "--workers"},
+      {"s4e-campaignd", "--checkpoint", "--checkpoint"},
+      {"s4e-faultsim", "--metrics-out", "--metrics-out"},
+      {"s4e-mutate", "--post-mortem-dir", "--post-mortem-dir"},
+      {"s4e-campaignd", "--worker", "--worker"},
+      {"s4e-faultsim", "--shard", "--shard"},
   };
   for (const auto& c : cases) {
     auto result =

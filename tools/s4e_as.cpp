@@ -55,22 +55,10 @@ int main(int argc, char** argv) {
 
   assembler::Options options;
   options.compress = args.has("--compress");
-  if (args.has("--text-base")) {
-    auto base = parse_integer(args.value("--text-base"));
-    if (!base.ok()) {
-      std::fprintf(stderr, "bad --text-base\n");
-      return 2;
-    }
-    options.text_base = static_cast<u32>(*base);
-  }
-  if (args.has("--data-base")) {
-    auto base = parse_integer(args.value("--data-base"));
-    if (!base.ok()) {
-      std::fprintf(stderr, "bad --data-base\n");
-      return 2;
-    }
-    options.data_base = static_cast<u32>(*base);
-  }
+  options.text_base = static_cast<u32>(
+      args.integer("--text-base", options.text_base, 0, 0xffffffffLL));
+  options.data_base = static_cast<u32>(
+      args.integer("--data-base", options.data_base, 0, 0xffffffffLL));
 
   auto program = assembler::assemble(source, options);
   if (!program.ok()) {

@@ -1,19 +1,24 @@
 // s4e-campaignd — campaign fleet service: shards a fault or mutation
 // campaign across worker processes and merges their streamed results.
 //
-//   s4e-campaignd file.elf [--mode fault|mutation] [--workers N]
-//                 [--shards N] [--worker-jobs N] [--seed S] [--mutants N]
-//                 [--max N] [--worker PATH] [--checkpoint FILE] [--tcp]
+//   s4e-campaignd file.elf [--mode fault|mutation] [campaign knobs]
+//                 [--workers N] [--shards N] [--worker-jobs N]
+//                 [--worker PATH] [--checkpoint FILE] [--tcp]
 //                 [--status-port P] [--max-retries N] [--stats]
 //
-// The merged report on stdout is byte-identical to the serial tool's
-// (s4e-faultsim / s4e-mutate with the same campaign knobs): workers
+// The campaign knobs are exactly those the mode's tool takes (s4e-faultsim
+// for fault, s4e-mutate for mutation), declared by the same knob tables
+// (campaign/spec.hpp) and checked before any worker starts: a knob of the
+// other mode, like a bad value, is a usage error (exit 2). Every worker
+// receives their canonical form. The merged report on stdout is
+// byte-identical to the serial tool's with the same knobs: workers
 // regenerate the identical mutant enumeration, execute only their
 // contiguous shard, and the daemon folds the records in global index
 // order. --checkpoint makes the fleet crash-safe: completed shards are
 // journaled (fsync before acknowledge), and a restarted daemon resumes
 // from the committed set instead of re-running it. Workers that die
-// mid-shard are respawned automatically.
+// mid-shard are respawned automatically; a worker that rejects its
+// arguments (exit 2) stops the fleet at once.
 //
 // --status-port P serves one line of live JSON metrics per connection
 // (P=0 binds an ephemeral port, printed to stderr). --tcp streams results
@@ -23,8 +28,10 @@
 #include <cstdio>
 #include <string>
 
+#include "fault/fault.hpp"
 #include "fleet/orchestrator.hpp"
-#include "tools/tool_util.hpp"
+#include "mutation/mutation.hpp"
+#include "tools/campaign_main.hpp"
 
 namespace {
 
@@ -45,24 +52,31 @@ std::string sibling_tool(const char* name) {
 
 int main(int argc, char** argv) {
   using namespace s4e;
-  static constexpr char kUsage[] =
+  std::vector<std::string> value_keys = {
+      "--mode",        "--workers",         "--shards",
+      "--worker-jobs", "--worker",          "--checkpoint",
+      "--status-port", "--max-retries",     "--test-kill-after",
+      "--test-fail-after-commits"};
+  std::vector<std::string> flag_keys = {"--tcp", "--stats"};
+  std::vector<std::string> knobs;
+  std::string usage =
       "usage: s4e-campaignd <file.elf> [--mode fault|mutation] "
-      "[--workers N] [--shards N] [--worker-jobs N] [--seed S] "
-      "[--mutants N] [--max N] [--worker PATH] [--checkpoint FILE] "
-      "[--tcp] [--status-port P] [--max-retries N] [--stats] "
-      "[--test-kill-after N] [--test-fail-after-commits N]\n";
-  tools::Args args(argc, argv,
-                   {"--mode", "--workers", "--shards", "--worker-jobs",
-                    "--seed", "--mutants", "--max", "--worker",
-                    "--checkpoint", "--status-port", "--max-retries",
-                    "--test-kill-after", "--test-fail-after-commits"},
-                   {"--tcp", "--stats"});
-  if (const int code = tools::standard_flags(args, "s4e-campaignd", kUsage);
+      "[--workers N] [--shards N] [--worker-jobs N] [--worker PATH] "
+      "[--checkpoint FILE] [--tcp] [--status-port P] [--max-retries N] "
+      "[--stats] [--test-kill-after N] [--test-fail-after-commits N]\n"
+      "  and the knobs of the mode's tool: ";
+  tools::declare_knobs<fault::FaultModel>(value_keys, flag_keys, knobs, usage);
+  tools::declare_knobs<mutation::MutationModel>(value_keys, flag_keys, knobs,
+                                                usage);
+  usage.back() = '\n';
+  tools::Args args(argc, argv, value_keys, flag_keys);
+  if (const int code =
+          tools::standard_flags(args, "s4e-campaignd", usage.c_str());
       code >= 0) {
     return code;
   }
   if (args.positional().empty()) {
-    std::fprintf(stderr, "%s", kUsage);
+    std::fprintf(stderr, "%s", usage.c_str());
     return 2;
   }
 
@@ -71,12 +85,11 @@ int main(int argc, char** argv) {
   const std::string mode = args.value("--mode", "fault");
   const auto parsed_mode = fleet::parse_mode(mode);
   if (!parsed_mode) {
-    std::fprintf(stderr,
-                 "s4e-campaignd: --mode expects fault|mutation (got %s)\n",
-                 mode.c_str());
-    return 2;
+    args.usage_error(Error(ErrorCode::kInvalidArgument,
+                           "--mode expects fault|mutation (got " + mode + ")"));
   }
   options.mode = *parsed_mode;
+  options.spec = tools::given_knobs(args, knobs);
   constexpr long long kCount = 0xffffffffLL;
   options.workers = static_cast<unsigned>(
       args.integer("--workers", options.workers, 1, 256));
@@ -84,13 +97,6 @@ int main(int argc, char** argv) {
       args.integer("--shards", options.shards, 0, 1 << 16));
   options.worker_jobs = static_cast<unsigned>(
       args.integer("--worker-jobs", options.worker_jobs, 0, 4096));
-  options.seed = static_cast<u64>(args.integer(
-      "--seed", static_cast<long long>(options.seed), 0,
-      0x7fffffffffffffffLL));
-  options.mutants = static_cast<unsigned>(
-      args.integer("--mutants", options.mutants, 0, kCount));
-  options.max_mutants = static_cast<unsigned>(
-      args.integer("--max", options.max_mutants, 0, kCount));
   options.worker_path = args.value(
       "--worker", sibling_tool(options.mode == fleet::Mode::kFault
                                    ? "s4e-faultsim"
@@ -116,7 +122,8 @@ int main(int argc, char** argv) {
   if (!fleet_run.ok()) {
     std::fprintf(stderr, "s4e-campaignd: %s\n",
                  fleet_run.error().to_string().c_str());
-    return 1;
+    // A knob the mode does not take, or a worker's usage error (exit 2).
+    return fleet_run.error().code() == ErrorCode::kInvalidArgument ? 2 : 1;
   }
   std::printf("%s", fleet_run->report.c_str());
   if (args.has("--stats")) {

@@ -73,17 +73,9 @@ int main(int argc, char** argv) {
     policy = std::move(*parsed);
     options.policy = &policy;
   }
-  options.stack_limit = static_cast<i64>(vp::MachineConfig{}.ram_size);
-  if (args.has("--stack-limit")) {
-    const auto limit = parse_integer(args.value("--stack-limit"));
-    if (!limit || *limit < 0) {
-      std::fprintf(stderr,
-                   "s4e-lint: --stack-limit expects a byte count (got %s)\n",
-                   args.value("--stack-limit").c_str());
-      return 2;
-    }
-    options.stack_limit = *limit;
-  }
+  options.stack_limit = args.integer(
+      "--stack-limit", static_cast<i64>(vp::MachineConfig{}.ram_size), 0,
+      std::numeric_limits<i64>::max());
 
   auto report = dataflow::lint_program(*program, options);
   if (!report.ok()) {

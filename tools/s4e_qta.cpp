@@ -71,15 +71,7 @@ int replay_main(const s4e::assembler::Program& program,
     std::fprintf(stderr, "s4e-qta: --models expects 'all' or 'baseline'\n");
     return 2;
   }
-  unsigned jobs = 0;
-  if (args.has("--jobs")) {
-    auto parsed = parse_integer(args.value("--jobs"));
-    if (!parsed.ok() || *parsed < 0) {
-      std::fprintf(stderr, "s4e-qta: bad --jobs\n");
-      return 2;
-    }
-    jobs = static_cast<unsigned>(*parsed);
-  }
+  const auto jobs = static_cast<unsigned>(args.integer("--jobs", 0, 0, 4096));
 
   std::printf("replay: %llu instructions, %llu blocks, recorded %llu cycles "
               "(fingerprint %016llx)\n",

@@ -101,36 +101,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  constexpr long long kCount = std::numeric_limits<long long>::max();
   vp::MachineConfig config;
-  if (args.has("--harts")) {
-    auto harts = parse_integer(args.value("--harts"));
-    if (!harts.ok() || *harts < 1 ||
-        *harts > static_cast<long long>(vp::Clint::kMaxHarts)) {
-      std::fprintf(stderr, "s4e-run: --harts expects 1..%u (got %s)\n",
-                   vp::Clint::kMaxHarts, args.value("--harts").c_str());
-      return 2;
-    }
-    config.num_harts = static_cast<unsigned>(*harts);
-  }
+  config.num_harts = static_cast<unsigned>(
+      args.integer("--harts", config.num_harts, 1, vp::Clint::kMaxHarts));
   // --slice N: SMP round-robin quantum in instructions. Shorter slices give
   // finer cross-hart interleaving (still fully deterministic); the default
   // matches the engine's chain quantum.
   if (args.has("--slice")) {
-    auto quantum = parse_integer(args.value("--slice"));
-    if (!quantum.ok() || *quantum < 1) {
-      std::fprintf(stderr, "s4e-run: --slice expects a positive count (got %s)\n",
-                   args.value("--slice").c_str());
-      return 2;
-    }
-    config.smp_slice_quantum = static_cast<u64>(*quantum);
+    config.smp_slice_quantum =
+        static_cast<u64>(args.integer("--slice", 0, 1, kCount));
   }
   if (args.has("--max-insns")) {
-    auto limit = parse_integer(args.value("--max-insns"));
-    if (!limit.ok() || *limit <= 0) {
-      std::fprintf(stderr, "bad --max-insns\n");
-      return 2;
-    }
-    config.max_instructions = static_cast<u64>(*limit);
+    config.max_instructions =
+        static_cast<u64>(args.integer("--max-insns", 0, 1, kCount));
   }
   vp::Machine machine(config);
   if (auto status = machine.load_program(*program); !status.ok()) {
@@ -163,9 +147,8 @@ int main(int argc, char** argv) {
     }
   }
   obs::JsonlTracePlugin trace(
-      trace_sink, static_cast<u64>(
-                      parse_integer(args.value("--trace-limit", "0"))
-                          .value_or(0)));
+      trace_sink,
+      static_cast<u64>(args.integer("--trace-limit", 0, 0, kCount)));
   if (args.has("--trace")) trace.attach(machine.vm_handle());
 
   // --trace-bin FILE records a binary execution trace for the differential

@@ -47,10 +47,10 @@ int main(int argc, char** argv) {
   }
   if (suite == "torture" || suite == "all") {
     testgen::TortureConfig config;
-    config.seed =
-        static_cast<u64>(parse_integer(args.value("--seed", "1")).value_or(1));
-    config.programs = static_cast<unsigned>(
-        parse_integer(args.value("--count", "10")).value_or(10));
+    config.seed = static_cast<u64>(
+        args.integer("--seed", 1, 0, std::numeric_limits<i64>::max()));
+    config.programs =
+        static_cast<unsigned>(args.integer("--count", 10, 0, 0xffffffffLL));
     config.abi_style = args.has("--abi-style");
     auto generated = testgen::torture_suite(config);
     programs.insert(programs.end(), generated.begin(), generated.end());

@@ -7,10 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
 
@@ -45,7 +47,8 @@ inline int finish_stdout(const char* tool, int code = 0) {
 // carry an inline "=value", e.g. --trace=FILE or --gdb=PORT). Anything else
 // that looks like an option is rejected with a "did you mean --X?" hint, so
 // a typo like --max-isns fails loudly instead of silently running without a
-// budget. "--help" and "--list-flags" are always known.
+// budget; so is a value option given last, with no value to consume.
+// "--help" and "--list-flags" are always known.
 class Args {
  public:
   Args(int argc, char** argv, std::vector<std::string> value_keys,
@@ -70,12 +73,12 @@ class Args {
           options_[key] = arg.substr(eq + 1);
           continue;
         }
-        bool takes_value = false;
-        for (const auto& vk : value_keys_) takes_value |= vk == key;
-        if (takes_value && i + 1 < argc) {
-          options_[key] = argv[++i];
-        } else {
+        if (!contains(value_keys_, key)) {
           options_[key] = "";
+        } else if (i + 1 < argc) {
+          options_[key] = argv[++i];
+        } else if (error_.empty()) {
+          error_ = key + " expects a value";
         }
       } else {
         positional_.push_back(arg);
@@ -83,8 +86,9 @@ class Args {
     }
   }
 
-  // False when an undeclared option was seen; `error()` carries the
-  // message (with a nearest-known-option suggestion when one is close).
+  // False when an undeclared option (or a value option without its value)
+  // was seen; `error()` carries the message, with a nearest-known-option
+  // suggestion when one is close.
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
@@ -102,12 +106,14 @@ class Args {
   long long integer(const std::string& key, long long fallback, long long min,
                     long long max) const {
     if (!has(key)) return fallback;
-    const std::string text = value(key);
-    const auto parsed = parse_integer(text);
-    if (parsed.ok() && *parsed >= min && *parsed <= max) return *parsed;
-    std::fprintf(stderr, "%s: %s expects an integer in %lld..%lld (got %s)\n",
-                 tool_.c_str(), key.c_str(), min, max,
-                 text.empty() ? "no value" : ("'" + text + "'").c_str());
+    const auto parsed = parse_flag_integer(key, value(key), min, max);
+    if (!parsed.ok()) usage_error(parsed.error());
+    return *parsed;
+  }
+
+  // Report a bad option value on stderr as "<tool>: <message>" and exit 2.
+  [[noreturn]] void usage_error(const Error& error) const {
+    std::fprintf(stderr, "%s: %s\n", tool_.c_str(), error.message().c_str());
     std::exit(2);
   }
 
@@ -120,15 +126,13 @@ class Args {
   }
 
  private:
+  static bool contains(const std::vector<std::string>& keys,
+                       const std::string& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  }
   bool is_known(const std::string& key) const {
-    if (key == "--help" || key == "--list-flags") return true;
-    for (const auto& k : value_keys_) {
-      if (k == key) return true;
-    }
-    for (const auto& k : flag_keys_) {
-      if (k == key) return true;
-    }
-    return false;
+    return key == "--help" || key == "--list-flags" ||
+           contains(value_keys_, key) || contains(flag_keys_, key);
   }
 
   void reject(const std::string& key) {
