@@ -204,7 +204,8 @@ int main() {
                "\"fresh_parallel_mutants_per_s\": %s, "
                "\"reuse_parallel_mutants_per_s\": %s, "
                "\"reuse_serial_speedup\": %s, "
-               "\"pages_copied_fraction\": %s}",
+               "\"pages_copied_fraction\": %s, "
+               "\"host_cores\": %u}",
                par.mutant_count, hw,
                bench::json_number(par.mutant_count / cells[0].seconds)
                    .c_str(),
@@ -223,7 +224,8 @@ int main() {
                                             static_cast<double>(
                                                 stats.pages_total),
                                   6)
-                   .c_str()));
+                   .c_str(),
+               std::thread::hardware_concurrency()));
     S4E_CHECK(merged);
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
@@ -349,13 +351,15 @@ int main() {
       if (!rows.empty()) rows += ", ";
       rows += format("{\"workload\": \"%s\", \"mutants\": %.0f, "
                      "\"pruned\": %llu, \"pruned_fraction\": %s, "
-                     "\"off_mutants_per_s\": %s, \"on_mutants_per_s\": %s}",
+                     "\"off_mutants_per_s\": %s, \"on_mutants_per_s\": %s, "
+                     "\"host_cores\": %u}",
                      name, mutants,
                      static_cast<unsigned long long>(on->pruned_count),
                      bench::json_number(on->pruned_count / mutants, 4)
                          .c_str(),
                      bench::json_number(mutants / off_seconds).c_str(),
-                     bench::json_number(mutants / on_seconds).c_str());
+                     bench::json_number(mutants / on_seconds).c_str(),
+                     std::thread::hardware_concurrency());
     }
     S4E_CHECK(bench::merge_bench_entry("BENCH_campaign.json", "fault_triage",
                                        "[" + rows + "]"));

@@ -1,9 +1,9 @@
-// The fresh-machine baseline of the campaign benches ([E5-reuse],
-// [E10-reuse]): the campaign a model describes, run with a newly built and
-// loaded vp::Machine per item through the model's public run_one() instead
-// of the driver's reused per-lane WorkerVm. Items fan out over `jobs` lanes
-// and fold in item order, so the report must be bit-identical to the
-// campaign's own.
+// The fresh-machine reference of the campaign benches ([E5-reuse],
+// [E10-reuse]) and tests (tests/fresh_reference.hpp): the campaign a model
+// describes, run with a newly built and loaded vp::Machine per item through
+// the model's public run_one() instead of the driver's reused per-lane
+// WorkerVm. Items fan out over `jobs` lanes and fold in item order, so the
+// report must be bit-identical to the campaign's own.
 #pragma once
 
 #include <utility>

@@ -83,29 +83,18 @@ void FaultInjectorPlugin::apply_flip() {
 
 void FaultInjectorPlugin::apply_stuck() {
   switch (spec_.target) {
-    case FaultTarget::kGpr: {
-      const u32 value = s4e_read_gpr_hart(vm(), spec_.hart, spec_.reg);
-      const u32 forced = spec_.stuck_value ? (value | (u32{1} << spec_.bit))
-                                           : (value & ~(u32{1} << spec_.bit));
-      if (forced != value) {
-        s4e_write_gpr_hart(vm(), spec_.hart, spec_.reg, forced);
+    case FaultTarget::kGpr:
+      if (s4e_force_gpr_bit(vm(), spec_.hart, spec_.reg, spec_.bit,
+                            spec_.stuck_value) == 0) {
         ++applications_;
       }
       break;
-    }
-    case FaultTarget::kMemory: {
-      u8 byte = 0;
-      if (s4e_read_mem(vm(), spec_.address, &byte, 1) == 0) {
-        const u8 forced = spec_.stuck_value
-                              ? static_cast<u8>(byte | (1u << (spec_.bit & 7)))
-                              : static_cast<u8>(byte & ~(1u << (spec_.bit & 7)));
-        if (forced != byte) {
-          s4e_write_mem(vm(), spec_.address, &forced, 1);
-          ++applications_;
-        }
+    case FaultTarget::kMemory:
+      if (s4e_force_mem_bit(vm(), spec_.address, spec_.bit & 7u,
+                            spec_.stuck_value) == 0) {
+        ++applications_;
       }
       break;
-    }
     case FaultTarget::kCode: {
       u32 word = 0;
       if (s4e_read_mem(vm(), spec_.address, &word, 4) == 0) {
@@ -127,21 +116,6 @@ void FaultInjectorPlugin::on_icount(u64 icount) {
   if (spec_.kind == FaultKind::kTransient) {
     apply_flip();
   } else {
-    apply_stuck();  // code stuck-at: patched once, before the first insn
-  }
-}
-
-void FaultInjectorPlugin::on_insn_exec(const s4e_insn_info& insn) {
-  (void)insn;
-  apply_stuck();  // GPR and memory stuck-at
-}
-
-void FaultInjectorPlugin::on_mem(const s4e_mem_event& event) {
-  // Stuck-at memory bit: re-force after any store covering the faulty byte.
-  if (event.is_store && spec_.target == FaultTarget::kMemory &&
-      spec_.kind == FaultKind::kStuckAt &&
-      event.vaddr <= spec_.address &&
-      spec_.address < event.vaddr + event.size) {
     apply_stuck();
   }
 }

@@ -44,33 +44,28 @@ struct FaultSpec {
   std::string to_string() const;
 };
 
-// Plugin applying one FaultSpec to a running VP. Transient faults and code
-// stuck-at faults act once, from the one-shot icount event, so the run stays
-// on the VP's chained fast path; GPR and memory stuck-at faults re-force
-// their bit from per-instruction (and, for memory, per-store) hooks.
+// Plugin applying one FaultSpec to a running VP. Every fault acts once,
+// from the one-shot icount event, so the run stays on the VP's chained fast
+// path: a transient fault flips its bit at the trigger; a stuck-at fault
+// arms at icount 0. A code stuck-at patches its word once (code bytes do
+// not change on their own); a GPR or memory stuck-at forces its bit in the
+// VP (s4e_force_gpr_bit / s4e_force_mem_bit), which re-applies it on every
+// later write of the register or byte.
 class FaultInjectorPlugin final : public vp::PluginBase {
  public:
   explicit FaultInjectorPlugin(const FaultSpec& spec) : spec_(spec) {}
 
   Subscriptions subscriptions() const override {
     Subscriptions subs;
-    if (spec_.kind == FaultKind::kTransient) {
-      subs.icount = spec_.trigger;  // one flip at the trigger point
-    } else if (spec_.target == FaultTarget::kCode) {
-      subs.icount = 0;  // code bytes don't change on their own: patch once
-    } else {
-      subs.insn_exec = true;  // per-instruction stuck-at enforcement
-      subs.mem = spec_.target == FaultTarget::kMemory;  // re-force after stores
-    }
+    subs.icount = spec_.kind == FaultKind::kTransient ? spec_.trigger : 0;
     return subs;
   }
 
   void on_icount(u64 icount) override;
-  void on_insn_exec(const s4e_insn_info& insn) override;
-  void on_mem(const s4e_mem_event& event) override;
 
-  // Number of state writes performed (>= 1 once triggered, unless the
-  // target was unwritable or a stuck-at bit already held its value).
+  // Number of state writes performed: 1 once triggered (a stuck-at fault
+  // counts its arming), 0 if the target was unwritable or a code stuck-at
+  // bit already held its value.
   u64 applications() const noexcept { return applications_; }
 
  private:

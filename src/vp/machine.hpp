@@ -250,6 +250,33 @@ class Machine {
     }
   }
 
+  // --- Stuck-at forcing (permanent faults that stay on the fast path). A
+  // forced bit holds its value across every later write of its state:
+  // register bits through the register file's write masks (CpuState), one
+  // RAM byte through every RAM write path — inline and slow stores, sc.w,
+  // AMOs and out-of-band writes reported by note_ram_written(). Loads need
+  // nothing: the byte in RAM always holds the forced value. Forcing is
+  // per-run state, like plugins: reset() and restore_state() clear it.
+
+  // Force bit `bit` of x`reg` on `hart` to `value`, now and on every later
+  // write. False (nothing forced) for x0 or an out-of-range index.
+  bool force_gpr_bit(unsigned hart, unsigned reg, unsigned bit,
+                     bool value) noexcept;
+  // Force bit `bit` of the RAM byte at `address`, now and after every later
+  // write covering it. One byte can be forced per run (several bits of it
+  // may be); false for a non-RAM address, bit > 7 or a second byte.
+  bool force_mem_bit(u32 address, unsigned bit, bool value);
+  // Every RAM write path calls this after writing [address, address+size)
+  // (the plugin C API for out-of-band writes): a covered stuck byte is
+  // re-forced. The write itself already marked the page dirty.
+  void note_ram_written(u32 address, u32 size) noexcept {
+    if (forced_mem_.byte != nullptr && forced_mem_.address - address < size)
+        [[unlikely]] {
+      *forced_mem_.byte = static_cast<u8>(
+          (*forced_mem_.byte & forced_mem_.keep) | forced_mem_.set);
+    }
+  }
+
   Uart* uart() noexcept { return uart_; }
   Clint* clint() noexcept { return clint_; }
   Gpio* gpio() noexcept { return gpio_; }
@@ -272,8 +299,9 @@ class Machine {
   // One-shot: fires once, before the first instruction that starts at
   // icount() >= `icount` (an icount already reached fires before the next
   // instruction). Does not force the careful loop: the fast path clamps its
-  // chain runs to the armed icount and executes only the block holding it
-  // one instruction at a time.
+  // chain runs to the armed icount, fires a count reached at a block head
+  // at the chain boundary, and executes a block holding it past its first
+  // instruction one instruction at a time.
   u64 add_icount_cb(u64 icount, s4e_icount_cb cb, void* userdata);
   void request_exit(int exit_code) noexcept;
 
@@ -348,6 +376,7 @@ class Machine {
   void update_mem_slow() noexcept {
     mem_slow_ = !mem_cbs_.empty() || !watchpoints_.empty();
   }
+  void clear_forced() noexcept;
 
   // --- SMP slice scheduler (run_loop). sync_active_hart() parks the staged
   // cpu_/estats_ copies back into harts_ / hart_stats_; rotate_hart() parks
@@ -421,6 +450,16 @@ class Machine {
   u64* ram_dirty_ = nullptr;
   u32 ram_base_ = 0;
   u32 ram_size_ = 0;
+  // The stuck RAM byte (force_mem_bit): its host address (nullptr when no
+  // byte is forced, the one flag the store paths test), its guest address
+  // and its write masks.
+  struct ForcedByte {
+    u8* byte = nullptr;
+    u32 address = 0;
+    u8 keep = 0xff;
+    u8 set = 0;
+  };
+  ForcedByte forced_mem_;
   EngineStats estats_;
   // Debug run-control state. `debug_check_` is the single block-dispatch
   // gate (true iff breakpoints exist or a stop was requested); the

@@ -95,7 +95,19 @@ int s4e_read_mem(s4e_vm* vm, uint32_t address, void* buffer, uint32_t size) {
 
 int s4e_write_mem(s4e_vm* vm, uint32_t address, const void* buffer,
                   uint32_t size) {
-  return vm->machine->bus().ram_write(address, buffer, size).ok() ? 0 : -1;
+  if (!vm->machine->bus().ram_write(address, buffer, size).ok()) return -1;
+  vm->machine->note_ram_written(address, size);
+  return 0;
+}
+
+int s4e_force_gpr_bit(s4e_vm* vm, unsigned hart, unsigned index,
+                      unsigned bit, int value) {
+  return vm->machine->force_gpr_bit(hart, index, bit, value != 0) ? 0 : -1;
+}
+
+int s4e_force_mem_bit(s4e_vm* vm, uint32_t address, unsigned bit,
+                      int value) {
+  return vm->machine->force_mem_bit(address, bit, value != 0) ? 0 : -1;
 }
 
 uint64_t s4e_icount(s4e_vm* vm) { return vm->machine->icount(); }

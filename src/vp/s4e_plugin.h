@@ -19,8 +19,9 @@
  *   - exit:      the guest terminated.
  *   - icount:    one-shot: the retired-instruction count reached a value
  *                armed at registration. Unlike insn_exec it does not force
- *                the VP's careful per-instruction loop; only the block that
- *                holds the armed count runs one instruction at a time.
+ *                the VP's careful per-instruction loop; only a block that
+ *                holds the armed count past its first instruction runs one
+ *                instruction at a time.
  */
 #ifndef S4E_PLUGIN_H_
 #define S4E_PLUGIN_H_
@@ -125,6 +126,25 @@ void s4e_write_csr(s4e_vm* vm, unsigned address, uint32_t value);
 int s4e_read_mem(s4e_vm* vm, uint32_t address, void* buffer, uint32_t size);
 int s4e_write_mem(s4e_vm* vm, uint32_t address, const void* buffer,
                   uint32_t size);
+
+/* Stuck-at forcing: bit `bit` of a register or RAM byte takes `value`
+ * (0 or non-zero) now and keeps it across every later write, by any
+ * instruction of any hart or by s4e_write_gpr / s4e_write_mem. The VP
+ * applies the bit where the state is written, so a forced run keeps the
+ * chained fast path. Forcing is per-run state, like plugins: it is dropped
+ * when the VM is reset or restored from a snapshot (a campaign worker's
+ * per-run preparation hands back an unforced VM).
+ *
+ * s4e_force_gpr_bit forces bit 0..31 of x1..x31 on `hart`; it returns -1
+ * for x0, an out-of-range hart, register or bit.
+ * s4e_force_mem_bit forces bit 0..7 of the byte at `address`. One byte per
+ * run can be forced (any of its bits); it returns -1 for an address that
+ * is not RAM, a bit above 7, or a second byte. Arming a change to a byte of
+ * translated code also drops its translations, as s4e_invalidate_tb_range
+ * does. Both return 0 on success. */
+int s4e_force_gpr_bit(s4e_vm* vm, unsigned hart, unsigned index,
+                      unsigned bit, int value);
+int s4e_force_mem_bit(s4e_vm* vm, uint32_t address, unsigned bit, int value);
 
 /* Execution statistics. */
 uint64_t s4e_icount(s4e_vm* vm);     /* retired instructions */

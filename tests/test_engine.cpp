@@ -17,15 +17,19 @@
 //         WorkerVm::prepare, and never stalls a run
 //   E-I3  a range invalidation from the callback keeps unrelated blocks warm
 //   E-F1  exactness oracle: the fast-path fault injector reproduces the
-//         insn_exec-triggered reference injector bit for bit
+//         insn_exec-triggered reference injector bit for bit, GPR and
+//         memory stuck-at faults add no careful block, and the next
+//         prepare() hands back an unforced machine
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "asm/assembler.hpp"
 #include "fault/fault.hpp"
 #include "obs/engine_metrics.hpp"
+#include "obs/flight_recorder.hpp"
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
 #include "vp/runner.hpp"
@@ -424,7 +428,8 @@ void noop_insn_cb(void*, s4e_vm*, const s4e_insn_info*) {}
 
 // E-I1 — the callback fires once, before the armed instruction, with the
 // same architectural view in the chained and the careful loop; the chained
-// run executes only the block holding the armed count carefully.
+// run executes only the block holding the armed count carefully, and none
+// when the count falls on a block head.
 TEST(IcountCallback, FiresOnceAtExactInstructionFastAndCareful) {
   const assembler::Program program = assemble_or_die(kCallLoop);
   const std::vector<u32> pcs = profile_golden({}, program).pcs;
@@ -453,12 +458,18 @@ TEST(IcountCallback, FiresOnceAtExactInstructionFastAndCareful) {
       if (careful) {
         EXPECT_EQ(machine.engine_stats().blocks_fast, 0u) << label;
       } else {
-        // The block holding the armed count runs carefully — plus, at most,
-        // a superblock before it whose full length overhangs the count but
-        // which side-exits first.
         EXPECT_GT(machine.engine_stats().blocks_fast, 0u) << label;
-        EXPECT_GE(machine.engine_stats().blocks_careful, 1u) << label;
-        EXPECT_LE(machine.engine_stats().blocks_careful, 2u) << label;
+        if (at == 0 || at == 57) {
+          // A block head of this program's chained run: the count fires at
+          // the chain boundary and the run stays chained.
+          EXPECT_EQ(machine.engine_stats().blocks_careful, 0u) << label;
+        } else {
+          // The block holding the armed count runs carefully — plus, at
+          // most, a superblock before it whose full length overhangs the
+          // count but which side-exits first.
+          EXPECT_GE(machine.engine_stats().blocks_careful, 1u) << label;
+          EXPECT_LE(machine.engine_stats().blocks_careful, 2u) << label;
+        }
       }
     }
   }
@@ -704,13 +715,44 @@ fault::Outcome outcome_of(const Observed& run, const Observed& golden) {
   return fault::Outcome::kMasked;
 }
 
+// Blocks dispatched so far, over every hart: {fast, careful}.
+std::pair<u64, u64> dispatched_blocks(const vp::Machine& machine) {
+  std::pair<u64, u64> total{0, 0};
+  for (unsigned hart = 0; hart < machine.num_harts(); ++hart) {
+    total.first += machine.engine_stats(hart).blocks_fast;
+    total.second += machine.engine_stats(hart).blocks_careful;
+  }
+  return total;
+}
+
+struct InjectedRun {
+  Observed observed;
+  u64 fast_blocks = 0;
+  u64 careful_blocks = 0;
+};
+
+// One injected run on a reused worker VM; `with_recorder` attaches a flight
+// recorder, whose memory callbacks send every load and store down the slow
+// path.
 template <typename Injector>
-Observed run_injected(vp::WorkerVm& worker, const fault::FaultSpec& spec,
-                      const assembler::Program& program) {
+InjectedRun run_injected(vp::WorkerVm& worker, const fault::FaultSpec& spec,
+                         const assembler::Program& program,
+                         bool with_recorder) {
   vp::Machine& machine = worker.prepare();
   Injector injector(spec);
   injector.attach(machine.vm_handle());
-  return observe(machine, program);
+  std::optional<obs::FlightRecorderPlugin> recorder;
+  if (with_recorder) {
+    recorder.emplace();
+    recorder->attach(machine.vm_handle());
+  }
+  InjectedRun injected;
+  const auto [fast_before, careful_before] = dispatched_blocks(machine);
+  injected.observed = observe(machine, program);
+  const auto [fast_after, careful_after] = dispatched_blocks(machine);
+  injected.fast_blocks = fast_after - fast_before;
+  injected.careful_blocks = careful_after - careful_before;
+  return injected;
 }
 
 // Triggers at 0 and 1, at block starts and at the last instruction of the
@@ -789,6 +831,178 @@ std::vector<fault::FaultSpec> oracle_faults(const GoldenProfile& golden,
   return faults;
 }
 
+// Write-path programs for the stuck-at oracle. kStoreLanes hits every byte
+// lane of `buf` with sb, sh and sw, folding the word into a0 after each.
+const char* kStoreLanes = R"(
+_start:
+    la s0, buf
+    li a0, 0
+    li t1, 0x11223344
+    sw t1, 0(s0)
+    call fold
+    li t1, 0xa5
+    sb t1, 0(s0)
+    call fold
+    sb t1, 1(s0)
+    call fold
+    sb t1, 2(s0)
+    call fold
+    sb t1, 3(s0)
+    call fold
+    li t1, 0x5a5a
+    sh t1, 0(s0)
+    call fold
+    sh t1, 2(s0)
+    call fold
+    li t1, 0x0ff0
+    sh t1, 1(s0)
+    call fold
+    li t1, 0x33cc33cc
+    sw t1, 0(s0)
+    call fold
+    la t0, result
+    sw a0, 0(t0)
+    li a7, 93
+    ecall
+fold:
+    lw t2, 0(s0)
+    slli t3, a0, 5
+    sub a0, t3, a0
+    add a0, a0, t2
+    ret
+.data
+buf:
+    .word 0
+result:
+    .word 0
+)";
+
+// kRdPaths writes the registers the oracle sticks from a load (t1), jal
+// (ra), jalr (t3), lr.w (t4), sc.w (t5) and an AMO (s1), and hits `cell`
+// with sc.w and amoadd.w.
+const char* kRdPaths = R"(
+_start:
+    la s0, cell
+    li a0, 3
+    lw t1, 0(s0)
+    add a0, a0, t1
+    jal ra, twice
+    la t2, thrice
+    jalr t3, 0(t2)
+    lr.w t4, (s0)
+    addi t4, t4, 5
+    sc.w t5, t4, (s0)
+    add a0, a0, t5
+    li t6, 9
+    amoadd.w s1, t6, (s0)
+    add a0, a0, s1
+    lw t1, 0(s0)
+    add a0, a0, t1
+    la t0, result
+    sw a0, 0(t0)
+    li a7, 93
+    ecall
+twice:
+    add a0, a0, a0
+    ret
+thrice:
+    slli t0, a0, 1
+    add a0, a0, t0
+    jr t3
+.data
+cell:
+    .word 0x1234
+result:
+    .word 0
+)";
+
+// kSmpAtomics (TwoHarts only): both harts update three shared words with
+// lr.w/sc.w and every AMO; hart 0 waits for hart 1's done flag, then folds
+// the words into a0.
+const char* kSmpAtomics = R"(
+_start:
+    csrr s5, mhartid
+    la s0, words
+    addi s2, s0, 4
+    addi s3, s0, 8
+    addi s4, s0, 12
+    li s1, 24
+loop:
+    lr.w t1, (s0)
+    addi t1, t1, 3
+    sc.w t2, t1, (s0)
+    bnez t2, loop
+    li t3, 0x41
+    amoadd.w t4, t3, (s2)
+    amoxor.w t4, t1, (s3)
+    amoor.w t4, t3, (s3)
+    amoand.w t4, t1, (s2)
+    amomin.w t4, t1, (s3)
+    amomax.w t4, t3, (s2)
+    amominu.w t4, t3, (s3)
+    amomaxu.w t4, t1, (s2)
+    amoswap.w t4, t4, (s3)
+    addi s1, s1, -1
+    bnez s1, loop
+    bnez s5, done
+wait:
+    lw t5, 0(s4)
+    beqz t5, wait
+    lw a0, 0(s0)
+    lw t1, 0(s2)
+    xor a0, a0, t1
+    lw t1, 0(s3)
+    add a0, a0, t1
+    li a7, 93
+    ecall
+done:
+    li t5, 1
+    amoswap.w zero, t5, (s4)
+park:
+    wfi
+    j park
+.data
+words:
+    .word 0, 0x100, 0x5555, 0
+)";
+
+// Stuck-at faults aimed at the write paths: four (bit, value) pairs on
+// each of the first `bytes` bytes of .data, and three on each of `regs`
+// (on every hart).
+std::vector<fault::FaultSpec> write_path_faults(
+    const assembler::Program& program, u32 bytes,
+    std::initializer_list<unsigned> regs, unsigned harts) {
+  std::vector<fault::FaultSpec> faults;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kStuckAt;
+  spec.target = fault::FaultTarget::kMemory;
+  const u32 data = program.find_section(".data")->base;
+  for (u32 offset = 0; offset < bytes; ++offset) {
+    spec.address = data + offset;
+    for (const auto& [bit, value] : {std::pair{0, false}, std::pair{1, true},
+                                     std::pair{6, false}, std::pair{7, true}}) {
+      spec.bit = static_cast<u8>(bit);
+      spec.stuck_value = value;
+      faults.push_back(spec);
+    }
+  }
+  spec.target = fault::FaultTarget::kGpr;
+  spec.address = 0;
+  for (const unsigned reg : regs) {
+    spec.reg = reg;
+    for (unsigned hart = 0; hart < harts; ++hart) {
+      spec.hart = hart;
+      for (const auto& [bit, value] : {std::pair{0, true}, std::pair{1, false},
+                                       std::pair{4, true}}) {
+        spec.bit = static_cast<u8>(bit);
+        spec.stuck_value = value;
+        faults.push_back(spec);
+      }
+    }
+  }
+  return faults;
+}
+
 struct OracleConfig {
   const char* name;
   vp::MachineConfig config;
@@ -810,23 +1024,54 @@ std::vector<OracleConfig> oracle_configs() {
 
 class FaultOracle : public ::testing::TestWithParam<std::size_t> {};
 
-// E-F1 — every fault kind, over torture programs, a long chained loop and a
-// timer-interrupt program: the fast-path injector on a reused worker VM
-// must reproduce the reference injector's run exactly.
+struct OracleProgram {
+  std::string name;
+  assembler::Program program;
+  std::vector<fault::FaultSpec> extra;  // aimed faults beyond oracle_faults
+  bool with_recorder = false;           // every load and store slow
+};
+
+// E-F1 — every fault kind, over torture programs, a long chained loop, a
+// timer-interrupt program and the write-path programs: the fast-path
+// injector on a reused worker VM must reproduce the reference injector's
+// run exactly. GPR and memory stuck-at runs dispatch no careful block
+// (outside the timer program, whose armed MTIE keeps every run careful,
+// and SMP slice ends), and a plain run right after one reproduces the
+// golden run.
 TEST_P(FaultOracle, FastPathInjectorMatchesInsnExecReference) {
   const vp::MachineConfig base = oracle_configs()[GetParam()].config;
-  std::vector<std::pair<std::string, assembler::Program>> programs;
+  std::vector<OracleProgram> programs;
   for (const u64 seed : {u64{11}, u64{22}}) {
     for (const auto& test : programs_for_seed(seed, 2)) {
       auto program = assembler::assemble(test.source);
       ASSERT_TRUE(program.ok()) << test.name;
-      programs.emplace_back(test.name, std::move(*program));
+      programs.push_back({test.name, std::move(*program), {}, false});
     }
   }
-  programs.emplace_back("call_loop", assemble_or_die(kCallLoop));
-  programs.emplace_back("timer_loop", assemble_or_die(kTimerLoop));
+  programs.push_back({"call_loop", assemble_or_die(kCallLoop), {}, false});
+  programs.push_back({"timer_loop", assemble_or_die(kTimerLoop), {}, false});
+  const unsigned harts = base.num_harts;
+  for (const bool recorder : {false, true}) {
+    assembler::Program lanes = assemble_or_die(kStoreLanes);
+    auto faults = write_path_faults(lanes, 4, {}, harts);
+    programs.push_back({recorder ? "store_lanes+recorder" : "store_lanes",
+                        std::move(lanes), std::move(faults), recorder});
+  }
+  {
+    assembler::Program rd = assemble_or_die(kRdPaths);
+    auto faults = write_path_faults(rd, 4, {1, 6, 9, 28, 29, 30}, harts);
+    programs.push_back({"rd_paths", std::move(rd), std::move(faults), false});
+  }
+  if (harts == 2) {
+    assembler::Program smp = assemble_or_die(kSmpAtomics);
+    auto faults = write_path_faults(smp, 16, {6, 7, 29}, harts);
+    programs.push_back(
+        {"smp_atomics", std::move(smp), std::move(faults), false});
+  }
 
-  for (const auto& [name, program] : programs) {
+  for (const OracleProgram& entry : programs) {
+    const std::string& name = entry.name;
+    const assembler::Program& program = entry.program;
     const GoldenProfile golden = profile_golden(base, program);
     vp::MachineConfig config = base;
     config.max_instructions = vp::hang_budget(golden.pcs.size(), 8,
@@ -836,15 +1081,19 @@ TEST_P(FaultOracle, FastPathInjectorMatchesInsnExecReference) {
     ASSERT_TRUE(reference_vm.ok() && fast_vm.ok()) << name;
     u64 careful_blocks = 0;
     u64 fast_blocks = 0;
-    for (const fault::FaultSpec& spec : oracle_faults(golden, config.num_harts)) {
-      const Observed want =
-          run_injected<ReferenceInjector>(**reference_vm, spec, program);
-      const vp::EngineStats before = (*fast_vm)->machine().engine_stats();
-      const Observed got =
-          run_injected<fault::FaultInjectorPlugin>(**fast_vm, spec, program);
-      const vp::EngineStats& after = (*fast_vm)->machine().engine_stats();
-      careful_blocks += after.blocks_careful - before.blocks_careful;
-      fast_blocks += after.blocks_fast - before.blocks_fast;
+    std::vector<fault::FaultSpec> faults =
+        oracle_faults(golden, config.num_harts);
+    faults.insert(faults.end(), entry.extra.begin(), entry.extra.end());
+    for (const fault::FaultSpec& spec : faults) {
+      const Observed want = run_injected<ReferenceInjector>(
+                                **reference_vm, spec, program,
+                                entry.with_recorder)
+                                .observed;
+      const InjectedRun got_run = run_injected<fault::FaultInjectorPlugin>(
+          **fast_vm, spec, program, entry.with_recorder);
+      careful_blocks += got_run.careful_blocks;
+      fast_blocks += got_run.fast_blocks;
+      const Observed& got = got_run.observed;
       const std::string label = name + ": " + spec.to_string();
       EXPECT_EQ(got.run.reason, want.run.reason) << label;
       EXPECT_EQ(got.run.exit_code, want.run.exit_code) << label;
@@ -856,10 +1105,34 @@ TEST_P(FaultOracle, FastPathInjectorMatchesInsnExecReference) {
       EXPECT_EQ(outcome_of(got, golden.observed),
                 outcome_of(want, golden.observed))
           << label;
+      if (spec.kind != fault::FaultKind::kStuckAt ||
+          spec.target == fault::FaultTarget::kCode) {
+        continue;
+      }
+      if (name != "timer_loop" && !entry.with_recorder) {
+        // The budget end or an SMP slice end inside a block runs that
+        // block carefully; the fault itself adds none.
+        const u64 budget_end =
+            got.run.reason == vp::StopReason::kMaxInstructions ? 1 : 0;
+        const u64 slice_ends =
+            config.num_harts > 1
+                ? got.run.instructions / config.smp_slice_quantum
+                : 0;
+        EXPECT_LE(got_run.careful_blocks, budget_end + slice_ends) << label;
+      }
+      // prepare() restores and unforces: the next plain run is golden.
+      vp::Machine& machine = (*fast_vm)->prepare();
+      const Observed plain = observe(machine, program);
+      EXPECT_EQ(plain.run.reason, golden.observed.run.reason) << label;
+      EXPECT_EQ(plain.run.exit_code, golden.observed.run.exit_code) << label;
+      EXPECT_EQ(plain.run.instructions, golden.observed.run.instructions)
+          << label;
+      EXPECT_EQ(plain.run.cycles, golden.observed.run.cycles) << label;
+      EXPECT_EQ(plain.uart, golden.observed.uart) << label;
+      EXPECT_EQ(plain.data_hash, golden.observed.data_hash) << label;
     }
-    // Outside the timer program (whose armed MTIE keeps every run careful)
-    // the injected runs ride the fast path.
-    if (name != "timer_loop") {
+    // Outside the timer program the injected runs ride the fast path.
+    if (name != "timer_loop" && !entry.with_recorder) {
       EXPECT_GT(fast_blocks, careful_blocks) << name;
     }
   }

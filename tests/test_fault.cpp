@@ -179,6 +179,24 @@ TEST(Injector, UnwritableTargetCountsNoApplication) {
   EXPECT_EQ(injector.applications(), 0u);
 }
 
+TEST(Injector, UnwritableStuckAtCountsNoApplication) {
+  auto program = build(kChecksumSource);
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  FaultSpec spec;
+  spec.target = FaultTarget::kMemory;
+  spec.kind = FaultKind::kStuckAt;
+  spec.address = 0x1000;  // not RAM: the bit cannot be forced
+  spec.bit = 3;
+  spec.stuck_value = true;
+  FaultInjectorPlugin injector(spec);
+  injector.attach(machine.vm_handle());
+  auto run = machine.run();
+  EXPECT_TRUE(run.normal_exit());
+  EXPECT_EQ(run.exit_code, 36);
+  EXPECT_EQ(injector.applications(), 0u);
+}
+
 TEST(Injector, StuckAtZeroForcesBitLow) {
   auto program = build(R"(
     li t0, 0xff

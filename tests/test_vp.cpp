@@ -650,6 +650,51 @@ TEST(PluginApi, MemAccessors) {
   EXPECT_EQ(s4e_read_mem(vm, 0x1000, &readback, 4), -1);
 }
 
+// A forced bit holds across guest and out-of-band writes and is dropped by
+// reset(); bad targets are refused without forcing anything.
+TEST(PluginApi, ForcedBitsHoldAcrossWrites) {
+  Machine machine;
+  s4e_vm* vm = machine.vm_handle();
+  const u32 address = machine.config().ram_base + 0x100;
+  EXPECT_EQ(s4e_force_gpr_bit(vm, 0, 0, 3, 1), -1);   // x0
+  EXPECT_EQ(s4e_force_gpr_bit(vm, 1, 5, 3, 1), -1);   // no hart 1
+  EXPECT_EQ(s4e_force_gpr_bit(vm, 0, 5, 32, 1), -1);  // no bit 32
+  EXPECT_EQ(s4e_force_mem_bit(vm, 0x1000, 0, 1), -1);  // not RAM
+  EXPECT_EQ(s4e_force_mem_bit(vm, address, 8, 1), -1);
+
+  EXPECT_EQ(s4e_force_gpr_bit(vm, 0, 5, 3, 1), 0);
+  EXPECT_EQ(s4e_force_gpr_bit(vm, 0, 5, 0, 0), 0);
+  EXPECT_EQ(s4e_read_gpr(vm, 5), 0x8u);
+  s4e_write_gpr(vm, 5, 0x11u);
+  EXPECT_EQ(s4e_read_gpr(vm, 5), 0x18u);
+
+  EXPECT_EQ(s4e_force_mem_bit(vm, address + 1, 7, 1), 0);
+  EXPECT_EQ(s4e_force_mem_bit(vm, address + 2, 0, 1), -1);  // a second byte
+  const u32 zero = 0;
+  EXPECT_EQ(s4e_write_mem(vm, address, &zero, 4), 0);
+  u32 readback = 0;
+  EXPECT_EQ(s4e_read_mem(vm, address, &readback, 4), 0);
+  EXPECT_EQ(readback, 0x8000u);
+
+  // The guest's own writes: t0 (x5) and the word at `address`.
+  auto program = assemble(R"(
+    li t1, 0x80000100
+    sw zero, 0(t1)
+    lw a0, 0(t1)
+    li t0, 0x11
+    add a0, a0, t0
+    li a7, 93
+    ecall
+  )");
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  EXPECT_EQ(machine.run().exit_code, 0x8018);
+
+  machine.reset();
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  EXPECT_EQ(machine.run().exit_code, 0x11);
+}
+
 TEST(PluginApi, RequestExitStopsRun) {
   Machine machine;
   struct ExitPlugin : PluginBase {
