@@ -8,6 +8,34 @@
 
 namespace s4e::vp {
 
+namespace {
+
+// Appends the runs of bytes where `live` differs from `image` over
+// [0, size) to `runs`, as [base + offset, length), extending the last run
+// when a new one starts right where it ends. Equal 64-byte chunks are
+// skipped with one memcmp each.
+void append_changed_runs(const u8* live, const u8* image, u32 size, u32 base,
+                         std::vector<std::pair<u32, u32>>& runs) {
+  constexpr u32 kChunk = 64;
+  for (u32 chunk = 0; chunk < size; chunk += kChunk) {
+    const u32 chunk_end = std::min(size, chunk + kChunk);
+    if (std::memcmp(live + chunk, image + chunk, chunk_end - chunk) == 0) {
+      continue;
+    }
+    for (u32 i = chunk; i < chunk_end; ++i) {
+      if (live[i] == image[i]) continue;
+      const u32 address = base + i;
+      if (!runs.empty() && runs.back().first + runs.back().second == address) {
+        ++runs.back().second;
+      } else {
+        runs.emplace_back(address, 1);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void Bus::add_ram(u32 base, u32 size) {
   S4E_CHECK_MSG(size > 0, "RAM region must be non-empty");
   RamRegion region;
@@ -190,7 +218,8 @@ u64 Bus::ram_snapshot(std::vector<RamImage>& images) {
 }
 
 u64 Bus::ram_restore(const std::vector<RamImage>& images,
-                     std::vector<std::pair<u32, u32>>* restored) {
+                     std::pair<u32, u32> watch,
+                     std::vector<std::pair<u32, u32>>& changed) {
   S4E_CHECK_MSG(images.size() == ram_.size(),
                 "RAM restore from a foreign snapshot");
   u64 copied = 0;
@@ -212,18 +241,25 @@ u64 Bus::ram_restore(const std::vector<RamImage>& images,
         const std::size_t offset = page * kRamPageBytes;
         const std::size_t size =
             std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
+        const u64 page_lo = u64{region.base} + offset;
+        const u64 lo = std::max<u64>(page_lo, watch.first);
+        const u64 hi = std::min<u64>(page_lo + size, watch.second);
+        if (lo < hi) {
+          const std::size_t at = static_cast<std::size_t>(lo - region.base);
+          append_changed_runs(region.bytes.data() + at,
+                              image.bytes.data() + at,
+                              static_cast<u32>(hi - lo),
+                              static_cast<u32>(lo), changed);
+        }
         std::memcpy(region.bytes.data() + offset, image.bytes.data() + offset,
                     size);
         ++copied;
-        if (restored != nullptr) {
-          restored->emplace_back(region.base + static_cast<u32>(offset),
-                                 static_cast<u32>(size));
-        }
       }
       region.populated[word] |= region.dirty[word];
       region.dirty[word] = 0;
     }
   }
+  if (ram_.size() > 1) std::sort(changed.begin(), changed.end());
   return copied;
 }
 

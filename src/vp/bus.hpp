@@ -8,6 +8,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -90,11 +91,15 @@ class Bus {
   // Write back the dirty pages from `images` (captured by ram_snapshot on
   // this bus; a page first written after the capture comes back as zero)
   // and clear the dirty map. Returns the number of pages copied.
-  // `restored` (optional) collects the [address, size) extent of each
-  // copied page so the caller can invalidate overlapping translation
-  // blocks.
+  // Before each page is copied back, its bytes inside the `watch` window
+  // [lo, hi) are compared with the image: `changed` collects the
+  // [address, size) runs that differ, sorted and disjoint — exactly the
+  // bytes the restore changes there, so the caller can drop the
+  // translation blocks built from them. Pages outside the window are
+  // copied without comparing.
   u64 ram_restore(const std::vector<RamImage>& images,
-                  std::vector<std::pair<u32, u32>>* restored = nullptr);
+                  std::pair<u32, u32> watch,
+                  std::vector<std::pair<u32, u32>>& changed);
 
   // Total dirty-tracking pages across all RAM regions (the cost a full
   // restore would pay; --snapshot-stats denominator).

@@ -191,21 +191,20 @@ void Machine::restore_state(const Snapshot& snap) {
   icache_.restore(snap.icache_tags, snap.icache_misses);
   bimodal_.table() = snap.bimodal;
   pending_stop_.reset();
-  tb_maint_pending_ = false;
-  tb_flush_all_ = false;
-  tb_invalidations_.clear();
+  // Maintenance the run requested but did not reach a block boundary to
+  // apply (a budget stop, an exit callback) is applied, not discarded: only
+  // then was every cached block translated from the bytes now in RAM.
+  if (tb_maint_pending_) apply_tb_maintenance();
   chain_epoch_recheck_ = false;
   scratch_block_.reset();
-  // Dirty pages carry everything the run wrote — including patched code, so
-  // invalidating the blocks on restored pages is exactly what keeps the
-  // warm TB cache consistent with the restored RAM.
-  restored_pages_.clear();
-  snap_stats_.pages_copied += bus_.ram_restore(snap.ram, &restored_pages_);
+  // Drop exactly the blocks whose source bytes the restore changes; a data
+  // store that dirtied a code page leaves that page's translations warm.
+  restore_changes_.clear();
+  snap_stats_.pages_copied += bus_.ram_restore(
+      snap.ram, tb_cache_.code_extent(), restore_changes_);
   snap_stats_.pages_total += bus_.ram_pages();
-  for (const auto& [address, size] : restored_pages_) {
-    snap_stats_.tb_blocks_invalidated +=
-        tb_cache_.invalidate_range(address, size);
-  }
+  snap_stats_.tb_blocks_invalidated +=
+      tb_cache_.invalidate_ranges(restore_changes_);
   bus_.restore_device_state(snap.device_state);
   clear_forced();
   ++snap_stats_.restores;
@@ -400,6 +399,7 @@ TranslationBlock* Machine::translate(u32 pc) {
           take_trap(kCauseIllegalInstruction, *half, false);
           return nullptr;
         }
+        block->cut_bytes = 2;
         break;
       }
       instr = *decompressed;
@@ -411,6 +411,7 @@ TranslationBlock* Machine::translate(u32 pc) {
                     false);
           return nullptr;
         }
+        block->cut_bytes = 4;
         break;
       }
     }
@@ -1428,7 +1429,8 @@ TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
       sb->ranges.insert(sb->ranges.end(), block->ranges.begin(),
                         block->ranges.end());
     } else {
-      sb->ranges.emplace_back(block->start, block->byte_size);
+      sb->ranges.emplace_back(block->start,
+                              block->source_end() - block->start);
     }
   };
   append_ranges(src);
@@ -1482,11 +1484,17 @@ void Machine::run_chain(u64 limit) {
   // resume), or after running the block that holds the budget end or the
   // armed icount with exact per-instruction semantics (at least one
   // instruction runs, so exec_count stays truthful).
-  const auto admit = [&](TranslationBlock* block) {
+  const auto admit = [&](TranslationBlock*& block) {
     if (icount_ >= quantum_end) return false;  // epoch due
     if (block->code.size() > quantum_end - icount_) {
-      if (quantum_end == careful_from) run_tb_careful(block, limit);
-      return false;
+      if (quantum_end != careful_from) return false;
+      // A superblock holding the careful point gives way to its entry basic
+      // block, which may end before that point and so still run chained.
+      if (block->base != nullptr) block = block->base;
+      if (block->code.size() > quantum_end - icount_) {
+        run_tb_careful(block, limit);
+        return false;
+      }
     }
     ++block->exec_count;
     if (icache_.enabled()) probe_icache(block->start);

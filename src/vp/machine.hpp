@@ -176,9 +176,10 @@ class Machine {
   void save_state(Snapshot& snap);
 
   // Restore the state captured by save_state() on *this* machine. RAM
-  // restore is proportional to the pages dirtied since the snapshot, and
-  // translation blocks on restored pages are invalidated — the rest of the
-  // TB cache stays warm. Plugin callbacks are untouched; campaign drivers
+  // restore is proportional to the pages dirtied since the snapshot. Pending
+  // TB maintenance is applied, then only the translation blocks whose
+  // source bytes the restore changes are dropped — the rest of the TB cache
+  // stays warm. Plugin callbacks are untouched; campaign drivers
   // that re-attach per-run plugins call clear_plugins() first.
   void restore_state(const Snapshot& snap);
 
@@ -474,9 +475,9 @@ class Machine {
   IcacheSim icache_;
   BimodalPredictor bimodal_;
   SnapshotStats snap_stats_;
-  // Page extents copied by the last restore_state() (reused, not
-  // reallocated, across per-mutant restores).
-  std::vector<std::pair<u32, u32>> restored_pages_;
+  // Translated-code byte runs changed by the last restore_state() (reused,
+  // not reallocated, across per-mutant restores).
+  std::vector<std::pair<u32, u32>> restore_changes_;
   // Holds the current block when the TB cache is disabled (E1 ablation).
   std::unique_ptr<TranslationBlock> scratch_block_;
 

@@ -10,12 +10,17 @@
 // lazily zeroed image (vp/page_buffer.hpp) — every other page is known to be
 // zero — and a restore copies back only the dirty pages. Campaign engines
 // snapshot once per worker and restore per mutant, keeping the translation-
-// block cache warm across runs (restore invalidates only the blocks on
-// restored pages).
+// block cache warm across runs.
 //
-// Invariant: a run on a restored machine is bit-identical — RunResult, UART
-// output, memory hash, cycle counts — to the same run on a freshly
-// constructed machine (property-tested over generated programs).
+// Invariants:
+//   * A translation block survives a restore iff its source bytes (its
+//     instructions, plus the parcel it was cut before, if any) equal the
+//     snapshot's. The restore applies pending TB maintenance, then compares
+//     the dirty pages that overlap translated code with the image and drops
+//     the blocks over the bytes that differ.
+//   * A run on a restored machine is bit-identical — RunResult, UART
+//     output, memory hash, cycle counts — to the same run on a freshly
+//     constructed machine (property-tested over generated programs).
 #pragma once
 
 #include <array>
@@ -140,6 +145,9 @@ struct SnapshotStats {
   u64 pages_saved = 0;    // populated pages copied in across all captures
   u64 pages_copied = 0;   // dirty pages written back across all restores
   u64 pages_total = 0;    // pages a full-RAM restore would copy, summed
+  // Translations (blocks and superblocks) restores dropped because their
+  // source bytes changed; pending TB maintenance a restore applies is not
+  // counted here.
   u64 tb_blocks_invalidated = 0;
 
   SnapshotStats& operator+=(const SnapshotStats& other) noexcept {

@@ -3,8 +3,9 @@
 // Guest code is decoded once per basic block, lowered to the threaded
 // DecodedInsn form (see exec_engine.hpp), and reused on every re-execution;
 // only stores into already-translated code (self-modification, or a code
-// fault injected through the plugin API) drop the overlapping blocks. The E1
-// experiment ablates this cache against per-instruction re-decoding.
+// fault injected through the plugin API) and snapshot restores that change
+// code bytes drop the overlapping blocks. The E1 experiment ablates this
+// cache against per-instruction re-decoding.
 //
 // Chaining model: blocks carry direct successor pointers (fall-through and
 // static-branch edges) plus a 2-entry jump cache per indirect exit, patched
@@ -16,8 +17,10 @@
 // destruction needs no unlinking pass.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -40,6 +43,10 @@ struct ChainSlot {
 struct TranslationBlock {
   u32 start = 0;
   u32 byte_size = 0;
+  // Bytes of the parcel the block was cut before because it could not be
+  // fetched or decoded. They decided where the block ends, so invalidation
+  // and the code watermark cover [start, source_end()).
+  u32 cut_bytes = 0;
   std::vector<isa::Instr> insns;
   // The lowered threaded form the execution engine actually runs; same
   // order as `insns` for basic blocks. Superblocks carry only `code`.
@@ -63,12 +70,16 @@ struct TranslationBlock {
   // instead of the basic block. Owned by the cache's superblock registry.
   TranslationBlock* superblock = nullptr;
   bool is_superblock = false;
+  // A superblock's entry basic block (the one whose `superblock` it is);
+  // both die together, see install_superblock and invalidate_ranges.
+  TranslationBlock* base = nullptr;
   // Source [address, size) spans a superblock was spliced from, for
   // invalidate_range overlap checks. Empty for basic blocks (which use
-  // [start, end())).
+  // [start, source_end())).
   std::vector<std::pair<u32, u32>> ranges;
 
   u32 end() const noexcept { return start + byte_size; }
+  u32 source_end() const noexcept { return end() + cut_bytes; }
 };
 
 class TbCache {
@@ -99,7 +110,7 @@ class TbCache {
   TranslationBlock* insert(std::unique_ptr<TranslationBlock> block) {
     TranslationBlock* raw = block.get();
     code_lo_ = std::min(code_lo_, raw->start);
-    code_hi_ = std::max(code_hi_, raw->end());
+    code_hi_ = std::max(code_hi_, raw->source_end());
     auto& slot = blocks_[raw->start];
     if (slot != nullptr) {
       // Re-inserting at a live pc destroys the old block: sever every link
@@ -124,20 +135,41 @@ class TbCache {
   }
 
   // Drop only the blocks overlapping [address, address+size) — code was
-  // patched in that range (a mutant, a restored dirty page) but the rest of
-  // the translated code is still valid and stays warm. Returns the number
-  // of blocks dropped. The code watermarks stay (conservative: they may
-  // only over-approximate translated code). Superblocks spliced from any
+  // patched in that range (a mutant, a code fault) but the rest of the
+  // translated code is still valid and stays warm. Returns the number of
+  // blocks dropped. The code watermarks stay (conservative: they may only
+  // over-approximate translated code). Superblocks spliced from any
   // overlapping source range are dropped too, and all chain links are
   // severed (epoch bump) whenever anything was dropped.
   u64 invalidate_range(u32 address, u32 size) noexcept {
-    if (!overlaps_code(address, size)) return 0;
-    const u64 lo = address;
-    const u64 hi = static_cast<u64>(address) + size;
+    const std::pair<u32, u32> range{address, size};
+    return invalidate_ranges({&range, 1});
+  }
+
+  // invalidate_range over several [address, size) ranges in one pass over
+  // the cache. `ranges` must be sorted by address and disjoint (a snapshot
+  // restore's changed byte runs).
+  u64 invalidate_ranges(std::span<const std::pair<u32, u32>> ranges) noexcept {
+    if (ranges.empty()) return 0;
+    const u32 span_lo = ranges.front().first;
+    const u64 span_hi =
+        static_cast<u64>(ranges.back().first) + ranges.back().second;
+    if (!overlaps_code(span_lo, static_cast<u32>(span_hi - span_lo))) {
+      return 0;
+    }
+    // Sorted and disjoint, so range ends ascend too: the first range ending
+    // past `lo` is the only candidate for overlapping [lo, hi).
+    const auto overlaps = [ranges](u64 lo, u64 hi) {
+      const auto it = std::partition_point(
+          ranges.begin(), ranges.end(), [lo](const std::pair<u32, u32>& r) {
+            return static_cast<u64>(r.first) + r.second <= lo;
+          });
+      return it != ranges.end() && it->first < hi;
+    };
     u64 dropped = 0;
     for (auto it = blocks_.begin(); it != blocks_.end();) {
       TranslationBlock* block = it->second.get();
-      if (block->start < hi && static_cast<u64>(block->end()) > lo) {
+      if (overlaps(block->start, block->source_end())) {
         FrontEntry& front = front_[front_slot(block->start)];
         if (front.block == block) front = FrontEntry{};
         it = blocks_.erase(it);
@@ -147,13 +179,12 @@ class TbCache {
       }
     }
     for (auto it = super_.begin(); it != super_.end();) {
-      bool overlap = false;
-      for (const auto& [range_lo, range_size] : it->second->ranges) {
-        if (range_lo < hi && static_cast<u64>(range_lo) + range_size > lo) {
-          overlap = true;
-          break;
-        }
-      }
+      const auto& spans = it->second->ranges;
+      const bool overlap =
+          std::any_of(spans.begin(), spans.end(), [&](const auto& span) {
+            return overlaps(span.first,
+                            static_cast<u64>(span.first) + span.second);
+          });
       if (overlap) {
         if (auto base = blocks_.find(it->first); base != blocks_.end()) {
           base->second->superblock = nullptr;
@@ -179,6 +210,7 @@ class TbCache {
     super_[raw->start] = std::move(superblock);
     if (auto base = blocks_.find(raw->start); base != blocks_.end()) {
       base->second->superblock = raw;
+      raw->base = base->second.get();
     }
     sever_chains();
     return raw;
@@ -188,6 +220,11 @@ class TbCache {
   // intersects the watermark range of translated code.
   bool overlaps_code(u32 address, u32 size) const noexcept {
     return code_hi_ != 0 && address < code_hi_ && address + size > code_lo_;
+  }
+  // The watermark range [lo, hi) itself; empty (lo > hi) when nothing was
+  // translated since the last flush.
+  std::pair<u32, u32> code_extent() const noexcept {
+    return {code_lo_, code_hi_};
   }
 
   // Invalidate every outstanding chain link and jump-cache entry in O(1):

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bench/fresh_campaign.hpp"
 
 namespace s4e::test_support {
@@ -28,6 +30,38 @@ void expect_matches_fresh(const Model& model,
     EXPECT_EQ(want[i].instructions, got[i].instructions) << "item " << i;
   }
   EXPECT_EQ(reference.to_string(), report.to_string());
+}
+
+// Runs every item of `model`'s campaign twice, triage aside: on one
+// WorkerVm restored before each item, as a driver lane does, and on a
+// newly built machine. Besides bucket, exit code and instruction count the
+// two runs must take the same modelled cycles. A warm TB cache whose
+// blocks end where a fresh machine's would not shows only there: the
+// icache model probes once per dispatched block.
+template <class Model>
+void expect_reuse_matches_fresh_cycles(const Model& model,
+                                       const std::string& label) {
+  vp::GoldenRun golden;
+  auto items = model.enumerate(golden);
+  ASSERT_TRUE(items.ok()) << label;
+  const vp::MachineConfig config =
+      model.config().item_machine(golden.result.instructions);
+  auto vm = vp::WorkerVm::create(config, model.program());
+  ASSERT_TRUE(vm.ok()) << label;
+  for (std::size_t i = 0; i < items->size(); ++i) {
+    vp::Machine fresh(config);
+    ASSERT_TRUE(fresh.load_program(model.program()).ok()) << label;
+    const auto want = model.run_one(fresh, (*items)[i], golden);
+    vp::Machine& reused = (*vm)->prepare();
+    const auto got = model.run_one(reused, (*items)[i], golden);
+    ASSERT_TRUE(want.ok() && got.ok()) << label << " item " << i;
+    EXPECT_EQ(Model::bucket(*want), Model::bucket(*got))
+        << label << " item " << i;
+    EXPECT_EQ(want->exit_code, got->exit_code) << label << " item " << i;
+    EXPECT_EQ(want->instructions, got->instructions)
+        << label << " item " << i;
+    EXPECT_EQ(fresh.cycles(), reused.cycles()) << label << " item " << i;
+  }
 }
 
 }  // namespace s4e::test_support

@@ -503,6 +503,36 @@ TEST(IcountCallback, FiresInsideSuperblock) {
   EXPECT_EQ(done.instructions, pcs.size());
 }
 
+// A count at the head of a block spliced into a superblock: the superblock
+// gives way to its entry basic block, which runs chained up to the count,
+// so the count fires at a chain boundary and no block runs carefully.
+TEST(IcountCallback, FiresAtSplicedBlockHeadWithoutCarefulBlock) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  const std::vector<u32> pcs = profile_golden({}, program).pcs;
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  ASSERT_EQ(machine.run_slice(3000).reason, vp::StopReason::kDebugSlice);
+  ASSERT_GT(machine.tb_cache().superblock_count(), 0u);
+
+  // `call bump` and the callee are spliced together: `bump` is the head of
+  // the second block of that superblock.
+  const auto bump = program.symbol("bump");
+  ASSERT_TRUE(bump.ok());
+  u64 at = machine.icount() + 100;
+  while (pcs[at] != *bump) ++at;
+
+  IcountProbe probe;
+  s4e_register_icount_cb(machine.vm_handle(), at, record_icount, &probe);
+  const u64 careful_before = machine.engine_stats().blocks_careful;
+  const auto done = machine.run();
+  ASSERT_EQ(done.reason, vp::StopReason::kExitEcall);
+  EXPECT_EQ(probe.fires, 1u);
+  EXPECT_EQ(probe.icount, at);
+  EXPECT_EQ(probe.pc, *bump);
+  EXPECT_EQ(machine.engine_stats().blocks_careful, careful_before);
+  EXPECT_EQ(done.instructions, pcs.size());
+}
+
 // E-I2 — the budget wins ties: an instruction budget that ends at (or
 // before) the armed count stops without firing. Resuming fires it before
 // the next instruction, and a count already passed does the same — neither

@@ -5,6 +5,9 @@
 //   * sparse capture: a snapshot copies only the pages written since
 //     construction, and never-written pages restore as zero
 //   * TB-cache range invalidation drops only overlapping blocks
+//   * restore precision: a restore drops exactly the translations whose
+//     source bytes it changes, applies pending TB maintenance, and drops a
+//     block cut before a parcel the restore makes decodable
 //   * fresh-run == restored-run equivalence, property-tested over
 //     generated torture programs
 //   * campaigns on reused worker machines match a fresh machine per
@@ -23,6 +26,7 @@
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
 #include "vp/runner.hpp"
+#include "vp/s4e_plugin.h"
 #include "vp/snapshot.hpp"
 #include "vp/tb_cache.hpp"
 
@@ -457,6 +461,223 @@ TEST(WorkerVm, PrepareYieldsIdenticalRunsAndCountsStats) {
 }
 
 // --------------------------------------------------------------------------
+// Restore precision: a restore drops exactly the translations whose source
+// bytes it changes, so a block survives iff its bytes equal the snapshot's.
+
+// Stores a marker to a data word on the code's page, exits 7.
+const char* kSharedPageSource = R"(
+_start:
+    la t2, mark
+    li t3, 0x1234
+    sw t3, 0(t2)
+    li a0, 7
+    li a7, 93
+    ecall
+mark:
+    .word 0
+)";
+
+// Two counted loops and a store to a data word on the code's page.
+const char* kTwoLoopSource = R"(
+_start:
+    li t0, 100
+    li a0, 0
+loop1:
+    addi a0, a0, 1
+    addi t0, t0, -1
+    bnez t0, loop1
+    li t0, 100
+loop2:
+    addi a0, a0, 2
+    addi t0, t0, -1
+    bnez t0, loop2
+    la t1, out
+    sw a0, 0(t1)
+    li a7, 93
+    ecall
+out:
+    .word 0
+)";
+
+u32 symbol_or_die(const assembler::Program& program, const char* name) {
+  auto address = program.symbol(name);
+  EXPECT_TRUE(address.ok()) << name;
+  return address.ok() ? *address : 0;
+}
+
+u32 page_of(u32 address) { return address / kRamPageBytes; }
+
+TEST(RestorePrecision, DataOnlyRunOnSharedCodePageKeepsEveryBlock) {
+  const auto program = assemble_or_die(kSharedPageSource);
+  ASSERT_EQ(page_of(symbol_or_die(program, "mark")), page_of(program.entry));
+  auto vm = WorkerVm::create(MachineConfig{}, program);
+  ASSERT_TRUE(vm.ok());
+  const RunObservation first = observe_run((*vm)->prepare(), program);
+  ASSERT_TRUE(first.result.normal_exit());
+  const TbCache& cache = (*vm)->machine().tb_cache();
+  const std::size_t blocks = cache.size();
+  ASSERT_GT(blocks, 0u);
+
+  // The store to `mark` dirtied the code page; no code byte changed.
+  Machine& machine = (*vm)->prepare();
+  EXPECT_EQ((*vm)->stats().pages_copied, 1u);
+  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 0u);
+  EXPECT_EQ(cache.size(), blocks);
+  const u64 misses = cache.lookup_misses();
+  expect_same_observation(observe_run(machine, program), first, "warm");
+  EXPECT_EQ(cache.lookup_misses(), misses);  // nothing retranslated
+}
+
+TEST(RestorePrecision, MutationPatchDropsOnlyTheBlocksOverIt) {
+  const auto program = assemble_or_die(kTwoLoopSource);
+  const u32 loop1 = symbol_or_die(program, "loop1");
+  const u32 loop2 = symbol_or_die(program, "loop2");
+  ASSERT_EQ(page_of(symbol_or_die(program, "out")), page_of(loop2));
+  Machine fresh;
+  auto golden = run_golden(fresh, program);
+  ASSERT_TRUE(golden.ok());
+
+  auto vm = WorkerVm::create(MachineConfig{}, program);
+  ASSERT_TRUE(vm.ok());
+  const RunObservation first = observe_run((*vm)->prepare(), program);
+  const TbCache& cache = (*vm)->machine().tb_cache();
+  ASSERT_EQ(cache.superblock_count(), 2u);  // one per hot loop
+
+  // addi a0, a0, 2 -> addi a0, a0, 3 at loop2 (immediate in bits 31:20).
+  mutation::Mutant mutant;
+  mutant.address = loop2;
+  mutant.original = read_word((*vm)->machine(), loop2);
+  mutant.mutated = mutant.original + (u32{1} << 20);
+  const mutation::MutationModel model(program, mutation::MutationConfig{});
+  Machine& machine = (*vm)->prepare();
+  const u64 dropped_before = cache.invalidated_blocks();
+  auto killed = model.run_one(machine, mutant, *golden);
+  ASSERT_TRUE(killed.ok());
+  EXPECT_EQ(killed->verdict, mutation::Verdict::kKilledResult);
+  // The patch dropped the translations over it: the fall-through block
+  // that runs into loop2, loop2's own block and loop2's superblock. The
+  // mutant run built their patched twins again.
+  ASSERT_EQ(cache.invalidated_blocks() - dropped_before, 3u);
+  ASSERT_EQ(cache.superblock_count(), 2u);
+
+  // The restore puts back the original addi and the `out` word: it drops
+  // the three patched translations and nothing else.
+  (*vm)->prepare();
+  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 3u);
+  EXPECT_EQ(cache.superblock_count(), 1u);
+  EXPECT_NE((*vm)->machine().tb_cache().lookup(program.entry), nullptr);
+  EXPECT_NE((*vm)->machine().tb_cache().lookup(loop1), nullptr);
+  EXPECT_EQ((*vm)->machine().tb_cache().lookup(loop2), nullptr);
+  expect_same_observation(observe_run(machine, program), first, "restored");
+}
+
+// Exit callback of a plugin that undoes its code patch when the run ends:
+// the original bytes go back, and the stale translations are queued for
+// invalidation. A budget stop leaves that request pending.
+struct PatchUndo {
+  u32 address = 0;
+  u32 original = 0;
+};
+
+void undo_patch_at_exit(void* userdata, s4e_vm* vm, int) {
+  const auto* undo = static_cast<const PatchUndo*>(userdata);
+  ASSERT_EQ(s4e_write_mem(vm, undo->address, &undo->original, 4), 0);
+  s4e_invalidate_tb_range(vm, undo->address, 4);
+}
+
+TEST(RestorePrecision, InvalidationPendingAtBudgetStopIsApplied) {
+  const auto program = assemble_or_die(kTwoLoopSource);
+  Machine fresh;
+  ASSERT_TRUE(fresh.load_program(program).ok());
+  const RunObservation golden = observe_run(fresh, program);
+
+  Machine machine;
+  ASSERT_TRUE(machine.load_program(program).ok());
+  Snapshot snap;
+  machine.save_state(snap);
+  PatchUndo undo{symbol_or_die(program, "loop2"), 0};
+  undo.original = read_word(machine, undo.address);
+  write_word(machine, undo.address, undo.original + (u32{1} << 20));
+  machine.invalidate_code(undo.address, 4);
+  machine.add_exit_cb(&undo_patch_at_exit, &undo);
+  // Stop inside loop2, after its patched translation ran.
+  const RunResult stopped = machine.run(golden.result.instructions - 20);
+  ASSERT_EQ(stopped.reason, StopReason::kMaxInstructions);
+  EXPECT_EQ(read_word(machine, undo.address), undo.original);
+
+  // RAM at loop2 already equals the snapshot, so only the pending request
+  // can drop the patched translations.
+  machine.clear_plugins();
+  machine.restore_state(snap);
+  expect_same_observation(observe_run(machine, program), golden, "restored");
+}
+
+// A block cut before a parcel it could not decode covers that parcel: once
+// a restore makes the parcel decodable again, the short block is dropped
+// and the next run dispatches the same blocks (and icache probes) as a
+// fresh machine.
+void expect_cut_block_dropped_on_restore(const char* source,
+                                         const std::string& label) {
+  const auto program = assemble_or_die(source);
+  const u32 head = symbol_or_die(program, "head");
+  const u32 cut = symbol_or_die(program, "cut");
+  MachineConfig config;
+  config.timing.icache_miss_cycles = 10;
+  Machine fresh(config);
+  ASSERT_TRUE(fresh.load_program(program).ok());
+  const RunObservation golden = observe_run(fresh, program);
+  ASSERT_TRUE(golden.result.normal_exit()) << label;
+
+  Machine machine(config);
+  ASSERT_TRUE(machine.load_program(program).ok());
+  Snapshot snap;
+  machine.save_state(snap);
+  write_word(machine, cut, 0);  // 0x0000 is an illegal compressed parcel
+  const RunResult trapped = machine.run();
+  ASSERT_EQ(trapped.reason, StopReason::kTrapUnhandled) << label;
+  const TranslationBlock* cut_block = machine.tb_cache().lookup(head);
+  ASSERT_NE(cut_block, nullptr) << label;
+  ASSERT_EQ(cut_block->end(), cut) << label;
+
+  machine.restore_state(snap);
+  EXPECT_EQ(machine.tb_cache().lookup(head), nullptr) << label;
+  expect_same_observation(observe_run(machine, program), golden, label);
+}
+
+const char* kCutSamePage = R"(
+_start:
+head:
+    li a0, 0
+    addi a0, a0, 1
+cut:
+    addi a0, a0, 2
+    li a7, 93
+    ecall
+)";
+
+// The parcel opens the next page: the restore never touches the cut
+// block's own page, only the cut extent reaches it.
+const char* kCutNextPage = R"(
+_start:
+    j head
+    .space 1012
+head:
+    li a0, 0
+    addi a0, a0, 1
+cut:
+    addi a0, a0, 2
+    li a7, 93
+    ecall
+)";
+
+TEST(RestorePrecision, CutBlockDroppedWhenItsParcelIsRestored) {
+  expect_cut_block_dropped_on_restore(kCutSamePage, "same page");
+  const auto next_page = assemble_or_die(kCutNextPage);
+  ASSERT_EQ(symbol_or_die(next_page, "cut") % kRamPageBytes, 0u);
+  expect_cut_block_dropped_on_restore(kCutNextPage, "next page");
+}
+
+// --------------------------------------------------------------------------
 // Campaign engines: the reused worker machines must match a fresh machine
 // per mutant bit for bit (jobs = 1, then two lanes).
 
@@ -540,6 +761,65 @@ TEST(CampaignReuse, TwoLaneCampaignsMatchFreshMachines) {
   EXPECT_GE(mutation_stats.snapshots, 1u);
   EXPECT_EQ(mutation_stats.pages_saved, mutation_stats.snapshots * pages);
 }
+
+// Reused worker machines take the same cycles as fresh ones under the
+// timing models that see block boundaries (icache) and branch history
+// (predictor), for mutation and fault items alike — over torture programs
+// and one whose .text spans two pages.
+class ReuseCycles : public ::testing::TestWithParam<int> {};
+
+MachineConfig reuse_cycles_config(int param) {
+  MachineConfig config;
+  if (param == 0) {
+    config.timing.icache_miss_cycles = 10;
+  } else {
+    config.timing.branch_predictor = true;
+  }
+  return config;
+}
+
+TEST_P(ReuseCycles, ReusedWorkerVmMatchesFreshMachineCycles) {
+  const MachineConfig machine = reuse_cycles_config(GetParam());
+  std::vector<testgen::GeneratedProgram> tests;
+  for (const unsigned segments : {24u, 60u}) {
+    testgen::TortureConfig torture;
+    torture.seed = 404;
+    torture.programs = segments == 24 ? 2 : 1;
+    torture.segments = segments;
+    torture.use_csr = false;
+    for (auto& test : testgen::torture_suite(torture)) {
+      tests.push_back(std::move(test));
+    }
+  }
+  bool two_page_text = false;
+  for (const auto& test : tests) {
+    const auto program = assemble_or_die(test.source.c_str());
+    const assembler::Section* text = program.find_section(".text");
+    ASSERT_NE(text, nullptr) << test.name;
+    two_page_text |= page_of(text->base) != page_of(text->end() - 1);
+
+    mutation::MutationConfig mutation_config;
+    mutation_config.machine = machine;
+    mutation_config.max_mutants = 300;
+    test_support::expect_reuse_matches_fresh_cycles(
+        mutation::MutationModel(program, mutation_config),
+        test.name + " mutation");
+
+    fault::CampaignConfig fault_config;
+    fault_config.machine = machine;
+    fault_config.seed = 5;
+    fault_config.mutant_count = 300;
+    test_support::expect_reuse_matches_fresh_cycles(
+        fault::FaultModel(program, fault_config), test.name + " fault");
+  }
+  EXPECT_TRUE(two_page_text);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Timing, ReuseCycles, ::testing::Values(0, 1),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return std::string(info.param == 0 ? "Icache" : "BranchPredictor");
+    });
 
 }  // namespace
 }  // namespace s4e::vp
