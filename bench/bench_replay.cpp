@@ -4,20 +4,24 @@
 // The differential-timing workflow records one careful-loop execution and
 // then evaluates the whole timing-configuration matrix against the trace,
 // so the per-configuration cost drops from "re-execute the program" to
-// "walk the event stream through a TimingModel". Two claims are checked
-// here, both load-bearing for the workflow:
+// "charge the decoded trace's event profile through a TimingModel" (plus
+// one icache pass over the block PCs when the icache model is on). Two
+// claims are checked here, both load-bearing for the workflow:
 //
 //   1. bit-identity — for every matrix configuration, replayed cycles equal
 //      a fresh live execution under that configuration, on every standard
 //      workload that records untainted;
-//   2. speedup — per configuration, walking the decoded trace is >= 10x
+//   2. speedup — per configuration, charging the decoded trace is >= 10x
 //      faster than the instrumented re-execution a live differential
 //      analysis would need (the careful loop with a per-instruction
 //      observer attached — what s4e-qta's co-simulation mode pays, since
 //      extracting any per-instruction path information live forces the
 //      exec engine out of the chained fast path). The bare fast-path
 //      re-execution time is reported alongside for honesty: it is the
-//      floor for a cycles-only live measurement.
+//      floor for a cycles-only live measurement. So is the hooked replay
+//      (a per-instruction PC callback, what s4e-qta --replay feeds its
+//      path accumulator): it is the path-aware counterpart of the
+//      instrumented re-execution.
 //
 // The measured row lands in BENCH_replay.json (merge semantics, so other
 // benches' rows survive). `--no-report` skips the write; `--quick` shrinks
@@ -285,7 +289,7 @@ int main(int argc, char** argv) {
   const double reexec_seconds = seconds_since(reexec_start);
   S4E_CHECK(kernel_identical);  // careful loop == fast path, per config
 
-  // Serial replay: the same matrix walked over the shared decoded trace.
+  // Serial replay: the same matrix charged from the shared decoded trace.
   const auto replay_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < matrix.size(); ++i) {
     auto replayed = trace::replay(*decoded, matrix[i].params);
@@ -293,6 +297,20 @@ int main(int argc, char** argv) {
     kernel_identical = kernel_identical && replayed->cycles == live_cycles[i];
   }
   const double replay_seconds = seconds_since(replay_start);
+  S4E_CHECK(kernel_identical);
+
+  // Serial hooked replay: the same matrix with a per-instruction PC hook.
+  const auto hooked_start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    u64 hooked_insns = 0;
+    auto replayed = trace::replay(*decoded, matrix[i].params,
+                                  [&hooked_insns](u32) { ++hooked_insns; });
+    S4E_CHECK_MSG(replayed.ok(), matrix[i].name);
+    kernel_identical = kernel_identical &&
+                       replayed->cycles == live_cycles[i] &&
+                       hooked_insns == capture.result.instructions;
+  }
+  const double hooked_seconds = seconds_since(hooked_start);
   S4E_CHECK(kernel_identical);
 
   // Parallel replay: the tool-facing fan-out (s4e-qta --replay --jobs N).
@@ -320,6 +338,8 @@ int main(int argc, char** argv) {
   std::printf("%-30s %8.3f s %11.3f ms  (decode once: %.3f ms)\n",
               "replay (serial)", replay_seconds, replay_seconds * per_config,
               decode_seconds * 1e3);
+  std::printf("%-30s %8.3f s %11.3f ms\n", "replay, hooked (serial)",
+              hooked_seconds, hooked_seconds * per_config);
   std::printf("%-30s %8.3f s %11.3f ms  (jobs=%u)\n", "replay (pool)",
               parallel_seconds, parallel_seconds * per_config, jobs);
   std::printf("\nreplay speedup over instrumented re-execution: %.1fx per "
@@ -339,6 +359,7 @@ int main(int argc, char** argv) {
                "\"reexec_per_config_ms\": %s, "
                "\"reexec_fast_per_config_ms\": %s, "
                "\"replay_per_config_ms\": %s, "
+               "\"replay_hooked_per_config_ms\": %s, "
                "\"decode_once_ms\": %s, "
                "\"speedup\": %s, "
                "\"speedup_vs_fast\": %s, "
@@ -351,6 +372,7 @@ int main(int argc, char** argv) {
                bench::json_number(reexec_seconds * per_config, 3).c_str(),
                bench::json_number(fast_seconds * per_config, 3).c_str(),
                bench::json_number(replay_seconds * per_config, 3).c_str(),
+               bench::json_number(hooked_seconds * per_config, 3).c_str(),
                bench::json_number(decode_seconds * 1e3, 3).c_str(),
                bench::json_number(speedup, 1).c_str(),
                bench::json_number(speedup_fast, 1).c_str(), jobs,

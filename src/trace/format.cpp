@@ -5,6 +5,7 @@
 
 #include "asm/program.hpp"
 #include "common/strings.hpp"
+#include "isa/opcode.hpp"
 
 namespace s4e::trace {
 
@@ -430,6 +431,12 @@ bool Cursor::next(Event& out) {
       if (p_ == end_) return fail("kTrapInsn missing its info byte");
       const u8 info = *p_++;
       out.op_class = info & kTrapClassMask;
+      if (out.op_class >= isa::kOpClassCount) {
+        return fail(format("kTrapInsn names instruction class %u, but there "
+                           "are only %u classes",
+                           static_cast<unsigned>(out.op_class),
+                           isa::kOpClassCount));
+      }
       out.length = (info & kTrapLen4) != 0 ? 4 : 2;
       out.handled = (info & kTrapHandled) != 0;
       if (!get_varint(value)) return false;

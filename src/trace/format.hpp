@@ -331,7 +331,8 @@ class Trace {
 // Streaming decoder over a trace's event bytes. Maintains the PC cursor and
 // the mem-address delta state; next() yields one event (kRun* events carry
 // their full count — the caller expands them). Returns false at stream end.
-// Decode errors (unknown tag, varint overrun) are reported via error().
+// Decode errors (unknown tag, varint overrun, a trap class outside
+// isa::OpClass) are reported via error().
 class Cursor {
  public:
   Cursor(const u8* data, std::size_t size, u32 entry_pc)

@@ -51,14 +51,74 @@ Result<DecodedTrace> DecodedTrace::decode(const Trace& trace) {
   DecodedTrace out;
   out.header_ = trace.header();
   out.footer_ = trace.footer();
-  // Events are at least two stream bytes each (tag + payload) except bare
-  // runs/blocks; half the stream size is a decent reservation.
-  out.events_.reserve(trace.stream_size() / 2 + 16);
+  out.block_pcs_.reserve(trace.footer().blocks);
+  Profile& profile = out.profile_;
+  // The predictor's table is fixed-size and takes no TimingParams input, so
+  // its mispredict sequence is the same under every configuration.
+  vp::BimodalPredictor bimodal;
 
+  // Every tag that breaks out of the switch is one retired instruction.
   Cursor cursor(trace);
   Event event;
   while (cursor.next(event)) {
     switch (event.tag) {
+      case Tag::kBlock:
+      case Tag::kBlockAt:
+        out.block_pcs_.push_back(event.pc);
+        continue;
+      case Tag::kTrapFetch:
+        // Fetch/decode fault at a block head: no instruction executed, no
+        // class cost — only trap entry if handled.
+        if (event.handled) ++profile.fetch_traps_handled;
+        continue;
+      case Tag::kRun4:
+      case Tag::kRun2:
+        profile.plain += event.count;
+        profile.instructions += event.count;
+        out.append_insns(event.pc, event.count, event.length);
+        continue;
+      case Tag::kJump:
+        ++profile.jumps;
+        break;
+      case Tag::kBranchT:
+      case Tag::kBranchN4:
+      case Tag::kBranchN2: {
+        const bool taken = event.tag == Tag::kBranchT;
+        ++(taken ? profile.branches_taken : profile.branches_not_taken);
+        if (bimodal.mispredict(event.pc, taken)) ++profile.mispredicts;
+        break;
+      }
+      case Tag::kLoad4: case Tag::kLoad2:
+      case Tag::kStore4: case Tag::kStore2:
+      case Tag::kLoadMmio4: case Tag::kLoadMmio2:
+      case Tag::kStoreMmio4: case Tag::kStoreMmio2:
+        ++profile.mem[(event.mem_store ? 1 : 0) | (event.mem_mmio ? 2 : 0)];
+        break;
+      case Tag::kAmoLoad:
+      case Tag::kAmoStore:
+      case Tag::kAmoRmw:
+      case Tag::kAmoFail:
+        ++profile.amos;
+        break;
+      case Tag::kMul4: case Tag::kMul2:
+        ++profile.muls;
+        break;
+      case Tag::kDiv4: case Tag::kDiv2:
+        ++profile.divides[vp::TimingModel::divide_bits(event.dividend) - 1];
+        break;
+      case Tag::kCsr4: case Tag::kCsr2:
+        ++profile.csrs;
+        break;
+      case Tag::kSysExit:
+        ++profile.sys_exits;
+        break;
+      case Tag::kMret:
+      case Tag::kWfiHalt:
+        ++profile.sys_redirects;
+        break;
+      case Tag::kTrapInsn:
+        ++profile.traps[event.op_class][event.handled ? 1 : 0];
+        break;
       case Tag::kTaint:
       case Tag::kWfiSleep:
         // Unreachable: taints were rejected above; be loud, not wrong.
@@ -66,167 +126,107 @@ Result<DecodedTrace> DecodedTrace::decode(const Trace& trace) {
       case Tag::kEnd:
       case Tag::kCount:
         continue;
-      default:
-        break;
     }
-    Compact compact;
-    compact.tag = static_cast<u8>(event.tag);
-    compact.op_class = event.op_class;
-    compact.length = static_cast<u8>(event.length);
-    compact.flags = static_cast<u8>((event.mem_store ? 1 : 0) |
-                                    (event.mem_mmio ? 2 : 0) |
-                                    (event.handled ? 4 : 0));
-    compact.pc = event.pc;
-    compact.count = event.count;
-    compact.dividend = event.dividend;
-    out.events_.push_back(compact);
+    ++profile.instructions;
+    out.append_insns(event.pc, 1, event.length);
   }
   if (!cursor.ok()) {
     return Error(ErrorCode::kParseError,
                  format("event stream decode failed at offset %zu: %s",
                         cursor.offset(), cursor.error().c_str()));
   }
+  if (profile.instructions != out.footer_.instructions ||
+      out.block_pcs_.size() != out.footer_.blocks) {
+    return Error(
+        ErrorCode::kStateError,
+        format("decoded %llu instructions / %zu blocks but the footer "
+               "recorded %llu / %llu",
+               static_cast<unsigned long long>(profile.instructions),
+               out.block_pcs_.size(),
+               static_cast<unsigned long long>(out.footer_.instructions),
+               static_cast<unsigned long long>(out.footer_.blocks)));
+  }
   return out;
+}
+
+void DecodedTrace::append_insns(u32 pc, u32 count, u32 stride) {
+  if (!insn_spans_.empty()) {
+    InsnSpan& last = insn_spans_.back();
+    if (pc == last.pc + last.count * last.stride &&
+        (count == 1 || stride == last.stride) &&
+        count <= ~u32{0} - last.count) {
+      last.count += count;
+      return;
+    }
+  }
+  insn_spans_.push_back({pc, count, stride});
+}
+
+void DecodedTrace::for_each_insn(const InsnHook& on_insn) const {
+  for (const InsnSpan& span : insn_spans_) {
+    for (u32 i = 0; i < span.count; ++i) on_insn(span.pc + i * span.stride);
+  }
 }
 
 namespace {
 
-// The hot loop, specialized on hook presence: the cycles-only walk (no
-// per-instruction hook) is the replay-many fast path, and keeping the
-// std::function test out of it is worth a template — per-event cost is
-// what the >=10x-over-re-execution claim rests on.
-template <bool kHooked>
-ReplayResult replay_loop(const DecodedTrace& trace,
-                         const vp::TimingParams& params,
-                         const InsnHook& on_insn) {
+// The closed form: every cost but the icache's is a profile count times a
+// per-class constant, taken from the same TimingModel::class_cycles() the
+// exec engine's lowering bakes into DecodedInsn.
+ReplayResult charge(const DecodedTrace& trace, const vp::TimingParams& params) {
   const vp::TimingModel model(params);
-  vp::IcacheSim icache(params);
-  vp::BimodalPredictor bimodal;
-  ReplayResult out;
-
-  // Per-class fall-through costs are loop-invariant; precompute them the way
-  // the exec engine's lowering bakes them into DecodedInsn. Memory costs are
-  // a four-entry table indexed by the compact (store, mmio) flag bits.
-  const u64 c_arith = model.class_cycles(OpClass::kArith, false, false);
-  const u64 c_mul = model.class_cycles(OpClass::kMul, false, false);
-  const u64 c_div = model.class_cycles(OpClass::kDiv, false, false);
-  const u64 c_csr = model.class_cycles(OpClass::kCsr, false, false);
-  const u64 c_amo = model.class_cycles(OpClass::kAmo, false, false);
-  const u64 c_jump = model.class_cycles(OpClass::kJump, true, false);
-  const u64 c_branch_fall = model.class_cycles(OpClass::kBranch, false, false);
-  const u64 c_branch_taken = model.class_cycles(OpClass::kBranch, true, false);
-  const u64 c_sys_fall = model.class_cycles(OpClass::kSystem, false, false);
-  const u64 c_sys_taken = model.class_cycles(OpClass::kSystem, true, false);
-  const u64 c_mem[4] = {
-      model.class_cycles(OpClass::kLoad, false, false),
-      model.class_cycles(OpClass::kStore, false, false),
-      model.class_cycles(OpClass::kLoad, false, true),
-      model.class_cycles(OpClass::kStore, false, true),
+  const DecodedTrace::Profile& profile = trace.profile();
+  const auto cost = [&model](OpClass op, bool redirect = false,
+                             bool mmio = false) -> u64 {
+    return model.class_cycles(op, redirect, mmio);
   };
-  const bool icache_on = icache.enabled();
-  const bool bpred_on = params.branch_predictor;
 
-  for (const DecodedTrace::Compact& event : trace.stream()) {
-    switch (static_cast<Tag>(event.tag)) {
-      case Tag::kBlock:
-      case Tag::kBlockAt:
-        ++out.blocks;
-        if (icache_on && icache.probe(event.pc, params)) {
-          out.cycles += params.icache_miss_cycles;
-        }
-        break;
-      case Tag::kRun4:
-      case Tag::kRun2:
-        out.instructions += event.count;
-        out.cycles += c_arith * event.count;
-        if constexpr (kHooked) {
-          for (u32 i = 0; i < event.count; ++i) {
-            on_insn(event.pc + i * event.length);
-          }
-        }
-        break;
-      case Tag::kJump:
-        ++out.instructions;
-        out.cycles += c_jump;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kBranchT:
-      case Tag::kBranchN4:
-      case Tag::kBranchN2: {
-        const bool taken = static_cast<Tag>(event.tag) == Tag::kBranchT;
-        bool penalize = taken;
-        if (bpred_on) {
-          penalize = bimodal.mispredict(event.pc, taken);
-          if (penalize) ++out.mispredicts;
-        }
-        ++out.instructions;
-        out.cycles += penalize ? c_branch_taken : c_branch_fall;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      }
-      case Tag::kLoad4: case Tag::kLoad2:
-      case Tag::kStore4: case Tag::kStore2:
-      case Tag::kLoadMmio4: case Tag::kLoadMmio2:
-      case Tag::kStoreMmio4: case Tag::kStoreMmio2:
-        ++out.instructions;
-        out.cycles += c_mem[event.flags & 3];
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kAmoLoad:
-      case Tag::kAmoStore:
-      case Tag::kAmoRmw:
-      case Tag::kAmoFail:
-        ++out.instructions;
-        out.cycles += c_amo;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kMul4: case Tag::kMul2:
-        ++out.instructions;
-        out.cycles += c_mul;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kDiv4: case Tag::kDiv2:
-        ++out.instructions;
-        out.cycles += c_div + model.divide_cycles(event.dividend);
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kCsr4: case Tag::kCsr2:
-        ++out.instructions;
-        out.cycles += c_csr;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kSysExit:
-        ++out.instructions;
-        out.cycles += c_sys_fall;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kMret:
-      case Tag::kWfiHalt:
-        ++out.instructions;
-        out.cycles += c_sys_taken;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kTrapInsn:
-        // The trapped instruction issued (its class cost and the redirect
-        // were charged by the live run), then trap entry cost on top when a
-        // handler was installed — exactly Machine::take_trap's accounting.
-        ++out.instructions;
-        out.cycles += model.class_cycles(static_cast<OpClass>(event.op_class),
-                                         true, false);
-        if (event.flags & 4) out.cycles += params.trap_cycles;
-        if constexpr (kHooked) on_insn(event.pc);
-        break;
-      case Tag::kTrapFetch:
-        // Fetch/decode fault at a block head: no instruction executed, no
-        // class cost — only trap entry if handled.
-        if (event.flags & 4) out.cycles += params.trap_cycles;
-        break;
-      default:
-        // decode() stores timing-relevant tags only.
-        break;
-    }
+  ReplayResult out;
+  out.instructions = profile.instructions;
+  out.blocks = trace.block_pcs().size();
+  u64 cycles = profile.plain * cost(OpClass::kArith) +
+               profile.jumps * cost(OpClass::kJump, true) +
+               profile.amos * cost(OpClass::kAmo) +
+               profile.muls * cost(OpClass::kMul) +
+               profile.csrs * cost(OpClass::kCsr) +
+               profile.sys_exits * cost(OpClass::kSystem) +
+               profile.sys_redirects * cost(OpClass::kSystem, true) +
+               profile.fetch_traps_handled * params.trap_cycles;
+
+  // Without the predictor a taken branch redirects; with it, a mispredict
+  // does, in either direction.
+  const u64 branches = profile.branches_taken + profile.branches_not_taken;
+  const u64 redirected =
+      params.branch_predictor ? profile.mispredicts : profile.branches_taken;
+  cycles += redirected * cost(OpClass::kBranch, true) +
+            (branches - redirected) * cost(OpClass::kBranch);
+  if (params.branch_predictor) out.mispredicts = profile.mispredicts;
+
+  for (unsigned kind = 0; kind < 4; ++kind) {
+    cycles += profile.mem[kind] *
+              cost((kind & 1) != 0 ? OpClass::kStore : OpClass::kLoad, false,
+                   (kind & 2) != 0);
   }
-  out.icache_misses = icache.misses();
+  for (unsigned bits = 1; bits <= 32; ++bits) {
+    cycles += profile.divides[bits - 1] *
+              (cost(OpClass::kDiv) + model.cycles_for_bits(bits));
+  }
+  // A trapped instruction issued (its class cost and the redirect were
+  // charged by the live run), then trap entry on top when a handler was
+  // installed — exactly Machine::take_trap's accounting.
+  for (unsigned op = 0; op < isa::kOpClassCount; ++op) {
+    const u64 issued = cost(static_cast<OpClass>(op), true);
+    cycles += profile.traps[op][0] * issued +
+              profile.traps[op][1] * (issued + params.trap_cycles);
+  }
+
+  if (params.icache_miss_cycles != 0) {
+    vp::IcacheSim icache(params);
+    for (const u32 pc : trace.block_pcs()) icache.probe(pc, params);
+    out.icache_misses = icache.misses();
+    cycles += out.icache_misses * params.icache_miss_cycles;
+  }
+  out.cycles = cycles;
   return out;
 }
 
@@ -235,21 +235,8 @@ ReplayResult replay_loop(const DecodedTrace& trace,
 Result<ReplayResult> replay(const DecodedTrace& trace,
                             const vp::TimingParams& params,
                             const InsnHook& on_insn) {
-  const ReplayResult out = on_insn
-                               ? replay_loop<true>(trace, params, on_insn)
-                               : replay_loop<false>(trace, params, on_insn);
-  if (out.instructions != trace.footer().instructions ||
-      out.blocks != trace.footer().blocks) {
-    return Error(
-        ErrorCode::kStateError,
-        format("replay walked %llu instructions / %llu blocks but the footer "
-               "recorded %llu / %llu",
-               static_cast<unsigned long long>(out.instructions),
-               static_cast<unsigned long long>(out.blocks),
-               static_cast<unsigned long long>(trace.footer().instructions),
-               static_cast<unsigned long long>(trace.footer().blocks)));
-  }
-  return out;
+  if (on_insn) trace.for_each_insn(on_insn);
+  return charge(trace, params);
 }
 
 Result<ReplayResult> replay(const Trace& trace, const vp::TimingParams& params,

@@ -1,15 +1,26 @@
 // VP-free differential timing replay — the "replay-many" half.
 //
-// replay() walks one recorded event stream and charges it under an arbitrary
-// TimingParams configuration, running the *stateful* microarchitectural
-// models (direct-mapped icache, bimodal predictor) against the recorded
-// block/branch sequence. Because the exec engine's lowering precomputes all
-// per-instruction costs from TimingModel::class_cycles() and the recorder
-// preserves every input those costs depend on (latency class, RAM/MMIO
-// classification, dividend, taken bit, block dispatches, traps), the
-// replayed cycle count is bit-identical to what a live run under the same
-// configuration would report — without booting a VP, decoding instructions,
-// or simulating architectural state.
+// DecodedTrace::decode() walks one recorded event stream once and reduces
+// it to a configuration-independent profile: how many instructions of each
+// latency class ran (plain, jump, taken / not-taken branch, RAM / MMIO load
+// and store, AMO, mul, CSR, exit, mret / final wfi), divides bucketed by the
+// dividend's significant-bit count, trapped instructions by (class,
+// handled), handled fetch traps, the bimodal predictor's mispredict count
+// (its 256-entry table takes no TimingParams input), and the block-dispatch
+// PC sequence. replay() then charges any TimingParams from that profile:
+//
+//   cycles = profile · TimingModel::class_cycles() costs
+//          + icache misses × icache_miss_cycles
+//
+// The icache is the one model simulated per configuration: its miss count
+// depends on the line geometry, so vp::IcacheSim runs over the block-PC
+// array (only when icache_miss_cycles != 0). Everything else is a count
+// times a configuration constant, so a replay costs O(classes) plus that
+// one pass. Because the exec engine's lowering precomputes every
+// per-instruction cost from the same class_cycles()/divide_cycles() the
+// profile is charged through, and the recorder preserves every input those
+// costs depend on, the replayed cycle count is bit-identical to what a live
+// run under the same configuration would report — without booting a VP.
 //
 // Tainted traces (any timing-path-sensitive site: cycle CSR reads,
 // CLINT/GPIO loads, interrupts, non-final wfi) are refused with a per-site
@@ -21,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "isa/opcode.hpp"
 #include "trace/format.hpp"
 
 namespace s4e::trace {
@@ -43,47 +55,78 @@ using InsnHook = std::function<void(u32 pc)>;
 // site is listed with its PC and kind).
 Status check_replayable(const Trace& trace, u64 expected_fingerprint);
 
-// A trace decoded once into a flat compact-event vector: the varint stream
-// decode (and the taint check) is paid a single time, and every
-// per-configuration replay walks the shared read-only decoded form. This is
-// what makes replay-many cheap — replay_matrix() and s4e-qta --replay decode
-// once and fan the configurations out over it.
+// A trace decoded once into its configuration-independent profile: the
+// varint stream decode, the taint check, the footer cross-check and the
+// branch-predictor run are paid a single time, and every per-configuration
+// replay charges the shared read-only profile. This is what makes
+// replay-many cheap — replay_matrix() and s4e-qta --replay decode once and
+// fan the configurations out over it.
 class DecodedTrace {
  public:
-  // Refuses tainted traces (per-site diagnostic) and stream decode errors.
+  // Refuses tainted traces (per-site diagnostic), stream decode errors, and
+  // instruction/block totals that disagree with the footer.
   static Result<DecodedTrace> decode(const Trace& trace);
 
   const Header& header() const noexcept { return header_; }
   const Footer& footer() const noexcept { return footer_; }
-  std::size_t events() const noexcept { return events_.size(); }
 
-  // One timing-relevant event, reduced to exactly the fields a replay
-  // charges from (targets and addresses are dropped; classification bits
-  // are folded into `flags`).
-  struct Compact {
-    u8 tag = 0;       // trace::Tag
-    u8 op_class = 0;  // isa::OpClass (kTrapInsn only)
-    u8 length = 0;    // instruction byte length (RLE run stride)
-    u8 flags = 0;     // bit0 mem store, bit1 mem MMIO, bit2 trap handled
-    u32 pc = 0;
-    u32 count = 0;    // RLE run length
-    u32 dividend = 0; // kDiv: rs1 value at issue
+  // Event counts by what a timing configuration charges them. Indexed
+  // tables are sized by the decoder's own validation: divide bit counts are
+  // 1..32, and Cursor refuses a trap class outside isa::OpClass.
+  struct Profile {
+    u64 instructions = 0;
+    u64 plain = 0;               // kRun*: base-cost instructions
+    u64 jumps = 0;
+    u64 branches_taken = 0;
+    u64 branches_not_taken = 0;
+    u64 mem[4] = {};             // [store | mmio << 1]
+    u64 amos = 0;
+    u64 muls = 0;
+    u64 csrs = 0;
+    u64 sys_exits = 0;
+    u64 sys_redirects = 0;       // mret and final wfi
+    u64 divides[32] = {};        // [dividend significant bits - 1]
+    u64 traps[isa::kOpClassCount][2] = {};  // [class][handled]
+    u64 fetch_traps_handled = 0;
+    u64 mispredicts = 0;         // bimodal, over every conditional branch
   };
-  const std::vector<Compact>& stream() const noexcept { return events_; }
+  const Profile& profile() const noexcept { return profile_; }
+
+  // One PC per block dispatch, in order: the icache model's input.
+  const std::vector<u32>& block_pcs() const noexcept { return block_pcs_; }
+
+  // Calls `on_insn` once per retired instruction with its PC, in program
+  // order (RLE runs are expanded).
+  void for_each_insn(const InsnHook& on_insn) const;
 
  private:
   DecodedTrace() = default;
-  std::vector<Compact> events_;
   Header header_;
   Footer footer_;
+  // `count` instructions from `pc`, `stride` bytes apart. The PC sequence
+  // for_each_insn() expands is a list of these straight-line stretches.
+  struct InsnSpan {
+    u32 pc = 0;
+    u32 count = 0;
+    u32 stride = 0;
+  };
+  // Appends instructions to the PC sequence, extending the last span when
+  // they continue it at its stride.
+  void append_insns(u32 pc, u32 count, u32 stride);
+
+  Profile profile_;
+  std::vector<u32> block_pcs_;
+  std::vector<InsnSpan> insn_spans_;
 };
 
-// Charge the trace under `params`. Validates replayability (taints) first;
-// cross-checks the walked instruction/block counts against the footer.
+// Charge the trace under `params`: decode() (which validates replayability
+// and the footer's counts), then the replay below.
 Result<ReplayResult> replay(const Trace& trace, const vp::TimingParams& params,
                             const InsnHook& on_insn = nullptr);
 
-// Same, over a pre-decoded trace — the fast path for replay-many.
+// Same, over a pre-decoded trace — the fast path for replay-many. The
+// cycles always come from the profile; a hook only adds the instruction
+// walk that feeds it.
 Result<ReplayResult> replay(const DecodedTrace& trace,
                             const vp::TimingParams& params,
                             const InsnHook& on_insn = nullptr);

@@ -4,15 +4,6 @@
 
 namespace s4e::vp {
 
-u32 TimingModel::divide_cycles(u32 dividend) const noexcept {
-  // Iterative radix-2 divider with early-out on leading zeros: the cost
-  // scales with the significant-bit count of the dividend.
-  unsigned bits = 32;
-  while (bits > 1 && (dividend & (u32{1} << (bits - 1))) == 0) --bits;
-  const u32 span = params_.div_max_cycles - params_.div_min_cycles;
-  return params_.div_min_cycles + (span * bits) / 32;
-}
-
 u32 TimingModel::dynamic_cycles(const isa::Instr& instr, bool redirect,
                                 u32 rs1, u32 rs2, bool mmio) const noexcept {
   (void)rs2;

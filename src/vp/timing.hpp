@@ -16,6 +16,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -79,16 +80,34 @@ class TimingModel {
   // Worst-case penalty attached to a taken (non-fall-through) CFG edge.
   u32 edge_cycles() const noexcept { return params_.redirect_penalty; }
 
-  // Dynamic cost of an iterative divide by operand value.
-  u32 divide_cycles(u32 dividend) const noexcept;
+  // Dynamic cost of an iterative divide by operand value: the radix-2
+  // divider exits early on the dividend's leading zeros, so the cost is a
+  // function of its significant-bit count alone. The live VP charges
+  // through this; trace replay tallies divides by divide_bits() once and
+  // charges each bucket through cycles_for_bits().
+  u32 divide_cycles(u32 dividend) const noexcept {
+    return cycles_for_bits(divide_bits(dividend));
+  }
+
+  // Significant-bit count of a dividend, 1..32 (zero counts as one bit).
+  static unsigned divide_bits(u32 dividend) noexcept {
+    const auto bits = static_cast<unsigned>(std::bit_width(dividend));
+    return bits == 0 ? 1u : bits;
+  }
+
+  // Extra divide cycles for a dividend of `bits` (1..32) significant bits.
+  u32 cycles_for_bits(unsigned bits) const noexcept {
+    const u32 span = params_.div_max_cycles - params_.div_min_cycles;
+    return params_.div_min_cycles + (span * bits) / 32;
+  }
 
   // Per-class cost exactly as the exec engine's lowering precomputes it into
   // DecodedInsn::{c_fall, c_taken, c_mmio}: `redirect` selects the taken
   // variant, `mmio` the device-access variant. The operand-dependent divide
   // cost is *excluded* (kDiv lowers to base_cycles and the handler adds
   // divide_cycles(dividend) at run time) — trace replay adds it back per
-  // recorded dividend. This is the single source of truth both the live
-  // cycle counter and the VP-free replay engine charge from.
+  // recorded dividend bit count. This is the single source of truth both the
+  // live cycle counter and the VP-free replay engine charge from.
   u32 class_cycles(isa::OpClass op, bool redirect, bool mmio) const noexcept;
 
  private:

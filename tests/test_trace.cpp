@@ -10,16 +10,21 @@
 //       same WC-path time the live co-simulation computes
 //   T5  the matrix fan-out on the thread pool agrees with serial replay
 //       (tsan-matched: the trace is shared read-only across workers)
+//   T6  the closed-form charge equals live execution on every standard
+//       workload, and a hooked replay returns what an unhooked one does
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
 #include "asm/assembler.hpp"
+#include "core/workloads.hpp"
+#include "isa/opcode.hpp"
 #include "qta/qta.hpp"
 #include "testgen/testgen.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
 #include "vp/machine.hpp"
+#include "vp/plugin.hpp"
 #include "wcet/analyzer.hpp"
 
 namespace s4e {
@@ -272,6 +277,41 @@ TEST(TraceGauntlet, RefusesUnknownTag) {
   ASSERT_FALSE(parsed.ok());
 }
 
+TEST(TraceGauntlet, RefusesOutOfRangeTrapClass) {
+  // A trapped instruction's class is the info byte's low nibble, which can
+  // name classes isa::OpClass does not have.
+  trace::Writer writer(test_header());
+  trace::Footer footer;
+  writer.block();
+  writer.trap_insn(static_cast<u8>(isa::OpClass::kSystem), 4, false, 3,
+                   0x8000'0000, 0);
+  footer.blocks = 1;
+  footer.instructions = 1;
+  const auto valid = writer.finish(footer);
+  ASSERT_TRUE(trace::Trace::parse(valid).ok());
+
+  constexpr std::size_t kInfoByte = 82;  // header, kBlock, kTrapInsn
+  constexpr std::size_t kFooterBytes = 64;
+  for (unsigned op_class = isa::kOpClassCount;
+       op_class <= trace::kTrapClassMask; ++op_class) {
+    auto bytes = valid;
+    bytes[kInfoByte] = static_cast<u8>(
+        (bytes[kInfoByte] & ~trace::kTrapClassMask) | op_class);
+    // Re-checksum the patched stream so the decoder is the layer under test.
+    const u64 checksum =
+        trace::fnv1a(bytes.data() + 80, bytes.size() - 80 - 1 - kFooterBytes);
+    for (unsigned i = 0; i < 8; ++i) {
+      bytes[bytes.size() - 8 + i] = static_cast<u8>(checksum >> (8 * i));
+    }
+    auto parsed = trace::Trace::parse(std::move(bytes));
+    ASSERT_FALSE(parsed.ok()) << "class " << op_class;
+    EXPECT_NE(parsed.error().message().find(
+                  "instruction class " + std::to_string(op_class)),
+              std::string::npos)
+        << parsed.error().to_string();
+  }
+}
+
 TEST(TraceGauntlet, RecorderSaveIsAtomicAndLoadable) {
   auto program = assembler::assemble(R"(
     .text
@@ -493,6 +533,37 @@ TEST_P(TraceSeed, RecordingConfigurationDoesNotMatter) {
   }
 }
 
+TEST_P(TraceSeed, HookedReplayAgreesWithUnhooked) {
+  // The hook only adds the instruction walk; every ReplayResult field comes
+  // from the same profile either way.
+  testgen::TortureConfig torture;
+  torture.seed = GetParam();
+  torture.programs = 3;
+  torture.use_csr = false;
+  for (const auto& test : testgen::torture_suite(torture)) {
+    auto program = assembler::assemble(test.source);
+    ASSERT_TRUE(program.ok()) << test.name;
+    const auto recording = record_program(*program, vp::TimingParams{});
+    auto parsed = trace::Trace::parse(recording.bytes);
+    ASSERT_TRUE(parsed.ok()) << test.name;
+    auto decoded = trace::DecodedTrace::decode(*parsed);
+    ASSERT_TRUE(decoded.ok()) << test.name;
+    for (const auto& config : trace::timing_matrix()) {
+      u64 hook_calls = 0;
+      auto hooked = trace::replay(*decoded, config.params,
+                                  [&hook_calls](u32) { ++hook_calls; });
+      auto plain = trace::replay(*decoded, config.params);
+      ASSERT_TRUE(hooked.ok() && plain.ok()) << test.name;
+      EXPECT_EQ(hook_calls, recording.result.instructions) << test.name;
+      EXPECT_EQ(hooked->cycles, plain->cycles) << config.name;
+      EXPECT_EQ(hooked->instructions, plain->instructions) << config.name;
+      EXPECT_EQ(hooked->blocks, plain->blocks) << config.name;
+      EXPECT_EQ(hooked->icache_misses, plain->icache_misses) << config.name;
+      EXPECT_EQ(hooked->mispredicts, plain->mispredicts) << config.name;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceSeed,
                          ::testing::Values(11u, 29u, 83u, 191u));
 
@@ -575,8 +646,80 @@ TEST(TraceMatrix, PoolFanOutAgreesWithSerialReplay) {
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ((*rows)[i].name, matrix[i].name);
     EXPECT_EQ((*rows)[i].result.cycles, serial->cycles) << matrix[i].name;
+    EXPECT_EQ((*rows)[i].result.instructions, serial->instructions);
+    EXPECT_EQ((*rows)[i].result.blocks, serial->blocks);
     EXPECT_EQ((*rows)[i].result.icache_misses, serial->icache_misses);
     EXPECT_EQ((*rows)[i].result.mispredicts, serial->mispredicts);
+  }
+}
+
+// --- T6: the closed form on the standard workloads --------------------------
+
+// The live run's retired-instruction PCs, as an insn_exec observer sees them.
+class PcLog final : public vp::PluginBase {
+ public:
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.insn_exec = true;
+    return subs;
+  }
+  void on_insn_exec(const s4e_insn_info& insn) override {
+    pcs.push_back(insn.address);
+  }
+  std::vector<u32> pcs;
+};
+
+TEST(TraceWorkloads, HookedPcSequenceMatchesLiveRun) {
+  // With and without RV32C encodings, so straight-line code mixes 2- and
+  // 4-byte instructions: the hook must see exactly the live PC sequence.
+  for (const bool compress : {false, true}) {
+    assembler::Options options;
+    options.compress = compress;
+    for (const core::Workload& workload : core::standard_workloads()) {
+      auto program = assembler::assemble(workload.source, options);
+      ASSERT_TRUE(program.ok()) << workload.name;
+      vp::MachineConfig config;
+      vp::Machine machine(config);
+      ASSERT_TRUE(machine.load_program(*program).ok());
+      PcLog live;
+      live.attach(machine.vm_handle());
+      trace::TraceRecorder recorder(
+          trace::TraceRecorder::config_for(config, *program));
+      ASSERT_TRUE(recorder.attach_checked(machine.vm_handle()).ok());
+      const vp::RunResult result = machine.run();
+      auto parsed = trace::Trace::parse(recorder.finish_bytes(result));
+      ASSERT_TRUE(parsed.ok()) << workload.name;
+      std::vector<u32> replayed;
+      auto replay = trace::replay(*parsed, config.timing,
+                                  [&replayed](u32 pc) {
+                                    replayed.push_back(pc);
+                                  });
+      ASSERT_TRUE(replay.ok()) << workload.name;
+      EXPECT_EQ(replayed, live.pcs)
+          << workload.name << " compress=" << compress;
+    }
+  }
+}
+
+TEST(TraceWorkloads, ClosedFormMatchesLiveOnEveryStandardWorkload) {
+  // Record each standard workload once (single-hart) and charge the whole
+  // matrix from that one trace.
+  const auto matrix = trace::timing_matrix();
+  for (const core::Workload& workload : core::standard_workloads()) {
+    auto program = assembler::assemble(workload.source);
+    ASSERT_TRUE(program.ok()) << workload.name;
+    const auto recording = record_program(*program, vp::TimingParams{});
+    auto parsed = trace::Trace::parse(recording.bytes);
+    ASSERT_TRUE(parsed.ok()) << workload.name;
+    ASSERT_TRUE(parsed->taints().empty()) << workload.name;
+    auto decoded = trace::DecodedTrace::decode(*parsed);
+    ASSERT_TRUE(decoded.ok()) << workload.name;
+    for (const auto& config : matrix) {
+      auto result = trace::replay(*decoded, config.params);
+      ASSERT_TRUE(result.ok()) << workload.name;
+      EXPECT_EQ(result->cycles, live_cycles(*program, config.params))
+          << workload.name << " diverged under " << config.name;
+    }
   }
 }
 

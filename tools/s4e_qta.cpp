@@ -9,8 +9,8 @@
 //
 // Replay mode evaluates one recorded trace under a whole matrix of timing
 // configurations without re-executing the program: for every configuration
-// it runs the static WCET analysis, replays the trace through the stateful
-// timing models, accumulates the worst-case time of the recorded path, and
+// it runs the static WCET analysis, charges the trace's decoded event
+// profile, accumulates the worst-case time of the recorded path, and
 // asserts the QTA chain  observed <= WC(path) <= bound  per configuration:
 //
 //   s4e-qta file.elf --replay trace.bin [--models all|baseline] [--jobs N]
@@ -80,8 +80,8 @@ int replay_main(const s4e::assembler::Program& program,
               static_cast<unsigned long long>(tr.footer().recorded_cycles),
               static_cast<unsigned long long>(tr.header().fingerprint));
 
-  // Decode the event stream once; every configuration walks the shared
-  // read-only decoded form (capture once, decode once, replay many).
+  // Decode the event stream once; every configuration charges the shared
+  // read-only decoded profile (capture once, decode once, replay many).
   auto decoded = trace::DecodedTrace::decode(tr);
   if (!decoded.ok()) {
     std::fprintf(stderr, "s4e-qta: %s\n", decoded.error().to_string().c_str());
