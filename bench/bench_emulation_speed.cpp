@@ -10,7 +10,7 @@
 #include <string>
 
 #include "asm/assembler.hpp"
-#include "bench/bench_report.hpp"
+#include "common/json.hpp"
 #include "core/workloads.hpp"
 #include "debug/target.hpp"
 #include "vp/machine.hpp"
@@ -218,16 +218,16 @@ int main(int argc, char** argv) {
                 "(chaining alone %.2fx), 2-hart SMP %.1f MIPS\n",
                 cached, nochain, uncached, cached / uncached,
                 cached / nochain, smp2);
-    const bool merged = bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_emulation.json", "emulation_speed",
         "{\"kernel\": \"hot_loop\", "
-        "\"cached_mips\": " + bench::json_number(cached) +
-        ", \"nochain_mips\": " + bench::json_number(nochain) +
-        ", \"interp_mips\": " + bench::json_number(uncached) +
-        ", \"cached_vs_interp\": " + bench::json_number(cached / uncached) +
-        ", \"chain_speedup\": " + bench::json_number(cached / nochain) +
-        ", \"smp2_mips\": " + bench::json_number(smp2) + "}");
-    S4E_CHECK(merged);
+        "\"cached_mips\": " + json_number(cached) +
+        ", \"nochain_mips\": " + json_number(nochain) +
+        ", \"interp_mips\": " + json_number(uncached) +
+        ", \"cached_vs_interp\": " + json_number(cached / uncached) +
+        ", \"chain_speedup\": " + json_number(cached / nochain) +
+        ", \"smp2_mips\": " + json_number(smp2) + "}");
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_emulation.json)\n");
   }
   return 0;

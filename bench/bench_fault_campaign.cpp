@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <thread>
 
-#include "bench/bench_report.hpp"
 #include "bench/fresh_campaign.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/ecosystem.hpp"
 #include "core/workloads.hpp"
@@ -195,7 +195,7 @@ int main() {
     std::printf("  serial reuse %s\n", stats.to_string().c_str());
     S4E_CHECK(all_identical);
 
-    const bool merged = bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_campaign.json", "fault_campaign",
         format("{\"workload\": \"bubble_sort\", \"mutants\": %u, "
                "\"jobs\": %u, "
@@ -207,17 +207,17 @@ int main() {
                "\"pages_copied_fraction\": %s, "
                "\"host_cores\": %u}",
                par.mutant_count, hw,
-               bench::json_number(par.mutant_count / cells[0].seconds)
+               json_number(par.mutant_count / cells[0].seconds)
                    .c_str(),
-               bench::json_number(par.mutant_count / cells[1].seconds)
+               json_number(par.mutant_count / cells[1].seconds)
                    .c_str(),
-               bench::json_number(par.mutant_count / cells[2].seconds)
+               json_number(par.mutant_count / cells[2].seconds)
                    .c_str(),
-               bench::json_number(par.mutant_count / cells[3].seconds)
+               json_number(par.mutant_count / cells[3].seconds)
                    .c_str(),
-               bench::json_number(cells[0].seconds / cells[1].seconds)
+               json_number(cells[0].seconds / cells[1].seconds)
                    .c_str(),
-               bench::json_number(stats.pages_total == 0
+               json_number(stats.pages_total == 0
                                       ? 0.0
                                       : static_cast<double>(
                                             stats.pages_copied) /
@@ -226,7 +226,7 @@ int main() {
                                   6)
                    .c_str(),
                std::thread::hardware_concurrency()));
-    S4E_CHECK(merged);
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
 
@@ -277,7 +277,7 @@ int main() {
     std::printf("  reports byte-identical: %s\n", identical ? "yes" : "NO");
     S4E_CHECK(identical);
 
-    S4E_CHECK(bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_campaign.json", "fault_fleet",
         format("{\"workload\": \"bubble_sort\", \"mutants\": %u, "
                "\"workers\": %u, "
@@ -286,10 +286,11 @@ int main() {
                "\"fleet_vs_thread\": %s, "
                "\"host_cores\": %u}",
                kFleetMutants, hw,
-               bench::json_number(kFleetMutants / thread_seconds).c_str(),
-               bench::json_number(kFleetMutants / fleet_seconds).c_str(),
-               bench::json_number(thread_seconds / fleet_seconds).c_str(),
-               std::thread::hardware_concurrency())));
+               json_number(kFleetMutants / thread_seconds).c_str(),
+               json_number(kFleetMutants / fleet_seconds).c_str(),
+               json_number(thread_seconds / fleet_seconds).c_str(),
+               std::thread::hardware_concurrency()));
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
 
@@ -355,14 +356,15 @@ int main() {
                      "\"host_cores\": %u}",
                      name, mutants,
                      static_cast<unsigned long long>(on->pruned_count),
-                     bench::json_number(on->pruned_count / mutants, 4)
+                     json_number(on->pruned_count / mutants, 4)
                          .c_str(),
-                     bench::json_number(mutants / off_seconds).c_str(),
-                     bench::json_number(mutants / on_seconds).c_str(),
+                     json_number(mutants / off_seconds).c_str(),
+                     json_number(mutants / on_seconds).c_str(),
                      std::thread::hardware_concurrency());
     }
-    S4E_CHECK(bench::merge_bench_entry("BENCH_campaign.json", "fault_triage",
-                                       "[" + rows + "]"));
+    const Status merged = merge_bench_entry("BENCH_campaign.json",
+                                            "fault_triage", "[" + rows + "]");
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
   return 0;

@@ -11,8 +11,8 @@
 #include <thread>
 
 #include "asm/assembler.hpp"
-#include "bench/bench_report.hpp"
 #include "bench/fresh_campaign.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "elf/elf32.hpp"
@@ -99,13 +99,14 @@ void run_triage_section(bool write_report) {
                    "\"off_runs_per_s\": %s, \"on_runs_per_s\": %s}",
                    name, runs,
                    static_cast<unsigned long long>(on->pruned_count),
-                   bench::json_number(on->pruned_count / runs, 4).c_str(),
-                   bench::json_number(runs / off_seconds).c_str(),
-                   bench::json_number(runs / on_seconds).c_str());
+                   json_number(on->pruned_count / runs, 4).c_str(),
+                   json_number(runs / off_seconds).c_str(),
+                   json_number(runs / on_seconds).c_str());
   }
   if (write_report) {
-    S4E_CHECK(bench::merge_bench_entry("BENCH_campaign.json",
-                                       "mutation_triage", "[" + rows + "]"));
+    const Status merged = merge_bench_entry(
+        "BENCH_campaign.json", "mutation_triage", "[" + rows + "]");
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
 }
@@ -272,7 +273,7 @@ int main(int argc, char** argv) {
     std::printf("  serial reuse %s\n", stats.to_string().c_str());
     S4E_CHECK(all_identical);
 
-    const bool merged = bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_campaign.json", "mutation",
         format("{\"workload\": \"bubble_sort\", \"mutants\": %.0f, "
                "\"jobs\": %u, "
@@ -283,13 +284,13 @@ int main(int argc, char** argv) {
                "\"reuse_serial_speedup\": %s, "
                "\"pages_copied_fraction\": %s}",
                runs, hw,
-               bench::json_number(runs / cells[0].seconds).c_str(),
-               bench::json_number(runs / cells[1].seconds).c_str(),
-               bench::json_number(runs / cells[2].seconds).c_str(),
-               bench::json_number(runs / cells[3].seconds).c_str(),
-               bench::json_number(cells[0].seconds / cells[1].seconds)
+               json_number(runs / cells[0].seconds).c_str(),
+               json_number(runs / cells[1].seconds).c_str(),
+               json_number(runs / cells[2].seconds).c_str(),
+               json_number(runs / cells[3].seconds).c_str(),
+               json_number(cells[0].seconds / cells[1].seconds)
                    .c_str(),
-               bench::json_number(stats.pages_total == 0
+               json_number(stats.pages_total == 0
                                       ? 0.0
                                       : static_cast<double>(
                                             stats.pages_copied) /
@@ -297,7 +298,7 @@ int main(int argc, char** argv) {
                                                 stats.pages_total),
                                   6)
                    .c_str()));
-    S4E_CHECK(merged);
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
 
@@ -349,7 +350,7 @@ int main(int argc, char** argv) {
     std::printf("  reports byte-identical: %s\n", identical ? "yes" : "NO");
     S4E_CHECK(identical);
 
-    S4E_CHECK(bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_campaign.json", "mutation_fleet",
         format("{\"workload\": \"bubble_sort\", \"mutants\": %.0f, "
                "\"workers\": %u, "
@@ -358,10 +359,11 @@ int main(int argc, char** argv) {
                "\"fleet_vs_thread\": %s, "
                "\"host_cores\": %u}",
                runs, hw,
-               bench::json_number(runs / thread_seconds).c_str(),
-               bench::json_number(runs / fleet_seconds).c_str(),
-               bench::json_number(thread_seconds / fleet_seconds).c_str(),
-               std::thread::hardware_concurrency())));
+               json_number(runs / thread_seconds).c_str(),
+               json_number(runs / fleet_seconds).c_str(),
+               json_number(thread_seconds / fleet_seconds).c_str(),
+               std::thread::hardware_concurrency()));
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }
 

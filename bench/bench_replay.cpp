@@ -32,7 +32,7 @@
 #include <thread>
 
 #include "asm/assembler.hpp"
-#include "bench/bench_report.hpp"
+#include "common/json.hpp"
 #include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "trace/recorder.hpp"
@@ -349,7 +349,7 @@ int main(int argc, char** argv) {
   if (!quick) S4E_CHECK_MSG(speedup >= 10.0, "replay speedup below 10x");
 
   if (write_report) {
-    S4E_CHECK(bench::merge_bench_entry(
+    const Status merged = merge_bench_entry(
         "BENCH_replay.json", "replay_vs_reexec",
         format("{\"workload\": \"replay_kernel\", \"instructions\": %llu, "
                "\"stream_bytes\": %zu, "
@@ -369,15 +369,16 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(capture.result.instructions),
                capture.stream_bytes, matrix.size(), verified_workloads,
                kernel_identical && all_identical ? "true" : "false",
-               bench::json_number(reexec_seconds * per_config, 3).c_str(),
-               bench::json_number(fast_seconds * per_config, 3).c_str(),
-               bench::json_number(replay_seconds * per_config, 3).c_str(),
-               bench::json_number(hooked_seconds * per_config, 3).c_str(),
-               bench::json_number(decode_seconds * 1e3, 3).c_str(),
-               bench::json_number(speedup, 1).c_str(),
-               bench::json_number(speedup_fast, 1).c_str(), jobs,
-               bench::json_number(parallel_seconds * 1e3, 3).c_str(),
-               std::thread::hardware_concurrency())));
+               json_number(reexec_seconds * per_config, 3).c_str(),
+               json_number(fast_seconds * per_config, 3).c_str(),
+               json_number(replay_seconds * per_config, 3).c_str(),
+               json_number(hooked_seconds * per_config, 3).c_str(),
+               json_number(decode_seconds * 1e3, 3).c_str(),
+               json_number(speedup, 1).c_str(),
+               json_number(speedup_fast, 1).c_str(), jobs,
+               json_number(parallel_seconds * 1e3, 3).c_str(),
+               std::thread::hardware_concurrency()));
+    S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("(recorded in BENCH_replay.json)\n");
   }
   return 0;

@@ -27,9 +27,10 @@ struct DriverConfig {
   // cache) before every run, so results are bit-identical to the serial
   // run. 0 = hardware_concurrency, 1 = run inline on the calling thread.
   unsigned jobs = 0;
-  // --- Observability (src/obs). Neither switch changes any item result
-  // or the campaign's stdout report — runs are only observed.
-  // Collect campaign telemetry into the report's metrics_json.
+  // --- Observability. Neither switch changes any item result or the
+  // campaign's stdout report — runs are only observed.
+  // Collect campaign telemetry (campaign/telemetry.hpp) into the report's
+  // metrics_json.
   bool collect_metrics = false;
   // Attach a flight recorder to every item run and keep a post-mortem of
   // the last `post_mortem_events` events for every hang or crash.

@@ -9,9 +9,9 @@
 //     needs no VM, and the kVerify cross-check;
 //   * the hang budget;
 //   * run_affine fan-out with one lazily created vp::WorkerVm per lane,
-//     slot/error arrays, progress, telemetry and the snapshot-stats sum;
-//   * the in-order fold that makes the report bit-identical to a serial
-//     run for any `jobs`.
+//     slot/error arrays, progress and the snapshot-stats sum;
+//   * the in-order fold that makes the report and its telemetry
+//     bit-identical to a serial run for any `jobs`.
 //
 // A Model supplies (see fault::FaultModel, mutation::MutationModel):
 //   Config, Item, ItemResult, Report  its config and result types
@@ -29,16 +29,15 @@
 // Campaign<Model> once.
 #pragma once
 
-#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "campaign/telemetry.hpp"
 #include "common/strings.hpp"
 #include "exec/campaign_executor.hpp"
-#include "obs/metrics.hpp"
 #include "vp/runner.hpp"
 
 namespace s4e::campaign {
@@ -96,27 +95,9 @@ Result<typename Model::Report> Campaign<Model>::run() {
   std::vector<std::optional<Error>> errors(count);
   progress_.begin(count);
   exec::CampaignExecutor executor(config.jobs);
-  // Telemetry shards are per worker lane (lock-free: each lane writes only
-  // its own shard) and fold deterministically after the barrier.
-  std::unique_ptr<obs::CampaignTelemetry> telemetry;
-  if (config.collect_metrics) {
-    telemetry = std::make_unique<obs::CampaignTelemetry>(
-        std::vector<std::string>(std::begin(Model::kBuckets),
-                                 std::end(Model::kBuckets)),
-        executor.jobs());
-    telemetry->set_campaign(count, golden_.result.instructions,
-                            item_machine.max_instructions);
-  }
-  const auto record = [&](unsigned worker, std::size_t index,
-                          Result<ItemResult> result) {
+  const auto record = [&](std::size_t index, Result<ItemResult> result) {
     if (result.ok()) {
       const auto bucket = static_cast<unsigned>(Model::bucket(*result));
-      // Statically decided items were never run; they count toward the
-      // bucket histogram but not the run telemetry.
-      if (telemetry != nullptr && !(skip_pruned && result->pruned)) {
-        telemetry->record_run(worker, bucket, result->instructions,
-                              !result->post_mortem.empty());
-      }
       slots[index] = std::move(*result);
       progress_.record(bucket);
     } else {
@@ -158,31 +139,42 @@ Result<typename Model::Report> Campaign<Model>::run() {
   executor.run_affine(count, [&](unsigned worker, std::size_t index) {
     const std::size_t global = static_cast<std::size_t>(begin) + index;
     if (skip_pruned && decisions[global].pruned) {
-      record(worker, index, pruned(global));  // no VM needed
+      record(index, pruned(global));  // no VM needed
       return;
     }
     if (vms[worker] == nullptr) {
       auto vm = vp::WorkerVm::create(item_machine, model_.program());
       if (!vm.ok()) {
-        record(worker, index, vm.error());
+        record(index, vm.error());
         return;
       }
       vms[worker] = std::move(*vm);
     }
-    record(worker, index,
-           finish(global, model_.run_one(vms[worker]->prepare(),
-                                         items_[global], golden_)));
+    record(index, finish(global, model_.run_one(vms[worker]->prepare(),
+                                                items_[global], golden_)));
   });
   for (const auto& vm : vms) {
     if (vm != nullptr) report.snapshot_stats += vm->stats();
   }
 
+  std::optional<Telemetry> telemetry;
+  if (config.collect_metrics) {
+    telemetry.emplace(Model::kBuckets, count, golden_.result.instructions,
+                      item_machine.max_instructions);
+  }
   Model::results(report).reserve(slots.size());
   for (std::size_t index = 0; index < slots.size(); ++index) {
     if (errors[index].has_value()) return *errors[index];
+    const ItemResult& result = slots[index];
+    // Statically decided items were never run, so they stay out of the
+    // run telemetry.
+    if (telemetry && !(skip_pruned && result.pruned)) {
+      telemetry->add_run(static_cast<unsigned>(Model::bucket(result)),
+                         result.instructions, !result.post_mortem.empty());
+    }
     Model::fold(report, std::move(slots[index]));
   }
-  if (telemetry != nullptr) {
+  if (telemetry) {
     if (config.triage != dataflow::TriageMode::kOff) {
       telemetry->set_pruned(report.pruned_count);
     }

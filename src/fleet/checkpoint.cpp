@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/file.hpp"
 #include "common/strings.hpp"
 #include "fleet/worker.hpp"
 
@@ -86,25 +87,14 @@ Result<CheckpointJournal> CheckpointJournal::open(
 
   // The journal is rewritten from the committed blocks only, so a partial
   // trailing block does not accumulate garbage across restarts. The write
-  // goes through a temp file + fsync + rename, then appends continue.
+  // is atomic (write_file_atomic), then appends continue.
   std::string text = encode_header(header) + "\n";
   for (const CompletedShard& shard : recovered) {
     text += encode_block(header.mode, shard);
   }
-  const std::string temp = path + ".tmp." + std::to_string(::getpid());
-  std::FILE* out = std::fopen(temp.c_str(), "wb");
-  if (out == nullptr) {
+  if (auto status = write_file_atomic(path, text); !status.ok()) {
     return Error(ErrorCode::kIoError,
-                 "checkpoint: cannot open " + temp + " for writing");
-  }
-  const bool wrote =
-      std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
-      std::fflush(out) == 0;
-  const bool synced = ::fsync(::fileno(out)) == 0;
-  std::fclose(out);
-  if (!wrote || !synced || std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return Error(ErrorCode::kIoError, "checkpoint: cannot write " + path);
+                 "checkpoint: " + status.error().message());
   }
   CheckpointJournal journal;
   journal.mode_ = header.mode;

@@ -1,9 +1,10 @@
 #include "trace/format.hpp"
 
 #include <cstdio>
-#include <unistd.h>
+#include <string_view>
 
 #include "asm/program.hpp"
+#include "common/file.hpp"
 #include "common/strings.hpp"
 #include "isa/opcode.hpp"
 
@@ -152,28 +153,12 @@ std::vector<u8> Writer::finish(Footer footer) {
 
 Status Writer::save(const std::string& path, Footer footer) {
   const std::vector<u8> bytes = finish(footer);
-  // Temp + fsync + rename: a crashed or interrupted recording leaves either
-  // nothing at `path` or the previous complete trace — never a truncated
-  // file that happens to start with the right magic.
-  const std::string tmp =
-      format("%s.tmp.%d", path.c_str(), static_cast<int>(getpid()));
-  FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return Error(ErrorCode::kIoError, "cannot create '" + tmp + "'");
-  }
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size() &&
-      std::fflush(file) == 0 && fsync(fileno(file)) == 0;
-  if (std::fclose(file) != 0 || !wrote) {
-    std::remove(tmp.c_str());
-    return Error(ErrorCode::kIoError, "short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Error(ErrorCode::kIoError,
-                 "cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return Status();
+  // A crashed or interrupted recording leaves either nothing at `path` or
+  // the previous complete trace, never a truncated file that happens to
+  // start with the right magic.
+  return write_file_atomic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
 }
 
 Result<Trace> Trace::load(const std::string& path) {

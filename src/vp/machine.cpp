@@ -1283,9 +1283,10 @@ void Machine::lower_block(TranslationBlock& block) {
       d.c_taken = params.base_cycles;
       d.c_mmio = params.base_cycles;
     } else {
-      d.c_fall = timing_.dynamic_cycles(in, false, 0, 0, false);
-      d.c_taken = timing_.dynamic_cycles(in, true, 0, 0, false);
-      d.c_mmio = timing_.dynamic_cycles(in, false, 0, 0, true);
+      const isa::OpClass op = in.info().op_class;
+      d.c_fall = timing_.class_cycles(op, false, false);
+      d.c_taken = timing_.class_cycles(op, true, false);
+      d.c_mmio = timing_.class_cycles(op, false, true);
     }
     d.fn = ExecOps::select(in, predictor);
     block.code.push_back(d);

@@ -4,35 +4,6 @@
 
 namespace s4e::vp {
 
-u32 TimingModel::dynamic_cycles(const isa::Instr& instr, bool redirect,
-                                u32 rs1, u32 rs2, bool mmio) const noexcept {
-  (void)rs2;
-  u32 cycles = params_.base_cycles;
-  switch (instr.info().op_class) {
-    case isa::OpClass::kLoad:
-    case isa::OpClass::kStore:
-    case isa::OpClass::kAmo:
-      cycles += mmio ? params_.mmio_access_cycles : params_.ram_access_cycles;
-      break;
-    case isa::OpClass::kMul:
-      cycles += params_.mul_cycles;
-      break;
-    case isa::OpClass::kDiv:
-      cycles += divide_cycles(rs1);
-      break;
-    case isa::OpClass::kCsr:
-      cycles += params_.csr_cycles;
-      break;
-    case isa::OpClass::kSystem:
-      cycles += params_.trap_cycles;
-      break;
-    default:
-      break;
-  }
-  if (redirect) cycles += params_.redirect_penalty;
-  return cycles;
-}
-
 u32 TimingModel::class_cycles(isa::OpClass op, bool redirect,
                               bool mmio) const noexcept {
   u32 cycles = params_.base_cycles;

@@ -11,8 +11,9 @@
 //   - taken branches and jumps flush the front-end (`redirect_penalty`).
 //
 // The invariant the E3 experiment checks — static bound >= observed cycles —
-// holds *by construction*: worst_case_cycles() dominates dynamic_cycles()
-// for every instruction and context (asserted in tests over random programs).
+// holds *by construction*: worst_case_cycles() dominates the dynamic cost,
+// class_cycles() plus divide_cycles() for divides, for every instruction
+// and context (asserted in tests over random operands).
 #pragma once
 
 #include <array>
@@ -63,13 +64,6 @@ class TimingModel {
   explicit TimingModel(const TimingParams& params) : params_(params) {}
 
   const TimingParams& params() const noexcept { return params_; }
-
-  // Actual cycle cost of one executed instruction. `redirect` is true when
-  // the instruction changed the PC away from fall-through (taken branch,
-  // jump, trap-free mret). `rs1`/`rs2` are the operand values (divide
-  // early-out). `mmio` is true when a data access hit a device.
-  u32 dynamic_cycles(const isa::Instr& instr, bool redirect, u32 rs1, u32 rs2,
-                     bool mmio) const noexcept;
 
   // Context-free worst case for one instruction, *excluding* any redirect
   // penalty (that is accounted on CFG edges: the static analyzer adds

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+
 #include "common/bits.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
@@ -169,6 +177,52 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("7", 3), "  7");
   EXPECT_EQ(pad_right("7", 3), "7  ");
   EXPECT_EQ(pad_left("long", 2), "long");
+}
+
+// --- bench report merge ----------------------------------------------------
+
+TEST(BenchReport, MergePreservesOtherEntries) {
+  const std::string path =
+      ::testing::TempDir() + "/obs_bench_" + std::to_string(getpid()) +
+      ".json";
+  EXPECT_TRUE(merge_bench_entry(path, "alpha", "{\"v\": 1}"));
+  EXPECT_TRUE(merge_bench_entry(path, "beta", "{\"v\": 2}"));
+  EXPECT_TRUE(merge_bench_entry(path, "alpha", "{\"v\": 3}"));
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_NE(content.find("\"alpha\": {\"v\": 3}"), std::string::npos)
+      << content;
+  EXPECT_NE(content.find("\"beta\": {\"v\": 2}"), std::string::npos)
+      << content;
+  std::remove(path.c_str());
+}
+
+TEST(BenchReport, MergeIsAtomicAndLeavesNoStagingFile) {
+  // The merge stages into `<path>.tmp.<pid>` and renames over the target;
+  // after a successful merge the staging file must be gone and the target
+  // must parse as one complete object (no truncated hybrid).
+  const std::string path =
+      ::testing::TempDir() + "/obs_bench_atomic_" + std::to_string(getpid()) +
+      ".json";
+  const std::string temp = path + ".tmp." + std::to_string(getpid());
+  EXPECT_TRUE(merge_bench_entry(path, "alpha", "{\"v\": 1}"));
+  EXPECT_TRUE(merge_bench_entry(path, "beta", "{\"v\": 2}"));
+  std::ifstream temp_in(temp);
+  EXPECT_FALSE(temp_in.good()) << "staging file left behind: " << temp;
+  std::ifstream in(path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(content.front(), '{');
+  EXPECT_EQ(content.substr(content.size() - 2), "}\n");
+  std::remove(path.c_str());
+}
+
+TEST(BenchReport, MergeReportsUnwritablePath) {
+  // Used to silently produce nothing; must now return false so tools and
+  // benches can fail loudly instead of dropping the report entry.
+  EXPECT_FALSE(merge_bench_entry(
+      "/nonexistent-dir/report.json", "key", "{}"));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 //         code — a host-side patch takes effect in both engines
 //   E-R3  snapshot-restore with live chains replays to the same final state
 //   E-C1  the engine counters move the way the design says they must
-//   E-M1  the obs MetricsRegistry export carries the same numbers
 //   E-I1  the one-shot icount callback fires exactly once, at the exact
 //         instruction, in fast and careful modes and inside a superblock
 //   E-I2  it never fires when the budget ends first, does not outlive
@@ -28,7 +27,6 @@
 
 #include "asm/assembler.hpp"
 #include "fault/fault.hpp"
-#include "obs/engine_metrics.hpp"
 #include "obs/flight_recorder.hpp"
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
@@ -319,39 +317,6 @@ TEST(EngineCounters, HotLoopExercisesEveryMechanism) {
   ASSERT_EQ(careful.run().reason, vp::StopReason::kExitEcall);
   EXPECT_EQ(careful.engine_stats().blocks_fast, 0u);
   EXPECT_GT(careful.engine_stats().blocks_careful, 0u);
-}
-
-// E-M1 — the MetricsRegistry export must carry exactly the machine's
-// counters (one shard; counters aggregate by addition across machines).
-TEST(EngineMetrics, RegistryExportMatchesMachineCounters) {
-  const assembler::Program program = assemble_or_die(kCallLoop);
-  vp::Machine machine;
-  ASSERT_TRUE(machine.load_program(program).ok());
-  ASSERT_EQ(machine.run().reason, vp::StopReason::kExitEcall);
-
-  obs::MetricsRegistry registry;
-  const obs::EngineMetricIds ids = obs::register_engine_metrics(registry);
-  registry.open_shards(1);
-  obs::record_engine_metrics(registry.shard(0), ids, machine);
-
-  const vp::EngineStats& stats = machine.engine_stats();
-  EXPECT_EQ(registry.value(ids.chain_patches), stats.chain_patches);
-  EXPECT_EQ(registry.value(ids.chain_follows), stats.chain_follows);
-  EXPECT_EQ(registry.value(ids.jump_cache_hits), stats.jump_cache_hits);
-  EXPECT_EQ(registry.value(ids.jump_cache_misses), stats.jump_cache_misses);
-  EXPECT_EQ(registry.value(ids.superblocks_formed), stats.superblocks_formed);
-  EXPECT_EQ(registry.value(ids.blocks_fast), stats.blocks_fast);
-  EXPECT_EQ(registry.value(ids.blocks_careful), stats.blocks_careful);
-  EXPECT_EQ(registry.value(ids.chain_severs),
-            machine.tb_cache().chain_severs());
-  EXPECT_EQ(registry.value(ids.tb_front_hits),
-            machine.tb_cache().front_hits());
-  EXPECT_EQ(registry.value(ids.tb_deep_hits), machine.tb_cache().deep_hits());
-  EXPECT_EQ(registry.value(ids.tb_lookup_misses),
-            machine.tb_cache().lookup_misses());
-  const std::string json = registry.to_json();
-  EXPECT_NE(json.find("\"engine.chain_patches\""), std::string::npos);
-  EXPECT_NE(json.find("\"engine.tb_front_hits\""), std::string::npos);
 }
 
 // --- Careful-mode profile of a fault-free run: the reference trace the

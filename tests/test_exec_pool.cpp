@@ -17,7 +17,6 @@
 #include "fault/fault.hpp"
 #include "fresh_reference.hpp"
 #include "mutation/mutation.hpp"
-#include "obs/metrics.hpp"
 
 namespace s4e::exec {
 namespace {
@@ -128,36 +127,6 @@ TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {
   for (const auto& slot : slots) {
     EXPECT_EQ(slot.load(), 1);
   }
-}
-
-TEST(CampaignExecutorAffine, MetricShardsAggregateDeterministically) {
-  // The obs::MetricsRegistry concurrency model under the real pool: every
-  // lane writes only its own shard (plain stores, no atomics), the
-  // executor barrier orders the writes before aggregation, and the fold is
-  // partition-invariant — so a 4-lane run must aggregate to exactly the
-  // serial answer. Run under -DS4E_SANITIZE=thread this is the race check
-  // for the lock-free-by-partitioning claim.
-  auto aggregate_with = [](unsigned jobs) {
-    obs::MetricsRegistry registry;
-    const auto runs = registry.add_counter("runs");
-    const auto sum = registry.add_counter("sum");
-    const auto peak = registry.add_gauge("peak");
-    const auto hist = registry.add_histogram("value", {100, 1000});
-    CampaignExecutor executor(jobs);
-    registry.open_shards(executor.jobs());
-    executor.run_affine(500, [&](unsigned worker, std::size_t i) {
-      auto& shard = registry.shard(worker);
-      const u64 value = static_cast<u64>(i) * 7 % 1500;
-      shard.add(runs, 1);
-      shard.add(sum, value);
-      shard.set(peak, value);
-      shard.observe(hist, value);
-    });
-    return registry.to_json();
-  };
-  const std::string serial = aggregate_with(1);
-  EXPECT_EQ(serial, aggregate_with(2));
-  EXPECT_EQ(serial, aggregate_with(4));
 }
 
 TEST(CampaignExecutorAffine, SingleJobRunsInlineOnLaneZero) {

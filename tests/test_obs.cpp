@@ -1,25 +1,25 @@
 // Observability layer tests: flight-recorder ring semantics and post-mortem
-// content, deterministic metric shard aggregation, campaign telemetry
-// invariance across worker counts, JSONL trace well-formedness, and the
-// bench-report failure path.
+// content, campaign telemetry as the fold of the report (every JSON field
+// recomputed from the results, invariant across worker counts), and JSONL
+// trace well-formedness.
 //
-// Labeled `obs` (run with `ctest -L obs`) and `tsan`: the campaign
-// invariance tests drive the thread pool with per-worker metric shards, the
-// exact write pattern the registry's lock-free-by-partitioning argument
-// must survive race checking for.
+// Labeled `obs-asan` (run with `ctest -L obs` or `ctest -L asan`): the
+// flight recorder writes a power-of-two ring through masked indices, and
+// the telemetry fold indexes its bucket and histogram arrays by result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "asm/assembler.hpp"
-#include "bench/bench_report.hpp"
+#include "common/strings.hpp"
 #include "fault/fault.hpp"
 #include "mutation/mutation.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vp/machine.hpp"
 
@@ -127,74 +127,6 @@ spin:
   EXPECT_NE(dump.find("jal"), std::string::npos) << dump;
 }
 
-// --- Metrics registry ------------------------------------------------------
-
-TEST(Metrics, CounterSumsAcrossShards) {
-  MetricsRegistry registry;
-  const MetricId hits = registry.add_counter("hits");
-  registry.open_shards(3);
-  registry.shard(0).add(hits, 5);
-  registry.shard(1).add(hits, 7);
-  registry.shard(2).add(hits, 1);
-  EXPECT_EQ(registry.value(hits), 13u);
-}
-
-TEST(Metrics, GaugeTakesMaxAcrossShards) {
-  MetricsRegistry registry;
-  const MetricId depth = registry.add_gauge("depth");
-  registry.open_shards(2);
-  registry.shard(0).set(depth, 9);
-  registry.shard(1).set(depth, 4);
-  registry.shard(1).set(depth, 2);  // lower than the shard's max: ignored
-  EXPECT_EQ(registry.value(depth), 9u);
-}
-
-TEST(Metrics, HistogramBucketsAndOverflow) {
-  MetricsRegistry registry;
-  const MetricId hist = registry.add_histogram("lat", {10, 100, 1000});
-  registry.open_shards(2);
-  registry.shard(0).observe(hist, 3);      // <= 10
-  registry.shard(0).observe(hist, 10);     // <= 10 (bounds are inclusive)
-  registry.shard(1).observe(hist, 50);     // <= 100
-  registry.shard(1).observe(hist, 5000);   // overflow
-  const auto counts = registry.histogram_counts(hist);
-  ASSERT_EQ(counts.size(), 4u);  // 3 bounds + overflow
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 0u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(registry.value(hist), 4u);  // total observations
-}
-
-// The determinism contract: the same multiset of updates produces the same
-// aggregate (and the same JSON) no matter how it is partitioned over
-// shards — this is what makes campaign metrics byte-identical across
-// worker counts.
-TEST(Metrics, AggregationIsPartitionInvariant) {
-  const std::vector<u64> samples = {1, 4, 9, 16, 25, 36, 49, 64, 81, 100};
-
-  auto run_partitioned = [&](unsigned shards) {
-    MetricsRegistry registry;
-    const MetricId runs = registry.add_counter("runs");
-    const MetricId peak = registry.add_gauge("peak");
-    const MetricId hist = registry.add_histogram("val", {10, 50});
-    registry.open_shards(shards);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      auto& shard = registry.shard(static_cast<unsigned>(i % shards));
-      shard.add(runs, 1);
-      shard.set(peak, samples[i]);
-      shard.observe(hist, samples[i]);
-    }
-    return registry.to_json();
-  };
-
-  const std::string serial = run_partitioned(1);
-  EXPECT_EQ(serial, run_partitioned(2));
-  EXPECT_EQ(serial, run_partitioned(4));
-  EXPECT_NE(serial.find("\"runs\": 10"), std::string::npos) << serial;
-  EXPECT_NE(serial.find("\"peak\": 100"), std::string::npos) << serial;
-}
-
 // --- Campaign telemetry ----------------------------------------------------
 
 TEST(CampaignTelemetry, FaultMetricsInvariantAcrossJobsAndReuse) {
@@ -291,6 +223,146 @@ TEST(CampaignTelemetry, MutationMetricsInvariantAcrossJobs) {
   }
 }
 
+// A nested counting loop: a golden run of ~1.1k instructions, so mutant runs
+// land in more than one histogram decade (early crashes below 1k, full runs
+// and hangs above). Its pointer is a constant and `t5` is written but never
+// read, so static triage prunes some faults and mutants.
+const char* kNestedLoopSource = R"(
+_start:
+    la t0, data
+    lw t4, 0(t0)
+    li a0, 0
+    li t3, 40
+    addi t5, zero, 5
+outer:
+    mv t1, t4
+loop:
+    add a0, a0, t1
+    addi t1, t1, -1
+    bnez t1, loop
+    addi t3, t3, -1
+    bnez t3, outer
+    sw a0, 4(t0)
+    li a7, 93
+    ecall
+.data
+data:
+    .word 8, 0
+)";
+
+// Every field of the telemetry JSON, recomputed from the report's results.
+template <class Model>
+std::string metrics_from_results(const campaign::Campaign<Model>& campaign,
+                                 const typename Model::Config& config,
+                                 typename Model::Report report) {
+  const u64 bounds[] = {1'000,     10'000,     100'000,
+                        1'000'000, 10'000'000, 100'000'000};
+  u64 histogram[std::size(bounds) + 1] = {};
+  u64 buckets[std::size(Model::kBuckets)] = {};
+  u64 pruned = 0, runs = 0, instructions = 0, post_mortems = 0;
+  for (const auto& result : Model::results(report)) {
+    pruned += result.pruned ? 1 : 0;
+    if (config.triage == dataflow::TriageMode::kOn && result.pruned) continue;
+    ++runs;
+    ++buckets[static_cast<unsigned>(Model::bucket(result))];
+    instructions += result.instructions;
+    ++histogram[std::lower_bound(std::begin(bounds), std::end(bounds),
+                                 result.instructions) -
+                std::begin(bounds)];
+    post_mortems += result.post_mortem.empty() ? 0 : 1;
+  }
+  const auto n = [](u64 value) {
+    return static_cast<unsigned long long>(value);
+  };
+  const u64 golden = campaign.golden().result.instructions;
+  std::string json = format(
+      "{\"mutants_total\": %zu, \"golden_instructions\": %llu, "
+      "\"hang_budget\": %llu",
+      Model::results(report).size(), n(golden),
+      n(config.item_machine(golden).max_instructions));
+  if (config.triage != dataflow::TriageMode::kOff) {
+    json += format(", \"pruned\": %llu", n(pruned));
+  }
+  json += format(", \"mutants\": %llu", n(runs));
+  for (std::size_t b = 0; b < std::size(buckets); ++b) {
+    json += format(", \"%s\": %llu", Model::kBuckets[b], n(buckets[b]));
+  }
+  json += format(", \"guest_instructions\": %llu, \"mutant_instructions\": "
+                 "{\"bounds\": [1000, 10000, 100000, 1000000, 10000000, "
+                 "100000000], \"counts\": [",
+                 n(instructions));
+  for (std::size_t b = 0; b < std::size(histogram); ++b) {
+    json += format("%s%llu", b != 0 ? ", " : "", n(histogram[b]));
+  }
+  return json + format("], \"sum\": %llu}, \"post_mortems\": %llu}",
+                       n(instructions), n(post_mortems));
+}
+
+// Runs `config` under every triage mode at jobs 1 and 4 and checks the
+// telemetry against the recomputation. Returns the JSON of every run.
+template <class Model>
+std::vector<std::string> check_metrics_fold(typename Model::Config config) {
+  const assembler::Program program = build(kNestedLoopSource);
+  config.collect_metrics = true;
+  config.post_mortem = true;
+  std::vector<std::string> all;
+  for (const auto triage :
+       {dataflow::TriageMode::kOff, dataflow::TriageMode::kOn,
+        dataflow::TriageMode::kVerify}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      config.triage = triage;
+      config.jobs = jobs;
+      campaign::Campaign<Model> campaign(program, config);
+      auto report = campaign.run();
+      EXPECT_TRUE(report.ok()) << report.error().to_string();
+      if (!report.ok()) continue;
+      EXPECT_EQ(report->metrics_json,
+                metrics_from_results(campaign, config, *report))
+          << "triage " << static_cast<int>(triage) << ", jobs " << jobs;
+      all.push_back(report->metrics_json);
+    }
+  }
+  return all;
+}
+
+// The whole telemetry JSON is a function of the report: every field,
+// recomputed from the returned results, matches byte for byte, for both
+// models, every triage mode and any `jobs`.
+TEST(CampaignTelemetry, MetricsJsonIsTheFoldOfTheReport) {
+  fault::CampaignConfig fault_config;
+  fault_config.mutant_count = 60;
+  fault_config.seed = 7;
+  const auto faults = check_metrics_fold<fault::FaultModel>(fault_config);
+  mutation::MutationConfig mutation_config;
+  mutation_config.max_mutants = 40;
+  const auto mutants =
+      check_metrics_fold<mutation::MutationModel>(mutation_config);
+
+  // The inputs exercise what the fold distinguishes: pruned items, runs in
+  // two or more histogram decades, and post-mortems.
+  for (const auto* runs : {&faults, &mutants}) {
+    ASSERT_EQ(runs->size(), 6u);
+    EXPECT_EQ(runs->at(0), runs->at(1));  // triage off, jobs 1 vs 4
+    EXPECT_NE(runs->at(2).find("\"pruned\": "), std::string::npos);
+    EXPECT_EQ(runs->at(2).find("\"pruned\": 0,"), std::string::npos)
+        << runs->at(2);
+  }
+  EXPECT_EQ(faults[0].find("\"post_mortems\": 0}"), std::string::npos)
+      << faults[0];
+  const std::size_t counts = faults[0].find("\"counts\": [");
+  ASSERT_NE(counts, std::string::npos);
+  unsigned long long decades[7] = {};
+  ASSERT_EQ(std::sscanf(faults[0].c_str() + counts,
+                        "\"counts\": [%llu, %llu, %llu, %llu, %llu, %llu, %llu",
+                        &decades[0], &decades[1], &decades[2], &decades[3],
+                        &decades[4], &decades[5], &decades[6]),
+            7);
+  EXPECT_GE(std::count_if(std::begin(decades), std::end(decades),
+                          [](unsigned long long c) { return c != 0; }),
+            2)
+      << faults[0];
+}
+
 // --- JSONL trace -----------------------------------------------------------
 
 TEST(JsonlTrace, WellFormedLines) {
@@ -354,52 +426,6 @@ TEST(JsonlTrace, LimitBoundsEventLinesNotExit) {
   ASSERT_EQ(all.size(), 11u);  // 10 insn/mem lines + the exit line
   EXPECT_EQ(all.back().rfind("{\"t\":\"exit\"", 0), 0u) << all.back();
   std::remove(path.c_str());
-}
-
-// --- bench report merge ----------------------------------------------------
-
-TEST(BenchReport, MergePreservesOtherEntries) {
-  const std::string path =
-      ::testing::TempDir() + "/obs_bench_" + std::to_string(getpid()) +
-      ".json";
-  EXPECT_TRUE(bench::merge_bench_entry(path, "alpha", "{\"v\": 1}"));
-  EXPECT_TRUE(bench::merge_bench_entry(path, "beta", "{\"v\": 2}"));
-  EXPECT_TRUE(bench::merge_bench_entry(path, "alpha", "{\"v\": 3}"));
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("\"alpha\": {\"v\": 3}"), std::string::npos)
-      << content;
-  EXPECT_NE(content.find("\"beta\": {\"v\": 2}"), std::string::npos)
-      << content;
-  std::remove(path.c_str());
-}
-
-TEST(BenchReport, MergeIsAtomicAndLeavesNoStagingFile) {
-  // The merge stages into `<path>.tmp.<pid>` and renames over the target;
-  // after a successful merge the staging file must be gone and the target
-  // must parse as one complete object (no truncated hybrid).
-  const std::string path =
-      ::testing::TempDir() + "/obs_bench_atomic_" + std::to_string(getpid()) +
-      ".json";
-  const std::string temp = path + ".tmp." + std::to_string(getpid());
-  EXPECT_TRUE(bench::merge_bench_entry(path, "alpha", "{\"v\": 1}"));
-  EXPECT_TRUE(bench::merge_bench_entry(path, "beta", "{\"v\": 2}"));
-  std::ifstream temp_in(temp);
-  EXPECT_FALSE(temp_in.good()) << "staging file left behind: " << temp;
-  std::ifstream in(path);
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(content.front(), '{');
-  EXPECT_EQ(content.substr(content.size() - 2), "}\n");
-  std::remove(path.c_str());
-}
-
-TEST(BenchReport, MergeReportsUnwritablePath) {
-  // Used to silently produce nothing; must now return false so tools and
-  // benches can fail loudly instead of dropping the report entry.
-  EXPECT_FALSE(bench::merge_bench_entry(
-      "/nonexistent-dir/report.json", "key", "{}"));
 }
 
 }  // namespace

@@ -244,6 +244,28 @@ TEST_F(ToolPipeline, FaultsimMetricsOutUnwritable) {
       << result.output;
 }
 
+TEST_F(ToolPipeline, FaultsimWorkerModeWritesMetrics) {
+  // Fleet worker mode streams JSONL on stdout; the telemetry still goes to
+  // --metrics-out, covering just the shard (items [0, 10) of 20).
+  const std::string metrics_path = temp_path("metrics.json");
+  auto result = run_command(tool("s4e-faultsim") + " " + elf_ +
+                                " --mutants 20 --seed 3 --jobs 1 --shard 0/2"
+                                " --emit-jsonl --metrics-out " +
+                                metrics_path,
+                            false);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_EQ(result.output.find("mutants_total"), std::string::npos)
+      << result.output;
+  std::ifstream metrics(metrics_path);
+  ASSERT_TRUE(metrics.good());
+  std::string content((std::istreambuf_iterator<char>(metrics)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_NE(content.find("\"s4e-faultsim\""), std::string::npos) << content;
+  EXPECT_NE(content.find("\"mutants_total\": 10,"), std::string::npos)
+      << content;
+  std::remove(metrics_path.c_str());
+}
+
 TEST_F(ToolPipeline, RunProfileReport) {
   auto result = run_command(tool("s4e-run") + " " + elf_ + " --profile");
   EXPECT_NE(result.output.find("hot blocks"), std::string::npos);

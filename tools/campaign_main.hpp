@@ -22,8 +22,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_report.hpp"
 #include "campaign/spec.hpp"
+#include "common/json.hpp"
 #include "elf/elf32.hpp"
 #include "fleet/records.hpp"
 #include "fleet/worker.hpp"
@@ -155,6 +155,19 @@ int campaign_main(int argc, char** argv) {
     return 1;
   }
   const auto& results = Model::results(*report);
+  // The exit path of both modes: --metrics-out gets the telemetry, stdout
+  // keeps only the report (or the JSONL stream).
+  const auto finish = [&] {
+    if (args.has("--metrics-out")) {
+      const Status status = merge_bench_entry(args.value("--metrics-out"),
+                                              name, report->metrics_json);
+      if (!status.ok()) {
+        std::fprintf(stderr, "%s: %s\n", name, status.to_string().c_str());
+        return 1;
+      }
+    }
+    return finish_stdout(name);
+  };
 
   // Fleet worker mode: stream the shard instead of printing the report.
   if (args.has("--emit-jsonl")) {
@@ -187,7 +200,7 @@ int campaign_main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", name, status.to_string().c_str());
       return 1;
     }
-    return finish_stdout(name);
+    return finish();
   }
 
   std::printf("%s", report->to_string().c_str());
@@ -224,13 +237,7 @@ int campaign_main(int argc, char** argv) {
     }
   }
 
-  if (args.has("--metrics-out")) {
-    if (!bench::merge_bench_entry(args.value("--metrics-out"), name,
-                                  report->metrics_json)) {
-      return 1;  // merge_bench_entry already reported on stderr
-    }
-  }
-  return finish_stdout(name);
+  return finish();
 }
 
 }  // namespace s4e::tools
