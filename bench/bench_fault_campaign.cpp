@@ -257,13 +257,12 @@ int main() {
     S4E_CHECK(elf::write_elf_file(*sort_program, elf_path).ok());
     fleet::FleetOptions options;
     options.elf_path = elf_path;
-    options.mode = fleet::Mode::kFault;
     options.worker_path = std::string(S4E_TOOL_DIR) + "/s4e-faultsim";
     options.workers = hw;
     options.shards = hw;  // one shard per worker: no respawn slack needed
     options.spec = campaign::spec_argv<fault::FaultModel>(config);
     start = std::chrono::steady_clock::now();
-    auto fleet_run = fleet::run_fleet(options);
+    auto fleet_run = fleet::run_fleet<fault::FaultModel>(options);
     const double fleet_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

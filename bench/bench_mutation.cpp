@@ -330,13 +330,12 @@ int main(int argc, char** argv) {
     S4E_CHECK(elf::write_elf_file(*program, elf_path).ok());
     fleet::FleetOptions options;
     options.elf_path = elf_path;
-    options.mode = fleet::Mode::kMutation;
     options.worker_path = std::string(S4E_TOOL_DIR) + "/s4e-mutate";
     options.spec = campaign::spec_argv<mutation::MutationModel>(config);
     options.workers = hw;
     options.shards = hw;
     start = std::chrono::steady_clock::now();
-    auto fleet_run = fleet::run_fleet(options);
+    auto fleet_run = fleet::run_fleet<mutation::MutationModel>(options);
     const double fleet_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();

@@ -32,8 +32,9 @@ class TcpChannel final : public ByteChannel {
   // owning loop forever.
   std::string read_for(int timeout_ms, bool& timed_out);
 
-  // Connect to 127.0.0.1:port (a fleet worker dialing back to its
-  // orchestrator). Null with a message in `error` on failure.
+  // Connect to 127.0.0.1:port (a client of a loopback listener, such as
+  // the fleet's status endpoint). Null with a message in `error` on
+  // failure.
   static std::unique_ptr<TcpChannel> connect_loopback(u16 port,
                                                       std::string& error);
 

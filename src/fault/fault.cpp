@@ -13,36 +13,33 @@ namespace s4e::fault {
 std::string FaultSpec::to_string() const {
   const char* kind_name =
       kind == FaultKind::kTransient ? "transient" : "stuck-at";
+  const char* target_name =
+      FaultModel::kClassNames[static_cast<unsigned>(target)];
+  const char* stuck = kind == FaultKind::kStuckAt
+                          ? (stuck_value ? "=1" : "=0")
+                          : "";
   switch (target) {
     case FaultTarget::kGpr:
       // hart is printed only when non-zero so single-hart fault lists stay
       // byte-identical to pre-SMP output.
-      return format("%s gpr%s x%u bit %u%s trigger=%llu", kind_name,
+      return format("%s %s%s x%u bit %u%s trigger=%llu", kind_name,
+                    target_name,
                     hart != 0 ? format("@hart%u", hart).c_str() : "", reg, bit,
-                    kind == FaultKind::kStuckAt ? (stuck_value ? "=1" : "=0")
-                                                : "",
-                    static_cast<unsigned long long>(trigger));
+                    stuck, static_cast<unsigned long long>(trigger));
     case FaultTarget::kMemory:
-      return format("%s mem 0x%08x bit %u%s trigger=%llu", kind_name, address,
-                    bit,
-                    kind == FaultKind::kStuckAt ? (stuck_value ? "=1" : "=0")
-                                                : "",
+      return format("%s %s 0x%08x bit %u%s trigger=%llu", kind_name,
+                    target_name, address, bit, stuck,
                     static_cast<unsigned long long>(trigger));
     case FaultTarget::kCode:
-      return format("%s code 0x%08x bit %u trigger=%llu", kind_name, address,
-                    bit, static_cast<unsigned long long>(trigger));
+      return format("%s %s 0x%08x bit %u trigger=%llu", kind_name,
+                    target_name, address, bit,
+                    static_cast<unsigned long long>(trigger));
   }
   return "?";
 }
 
 std::string_view to_string(Outcome outcome) noexcept {
-  switch (outcome) {
-    case Outcome::kMasked: return "masked";
-    case Outcome::kSdc: return "sdc";
-    case Outcome::kCrash: return "crash";
-    case Outcome::kHang: return "hang";
-  }
-  return "?";
+  return FaultModel::kBucketNames[static_cast<unsigned>(outcome)];
 }
 
 // ---------------------------------------------------------------------------

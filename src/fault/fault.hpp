@@ -139,9 +139,16 @@ class FaultModel {
   using Item = FaultSpec;
   using ItemResult = MutantResult;
   using Report = CampaignResult;
-  // Telemetry names of the result buckets, in Outcome order.
-  static constexpr const char* kBuckets[] = {"masked", "sdc", "crash",
-                                             "hang"};
+  // The model's vocabulary, named once: the campaign's name, then its
+  // result classes (FaultTarget order) and buckets (Outcome order).
+  // FaultSpec::to_string, to_string(Outcome), the telemetry, the progress
+  // line and the fleet wire all print these.
+  static constexpr const char* kName = "fault";
+  static constexpr const char* kClassNames[] = {"gpr", "mem", "code"};
+  static constexpr const char* kBucketNames[] = {"masked", "sdc", "crash",
+                                                 "hang"};
+  // Telemetry names of the result buckets: the same.
+  static constexpr const auto& kBuckets = kBucketNames;
   // The fault campaign's knobs (campaign/spec.hpp).
   static constexpr campaign::Knob<CampaignConfig> kKnobs[] = {
       campaign::field_knob<CampaignConfig, &CampaignConfig::machine,

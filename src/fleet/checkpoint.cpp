@@ -15,7 +15,7 @@ namespace s4e::fleet {
 std::string encode_header(const CheckpointHeader& header) {
   return format("{\"checkpoint\":\"s4e-fleet\",\"mode\":\"%s\","
                 "\"fingerprint\":\"%016llx\"}",
-                std::string(to_string(header.mode)).c_str(),
+                std::string(header.vocabulary.name).c_str(),
                 static_cast<unsigned long long>(header.fingerprint));
 }
 
@@ -27,10 +27,11 @@ std::string commit_line(unsigned shard) {
 
 }  // namespace
 
-std::string encode_block(Mode mode, const CompletedShard& shard) {
-  std::string text = encode(shard.meta) + "\n";
+std::string encode_block(const Vocabulary& vocabulary,
+                         const CompletedShard& shard) {
+  std::string text = encode(vocabulary, shard.meta) + "\n";
   for (const RecordLine& record : shard.records) {
-    text += encode(mode, record) + "\n";
+    text += encode(vocabulary, record) + "\n";
   }
   return text + commit_line(shard.meta.shard) + "\n";
 }
@@ -44,19 +45,26 @@ std::optional<std::vector<CompletedShard>> parse_journal(
   }
   std::vector<CompletedShard> shards;
 
-  // Shard blocks. Any structural defect means the daemon died mid-append:
-  // the partial block and everything after it are discarded, not errors.
+  // Shard blocks. Any structural defect means the daemon died mid-append
+  // (or the file was altered): the torn block and everything after it are
+  // discarded, not errors. Records are checked as the live stream checks
+  // them, each numbered by its place in the block's range; the range itself
+  // is checked against the shard contract by run_fleet. Nothing is sized
+  // from the meta line's counts before the records are there.
   while (std::getline(in, line)) {
-    auto meta = parse_line(line, header.mode);
+    auto meta = parse_line(line, header.vocabulary);
     if (!meta.ok() || !meta->meta.has_value()) break;
     CompletedShard block;
     block.meta = *meta->meta;
     const u64 count = block.meta.end - block.meta.begin;
 
-    block.records.reserve(static_cast<std::size_t>(count));
     while (block.records.size() < count && std::getline(in, line)) {
-      auto parsed = parse_line(line, header.mode);
-      if (!parsed.ok() || !parsed->record.has_value()) break;
+      auto parsed = parse_line(line, header.vocabulary);
+      if (!parsed.ok() || !parsed->record.has_value() ||
+          parsed->record->index !=
+              block.meta.begin + block.records.size()) {
+        break;
+      }
       block.records.push_back(*parsed->record);
     }
     if (block.records.size() != count || !std::getline(in, line) ||
@@ -90,14 +98,14 @@ Result<CheckpointJournal> CheckpointJournal::open(
   // is atomic (write_file_atomic), then appends continue.
   std::string text = encode_header(header) + "\n";
   for (const CompletedShard& shard : recovered) {
-    text += encode_block(header.mode, shard);
+    text += encode_block(header.vocabulary, shard);
   }
   if (auto status = write_file_atomic(path, text); !status.ok()) {
     return Error(ErrorCode::kIoError,
                  "checkpoint: " + status.error().message());
   }
   CheckpointJournal journal;
-  journal.mode_ = header.mode;
+  journal.vocabulary_ = header.vocabulary;
   journal.file_.reset(std::fopen(path.c_str(), "ab"));
   if (journal.file_ == nullptr) {
     return Error(ErrorCode::kIoError,
@@ -108,7 +116,7 @@ Result<CheckpointJournal> CheckpointJournal::open(
 
 Status CheckpointJournal::commit(const CompletedShard& shard) {
   S4E_CHECK_MSG(file_ != nullptr, "checkpoint journal is closed");
-  const std::string text = encode_block(mode_, shard);
+  const std::string text = encode_block(vocabulary_, shard);
   if (std::fwrite(text.data(), 1, text.size(), file_.get()) != text.size() ||
       std::fflush(file_.get()) != 0 || ::fsync(::fileno(file_.get())) != 0) {
     return Error(ErrorCode::kIoError, "checkpoint: append failed");

@@ -1,9 +1,9 @@
 // Crash-safe checkpoint journal for the campaign fleet service.
 //
 // The journal is an append-only text file. Line one is a header binding the
-// file to one campaign: its mode and fingerprint (which covers the ELF, the
-// knobs and the shard count). Every time a shard finishes, the daemon
-// appends one block:
+// file to one campaign: its model's name and fingerprint (which covers the
+// ELF, the knobs and the shard count). Every time a shard finishes, the
+// daemon appends one block:
 //
 //   <the worker's meta line: shard, range, total, golden run, fingerprint>
 //   <end - begin record lines, global index order>
@@ -29,7 +29,7 @@
 namespace s4e::fleet {
 
 struct CheckpointHeader {
-  Mode mode = Mode::kFault;
+  Vocabulary vocabulary;  // the model's: the header names it, blocks use it
   u64 fingerprint = 0;
 };
 
@@ -61,17 +61,20 @@ class CheckpointJournal {
     void operator()(std::FILE* file) const { std::fclose(file); }
   };
   std::unique_ptr<std::FILE, Closer> file_;
-  Mode mode_ = Mode::kFault;
+  Vocabulary vocabulary_;
 };
 
 // Parse helper shared with tests: the fully committed shard blocks of a
-// journal stream (a partial trailing block is discarded, not an error), or
-// nullopt when the stream does not start with `header`'s line.
+// journal stream, or nullopt when the stream does not start with
+// `header`'s line. A block that does not parse — cut short, a field out of
+// range, a record numbered other than its place in the range — is torn:
+// it and everything after it are discarded, not an error.
 std::optional<std::vector<CompletedShard>> parse_journal(
     const std::string& text, const CheckpointHeader& header);
 
 std::string encode_header(const CheckpointHeader& header);
 // One shard block: meta line, records and commit line, newline-terminated.
-std::string encode_block(Mode mode, const CompletedShard& shard);
+std::string encode_block(const Vocabulary& vocabulary,
+                         const CompletedShard& shard);
 
 }  // namespace s4e::fleet

@@ -5,7 +5,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <deque>
@@ -34,29 +33,14 @@ struct WorkerProc {
   pid_t pid = -1;
   unsigned shard = 0;
   unsigned spawn_index = 0;
-  // Stream fd: pipe read end, or the accepted socket once a TCP worker has
-  // dialed back and identified itself (-1 until then).
-  int fd = -1;
-  std::unique_ptr<debug::TcpChannel> channel;  // owns fd for TCP transport
+  int fd = -1;  // read end of the worker's stdout pipe
   std::string buffer;
   bool meta_seen = false;
   bool done_seen = false;
   bool stream_closed = false;
   bool exited = false;
   int wait_status = 0;
-  // TCP transport: a worker can exit before its dial-in is accepted and
-  // identified — the stream survives in the socket buffers, so the exit
-  // alone is not a failure. This counts down poll ticks of patience for
-  // the connection to show up before the shard is declared dead.
-  int dial_grace = -1;
   CompletedShard block;
-};
-
-// A dialed-in TCP connection that has not yet sent its meta line (we don't
-// know which shard it belongs to until it does).
-struct PendingChannel {
-  std::unique_ptr<debug::TcpChannel> channel;
-  std::string buffer;
 };
 
 // Kills and reaps every still-running worker on scope exit, so error
@@ -76,7 +60,7 @@ struct ReapGuard {
 std::vector<std::string> worker_argv(const FleetOptions& options,
                                      const std::vector<std::string>& spec,
                                      unsigned shard, unsigned shards,
-                                     int result_port, unsigned stall_after) {
+                                     unsigned stall_after) {
   std::vector<std::string> argv = {options.worker_path,
                                    options.elf_path,
                                    "--shard",
@@ -85,10 +69,6 @@ std::vector<std::string> worker_argv(const FleetOptions& options,
                                    "--jobs",
                                    format("%u", options.worker_jobs)};
   argv.insert(argv.end(), spec.begin(), spec.end());
-  if (result_port >= 0) {
-    argv.push_back("--result-port");
-    argv.push_back(format("%d", result_port));
-  }
   if (stall_after != 0) {
     argv.push_back("--test-stall-after");
     argv.push_back(format("%u", stall_after));
@@ -96,23 +76,20 @@ std::vector<std::string> worker_argv(const FleetOptions& options,
   return argv;
 }
 
-// fork/exec one worker. Pipe transport: the child's stdout becomes the
-// stream and `out_fd` receives the read end. TCP transport (result_port
-// >= 0): the child dials back and out_fd stays -1.
+// fork/exec one worker: the child's stdout becomes the stream and `out_fd`
+// receives the read end.
 Result<pid_t> spawn_worker(const FleetOptions& options,
                            const std::vector<std::string>& spec,
-                           unsigned shard, unsigned shards, int result_port,
+                           unsigned shard, unsigned shards,
                            unsigned stall_after, int& out_fd) {
-  out_fd = -1;
   int fds[2] = {-1, -1};
-  const bool use_pipe = result_port < 0;
-  if (use_pipe && ::pipe(fds) != 0) {
+  if (::pipe(fds) != 0) {
     return Error(ErrorCode::kIoError,
                  format("fleet: pipe failed: %s", std::strerror(errno)));
   }
 
   const auto argv_strings =
-      worker_argv(options, spec, shard, shards, result_port, stall_after);
+      worker_argv(options, spec, shard, shards, stall_after);
   std::vector<char*> argv;
   argv.reserve(argv_strings.size() + 1);
   for (const std::string& arg : argv_strings) {
@@ -122,38 +99,49 @@ Result<pid_t> spawn_worker(const FleetOptions& options,
 
   const pid_t pid = ::fork();
   if (pid < 0) {
-    if (use_pipe) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-    }
+    ::close(fds[0]);
+    ::close(fds[1]);
     return Error(ErrorCode::kIoError,
                  format("fleet: fork failed: %s", std::strerror(errno)));
   }
   if (pid == 0) {
-    if (use_pipe) {
-      ::dup2(fds[1], STDOUT_FILENO);
-      ::close(fds[0]);
-      ::close(fds[1]);
-    }
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
     ::execv(argv[0], argv.data());
     std::fprintf(stderr, "fleet: exec %s failed: %s\n", argv[0],
                  std::strerror(errno));
     ::_exit(127);
   }
-  if (use_pipe) {
-    ::close(fds[1]);
-    out_fd = fds[0];
-  }
+  ::close(fds[1]);
+  out_fd = fds[0];
   return pid;
 }
 
-// The campaign-wide facts of the first meta line (or recovered block),
-// enforced on every later one.
-Status note_golden(std::optional<MetaLine>& golden, const MetaLine& meta) {
-  if (!golden.has_value()) {
-    golden = meta;
-    return Status();
+u64 shard_bound(u64 total, unsigned index, unsigned shards) {
+  return total * index / shards;
+}
+
+// The checks every shard's meta line passes, streamed live or recovered
+// from the checkpoint: it is shard `shard` of this campaign, it agrees with
+// the campaign-wide facts of the first meta line (kept in `golden`), and
+// it covers exactly the range the shard contract gives it.
+Status check_meta(const MetaLine& meta, unsigned shard, unsigned shards,
+                  u64 fingerprint, std::optional<MetaLine>& golden) {
+  if (meta.shard != shard || meta.shards != shards) {
+    return Error(ErrorCode::kStateError,
+                 format("fleet: expected shard %u/%u, worker announced "
+                        "%u/%u",
+                        shard, shards, meta.shard, meta.shards));
   }
+  if (meta.fingerprint != fingerprint) {
+    return Error(ErrorCode::kStateError,
+                 format("fleet: shard %u fingerprint mismatch (worker "
+                        "sees a different campaign — wrong binary or "
+                        "ELF?)",
+                        shard));
+  }
+  if (!golden.has_value()) golden = meta;
   if (golden->total != meta.total || golden->golden_exit != meta.golden_exit ||
       golden->golden_instructions != meta.golden_instructions) {
     return Error(
@@ -164,6 +152,14 @@ Status note_golden(std::optional<MetaLine>& golden, const MetaLine& meta) {
                static_cast<unsigned long long>(golden->total),
                static_cast<unsigned long long>(meta.total),
                golden->golden_exit, meta.golden_exit));
+  }
+  if (meta.begin != shard_bound(meta.total, shard, shards) ||
+      meta.end != shard_bound(meta.total, shard + 1, shards)) {
+    return Error(ErrorCode::kStateError,
+                 format("fleet: shard %u announced range [%llu,%llu) "
+                        "outside the contract",
+                        shard, static_cast<unsigned long long>(meta.begin),
+                        static_cast<unsigned long long>(meta.end)));
   }
   return Status();
 }
@@ -184,19 +180,6 @@ std::string merge_report(const MetaLine& golden,
   return report.to_string();
 }
 
-// The canonical form of the caller's knob tokens, as the worker tool will
-// parse and fingerprint them.
-template <class Model>
-Result<std::vector<std::string>> canonical_spec(const FleetOptions& options) {
-  auto config = campaign::parse_spec<Model>(options.spec);
-  if (!config.ok()) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "fleet: " + std::string(to_string(options.mode)) +
-                     " campaign: " + config.error().message());
-  }
-  return campaign::spec_argv<Model>(*config);
-}
-
 // The status endpoint's JSON line.
 std::string stats_json(const FleetStats& stats) {
   return format("{\"fleet_records\": %llu, \"fleet_shards_done\": %u, "
@@ -209,52 +192,26 @@ std::string stats_json(const FleetStats& stats) {
                 stats.shards_total);
 }
 
-u64 shard_bound(u64 total, unsigned index, unsigned shards) {
-  return total * index / shards;
-}
-
 // Consume complete lines from `buffer`, feeding them to `worker`'s block.
-Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
-                     unsigned shards, std::optional<MetaLine>& golden,
-                     u64& records) {
+Status consume_lines(WorkerProc& worker, const Vocabulary& vocabulary,
+                     u64 fingerprint, unsigned shards,
+                     std::optional<MetaLine>& golden, u64& records) {
   std::size_t newline;
   while ((newline = worker.buffer.find('\n')) != std::string::npos) {
     const std::string line = worker.buffer.substr(0, newline);
     worker.buffer.erase(0, newline + 1);
     if (line.empty()) continue;
-    S4E_TRY(parsed, parse_line(line, mode));
+    S4E_TRY(parsed, parse_line(line, vocabulary));
     if (parsed.meta.has_value()) {
-      const MetaLine& meta = *parsed.meta;
       if (worker.meta_seen) {
         return Error(ErrorCode::kStateError,
                      format("fleet: shard %u sent two meta lines",
                             worker.shard));
       }
-      if (meta.shard != worker.shard || meta.shards != shards) {
-        return Error(ErrorCode::kStateError,
-                     format("fleet: expected shard %u/%u, worker announced "
-                            "%u/%u",
-                            worker.shard, shards, meta.shard, meta.shards));
-      }
-      if (meta.fingerprint != fingerprint) {
-        return Error(ErrorCode::kStateError,
-                     format("fleet: shard %u fingerprint mismatch (worker "
-                            "sees a different campaign — wrong binary or "
-                            "ELF?)",
-                            worker.shard));
-      }
-      S4E_TRY_STATUS(note_golden(golden, meta));
-      if (meta.begin != shard_bound(golden->total, meta.shard, shards) ||
-          meta.end != shard_bound(golden->total, meta.shard + 1, shards)) {
-        return Error(ErrorCode::kStateError,
-                     format("fleet: shard %u announced range [%llu,%llu) "
-                            "outside the contract",
-                            worker.shard,
-                            static_cast<unsigned long long>(meta.begin),
-                            static_cast<unsigned long long>(meta.end)));
-      }
+      S4E_TRY_STATUS(
+          check_meta(*parsed.meta, worker.shard, shards, fingerprint, golden));
       worker.meta_seen = true;
-      worker.block.meta = meta;
+      worker.block.meta = *parsed.meta;
       continue;
     }
     if (parsed.record.has_value()) {
@@ -297,25 +254,33 @@ Status consume_lines(WorkerProc& worker, Mode mode, u64 fingerprint,
 
 }  // namespace
 
+template <class Model>
 Result<FleetReport> run_fleet(const FleetOptions& options,
                               FleetStats* stats_out) {
+  constexpr Vocabulary vocabulary = vocabulary_of<Model>();
   if (options.workers == 0 || options.worker_path.empty() ||
       options.elf_path.empty()) {
     return Error(ErrorCode::kInvalidArgument,
                  "fleet: elf path, worker path and workers >= 1 required");
   }
-  // The daemon writes to sockets whose peer may vanish; broken pipes must
-  // surface as write errors, not process death.
+  // The status endpoint writes to sockets whose peer may vanish; broken
+  // pipes must surface as write errors, not process death.
   ::signal(SIGPIPE, SIG_IGN);
 
   const unsigned shards =
       options.shards != 0 ? options.shards : options.workers * 4;
-  S4E_TRY(spec, options.mode == Mode::kFault
-                    ? canonical_spec<fault::FaultModel>(options)
-                    : canonical_spec<mutation::MutationModel>(options));
+  // The canonical form of the caller's knob tokens, as the worker tool
+  // will parse and fingerprint them.
+  auto config = campaign::parse_spec<Model>(options.spec);
+  if (!config.ok()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "fleet: " + std::string(Model::kName) +
+                     " campaign: " + config.error().message());
+  }
+  const std::vector<std::string> spec = campaign::spec_argv<Model>(*config);
   S4E_TRY(elf_bytes, read_file_bytes(options.elf_path));
   const u64 fingerprint =
-      campaign_fingerprint(elf_bytes, options.mode, spec, shards);
+      campaign_fingerprint(elf_bytes, Model::kName, spec, shards);
 
   FleetReport out;
   FleetStats own_stats;
@@ -323,7 +288,8 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
   stats = FleetStats{};
   stats.shards_total = shards;
 
-  // --- Checkpoint: recover committed shards, keep the journal open.
+  // --- Checkpoint: recover committed shards, keep the journal open. A
+  // recovered block passes the live stream's meta checks.
   std::optional<MetaLine> golden;
   std::map<unsigned, CompletedShard> committed;
   std::unique_ptr<CheckpointJournal> journal;
@@ -331,7 +297,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
     std::vector<CompletedShard> recovered;
     bool replaced = false;
     auto opened = CheckpointJournal::open(options.checkpoint_path,
-                                          {options.mode, fingerprint},
+                                          {vocabulary, fingerprint},
                                           recovered, replaced);
     if (!opened.ok()) return opened.error();
     journal = std::make_unique<CheckpointJournal>(std::move(*opened));
@@ -343,13 +309,14 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
                      format("fleet: checkpoint holds invalid shard %u",
                             index));
       }
-      S4E_TRY_STATUS(note_golden(golden, shard.meta));
+      S4E_TRY_STATUS(
+          check_meta(shard.meta, index, shards, fingerprint, golden));
       committed.emplace(index, std::move(shard));
     }
     stats.shards_recovered = static_cast<unsigned>(committed.size());
   }
 
-  // --- Listeners.
+  // --- Status endpoint.
   std::unique_ptr<debug::TcpListener> status_listener;
   if (options.status_port >= 0) {
     std::string error;
@@ -363,16 +330,6 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
       options.on_status_port(status_listener->port());
     }
   }
-  std::unique_ptr<debug::TcpListener> result_listener;
-  if (options.tcp_transport) {
-    std::string error;
-    result_listener = debug::TcpListener::listen_loopback(0, error);
-    if (result_listener == nullptr) {
-      return Error(ErrorCode::kIoError, "fleet: result listener: " + error);
-    }
-  }
-  const int result_port =
-      result_listener != nullptr ? result_listener->port() : -1;
 
   // --- Scheduling state.
   std::deque<unsigned> pending;
@@ -381,7 +338,6 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
   }
   std::vector<unsigned> retries(shards, 0);
   std::vector<WorkerProc> workers;
-  std::vector<PendingChannel> dialing;
   ReapGuard guard{&workers};
   bool kill_hook_pending = options.test_kill_after_records != 0;
 
@@ -405,8 +361,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
               ? options.test_kill_after_records
               : 0;
       int fd = -1;
-      auto pid =
-          spawn_worker(options, spec, shard, shards, result_port, stall, fd);
+      auto pid = spawn_worker(options, spec, shard, shards, stall, fd);
       if (!pid.ok()) return pid.error();
       WorkerProc worker;
       worker.pid = *pid;
@@ -416,27 +371,17 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
       workers.push_back(std::move(worker));
     }
 
-    // Poll every live stream plus the listeners.
+    // Poll every open stream, then the status listener.
     std::vector<pollfd> fds;
-    std::vector<int> owner;  // workers index, or -2 dialing[i], -3/-4 listeners
+    std::vector<std::size_t> owner;  // workers index of each stream fd
     for (std::size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i].fd >= 0 && !workers[i].stream_closed) {
+      if (!workers[i].stream_closed) {
         fds.push_back({workers[i].fd, POLLIN, 0});
-        owner.push_back(static_cast<int>(i));
+        owner.push_back(i);
       }
-    }
-    const std::size_t dial_base = fds.size();
-    for (const PendingChannel& channel : dialing) {
-      fds.push_back({channel.channel->fd(), POLLIN, 0});
-      owner.push_back(-2);
-    }
-    if (result_listener != nullptr) {
-      fds.push_back({result_listener->fd(), POLLIN, 0});
-      owner.push_back(-3);
     }
     if (status_listener != nullptr) {
       fds.push_back({status_listener->fd(), POLLIN, 0});
-      owner.push_back(-4);
     }
     if (!fds.empty()) {
       const int n = ::poll(fds.data(), fds.size(), kPollIntervalMs);
@@ -456,30 +401,16 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
       }
     }
 
-    // New TCP dial-ins: park until their meta line identifies the shard.
-    if (result_listener != nullptr) {
-      const std::size_t slot =
-          fds.size() - (status_listener != nullptr ? 2 : 1);
-      if ((fds[slot].revents & POLLIN) != 0) {
-        std::string error;
-        bool timed_out = false;
-        auto channel = result_listener->accept_one_for(0, error, timed_out);
-        if (channel != nullptr) {
-          dialing.push_back(PendingChannel{std::move(channel), {}});
-        }
-      }
-    }
-
     // Drain readable worker streams.
-    for (std::size_t slot = 0; slot < dial_base; ++slot) {
+    for (std::size_t slot = 0; slot < owner.size(); ++slot) {
       if ((fds[slot].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerProc& worker = workers[static_cast<std::size_t>(owner[slot])];
+      WorkerProc& worker = workers[owner[slot]];
       char chunk[65536];
       const ssize_t n = ::read(worker.fd, chunk, sizeof chunk);
       if (n > 0) {
         worker.buffer.append(chunk, static_cast<std::size_t>(n));
-        S4E_TRY_STATUS(consume_lines(worker, options.mode, fingerprint,
-                                     shards, golden, stats.records));
+        S4E_TRY_STATUS(consume_lines(worker, vocabulary, fingerprint, shards,
+                                     golden, stats.records));
         // Kill hook: the victim has streamed enough — SIGKILL it mid-shard.
         if (kill_hook_pending && worker.spawn_index == 0 &&
             worker.block.records.size() >=
@@ -489,60 +420,8 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
         }
       } else if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
         worker.stream_closed = true;
-        if (worker.channel == nullptr) {
-          ::close(worker.fd);
-        }
+        ::close(worker.fd);
         worker.fd = -1;
-      }
-    }
-
-    // Attach identified dial-ins to their worker.
-    for (std::size_t i = 0; i < dialing.size();) {
-      PendingChannel& pending_channel = dialing[i];
-      char chunk[65536];
-      bool identified = false;
-      bool drop = false;
-      pollfd probe{pending_channel.channel->fd(), POLLIN, 0};
-      if (::poll(&probe, 1, 0) > 0) {
-        const ssize_t n =
-            ::read(pending_channel.channel->fd(), chunk, sizeof chunk);
-        if (n > 0) {
-          pending_channel.buffer.append(chunk, static_cast<std::size_t>(n));
-        } else if (n == 0) {
-          drop = true;  // connected and vanished before identifying
-        }
-      }
-      const auto newline = pending_channel.buffer.find('\n');
-      if (!drop && newline != std::string::npos) {
-        const std::string line = pending_channel.buffer.substr(0, newline);
-        auto parsed = parse_line(line, options.mode);
-        if (parsed.ok() && parsed->meta.has_value()) {
-          for (WorkerProc& worker : workers) {
-            // An exited-but-unidentified worker is still claimable: its
-            // stream lives on in the socket until the grace window ends.
-            if (worker.shard == parsed->meta->shard && worker.fd < 0 &&
-                !worker.stream_closed && worker.channel == nullptr) {
-              worker.channel = std::move(pending_channel.channel);
-              worker.fd = worker.channel->fd();
-              worker.buffer = std::move(pending_channel.buffer);
-              // The parked buffer may already hold the whole stream (the
-              // worker can finish before it is identified); consume it now
-              // — the socket might never signal POLLIN with fresh data
-              // again, only EOF.
-              S4E_TRY_STATUS(consume_lines(worker, options.mode,
-                                           fingerprint, shards, golden,
-                                           stats.records));
-              identified = true;
-              break;
-            }
-          }
-        }
-        if (!identified) drop = true;  // stray or malformed dial-in
-      }
-      if (identified || drop) {
-        dialing.erase(dialing.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
       }
     }
 
@@ -562,21 +441,7 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
                               "(exit 2) on shard %u; not retried",
                               options.worker_path.c_str(), worker.shard));
         }
-        // TCP worker gone before its dial-in was identified: give the
-        // connection a bounded window to arrive (the stream outlives the
-        // process in the socket buffers). A worker that died pre-connect
-        // burns the window and is then requeued.
-        if (worker.fd < 0 && worker.channel == nullptr) {
-          worker.dial_grace = 2000 / kPollIntervalMs;
-        }
       }
-    }
-    for (WorkerProc& worker : workers) {
-      if (worker.dial_grace < 0 || worker.fd >= 0 ||
-          worker.channel != nullptr) {
-        continue;
-      }
-      if (worker.dial_grace-- == 0) worker.stream_closed = true;
     }
 
     // Settle workers whose stream and process have both finished.
@@ -650,11 +515,14 @@ Result<FleetReport> run_fleet(const FleetOptions& options,
     }
   }
 
-  out.report = options.mode == Mode::kFault
-                   ? merge_report<fault::FaultModel>(*golden, slots)
-                   : merge_report<mutation::MutationModel>(*golden, slots);
+  out.report = merge_report<Model>(*golden, slots);
   out.stats = stats;
   return out;
 }
+
+template Result<FleetReport> run_fleet<fault::FaultModel>(const FleetOptions&,
+                                                          FleetStats*);
+template Result<FleetReport> run_fleet<mutation::MutationModel>(
+    const FleetOptions&, FleetStats*);
 
 }  // namespace s4e::fleet

@@ -1,7 +1,7 @@
 // Campaign fleet orchestrator (the engine behind s4e-campaignd): shards a
-// fault or mutation campaign across worker *processes*, streams their
-// JSONL results back over pipes or loopback TCP, and merges them with the
-// same slot-array discipline the in-process executor uses.
+// fault or mutation campaign across worker *processes*, reads their JSONL
+// results from one stdout pipe per worker, and merges them with the same
+// slot-array discipline the in-process executor uses.
 //
 // Determinism contract: every worker regenerates the identical full
 // fault/mutant enumeration (same seed, same RNG walk) and executes only
@@ -33,8 +33,8 @@ namespace s4e::fleet {
 
 struct FleetOptions {
   std::string elf_path;
-  Mode mode = Mode::kFault;
-  // Worker binary (s4e-faultsim for kFault, s4e-mutate for kMutation).
+  // Worker binary: the tool of the fleet's model (s4e-faultsim for
+  // fault::FaultModel, s4e-mutate for mutation::MutationModel).
   std::string worker_path;
   unsigned workers = 2;   // concurrent worker processes
   unsigned shards = 0;    // shard count; 0 = 4x workers (restart granularity)
@@ -42,7 +42,7 @@ struct FleetOptions {
 
   // The campaign knobs, one "--flag" or "--flag=value" token each, e.g.
   // {"--mutants=40", "--triage=verify"} (campaign/spec.hpp). Before any
-  // worker starts, run_fleet parses them with the mode's knob table (so a
+  // worker starts, run_fleet parses them with the model's knob table (so a
   // knob the worker would not take is an error) and forwards their
   // canonical form (campaign::spec_argv) to every worker and into the
   // fingerprint.
@@ -50,8 +50,6 @@ struct FleetOptions {
 
   // Checkpoint journal path; empty disables checkpointing (and resume).
   std::string checkpoint_path;
-  // Stream results over loopback TCP instead of stdout pipes.
-  bool tcp_transport = false;
   // Live status endpoint: -1 = off, 0 = ephemeral port, else fixed port.
   // Each connection receives one JSON metrics line and is closed.
   int status_port = -1;
@@ -84,8 +82,11 @@ struct FleetReport {
   FleetStats stats;
 };
 
-// `stats_out`, when given, also receives the statistics of a run that
-// fails (read it after run_fleet returns).
+// Run `Model`'s campaign (fault::FaultModel or mutation::MutationModel,
+// the two instantiations) on the fleet. `stats_out`, when given, also
+// receives the statistics of a run that fails (read it after run_fleet
+// returns).
+template <class Model>
 Result<FleetReport> run_fleet(const FleetOptions& options,
                               FleetStats* stats_out = nullptr);
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,22 +24,31 @@
 
 namespace s4e::fleet {
 
-enum class Mode : u8 { kFault, kMutation };
+// A campaign model's wire vocabulary, taken from the model's own names
+// (Model::kName, kClassNames, kBucketNames): the "mode" of meta and
+// checkpoint lines, and the record names RecordLine::klass and ::bucket
+// index.
+struct Vocabulary {
+  std::string_view name;
+  std::span<const char* const> classes;
+  std::span<const char* const> buckets;
+};
 
-std::string_view to_string(Mode mode) noexcept;
-std::optional<Mode> parse_mode(std::string_view text) noexcept;
+template <class Model>
+constexpr Vocabulary vocabulary_of() {
+  return {Model::kName, Model::kClassNames, Model::kBucketNames};
+}
 
-// Campaign identity: FNV-1a over the program image bytes, the mode, the
-// canonical campaign spec (campaign::spec_argv: every knob's value) and the
-// shard count. Two runs with the same fingerprint run the same campaign,
-// so their shards and checkpoints compose.
-u64 campaign_fingerprint(const std::string& elf_bytes, Mode mode,
+// Campaign identity: FNV-1a over the program image bytes, the model's name,
+// the canonical campaign spec (campaign::spec_argv: every knob's value) and
+// the shard count. Two runs with the same fingerprint run the same
+// campaign, so their shards and checkpoints compose.
+u64 campaign_fingerprint(const std::string& elf_bytes, std::string_view mode,
                          const std::vector<std::string>& spec,
                          unsigned shards);
 
 // First line of a worker stream.
 struct MetaLine {
-  Mode mode = Mode::kFault;
   unsigned shard = 0;
   unsigned shards = 1;
   u64 begin = 0;       // global index of the shard's first mutant
@@ -74,12 +84,14 @@ struct ParsedLine {
   std::optional<DoneLine> done;
 };
 
-std::string encode(const MetaLine& meta);
-std::string encode(Mode mode, const RecordLine& record);
+std::string encode(const Vocabulary& vocabulary, const MetaLine& meta);
+std::string encode(const Vocabulary& vocabulary, const RecordLine& record);
 std::string encode(const DoneLine& done);
 
-// Strict parse of one worker line; errors name the offending field.
-Result<ParsedLine> parse_line(std::string_view line, Mode mode);
+// Strict parse of one worker line; errors name the offending field. An
+// integer field that does not fit its type is malformed.
+Result<ParsedLine> parse_line(std::string_view line,
+                              const Vocabulary& vocabulary);
 
 // A campaign model's result as a wire record (the worker side) and back
 // (the orchestrator side, which folds it with the model's own fold). The

@@ -1,7 +1,7 @@
 // Worker-side streaming for fleet shards: after s4e-faultsim / s4e-mutate
 // finish their shard, `--emit-jsonl` replaces the human report with the
-// fleet wire stream (meta, records in global index order, done), written
-// to stdout or dialed back to the orchestrator over loopback TCP.
+// fleet wire stream (meta, records in global index order, done) on stdout,
+// which the orchestrator reads through a pipe.
 #pragma once
 
 #include <optional>
@@ -14,19 +14,15 @@
 
 namespace s4e::fleet {
 
-struct EmitOptions {
-  int result_port = -1;      // -1 = stdout, else loopback TCP dial-back
-  // Failure-injection hook (tests): sleep before emitting record N+1 so
-  // the orchestrator can SIGKILL this worker at a deterministic point.
-  unsigned stall_after = 0;
-};
-
-// Stream one shard: the meta line, every pre-encoded record line, and the
-// done line. Records are flushed individually so the orchestrator sees
-// them as they happen (and the stall hook has a defined cut point).
-Status emit_stream(const MetaLine& meta,
+// Stream one shard to stdout: the meta line, every pre-encoded record line,
+// and the done line. Records are flushed individually so the orchestrator
+// sees them as they happen (and the stall hook has a defined cut point).
+// `stall_after` is a failure-injection hook (tests): when non-zero, sleep
+// before emitting record N+1 so the orchestrator can SIGKILL this worker at
+// a deterministic point.
+Status emit_stream(const Vocabulary& vocabulary, const MetaLine& meta,
                    const std::vector<std::string>& record_lines,
-                   const EmitOptions& options);
+                   unsigned stall_after);
 
 // Parse an "i/N" shard selector (0 <= i < N). nullopt on malformed input.
 std::optional<std::pair<unsigned, unsigned>> parse_shard(

@@ -149,22 +149,11 @@ void mutants_for(std::vector<Mutant>& out, u32 address, const Instr& instr) {
 }  // namespace
 
 std::string_view to_string(Operator op) noexcept {
-  switch (op) {
-    case Operator::kOpcodeSubstitution: return "opcode-subst";
-    case Operator::kRegisterReplacement: return "register-repl";
-    case Operator::kImmediatePerturbation: return "imm-perturb";
-  }
-  return "?";
+  return MutationModel::kClassNames[static_cast<unsigned>(op)];
 }
 
 std::string_view to_string(Verdict verdict) noexcept {
-  switch (verdict) {
-    case Verdict::kKilledResult: return "killed-result";
-    case Verdict::kKilledCrash: return "killed-crash";
-    case Verdict::kKilledHang: return "killed-hang";
-    case Verdict::kSurvived: return "SURVIVED";
-  }
-  return "?";
+  return MutationModel::kBucketNames[static_cast<unsigned>(verdict)];
 }
 
 double MutationScore::score(Operator op) const {

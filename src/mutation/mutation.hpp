@@ -111,6 +111,15 @@ class MutationModel {
   using Item = Mutant;
   using ItemResult = MutantResult;
   using Report = MutationScore;
+  // The model's vocabulary, named once: the campaign's name, then its
+  // result classes (Operator order) and buckets (Verdict order).
+  // to_string(Operator), to_string(Verdict) and the fleet wire print these.
+  static constexpr const char* kName = "mutation";
+  static constexpr const char* kClassNames[] = {"opcode-subst",
+                                                "register-repl",
+                                                "imm-perturb"};
+  static constexpr const char* kBucketNames[] = {
+      "killed-result", "killed-crash", "killed-hang", "SURVIVED"};
   // Telemetry names of the result buckets, in Verdict order.
   static constexpr const char* kBuckets[] = {"killed_result", "killed_crash",
                                              "killed_hang", "survived"};

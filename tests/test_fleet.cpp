@@ -1,7 +1,7 @@
 // Campaign fleet service tests: wire codec round trips, checkpoint journal
 // recovery, and the orchestrator's headline contract — the multi-process
 // fleet report is byte-identical to the serial engine's, including across
-// worker SIGKILLs, daemon crash/resume cycles, and both transports.
+// worker SIGKILLs and daemon crash/resume cycles.
 //
 // Orchestrator tests fork real worker binaries (s4e-faultsim / s4e-mutate
 // from S4E_TOOL_DIR), so this suite exercises the full process-supervision
@@ -22,6 +22,7 @@
 
 #include "asm/assembler.hpp"
 #include "campaign/spec.hpp"
+#include "common/file.hpp"
 #include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "debug/tcp.hpp"
@@ -39,6 +40,11 @@
 
 namespace s4e::fleet {
 namespace {
+
+using FaultModel = fault::FaultModel;
+using MutationModel = mutation::MutationModel;
+constexpr Vocabulary kFault = vocabulary_of<FaultModel>();
+constexpr Vocabulary kMutation = vocabulary_of<MutationModel>();
 
 std::string tool(const std::string& name) {
   return std::string(S4E_TOOL_DIR) + "/" + name;
@@ -114,7 +120,6 @@ class Fleet : public ::testing::Test {
   FleetOptions fault_options(unsigned mutants, u64 seed) {
     FleetOptions options;
     options.elf_path = elf_;
-    options.mode = Mode::kFault;
     options.worker_path = tool("s4e-faultsim");
     options.spec = {"--mutants=" + std::to_string(mutants),
                     "--seed=" + std::to_string(seed)};
@@ -129,7 +134,6 @@ class Fleet : public ::testing::Test {
 
 TEST(FleetRecords, MetaRoundTrips) {
   MetaLine meta;
-  meta.mode = Mode::kFault;
   meta.shard = 3;
   meta.shards = 16;
   meta.begin = 37;
@@ -138,7 +142,7 @@ TEST(FleetRecords, MetaRoundTrips) {
   meta.golden_exit = 42;
   meta.golden_instructions = 123456;
   meta.fingerprint = 0xdeadbeefcafef00dull;  // exceeds i64: hex transport
-  auto parsed = parse_line(encode(meta), Mode::kFault);
+  auto parsed = parse_line(encode(kFault, meta), kFault);
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   ASSERT_TRUE(parsed->meta.has_value());
   EXPECT_EQ(parsed->meta->shard, 3u);
@@ -158,8 +162,8 @@ TEST(FleetRecords, RecordRoundTripsBothModes) {
   record.exit_code = -6;
   record.instructions = 4242;
   record.pruned = true;
-  for (const Mode mode : {Mode::kFault, Mode::kMutation}) {
-    auto parsed = parse_line(encode(mode, record), mode);
+  for (const Vocabulary& vocabulary : {kFault, kMutation}) {
+    auto parsed = parse_line(encode(vocabulary, record), vocabulary);
     ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
     ASSERT_TRUE(parsed->record.has_value());
     EXPECT_EQ(parsed->record->index, 99u);
@@ -175,32 +179,99 @@ TEST(FleetRecords, DoneRoundTrips) {
   DoneLine done;
   done.shard = 7;
   done.count = 13;
-  auto parsed = parse_line(encode(done), Mode::kMutation);
+  auto parsed = parse_line(encode(done), kMutation);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed->done.has_value());
   EXPECT_EQ(parsed->done->shard, 7u);
   EXPECT_EQ(parsed->done->count, 13u);
 }
 
+// A flat line with every field of `fields` at its default, or at `value`
+// for `key` (tests build malformed lines from it).
+using Fields = std::vector<std::pair<std::string, std::string>>;
+std::string flat_line(const Fields& fields, const std::string& key,
+                      const std::string& value) {
+  std::string line;
+  for (const auto& [field, default_value] : fields) {
+    line += (line.empty() ? "{\"" : ",\"") + field +
+            "\":" + (field == key ? value : default_value);
+  }
+  return line + "}";
+}
+
+std::string meta_line(const std::string& key, const std::string& value) {
+  return flat_line({{"meta", "\"s4e-fleet\""},
+                    {"mode", "\"fault\""},
+                    {"shard", "0"},
+                    {"shards", "2"},
+                    {"begin", "0"},
+                    {"end", "5"},
+                    {"total", "10"},
+                    {"golden_exit", "0"},
+                    {"golden_instructions", "9"},
+                    {"fingerprint", "\"0000000000000007\""}},
+                   key, value);
+}
+
+std::string record_line(const std::string& key, const std::string& value) {
+  return flat_line({{"i", "0"},
+                    {"class", "\"gpr\""},
+                    {"bucket", "\"sdc\""},
+                    {"exit", "-6"},
+                    {"insns", "40"},
+                    {"pruned", "0"}},
+                   key, value);
+}
+
+std::string done_line(const std::string& key, const std::string& value) {
+  return flat_line({{"done", "true"}, {"shard", "1"}, {"count", "5"}}, key,
+                   value);
+}
+
 TEST(FleetRecords, RejectsMalformedLines) {
-  EXPECT_FALSE(parse_line("{\"i\":1}", Mode::kFault).ok());
-  EXPECT_FALSE(parse_line("not json at all", Mode::kFault).ok());
-  EXPECT_FALSE(
-      parse_line("{\"i\":0,\"class\":\"gpr\",\"bucket\":\"nope\","
-                 "\"exit\":0,\"insns\":1,\"pruned\":0}",
-                 Mode::kFault)
-          .ok());
+  EXPECT_FALSE(parse_line("{\"i\":1}", kFault).ok());
+  EXPECT_FALSE(parse_line("not json at all", kFault).ok());
+  EXPECT_FALSE(parse_line(record_line("bucket", "\"nope\""), kFault).ok());
   // A fault-mode class name is rejected under mutation mode (and vice
   // versa) — the two vocabularies never mix on one stream.
   EXPECT_FALSE(
-      parse_line("{\"i\":0,\"class\":\"gpr\",\"bucket\":\"SURVIVED\","
-                 "\"exit\":0,\"insns\":1,\"pruned\":0}",
-                 Mode::kMutation)
-          .ok());
+      parse_line(record_line("bucket", "\"SURVIVED\""), kMutation).ok());
   MetaLine meta;
   meta.shard = 5;
   meta.shards = 4;  // shard >= shards
-  EXPECT_FALSE(parse_line(encode(meta), Mode::kFault).ok());
+  EXPECT_FALSE(parse_line(encode(kFault, meta), kFault).ok());
+
+  // An integer field that does not fit its type: negative shards, ranges,
+  // indices and counts, and exit codes or shard numbers past their range
+  // (which a cast would wrap into plausible values).
+  ASSERT_TRUE(parse_line(meta_line("", ""), kFault).ok());
+  ASSERT_TRUE(parse_line(record_line("", ""), kFault).ok());
+  ASSERT_TRUE(parse_line(done_line("", ""), kFault).ok());
+  const struct {
+    std::string (*line)(const std::string&, const std::string&);
+    const char* key;
+    const char* value;
+  } cases[] = {
+      {meta_line, "shard", "-1"},
+      {meta_line, "shards", "-1"},
+      {meta_line, "shards", "4294967298"},  // wraps to 2
+      {meta_line, "begin", "-1"},
+      {meta_line, "end", "-1"},
+      {meta_line, "total", "-1"},
+      {meta_line, "golden_exit", "2147483648"},
+      {meta_line, "golden_exit", "-2147483649"},
+      {meta_line, "golden_instructions", "-9"},
+      {record_line, "i", "-1"},
+      {record_line, "exit", "4294967290"},  // wraps to -6
+      {record_line, "insns", "-40"},
+      {done_line, "shard", "-1"},
+      {done_line, "shard", "4294967297"},  // wraps to 1
+      {done_line, "count", "-5"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(parse_line(c.line(c.key, c.value), kFault).ok())
+        << c.key << "=" << c.value;
+  }
 }
 
 // `config` with one knob moved off its current value (to another valid
@@ -222,19 +293,17 @@ Config with_knob_changed(Config config, const Knob& knob) {
 // Every single-knob change of both models' default campaign changes the
 // fingerprint. The loop runs over the knob tables, so a knob added later is
 // covered without touching this test.
-template <class Model>
-void expect_every_knob_fingerprinted(Mode mode) {
+template <class Model, class Other>
+void expect_every_knob_fingerprinted() {
   const std::string elf_bytes = "\x7f" "ELF-ish";
+  const std::string_view mode = Model::kName;
   const typename Model::Config base;
   const auto spec = campaign::spec_argv<Model>(base);
   const u64 a = campaign_fingerprint(elf_bytes, mode, spec, 4);
   EXPECT_EQ(a, campaign_fingerprint(elf_bytes, mode, spec, 4));
   EXPECT_NE(a, campaign_fingerprint(elf_bytes, mode, spec, 8));
   EXPECT_NE(a, campaign_fingerprint(elf_bytes + "x", mode, spec, 4));
-  EXPECT_NE(a, campaign_fingerprint(
-                   elf_bytes,
-                   mode == Mode::kFault ? Mode::kMutation : Mode::kFault,
-                   spec, 4));
+  EXPECT_NE(a, campaign_fingerprint(elf_bytes, Other::kName, spec, 4));
   campaign::for_each_knob<Model>([&](const auto& knob) {
     const auto changed =
         campaign::spec_argv<Model>(with_knob_changed(base, knob));
@@ -244,8 +313,8 @@ void expect_every_knob_fingerprinted(Mode mode) {
 }
 
 TEST(FleetRecords, FingerprintSeparatesCampaigns) {
-  expect_every_knob_fingerprinted<fault::FaultModel>(Mode::kFault);
-  expect_every_knob_fingerprinted<mutation::MutationModel>(Mode::kMutation);
+  expect_every_knob_fingerprinted<FaultModel, MutationModel>();
+  expect_every_knob_fingerprinted<MutationModel, FaultModel>();
 }
 
 // --- campaign spec ---------------------------------------------------------
@@ -356,7 +425,7 @@ CompletedShard make_shard(unsigned shard, u64 begin, u64 end, u64 total) {
 TEST(FleetCheckpoint, CommitAndRecover) {
   const std::string path = temp_path("ck.jsonl");
   CheckpointHeader header;
-  header.mode = Mode::kFault;
+  header.vocabulary = kFault;
   header.fingerprint = 0xabcdef0123456789ull;
 
   std::vector<CompletedShard> recovered;
@@ -386,18 +455,16 @@ TEST(FleetCheckpoint, CommitAndRecover) {
 
 TEST(FleetCheckpoint, PartialTrailingBlockIsDiscarded) {
   CheckpointHeader header;
-  header.mode = Mode::kMutation;
+  header.vocabulary = kMutation;
   header.fingerprint = 7;
   std::string text = encode_header(header) + "\n";
   CompletedShard good = make_shard(0, 0, 3, 6);
-  good.meta.mode = Mode::kMutation;
-  text += encode_block(Mode::kMutation, good);
+  text += encode_block(kMutation, good);
   // Second block: meta line + one record, then the daemon died — no
   // commit line.
   CompletedShard bad = make_shard(1, 3, 6, 6);
-  bad.meta.mode = Mode::kMutation;
-  text += encode(bad.meta) + "\n";
-  text += encode(Mode::kMutation, bad.records[0]) + "\n";
+  text += encode(kMutation, bad.meta) + "\n";
+  text += encode(kMutation, bad.records[0]) + "\n";
 
   auto parsed = parse_journal(text, header);
   ASSERT_TRUE(parsed.has_value());
@@ -405,10 +472,36 @@ TEST(FleetCheckpoint, PartialTrailingBlockIsDiscarded) {
   EXPECT_EQ((*parsed)[0].meta.shard, 0u);
 }
 
+// A block whose records are not numbered begin, begin+1, ... is torn,
+// like one cut short: the live stream would have failed that shard, so
+// the journal must not resurrect it (nor anything after it).
+TEST(FleetCheckpoint, MisnumberedRecordDiscardsBlock) {
+  CheckpointHeader header;
+  header.vocabulary = kFault;
+  header.fingerprint = 7;
+  CompletedShard misnumbered = make_shard(1, 10, 20, 40);
+  misnumbered.records[4].index = 13;  // a duplicate, not 14
+  const std::string text = encode_header(header) + "\n" +
+                           encode_block(kFault, make_shard(0, 0, 10, 40)) +
+                           encode_block(kFault, misnumbered) +
+                           encode_block(kFault, make_shard(2, 20, 30, 40));
+  auto parsed = parse_journal(text, header);
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_EQ(parsed->size(), 1u);
+  EXPECT_EQ((*parsed)[0].meta.shard, 0u);
+
+  misnumbered.records[4].index = 14;
+  parsed = parse_journal(encode_header(header) + "\n" +
+                             encode_block(kFault, misnumbered),
+                         header);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->size(), 1u);
+}
+
 TEST(FleetCheckpoint, StaleJournalIsReplaced) {
   const std::string path = temp_path("ck_stale.jsonl");
   CheckpointHeader header;
-  header.mode = Mode::kFault;
+  header.vocabulary = kFault;
   header.fingerprint = 1;
   std::vector<CompletedShard> recovered;
   bool replaced = false;
@@ -436,7 +529,7 @@ TEST_F(Fleet, FaultReportMatchesSerialEngine) {
   FleetOptions options = fault_options(40, 1);
   options.workers = 3;
   options.shards = 5;
-  auto fleet = run_fleet(options);
+  auto fleet = run_fleet<FaultModel>(options);
   ASSERT_TRUE(fleet.ok()) << fleet.error().to_string();
   EXPECT_EQ(fleet->report, serial);
   EXPECT_EQ(fleet->stats.shards_done, 5u);
@@ -448,27 +541,13 @@ TEST_F(Fleet, MutationReportMatchesSerialEngine) {
   const std::string serial = serial_mutation_report(50);
   FleetOptions options;
   options.elf_path = elf_;
-  options.mode = Mode::kMutation;
   options.worker_path = tool("s4e-mutate");
   options.spec = {"--max=50"};
   options.workers = 2;
   options.shards = 4;
-  auto fleet = run_fleet(options);
+  auto fleet = run_fleet<MutationModel>(options);
   ASSERT_TRUE(fleet.ok()) << fleet.error().to_string();
   EXPECT_EQ(fleet->report, serial);
-}
-
-TEST_F(Fleet, TcpTransportMatchesPipeTransport) {
-  FleetOptions options = fault_options(30, 7);
-  options.workers = 2;
-  options.shards = 3;
-  auto piped = run_fleet(options);
-  ASSERT_TRUE(piped.ok()) << piped.error().to_string();
-  options.tcp_transport = true;
-  auto tcp = run_fleet(options);
-  ASSERT_TRUE(tcp.ok()) << tcp.error().to_string();
-  EXPECT_EQ(tcp->report, piped->report);
-  EXPECT_EQ(tcp->report, serial_fault_report(30, 7));
 }
 
 // --- orchestrator: fault tolerance -----------------------------------------
@@ -481,7 +560,7 @@ TEST_F(Fleet, SigkilledWorkerIsRestartedAndReportUnchanged) {
   // The first spawned worker stalls after 3 records and is SIGKILLed by
   // the daemon; its shard must be re-run and the merged report unharmed.
   options.test_kill_after_records = 3;
-  auto fleet = run_fleet(options);
+  auto fleet = run_fleet<FaultModel>(options);
   ASSERT_TRUE(fleet.ok()) << fleet.error().to_string();
   EXPECT_EQ(fleet->report, serial);
   EXPECT_GE(fleet->stats.worker_restarts, 1u);
@@ -496,16 +575,81 @@ TEST_F(Fleet, DaemonCrashResumesFromCheckpoint) {
   options.shards = 4;
   options.checkpoint_path = checkpoint;
   options.test_fail_after_commits = 2;
-  auto crashed = run_fleet(options);
+  auto crashed = run_fleet<FaultModel>(options);
   ASSERT_FALSE(crashed.ok());  // simulated daemon death
 
   options.test_fail_after_commits = 0;
-  auto resumed = run_fleet(options);
+  auto resumed = run_fleet<FaultModel>(options);
   ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
   EXPECT_EQ(resumed->report, serial);
   EXPECT_GE(resumed->stats.shards_recovered, 2u);
   EXPECT_LE(resumed->stats.shards_done, 2u);
   EXPECT_FALSE(resumed->stats.checkpoint_replaced);
+  std::remove(checkpoint.c_str());
+}
+
+// Resuming from a journal whose header matches the campaign but whose
+// block lies — negative fields, a range too large to hold, a range off the
+// shard contract — re-runs the shard or fails with a message; it never
+// aborts the daemon.
+TEST_F(Fleet, CraftedCheckpointNeverAborts) {
+  const std::string serial = serial_fault_report(20, 1);
+  const std::string checkpoint = temp_path("crafted.jsonl");
+  FleetOptions options = fault_options(20, 1);
+  options.workers = 2;
+  options.shards = 2;
+  options.checkpoint_path = checkpoint;
+  options.test_fail_after_commits = 1;
+  ASSERT_FALSE(run_fleet<FaultModel>(options).ok());
+  options.test_fail_after_commits = 0;
+  std::ifstream in(checkpoint);
+  std::string header;
+  std::string meta;
+  ASSERT_TRUE(std::getline(in, header));
+  ASSERT_TRUE(std::getline(in, meta));  // the committed shard's meta line
+  in.close();
+  const std::string fingerprint =
+      meta.substr(meta.find("\"fingerprint\":"));
+  const auto block = [&](unsigned shard, const char* range,
+                         const std::string& records) {
+    return format("{\"meta\":\"s4e-fleet\",\"mode\":\"fault\",\"shard\":%u,"
+                  "\"shards\":2,%s,\"golden_exit\":0,"
+                  "\"golden_instructions\":1,",
+                  shard, range) +
+           fingerprint + "\n" + records + format("{\"commit\":%u}\n", shard);
+  };
+  const char* negative = "\"begin\":-1,\"end\":-1,\"total\":-1";
+  // 2^40, the largest integer the field parser takes: far more records
+  // than memory holds.
+  const char* huge =
+      "\"begin\":0,\"end\":1099511627776,\"total\":1099511627776";
+  const std::string one_record =
+      "{\"i\":0,\"class\":\"gpr\",\"bucket\":\"masked\",\"exit\":0,"
+      "\"insns\":1,\"pruned\":0}\n";
+  const struct {
+    std::string blocks;
+    bool rerun;  // the blocks are torn: every shard re-runs
+  } cases[] = {
+      {block(0, negative, "") + block(1, negative, ""), true},
+      {block(0, huge, one_record), true},
+      {block(0, "\"begin\":0,\"end\":1,\"total\":20", one_record), false},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(
+        write_file_atomic(checkpoint, header + "\n" + c.blocks).ok());
+    auto resumed = run_fleet<FaultModel>(options);
+    if (c.rerun) {
+      ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
+      EXPECT_EQ(resumed->report, serial);
+      EXPECT_EQ(resumed->stats.shards_recovered, 0u);
+      EXPECT_EQ(resumed->stats.shards_done, 2u);
+    } else {
+      ASSERT_FALSE(resumed.ok());
+      EXPECT_NE(resumed.error().message().find("outside the contract"),
+                std::string::npos)
+          << resumed.error().message();
+    }
+  }
   std::remove(checkpoint.c_str());
 }
 
@@ -520,12 +664,12 @@ TEST_F(Fleet, KillCrashAndResumeCombined) {
   options.checkpoint_path = checkpoint;
   options.test_kill_after_records = 2;
   options.test_fail_after_commits = 1;
-  auto crashed = run_fleet(options);
+  auto crashed = run_fleet<FaultModel>(options);
   ASSERT_FALSE(crashed.ok());
 
   options.test_kill_after_records = 0;
   options.test_fail_after_commits = 0;
-  auto resumed = run_fleet(options);
+  auto resumed = run_fleet<FaultModel>(options);
   ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
   EXPECT_EQ(resumed->report, serial);
   std::remove(checkpoint.c_str());
@@ -539,7 +683,7 @@ TEST_F(Fleet, WorkerUsageErrorIsPermanent) {
   options.workers = 1;
   options.shards = 2;
   FleetStats stats;
-  auto fleet = run_fleet(options, &stats);
+  auto fleet = run_fleet<FaultModel>(options, &stats);
   ASSERT_FALSE(fleet.ok());
   EXPECT_NE(fleet.error().message().find("(exit 2)"), std::string::npos)
       << fleet.error().message();
@@ -551,7 +695,7 @@ TEST_F(Fleet, SpecIsValidatedBeforeAnyWorkerStarts) {
   FleetOptions options = fault_options(10, 1);
   options.spec.push_back("--all-sites");  // a mutation knob
   FleetStats stats;
-  auto fleet = run_fleet(options, &stats);
+  auto fleet = run_fleet<FaultModel>(options, &stats);
   ASSERT_FALSE(fleet.ok());
   EXPECT_NE(fleet.error().message().find("'--all-sites'"), std::string::npos)
       << fleet.error().message();
@@ -564,7 +708,7 @@ TEST_F(Fleet, BrokenWorkerBinaryExhaustsRetries) {
   options.workers = 1;
   options.shards = 2;
   options.max_retries = 1;
-  auto fleet = run_fleet(options);
+  auto fleet = run_fleet<FaultModel>(options);
   ASSERT_FALSE(fleet.ok());
   EXPECT_NE(fleet.error().message().find("giving up"), std::string::npos)
       << fleet.error().message();
@@ -598,7 +742,7 @@ TEST_F(Fleet, StatusEndpointServesLiveMetrics) {
       }
     }
   });
-  auto fleet = run_fleet(options);
+  auto fleet = run_fleet<FaultModel>(options);
   done.store(true);
   client.join();
   ASSERT_TRUE(fleet.ok()) << fleet.error().to_string();

@@ -3,12 +3,12 @@
 // and owns every other flag a campaign takes whatever its model: --jobs,
 // --shard, --progress, --metrics-out, --post-mortem[-dir],
 // --snapshot-stats, and the fleet worker mode (--emit-jsonl streams the
-// shard to stdout or, with --result-port, over loopback TCP). Observability
-// flags never change the stdout report.
+// shard to stdout in the model's wire vocabulary). Observability flags
+// never change the stdout report.
 //
 // Each tool supplies a `Tool` description with its listing and labels:
 //   Model                           the campaign model
-//   kName, kTag, kMode              tool name, stderr tag, fleet mode
+//   kName, kTag                     tool name, stderr tag
 //   kProgress[4]                    progress-line names of the buckets
 //   kListFlag, list(report)         its optional stdout listing
 //   label(result)                   post-mortem header: bucket and item
@@ -34,8 +34,7 @@ namespace s4e::tools {
 inline constexpr char kCampaignUsage[] =
     "[--jobs N] [--progress] [--snapshot-stats] "
     "[--metrics-out FILE] [--post-mortem] [--post-mortem-dir DIR] "
-    "[--shard I/N] [--emit-jsonl] [--result-port P] "
-    "[--test-stall-after N]\n";
+    "[--shard I/N] [--emit-jsonl] [--test-stall-after N]\n";
 
 // Declare `Model`'s knobs (campaign/spec.hpp) to an Args parser: integers
 // take a value, switches and choices do not. Each flag is also listed in
@@ -72,7 +71,6 @@ int campaign_main(int argc, char** argv) {
   const char* name = Tool::kName;
   std::vector<std::string> value_keys = {"--jobs", "--metrics-out",
                                          "--post-mortem-dir", "--shard",
-                                         "--result-port",
                                          "--test-stall-after"};
   std::vector<std::string> flag_keys = {"--progress", "--snapshot-stats",
                                         "--post-mortem", "--emit-jsonl",
@@ -108,10 +106,7 @@ int campaign_main(int argc, char** argv) {
     config.shard_index = shard->first;
     config.shard_count = shard->second;
   }
-  fleet::EmitOptions emit;
-  emit.result_port =
-      static_cast<int>(args.integer("--result-port", -1, 0, 65535));
-  emit.stall_after = static_cast<unsigned>(
+  const auto stall_after = static_cast<unsigned>(
       args.integer("--test-stall-after", 0, 0, 0xffffffffLL));
 
   auto program = elf::read_elf_file(args.positional()[0]);
@@ -177,8 +172,8 @@ int campaign_main(int argc, char** argv) {
                    elf_bytes.error().to_string().c_str());
       return 1;
     }
+    constexpr fleet::Vocabulary vocabulary = fleet::vocabulary_of<Model>();
     fleet::MetaLine meta;
-    meta.mode = Tool::kMode;
     meta.shard = config.shard_index;
     meta.shards = config.shard_count;
     meta.begin = report->shard_begin;
@@ -187,16 +182,17 @@ int campaign_main(int argc, char** argv) {
     meta.golden_exit = campaign.golden().result.exit_code;
     meta.golden_instructions = campaign.golden().result.instructions;
     meta.fingerprint = fleet::campaign_fingerprint(
-        *elf_bytes, Tool::kMode, campaign::spec_argv<Model>(config),
+        *elf_bytes, Model::kName, campaign::spec_argv<Model>(config),
         config.shard_count);
     std::vector<std::string> lines;
     lines.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       lines.push_back(fleet::encode(
-          Tool::kMode,
+          vocabulary,
           fleet::to_record<Model>(results[i], report->shard_begin + i)));
     }
-    if (auto status = fleet::emit_stream(meta, lines, emit); !status.ok()) {
+    if (auto status = fleet::emit_stream(vocabulary, meta, lines, stall_after);
+        !status.ok()) {
       std::fprintf(stderr, "%s: %s\n", name, status.to_string().c_str());
       return 1;
     }

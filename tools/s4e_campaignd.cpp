@@ -3,15 +3,17 @@
 //
 //   s4e-campaignd file.elf [--mode fault|mutation] [campaign knobs]
 //                 [--workers N] [--shards N] [--worker-jobs N]
-//                 [--worker PATH] [--checkpoint FILE] [--tcp]
-//                 [--status-port P] [--max-retries N] [--stats]
+//                 [--worker PATH] [--checkpoint FILE] [--status-port P]
+//                 [--max-retries N] [--stats]
 //
-// The campaign knobs are exactly those the mode's tool takes (s4e-faultsim
-// for fault, s4e-mutate for mutation), declared by the same knob tables
-// (campaign/spec.hpp) and checked before any worker starts: a knob of the
-// other mode, like a bad value, is a usage error (exit 2). Every worker
-// receives their canonical form. The merged report on stdout is
-// byte-identical to the serial tool's with the same knobs: workers
+// --mode names the campaign model (fault::FaultModel::kName or
+// mutation::MutationModel::kName); it is the one place the daemon picks a
+// model. The campaign knobs are exactly those the model's tool takes
+// (s4e-faultsim for fault, s4e-mutate for mutation), declared by the same
+// knob tables (campaign/spec.hpp) and checked before any worker starts: a
+// knob of the other model, like a bad value, is a usage error (exit 2).
+// Every worker receives their canonical form. The merged report on stdout
+// is byte-identical to the serial tool's with the same knobs: workers
 // regenerate the identical mutant enumeration, execute only their
 // contiguous shard, and the daemon folds the records in global index
 // order. --checkpoint makes the fleet crash-safe: completed shards are
@@ -20,9 +22,9 @@
 // mid-shard are respawned automatically; a worker that rejects its
 // arguments (exit 2) stops the fleet at once.
 //
+// Each worker streams its shard back through its stdout pipe.
 // --status-port P serves one line of live JSON metrics per connection
-// (P=0 binds an ephemeral port, printed to stderr). --tcp streams results
-// over loopback TCP instead of stdout pipes (same wire format).
+// (P=0 binds an ephemeral port, printed to stderr).
 #include <unistd.h>
 
 #include <cstdio>
@@ -57,12 +59,12 @@ int main(int argc, char** argv) {
       "--worker-jobs", "--worker",          "--checkpoint",
       "--status-port", "--max-retries",     "--test-kill-after",
       "--test-fail-after-commits"};
-  std::vector<std::string> flag_keys = {"--tcp", "--stats"};
+  std::vector<std::string> flag_keys = {"--stats"};
   std::vector<std::string> knobs;
   std::string usage =
       "usage: s4e-campaignd <file.elf> [--mode fault|mutation] "
       "[--workers N] [--shards N] [--worker-jobs N] [--worker PATH] "
-      "[--checkpoint FILE] [--tcp] [--status-port P] [--max-retries N] "
+      "[--checkpoint FILE] [--status-port P] [--max-retries N] "
       "[--stats] [--test-kill-after N] [--test-fail-after-commits N]\n"
       "  and the knobs of the mode's tool: ";
   tools::declare_knobs<fault::FaultModel>(value_keys, flag_keys, knobs, usage);
@@ -82,13 +84,12 @@ int main(int argc, char** argv) {
 
   fleet::FleetOptions options;
   options.elf_path = args.positional()[0];
-  const std::string mode = args.value("--mode", "fault");
-  const auto parsed_mode = fleet::parse_mode(mode);
-  if (!parsed_mode) {
+  const std::string mode = args.value("--mode", fault::FaultModel::kName);
+  const bool fault_mode = mode == fault::FaultModel::kName;
+  if (!fault_mode && mode != mutation::MutationModel::kName) {
     args.usage_error(Error(ErrorCode::kInvalidArgument,
                            "--mode expects fault|mutation (got " + mode + ")"));
   }
-  options.mode = *parsed_mode;
   options.spec = tools::given_knobs(args, knobs);
   constexpr long long kCount = 0xffffffffLL;
   options.workers = static_cast<unsigned>(
@@ -98,11 +99,8 @@ int main(int argc, char** argv) {
   options.worker_jobs = static_cast<unsigned>(
       args.integer("--worker-jobs", options.worker_jobs, 0, 4096));
   options.worker_path = args.value(
-      "--worker", sibling_tool(options.mode == fleet::Mode::kFault
-                                   ? "s4e-faultsim"
-                                   : "s4e-mutate"));
+      "--worker", sibling_tool(fault_mode ? "s4e-faultsim" : "s4e-mutate"));
   options.checkpoint_path = args.value("--checkpoint");
-  options.tcp_transport = args.has("--tcp");
   if (args.has("--status-port")) {
     options.status_port =
         static_cast<int>(args.integer("--status-port", 0, 0, 65535));
@@ -118,7 +116,9 @@ int main(int argc, char** argv) {
   options.test_fail_after_commits = static_cast<unsigned>(
       args.integer("--test-fail-after-commits", 0, 0, kCount));
 
-  auto fleet_run = fleet::run_fleet(options);
+  auto fleet_run =
+      fault_mode ? fleet::run_fleet<fault::FaultModel>(options)
+                 : fleet::run_fleet<mutation::MutationModel>(options);
   if (!fleet_run.ok()) {
     std::fprintf(stderr, "s4e-campaignd: %s\n",
                  fleet_run.error().to_string().c_str());

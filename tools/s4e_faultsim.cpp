@@ -22,9 +22,7 @@ struct Faultsim {
   using Model = fault::FaultModel;
   static constexpr const char* kName = "s4e-faultsim";
   static constexpr const char* kTag = "faultsim";
-  static constexpr fleet::Mode kMode = fleet::Mode::kFault;
-  static constexpr const char* kProgress[] = {"masked", "sdc", "crash",
-                                              "hang"};
+  static constexpr const auto& kProgress = Model::kBucketNames;
   static constexpr const char* kListFlag = "--list";
 
   static void list(const fault::CampaignResult& result) {

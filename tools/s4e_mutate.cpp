@@ -17,7 +17,6 @@ struct Mutate {
   using Model = mutation::MutationModel;
   static constexpr const char* kName = "s4e-mutate";
   static constexpr const char* kTag = "mutate";
-  static constexpr fleet::Mode kMode = fleet::Mode::kMutation;
   static constexpr const char* kProgress[] = {"result", "crash", "hang",
                                               "survived"};
   static constexpr const char* kListFlag = "--survivors";
