@@ -36,10 +36,7 @@ int main() {
       continue;
     }
     const qta::QtaReport& report = outcome->report;
-    const bool holds =
-        report.observed_cycles <= report.wc_path_cycles &&
-        report.wc_path_cycles <= report.static_bound &&
-        !report.bound_violated && report.unknown_blocks == 0;
+    const bool holds = report.chain_ok();
     all_hold = all_hold && holds;
     std::printf("%-12s %10llu %12llu %12llu %8.2f %8.2f  %s\n",
                 workload.name.c_str(),

@@ -1,12 +1,13 @@
-// Deterministic fan-out driver for campaign-style workloads: N independent
-// jobs (one guest execution per fault/mutant), each writing its result into
-// a slot chosen by submission index.
+// Deterministic fan-out driver for every parallel loop in the tree: N
+// independent jobs (one guest execution per fault/mutant, one replay per
+// timing configuration), each writing its result into a slot chosen by
+// submission index.
 //
 // Determinism contract: because every job owns its slot and aggregation
 // happens *after* the barrier by walking the slots in submission order, the
 // output of run_affine() is bit-identical to a serial loop over the same
-// jobs — regardless of thread count or OS scheduling. jobs == 1 bypasses the pool
-// entirely and runs the jobs inline on the caller's thread (the exact
+// jobs — regardless of thread count or OS scheduling. jobs == 1 starts no
+// thread and runs the jobs inline on the caller's thread (the exact
 // pre-parallelism code path).
 //
 // Progress contract: workers bump atomic counters (jobs done + a caller-
@@ -19,7 +20,6 @@
 #include <functional>
 
 #include "common/bits.hpp"
-#include "exec/pool.hpp"
 
 namespace s4e::exec {
 
@@ -73,21 +73,22 @@ class CampaignProgress {
 
 class CampaignExecutor {
  public:
-  // jobs == 0 resolves to std::thread::hardware_concurrency().
-  explicit CampaignExecutor(unsigned jobs)
-      : jobs_(ThreadPool::resolve_jobs(jobs)) {}
+  // jobs == 0 resolves to std::thread::hardware_concurrency() (at least
+  // 1); larger requests are capped at 4096. Starts no thread.
+  explicit CampaignExecutor(unsigned jobs);
 
   unsigned jobs() const noexcept { return jobs_; }
 
   // Run job(worker, i) for every i in [0, count), where `worker`
   // identifies the executing lane (0..jobs()-1, stable for that lane's
-  // whole lifetime). One long-lived pool task per lane claims indices from
-  // a shared atomic counter, so a lane can keep worker-local state (e.g. a
-  // reusable vp::Machine) across the jobs it executes while load balancing
-  // stays dynamic. Slots are indexed by submission order. jobs() == 1 runs
-  // inline as lane 0. Throws the first captured job exception after all
-  // lanes drained; a lane that throws stops claiming further indices, the
-  // remaining lanes finish the campaign.
+  // whole lifetime). Only min(jobs(), count) lanes start, one thread each,
+  // claiming indices from a shared atomic counter, so a lane can keep
+  // worker-local state (e.g. a reusable vp::Machine) across the jobs it
+  // executes while load balancing stays dynamic. Slots are indexed by
+  // submission order. jobs() == 1 runs inline on the caller as lane 0.
+  // A lane that throws stops claiming further indices, the remaining lanes
+  // finish the campaign; once all lanes are joined the exception of the
+  // lowest failed lane is rethrown.
   void run_affine(std::size_t count,
                   const std::function<void(unsigned, std::size_t)>& job);
 

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <utility>
 
+#include "common/fnv1a.hpp"
 #include "common/strings.hpp"
 
 namespace s4e::fleet {
@@ -58,12 +59,9 @@ u64 campaign_fingerprint(const std::string& elf_bytes, std::string_view mode,
   std::string fields(mode);
   for (const std::string& token : spec) fields += '\0' + token;
   fields += '\0' + std::to_string(shards);
-  u64 hash = 0xcbf29ce484222325ull;  // FNV-1a
+  u64 hash = kFnv1aOffsetBasis;
   for (const std::string_view bytes : {elf_bytes, fields}) {
-    for (const char c : bytes) {
-      hash ^= static_cast<u8>(c);
-      hash *= 0x100000001b3ull;
-    }
+    hash = fnv1a(reinterpret_cast<const u8*>(bytes.data()), bytes.size(), hash);
   }
   return hash;
 }

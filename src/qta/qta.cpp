@@ -24,9 +24,9 @@ void PathAccumulator::step(u32 pc) {
     // Not a block head — either mid-block (normal) or genuinely unannotated
     // code. Only the latter is worth counting: detect it by checking that
     // the address lies inside the block we are currently traversing.
-    if (in_flight_ && pc >= prev_block_end_) {
-      // Execution moved past the annotated region (e.g. a trap handler the
-      // static analysis never saw).
+    if (in_flight_ && (pc < prev_block_start_ || pc >= prev_block_end_)) {
+      // Execution left the annotated region, above or below the current
+      // block (e.g. a trap handler the static analysis never saw).
       ++unknown_blocks_;
       in_flight_ = false;
     }

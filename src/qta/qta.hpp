@@ -46,6 +46,13 @@ struct QtaReport {
                           : 0.0;
   }
 
+  // The E3 chain: observed <= WC path <= bound, with every executed block
+  // annotated.
+  bool chain_ok() const noexcept {
+    return observed_cycles <= wc_path_cycles &&
+           wc_path_cycles <= static_bound && unknown_blocks == 0;
+  }
+
   std::string to_string() const;
 };
 

@@ -5,6 +5,7 @@
 
 #include "asm/program.hpp"
 #include "common/file.hpp"
+#include "common/fnv1a.hpp"
 #include "common/strings.hpp"
 #include "isa/opcode.hpp"
 
@@ -95,22 +96,13 @@ std::string_view to_string(TaintKind kind) noexcept {
   return "unknown";
 }
 
-u64 fnv1a(const u8* data, std::size_t size, u64 seed) {
-  u64 hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 u64 program_fingerprint(const assembler::Program& program) {
-  u64 hash = 0xcbf29ce484222325ull;
-  const auto mix32 = [&hash](u32 value) {
-    for (unsigned i = 0; i < 4; ++i) {
-      hash ^= (value >> (8 * i)) & 0xff;
-      hash *= 0x100000001b3ull;
-    }
+  u64 hash = kFnv1aOffsetBasis;
+  const auto mix32 = [&hash](u32 value) {  // little-endian bytes
+    const u8 bytes[4] = {static_cast<u8>(value), static_cast<u8>(value >> 8),
+                         static_cast<u8>(value >> 16),
+                         static_cast<u8>(value >> 24)};
+    hash = fnv1a(bytes, sizeof bytes, hash);
   };
   for (const assembler::Section& section : program.sections) {
     mix32(section.base);

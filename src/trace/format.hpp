@@ -195,9 +195,6 @@ struct Footer {
 // workload it was recorded from.
 u64 program_fingerprint(const assembler::Program& program);
 
-// FNV-1a over raw bytes (the stream checksum).
-u64 fnv1a(const u8* data, std::size_t size, u64 seed = 0xcbf29ce484222325ull);
-
 // --- Writer -----------------------------------------------------------------
 //
 // Append-only in-memory encoder; save() writes header + stream + footer via

@@ -153,9 +153,9 @@ struct MatrixRow {
   ReplayResult result;
 };
 
-// Fan one trace out over `configs` on a thread pool (`jobs` as in
-// exec::ThreadPool::resolve_jobs; 0 = hardware concurrency). The trace is
-// shared read-only; rows come back in `configs` order.
+// Fan one trace out over `configs` on exec::CampaignExecutor lanes (`jobs`
+// as in its constructor; 0 = hardware concurrency). The trace is shared
+// read-only; rows come back in `configs` order.
 Result<std::vector<MatrixRow>> replay_matrix(
     const Trace& trace, const std::vector<NamedTiming>& configs,
     unsigned jobs);

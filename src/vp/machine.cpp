@@ -354,37 +354,24 @@ Status Machine::load_program(const assembler::Program& program) {
   return Status();
 }
 
-s4e_insn_info Machine::to_insn_info(const Instr& instr, u32 address) {
-  s4e_insn_info info{};
-  info.address = address;
-  info.encoding = instr.raw;
-  info.op = static_cast<u16>(instr.op);
-  info.op_class = static_cast<u8>(instr.info().op_class);
-  info.rd = instr.rd;
-  info.rs1 = instr.rs1;
-  info.rs2 = instr.rs2;
-  info.csr = instr.csr;
-  info.imm = instr.imm;
-  return info;
-}
-
 TranslationBlock* Machine::translate(u32 pc) {
   auto block = std::make_unique<TranslationBlock>();
   block->start = pc;
+  std::vector<Instr> insns;
   u32 address = pc;
-  while (block->insns.size() < TbCache::kMaxBlockInsns) {
+  while (insns.size() < TbCache::kMaxBlockInsns) {
     // A debug breakpoint must sit at a block head so the per-block dispatch
     // check can stop before executing it: end the block when the *next*
     // instruction is breakpointed. (A breakpoint at the block's own start is
     // fine — dispatch already stopped there, or we are resuming over it.)
-    if (!breakpoints_.empty() && !block->insns.empty() &&
+    if (!breakpoints_.empty() && !insns.empty() &&
         breakpoints_.count(address) != 0) {
       break;
     }
     // Fetch the first 16-bit parcel to distinguish RVC from 32-bit forms.
     auto half = bus_.fetch_half(address);
     if (!half.ok()) {
-      if (block->insns.empty()) {
+      if (insns.empty()) {
         // Instruction access fault at the block head.
         take_trap(1 /* instruction access fault */, address, false);
         return nullptr;
@@ -395,7 +382,7 @@ TranslationBlock* Machine::translate(u32 pc) {
     if (isa::is_compressed(static_cast<u16>(*half))) {
       auto decompressed = isa::decompress(static_cast<u16>(*half));
       if (!decompressed.ok()) {
-        if (block->insns.empty()) {
+        if (insns.empty()) {
           take_trap(kCauseIllegalInstruction, *half, false);
           return nullptr;
         }
@@ -406,7 +393,7 @@ TranslationBlock* Machine::translate(u32 pc) {
     } else {
       auto word = bus_.fetch_word(address);
       if (!word.ok() || !isa::decoder().try_decode(*word, instr)) {
-        if (block->insns.empty()) {
+        if (insns.empty()) {
           take_trap(kCauseIllegalInstruction, word.ok() ? *word : *half,
                     false);
           return nullptr;
@@ -415,7 +402,7 @@ TranslationBlock* Machine::translate(u32 pc) {
         break;
       }
     }
-    block->insns.push_back(instr);
+    insns.push_back(instr);
     address += instr.length;
     if (instr.is_control_flow()) break;
     // WFI must end the block: the timer interrupt it waits for is only
@@ -423,16 +410,12 @@ TranslationBlock* Machine::translate(u32 pc) {
     if (instr.op == Op::kWfi) break;
   }
   block->byte_size = address - pc;
-  lower_block(*block);
+  lower_block(*block, insns);
 
   if (!tb_trans_cbs_.empty()) {
     std::vector<s4e_insn_info> infos;
-    infos.reserve(block->insns.size());
-    u32 a = block->start;
-    for (const Instr& instr : block->insns) {
-      infos.push_back(to_insn_info(instr, a));
-      a += instr.length;
-    }
+    infos.reserve(block->code.size());
+    for (const DecodedInsn& d : block->code) infos.push_back(to_insn_info(d));
     s4e_tb_info tb_info{block->start, static_cast<u32>(infos.size()),
                         infos.data()};
     for (const auto& reg : tb_trans_cbs_) {
@@ -1257,13 +1240,14 @@ s4e_insn_info Machine::to_insn_info(const DecodedInsn& decoded) {
   return info;
 }
 
-void Machine::lower_block(TranslationBlock& block) {
+void Machine::lower_block(TranslationBlock& block,
+                          const std::vector<Instr>& insns) {
   const TimingParams& params = timing_.params();
   const bool predictor = params.branch_predictor;
   block.code.clear();
-  block.code.reserve(block.insns.size());
+  block.code.reserve(insns.size());
   u32 pc = block.start;
-  for (const Instr& in : block.insns) {
+  for (const Instr& in : insns) {
     DecodedInsn d;
     d.pc = pc;
     d.link = pc + in.length;
@@ -1294,8 +1278,8 @@ void Machine::lower_block(TranslationBlock& block) {
   }
   block.fall_pc = block.start + block.byte_size;
   block.taken_pc = 0;
-  if (!block.insns.empty()) {
-    const Instr& last = block.insns.back();
+  if (!insns.empty()) {
+    const Instr& last = insns.back();
     if (last.is_branch() || last.op == Op::kJal) {
       block.taken_pc = block.code.back().target;
     }

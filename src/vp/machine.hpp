@@ -10,6 +10,7 @@
 
 #include "asm/program.hpp"
 #include "common/status.hpp"
+#include "isa/instr.hpp"
 #include "vp/bus.hpp"
 #include "vp/cpu.hpp"
 #include "vp/devices/clint.hpp"
@@ -361,7 +362,9 @@ class Machine {
   // partial-block fallback when the budget or an armed icount callback
   // falls inside a block).
   void exec_insns_careful(TranslationBlock* tb, u64 limit);
-  void lower_block(TranslationBlock& block);
+  // Lower the decoded `insns` of `block` into its threaded `code`.
+  void lower_block(TranslationBlock& block,
+                   const std::vector<isa::Instr>& insns);
   TranslationBlock* lookup_or_translate(u32 pc);
   // Splice `dst` onto `src`'s hot exit edge; returns the block to continue
   // with, or nullptr when a superblock was installed (epoch bumped — the
@@ -396,7 +399,6 @@ class Machine {
   void check_interrupts();
   void probe_icache(u32 block_pc);
   void fire_mem_cb(u32 vaddr, u32 value, unsigned size, bool is_store);
-  static s4e_insn_info to_insn_info(const isa::Instr& instr, u32 address);
   static s4e_insn_info to_insn_info(const DecodedInsn& decoded);
 
   // The lowered instruction handlers live in this friend (machine.cpp) so

@@ -3,6 +3,7 @@
 #include <set>
 #include <utility>
 
+#include "common/fnv1a.hpp"
 #include "vp/s4e_plugin.h"
 
 namespace s4e::vp {
@@ -15,12 +16,7 @@ u64 data_memory_hash(Machine& machine, const assembler::Program& program) {
   if (window.data == nullptr) return 0;
   const u64 offset = u64{data->base} - window.base;
   if (offset + data->bytes.size() > window.size) return 0;
-  u64 hash = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (std::size_t i = 0; i < data->bytes.size(); ++i) {
-    hash ^= window.data[offset + i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  return fnv1a(window.data + offset, data->bytes.size());
 }
 
 u64 hang_budget(u64 golden_instructions, u64 factor,

@@ -25,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "isa/instr.hpp"
 #include "vp/exec_engine.hpp"
 
 namespace s4e::vp {
@@ -47,9 +46,9 @@ struct TranslationBlock {
   // fetched or decoded. They decided where the block ends, so invalidation
   // and the code watermark cover [start, source_end()).
   u32 cut_bytes = 0;
-  std::vector<isa::Instr> insns;
-  // The lowered threaded form the execution engine actually runs; same
-  // order as `insns` for basic blocks. Superblocks carry only `code`.
+  // The lowered threaded form the execution engine actually runs, one entry
+  // per instruction in address order for basic blocks; superblocks splice
+  // several blocks' entries.
   std::vector<DecodedInsn> code;
   u64 exec_count = 0;
 

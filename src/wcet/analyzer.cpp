@@ -272,9 +272,12 @@ Result<u64> Analyzer::function_wcet(
 
 Result<AnalysisResult> Analyzer::analyze(
     const assembler::Program& program) const {
-  if (!options_.resolve_indirect && !options_.prune_infeasible) {
-    S4E_TRY(program_cfg, cfg::build_cfg(program));
-    return analyze(program_cfg);
+  if (!options_.prune_infeasible) {
+    // A strict build that succeeds has no indirect jump to resolve, so the
+    // data-flow path would analyze the same graph.
+    if (auto strict = cfg::build_cfg(program); strict.ok()) {
+      return analyze(*strict);
+    }
   }
   S4E_TRY(analysis, dataflow::analyze_program(program));
   // The aiT-style contract still holds after resolution: every *reachable*

@@ -31,6 +31,8 @@ struct FunctionWcet {
   u32 block_count = 0;
   u32 loop_count = 0;
   u32 bounded_loops = 0;  // loops with a usable bound
+
+  bool operator==(const FunctionWcet&) const = default;
 };
 
 struct AnalysisResult {
@@ -42,10 +44,6 @@ struct AnalysisResult {
 struct AnalyzerOptions {
   vp::TimingParams timing;
   std::string program_name = "program";
-  // Run the data-flow analysis to resolve jump-table / `la`+`jr` indirect
-  // jumps into explicit CFG edges before analyzing. Without it any indirect
-  // jump is a hard error (the pre-dataflow contract).
-  bool resolve_indirect = true;
   // Drop statically unreachable blocks and infeasible branch edges before
   // the IPET pass. Sound (the pruned graph is a sub-graph, so the bound can
   // only tighten) but off by default: benchmarks guarded by constant-folded
@@ -57,9 +55,12 @@ class Analyzer {
  public:
   explicit Analyzer(const AnalyzerOptions& options = {}) : options_(options) {}
 
-  // Analyze a loaded program. Fails when the CFG is not analyzable
-  // (indirect jumps), when a loop has no derivable/annotated bound, or when
-  // the call graph is recursive — the same rejection classes aiT has.
+  // Analyze a loaded program. The CFG is built strictly first; only when
+  // that fails (an indirect jump other than `ret`) or pruning is on does the
+  // data-flow analysis run, resolving jump-table / `la`+`jr` targets into
+  // explicit edges. Fails when an indirect jump stays unresolved, when a
+  // loop has no derivable/annotated bound, or when the call graph is
+  // recursive — the same rejection classes aiT has.
   Result<AnalysisResult> analyze(const assembler::Program& program) const;
 
   // Analyze a prebuilt CFG (used by tests and by ablation benches).

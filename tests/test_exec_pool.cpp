@@ -1,19 +1,18 @@
-// Thread pool / campaign executor tests: lifecycle, bounded-queue
-// backpressure, exception propagation, and the determinism guarantee the
-// campaign engines rely on (jobs=1 output == jobs=8 output, bit for bit).
+// Campaign executor tests: job-count resolution, lanes started only for
+// work that exists, lane affinity, exception propagation, and the
+// determinism guarantee the campaign engines rely on (jobs=1 output ==
+// jobs=8 output, bit for bit).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "asm/assembler.hpp"
 #include "exec/campaign_executor.hpp"
-#include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "fresh_reference.hpp"
 #include "mutation/mutation.hpp"
@@ -21,98 +20,33 @@
 namespace s4e::exec {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasksAndStops) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool::Options options;
-    options.threads = 4;
-    ThreadPool pool(options);
-    EXPECT_EQ(pool.thread_count(), 4u);
-    for (int i = 0; i < 100; ++i) {
-      EXPECT_TRUE(pool.submit([&counter] { ++counter; }));
-    }
-    pool.wait_idle();
-    EXPECT_EQ(counter.load(), 100);
-    pool.shutdown();
-    // After shutdown the pool drops new work.
-    EXPECT_FALSE(pool.submit([&counter] { ++counter; }));
-  }
-  EXPECT_EQ(counter.load(), 100);
+// Entries of /proc/self/task: the threads of this process right now.
+std::ptrdiff_t thread_count() {
+  using std::filesystem::directory_iterator;
+  return std::distance(directory_iterator("/proc/self/task"),
+                       directory_iterator{});
 }
 
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool::Options options;
-    options.threads = 2;
-    ThreadPool pool(options);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { ++counter; });
-    }
-  }  // ~ThreadPool: queued tasks still run before the join
-  EXPECT_EQ(counter.load(), 50);
+TEST(CampaignExecutor, ResolveJobs) {
+  EXPECT_EQ(CampaignExecutor(3).jobs(), 3u);
+  EXPECT_GE(CampaignExecutor(0).jobs(), 1u);
+  // Absurd requests (e.g. a negative count cast to unsigned) are clamped;
+  // construction starts no thread, so this costs nothing.
+  EXPECT_EQ(CampaignExecutor(0xfffffffdu).jobs(), 4096u);
 }
 
-TEST(ThreadPool, ResolveJobs) {
-  EXPECT_EQ(ThreadPool::resolve_jobs(3), 3u);
-  EXPECT_GE(ThreadPool::resolve_jobs(0), 1u);
-  // Absurd requests (e.g. a negative count cast to unsigned) are clamped
-  // instead of aborting in std::thread.
-  EXPECT_EQ(ThreadPool::resolve_jobs(0xfffffffdu), 4096u);
-}
-
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  ThreadPool::Options options;
-  options.threads = 1;
-  options.queue_capacity = 2;
-  ThreadPool pool(options);
-
-  // Park the single worker on a gate so the queue can fill up.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool gate_open = false;
-  pool.submit([&] {
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return gate_open; });
+TEST(CampaignExecutorAffine, StartsOnlyTheLanesThatHaveWork) {
+  // A sanitizer runtime may start a helper thread of its own on the first
+  // thread creation: create one first, then count relative to the caller.
+  std::thread([] {}).join();
+  const std::ptrdiff_t before = thread_count();
+  CampaignExecutor executor(4);
+  std::ptrdiff_t during = 0;
+  executor.run_affine(1, [&](unsigned worker, std::size_t) {
+    EXPECT_EQ(worker, 0u);
+    during = thread_count();
   });
-
-  // Fill the queue (capacity 2), then submit one more from a producer
-  // thread: that call must block until the worker drains an entry.
-  pool.submit([] {});
-  pool.submit([] {});
-  std::atomic<bool> producer_done{false};
-  std::thread producer([&] {
-    pool.submit([] {});
-    producer_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(producer_done.load()) << "submit did not block on a full queue";
-
-  {
-    std::lock_guard lock(mutex);
-    gate_open = true;
-  }
-  cv.notify_all();
-  producer.join();
-  EXPECT_TRUE(producer_done.load());
-  pool.wait_idle();
-}
-
-TEST(ThreadPool, WaitIdleRethrowsFirstTaskException) {
-  ThreadPool::Options options;
-  options.threads = 2;
-  ThreadPool pool(options);
-  std::atomic<int> completed{0};
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&completed] { ++completed; });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The failure does not poison the pool: later work still runs.
-  EXPECT_EQ(completed.load(), 10);
-  pool.submit([&completed] { ++completed; });
-  pool.wait_idle();  // no stale exception left behind
-  EXPECT_EQ(completed.load(), 11);
+  EXPECT_LE(during, before + 1) << "one job needs one lane";
 }
 
 TEST(CampaignExecutorAffine, FillsEverySlotOnceWithValidLanes) {

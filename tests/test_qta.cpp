@@ -125,6 +125,39 @@ loop:
   EXPECT_NE(text.find("WC time"), std::string::npos);
   EXPECT_NE(text.find("static WCET bound"), std::string::npos);
   EXPECT_EQ(text.find("VIOLATED"), std::string::npos);
+  EXPECT_EQ(text.find("UNANNOTATED"), std::string::npos);
+  EXPECT_TRUE(outcome.report.chain_ok());
+
+  // A load fault traps to a handler the static analysis never saw, placed
+  // below and above the faulting block: either way the report must name
+  // the unannotated region and the chain must count as broken.
+  const std::string handler = R"(
+handler:
+    csrr t6, mepc
+    addi t6, t6, 4
+    csrw mepc, t6
+    addi a1, a1, 1
+    addi a1, a1, 1
+    mret
+)";
+  const std::string start = R"(
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    li t1, 0x10
+    lw t2, 0(t1)
+    li a7, 93
+    li a0, 0
+    ecall
+)";
+  for (const std::string& source : {handler + start, start + handler}) {
+    const QtaReport report = qta_ok(source).report;
+    EXPECT_EQ(report.unknown_blocks, 1u) << source;
+    EXPECT_FALSE(report.chain_ok()) << source;
+    EXPECT_NE(report.to_string().find("UNANNOTATED regions    : 1"),
+              std::string::npos)
+        << source;
+  }
 }
 
 TEST(Qta, ResetClearsAccumulation) {

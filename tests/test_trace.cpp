@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "asm/assembler.hpp"
+#include "common/fnv1a.hpp"
 #include "core/workloads.hpp"
 #include "isa/opcode.hpp"
 #include "qta/qta.hpp"
@@ -299,7 +300,7 @@ TEST(TraceGauntlet, RefusesOutOfRangeTrapClass) {
         (bytes[kInfoByte] & ~trace::kTrapClassMask) | op_class);
     // Re-checksum the patched stream so the decoder is the layer under test.
     const u64 checksum =
-        trace::fnv1a(bytes.data() + 80, bytes.size() - 80 - 1 - kFooterBytes);
+        fnv1a(bytes.data() + 80, bytes.size() - 80 - 1 - kFooterBytes);
     for (unsigned i = 0; i < 8; ++i) {
       bytes[bytes.size() - 8 + i] = static_cast<u8>(checksum >> (8 * i));
     }

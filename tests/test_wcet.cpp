@@ -2,6 +2,8 @@
 
 #include "asm/assembler.hpp"
 #include "core/workloads.hpp"
+#include "dataflow/analyze.hpp"
+#include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
 #include "wcet/analyzer.hpp"
 
@@ -277,24 +279,6 @@ TEST(Wcet, UnresolvableIndirectJumpRejectedWithDiagnostic) {
             std::string::npos);
 }
 
-TEST(Wcet, LegacyModeRejectsAnyIndirectJump) {
-  // With resolution disabled every indirect jump is a hard error, even a
-  // trivially resolvable one (the pre-dataflow contract).
-  auto program = assembler::assemble(R"(
-    la t0, t1_target
-    jalr zero, 0(t0)
-t1_target:
-    li a7, 93
-    ecall
-  )");
-  ASSERT_TRUE(program.ok());
-  AnalyzerOptions options;
-  options.resolve_indirect = false;
-  auto result = Analyzer(options).analyze(*program);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.error().message().find("indirect"), std::string::npos);
-}
-
 TEST(Wcet, ZeroBoundLoopClampedToOne) {
   // A .loopbound 0 annotation is clamped: a loop that is entered runs its
   // body at least once, so the bound must still dominate the observed run.
@@ -391,6 +375,52 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return core::standard_workloads()[info.param].name;
     });
+
+// The analyzer builds the CFG strictly and runs the data-flow solver only
+// when that build fails; either way its result must equal analyzing the
+// data-flow CFG, field for field and byte for byte.
+void expect_matches_dataflow_cfg(const std::string& name,
+                                 const assembler::Program& program) {
+  auto direct = Analyzer().analyze(program);
+  auto resolved = dataflow::analyze_program(program);
+  if (!resolved.ok() || !resolved->unresolved.empty()) {
+    EXPECT_FALSE(direct.ok()) << name;
+    return;
+  }
+  auto reference = Analyzer().analyze(resolved->cfg);
+  ASSERT_EQ(direct.ok(), reference.ok()) << name;
+  if (!direct.ok()) {
+    EXPECT_EQ(direct.error().to_string(), reference.error().to_string())
+        << name;
+    return;
+  }
+  EXPECT_EQ(direct->total_wcet, reference->total_wcet) << name;
+  EXPECT_EQ(direct->functions, reference->functions) << name;
+  EXPECT_EQ(direct->annotated.serialize(), reference->annotated.serialize())
+      << name;
+}
+
+TEST(WcetOracle, StrictFirstEqualsDataflowCfg) {
+  unsigned programs = 0;
+  for (const core::Workload& workload : core::standard_workloads()) {
+    auto program = assembler::assemble(workload.source);
+    ASSERT_TRUE(program.ok()) << workload.name;
+    expect_matches_dataflow_cfg(workload.name, *program);
+    ++programs;
+  }
+  for (const u64 seed : {1u, 2u, 3u, 4u}) {
+    testgen::TortureConfig config;
+    config.seed = seed;
+    for (const auto& generated : testgen::torture_suite(config)) {
+      auto program = assembler::assemble(generated.source);
+      ASSERT_TRUE(program.ok()) << generated.name;
+      expect_matches_dataflow_cfg(
+          generated.name + " (seed " + std::to_string(seed) + ")", *program);
+      ++programs;
+    }
+  }
+  EXPECT_GE(programs, 50u);
+}
 
 }  // namespace
 }  // namespace s4e::wcet
