@@ -1,7 +1,7 @@
 // E8b (replay) — capture-once / replay-many vs per-configuration
 // re-execution.
 //
-// The differential-timing workflow records one careful-loop execution and
+// The differential-timing workflow records one instrumented execution and
 // then evaluates the whole timing-configuration matrix against the trace,
 // so the per-configuration cost drops from "re-execute the program" to
 // "charge the decoded trace's event profile through a TimingModel" (plus
@@ -13,12 +13,10 @@
 //      workload that records untainted;
 //   2. speedup — per configuration, charging the decoded trace is >= 10x
 //      faster than the instrumented re-execution a live differential
-//      analysis would need (the careful loop with a per-instruction
-//      observer attached — what s4e-qta's co-simulation mode pays, since
-//      extracting any per-instruction path information live forces the
-//      exec engine out of the chained fast path). The bare fast-path
-//      re-execution time is reported alongside for honesty: it is the
-//      floor for a cycles-only live measurement. So is the hooked replay
+//      analysis would need (a run with a whole-run per-instruction
+//      observer attached, one callback per retired instruction). The
+//      bare fast-path re-execution time is reported alongside for
+//      honesty: it is the floor for a cycles-only live measurement. So is the hooked replay
 //      (a per-instruction PC callback, what s4e-qta --replay feeds its
 //      path accumulator): it is the path-aware counterpart of the
 //      instrumented re-execution.
@@ -124,7 +122,7 @@ struct Capture {
   double record_seconds = 0;
 };
 
-// One careful-loop execution with the recorder attached, under the default
+// One execution with the recorder attached, under the default
 // timing configuration (RecordingConfigurationDoesNotMatter in test_trace
 // covers the "any config records the same path" contract).
 Capture record_once(const assembler::Program& program) {
@@ -155,11 +153,10 @@ vp::RunResult live_run(const assembler::Program& program,
   return machine.run();
 }
 
-// The cheapest possible per-instruction observer: any live differential
-// analysis that needs the executed path (the QTA chain does — WC(path) is
-// per-instruction) must subscribe to insn_exec, which forces the careful
-// loop. Using a bare counter instead of the real QtaPlugin biases the
-// baseline in re-execution's favour.
+// The cheapest possible per-instruction observer: a whole-run insn_exec
+// subscriber that sees the executed path instruction by instruction.
+// Using a bare counter instead of the real QtaPlugin biases the baseline
+// in re-execution's favour.
 class PathObserver final : public vp::PluginBase {
  public:
   Subscriptions subscriptions() const override {
@@ -175,7 +172,7 @@ class PathObserver final : public vp::PluginBase {
   u32 last_pc_ = 0;
 };
 
-// A fresh careful-loop execution with the observer attached — what a live
+// A fresh execution with the observer attached — what a live
 // per-configuration path analysis pays.
 vp::RunResult instrumented_run(const assembler::Program& program,
                                const vp::TimingParams& timing) {
@@ -278,8 +275,8 @@ int main(int argc, char** argv) {
   }
   const double fast_seconds = seconds_since(fast_start);
 
-  // Serial instrumented re-execution: the careful loop with the
-  // per-instruction observer — the live baseline for path-aware analysis.
+  // Serial instrumented re-execution: the per-instruction observer on
+  // every instruction — the live baseline for path-aware analysis.
   bool kernel_identical = true;
   const auto reexec_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < matrix.size(); ++i) {
@@ -287,7 +284,7 @@ int main(int argc, char** argv) {
     kernel_identical = kernel_identical && result.cycles == live_cycles[i];
   }
   const double reexec_seconds = seconds_since(reexec_start);
-  S4E_CHECK(kernel_identical);  // careful loop == fast path, per config
+  S4E_CHECK(kernel_identical);  // instrumented == plain, per config
 
   // Serial replay: the same matrix charged from the shared decoded trace.
   const auto replay_start = std::chrono::steady_clock::now();

@@ -12,12 +12,14 @@
 // The E3 experiment checks exactly this chain.
 //
 // The accumulation itself is a pure function of the retired-PC sequence, so
-// it is split out as PathAccumulator: the live co-simulation plugin feeds it
-// from insn_exec callbacks, and the trace replay engine feeds it the
-// identical sequence from a recorded trace — same chain, no VP.
+// it is split out as PathAccumulator: the trace replay engine feeds it every
+// retired PC of a recorded trace, and the live co-simulation plugin feeds it
+// the PCs where a step can change its state — at translation time it
+// requests insn_exec callbacks only at block heads and where execution may
+// leave the current annotated block, so the co-simulated run keeps the
+// VP's chained fast path. Same chain either way.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -65,6 +67,12 @@ class PathAccumulator {
   // Account one retired instruction at `pc`.
   void step(u32 pc);
 
+  // False when step(pc) cannot change the accumulator, given that the
+  // instruction retired just before it was at `prev_pc` (the previous
+  // instruction of the same translation block): pc is no annotated block
+  // head and lies in the block holding prev_pc, or prev_pc lies in none.
+  bool step_matters_after(u32 prev_pc, u32 pc) const;
+
   u64 wc_path_cycles() const noexcept { return wc_path_cycles_; }
   u64 blocks_entered() const noexcept { return blocks_entered_; }
   u64 unknown_blocks() const noexcept { return unknown_blocks_; }
@@ -74,11 +82,30 @@ class PathAccumulator {
   void reset() noexcept;
 
  private:
+  struct Edge {
+    u32 target = 0;
+    u32 penalty = 0;
+  };
+  // One annotated block with its outgoing intra-function edges,
+  // edges_[edges_begin, edges_end) sorted by target; transitions without
+  // an edge (calls, returns) fall back to the contiguity rule.
+  struct Block {
+    u32 start = 0;
+    u32 end = 0;
+    u32 wcet = 0;
+    u32 edges_begin = 0;
+    u32 edges_end = 0;
+  };
+  // The block starting at `pc`, or nullptr.
+  const Block* block_at(u32 pc) const noexcept;
+
   const wcet::AnnotatedCfg* annotated_;
-  // Intra-function edge penalties keyed by (source start << 32 | target
-  // start); transitions not in this map (calls, returns) fall back to the
-  // contiguity rule.
-  std::map<u64, u32> edge_penalty_;
+  std::vector<Block> blocks_;  // sorted by start, one per start address
+  std::vector<Edge> edges_;
+  // Some blocks overlap: no PC can be ruled out as a block change.
+  bool overlapping_ = false;
+  u32 prev_edges_begin_ = 0;
+  u32 prev_edges_end_ = 0;
   u64 wc_path_cycles_ = 0;
   u64 blocks_entered_ = 0;
   u64 unknown_blocks_ = 0;
@@ -95,10 +122,11 @@ class QtaPlugin final : public vp::PluginBase {
 
   Subscriptions subscriptions() const override {
     Subscriptions subs;
-    subs.insn_exec = true;
+    subs.insn_requests = true;
     return subs;
   }
 
+  void on_tb_trans(const s4e_tb_info& tb) override;
   void on_insn_exec(const s4e_insn_info& insn) override {
     path_.step(insn.address);
   }

@@ -1,5 +1,7 @@
 #include "trace/recorder.hpp"
 
+#include <algorithm>
+
 #include "asm/program.hpp"
 #include "isa/csr.hpp"
 #include "isa/opcode.hpp"
@@ -64,21 +66,152 @@ Status TraceRecorder::attach_checked(s4e_vm* vm) {
                  "interleaving is not a single PC stream)");
   }
   attach(vm);
+  accounted_ = s4e_icount(vm);
   return Status();
+}
+
+TraceRecorder::StaticInsn& TraceRecorder::static_slot(u32 pc) {
+  const u32 aligned = pc & ~u32{1};
+  if (static_.empty()) static_base_ = aligned;
+  if (aligned < static_base_) {
+    static_.insert(static_.begin(), (static_base_ - aligned) / 2,
+                   StaticInsn{});
+    static_base_ = aligned;
+  }
+  const std::size_t slot = (aligned - static_base_) / 2;
+  if (slot >= static_.size()) static_.resize(slot + 1);
+  return static_[slot];
+}
+
+void TraceRecorder::on_tb_trans(const s4e_tb_info& tb) {
+  // Walk backwards so each plain instruction knows its run.
+  u16 run = 0;
+  u8 run_length = 0;
+  for (u32 i = tb.n_insns; i-- > 0;) {
+    const s4e_insn_info& insn = tb.insns[i];
+    StaticInsn info;
+    info.length = static_cast<u8>(insn_length(insn.encoding));
+    info.imm = insn.imm;
+    switch (static_cast<OpClass>(insn.op_class)) {
+      case OpClass::kArith:
+      case OpClass::kFence:
+        info.kind = StaticInsn::kPlain;
+        break;
+      case OpClass::kMul:
+        info.kind = StaticInsn::kMul;
+        break;
+      case OpClass::kJump:
+        info.kind = static_cast<Op>(insn.op) == Op::kJal ? StaticInsn::kJal
+                                                         : StaticInsn::kJalr;
+        break;
+      case OpClass::kLoad:
+        info.kind = StaticInsn::kLoad;
+        break;
+      case OpClass::kStore:
+        info.kind = StaticInsn::kStore;
+        break;
+      case OpClass::kBranch:
+        // A branch to its own fall-through leaves no trace in the next
+        // block head: read its operands at issue.
+        info.kind = static_cast<u32>(insn.imm) == info.length
+                        ? StaticInsn::kObserved
+                        : StaticInsn::kBranch;
+        break;
+      default:
+        info.kind = static_cast<Op>(insn.op) == Op::kMret
+                        ? StaticInsn::kMret
+                        : StaticInsn::kObserved;
+        break;
+    }
+    if (info.kind == StaticInsn::kPlain) {
+      run = run_length == info.length ? static_cast<u16>(run + 1) : 1;
+      run_length = info.length;
+      info.plain_run = run;
+    } else {
+      run = 0;
+      run_length = 0;
+    }
+    if (info.kind == StaticInsn::kObserved) request_insn_exec(i);
+    static_slot(insn.address) = info;
+  }
+}
+
+void TraceRecorder::catch_up(u64 icount, u32 next_pc) {
+  if (icount <= accounted_) return;
+  u64 remaining = icount - accounted_;
+  accounted_ = icount;
+  flush_pending(nullptr);
+  while (remaining != 0) {
+    const StaticInsn info = static_at(cursor_);
+    switch (info.kind) {
+      case StaticInsn::kPlain: {
+        const u32 count =
+            static_cast<u32>(std::min<u64>(remaining, info.plain_run));
+        if (run_count_ != 0 && run_length_ != info.length) flush_run();
+        run_length_ = info.length;
+        run_count_ += count;
+        instructions_ += count;
+        advance(info.length * count);
+        remaining -= count;
+        break;
+      }
+      case StaticInsn::kMul:
+        flush_run();
+        writer_.mul(info.length);
+        ++instructions_;
+        advance(info.length);
+        --remaining;
+        break;
+      case StaticInsn::kJal: {
+        const u32 target = cursor_ + static_cast<u32>(info.imm);
+        flush_run();
+        writer_.jump(cursor_, target);
+        ++instructions_;
+        cursor_ = target;
+        --remaining;
+        break;
+      }
+      case StaticInsn::kBranch:
+      case StaticInsn::kJalr:
+      case StaticInsn::kMret: {
+        // It ended its block: `next_pc` is where it went.
+        if (remaining != 1) {
+          taint_at(TaintKind::kCursorResync);
+          remaining = 0;
+          break;
+        }
+        flush_run();
+        if (info.kind == StaticInsn::kJalr) {
+          writer_.jump(cursor_, next_pc);
+          cursor_ = next_pc;
+        } else if (info.kind == StaticInsn::kMret) {
+          writer_.mret(cursor_, next_pc);
+          cursor_ = next_pc;
+        } else if (next_pc == cursor_ + static_cast<u32>(info.imm)) {
+          writer_.branch_taken(cursor_, next_pc);
+          cursor_ = next_pc;
+        } else {
+          writer_.branch_not_taken(info.length);
+          advance(info.length);
+        }
+        ++instructions_;
+        remaining = 0;
+        break;
+      }
+      default:
+        // The cursor left the translated code the block lists describe:
+        // a contract violation the trace must not hide.
+        taint_at(TaintKind::kCursorResync);
+        remaining = 0;
+        break;
+    }
+  }
 }
 
 void TraceRecorder::flush_run() {
   if (run_count_ == 0) return;
   writer_.run(run_length_, run_count_);
   run_count_ = 0;
-}
-
-void TraceRecorder::plain(u32 length) {
-  if (run_count_ != 0 && run_length_ != length) flush_run();
-  run_length_ = length;
-  ++run_count_;
-  ++instructions_;
-  advance(length);
 }
 
 void TraceRecorder::taint_at(TaintKind kind) {
@@ -160,6 +293,7 @@ void TraceRecorder::flush_pending(const vp::RunResult* result) {
 }
 
 void TraceRecorder::on_tb_exec(u32 tb_start) {
+  catch_up(s4e_icount(vm()), tb_start);
   flush_pending(nullptr);
   ++blocks_;
   if (cursor_valid_ && tb_start == cursor_) {
@@ -178,28 +312,37 @@ void TraceRecorder::on_tb_exec(u32 tb_start) {
   cursor_valid_ = true;
 }
 
-void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
+void TraceRecorder::begin_insn(u64 icount, u32 pc) {
+  catch_up(icount, pc);
+  accounted_ = icount + 1;
   flush_pending(nullptr);
-  if (cursor_valid_ && insn.address != cursor_) {
+  if (cursor_valid_ && pc != cursor_) {
     taint_at(TaintKind::kCursorResync);
-    cursor_ = insn.address;
+    cursor_ = pc;
   } else if (!cursor_valid_) {
     // Should be resynced by the enclosing block dispatch; be safe.
-    cursor_ = insn.address;
+    cursor_ = pc;
     cursor_valid_ = true;
   }
+}
+
+void TraceRecorder::begin_mem_insn(u64 icount, u32 pc) {
+  begin_insn(icount, pc);
+  const StaticInsn info = static_at(pc);
+  pending_ = Pending{pc,
+                     info.length,
+                     0,
+                     static_cast<u8>(info.kind == StaticInsn::kStore
+                                         ? OpClass::kStore
+                                         : OpClass::kLoad),
+                     {},
+                     0};
+}
+
+void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
+  begin_insn(s4e_icount(vm()), insn.address);
   const u32 length = insn_length(insn.encoding);
   switch (static_cast<OpClass>(insn.op_class)) {
-    case OpClass::kArith:
-    case OpClass::kFence:
-      plain(length);
-      break;
-    case OpClass::kMul:
-      flush_run();
-      writer_.mul(length);
-      ++instructions_;
-      advance(length);
-      break;
     case OpClass::kDiv: {
       // The iterative divider's cost depends on the dividend; read it now,
       // before execution can overwrite rs1 (rd may alias it).
@@ -210,21 +353,7 @@ void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
       advance(length);
       break;
     }
-    case OpClass::kJump: {
-      u32 target;
-      if (static_cast<Op>(insn.op) == Op::kJalr) {
-        target = (s4e_read_gpr(vm(), insn.rs1) +
-                  static_cast<u32>(insn.imm)) & ~u32{1};
-      } else {
-        target = insn.address + static_cast<u32>(insn.imm);
-      }
-      flush_run();
-      writer_.jump(insn.address, target);
-      ++instructions_;
-      cursor_ = target;
-      break;
-    }
-    case OpClass::kBranch: {
+    case OpClass::kBranch: {  // to its own fall-through (see on_tb_trans)
       const bool taken = branch_taken(static_cast<Op>(insn.op),
                                       s4e_read_gpr(vm(), insn.rs1),
                                       s4e_read_gpr(vm(), insn.rs2));
@@ -270,30 +399,23 @@ void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
       break;
     }
     case OpClass::kSystem:
-      if (static_cast<Op>(insn.op) == Op::kMret) {
-        const u32 target = s4e_read_csr(vm(), isa::kCsrMepc);
-        flush_run();
-        writer_.mret(insn.address, target);
-        ++instructions_;
-        cursor_ = target;
-      } else {
-        // ecall / ebreak / wfi: outcome (exit, trap, halt, sleep) arrives
-        // as a later event.
-        pending_ =
-            Pending{insn.address, length, insn.op, insn.op_class, {}, 0};
-      }
+      // ecall / ebreak / wfi: outcome (exit, trap, halt, sleep) arrives as
+      // a later event. (mret is derived in catch_up.)
+      pending_ = Pending{insn.address, length, insn.op, insn.op_class, {}, 0};
       break;
-    case OpClass::kLoad:
-    case OpClass::kStore:
     case OpClass::kAmo:
       pending_ = Pending{insn.address, length, insn.op, insn.op_class, {}, 0};
       break;
-    case OpClass::kCount:
+    default:  // never requested: see on_tb_trans
       break;
   }
 }
 
 void TraceRecorder::on_mem(const s4e_mem_event& event) {
+  // The count includes the accessing instruction. A load or store has no
+  // insn_exec request: its access opens it (an AMO is open already).
+  const u64 icount = s4e_icount(vm());
+  if (accounted_ < icount) begin_mem_insn(icount - 1, event.pc);
   if (!pending_ || pending_->mem_count >= 2) return;
   MemAccess access;
   access.addr = event.vaddr;
@@ -317,6 +439,17 @@ void TraceRecorder::on_mem(const s4e_mem_event& event) {
 }
 
 void TraceRecorder::on_trap(const s4e_trap_event& event) {
+  const u64 icount = s4e_icount(vm());
+  // A load or store access fault: the faulting instruction (counted, not
+  // requested, no memory event) opens here. Every other instruction that
+  // traps was requested, so it is accounted already, and a fetch trap or
+  // an interrupt has epc = the next PC.
+  if ((event.cause == vp::kCauseLoadFault ||
+       event.cause == vp::kCauseStoreFault) &&
+      accounted_ < icount) {
+    begin_mem_insn(icount - 1, event.epc);
+  }
+  catch_up(icount, event.epc);
   const bool interrupt = (event.cause & 0x8000'0000u) != 0;
   const u32 mtvec = s4e_read_csr(vm(), isa::kCsrMtvec);
   const bool handled = mtvec != 0;
@@ -376,12 +509,14 @@ Footer TraceRecorder::make_footer(const vp::RunResult& result) const {
 
 Status TraceRecorder::finish(const vp::RunResult& result,
                              const std::string& path) {
+  catch_up(result.instructions, result.final_pc);
   flush_pending(&result);
   flush_run();
   return writer_.save(path, make_footer(result));
 }
 
 std::vector<u8> TraceRecorder::finish_bytes(const vp::RunResult& result) {
+  catch_up(result.instructions, result.final_pc);
   flush_pending(&result);
   flush_run();
   return writer_.finish(make_footer(result));

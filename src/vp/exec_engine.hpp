@@ -51,8 +51,12 @@ struct DecodedInsn {
   u8 rd = 0;
   u8 rs1 = 0;
   u8 rs2 = 0;  // also shamt / CSR zimm
-  u8 length = 4;
+  // Exec-callback hook (see Machine::set_hooks): bit 15 marks a basic-block
+  // head; the low bits name the hook site whose callbacks fire before this
+  // instruction (0 = none, `fn` is the instruction's own handler).
+  u16 hook = 0;
 };
+static_assert(sizeof(DecodedInsn) == 48);
 
 // Engine-level counters (chaining, jump cache, superblocks, dispatch mix).
 // Cumulative per machine; reset() clears them with the rest of the
@@ -66,6 +70,11 @@ struct EngineStats {
   u64 superblocks_formed = 0;
   u64 blocks_fast = 0;     // blocks run by the chained threaded engine
   u64 blocks_careful = 0;  // blocks run by the exact per-insn loop
+  // Why blocks ran carefully; the four sum to blocks_careful.
+  u64 careful_debug = 0;     // breakpoints or a pending debug stop
+  u64 careful_timer = 0;     // armed MTIE/MSIE (per-block interrupt polls)
+  u64 careful_uncached = 0;  // the TB-cache-off ablation
+  u64 careful_boundary = 0;  // the block holds an icount-callback or budget end
 };
 
 // A chain run returns to central dispatch (one "epoch": bus tick, interrupt

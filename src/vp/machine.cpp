@@ -1,6 +1,7 @@
 #include "vp/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -330,6 +331,8 @@ void Machine::check_watchpoints(u32 address, unsigned size, bool is_store) {
 }
 
 void Machine::clear_plugins() noexcept {
+  const bool hooked = !tb_exec_cbs_.empty() || !insn_exec_cbs_.empty() ||
+                      !insn_requests_.empty();
   tb_trans_cbs_.clear();
   tb_exec_cbs_.clear();
   insn_exec_cbs_.clear();
@@ -338,7 +341,14 @@ void Machine::clear_plugins() noexcept {
   exit_cbs_.clear();
   icount_cbs_.clear();
   icount_cb_at_ = ~u64{0};
+  insn_requests_.clear();
   update_mem_slow();
+  if (hooked) {
+    // Unhook every warm translation in place; then no site is in use.
+    rehook_translations(false);
+    hook_sites_.resize(1);
+    hook_site_index_.clear();
+  }
 }
 
 Status Machine::load_program(const assembler::Program& program) {
@@ -412,14 +422,24 @@ TranslationBlock* Machine::translate(u32 pc) {
   block->byte_size = address - pc;
   lower_block(*block, insns);
 
+  std::vector<u64> requests;
   if (!tb_trans_cbs_.empty()) {
     std::vector<s4e_insn_info> infos;
     infos.reserve(block->code.size());
     for (const DecodedInsn& d : block->code) infos.push_back(to_insn_info(d));
     s4e_tb_info tb_info{block->start, static_cast<u32>(infos.size()),
                         infos.data()};
+    requests.assign(infos.size(), 0);
+    trans_requests_ = &requests;
     for (const auto& reg : tb_trans_cbs_) {
       reg.callback(reg.userdata, vm_handle(), &tb_info);
+    }
+    trans_requests_ = nullptr;
+  }
+  if (!requests.empty() || !insn_exec_cbs_.empty() || !tb_exec_cbs_.empty()) {
+    for (std::size_t i = 0; i < block->code.size(); ++i) {
+      DecodedInsn& d = block->code[i];
+      set_hooks(d, d.fn, requests.empty() ? 0 : requests[i]);
     }
   }
 
@@ -495,8 +515,13 @@ void Machine::probe_icache(u32 block_pc) {
   if (icache_.probe(block_pc, params)) cycles_ += params.icache_miss_cycles;
 }
 
-void Machine::fire_mem_cb(u32 vaddr, u32 value, unsigned size, bool is_store) {
-  s4e_mem_event event{current_insn_pc_, vaddr, value, static_cast<u8>(size),
+void Machine::fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,
+                          bool is_store) {
+  // The chained loop leaves cpu_.pc stale inside a block; callbacks read
+  // the accessing instruction's pc, as in the careful loop. (The handler
+  // sets cpu_.pc again after the access.)
+  cpu_.pc = pc;
+  s4e_mem_event event{pc, vaddr, value, static_cast<u8>(size),
                       static_cast<u8>(is_store ? 1 : 0)};
   for (const auto& reg : mem_cbs_) {
     reg.callback(reg.userdata, vm_handle(), &event);
@@ -776,14 +801,11 @@ struct ExecOps {
       value = static_cast<u32>(sign_extend(value, kSignBits));
     }
     m.cpu_.write_gpr(d.rd, value);
-    if (!m.mem_cbs_.empty()) {
-      m.current_insn_pc_ = d.pc;
-      m.fire_mem_cb(address, value, kSize, false);
-    }
+    if (!m.mem_cbs_.empty()) m.fire_mem_cb(d.pc, address, value, kSize, false);
     if (!m.watchpoints_.empty()) m.check_watchpoints(address, kSize, false);
     m.cycles_ += result->mmio ? d.c_mmio : d.c_fall;
     m.cpu_.pc = d.link;
-    return m.pending_stop_ ? O::kStop : O::kNext;
+    return (m.pending_stop_ || m.tb_maint_pending_) ? O::kStop : O::kNext;
   }
 
   template <unsigned kSize>
@@ -841,10 +863,7 @@ struct ExecOps {
       m.clear_remote_reservations(address, kSize);
     }
     if (!mmio) m.note_ram_written(address, kSize);
-    if (!m.mem_cbs_.empty()) {
-      m.current_insn_pc_ = d.pc;
-      m.fire_mem_cb(address, value, kSize, true);
-    }
+    if (!m.mem_cbs_.empty()) m.fire_mem_cb(d.pc, address, value, kSize, true);
     if (!m.watchpoints_.empty()) m.check_watchpoints(address, kSize, true);
     if (!mmio && m.tb_cache_.overlaps_code(address, kSize)) {
       m.request_tb_invalidate(address, kSize);
@@ -1005,15 +1024,12 @@ struct ExecOps {
     hart.res_valid = true;
     hart.res_addr = address;
     if (m.mem_slow_) [[unlikely]] {
-      if (!m.mem_cbs_.empty()) {
-        m.current_insn_pc_ = d.pc;
-        m.fire_mem_cb(address, value, 4, false);
-      }
+      if (!m.mem_cbs_.empty()) m.fire_mem_cb(d.pc, address, value, 4, false);
       if (!m.watchpoints_.empty()) m.check_watchpoints(address, 4, false);
     }
     m.cycles_ += d.c_fall;
     m.cpu_.pc = d.link;
-    return m.pending_stop_ ? O::kStop : O::kNext;
+    return (m.pending_stop_ || m.tb_maint_pending_) ? O::kStop : O::kNext;
   }
 
   static O sc_w(Machine& m, const DecodedInsn& d) {
@@ -1057,10 +1073,7 @@ struct ExecOps {
     m.note_ram_written(address, 4);
     m.cpu_.write_gpr(d.rd, 0);
     if (m.mem_slow_) [[unlikely]] {
-      if (!m.mem_cbs_.empty()) {
-        m.current_insn_pc_ = d.pc;
-        m.fire_mem_cb(address, value, 4, true);
-      }
+      if (!m.mem_cbs_.empty()) m.fire_mem_cb(d.pc, address, value, 4, true);
       if (!m.watchpoints_.empty()) m.check_watchpoints(address, 4, true);
     }
     m.cycles_ += d.c_fall;
@@ -1070,7 +1083,7 @@ struct ExecOps {
       return O::kStop;
     }
     m.cpu_.pc = d.link;
-    return m.pending_stop_ ? O::kStop : O::kNext;
+    return (m.pending_stop_ || m.tb_maint_pending_) ? O::kStop : O::kNext;
   }
 
   template <typename OpF>
@@ -1107,9 +1120,8 @@ struct ExecOps {
     m.cpu_.write_gpr(d.rd, old);
     if (m.mem_slow_) [[unlikely]] {
       if (!m.mem_cbs_.empty()) {
-        m.current_insn_pc_ = d.pc;
-        m.fire_mem_cb(address, old, 4, false);   // the read half
-        m.fire_mem_cb(address, next, 4, true);   // the write half
+        m.fire_mem_cb(d.pc, address, old, 4, false);   // the read half
+        m.fire_mem_cb(d.pc, address, next, 4, true);   // the write half
       }
       if (!m.watchpoints_.empty()) {
         m.check_watchpoints(address, 4, true);
@@ -1123,7 +1135,30 @@ struct ExecOps {
       return O::kStop;
     }
     m.cpu_.pc = d.link;
-    return m.pending_stop_ ? O::kStop : O::kNext;
+    return (m.pending_stop_ || m.tb_maint_pending_) ? O::kStop : O::kNext;
+  }
+
+  // An instruction that carries exec callbacks (see Machine::set_hooks).
+  // Both dispatch loops bump icount_ before a handler runs; the callbacks
+  // see the careful loop's view — the count before this instruction and
+  // its own pc. A callback that stops the run or requests TB maintenance
+  // ends the block after this instruction, as the careful loop does; one
+  // that arms an earlier icount callback ends the chain run at the block's
+  // end.
+  static O hooked(Machine& m, const DecodedInsn& d) {
+    // A copy: a callback may re-lower hooks (subscribe, clear plugins).
+    const Machine::HookSite site =
+        m.hook_sites_[d.hook & Machine::kHookSiteMask];
+    const u64 armed = m.icount_cb_at_;
+    --m.icount_;
+    m.cpu_.pc = d.pc;
+    m.fire_insn_hooks(d, site.requests);
+    ++m.icount_;
+    if (m.icount_cb_at_ < armed) m.chain_epoch_recheck_ = true;
+    const O out = site.fn(m, d);
+    if (!m.pending_stop_ && !m.tb_maint_pending_) return out;
+    if (out == O::kNext) m.cpu_.pc = d.link;
+    return O::kStop;
   }
 
   template <typename Cmp>
@@ -1259,7 +1294,6 @@ void Machine::lower_block(TranslationBlock& block,
     d.rd = in.rd;
     d.rs1 = in.rs1;
     d.rs2 = in.rs2;
-    d.length = in.length;
     if (in.info().op_class == isa::OpClass::kDiv) {
       // Divides charge base + divide_cycles(rs1) in the handler (the
       // operand-dependent part cannot be precomputed).
@@ -1276,6 +1310,7 @@ void Machine::lower_block(TranslationBlock& block,
     block.code.push_back(d);
     pc = d.link;
   }
+  if (!block.code.empty()) block.code.front().hook = kHookHead;
   block.fall_pc = block.start + block.byte_size;
   block.taken_pc = 0;
   if (!insns.empty()) {
@@ -1308,17 +1343,11 @@ Machine::BlockExit Machine::exec_block_fast(TranslationBlock* tb) {
 }
 
 void Machine::exec_insns_careful(TranslationBlock* tb, u64 limit) {
-  const bool have_insn_cbs = !insn_exec_cbs_.empty();
-  s4e_vm* vm = vm_handle_.get();
   for (const DecodedInsn& d : tb->code) {
     if (icount_ >= limit) break;
-    if (icount_ >= icount_cb_at_) fire_icount_cbs();
-    if (have_insn_cbs) {
-      const s4e_insn_info info = to_insn_info(d);
-      for (const auto& reg : insn_exec_cbs_) {
-        reg.callback(reg.userdata, vm, &info);
-      }
-    }
+    // A hooked instruction fires a due icount callback itself, after a
+    // block head's tb_exec callbacks.
+    if (icount_ >= icount_cb_at_ && !is_hooked(d)) fire_icount_cbs();
     ++icount_;
     const ExecOutcome out = d.fn(*this, d);
     if (out == ExecOutcome::kNext) {
@@ -1344,27 +1373,28 @@ void Machine::run_block_careful(u64 limit) {
   if (tb == nullptr) return;  // trap was taken (or a stop is pending)
 
   ++tb->exec_count;
-  ++estats_.blocks_careful;
+  count_careful(careful_reason());
   probe_icache(block_pc);
-  if (!tb_exec_cbs_.empty()) {
-    s4e_vm* vm = vm_handle_.get();
-    for (const auto& reg : tb_exec_cbs_) {
-      reg.callback(reg.userdata, vm, block_pc);
-    }
-  }
   exec_insns_careful(tb, limit);
 }
 
 bool Machine::fast_path_ok() const noexcept {
-  // The chained fast path is taken only when nothing needs per-instruction
-  // or per-block observability: no debug state, no exec/mem plugin
-  // callbacks (tb_trans is fine — translations fire identically in both
-  // modes), and no armed timer/software interrupt (delivery is checked per
-  // block in careful mode; chaining would defer it by up to a quantum).
-  return config_.enable_tb_cache && !debug_check_ && insn_exec_cbs_.empty() &&
-         tb_exec_cbs_.empty() && mem_cbs_.empty() &&
+  // The chained fast path is taken unless per-block dispatch checks are
+  // needed: debug state (breakpoints are checked at block dispatch), an
+  // armed timer/software interrupt (delivery is checked per block in
+  // careful mode; chaining would defer it by up to a quantum), or the
+  // uncached ablation. Plugin callbacks do not matter: exec callbacks are
+  // lowered into the translated code and memory callbacks fire from the
+  // slow load/store handlers, identically in both modes.
+  return config_.enable_tb_cache && !debug_check_ &&
          !(clint_ != nullptr &&
            (cpu_.csr.mie & (kMieMtie | kMieMsie)) != 0);
+}
+
+u64 EngineStats::*Machine::careful_reason() const noexcept {
+  if (!config_.enable_tb_cache) return &EngineStats::careful_uncached;
+  if (debug_check_) return &EngineStats::careful_debug;
+  return &EngineStats::careful_timer;
 }
 
 TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
@@ -1407,7 +1437,12 @@ TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
   sb->fall_pc = dst->fall_pc;
   sb->taken_pc = dst->taken_pc;
   sb->code = src->code;
-  if (spliced_fn != nullptr) sb->code.back().fn = spliced_fn;
+  // The terminator keeps its hooks (and a spliced block head its tb_exec
+  // mark): callbacks fire inside the superblock as they would at the
+  // careful loop's per-block dispatch.
+  if (spliced_fn != nullptr) {
+    set_hooks(sb->code.back(), spliced_fn, hook_requests(sb->code.back()));
+  }
   sb->code.insert(sb->code.end(), dst->code.begin(), dst->code.end());
   const auto append_ranges = [&sb](const TranslationBlock* block) {
     if (block->is_superblock) {
@@ -1427,7 +1462,7 @@ TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
 
 void Machine::run_tb_careful(TranslationBlock* tb, u64 limit) {
   ++tb->exec_count;
-  ++estats_.blocks_careful;
+  count_careful(&EngineStats::careful_boundary);
   probe_icache(tb->start);
   exec_insns_careful(tb, limit);
 }
@@ -1441,6 +1476,12 @@ void Machine::run_chain(u64 limit) {
   // there, or an armed icount callback must fire between two instructions.
   u64 careful_from = std::min(limit, icount_cb_at_);
   const bool fired = icount_ >= careful_from;
+  if (fired && is_hooked(tb->code.front())) {
+    // The block's first instruction fires callbacks: the careful block
+    // fires the due count between its tb_exec and insn_exec callbacks.
+    run_tb_careful(tb, limit);
+    return;
+  }
   if (fired) {
     // The armed icount is already reached (run_loop guarantees the budget
     // is not): it fires here, where the careful block would fire it — after
@@ -1457,7 +1498,8 @@ void Machine::run_chain(u64 limit) {
     if (pending_stop_ || tb_maint_pending_ || chain_epoch_recheck_ ||
         !fast_path_ok() || careful_from <= icount_ ||
         tb->code.size() > careful_from - icount_) {
-      ++estats_.blocks_careful;
+      count_careful(fast_path_ok() ? &EngineStats::careful_boundary
+                                   : careful_reason());
       exec_insns_careful(tb, limit);
       return;
     }
@@ -1638,12 +1680,83 @@ u64 Machine::add_tb_trans_cb(s4e_tb_trans_cb cb, void* userdata) {
 }
 u64 Machine::add_tb_exec_cb(s4e_tb_exec_cb cb, void* userdata) {
   tb_exec_cbs_.push_back({cb, userdata});
+  if (tb_exec_cbs_.size() == 1) rehook_translations(true);
   return tb_exec_cbs_.size();
 }
 u64 Machine::add_insn_exec_cb(s4e_insn_exec_cb cb, void* userdata) {
   insn_exec_cbs_.push_back({cb, userdata});
+  if (insn_exec_cbs_.size() == 1) rehook_translations(true);
   return insn_exec_cbs_.size();
 }
+
+bool Machine::request_insn_exec_cb(u32 index, s4e_insn_exec_cb cb,
+                                   void* userdata) {
+  if (trans_requests_ == nullptr || index >= trans_requests_->size()) {
+    return false;
+  }
+  std::size_t slot = 0;
+  while (slot < insn_requests_.size() &&
+         (insn_requests_[slot].callback != cb ||
+          insn_requests_[slot].userdata != userdata)) {
+    ++slot;
+  }
+  if (slot == insn_requests_.size()) {
+    if (slot == 64) return false;  // one bit per pair in HookSite::requests
+    insn_requests_.push_back({cb, userdata});
+  }
+  (*trans_requests_)[index] |= u64{1} << slot;
+  return true;
+}
+
+void Machine::set_hooks(DecodedInsn& d, ExecHandler fn, u64 requests) {
+  const u16 head = d.hook & kHookHead;
+  if (requests != 0 || !insn_exec_cbs_.empty() ||
+      (head != 0 && !tb_exec_cbs_.empty())) {
+    d.hook = static_cast<u16>(head | hook_site(fn, requests));
+    d.fn = &ExecOps::hooked;
+  } else {
+    d.hook = head;
+    d.fn = fn;
+  }
+}
+
+u16 Machine::hook_site(ExecHandler fn, u64 requests) {
+  const auto [it, inserted] = hook_site_index_.try_emplace(
+      {reinterpret_cast<std::uintptr_t>(fn), requests},
+      static_cast<u16>(hook_sites_.size()));
+  if (inserted) {
+    S4E_CHECK_MSG(hook_sites_.size() <= kHookSiteMask,
+                  "too many distinct exec-callback hook sites");
+    hook_sites_.push_back({fn, requests});
+  }
+  return it->second;
+}
+
+void Machine::rehook_translations(bool keep_requests) {
+  const auto rehook = [this, keep_requests](TranslationBlock& block) {
+    for (DecodedInsn& d : block.code) {
+      set_hooks(d, own_handler(d), keep_requests ? hook_requests(d) : 0);
+    }
+  };
+  tb_cache_.for_each_block(rehook);
+  if (scratch_block_ != nullptr) rehook(*scratch_block_);
+}
+
+void Machine::fire_insn_hooks(const DecodedInsn& d, u64 requests) {
+  s4e_vm* vm = vm_handle_.get();
+  if ((d.hook & kHookHead) != 0) {
+    for (const auto& reg : tb_exec_cbs_) reg.callback(reg.userdata, vm, d.pc);
+  }
+  if (icount_ >= icount_cb_at_) fire_icount_cbs();
+  if (insn_exec_cbs_.empty() && requests == 0) return;
+  const s4e_insn_info info = to_insn_info(d);
+  for (const auto& reg : insn_exec_cbs_) reg.callback(reg.userdata, vm, &info);
+  for (; requests != 0; requests &= requests - 1) {
+    const auto& reg = insn_requests_[std::countr_zero(requests)];
+    reg.callback(reg.userdata, vm, &info);
+  }
+}
+
 u64 Machine::add_mem_cb(s4e_mem_cb cb, void* userdata) {
   mem_cbs_.push_back({cb, userdata});
   update_mem_slow();
@@ -1683,7 +1796,10 @@ void Machine::fire_icount_cbs() {
 
 void Machine::apply_tb_maintenance() {
   if (tb_flush_all_) {
-    tb_cache_.flush();
+    // Nothing translated since the last flush (a plugin's attach-time
+    // flush on a fresh machine): nothing to drop, and no flush counted.
+    const auto [lo, hi] = tb_cache_.code_extent();
+    if (lo < hi) tb_cache_.flush();
   } else {
     for (const auto& [address, size] : tb_invalidations_) {
       tb_cache_.invalidate_range(address, size);

@@ -2,6 +2,8 @@
 // plugin dispatch. This is the ecosystem's QEMU stand-in.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -188,9 +190,10 @@ class Machine {
   const SnapshotStats& snapshot_stats() const noexcept { return snap_stats_; }
 
   // Drop every registered plugin callback, including armed one-shot icount
-  // callbacks that have not fired yet (per-run plugin attachment on a
-  // long-lived machine). Warm translation blocks survive; their tb_trans
-  // events have already fired and are not replayed.
+  // callbacks that have not fired yet and the insn_exec requests warm
+  // translations carry (per-run plugin attachment on a long-lived machine).
+  // Warm translation blocks survive; their tb_trans events have already
+  // fired and are not replayed.
   void clear_plugins() noexcept;
 
   CpuState& cpu() noexcept { return cpu_; }
@@ -293,8 +296,17 @@ class Machine {
     void* userdata;
   };
   u64 add_tb_trans_cb(s4e_tb_trans_cb cb, void* userdata);
+  // Whole-run tb_exec and insn_exec subscriptions hook every block head /
+  // every instruction of the translated code, warm blocks included (in
+  // place: nothing is flushed or invalidated). Neither forces the careful
+  // loop.
   u64 add_tb_exec_cb(s4e_tb_exec_cb cb, void* userdata);
   u64 add_insn_exec_cb(s4e_insn_exec_cb cb, void* userdata);
+  // Inside a tb_trans callback only: fire `cb` before instruction `index`
+  // of the block being translated, whenever that translation executes it.
+  // False outside tb_trans, for an index past the block, or when 64
+  // distinct (cb, userdata) pairs already hold requests.
+  bool request_insn_exec_cb(u32 index, s4e_insn_exec_cb cb, void* userdata);
   u64 add_mem_cb(s4e_mem_cb cb, void* userdata);
   u64 add_trap_cb(s4e_trap_cb cb, void* userdata);
   u64 add_exit_cb(s4e_exit_cb cb, void* userdata);
@@ -349,11 +361,21 @@ class Machine {
   // machine.cpp). Two dispatch modes share the same lowered handlers:
   //   fast:    run_chain() — chained threaded dispatch, epoch work hoisted
   //            to chain exits, bounded by kChainQuantum;
-  //   careful: run_block_careful() — exact old per-instruction loop, used
-  //            whenever plugins, debug state, an armed timer, or the
-  //            uncached ablation demand per-insn/per-block observability.
+  //   careful: run_block_careful() — exact per-instruction loop, used when
+  //            debug state, an armed timer, or the uncached ablation demand
+  //            per-block dispatch checks, and for the one block holding an
+  //            icount-callback or budget boundary.
+  // Plugin exec callbacks are lowered into the translated code (hooked
+  // instructions, see set_hooks) and fire identically in both modes.
   enum class BlockExit : u8 { kFall, kTaken, kIndirect, kSide, kStopped };
   bool fast_path_ok() const noexcept;
+  // Count one careful block under `reason` (an EngineStats careful_* field).
+  void count_careful(u64 EngineStats::*reason) noexcept {
+    ++estats_.blocks_careful;
+    ++(estats_.*reason);
+  }
+  // The careful_* reason that makes fast_path_ok() false.
+  u64 EngineStats::*careful_reason() const noexcept;
   void run_chain(u64 limit);
   void run_block_careful(u64 limit);
   BlockExit exec_block_fast(TranslationBlock* tb);
@@ -376,6 +398,37 @@ class Machine {
   void run_tb_careful(TranslationBlock* tb, u64 limit);
   void apply_tb_maintenance();
   void fire_icount_cbs();
+  // --- Exec-callback hooks lowered into translated code. An instruction
+  // with callbacks to fire runs ExecOps::hooked, and its `hook` names a
+  // site: its own handler plus the tb_trans-time requests it carries.
+  // Sites are interned, so their number stays small.
+  struct HookSite {
+    ExecHandler fn = nullptr;  // the instruction's own handler
+    u64 requests = 0;          // bit i: insn_requests_[i] fires here
+  };
+  static constexpr u16 kHookHead = 0x8000;
+  static constexpr u16 kHookSiteMask = 0x7fff;
+  static bool is_hooked(const DecodedInsn& d) noexcept {
+    return (d.hook & kHookSiteMask) != 0;
+  }
+  ExecHandler own_handler(const DecodedInsn& d) const noexcept {
+    return is_hooked(d) ? hook_sites_[d.hook & kHookSiteMask].fn : d.fn;
+  }
+  u64 hook_requests(const DecodedInsn& d) const noexcept {
+    return hook_sites_[d.hook & kHookSiteMask].requests;
+  }
+  // Give `d` the handler `fn` and the requests `requests`, hooked when a
+  // request, a whole-run insn_exec subscriber or (at a block head) a
+  // whole-run tb_exec subscriber needs a callback before it.
+  void set_hooks(DecodedInsn& d, ExecHandler fn, u64 requests);
+  u16 hook_site(ExecHandler fn, u64 requests);
+  // Re-apply set_hooks to every warm translation after a subscription
+  // change; `keep_requests` false drops the tb_trans-time requests too.
+  void rehook_translations(bool keep_requests);
+  // The one routine that fires exec callbacks before instruction `d` runs,
+  // in the careful order: tb_exec at a block head, a due icount callback,
+  // then insn_exec (whole-run subscribers, then requests).
+  void fire_insn_hooks(const DecodedInsn& d, u64 requests);
   void refresh_ram_window() noexcept;
   void update_mem_slow() noexcept {
     mem_slow_ = !mem_cbs_.empty() || !watchpoints_.empty();
@@ -398,7 +451,8 @@ class Machine {
   void take_trap(u32 cause, u32 tval, bool interrupt);
   void check_interrupts();
   void probe_icache(u32 block_pc);
-  void fire_mem_cb(u32 vaddr, u32 value, unsigned size, bool is_store);
+  void fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,
+                   bool is_store);
   static s4e_insn_info to_insn_info(const DecodedInsn& decoded);
 
   // The lowered instruction handlers live in this friend (machine.cpp) so
@@ -431,7 +485,6 @@ class Machine {
   std::vector<EngineStats> hart_stats_;
   std::vector<u64> hart_icount_;
   std::optional<PendingStop> pending_stop_;
-  u32 current_insn_pc_ = 0;
   // Deferred TB maintenance (request_tb_flush/request_tb_invalidate, also
   // raised by self-modifying guest stores). `tb_maint_pending_` is the one
   // flag the dispatch loops test; apply_tb_maintenance() clears all three.
@@ -495,6 +548,13 @@ class Machine {
     void* userdata;
   };
   std::vector<IcountRegistration> icount_cbs_;
+  // Exec-callback hook state (see set_hooks). Site 0 means "not hooked".
+  std::vector<HookSite> hook_sites_{HookSite{}};
+  std::map<std::pair<std::uintptr_t, u64>, u16> hook_site_index_;
+  std::vector<Registration<s4e_insn_exec_cb>> insn_requests_;
+  // The per-instruction request masks of the block being translated; set
+  // only while its tb_trans callbacks run.
+  std::vector<u64>* trans_requests_ = nullptr;
 
   std::unique_ptr<s4e_vm> vm_handle_;
 };

@@ -20,6 +20,10 @@ class PluginBase {
   // Register the overridden callbacks with `vm`. Call once per VM.
   void attach(s4e_vm* vm);
 
+  // Inside on_tb_trans() only: deliver on_insn_exec() before instruction
+  // `index` of the block being translated (s4e_request_insn_exec_cb).
+  bool request_insn_exec(u32 index);
+
   s4e_vm* vm() const noexcept { return vm_; }
 
   // Event hooks (public so the C trampolines can dispatch without friend
@@ -41,6 +45,11 @@ class PluginBase {
     bool mem = false;
     bool trap = false;
     bool exit = false;
+    // on_tb_trans() picks the instructions that get on_insn_exec() with
+    // request_insn_exec(). attach() registers tb_trans and flushes the
+    // VM's warm translations once, so every block executed from then on
+    // is translated, and requested, again.
+    bool insn_requests = false;
     // One-shot on_icount() at this instruction count (s4e_register_icount_cb).
     std::optional<u64> icount;
   };

@@ -45,6 +45,12 @@ uint64_t s4e_register_exit_cb(s4e_vm* vm, s4e_exit_cb cb, void* userdata) {
   return vm->machine->add_exit_cb(cb, userdata);
 }
 
+int s4e_request_insn_exec_cb(s4e_vm* vm, uint32_t index, s4e_insn_exec_cb cb,
+                             void* userdata) {
+  if (vm == nullptr || cb == nullptr) return -1;
+  return vm->machine->request_insn_exec_cb(index, cb, userdata) ? 0 : -1;
+}
+
 uint64_t s4e_register_icount_cb(s4e_vm* vm, uint64_t icount, s4e_icount_cb cb,
                                 void* userdata) {
   if (vm == nullptr || cb == nullptr) return 0;

@@ -10,18 +10,27 @@
  *
  * Event model (mirrors QEMU):
  *   - tb_trans:  a translation block was (re)built from guest code. Fires
- *                once per block per translation, not per execution.
+ *                once per block per translation, not per execution. Inside
+ *                it a plugin may request insn_exec callbacks for chosen
+ *                instructions of the block (s4e_request_insn_exec_cb).
  *   - tb_exec:   a translated block is about to execute.
- *   - insn_exec: one instruction is about to execute (costly; only
- *                delivered to plugins that registered for it).
+ *   - insn_exec: one instruction is about to execute — every instruction
+ *                for a whole-run subscriber, the requested ones otherwise.
  *   - mem:       one data memory access executed (load or store).
  *   - trap:      an exception or interrupt was taken.
  *   - exit:      the guest terminated.
  *   - icount:    one-shot: the retired-instruction count reached a value
- *                armed at registration. Unlike insn_exec it does not force
- *                the VP's careful per-instruction loop; only a block that
- *                holds the armed count past its first instruction runs one
- *                instruction at a time.
+ *                armed at registration.
+ *
+ * Execution modes: the VP lowers exec callbacks into its translated code,
+ * so instrumented code keeps the chained fast path; only debug state, an
+ * armed timer interrupt, the uncached ablation and a block holding an
+ * armed icount past its first instruction run the careful per-instruction
+ * loop. Both loops deliver the same callbacks, in the same order (tb_exec,
+ * then a due icount event, then insn_exec), with the same s4e_read_pc and
+ * s4e_icount values. Callbacks cost in proportion to how many fire: a
+ * whole-run insn_exec subscriber pays one call per instruction, a plugin
+ * that requests a few instructions per block pays only for those.
  */
 #ifndef S4E_PLUGIN_H_
 #define S4E_PLUGIN_H_
@@ -93,13 +102,26 @@ uint64_t s4e_register_mem_cb(s4e_vm* vm, s4e_mem_cb cb, void* userdata);
 uint64_t s4e_register_trap_cb(s4e_vm* vm, s4e_trap_cb cb, void* userdata);
 uint64_t s4e_register_exit_cb(s4e_vm* vm, s4e_exit_cb cb, void* userdata);
 
+/* Valid only inside a tb_trans callback: fire `cb(userdata, vm, insn)`
+ * before instruction `index` (0-based, into tb->insns) of the block being
+ * translated, every time that translation executes it. Requests belong to
+ * the translation: a plugin attached to a VM with warm translations must
+ * flush them (s4e_flush_tb_cache) to see tb_trans for every block again.
+ * Requests are dropped with the VM's other plugins. Returns 0, or -1
+ * outside tb_trans, for an index past the block, or when 64 distinct
+ * (cb, userdata) pairs already hold requests on this VM. */
+int s4e_request_insn_exec_cb(s4e_vm* vm, uint32_t index, s4e_insn_exec_cb cb,
+                             void* userdata);
+
 /* One-shot icount event: `cb` fires once, at exactly the point where an
  * insn_exec callback would first observe s4e_icount() >= `icount` — before
  * the next instruction executes and before any insn_exec callback for it.
  * An `icount` at or below the current count fires before the next
  * instruction. If the run stops first (exit, trap or instruction budget)
  * it does not fire during that run; an unfired callback is dropped with the
- * VM's other plugins. The callback receives the current s4e_icount(). */
+ * VM's other plugins. The callback receives the current s4e_icount().
+ * Armed from inside an exec callback of the chained engine, it fires at
+ * the earliest at the end of the executing block. */
 uint64_t s4e_register_icount_cb(s4e_vm* vm, uint64_t icount, s4e_icount_cb cb,
                                 void* userdata);
 

@@ -215,6 +215,14 @@ class TbCache {
     return raw;
   }
 
+  // Visit every live basic block and superblock (the engine re-lowers their
+  // exec-callback hooks in place when plugin subscriptions change).
+  template <typename Visit>
+  void for_each_block(Visit&& visit) {
+    for (auto& entry : blocks_) visit(*entry.second);
+    for (auto& entry : super_) visit(*entry.second);
+  }
+
   // Conservative self-modification check: true if [address, address+size)
   // intersects the watermark range of translated code.
   bool overlaps_code(u32 address, u32 size) const noexcept {

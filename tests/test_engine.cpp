@@ -19,6 +19,11 @@
 //         insn_exec-triggered reference injector bit for bit, GPR and
 //         memory stuck-at faults add no careful block, and the next
 //         prepare() hands back an unforced machine
+//   E-O1  callback-stream oracle: with exec callbacks lowered into the
+//         translated code, the chained engine delivers exactly the
+//         careful loop's callback stream — and the trace recorder's bytes
+//         and the QTA report — over every single-hart workload and torture
+//         programs; whole-run subscriptions leave warm translations alone
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,10 +31,14 @@
 #include <set>
 
 #include "asm/assembler.hpp"
+#include "core/workloads.hpp"
 #include "fault/fault.hpp"
 #include "obs/flight_recorder.hpp"
+#include "qta/qta.hpp"
 #include "testgen/testgen.hpp"
+#include "trace/recorder.hpp"
 #include "vp/machine.hpp"
+#include "wcet/analyzer.hpp"
 #include "vp/runner.hpp"
 #include "vp/snapshot.hpp"
 
@@ -115,6 +124,14 @@ u32 find_word(vp::Machine& machine, u32 from, u32 word) {
     S4E_CHECK(machine.bus().ram_read(address, &value, 4).ok());
     if (value == word) return address;
   }
+}
+
+// Force the careful loop without adding callbacks: a breakpoint at an
+// address no test program executes (the top of RAM is stack) turns on the
+// per-block debug check.
+void force_careful(vp::Machine& machine) {
+  machine.add_breakpoint(machine.config().ram_base +
+                         machine.config().ram_size - 2);
 }
 
 vp::MachineConfig unchained_config() {
@@ -308,15 +325,82 @@ TEST(EngineCounters, HotLoopExercisesEveryMechanism) {
   EXPECT_EQ(unchained.engine_stats().superblocks_formed, 0u);
   EXPECT_GT(unchained.engine_stats().blocks_fast, 0u);
 
-  // A per-instruction plugin forces the careful loop — the fast-block
-  // counter must stay frozen while careful dispatch takes over.
+  // A per-instruction plugin keeps the chained path: its callbacks are
+  // lowered into the translated code.
+  vp::Machine instrumented;
+  ASSERT_TRUE(instrumented.load_program(program).ok());
+  u64 calls = 0;
+  instrumented.add_insn_exec_cb(
+      [](void* userdata, s4e_vm*, const s4e_insn_info*) {
+        ++*static_cast<u64*>(userdata);
+      },
+      &calls);
+  const vp::RunResult run = instrumented.run();
+  ASSERT_EQ(run.reason, vp::StopReason::kExitEcall);
+  EXPECT_EQ(calls, run.instructions);
+  EXPECT_GT(instrumented.engine_stats().blocks_fast, 0u);
+  EXPECT_EQ(instrumented.engine_stats().blocks_careful, 0u);
+  EXPECT_GT(instrumented.engine_stats().superblocks_formed, 0u);
+
+  // Debug state forces the careful loop — the fast-block counter must stay
+  // frozen while careful dispatch takes over.
   vp::Machine careful;
   ASSERT_TRUE(careful.load_program(program).ok());
-  auto noop_cb = [](void*, s4e_vm*, const s4e_insn_info*) {};
-  careful.add_insn_exec_cb(noop_cb, nullptr);
+  force_careful(careful);
   ASSERT_EQ(careful.run().reason, vp::StopReason::kExitEcall);
   EXPECT_EQ(careful.engine_stats().blocks_fast, 0u);
   EXPECT_GT(careful.engine_stats().blocks_careful, 0u);
+}
+
+u64 careful_reason_sum(const vp::EngineStats& stats) {
+  return stats.careful_debug + stats.careful_timer + stats.careful_uncached +
+         stats.careful_boundary;
+}
+
+// E-C2 — every careful block is counted under one reason: debug state, an
+// armed timer, the uncached ablation, or an icount/budget boundary.
+TEST(EngineCounters, CarefulBlocksCountedPerReason) {
+  const assembler::Program loop = assemble_or_die(kCallLoop);
+  const auto check = [](const vp::Machine& machine, u64 vp::EngineStats::*reason,
+                        const char* label) {
+    const vp::EngineStats& stats = machine.engine_stats();
+    EXPECT_GT(stats.*reason, 0u) << label;
+    EXPECT_EQ(stats.*reason, stats.blocks_careful) << label;
+    EXPECT_EQ(careful_reason_sum(stats), stats.blocks_careful) << label;
+  };
+
+  vp::Machine debug;
+  ASSERT_TRUE(debug.load_program(loop).ok());
+  force_careful(debug);
+  ASSERT_EQ(debug.run().reason, vp::StopReason::kExitEcall);
+  check(debug, &vp::EngineStats::careful_debug, "debug");
+
+  vp::Machine timer;
+  ASSERT_TRUE(timer.load_program(assemble_or_die(kTimerLoop)).ok());
+  ASSERT_EQ(timer.run().reason, vp::StopReason::kExitEcall);
+  check(timer, &vp::EngineStats::careful_timer, "timer");
+
+  vp::MachineConfig uncached_config;
+  uncached_config.enable_tb_cache = false;
+  vp::Machine uncached(uncached_config);
+  ASSERT_TRUE(uncached.load_program(loop).ok());
+  ASSERT_EQ(uncached.run().reason, vp::StopReason::kExitEcall);
+  check(uncached, &vp::EngineStats::careful_uncached, "uncached");
+
+  // A budget that ends inside a block, then icount callbacks at three
+  // consecutive counts (blocks of this loop are at most three long, so at
+  // least one falls inside a block).
+  vp::Machine boundary;
+  ASSERT_TRUE(boundary.load_program(loop).ok());
+  ASSERT_EQ(boundary.run(1003).reason, vp::StopReason::kMaxInstructions);
+  EXPECT_EQ(boundary.engine_stats().careful_boundary, 1u);
+  for (const u64 at : {2001, 2002, 2003}) {
+    s4e_register_icount_cb(
+        boundary.vm_handle(), at, [](void*, s4e_vm*, uint64_t) {}, nullptr);
+  }
+  ASSERT_EQ(boundary.run().reason, vp::StopReason::kExitEcall);
+  check(boundary, &vp::EngineStats::careful_boundary, "boundary");
+  EXPECT_GE(boundary.engine_stats().careful_boundary, 2u);
 }
 
 // --- Careful-mode profile of a fault-free run: the reference trace the
@@ -389,8 +473,6 @@ void record_icount(void* userdata, s4e_vm* vm, uint64_t icount) {
   probe->pc = s4e_read_pc(vm);
 }
 
-void noop_insn_cb(void*, s4e_vm*, const s4e_insn_info*) {}
-
 // E-I1 — the callback fires once, before the armed instruction, with the
 // same architectural view in the chained and the careful loop; the chained
 // run executes only the block holding the armed count carefully, and none
@@ -407,7 +489,7 @@ TEST(IcountCallback, FiresOnceAtExactInstructionFastAndCareful) {
     for (const bool careful : {false, true}) {
       vp::Machine machine;
       ASSERT_TRUE(machine.load_program(program).ok());
-      if (careful) machine.add_insn_exec_cb(noop_insn_cb, nullptr);
+      if (careful) force_careful(machine);
       IcountProbe probe;
       ASSERT_NE(s4e_register_icount_cb(machine.vm_handle(), at,
                                        record_icount, &probe),
@@ -587,7 +669,7 @@ TEST(IcountCallback, RangeInvalidationKeepsUnrelatedBlocksWarm) {
 
   vp::Machine careful;
   ASSERT_TRUE(careful.load_program(program).ok());
-  careful.add_insn_exec_cb(noop_insn_cb, nullptr);
+  force_careful(careful);
   Patch careful_patch{patch.address};
   s4e_register_icount_cb(careful.vm_handle(), kAt, patch_cb, &careful_patch);
   const auto ref = careful.run();
@@ -1138,6 +1220,344 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return std::string(oracle_configs()[info.param].name);
     });
+
+// --- E-O1: callback-stream oracle.
+
+// Every callback the plugins below see, with the VM's view at that moment
+// (s4e_icount, s4e_read_pc), folded into an order-sensitive digest.
+struct CallbackLog {
+  u64 digest = 0xcbf29ce484222325ull;
+  u64 events = 0;
+
+  void add(s4e_vm* vm, u64 kind, u64 a, u64 b) {
+    for (const u64 word : {kind, a, b, s4e_icount(vm), u64{s4e_read_pc(vm)}}) {
+      digest = (digest ^ word) * 0x100000001b3ull;
+    }
+    ++events;
+  }
+};
+
+// Whole-run tb_exec, insn_exec, mem, trap and exit subscriber, plus one
+// icount event. It also checks the careful loop's view absolutely: every
+// exec callback reads the count of instructions retired before it and the
+// pc it is about to run, and a due icount event fires after the block
+// head's tb_exec. Optionally it stops the run, or flushes the TB cache,
+// from the insn_exec callback of one instruction.
+class LoggingPlugin final : public vp::PluginBase {
+ public:
+  enum class Action { kNone, kExit, kFlush };
+
+  LoggingPlugin(CallbackLog& log, std::optional<u64> icount,
+                Action action = Action::kNone, u64 action_at = 0)
+      : log_(log), icount_(icount), action_(action), action_at_(action_at) {}
+
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.tb_exec = true;
+    subs.insn_exec = true;
+    subs.mem = true;
+    subs.trap = true;
+    subs.exit = true;
+    subs.icount = icount_;
+    return subs;
+  }
+  void on_tb_exec(u32 tb_start) override {
+    EXPECT_EQ(s4e_icount(vm()), insns_);
+    EXPECT_EQ(s4e_read_pc(vm()), tb_start);
+    EXPECT_FALSE(icount_fired_ && *icount_ == insns_)
+        << "icount event before its block head's tb_exec";
+    log_.add(vm(), 1, tb_start, 0);
+  }
+  void on_insn_exec(const s4e_insn_info& insn) override {
+    EXPECT_EQ(s4e_icount(vm()), insns_);
+    EXPECT_EQ(s4e_read_pc(vm()), insn.address);
+    log_.add(vm(), 2, insn.address, insn.encoding);
+    if (insns_++ == action_at_) {
+      if (action_ == Action::kExit) s4e_request_exit(vm(), 77);
+      if (action_ == Action::kFlush) s4e_flush_tb_cache(vm());
+    }
+  }
+  void on_mem(const s4e_mem_event& event) override {
+    log_.add(vm(), 3, (u64{event.pc} << 32) | event.vaddr,
+             (u64{event.value} << 8) | (event.size << 1) | event.is_store);
+  }
+  void on_trap(const s4e_trap_event& event) override {
+    log_.add(vm(), 4, event.cause, (u64{event.epc} << 32) | event.tval);
+  }
+  void on_exit(int exit_code) override {
+    log_.add(vm(), 5, static_cast<u32>(exit_code), 0);
+  }
+  void on_icount(u64 icount) override {
+    EXPECT_EQ(icount, insns_);
+    icount_fired_ = true;
+    log_.add(vm(), 6, icount, 0);
+  }
+
+ private:
+  CallbackLog& log_;
+  std::optional<u64> icount_;
+  Action action_;
+  u64 action_at_;
+  u64 insns_ = 0;
+  bool icount_fired_ = false;
+};
+
+// Requests insn_exec at translation time for every third halfword address.
+class SparsePlugin final : public vp::PluginBase {
+ public:
+  explicit SparsePlugin(CallbackLog& log) : log_(log) {}
+
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.insn_requests = true;
+    return subs;
+  }
+  void on_tb_trans(const s4e_tb_info& tb) override {
+    for (u32 i = 0; i < tb.n_insns; ++i) {
+      if ((tb.insns[i].address >> 1) % 3 == 0) {
+        EXPECT_TRUE(request_insn_exec(i));
+      }
+    }
+    EXPECT_FALSE(request_insn_exec(tb.n_insns));
+  }
+  void on_insn_exec(const s4e_insn_info& insn) override {
+    log_.add(vm(), 7, insn.address, 0);
+  }
+
+ private:
+  CallbackLog& log_;
+};
+
+struct LoggedRun {
+  vp::RunResult result;
+  CallbackLog log;
+  vp::EngineStats stats;
+};
+
+LoggedRun run_logged(const vp::MachineConfig& config,
+                     const assembler::Program& program,
+                     std::optional<u64> icount, bool careful,
+                     LoggingPlugin::Action action = LoggingPlugin::Action::kNone,
+                     u64 action_at = 0) {
+  vp::Machine machine(config);
+  S4E_CHECK(machine.load_program(program).ok());
+  if (careful) force_careful(machine);
+  LoggedRun run;
+  LoggingPlugin logger(run.log, icount, action, action_at);
+  SparsePlugin sparse(run.log);
+  logger.attach(machine.vm_handle());
+  sparse.attach(machine.vm_handle());
+  run.result = machine.run();
+  run.stats = machine.engine_stats();
+  return run;
+}
+
+struct OracleSubject {
+  std::string name;
+  std::string source;
+  bool analyzable = false;
+};
+
+std::vector<OracleSubject> oracle_subjects() {
+  std::vector<OracleSubject> subjects;
+  for (const core::Workload& workload : core::standard_workloads()) {
+    if (workload.name.rfind("smp_", 0) == 0) continue;  // multi-hart
+    subjects.push_back(
+        {workload.name, workload.source, workload.wcet_analyzable});
+  }
+  for (const u64 seed : {1, 2, 3, 4}) {
+    for (const auto& test : programs_for_seed(seed, 2)) {
+      subjects.push_back(
+          {"seed" + std::to_string(seed) + "/" + test.name, test.source,
+           false});
+    }
+  }
+  // Hot enough to splice superblocks; timer interrupts and their traps.
+  subjects.push_back({"call_loop", kCallLoop, true});
+  subjects.push_back({"timer_loop", kTimerLoop, false});
+  return subjects;
+}
+
+struct Counts {
+  u64 head = 0;    // a block head, a third of the way in
+  u64 mid = 0;     // the second instruction of that block
+  u64 inside = 0;  // an instruction neither first nor last in its block,
+                   // two thirds of the way in
+};
+
+// Counts of a careful run at which to arm icount events and act from
+// callbacks.
+Counts pick_counts(const assembler::Program& program) {
+  vp::Machine machine;
+  S4E_CHECK(machine.load_program(program).ok());
+  force_careful(machine);
+  std::vector<u64> heads;
+  machine.add_tb_exec_cb(
+      [](void* userdata, s4e_vm* vm, uint32_t) {
+        static_cast<std::vector<u64>*>(userdata)->push_back(s4e_icount(vm));
+      },
+      &heads);
+  const u64 total = machine.run().instructions;
+  Counts counts{0, total / 2, total / 2};
+  for (std::size_t i = heads.size(); i-- > 1;) {
+    if (heads[i - 1] >= total / 3 && heads[i] > heads[i - 1] + 1) {
+      counts.head = heads[i - 1];
+      counts.mid = heads[i - 1] + 1;
+    }
+    if (heads[i - 1] >= 2 * total / 3 && heads[i] > heads[i - 1] + 2) {
+      counts.inside = heads[i - 1] + 1;
+    }
+  }
+  return counts;
+}
+
+// E-O1 — chained vs breakpoint-forced careful execution, over every
+// single-hart workload and torture programs, RV32C on and off, superblocks
+// on and off, chaining on and off, an icount event at a block head and
+// inside a block, and a callback that stops the run or flushes the TB
+// cache mid-block: identical callback streams.
+TEST(CallbackStream, ChainedMatchesCareful) {
+  vp::MachineConfig superblocks;
+  vp::MachineConfig chained_only;
+  chained_only.enable_superblocks = false;
+  const vp::MachineConfig engines[] = {superblocks, chained_only,
+                                       unchained_config()};
+  u64 fast_blocks = 0;
+  u64 superblocks_formed = 0;
+  for (const OracleSubject& subject : oracle_subjects()) {
+    for (const bool compress : {false, true}) {
+      assembler::Options options;
+      options.compress = compress;
+      auto program = assembler::assemble(subject.source, options);
+      ASSERT_TRUE(program.ok()) << subject.name;
+      const Counts counts = pick_counts(*program);
+      using Action = LoggingPlugin::Action;
+      const struct {
+        std::optional<u64> icount;
+        Action action;
+        u64 action_at;
+      } variants[] = {{counts.head, Action::kNone, 0},
+                      {counts.mid, Action::kNone, 0},
+                      {std::nullopt, Action::kExit, counts.inside},
+                      {std::nullopt, Action::kFlush, counts.inside}};
+      for (std::size_t e = 0; e < std::size(engines); ++e) {
+        for (const auto& v : variants) {
+          const std::string label =
+              subject.name + (compress ? " rvc" : "") + " engine " +
+              std::to_string(e) + " icount " +
+              std::to_string(v.icount.value_or(0)) + " action " +
+              std::to_string(static_cast<int>(v.action));
+          const LoggedRun chained = run_logged(
+              engines[e], *program, v.icount, false, v.action, v.action_at);
+          const LoggedRun careful = run_logged(
+              engines[e], *program, v.icount, true, v.action, v.action_at);
+          EXPECT_EQ(chained.log.events, careful.log.events) << label;
+          EXPECT_EQ(chained.log.digest, careful.log.digest) << label;
+          EXPECT_EQ(chained.result.reason, careful.result.reason) << label;
+          EXPECT_EQ(chained.result.instructions, careful.result.instructions)
+              << label;
+          EXPECT_EQ(chained.result.cycles, careful.result.cycles) << label;
+          EXPECT_EQ(careful.stats.blocks_fast, 0u) << label;
+          // Only the icount event's block (and an armed timer) is careful.
+          EXPECT_LE(chained.stats.careful_boundary, 2u) << label;
+          EXPECT_EQ(chained.stats.blocks_careful,
+                    chained.stats.careful_boundary +
+                        chained.stats.careful_timer)
+              << label;
+          fast_blocks += chained.stats.blocks_fast;
+          superblocks_formed += chained.stats.superblocks_formed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fast_blocks, 0u);
+  EXPECT_GT(superblocks_formed, 0u);
+}
+
+// E-O1 — the observers built on requested callbacks: the trace recorder's
+// bytes and the QTA report match across the two modes.
+TEST(CallbackStream, RecorderAndQtaMatchCareful) {
+  for (const OracleSubject& subject : oracle_subjects()) {
+    for (const bool compress : {false, true}) {
+      assembler::Options options;
+      options.compress = compress;
+      auto program = assembler::assemble(subject.source, options);
+      ASSERT_TRUE(program.ok()) << subject.name;
+      const std::string label = subject.name + (compress ? " rvc" : "");
+      std::vector<u8> bytes[2];
+      for (const bool careful : {false, true}) {
+        vp::Machine machine;
+        ASSERT_TRUE(machine.load_program(*program).ok());
+        if (careful) force_careful(machine);
+        trace::TraceRecorder recorder(
+            trace::TraceRecorder::config_for(machine.config(), *program));
+        ASSERT_TRUE(recorder.attach_checked(machine.vm_handle()).ok());
+        bytes[careful] = recorder.finish_bytes(machine.run());
+        if (!careful) {
+          EXPECT_EQ(machine.engine_stats().blocks_careful,
+                    machine.engine_stats().careful_timer)
+              << label;
+        }
+      }
+      EXPECT_FALSE(bytes[0].empty()) << label;
+      EXPECT_EQ(bytes[0], bytes[1]) << label;
+
+      if (!subject.analyzable) continue;
+      auto analysis = wcet::Analyzer().analyze(*program);
+      ASSERT_TRUE(analysis.ok()) << label;
+      qta::QtaReport reports[2];
+      for (const bool careful : {false, true}) {
+        vp::Machine machine;
+        ASSERT_TRUE(machine.load_program(*program).ok());
+        if (careful) force_careful(machine);
+        qta::QtaPlugin plugin(analysis->annotated);
+        plugin.attach(machine.vm_handle());
+        reports[careful] = plugin.report(machine.run().cycles);
+      }
+      EXPECT_EQ(reports[0].wc_path_cycles, reports[1].wc_path_cycles) << label;
+      EXPECT_EQ(reports[0].blocks_entered, reports[1].blocks_entered) << label;
+      EXPECT_EQ(reports[0].unknown_blocks, reports[1].unknown_blocks) << label;
+      EXPECT_EQ(reports[0].observed_cycles, reports[1].observed_cycles)
+          << label;
+      EXPECT_TRUE(reports[0].chain_ok()) << label;
+    }
+  }
+}
+
+// E-O1 — attaching and clearing whole-run exec subscribers on a warm
+// worker VM re-lowers hooks in place: no flush, no invalidated block, and
+// every run reproduces the uninstrumented one.
+TEST(CallbackStream, WholeRunSubscribersKeepWarmTranslations) {
+  const assembler::Program program = assemble_or_die(kCallLoop);
+  auto worker = vp::WorkerVm::create(vp::MachineConfig{}, program);
+  ASSERT_TRUE(worker.ok());
+  const vp::RunResult golden = (*worker)->prepare().run();
+  vp::Machine& warm = (*worker)->prepare();
+  const u64 flushes = warm.tb_cache().flush_count();
+  const u64 invalidated = warm.tb_cache().invalidated_blocks();
+  ASSERT_GT(warm.tb_cache().size(), 0u);
+  for (int round = 0; round < 3; ++round) {
+    for (const bool instrumented : {true, false}) {
+      vp::Machine& machine = (*worker)->prepare();
+      CallbackLog log;
+      LoggingPlugin logger(log, std::nullopt);
+      if (instrumented) logger.attach(machine.vm_handle());
+      const u64 careful_before = machine.engine_stats().blocks_careful;
+      const vp::RunResult run = machine.run();
+      EXPECT_EQ(run.instructions, golden.instructions);
+      EXPECT_EQ(run.cycles, golden.cycles);
+      EXPECT_EQ(run.exit_code, golden.exit_code);
+      EXPECT_EQ(machine.engine_stats().blocks_careful, careful_before);
+      if (instrumented) {
+        EXPECT_GT(log.events, run.instructions);
+      } else {
+        EXPECT_EQ(log.events, 0u);
+      }
+      EXPECT_EQ(machine.tb_cache().flush_count(), flushes);
+      EXPECT_EQ(machine.tb_cache().invalidated_blocks(), invalidated);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace s4e

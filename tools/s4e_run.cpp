@@ -232,6 +232,12 @@ int main(int argc, char** argv) {
     std::printf("engine   : %llu fast blocks, %llu careful blocks\n",
                 static_cast<unsigned long long>(es.blocks_fast),
                 static_cast<unsigned long long>(es.blocks_careful));
+    std::printf("careful  : %llu debug, %llu timer, %llu uncached, "
+                "%llu boundary\n",
+                static_cast<unsigned long long>(es.careful_debug),
+                static_cast<unsigned long long>(es.careful_timer),
+                static_cast<unsigned long long>(es.careful_uncached),
+                static_cast<unsigned long long>(es.careful_boundary));
     std::printf("chains   : %llu linked, %llu followed, %llu severs\n",
                 static_cast<unsigned long long>(es.chain_patches),
                 static_cast<unsigned long long>(es.chain_follows),
