@@ -11,16 +11,20 @@
 namespace s4e {
 
 inline constexpr u64 kFnv1aOffsetBasis = 0xcbf29ce484222325ull;
+inline constexpr u64 kFnv1aPrime = 0x100000001b3ull;
+
+// Mix one byte into `hash`: the step fnv1a() applies to every byte, for
+// code that hashes bytes as it produces or consumes them.
+inline u64 fnv1a_byte(u64 hash, u8 byte) noexcept {
+  return (hash ^ byte) * kFnv1aPrime;
+}
 
 // Hash `size` bytes at `data`; pass a previous result as `seed` to continue
 // one hash over several buffers.
 inline u64 fnv1a(const u8* data, std::size_t size,
                  u64 seed = kFnv1aOffsetBasis) noexcept {
   u64 hash = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
+  for (std::size_t i = 0; i < size; ++i) hash = fnv1a_byte(hash, data[i]);
   return hash;
 }
 

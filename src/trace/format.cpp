@@ -1,13 +1,13 @@
 #include "trace/format.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <string_view>
 
 #include "asm/program.hpp"
 #include "common/file.hpp"
-#include "common/fnv1a.hpp"
 #include "common/strings.hpp"
-#include "isa/opcode.hpp"
 
 namespace s4e::trace {
 
@@ -78,6 +78,62 @@ Error parse_error(const std::string& message) {
   return Error(ErrorCode::kParseError, message);
 }
 
+// The recorded icache geometry sizes the self check's tag array and indexes
+// it, so a header naming a geometry the model cannot hold is refused here.
+Status check_icache_geometry(const vp::TimingParams& params) {
+  if (!std::has_single_bit(params.icache_lines)) {
+    return parse_error(format("header field icache_lines = %u is not a "
+                              "nonzero power of two",
+                              params.icache_lines));
+  }
+  if (!std::has_single_bit(params.icache_line_bytes)) {
+    return parse_error(format("header field icache_line_bytes = %u is not a "
+                              "nonzero power of two",
+                              params.icache_line_bytes));
+  }
+  if (params.icache_lines > kMaxIcacheLines) {
+    return parse_error(format("header field icache_lines = %u exceeds the "
+                              "cap of %u lines",
+                              params.icache_lines, kMaxIcacheLines));
+  }
+  return Status();
+}
+
+// Builds the span list for the walk. The span being extended stays in
+// locals until one does not continue it: the walk appends once per retired
+// instruction event, and a span kept in the vector would put a load-modify-
+// store chain on every one.
+class SpanBuilder {
+ public:
+  explicit SpanBuilder(std::vector<InsnSpan>& spans) : spans_(spans) {}
+
+  // Appends instructions to the PC sequence, extending the open span when
+  // they continue it at its stride.
+  void append(u32 pc, u32 count, u32 stride) {
+    if (open_ && pc == end_ && (count == 1 || stride == span_.stride) &&
+        count <= ~u32{0} - span_.count) {
+      span_.count += count;
+      end_ += count * span_.stride;
+      return;
+    }
+    finish();
+    open_ = true;
+    span_ = {pc, count, stride};
+    end_ = pc + count * stride;
+  }
+
+  void finish() {
+    if (open_) spans_.push_back(span_);
+    open_ = false;
+  }
+
+ private:
+  std::vector<InsnSpan>& spans_;
+  bool open_ = false;
+  InsnSpan span_;
+  u32 end_ = 0;  // the PC that continues span_
+};
+
 }  // namespace
 
 std::string_view to_string(TaintKind kind) noexcept {
@@ -114,7 +170,8 @@ u64 program_fingerprint(const assembler::Program& program) {
 }
 
 std::vector<u8> Writer::finish(Footer footer) {
-  footer.stream_checksum = fnv1a(stream_.data(), stream_.size());
+  hash_appended();
+  footer.stream_checksum = checksum_;
 
   std::vector<u8> out;
   out.reserve(kHeaderBytes + stream_.size() + 1 + kFooterBytes);
@@ -177,9 +234,9 @@ Result<Trace> Trace::load(const std::string& path) {
 }
 
 Result<Trace> Trace::parse(std::vector<u8> bytes) {
-  Trace trace;
-  trace.bytes_ = std::move(bytes);
-  const std::vector<u8>& raw = trace.bytes_;
+  auto body = std::make_shared<Body>();
+  body->bytes = std::move(bytes);
+  const std::vector<u8>& raw = body->bytes;
 
   // Header: sized, magicked, versioned — each failure names its site.
   if (raw.size() < kHeaderBytes) {
@@ -190,16 +247,18 @@ Result<Trace> Trace::parse(std::vector<u8> bytes) {
   if (!std::equal(kTraceMagic, kTraceMagic + 8, raw.data())) {
     return parse_error("bad magic: not an s4e binary trace");
   }
-  trace.header_.version = get_u32(raw.data() + 8);
-  if (trace.header_.version != kTraceVersion) {
+  Header& header = body->header;
+  header.version = get_u32(raw.data() + 8);
+  if (header.version != kTraceVersion) {
     return parse_error(format("unsupported trace version %u (this build "
                               "reads version %u)",
-                              trace.header_.version, kTraceVersion));
+                              header.version, kTraceVersion));
   }
-  trace.header_.flags = get_u32(raw.data() + 12);
-  trace.header_.fingerprint = get_u64(raw.data() + 16);
-  trace.header_.entry_pc = get_u32(raw.data() + 24);
-  trace.header_.recorded = get_params(raw.data() + 28);
+  header.flags = get_u32(raw.data() + 12);
+  header.fingerprint = get_u64(raw.data() + 16);
+  header.entry_pc = get_u32(raw.data() + 24);
+  header.recorded = get_params(raw.data() + 28);
+  S4E_TRY_STATUS(check_icache_geometry(header.recorded));
 
   // Footer: present, magicked, and self-consistent with the stream. A
   // recorder that died mid-run fails here (the footer is written last).
@@ -212,7 +271,7 @@ Result<Trace> Trace::parse(std::vector<u8> bytes) {
     return parse_error("bad footer magic: trace is truncated or torn "
                        "(recorder did not finish)");
   }
-  Footer& footer = trace.footer_;
+  Footer& footer = body->footer;
   footer.stop_reason = static_cast<u8>(get_u32(footer_p + 8));
   footer.exit_code = static_cast<int>(get_u32(footer_p + 12));
   footer.instructions = get_u64(footer_p + 16);
@@ -222,64 +281,134 @@ Result<Trace> Trace::parse(std::vector<u8> bytes) {
   footer.recorded_cycles = get_u64(footer_p + 48);
   footer.stream_checksum = get_u64(footer_p + 56);
 
-  trace.stream_off_ = kHeaderBytes;
-  trace.stream_len_ = raw.size() - kHeaderBytes - 1 - kFooterBytes;
-  if (raw[kHeaderBytes + trace.stream_len_] != static_cast<u8>(Tag::kEnd)) {
+  body->stream_off = kHeaderBytes;
+  body->stream_len = raw.size() - kHeaderBytes - 1 - kFooterBytes;
+  const u8* stream = raw.data() + kHeaderBytes;
+  const std::size_t stream_len = body->stream_len;
+  if (stream[stream_len] != static_cast<u8>(Tag::kEnd)) {
     return parse_error("event stream is not kEnd-terminated: trace is torn");
   }
 
-  const u64 checksum = fnv1a(trace.stream_data(), trace.stream_size());
-  if (checksum != footer.stream_checksum) {
-    return parse_error(format("stream checksum mismatch (stored %016llx, "
-                              "computed %016llx): trace bytes are corrupt",
-                              static_cast<unsigned long long>(
-                                  footer.stream_checksum),
-                              static_cast<unsigned long long>(checksum)));
-  }
-
-  // Pre-walk: decode every event once, so replay can trust the stream, and
-  // cross-check the footer's counts (a wrong count means the footer belongs
-  // to different stream bytes — a spliced or mis-rewritten file).
-  u64 insns = 0, blocks = 0, mems = 0, taints = 0;
-  Cursor cursor(trace);
+  // The one walk of the stream: hash and decode every byte, collect the
+  // taint sites, and build what replay charges — the profile, the block PCs
+  // and the instruction spans. Every tag that breaks out of the switch
+  // retires `retired` instructions; the others continue. The checksum is
+  // judged first, as if it had been checked before the walk: corrupt bytes
+  // are reported as such, not as whatever decode error they happen to
+  // cause. A block takes at least one stream byte, which bounds the
+  // reservation whatever the (unchecked) footer says.
+  //
+  // The cursor and the instruction and access counts are locals that never
+  // have their address taken, so the loop keeps them in registers; and a
+  // branch's direction is counted without branching on it, as it is data
+  // the host cannot predict.
+  Profile profile;
+  u64 insns = 0, mems = 0;
+  std::vector<u32>& block_pcs = body->block_pcs;
+  block_pcs.reserve(std::min<u64>(footer.blocks, stream_len));
+  SpanBuilder spans(body->insn_spans);
+  // The predictor's table is fixed-size and takes no TimingParams input, so
+  // its mispredict sequence is the same under every configuration.
+  vp::BimodalPredictor bimodal;
+  Cursor cursor(stream, stream_len, header.entry_pc);
   Event event;
   while (cursor.next(event)) {
+    u32 retired = 1;
     switch (event.tag) {
       case Tag::kBlock:
       case Tag::kBlockAt:
-        ++blocks;
-        break;
+        block_pcs.push_back(event.pc);
+        continue;
+      case Tag::kTaint:
+        body->taints.push_back(TaintSite{event.taint, event.pc});
+        continue;
+      case Tag::kTrapFetch:
+        // Fetch/decode fault at a block head: no instruction executed, no
+        // class cost — only trap entry if handled.
+        if (event.handled) ++profile.fetch_traps_handled;
+        continue;
       case Tag::kRun4:
       case Tag::kRun2:
-        insns += event.count;
+        profile.plain += event.count;
+        retired = event.count;
         break;
-      case Tag::kTaint:
-        ++taints;
-        trace.taints_.push_back(TaintSite{event.taint, event.pc});
+      case Tag::kJump:
+        ++profile.jumps;
         break;
-      case Tag::kTrapFetch:
+      case Tag::kBranchT:
+      case Tag::kBranchN4:
+      case Tag::kBranchN2: {
+        const bool taken = event.tag == Tag::kBranchT;
+        profile.branches_taken += taken ? 1 : 0;
+        profile.branches_not_taken += taken ? 0 : 1;
+        profile.mispredicts += bimodal.mispredict(event.pc, taken) ? 1 : 0;
         break;
+      }
       case Tag::kLoad4: case Tag::kLoad2:
       case Tag::kStore4: case Tag::kStore2:
       case Tag::kLoadMmio4: case Tag::kLoadMmio2:
       case Tag::kStoreMmio4: case Tag::kStoreMmio2:
-      case Tag::kAmoLoad: case Tag::kAmoStore:
-        ++insns;
+        ++profile.mem[(event.mem_store ? 1 : 0) | (event.mem_mmio ? 2 : 0)];
         ++mems;
         break;
-      case Tag::kAmoRmw:
-        ++insns;
-        mems += 2;
+      case Tag::kAmoRmw:  // read and write: two accesses
+        ++mems;
+        [[fallthrough]];
+      case Tag::kAmoLoad:
+      case Tag::kAmoStore:
+        ++mems;
+        [[fallthrough]];
+      case Tag::kAmoFail:
+        ++profile.amos;
         break;
-      default:
-        ++insns;
+      case Tag::kMul4: case Tag::kMul2:
+        ++profile.muls;
         break;
+      case Tag::kDiv4: case Tag::kDiv2:
+        ++profile.divides[vp::TimingModel::divide_bits(event.dividend) - 1];
+        break;
+      case Tag::kCsr4: case Tag::kCsr2:
+        ++profile.csrs;
+        break;
+      case Tag::kSysExit:
+        ++profile.sys_exits;
+        break;
+      case Tag::kMret:
+      case Tag::kWfiHalt:
+        ++profile.sys_redirects;
+        break;
+      case Tag::kWfiSleep:
+        ++profile.wfi_sleeps;
+        break;
+      case Tag::kTrapInsn:
+        ++profile.traps[event.op_class][event.handled ? 1 : 0];
+        break;
+      case Tag::kEnd:
+      case Tag::kCount:
+        continue;  // Cursor refuses both
     }
+    insns += retired;
+    spans.append(event.pc, retired, event.length);
+  }
+  spans.finish();
+  profile.instructions = insns;
+  body->profile = profile;
+  if (cursor.checksum() != footer.stream_checksum) {
+    return parse_error(format("stream checksum mismatch (stored %016llx, "
+                              "computed %016llx): trace bytes are corrupt",
+                              static_cast<unsigned long long>(
+                                  footer.stream_checksum),
+                              static_cast<unsigned long long>(
+                                  cursor.checksum())));
   }
   if (!cursor.ok()) {
     return parse_error(format("event stream decode failed at byte %zu: %s",
                               cursor.offset(), cursor.error().c_str()));
   }
+  // A wrong count means the footer belongs to different stream bytes — a
+  // spliced or mis-rewritten file.
+  const u64 blocks = block_pcs.size();
+  const u64 taints = body->taints.size();
   if (insns != footer.instructions || blocks != footer.blocks ||
       mems != footer.mem_accesses || taints != footer.taints) {
     return parse_error(format(
@@ -294,162 +423,31 @@ Result<Trace> Trace::parse(std::vector<u8> bytes) {
         static_cast<unsigned long long>(taints),
         static_cast<unsigned long long>(footer.taints)));
   }
-  return trace;
+  return Trace(std::move(body));
 }
 
-bool Cursor::get_varint(u64& out) {
-  out = 0;
-  unsigned shift = 0;
-  while (p_ != end_) {
-    const u8 byte = *p_++;
-    if (shift >= 63 && byte > 1) return fail("varint overflows 64 bits");
-    out |= static_cast<u64>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return true;
-    shift += 7;
+std::string Cursor::describe(Failure failure, u64 detail_value) {
+  const auto detail = static_cast<unsigned long long>(detail_value);
+  switch (failure) {
+    case Failure::kNone: return "";
+    case Failure::kUnknownTag:
+      return format("unknown event tag 0x%02llx", detail);
+    case Failure::kEmbeddedEnd:
+      return "embedded kEnd before the stream terminator";
+    case Failure::kVarintOverflow: return "varint overflows 64 bits";
+    case Failure::kVarintPastEnd:
+      return "varint runs past the end of the stream";
+    case Failure::kTrapInfoMissing: return "kTrapInsn missing its info byte";
+    case Failure::kTrapClass:
+      return format("kTrapInsn names instruction class %llu, but there are "
+                    "only %u classes",
+                    detail, isa::kOpClassCount);
+    case Failure::kFetchInfoMissing:
+      return "kTrapFetch missing its info byte";
+    case Failure::kTaintKind:
+      return format("unknown taint kind %llu", detail);
   }
-  return fail("varint runs past the end of the stream");
-}
-
-bool Cursor::next(Event& out) {
-  if (!error_.empty()) return false;
-  if (p_ == end_) return false;  // clean end of stream
-  event_off_ = static_cast<std::size_t>(p_ - begin_);
-  const u8 tag_byte = *p_++;
-  if (tag_byte >= static_cast<u8>(Tag::kCount)) {
-    return fail(format("unknown event tag 0x%02x", tag_byte));
-  }
-  out = Event{};
-  out.tag = static_cast<Tag>(tag_byte);
-  out.pc = pc_;
-  u64 value = 0;
-  switch (out.tag) {
-    case Tag::kEnd:
-      return fail("embedded kEnd before the stream terminator");
-    case Tag::kBlock:
-      break;
-    case Tag::kBlockAt:
-      if (!get_varint(value)) return false;
-      pc_ += static_cast<u32>(unzigzag(value));
-      out.pc = pc_;
-      break;
-    case Tag::kRun4:
-    case Tag::kRun2:
-      if (!get_varint(value)) return false;
-      out.count = static_cast<u32>(value);
-      out.length = out.tag == Tag::kRun4 ? 4 : 2;
-      pc_ += out.count * out.length;
-      break;
-    case Tag::kJump:
-    case Tag::kBranchT:
-    case Tag::kMret:
-      if (!get_varint(value)) return false;
-      out.target = pc_ + static_cast<u32>(unzigzag(value));
-      pc_ = out.target;
-      break;
-    case Tag::kBranchN4:
-    case Tag::kBranchN2:
-      out.length = out.tag == Tag::kBranchN4 ? 4 : 2;
-      pc_ += out.length;
-      break;
-    case Tag::kLoad4: case Tag::kLoad2:
-    case Tag::kStore4: case Tag::kStore2:
-    case Tag::kLoadMmio4: case Tag::kLoadMmio2:
-    case Tag::kStoreMmio4: case Tag::kStoreMmio2: {
-      if (!get_varint(value)) return false;
-      out.mem_size = static_cast<u8>(1u << (value & 3));
-      prev_addr_ += static_cast<u32>(unzigzag(value >> 2));
-      out.mem_addr = prev_addr_;
-      const u8 kind = tag_byte - static_cast<u8>(Tag::kLoad4);
-      out.mem_store = (kind & 2) != 0;
-      out.mem_mmio = (kind & 4) != 0;
-      out.length = (kind & 1) != 0 ? 2 : 4;
-      pc_ += out.length;
-      break;
-    }
-    case Tag::kAmoLoad:
-    case Tag::kAmoStore:
-    case Tag::kAmoRmw:
-      if (!get_varint(value)) return false;
-      out.mem_size = static_cast<u8>(1u << (value & 3));
-      prev_addr_ += static_cast<u32>(unzigzag(value >> 2));
-      out.mem_addr = prev_addr_;
-      out.mem_store = out.tag != Tag::kAmoLoad;
-      out.length = 4;
-      pc_ += 4;
-      break;
-    case Tag::kAmoFail:
-      out.length = 4;
-      pc_ += 4;
-      break;
-    case Tag::kMul4: case Tag::kMul2:
-      out.length = out.tag == Tag::kMul4 ? 4 : 2;
-      pc_ += out.length;
-      break;
-    case Tag::kDiv4: case Tag::kDiv2:
-      if (!get_varint(value)) return false;
-      out.dividend = static_cast<u32>(value);
-      out.length = out.tag == Tag::kDiv4 ? 4 : 2;
-      pc_ += out.length;
-      break;
-    case Tag::kCsr4: case Tag::kCsr2:
-      out.length = out.tag == Tag::kCsr4 ? 4 : 2;
-      pc_ += out.length;
-      break;
-    case Tag::kSysExit:
-      out.length = 4;
-      pc_ += 4;
-      break;
-    case Tag::kWfiHalt:
-    case Tag::kWfiSleep:
-      out.length = 4;
-      pc_ += 4;
-      break;
-    case Tag::kTrapInsn: {
-      if (p_ == end_) return fail("kTrapInsn missing its info byte");
-      const u8 info = *p_++;
-      out.op_class = info & kTrapClassMask;
-      if (out.op_class >= isa::kOpClassCount) {
-        return fail(format("kTrapInsn names instruction class %u, but there "
-                           "are only %u classes",
-                           static_cast<unsigned>(out.op_class),
-                           isa::kOpClassCount));
-      }
-      out.length = (info & kTrapLen4) != 0 ? 4 : 2;
-      out.handled = (info & kTrapHandled) != 0;
-      if (!get_varint(value)) return false;
-      out.cause = static_cast<u32>(value);
-      if (out.handled) {
-        if (!get_varint(value)) return false;
-        out.target = pc_ + static_cast<u32>(unzigzag(value));
-        pc_ = out.target;
-      }
-      break;
-    }
-    case Tag::kTrapFetch: {
-      if (p_ == end_) return fail("kTrapFetch missing its info byte");
-      const u8 info = *p_++;
-      out.handled = (info & kTrapHandled) != 0;
-      if (!get_varint(value)) return false;
-      out.cause = static_cast<u32>(value);
-      if (out.handled) {
-        if (!get_varint(value)) return false;
-        out.target = pc_ + static_cast<u32>(unzigzag(value));
-        pc_ = out.target;
-      }
-      break;
-    }
-    case Tag::kTaint:
-      if (!get_varint(value)) return false;
-      if (value >= static_cast<u64>(TaintKind::kCount)) {
-        return fail(format("unknown taint kind %llu",
-                           static_cast<unsigned long long>(value)));
-      }
-      out.taint = static_cast<TaintKind>(value);
-      break;
-    case Tag::kCount:
-      return fail("unreachable tag");
-  }
-  return true;
+  return "";
 }
 
 }  // namespace s4e::trace

@@ -38,13 +38,25 @@
 //            FNV-1a checksum of the event bytes. The footer is written
 //            last (after an fsync-able temp file), so a truncated or
 //            crashed recording is detected by its absence, not by UB.
+//
+// Who walks the stream: the Writer hashes each event's bytes as the next
+// event starts, so finish() hashes only the last one and copies. Trace::parse() reads the stream exactly once,
+// through Cursor, which hashes each byte as it decodes it; that one
+// validating walk checks the checksum, cross-checks the footer, collects
+// the taint sites, and builds the replay Profile, the block-PC sequence and
+// the instruction spans, which the Trace keeps in one immutable shared
+// body. DecodedTrace::decode (replay.hpp) walks nothing: it refuses taints
+// and shares that body.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/fnv1a.hpp"
 #include "common/status.hpp"
+#include "isa/opcode.hpp"
 #include "vp/timing.hpp"
 
 namespace s4e::assembler {
@@ -149,13 +161,16 @@ inline i64 unzigzag(u64 value) noexcept {
   return static_cast<i64>(value >> 1) ^ -static_cast<i64>(value & 1);
 }
 
-// The one decoded-event shape the reader yields. Fields are valid per tag.
+// The one decoded-event shape the reader yields. Fields are valid per tag:
+// Cursor::next() writes `tag`, `pc` and the fields its tag documents, and
+// leaves the rest as the previous event left them.
 struct Event {
   Tag tag = Tag::kEnd;
   u32 pc = 0;        // instruction / block address (cursor at decode time)
-  u32 target = 0;    // redirect target / trap handler entry
+  u32 target = 0;    // redirect target / trap handler entry (if handled)
   u32 count = 0;     // kRun*: run length
-  u32 length = 0;    // instruction byte length (0 for non-insn events)
+  u32 length = 0;    // instruction byte length (0 for redirects); not
+                     // written for kBlock*, kTrapFetch and kTaint
   u32 dividend = 0;  // kDiv*
   u32 cause = 0;     // kTrap*
   u32 mem_addr = 0;  // data access address
@@ -166,6 +181,11 @@ struct Event {
   bool mem_mmio = false;   // data access hit a device window
   TaintKind taint = TaintKind::kCsrCycleRead;
 };
+
+// Largest icache a trace header may name: parse() refuses more lines (a
+// self check would size its tag array from the file), as it refuses line
+// counts and line sizes that are not nonzero powers of two.
+inline constexpr u32 kMaxIcacheLines = 1u << 20;
 
 // Trace header: everything replay needs to refuse the wrong workload and to
 // self-check against the recording run.
@@ -199,7 +219,8 @@ u64 program_fingerprint(const assembler::Program& program);
 //
 // Append-only in-memory encoder; save() writes header + stream + footer via
 // a temp file + rename, so a crashed recorder never leaves a
-// well-formed-looking partial trace behind.
+// well-formed-looking partial trace behind. The stream's FNV-1a checksum is
+// kept current event by event as the bytes are appended.
 class Writer {
  public:
   explicit Writer(const Header& header) : header_(header) {
@@ -208,44 +229,38 @@ class Writer {
 
   const Header& header() const noexcept { return header_; }
 
-  void block() { stream_.push_back(static_cast<u8>(Tag::kBlock)); }
+  void block() { begin(Tag::kBlock); }
   void block_at(u32 pc, u32 cursor) {
-    stream_.push_back(static_cast<u8>(Tag::kBlockAt));
+    begin(Tag::kBlockAt);
     put_varint(stream_, zigzag(static_cast<i64>(pc) - cursor));
   }
   void run(u32 length, u32 count) {
-    stream_.push_back(
-        static_cast<u8>(length == 4 ? Tag::kRun4 : Tag::kRun2));
+    begin(length == 4 ? Tag::kRun4 : Tag::kRun2);
     put_varint(stream_, count);
   }
   void jump(u32 pc, u32 target) { redirect(Tag::kJump, pc, target); }
   void branch_taken(u32 pc, u32 target) { redirect(Tag::kBranchT, pc, target); }
   void branch_not_taken(u32 length) {
-    stream_.push_back(
-        static_cast<u8>(length == 4 ? Tag::kBranchN4 : Tag::kBranchN2));
+    begin(length == 4 ? Tag::kBranchN4 : Tag::kBranchN2);
   }
   void mret(u32 pc, u32 target) { redirect(Tag::kMret, pc, target); }
   void mem(Tag tag, u32 addr, u8 size) {
-    stream_.push_back(static_cast<u8>(tag));
+    begin(tag);
     mem_payload(addr, size);
   }
-  void amo_fail() { stream_.push_back(static_cast<u8>(Tag::kAmoFail)); }
-  void mul(u32 length) {
-    stream_.push_back(static_cast<u8>(length == 4 ? Tag::kMul4 : Tag::kMul2));
-  }
+  void amo_fail() { begin(Tag::kAmoFail); }
+  void mul(u32 length) { begin(length == 4 ? Tag::kMul4 : Tag::kMul2); }
   void div(u32 length, u32 dividend) {
-    stream_.push_back(static_cast<u8>(length == 4 ? Tag::kDiv4 : Tag::kDiv2));
+    begin(length == 4 ? Tag::kDiv4 : Tag::kDiv2);
     put_varint(stream_, dividend);
   }
-  void csr(u32 length) {
-    stream_.push_back(static_cast<u8>(length == 4 ? Tag::kCsr4 : Tag::kCsr2));
-  }
-  void sys_exit() { stream_.push_back(static_cast<u8>(Tag::kSysExit)); }
-  void wfi_halt() { stream_.push_back(static_cast<u8>(Tag::kWfiHalt)); }
-  void wfi_sleep() { stream_.push_back(static_cast<u8>(Tag::kWfiSleep)); }
+  void csr(u32 length) { begin(length == 4 ? Tag::kCsr4 : Tag::kCsr2); }
+  void sys_exit() { begin(Tag::kSysExit); }
+  void wfi_halt() { begin(Tag::kWfiHalt); }
+  void wfi_sleep() { begin(Tag::kWfiSleep); }
   void trap_insn(u8 op_class, u32 length, bool handled, u32 cause, u32 pc,
                  u32 handler) {
-    stream_.push_back(static_cast<u8>(Tag::kTrapInsn));
+    begin(Tag::kTrapInsn);
     stream_.push_back(static_cast<u8>((op_class & kTrapClassMask) |
                                       (length == 4 ? kTrapLen4 : 0) |
                                       (handled ? kTrapHandled : 0)));
@@ -253,7 +268,7 @@ class Writer {
     if (handled) put_varint(stream_, zigzag(static_cast<i64>(handler) - pc));
   }
   void trap_fetch(bool handled, u32 cause, u32 cursor, u32 handler) {
-    stream_.push_back(static_cast<u8>(Tag::kTrapFetch));
+    begin(Tag::kTrapFetch);
     stream_.push_back(static_cast<u8>(handled ? kTrapHandled : 0));
     put_varint(stream_, cause);
     if (handled) {
@@ -261,22 +276,34 @@ class Writer {
     }
   }
   void taint(TaintKind kind) {
-    stream_.push_back(static_cast<u8>(Tag::kTaint));
+    begin(Tag::kTaint);
     put_varint(stream_, static_cast<u64>(kind));
   }
 
   std::size_t stream_size() const noexcept { return stream_.size(); }
 
   // Serialize header + stream + kEnd + footer. `footer.stream_checksum` is
-  // computed here; the caller fills the run facts.
+  // the checksum kept while appending; the caller fills the run facts.
   std::vector<u8> finish(Footer footer);
 
   // finish() + atomic write (temp + fsync + rename).
   Status save(const std::string& path, Footer footer);
 
  private:
-  void redirect(Tag tag, u32 pc, u32 target) {
+  // Starts an event. The previous event's bytes are mixed into the
+  // checksum first: one pass per event with the hash in a register, and
+  // finish() has only the last event left to hash.
+  void begin(Tag tag) {
+    hash_appended();
     stream_.push_back(static_cast<u8>(tag));
+  }
+  void hash_appended() {
+    checksum_ = fnv1a(stream_.data() + hashed_, stream_.size() - hashed_,
+                      checksum_);
+    hashed_ = stream_.size();
+  }
+  void redirect(Tag tag, u32 pc, u32 target) {
+    begin(tag);
     put_varint(stream_, zigzag(static_cast<i64>(target) - pc));
   }
   void mem_payload(u32 addr, u8 size) {
@@ -288,6 +315,8 @@ class Writer {
 
   Header header_;
   std::vector<u8> stream_;
+  u64 checksum_ = kFnv1aOffsetBasis;  // FNV-1a over stream_[0, hashed_)
+  std::size_t hashed_ = 0;
   u32 prev_addr_ = 0;
 };
 
@@ -299,37 +328,102 @@ struct TaintSite {
   u32 pc = 0;  // cursor at the taint event
 };
 
-// A fully validated trace: load() refuses bad magic, bad version, missing
-// or torn footers and checksum mismatches with a per-site diagnostic, and
-// pre-walks the stream once so counts are verified against the footer
-// before any replay trusts them.
+// Event counts by what a timing configuration charges them: how many
+// instructions of each latency class ran (plain, jump, taken / not-taken
+// branch, RAM / MMIO load and store, AMO, mul, CSR, exit, mret / final wfi),
+// divides bucketed by the dividend's significant-bit count, trapped
+// instructions by (class, handled), handled fetch traps, and the bimodal
+// predictor's mispredict count (its 256-entry table takes no TimingParams
+// input, so the sequence is the same under every configuration). Indexed
+// tables are sized by the decoder's own validation: divide bit counts are
+// 1..32, and Cursor refuses a trap class outside isa::OpClass.
+struct Profile {
+  u64 instructions = 0;
+  u64 plain = 0;               // kRun*: base-cost instructions
+  u64 jumps = 0;
+  u64 branches_taken = 0;
+  u64 branches_not_taken = 0;
+  u64 mem[4] = {};             // [store | mmio << 1]
+  u64 amos = 0;
+  u64 muls = 0;
+  u64 csrs = 0;
+  u64 sys_exits = 0;
+  u64 sys_redirects = 0;       // mret and final wfi
+  u64 wfi_sleeps = 0;          // non-final wfi: replay refuses the trace
+  u64 divides[32] = {};        // [dividend significant bits - 1]
+  u64 traps[isa::kOpClassCount][2] = {};  // [class][handled]
+  u64 fetch_traps_handled = 0;
+  u64 mispredicts = 0;         // bimodal, over every conditional branch
+};
+
+// `count` instructions from `pc`, `stride` bytes apart. The retired-PC
+// sequence of a trace is a list of these straight-line stretches.
+struct InsnSpan {
+  u32 pc = 0;
+  u32 count = 0;
+  u32 stride = 0;
+};
+
+// A fully validated trace: load() refuses bad magic, bad version, a header
+// icache geometry no model can size, missing or torn footers and checksum
+// mismatches with a per-site diagnostic, and walks the stream once so counts
+// are verified against the footer before any replay trusts them. The same
+// walk derives what replay charges (profile(), block_pcs(), insn_spans()).
+// A Trace is an immutable handle: copies share one body.
 class Trace {
  public:
   static Result<Trace> load(const std::string& path);
   static Result<Trace> parse(std::vector<u8> bytes);
 
-  const Header& header() const noexcept { return header_; }
-  const Footer& footer() const noexcept { return footer_; }
-  const std::vector<TaintSite>& taints() const noexcept { return taints_; }
+  const Header& header() const noexcept { return body_->header; }
+  const Footer& footer() const noexcept { return body_->footer; }
+  const std::vector<TaintSite>& taints() const noexcept {
+    return body_->taints;
+  }
 
   // Raw event-stream bytes (excluding the kEnd terminator).
-  const u8* stream_data() const noexcept { return bytes_.data() + stream_off_; }
-  std::size_t stream_size() const noexcept { return stream_len_; }
+  const u8* stream_data() const noexcept {
+    return body_->bytes.data() + body_->stream_off;
+  }
+  std::size_t stream_size() const noexcept { return body_->stream_len; }
+
+  // The replay profile of the whole stream (see Profile).
+  const Profile& profile() const noexcept { return body_->profile; }
+  // One PC per block dispatch, in order: the icache model's input.
+  const std::vector<u32>& block_pcs() const noexcept {
+    return body_->block_pcs;
+  }
+  // The retired-instruction PC sequence, RLE runs kept as spans.
+  const std::vector<InsnSpan>& insn_spans() const noexcept {
+    return body_->insn_spans;
+  }
 
  private:
-  std::vector<u8> bytes_;
-  std::size_t stream_off_ = 0;
-  std::size_t stream_len_ = 0;
-  Header header_;
-  Footer footer_;
-  std::vector<TaintSite> taints_;
+  struct Body {
+    std::vector<u8> bytes;
+    std::size_t stream_off = 0;
+    std::size_t stream_len = 0;
+    Header header;
+    Footer footer;
+    std::vector<TaintSite> taints;
+    Profile profile;
+    std::vector<u32> block_pcs;
+    std::vector<InsnSpan> insn_spans;
+  };
+  explicit Trace(std::shared_ptr<const Body> body) : body_(std::move(body)) {}
+
+  std::shared_ptr<const Body> body_;
 };
 
-// Streaming decoder over a trace's event bytes. Maintains the PC cursor and
-// the mem-address delta state; next() yields one event (kRun* events carry
-// their full count — the caller expands them). Returns false at stream end.
-// Decode errors (unknown tag, varint overrun, a trap class outside
-// isa::OpClass) are reported via error().
+// Streaming decoder over a trace's event bytes — the only one: parse()'s
+// walk runs every event through next(), which is defined below and always
+// inlined (left to its size heuristics the compiler calls it, and the
+// cursor's state round-trips through memory on every event), so that walk
+// compiles to one loop. Maintains the PC cursor and the mem-address delta
+// state; next() yields one event (kRun* events carry their full count —
+// the caller expands them). Returns false at stream end. Decode errors
+// (unknown tag, varint overrun, a trap class outside isa::OpClass) end the
+// stream and are reported via error().
 class Cursor {
  public:
   Cursor(const u8* data, std::size_t size, u32 entry_pc)
@@ -340,25 +434,202 @@ class Cursor {
 
   bool next(Event& out);
 
-  bool ok() const noexcept { return error_.empty(); }
-  const std::string& error() const noexcept { return error_; }
+  bool ok() const noexcept { return failure_ == Failure::kNone; }
+  // The decode error's diagnostic ("" while ok()).
+  std::string error() const { return describe(failure_, detail_); }
+  // FNV-1a over the stream bytes read so far — over the whole stream once
+  // next() has returned false, a failed decode included (the bytes it did
+  // not read are hashed here) — so a walk checks the footer's checksum
+  // without a second pass over the bytes.
+  u64 checksum() const noexcept {
+    return fnv1a(stop_, static_cast<std::size_t>(end_ - stop_), checksum_);
+  }
   // Byte offset of the *last decoded* event (for diagnostics).
   std::size_t offset() const noexcept { return event_off_; }
 
  private:
-  bool get_varint(u64& out);
-  bool fail(const std::string& message) {
-    error_ = message;
+  // What stopped the decode; error() words it. The cursor keeps no string,
+  // and none of its members is called out of line, so a walk that inlines
+  // next() can hold the whole decoder state in registers.
+  enum class Failure : u8 {
+    kNone,
+    kUnknownTag,        // detail: the tag byte
+    kEmbeddedEnd,
+    kVarintOverflow,
+    kVarintPastEnd,
+    kTrapInfoMissing,
+    kTrapClass,         // detail: the class
+    kFetchInfoMissing,
+    kTaintKind,         // detail: the kind
+  };
+  static std::string describe(Failure failure, u64 detail);
+  // Records the failure and skips the rest of the stream, so next() needs
+  // no error test of its own.
+  bool fail(Failure failure, u64 detail = 0) {
+    failure_ = failure;
+    detail_ = detail;
+    stop_ = p_;
+    p_ = end_;
     return false;
+  }
+  // Every stream byte is read through take(), which hashes it.
+  u8 take() {
+    const u8 byte = *p_++;
+    checksum_ = fnv1a_byte(checksum_, byte);
+    return byte;
+  }
+  [[gnu::always_inline]] bool get_varint(u64& out) {
+    if (p_ != end_ && *p_ < 0x80) [[likely]] {  // one-byte form
+      out = take();
+      return true;
+    }
+    out = 0;
+    unsigned shift = 0;
+    while (p_ != end_) {
+      const u8 byte = take();
+      if (shift >= 63 && byte > 1) return fail(Failure::kVarintOverflow);
+      out |= static_cast<u64>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return true;
+      shift += 7;
+    }
+    return fail(Failure::kVarintPastEnd);
   }
 
   const u8* p_;
   const u8* end_;
   const u8* begin_ = p_;
+  const u8* stop_ = end_;  // where a failed decode stopped reading
   u32 pc_;
   u32 prev_addr_ = 0;
   std::size_t event_off_ = 0;
-  std::string error_;
+  Failure failure_ = Failure::kNone;
+  u64 detail_ = 0;
+  u64 checksum_ = kFnv1aOffsetBasis;
 };
+
+[[gnu::always_inline]] inline bool Cursor::next(Event& out) {
+  if (p_ == end_) return false;  // clean end of stream, or a failed decode
+  event_off_ = static_cast<std::size_t>(p_ - begin_);
+  const u8 tag_byte = take();
+  if (tag_byte >= static_cast<u8>(Tag::kCount)) [[unlikely]] {
+    return fail(Failure::kUnknownTag, tag_byte);
+  }
+  out.tag = static_cast<Tag>(tag_byte);
+  out.pc = pc_;
+  u64 value = 0;
+  switch (out.tag) {
+    case Tag::kEnd:
+    case Tag::kCount:  // refused above
+      return fail(Failure::kEmbeddedEnd);
+    case Tag::kBlock:
+      break;
+    case Tag::kBlockAt:
+      if (!get_varint(value)) return false;
+      pc_ += static_cast<u32>(unzigzag(value));
+      out.pc = pc_;
+      break;
+    case Tag::kRun4:
+    case Tag::kRun2:
+      if (!get_varint(value)) return false;
+      out.count = static_cast<u32>(value);
+      out.length = out.tag == Tag::kRun4 ? 4 : 2;
+      pc_ += out.count * out.length;
+      break;
+    case Tag::kJump:
+    case Tag::kBranchT:
+    case Tag::kMret:
+      if (!get_varint(value)) return false;
+      out.target = pc_ + static_cast<u32>(unzigzag(value));
+      out.length = 0;
+      pc_ = out.target;
+      break;
+    case Tag::kLoad4: case Tag::kLoad2:
+    case Tag::kStore4: case Tag::kStore2:
+    case Tag::kLoadMmio4: case Tag::kLoadMmio2:
+    case Tag::kStoreMmio4: case Tag::kStoreMmio2: {
+      if (!get_varint(value)) return false;
+      out.mem_size = static_cast<u8>(1u << (value & 3));
+      prev_addr_ += static_cast<u32>(unzigzag(value >> 2));
+      out.mem_addr = prev_addr_;
+      const u8 kind = tag_byte - static_cast<u8>(Tag::kLoad4);
+      out.mem_store = (kind & 2) != 0;
+      out.mem_mmio = (kind & 4) != 0;
+      out.length = (kind & 1) != 0 ? 2 : 4;
+      pc_ += out.length;
+      break;
+    }
+    case Tag::kAmoLoad:
+    case Tag::kAmoStore:
+    case Tag::kAmoRmw:
+      if (!get_varint(value)) return false;
+      out.mem_size = static_cast<u8>(1u << (value & 3));
+      prev_addr_ += static_cast<u32>(unzigzag(value >> 2));
+      out.mem_addr = prev_addr_;
+      out.mem_store = out.tag != Tag::kAmoLoad;
+      out.mem_mmio = false;
+      out.length = 4;
+      pc_ += 4;
+      break;
+    case Tag::kDiv4: case Tag::kDiv2:
+      if (!get_varint(value)) return false;
+      out.dividend = static_cast<u32>(value);
+      out.length = out.tag == Tag::kDiv4 ? 4 : 2;
+      pc_ += out.length;
+      break;
+    case Tag::kBranchN4: case Tag::kBranchN2:
+    case Tag::kMul4: case Tag::kMul2:
+    case Tag::kCsr4: case Tag::kCsr2:
+      // Paired tags: the 4-byte form is the even one.
+      out.length = (tag_byte & 1) != 0 ? 2 : 4;
+      pc_ += out.length;
+      break;
+    case Tag::kAmoFail:
+    case Tag::kSysExit:
+    case Tag::kWfiHalt:
+    case Tag::kWfiSleep:
+      out.length = 4;
+      pc_ += 4;
+      break;
+    case Tag::kTrapInsn: {
+      if (p_ == end_) return fail(Failure::kTrapInfoMissing);
+      const u8 info = take();
+      out.op_class = info & kTrapClassMask;
+      if (out.op_class >= isa::kOpClassCount) {
+        return fail(Failure::kTrapClass, out.op_class);
+      }
+      out.length = (info & kTrapLen4) != 0 ? 4 : 2;
+      out.handled = (info & kTrapHandled) != 0;
+      if (!get_varint(value)) return false;
+      out.cause = static_cast<u32>(value);
+      if (out.handled) {
+        if (!get_varint(value)) return false;
+        out.target = pc_ + static_cast<u32>(unzigzag(value));
+        pc_ = out.target;
+      }
+      break;
+    }
+    case Tag::kTrapFetch: {
+      if (p_ == end_) return fail(Failure::kFetchInfoMissing);
+      const u8 info = take();
+      out.handled = (info & kTrapHandled) != 0;
+      if (!get_varint(value)) return false;
+      out.cause = static_cast<u32>(value);
+      if (out.handled) {
+        if (!get_varint(value)) return false;
+        out.target = pc_ + static_cast<u32>(unzigzag(value));
+        pc_ = out.target;
+      }
+      break;
+    }
+    case Tag::kTaint:
+      if (!get_varint(value)) return false;
+      if (value >= static_cast<u64>(TaintKind::kCount)) {
+        return fail(Failure::kTaintKind, value);
+      }
+      out.taint = static_cast<TaintKind>(value);
+      break;
+  }
+  return true;
+}
 
 }  // namespace s4e::trace

@@ -46,124 +46,14 @@ Status check_replayable(const Trace& trace, u64 expected_fingerprint) {
 }
 
 Result<DecodedTrace> DecodedTrace::decode(const Trace& trace) {
-  if (!trace.taints().empty()) return taint_error(trace);
-
-  DecodedTrace out;
-  out.header_ = trace.header();
-  out.footer_ = trace.footer();
-  out.block_pcs_.reserve(trace.footer().blocks);
-  Profile& profile = out.profile_;
-  // The predictor's table is fixed-size and takes no TimingParams input, so
-  // its mispredict sequence is the same under every configuration.
-  vp::BimodalPredictor bimodal;
-
-  // Every tag that breaks out of the switch is one retired instruction.
-  Cursor cursor(trace);
-  Event event;
-  while (cursor.next(event)) {
-    switch (event.tag) {
-      case Tag::kBlock:
-      case Tag::kBlockAt:
-        out.block_pcs_.push_back(event.pc);
-        continue;
-      case Tag::kTrapFetch:
-        // Fetch/decode fault at a block head: no instruction executed, no
-        // class cost — only trap entry if handled.
-        if (event.handled) ++profile.fetch_traps_handled;
-        continue;
-      case Tag::kRun4:
-      case Tag::kRun2:
-        profile.plain += event.count;
-        profile.instructions += event.count;
-        out.append_insns(event.pc, event.count, event.length);
-        continue;
-      case Tag::kJump:
-        ++profile.jumps;
-        break;
-      case Tag::kBranchT:
-      case Tag::kBranchN4:
-      case Tag::kBranchN2: {
-        const bool taken = event.tag == Tag::kBranchT;
-        ++(taken ? profile.branches_taken : profile.branches_not_taken);
-        if (bimodal.mispredict(event.pc, taken)) ++profile.mispredicts;
-        break;
-      }
-      case Tag::kLoad4: case Tag::kLoad2:
-      case Tag::kStore4: case Tag::kStore2:
-      case Tag::kLoadMmio4: case Tag::kLoadMmio2:
-      case Tag::kStoreMmio4: case Tag::kStoreMmio2:
-        ++profile.mem[(event.mem_store ? 1 : 0) | (event.mem_mmio ? 2 : 0)];
-        break;
-      case Tag::kAmoLoad:
-      case Tag::kAmoStore:
-      case Tag::kAmoRmw:
-      case Tag::kAmoFail:
-        ++profile.amos;
-        break;
-      case Tag::kMul4: case Tag::kMul2:
-        ++profile.muls;
-        break;
-      case Tag::kDiv4: case Tag::kDiv2:
-        ++profile.divides[vp::TimingModel::divide_bits(event.dividend) - 1];
-        break;
-      case Tag::kCsr4: case Tag::kCsr2:
-        ++profile.csrs;
-        break;
-      case Tag::kSysExit:
-        ++profile.sys_exits;
-        break;
-      case Tag::kMret:
-      case Tag::kWfiHalt:
-        ++profile.sys_redirects;
-        break;
-      case Tag::kTrapInsn:
-        ++profile.traps[event.op_class][event.handled ? 1 : 0];
-        break;
-      case Tag::kTaint:
-      case Tag::kWfiSleep:
-        // Unreachable: taints were rejected above; be loud, not wrong.
-        return taint_error(trace);
-      case Tag::kEnd:
-      case Tag::kCount:
-        continue;
-    }
-    ++profile.instructions;
-    out.append_insns(event.pc, 1, event.length);
+  if (!trace.taints().empty() || trace.profile().wfi_sleeps != 0) {
+    return taint_error(trace);
   }
-  if (!cursor.ok()) {
-    return Error(ErrorCode::kParseError,
-                 format("event stream decode failed at offset %zu: %s",
-                        cursor.offset(), cursor.error().c_str()));
-  }
-  if (profile.instructions != out.footer_.instructions ||
-      out.block_pcs_.size() != out.footer_.blocks) {
-    return Error(
-        ErrorCode::kStateError,
-        format("decoded %llu instructions / %zu blocks but the footer "
-               "recorded %llu / %llu",
-               static_cast<unsigned long long>(profile.instructions),
-               out.block_pcs_.size(),
-               static_cast<unsigned long long>(out.footer_.instructions),
-               static_cast<unsigned long long>(out.footer_.blocks)));
-  }
-  return out;
-}
-
-void DecodedTrace::append_insns(u32 pc, u32 count, u32 stride) {
-  if (!insn_spans_.empty()) {
-    InsnSpan& last = insn_spans_.back();
-    if (pc == last.pc + last.count * last.stride &&
-        (count == 1 || stride == last.stride) &&
-        count <= ~u32{0} - last.count) {
-      last.count += count;
-      return;
-    }
-  }
-  insn_spans_.push_back({pc, count, stride});
+  return DecodedTrace(trace);
 }
 
 void DecodedTrace::for_each_insn(const InsnHook& on_insn) const {
-  for (const InsnSpan& span : insn_spans_) {
+  for (const InsnSpan& span : trace_.insn_spans()) {
     for (u32 i = 0; i < span.count; ++i) on_insn(span.pc + i * span.stride);
   }
 }
@@ -175,7 +65,7 @@ namespace {
 // exec engine's lowering bakes into DecodedInsn.
 ReplayResult charge(const DecodedTrace& trace, const vp::TimingParams& params) {
   const vp::TimingModel model(params);
-  const DecodedTrace::Profile& profile = trace.profile();
+  const Profile& profile = trace.profile();
   const auto cost = [&model](OpClass op, bool redirect = false,
                              bool mmio = false) -> u64 {
     return model.class_cycles(op, redirect, mmio);
@@ -222,7 +112,7 @@ ReplayResult charge(const DecodedTrace& trace, const vp::TimingParams& params) {
 
   if (params.icache_miss_cycles != 0) {
     vp::IcacheSim icache(params);
-    for (const u32 pc : trace.block_pcs()) icache.probe(pc, params);
+    for (const u32 pc : trace.block_pcs()) icache.probe(pc);
     out.icache_misses = icache.misses();
     cycles += out.icache_misses * params.icache_miss_cycles;
   }

@@ -1,13 +1,13 @@
 // VP-free differential timing replay — the "replay-many" half.
 //
-// DecodedTrace::decode() walks one recorded event stream once and reduces
-// it to a configuration-independent profile: how many instructions of each
-// latency class ran (plain, jump, taken / not-taken branch, RAM / MMIO load
-// and store, AMO, mul, CSR, exit, mret / final wfi), divides bucketed by the
-// dividend's significant-bit count, trapped instructions by (class,
-// handled), handled fetch traps, the bimodal predictor's mispredict count
-// (its 256-entry table takes no TimingParams input), and the block-dispatch
-// PC sequence. replay() then charges any TimingParams from that profile:
+// Trace::parse() (format.hpp) walks a recorded event stream once and keeps
+// its configuration-independent Profile: how many instructions of each
+// latency class ran, divides bucketed by the dividend's significant-bit
+// count, trapped instructions by (class, handled), handled fetch traps, the
+// bimodal predictor's mispredict count, and the block-dispatch PC sequence.
+// DecodedTrace::decode() walks nothing — it refuses tainted traces and
+// shares the parsed body — and replay() then charges any TimingParams from
+// that profile:
 //
 //   cycles = profile · TimingModel::class_cycles() costs
 //          + icache misses × icache_miss_cycles
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "isa/opcode.hpp"
 #include "trace/format.hpp"
 
 namespace s4e::trace {
@@ -55,72 +54,39 @@ using InsnHook = std::function<void(u32 pc)>;
 // site is listed with its PC and kind).
 Status check_replayable(const Trace& trace, u64 expected_fingerprint);
 
-// A trace decoded once into its configuration-independent profile: the
-// varint stream decode, the taint check, the footer cross-check and the
-// branch-predictor run are paid a single time, and every per-configuration
-// replay charges the shared read-only profile. This is what makes
-// replay-many cheap — replay_matrix() and s4e-qta --replay decode once and
-// fan the configurations out over it.
+// A trace cleared for replay: it shares the parsed trace's immutable body
+// (profile, block PCs, instruction spans — the stream decode, the footer
+// cross-check and the branch-predictor run were paid once, by parse()), so
+// it costs no walk and no copy, and it stays valid after the Trace it came
+// from is gone. Every per-configuration replay charges the shared read-only
+// profile: replay_matrix() and s4e-qta --replay decode once and fan the
+// configurations out over it.
 class DecodedTrace {
  public:
-  // Refuses tainted traces (per-site diagnostic), stream decode errors, and
-  // instruction/block totals that disagree with the footer.
+  // Refuses tainted traces with a per-site diagnostic (and a non-final wfi,
+  // which is always recorded behind its taint).
   static Result<DecodedTrace> decode(const Trace& trace);
 
-  const Header& header() const noexcept { return header_; }
-  const Footer& footer() const noexcept { return footer_; }
-
-  // Event counts by what a timing configuration charges them. Indexed
-  // tables are sized by the decoder's own validation: divide bit counts are
-  // 1..32, and Cursor refuses a trap class outside isa::OpClass.
-  struct Profile {
-    u64 instructions = 0;
-    u64 plain = 0;               // kRun*: base-cost instructions
-    u64 jumps = 0;
-    u64 branches_taken = 0;
-    u64 branches_not_taken = 0;
-    u64 mem[4] = {};             // [store | mmio << 1]
-    u64 amos = 0;
-    u64 muls = 0;
-    u64 csrs = 0;
-    u64 sys_exits = 0;
-    u64 sys_redirects = 0;       // mret and final wfi
-    u64 divides[32] = {};        // [dividend significant bits - 1]
-    u64 traps[isa::kOpClassCount][2] = {};  // [class][handled]
-    u64 fetch_traps_handled = 0;
-    u64 mispredicts = 0;         // bimodal, over every conditional branch
-  };
-  const Profile& profile() const noexcept { return profile_; }
+  const Header& header() const noexcept { return trace_.header(); }
+  const Footer& footer() const noexcept { return trace_.footer(); }
+  const Profile& profile() const noexcept { return trace_.profile(); }
 
   // One PC per block dispatch, in order: the icache model's input.
-  const std::vector<u32>& block_pcs() const noexcept { return block_pcs_; }
+  const std::vector<u32>& block_pcs() const noexcept {
+    return trace_.block_pcs();
+  }
 
   // Calls `on_insn` once per retired instruction with its PC, in program
   // order (RLE runs are expanded).
   void for_each_insn(const InsnHook& on_insn) const;
 
  private:
-  DecodedTrace() = default;
-  Header header_;
-  Footer footer_;
-  // `count` instructions from `pc`, `stride` bytes apart. The PC sequence
-  // for_each_insn() expands is a list of these straight-line stretches.
-  struct InsnSpan {
-    u32 pc = 0;
-    u32 count = 0;
-    u32 stride = 0;
-  };
-  // Appends instructions to the PC sequence, extending the last span when
-  // they continue it at its stride.
-  void append_insns(u32 pc, u32 count, u32 stride);
-
-  Profile profile_;
-  std::vector<u32> block_pcs_;
-  std::vector<InsnSpan> insn_spans_;
+  explicit DecodedTrace(Trace trace) : trace_(std::move(trace)) {}
+  Trace trace_;
 };
 
-// Charge the trace under `params`: decode() (which validates replayability
-// and the footer's counts), then the replay below.
+// Charge the trace under `params`: decode() (which refuses tainted traces),
+// then the replay below.
 Result<ReplayResult> replay(const Trace& trace, const vp::TimingParams& params,
                             const InsnHook& on_insn = nullptr);
 

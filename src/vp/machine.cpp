@@ -383,7 +383,7 @@ TranslationBlock* Machine::translate(u32 pc) {
     if (!half.ok()) {
       if (insns.empty()) {
         // Instruction access fault at the block head.
-        take_trap(1 /* instruction access fault */, address, false);
+        take_fetch_trap(1 /* instruction access fault */, address);
         return nullptr;
       }
       break;  // fault will be taken when (if) execution reaches it
@@ -393,7 +393,7 @@ TranslationBlock* Machine::translate(u32 pc) {
       auto decompressed = isa::decompress(static_cast<u16>(*half));
       if (!decompressed.ok()) {
         if (insns.empty()) {
-          take_trap(kCauseIllegalInstruction, *half, false);
+          take_fetch_trap(kCauseIllegalInstruction, *half);
           return nullptr;
         }
         block->cut_bytes = 2;
@@ -404,8 +404,8 @@ TranslationBlock* Machine::translate(u32 pc) {
       auto word = bus_.fetch_word(address);
       if (!word.ok() || !isa::decoder().try_decode(*word, instr)) {
         if (insns.empty()) {
-          take_trap(kCauseIllegalInstruction, word.ok() ? *word : *half,
-                    false);
+          take_fetch_trap(kCauseIllegalInstruction,
+                          word.ok() ? *word : *half);
           return nullptr;
         }
         block->cut_bytes = 4;
@@ -486,6 +486,18 @@ void Machine::take_trap(u32 cause, u32 tval, bool interrupt) {
   cycles_ += timing_.params().trap_cycles;
 }
 
+void Machine::take_fetch_trap(u32 cause, u32 tval) {
+  const u32 pc = cpu_.pc;
+  take_trap(cause, tval, false);
+  if (!pending_stop_ && cpu_.pc == pc) {
+    pending_stop_ = PendingStop{
+        StopReason::kTrapUnhandled, -1, cause,
+        format("trap handler at pc=0x%08x cannot be fetched (cause=%u "
+               "tval=0x%08x)",
+               pc, cause, tval)};
+  }
+}
+
 void Machine::check_interrupts() {
   if (clint_ == nullptr) return;
   // Level-triggered MIP bits mirror the active hart's CLINT banks.
@@ -511,8 +523,9 @@ void Machine::check_interrupts() {
 
 void Machine::probe_icache(u32 block_pc) {
   if (!icache_.enabled()) return;
-  const TimingParams& params = timing_.params();
-  if (icache_.probe(block_pc, params)) cycles_ += params.icache_miss_cycles;
+  if (icache_.probe(block_pc)) {
+    cycles_ += timing_.params().icache_miss_cycles;
+  }
 }
 
 void Machine::fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,

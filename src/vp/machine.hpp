@@ -449,6 +449,11 @@ class Machine {
     debug_check_ = debug_stop_request_ || !breakpoints_.empty();
   }
   void take_trap(u32 cause, u32 tval, bool interrupt);
+  // A fetch/decode trap at the head of the block translate() was asked
+  // for. One that vectors back to its own PC (the handler itself cannot be
+  // fetched) stops the run: every further dispatch would trap again without
+  // retiring an instruction, so no budget would ever end it.
+  void take_fetch_trap(u32 cause, u32 tval);
   void check_interrupts();
   void probe_icache(u32 block_pc);
   void fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/status.hpp"
 #include "isa/instr.hpp"
 
 namespace s4e::vp {
@@ -119,25 +120,30 @@ class IcacheSim {
   explicit IcacheSim(const TimingParams& params) { reset(params); }
 
   // Sizes (or clears) the tag array for `params`; a zero miss cost disables
-  // the model entirely, matching Machine::reset().
+  // the model entirely, matching Machine::reset(). The line size and count
+  // must be powers of two: probe() indexes by shift and mask.
   void reset(const TimingParams& params) {
-    if (params.icache_miss_cycles != 0) {
-      tags_.assign(params.icache_lines, ~u32{0});
-    } else {
-      tags_.clear();
-    }
     misses_ = 0;
+    if (params.icache_miss_cycles == 0) {
+      tags_.clear();
+      return;
+    }
+    S4E_CHECK(std::has_single_bit(params.icache_lines) &&
+              std::has_single_bit(params.icache_line_bytes));
+    line_shift_ = static_cast<u32>(std::countr_zero(params.icache_line_bytes));
+    index_mask_ = params.icache_lines - 1;
+    tags_.assign(params.icache_lines, ~u32{0});
   }
 
   bool enabled() const noexcept { return !tags_.empty(); }
 
   // Probes the line holding `block_pc`; returns true on a miss (the caller
   // charges icache_miss_cycles). Must only be called when enabled().
-  bool probe(u32 block_pc, const TimingParams& params) noexcept {
-    const u32 line = block_pc / params.icache_line_bytes;
-    const u32 index = line & (params.icache_lines - 1);
-    if (tags_[index] != line) {
-      tags_[index] = line;
+  bool probe(u32 block_pc) noexcept {
+    const u32 line = block_pc >> line_shift_;
+    u32& tag = tags_[line & index_mask_];
+    if (tag != line) {
+      tag = line;
       ++misses_;
       return true;
     }
@@ -156,6 +162,8 @@ class IcacheSim {
  private:
   std::vector<u32> tags_;
   u64 misses_ = 0;
+  u32 line_shift_ = 0;  // log2(icache_line_bytes)
+  u32 index_mask_ = 0;  // icache_lines - 1
 };
 
 // Bimodal (2-bit saturating counter) branch predictor, indexed by branch PC.
@@ -167,16 +175,15 @@ class BimodalPredictor {
   // Consults and updates the counter for one executed conditional branch;
   // returns true when the branch mispredicted (the caller charges the
   // redirect penalty, in either direction).
+  // The update is a table lookup, not a branch on `taken`: replay feeds
+  // outcomes no branch predictor of the host can guess.
   bool mispredict(u32 pc, bool taken) noexcept {
+    // Next counter state by [counter][taken]: saturate at 0 and 3.
+    static constexpr u8 kNext[4][2] = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
     u8& counter = table_[(pc >> 2) & (table_.size() - 1)];
     const bool predicted_taken = counter >= 2;
-    const bool mispredicted = predicted_taken != taken;
-    if (taken) {
-      if (counter < 3) ++counter;
-    } else {
-      if (counter > 0) --counter;
-    }
-    return mispredicted;
+    counter = kNext[counter & 3][taken ? 1 : 0];
+    return predicted_taken != taken;
   }
 
   void reset() noexcept { table_.fill(0); }

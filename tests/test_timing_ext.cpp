@@ -110,6 +110,36 @@ mid:
   delete roomy_machine;
 }
 
+TEST(BranchPredictor, TwoBitCounterSaturates) {
+  // One branch PC walks the 2-bit counter: it starts strongly not-taken
+  // (0), predicts taken from 2 up, and saturates at both ends, so one
+  // surprise in a run does not flip the prediction.
+  BimodalPredictor predictor;
+  const u32 pc = 0x8000'0040;
+  const struct {
+    bool taken;
+    bool mispredicted;
+  } kSteps[] = {
+      {true, true},    // 0 -> 1
+      {true, true},    // 1 -> 2
+      {true, false},   // 2 -> 3
+      {true, false},   // 3 saturates
+      {false, true},   // 3 -> 2
+      {true, false},   // 2 -> 3
+      {false, true},   // 3 -> 2
+      {false, true},   // 2 -> 1
+      {false, false},  // 1 -> 0
+      {false, false},  // 0 saturates
+      {true, true},    // 0 -> 1
+      {false, false},  // 1 -> 0
+  };
+  for (const auto& step : kSteps) {
+    EXPECT_EQ(predictor.mispredict(pc, step.taken), step.mispredicted);
+  }
+  // Another PC has its own counter (the table is indexed by pc >> 2).
+  EXPECT_TRUE(predictor.mispredict(pc + 4, true));
+}
+
 TEST(BranchPredictor, ReducesCyclesOnPredictableLoop) {
   MachineConfig base;
   auto baseline = run_with(base, kLoopKernel);

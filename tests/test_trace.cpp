@@ -11,10 +11,14 @@
 //   T5  the matrix fan-out on the thread pool agrees with serial replay
 //       (tsan-matched: the trace is shared read-only across workers)
 //   T6  the closed-form charge equals live execution on every standard
-//       workload, and a hooked replay returns what an unhooked one does
+//       workload, and a hooked replay returns what an unhooked one does;
+//       a decoded trace replays the same after its Trace is gone
+//
+// The seeded mutation fuzzer over recorded traces is test_trace_fuzz.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 
 #include "asm/assembler.hpp"
 #include "common/fnv1a.hpp"
@@ -313,6 +317,41 @@ TEST(TraceGauntlet, RefusesOutOfRangeTrapClass) {
   }
 }
 
+// A one-instruction trace whose header names the icache geometry `lines` x
+// `line_bytes` with the icache model on. The stream checksum does not cover
+// the header, so only parse's header check stands between such a file and a
+// self check that sizes and indexes a tag array from it.
+std::vector<u8> icache_header_trace(u32 lines, u32 line_bytes) {
+  trace::Header header = test_header();
+  header.recorded.icache_miss_cycles = 12;
+  header.recorded.icache_lines = lines;
+  header.recorded.icache_line_bytes = line_bytes;
+  trace::Writer writer(header);
+  trace::Footer footer;
+  writer.block();
+  writer.run(4, 1);
+  footer.blocks = 1;
+  footer.instructions = 1;
+  return writer.finish(footer);
+}
+
+TEST(TraceGauntlet, RefusesZeroIcacheLineBytes) {
+  expect_refused(icache_header_trace(64, 0), "icache_line_bytes");
+}
+
+TEST(TraceGauntlet, RefusesZeroIcacheLines) {
+  expect_refused(icache_header_trace(0, 32), "icache_lines");
+}
+
+TEST(TraceGauntlet, RefusesHugeIcache) {
+  expect_refused(icache_header_trace(1u << 30, 32), "icache_lines");
+  // The cap itself is a geometry the self check can hold.
+  auto parsed =
+      trace::Trace::parse(icache_header_trace(trace::kMaxIcacheLines, 32));
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_TRUE(trace::replay(*parsed, parsed->header().recorded).ok());
+}
+
 TEST(TraceGauntlet, RecorderSaveIsAtomicAndLoadable) {
   auto program = assembler::assemble(R"(
     .text
@@ -563,6 +602,47 @@ TEST_P(TraceSeed, HookedReplayAgreesWithUnhooked) {
       EXPECT_EQ(hooked->mispredicts, plain->mispredicts) << config.name;
     }
   }
+}
+
+TEST(TraceLifetime, DecodedTraceOutlivesItsTrace) {
+  // decode() shares the parsed body instead of copying it: the decoded
+  // trace must keep that body alive after every Trace handle is gone.
+  auto program = assembler::assemble(core::standard_workloads()[0].source);
+  ASSERT_TRUE(program.ok());
+  const auto recording = record_program(*program, vp::TimingParams{});
+  const auto matrix = trace::timing_matrix();
+  std::vector<trace::ReplayResult> expected;
+  std::vector<u32> expected_pcs;
+  std::optional<trace::DecodedTrace> decoded;
+  {
+    auto parsed = trace::Trace::parse(recording.bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+    for (const auto& config : matrix) {
+      auto result = trace::replay(*parsed, config.params);
+      ASSERT_TRUE(result.ok()) << config.name;
+      expected.push_back(*result);
+    }
+    ASSERT_TRUE(trace::replay(*parsed, vp::TimingParams{},
+                              [&expected_pcs](u32 pc) {
+                                expected_pcs.push_back(pc);
+                              })
+                    .ok());
+    auto result = trace::DecodedTrace::decode(*parsed);
+    ASSERT_TRUE(result.ok()) << result.error().to_string();
+    decoded = std::move(*result);
+  }
+  EXPECT_EQ(decoded->footer().instructions, recording.result.instructions);
+  EXPECT_EQ(decoded->block_pcs().size(), decoded->footer().blocks);
+  for (std::size_t i = 0; i < matrix.size(); ++i) {
+    auto result = trace::replay(*decoded, matrix[i].params);
+    ASSERT_TRUE(result.ok()) << matrix[i].name;
+    EXPECT_EQ(result->cycles, expected[i].cycles) << matrix[i].name;
+    EXPECT_EQ(result->icache_misses, expected[i].icache_misses);
+    EXPECT_EQ(result->mispredicts, expected[i].mispredicts);
+  }
+  std::vector<u32> pcs;
+  decoded->for_each_insn([&pcs](u32 pc) { pcs.push_back(pc); });
+  EXPECT_EQ(pcs, expected_pcs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceSeed,

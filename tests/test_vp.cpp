@@ -2,6 +2,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "vp/machine.hpp"
 #include "vp/plugin.hpp"
 
@@ -184,6 +185,52 @@ TEST(Machine, MaxInstructionsHangDetector) {
   auto result = run_source(machine, "spin: j spin\n");
   EXPECT_EQ(result.reason, StopReason::kMaxInstructions);
   EXPECT_GE(result.instructions, 1000u);
+}
+
+// A trap handler whose own first instruction cannot be fetched: every
+// dispatch takes another fetch trap without retiring an instruction, so the
+// instruction budget alone never ends the run. The machine must stop it.
+RunResult run_unfetchable_handler(bool careful) {
+  MachineConfig config;
+  config.max_instructions = 1000;
+  Machine machine(config);
+  auto program = assemble(R"(
+    la t0, bad
+    csrw mtvec, t0
+    .word 0
+  bad:
+    .word 0
+  )");
+  EXPECT_TRUE(program.ok());
+  EXPECT_TRUE(machine.load_program(*program).ok());
+  // A breakpoint at an address never executed forces the careful loop.
+  if (careful) machine.add_breakpoint(config.ram_base + config.ram_size - 2);
+  const RunResult result = machine.run();
+  const EngineStats& stats = machine.engine_stats();
+  EXPECT_EQ(careful ? stats.blocks_fast : stats.blocks_careful, 0u);
+  return result;
+}
+
+TEST(Machine, UnfetchableTrapHandlerStopsChained) {
+  const RunResult result = run_unfetchable_handler(false);
+  EXPECT_EQ(result.reason, StopReason::kTrapUnhandled);
+  EXPECT_EQ(result.trap_cause, kCauseIllegalInstruction);
+  EXPECT_LT(result.instructions, 1000u);
+  EXPECT_NE(result.detail.find("cannot be fetched"), std::string::npos)
+      << result.detail;
+  EXPECT_NE(result.detail.find(format("pc=0x%08x", result.final_pc)),
+            std::string::npos)
+      << result.detail;
+}
+
+TEST(Machine, UnfetchableTrapHandlerStopsCareful) {
+  const RunResult result = run_unfetchable_handler(true);
+  EXPECT_EQ(result.reason, StopReason::kTrapUnhandled);
+  EXPECT_EQ(result.trap_cause, kCauseIllegalInstruction);
+  EXPECT_LT(result.instructions, 1000u);
+  EXPECT_NE(result.detail.find(format("pc=0x%08x", result.final_pc)),
+            std::string::npos)
+      << result.detail;
 }
 
 TEST(Machine, RunBudgetSaturates) {
