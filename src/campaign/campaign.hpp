@@ -118,6 +118,7 @@ class Campaign {
  private:
   Model model_;
   vp::GoldenRun golden_;
+  vp::GoldenRecording recording_;
   std::vector<Item> items_;
   exec::CampaignProgress progress_;
 };

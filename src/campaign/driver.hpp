@@ -8,6 +8,14 @@
 //   * static triage (off on SMP machines), the pruned short-circuit that
 //     needs no VM, and the kVerify cross-check;
 //   * the hang budget;
+//   * three exact shortcuts, always on, none of which changes a result:
+//     items the golden recording already decides are reported without a
+//     run (dead faults; single hart only); every other item starts at the
+//     golden checkpoint below the point where it first differs from the
+//     golden run; and a run whose state provably cycles is stopped and
+//     reported as the budget stop it would reach (single hart only). Under
+//     post-mortem every run starts at icount 0 and hangs run to the
+//     budget, so each flight-recorder ring is the one a full run fills;
 //   * run_affine fan-out with one lazily created vp::WorkerVm per lane,
 //     slot/error arrays, progress and the snapshot-stats sum;
 //   * the in-order fold that makes the report and its telemetry
@@ -17,8 +25,10 @@
 //   Config, Item, ItemResult, Report  its config and result types
 //   kBuckets                          telemetry names of the result buckets
 //   config(), program()
-//   enumerate(golden&)                golden run + the full item list
+//   enumerate(golden&, recording*)    golden run (recorded) + the item list
 //   decide(triage, item)              static triage of one item
+//   known(recording, item, golden)    the result, if the recording proves it
+//   start_icount(item)                instructions the run shares with golden
 //   run_one(machine, item, golden)    inject/patch, run, classify
 //   pruned(item)                      the statically proven result
 //   bucket(result)                    result bucket (an enum with to_string)
@@ -51,7 +61,7 @@ Result<typename Model::Report> Campaign<Model>::run() {
                  format("invalid shard %u/%u", config.shard_index,
                         config.shard_count));
   }
-  S4E_TRY(enumerated, model_.enumerate(golden_));
+  S4E_TRY(enumerated, model_.enumerate(golden_, &recording_));
   items_ = std::move(enumerated);
 
   // Static triage: decide every item up front. Enumeration is unaffected,
@@ -84,6 +94,18 @@ Result<typename Model::Report> Campaign<Model>::run() {
   const u64 begin = total * config.shard_index / config.shard_count;
   const u64 end = total * (config.shard_index + 1) / config.shard_count;
   const std::size_t count = static_cast<std::size_t>(end - begin);
+  // The shortcuts (see the header comment). Lanes capture the golden
+  // checkpoint ladder only when an item can start past icount 0.
+  const bool single_hart = config.machine.num_harts == 1;
+  const bool cycle_stop = single_hart && !config.post_mortem;
+  const bool fast_forward = !config.post_mortem;
+  u64 ladder = 0;
+  for (u64 i = begin; fast_forward && i < end && ladder == 0; ++i) {
+    if (Model::start_icount(items_[i]) > 0) {
+      ladder = golden_.result.instructions;
+    }
+  }
+  std::vector<u8> known(count, 0);
   Report report = Model::open(golden_, total);
   report.shard_begin = begin;
 
@@ -142,20 +164,45 @@ Result<typename Model::Report> Campaign<Model>::run() {
       record(index, pruned(global));  // no VM needed
       return;
     }
+    if (single_hart) {
+      if (auto result = model_.known(recording_, items_[global], golden_)) {
+        known[index] = 1;
+        record(index, finish(global, std::move(*result)));  // no VM needed
+        return;
+      }
+    }
     if (vms[worker] == nullptr) {
-      auto vm = vp::WorkerVm::create(item_machine, model_.program());
+      auto vm = vp::WorkerVm::create(item_machine, model_.program(), ladder);
       if (!vm.ok()) {
         record(index, vm.error());
         return;
       }
       vms[worker] = std::move(*vm);
     }
-    record(index, finish(global, model_.run_one(vms[worker]->prepare(),
-                                                items_[global], golden_)));
+    vp::Machine& machine = vms[worker]->prepare(
+        fast_forward ? Model::start_icount(items_[global]) : 0);
+    // A run that ends normally seldom outlives the golden run, so heads are
+    // compared from there on: only the runs that go on pay for the checks.
+    if (cycle_stop) machine.arm_cycle_stop(golden_.result.instructions);
+    record(index,
+           finish(global, model_.run_one(machine, items_[global], golden_)));
   });
+  vp::SnapshotStats& stats = report.snapshot_stats;
   for (const auto& vm : vms) {
-    if (vm != nullptr) report.snapshot_stats += vm->stats();
+    if (vm != nullptr) stats += vm->stats();
   }
+  for (std::size_t index = 0; index < count; ++index) {
+    if (errors[index].has_value() || (skip_pruned && slots[index].pruned)) {
+      continue;
+    }
+    stats.insns_reported += slots[index].instructions;
+    if (known[index] != 0) {
+      ++stats.dead_skipped;
+      stats.dead_insns += slots[index].instructions;
+    }
+  }
+  stats.insns_executed = stats.insns_reported - stats.dead_insns -
+                         stats.prefix_insns - stats.hang_insns;
 
   std::optional<Telemetry> telemetry;
   if (config.collect_metrics) {

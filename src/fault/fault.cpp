@@ -125,7 +125,7 @@ namespace {
 // The fault list, drawn from what the golden (profiling) run exercised.
 std::vector<FaultSpec> generate_faults(const assembler::Program& program,
                                        const CampaignConfig& config,
-                                       const coverage::CoverageData& coverage,
+                                       const vp::GoldenRecording& recording,
                                        const vp::GoldenRun& golden) {
   Rng rng(config.seed);
   std::vector<FaultSpec> faults;
@@ -134,7 +134,8 @@ std::vector<FaultSpec> generate_faults(const assembler::Program& program,
   // (a fault in a never-read register cannot propagate); blind -> x1..x31.
   std::vector<unsigned> registers;
   for (unsigned reg = 1; reg < isa::kGprCount; ++reg) {
-    if (!config.coverage_directed || coverage.gpr_reads[reg] != 0) {
+    if (!config.coverage_directed ||
+        (recording.gprs_read() & (u32{1} << reg)) != 0) {
       registers.push_back(reg);
     }
   }
@@ -173,7 +174,7 @@ std::vector<FaultSpec> generate_faults(const assembler::Program& program,
   }
   if (targets.empty()) return faults;
 
-  const u64 golden_icount = std::max<u64>(coverage.total_instructions, 1);
+  const u64 golden_icount = std::max<u64>(recording.instructions(), 1);
   for (unsigned i = 0; i < config.mutant_count; ++i) {
     FaultSpec spec;
     spec.target = targets[rng.next_below(static_cast<u32>(targets.size()))];
@@ -222,13 +223,55 @@ Outcome classify(const vp::RunResult& run, const std::string& uart,
 }  // namespace
 
 Result<std::vector<FaultSpec>> FaultModel::enumerate(
-    vp::GoldenRun& golden) const {
+    vp::GoldenRun& golden, vp::GoldenRecording* recording) const {
+  vp::GoldenRecording local;
+  if (recording == nullptr) recording = &local;
   vp::Machine machine(config_.machine);
-  coverage::CoveragePlugin coverage_plugin;
-  coverage_plugin.attach(machine.vm_handle());
-  S4E_TRY(run, vp::run_golden(machine, program_));
+  S4E_TRY(run, vp::run_golden(machine, program_, recording));
   golden = std::move(run);
-  return generate_faults(program_, config_, coverage_plugin.data(), golden);
+  return generate_faults(program_, config_, *recording, golden);
+}
+
+std::optional<MutantResult> FaultModel::known(
+    const vp::GoldenRecording& recording, const FaultSpec& spec,
+    const vp::GoldenRun& golden) const {
+  // The flip itself is not quite invisible: its icount event ends a chain
+  // run, and a code flip drops the translations over its word and so ends
+  // the running block; the extra dispatch refreshes mip. Only
+  // time-dependent input can see either.
+  if (spec.kind != FaultKind::kTransient || spec.hart != 0 ||
+      recording.reads_time_from(spec.trigger)) {
+    return std::nullopt;
+  }
+  using Access = vp::GoldenRecording::Access;
+  Access next = Access::kNone;
+  u32 byte = 0;
+  switch (spec.target) {
+    case FaultTarget::kGpr:
+      next = recording.next_gpr_access(spec.reg, spec.trigger);
+      break;
+    case FaultTarget::kMemory:
+      byte = spec.address;
+      next = recording.next_byte_access(byte, spec.trigger);
+      break;
+    case FaultTarget::kCode:
+      byte = spec.address + spec.bit / 8u;
+      next = recording.next_byte_access(byte, spec.trigger);
+      break;
+  }
+  if (next == Access::kRead) return std::nullopt;
+  if (next == Access::kNone && spec.target != FaultTarget::kGpr &&
+      config_.compare_memory) {
+    const assembler::Section* data = program_.find_section(".data");
+    if (data != nullptr && byte - data->base < data->bytes.size()) {
+      return std::nullopt;  // the flipped byte reaches the memory hash
+    }
+  }
+  MutantResult mutant;
+  mutant.spec = spec;
+  mutant.exit_code = golden.result.exit_code;
+  mutant.instructions = golden.result.instructions;
+  return mutant;
 }
 
 dataflow::TriageDecision FaultModel::decide(

@@ -6,8 +6,20 @@
 // records which registers, memory bytes and code addresses the binary
 // actually exercises, and faults are drawn only from that set — the paper's
 // key scaling idea (don't simulate mutants the software can never observe).
+//
+// The profiling run is the golden run, recorded once (vp::GoldenRecording):
+// it gives the fault list its registers, bytes and code, and the campaign
+// driver its exact shortcuts. A transient fault whose target the golden run
+// next writes, or never touches again outside the compared .data surface,
+// in a run that reads no time-dependent input after its trigger, is dead:
+// reported masked with the golden exit code and instruction count, without
+// a run (FaultModel::known). Every other
+// transient fault starts at the golden checkpoint below its trigger
+// (start_icount); hangs that provably cycle stop early and report the
+// budget, as a full run would.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -174,9 +186,25 @@ class FaultModel {
   const assembler::Program& program() const noexcept { return program_; }
   const CampaignConfig& config() const noexcept { return config_; }
 
-  // Golden (profiling) run into `golden`, then the fault list drawn from
-  // the registers, memory and code it exercised.
-  Result<std::vector<FaultSpec>> enumerate(vp::GoldenRun& golden) const;
+  // Golden (profiling) run into `golden`, recorded into `recording` when
+  // given, then the fault list drawn from the registers, memory and code it
+  // exercised.
+  Result<std::vector<FaultSpec>> enumerate(
+      vp::GoldenRun& golden, vp::GoldenRecording* recording = nullptr) const;
+  // The result of a transient fault that is dead at its trigger on a
+  // single-hart machine (the golden run's next access to its target is a
+  // write, or there is none and the target lies outside the compared .data,
+  // and it reads no time-dependent input from the trigger on): masked, with
+  // the golden run's exit code and instruction count. nullopt when the
+  // fault must run.
+  std::optional<MutantResult> known(const vp::GoldenRecording& recording,
+                                    const FaultSpec& spec,
+                                    const vp::GoldenRun& golden) const;
+  // Instructions up to which a run of `spec` is the golden run: a transient
+  // fault's trigger, 0 for a stuck-at fault (it arms at icount 0).
+  static u64 start_icount(const FaultSpec& spec) {
+    return spec.kind == FaultKind::kTransient ? spec.trigger : 0;
+  }
   dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
                                   const FaultSpec& spec) const;
   // One mutant simulation on `machine`, which must hold the freshly loaded

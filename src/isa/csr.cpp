@@ -53,4 +53,23 @@ bool csr_is_read_only(u16 address) noexcept {
   return (address >> 10) == 0x3;
 }
 
+bool csr_reads_time(u16 address) noexcept {
+  switch (address) {
+    case kCsrMip:
+    case kCsrMcycle:
+    case kCsrMinstret:
+    case kCsrMcycleh:
+    case kCsrMinstreth:
+    case kCsrCycle:
+    case kCsrTime:
+    case kCsrInstret:
+    case kCsrCycleh:
+    case kCsrTimeh:
+    case kCsrInstreth:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace s4e::isa

@@ -51,4 +51,8 @@ const std::vector<u16>& implemented_csrs();
 // True if writes to this address are architecturally ignored (read-only).
 bool csr_is_read_only(u16 address) noexcept;
 
+// True if a read of this CSR depends on when it happens: the cycle, time
+// and instret counters, and mip, whose MTIP bit follows mtime.
+bool csr_reads_time(u16 address) noexcept;
+
 }  // namespace s4e::isa

@@ -234,7 +234,7 @@ std::vector<Mutant> enumerate_mutants(const assembler::Program& program,
 }
 
 Result<std::vector<Mutant>> MutationModel::enumerate(
-    vp::GoldenRun& golden) const {
+    vp::GoldenRun& golden, vp::GoldenRecording*) const {
   vp::Machine machine(config_.machine);
   S4E_TRY(run, vp::run_golden(machine, program_));
   golden = std::move(run);

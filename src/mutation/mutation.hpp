@@ -12,6 +12,7 @@
 //   - IPR: immediate perturbation (imm+1, imm = 0)
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,8 +138,10 @@ class MutationModel {
   const assembler::Program& program() const noexcept { return program_; }
   const MutationConfig& config() const noexcept { return config_; }
 
-  // Golden run into `golden`, then the (capped) mutant enumeration.
-  Result<std::vector<Mutant>> enumerate(vp::GoldenRun& golden) const;
+  // Golden run into `golden`, then the (capped) mutant enumeration. The
+  // golden run is not recorded: no mutant result is known without a run.
+  Result<std::vector<Mutant>> enumerate(
+      vp::GoldenRun& golden, vp::GoldenRecording* recording = nullptr) const;
   dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
                                   const Mutant& mutant) const;
   // One mutant run on `machine`, which must hold the freshly loaded (or
@@ -148,6 +151,14 @@ class MutationModel {
   // Thread-safe: shares only the immutable program and golden reference.
   Result<MutantResult> run_one(vp::Machine& machine, const Mutant& mutant,
                                const vp::GoldenRun& golden) const;
+
+  std::optional<MutantResult> known(const vp::GoldenRecording&,
+                                    const Mutant&,
+                                    const vp::GoldenRun&) const {
+    return std::nullopt;
+  }
+  // A mutant is patched in before its run starts.
+  static u64 start_icount(const Mutant&) { return 0; }
 
   static MutantResult pruned(const Mutant& mutant);  // proven equivalent
   static Verdict bucket(const MutantResult& result) { return result.verdict; }

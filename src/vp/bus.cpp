@@ -44,6 +44,7 @@ void Bus::add_ram(u32 base, u32 size) {
   const std::size_t pages = (size + kRamPageBytes - 1) / kRamPageBytes;
   region.dirty.assign((pages + 63) / 64, 0);
   region.populated.assign(region.dirty.size(), 0);
+  region.basis.assign(region.dirty.size(), 0);
   ram_.push_back(std::move(region));
 }
 
@@ -199,6 +200,7 @@ u64 Bus::ram_snapshot(std::vector<RamImage>& images) {
     for (std::size_t word = 0; word < region.dirty.size(); ++word) {
       region.populated[word] |= region.dirty[word];
       region.dirty[word] = 0;
+      region.basis[word] = 0;
       u64 bits = region.populated[word];
       while (bits != 0) {
         const std::size_t offset =
@@ -218,9 +220,11 @@ u64 Bus::ram_snapshot(std::vector<RamImage>& images) {
 }
 
 u64 Bus::ram_restore(const std::vector<RamImage>& images,
+                     const std::vector<RamDelta>* delta,
                      std::pair<u32, u32> watch,
                      std::vector<std::pair<u32, u32>>& changed) {
-  S4E_CHECK_MSG(images.size() == ram_.size(),
+  S4E_CHECK_MSG(images.size() == ram_.size() &&
+                    (delta == nullptr || delta->size() == ram_.size()),
                 "RAM restore from a foreign snapshot");
   u64 copied = 0;
   for (std::size_t r = 0; r < ram_.size(); ++r) {
@@ -229,10 +233,13 @@ u64 Bus::ram_restore(const std::vector<RamImage>& images,
     S4E_CHECK_MSG(image.base == region.base &&
                       image.bytes.size() == region.bytes.size(),
                   "RAM restore shape mismatch");
+    const RamDelta* pages_of = delta != nullptr ? &(*delta)[r] : nullptr;
+    std::size_t slot = 0;  // cursor into pages_of->pages (ascending)
     const std::size_t pages =
         (region.bytes.size() + kRamPageBytes - 1) / kRamPageBytes;
     for (std::size_t word = 0; word < region.dirty.size(); ++word) {
-      u64 bits = region.dirty[word];
+      const u64 own = pages_of != nullptr ? pages_of->bitmap[word] : 0;
+      u64 bits = region.dirty[word] | region.basis[word] | own;
       while (bits != 0) {
         const unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -241,26 +248,80 @@ u64 Bus::ram_restore(const std::vector<RamImage>& images,
         const std::size_t offset = page * kRamPageBytes;
         const std::size_t size =
             std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
+        const u8* source = image.bytes.data() + offset;
+        if (((own >> bit) & 1) != 0) {
+          while (pages_of->pages[slot] < page) ++slot;
+          source = pages_of->bytes.data() + slot * kRamPageBytes;
+        }
         const u64 page_lo = u64{region.base} + offset;
         const u64 lo = std::max<u64>(page_lo, watch.first);
         const u64 hi = std::min<u64>(page_lo + size, watch.second);
         if (lo < hi) {
-          const std::size_t at = static_cast<std::size_t>(lo - region.base);
-          append_changed_runs(region.bytes.data() + at,
-                              image.bytes.data() + at,
+          const std::size_t at = static_cast<std::size_t>(lo - page_lo);
+          append_changed_runs(region.bytes.data() + offset + at, source + at,
                               static_cast<u32>(hi - lo),
                               static_cast<u32>(lo), changed);
         }
-        std::memcpy(region.bytes.data() + offset, image.bytes.data() + offset,
-                    size);
+        std::memcpy(region.bytes.data() + offset, source, size);
         ++copied;
       }
       region.populated[word] |= region.dirty[word];
       region.dirty[word] = 0;
+      region.basis[word] = own;
     }
   }
   if (ram_.size() > 1) std::sort(changed.begin(), changed.end());
   return copied;
+}
+
+u64 Bus::ram_capture(std::vector<RamDelta>& deltas, bool with_basis) const {
+  deltas.resize(ram_.size());
+  u64 copied = 0;
+  for (std::size_t r = 0; r < ram_.size(); ++r) {
+    const RamRegion& region = ram_[r];
+    RamDelta& delta = deltas[r];
+    delta.bitmap.assign(region.dirty.size(), 0);
+    delta.pages.clear();
+    delta.bytes.clear();
+    for (std::size_t word = 0; word < region.dirty.size(); ++word) {
+      u64 bits = region.dirty[word] | (with_basis ? region.basis[word] : 0);
+      delta.bitmap[word] = bits;
+      while (bits != 0) {
+        const std::size_t page =
+            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        const std::size_t offset = page * kRamPageBytes;
+        if (offset >= region.bytes.size()) break;
+        const std::size_t size =
+            std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
+        delta.pages.push_back(static_cast<u32>(page));
+        delta.bytes.resize(delta.bytes.size() + kRamPageBytes);
+        std::memcpy(delta.bytes.data() + delta.bytes.size() - kRamPageBytes,
+                    region.bytes.data() + offset, size);
+        ++copied;
+      }
+    }
+  }
+  return copied;
+}
+
+bool Bus::ram_matches(const std::vector<RamDelta>& deltas) const {
+  if (deltas.size() != ram_.size()) return false;
+  for (std::size_t r = 0; r < ram_.size(); ++r) {
+    const RamRegion& region = ram_[r];
+    const RamDelta& delta = deltas[r];
+    if (delta.bitmap != region.dirty) return false;
+    for (std::size_t slot = 0; slot < delta.pages.size(); ++slot) {
+      const std::size_t offset = std::size_t{delta.pages[slot]} * kRamPageBytes;
+      const std::size_t size =
+          std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
+      if (std::memcmp(region.bytes.data() + offset,
+                      delta.bytes.data() + slot * kRamPageBytes, size) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 u64 Bus::ram_pages() const noexcept {

@@ -97,9 +97,25 @@ class Bus {
   // bytes the restore changes there, so the caller can drop the
   // translation blocks built from them. Pages outside the window are
   // copied without comparing.
+  // A rung restore passes its `delta` (one per region): its pages come from
+  // there, every other page from `images` (the rung's base), and the pages
+  // of the delta the machine was last restored to are copied back too.
   u64 ram_restore(const std::vector<RamImage>& images,
+                  const std::vector<RamDelta>* delta,
                   std::pair<u32, u32> watch,
                   std::vector<std::pair<u32, u32>>& changed);
+
+  // Copy the pages written since the last ram_snapshot()/ram_restore()
+  // into `deltas` (one per region, reusing their storage) — plus, with
+  // `with_basis`, the pages of the rung last restored, so the copy is
+  // relative to the full snapshot (a rung capture). Nothing is cleared.
+  // Returns the number of pages copied.
+  u64 ram_capture(std::vector<RamDelta>& deltas, bool with_basis) const;
+
+  // True iff the pages written since the last ram_snapshot()/ram_restore()
+  // are exactly those of `deltas` (a ram_capture without basis) and hold
+  // the same bytes.
+  bool ram_matches(const std::vector<RamDelta>& deltas) const;
 
   // Total dirty-tracking pages across all RAM regions (the cost a full
   // restore would pay; --snapshot-stats denominator).
@@ -119,6 +135,9 @@ class Bus {
     // Pages written since construction: `dirty` is folded in before each
     // clear, so a page outside populated|dirty still holds zero.
     std::vector<u64> populated;
+    // Pages of the rung last restored (none after a full snapshot or
+    // restore): where the region's clean pages differ from the full image.
+    std::vector<u64> basis;
     u32 end() const noexcept { return base + static_cast<u32>(bytes.size()); }
     void mark_dirty(std::size_t offset, u32 size) noexcept {
       const std::size_t last = (offset + size - 1) / kRamPageBytes;

@@ -60,6 +60,8 @@ class CsrFile {
   u32 mepc = 0;
   u32 mcause = 0;
   u32 mtval = 0;
+
+  bool operator==(const CsrFile&) const noexcept = default;
 };
 
 struct CpuState {

@@ -82,6 +82,10 @@ struct EngineStats {
 // run_slice pauses and debug-stop requests keep a bounded latency even in
 // fully chained code.
 inline constexpr u64 kChainQuantum = 4096;
+// While Machine::arm_cycle_stop() compares block-head states, the compared
+// heads start this many instructions apart (the gap then grows with the
+// compare's reference distance): short, so a small cycle shows early.
+inline constexpr u64 kCycleCheckQuantum = 16;
 
 // A chain edge followed this many times is spliced into a superblock.
 inline constexpr u32 kSuperblockHotThreshold = 64;

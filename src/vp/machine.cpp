@@ -109,6 +109,7 @@ void Machine::reset() {
   active_hart_ = 0;
   cpu_ = harts_[0].cpu;
   clear_forced();
+  cycle_.disarm();
   reservations_active_ = 0;
   slice_start_icount_ = 0;
   slice_end_ = smp_ ? config_.smp_slice_quantum : 0;
@@ -155,6 +156,24 @@ void Machine::clear_remote_reservations(u32 address, unsigned size) noexcept {
 }
 
 void Machine::save_state(Snapshot& snap) {
+  save_core(snap);
+  snap.base = nullptr;
+  snap.ram_delta.clear();
+  snap_stats_.pages_saved += bus_.ram_snapshot(snap.ram);
+  ++snap_stats_.snapshots;
+}
+
+void Machine::save_rung(Snapshot& snap, const Snapshot& base) {
+  S4E_CHECK_MSG(base.valid && base.base == nullptr,
+                "a rung needs a full snapshot as its base");
+  save_core(snap);
+  snap.base = &base;
+  snap.ram.clear();
+  snap_stats_.rung_pages += bus_.ram_capture(snap.ram_delta, true);
+  ++snap_stats_.rungs;
+}
+
+void Machine::save_core(Snapshot& snap) {
   sync_active_hart();
   snap.cpu = cpu_;
   snap.harts = harts_;
@@ -167,10 +186,8 @@ void Machine::save_state(Snapshot& snap) {
   snap.icache_misses = icache_.misses();
   snap.icache_tags = icache_.tags();
   snap.bimodal = bimodal_.table();
-  snap_stats_.pages_saved += bus_.ram_snapshot(snap.ram);
   bus_.save_device_state(snap.device_state);
   snap.valid = true;
-  ++snap_stats_.snapshots;
 }
 
 void Machine::restore_state(const Snapshot& snap) {
@@ -201,13 +218,20 @@ void Machine::restore_state(const Snapshot& snap) {
   // Drop exactly the blocks whose source bytes the restore changes; a data
   // store that dirtied a code page leaves that page's translations warm.
   restore_changes_.clear();
+  const bool rung = snap.base != nullptr;
   snap_stats_.pages_copied += bus_.ram_restore(
-      snap.ram, tb_cache_.code_extent(), restore_changes_);
+      rung ? snap.base->ram : snap.ram, rung ? &snap.ram_delta : nullptr,
+      tb_cache_.code_extent(), restore_changes_);
+  if (rung) {
+    ++snap_stats_.fast_forwards;
+    snap_stats_.prefix_insns += snap.icount;
+  }
   snap_stats_.pages_total += bus_.ram_pages();
   snap_stats_.tb_blocks_invalidated +=
       tb_cache_.invalidate_ranges(restore_changes_);
   bus_.restore_device_state(snap.device_state);
   clear_forced();
+  cycle_.disarm();
   ++snap_stats_.restores;
 }
 
@@ -814,6 +838,7 @@ struct ExecOps {
       value = static_cast<u32>(sign_extend(value, kSignBits));
     }
     m.cpu_.write_gpr(d.rd, value);
+    if (result->mmio) ++m.unseen_inputs_;
     if (!m.mem_cbs_.empty()) m.fire_mem_cb(d.pc, address, value, kSize, false);
     if (!m.watchpoints_.empty()) m.check_watchpoints(address, kSize, false);
     m.cycles_ += result->mmio ? d.c_mmio : d.c_fall;
@@ -872,6 +897,7 @@ struct ExecOps {
       return O::kStop;
     }
     const bool mmio = *result;
+    if (mmio) ++m.unseen_inputs_;
     if (!mmio && m.reservations_active_ != 0) {
       m.clear_remote_reservations(address, kSize);
     }
@@ -909,6 +935,7 @@ struct ExecOps {
     }
     u32 old_value = 0;
     if (wants_read) {
+      if (isa::csr_reads_time(d.csr)) ++m.unseen_inputs_;
       auto value = m.cpu_.csr.read(d.csr, counters);
       if (!value.ok()) {
         m.cpu_.pc = d.pc;
@@ -980,6 +1007,7 @@ struct ExecOps {
   }
 
   static O wfi(Machine& m, const DecodedInsn& d) {
+    ++m.unseen_inputs_;
     if (m.num_harts_ > 1) {
       // SMP: never fast-forward time (other harts are runnable) and never
       // halt the whole machine — yield the rest of the slice and re-check
@@ -1519,13 +1547,32 @@ void Machine::run_chain(u64 limit) {
   }
   const u64 quantum_end =
       std::min(careful_from, saturating_add(icount_, kChainQuantum));
+  // The chain also ends at the first block head at or after
+  // run_to_block_head's target.
+  const u64 stop_end = std::min(quantum_end, head_stop_at_);
+  // While arm_cycle_stop() compares heads, the first head at or after
+  // `check_at` is compared in place; the chain runs on unless it repeats.
+  u64 check_at = ~u64{0};
+  if (cycle_.armed && icount_cb_at_ == ~u64{0}) {
+    check_at = icount_ < cycle_.from ? cycle_.from
+                                     : icount_ + cycle_check_quantum();
+  }
+  u64 chain_end = std::min(stop_end, check_at);
   // Admit `block` to chained execution (charging its exec count and icache
   // probe), or end the chain run: at the quantum boundary (epoch work, then
   // resume), or after running the block that holds the budget end or the
   // armed icount with exact per-instruction semantics (at least one
   // instruction runs, so exec_count stays truthful).
   const auto admit = [&](TranslationBlock*& block) {
-    if (icount_ >= quantum_end) return false;  // epoch due
+    if (icount_ >= chain_end) [[unlikely]] {
+      if (icount_ >= stop_end) return false;  // epoch due (or head stop)
+      if (state_repeats()) {
+        cycle_.repeated = true;  // run_loop reports the stop
+        return false;
+      }
+      check_at = icount_ + cycle_check_quantum();
+      chain_end = std::min(stop_end, check_at);
+    }
     if (block->code.size() > quantum_end - icount_) {
       if (quantum_end != careful_from) return false;
       // A superblock holding the careful point gives way to its entry basic
@@ -1606,12 +1653,73 @@ RunResult Machine::run(u64 max_insns) {
 
 RunResult Machine::step() { return run_loop(1, StopReason::kDebugStep); }
 
+bool Machine::run_to_block_head(u64 icount) {
+  head_stop_at_ = icount;
+  const RunResult result = run();
+  head_stop_at_ = ~u64{0};
+  return result.reason == StopReason::kDebugSlice && quiet_head();
+}
+
+bool Machine::quiet_head() const noexcept {
+  if (clint_ == nullptr) return true;
+  u32 mip = cpu_.csr.mip & ~(kMipMtip | kMipMsip);
+  if (clint_->timer_pending(active_hart_)) mip |= kMipMtip;
+  if (clint_->software_pending(active_hart_)) mip |= kMipMsip;
+  if (mip != cpu_.csr.mip) return false;
+  return (cpu_.csr.mstatus & kMstatusMie) == 0 ||
+         (cpu_.csr.mie & mip & (kMipMsip | kMipMtip)) == 0;
+}
+
+void Machine::take_cycle_reference() {
+  CycleWatch& w = cycle_;
+  w.has_ref = true;
+  w.distance = 0;
+  w.checked_at = icount_;
+  w.unseen_inputs = unseen_inputs_;
+  w.gpr = cpu_.gpr;
+  w.pc = cpu_.pc;
+  w.csr = cpu_.csr;
+  w.res_valid = harts_[active_hart_].res_valid;
+  w.res_addr = harts_[active_hart_].res_addr;
+  bus_.ram_capture(w.ram, false);
+}
+
+bool Machine::state_repeats() {
+  if (clint_ != nullptr && (cpu_.csr.mie & (kMieMtie | kMieMsie)) != 0) {
+    ++unseen_inputs_;  // an armed interrupt arrives with time
+  }
+  CycleWatch& w = cycle_;
+  if (!w.has_ref) {
+    take_cycle_reference();
+    return false;
+  }
+  // A head compared twice (a chain that ends where it compared one) is
+  // one head: no instruction ran between.
+  if (icount_ == w.checked_at) return false;
+  w.checked_at = icount_;
+  ++w.distance;
+  // Registers first; memory only when they all match.
+  if (w.pc == cpu_.pc && w.unseen_inputs == unseen_inputs_ &&
+      w.gpr == cpu_.gpr && w.csr == cpu_.csr &&
+      w.res_valid == harts_[active_hart_].res_valid &&
+      w.res_addr == harts_[active_hart_].res_addr && bus_.ram_matches(w.ram)) {
+    return true;
+  }
+  if (w.distance == w.period) {
+    take_cycle_reference();
+    w.period *= 2;
+  }
+  return false;
+}
+
 RunResult Machine::run_slice(u64 max_insns) {
   return run_loop(max_insns, StopReason::kDebugSlice);
 }
 
 RunResult Machine::run_loop(u64 max_insns, StopReason budget_reason) {
   const bool stepping = budget_reason == StopReason::kDebugStep;
+  // The repeated-state stop reports a budget stop of run() only.
+  if (budget_reason != StopReason::kMaxInstructions) cycle_.disarm();
   // Saturate: run(UINT64_MAX) on a warm machine means "no further bound",
   // not a wrapped limit below icount_ that stops the VM instantly.
   const u64 limit = saturating_add(icount_, max_insns);
@@ -1648,12 +1756,26 @@ RunResult Machine::run_loop(u64 max_insns, StopReason budget_reason) {
       }
     }
     bus_.tick(cycles_);
+    if (icount_ >= head_stop_at_) [[unlikely]] {
+      pending_stop_ = PendingStop{StopReason::kDebugSlice, 0, 0, ""};
+      break;
+    }
     check_interrupts();
     if (pending_stop_) break;
     // Requested from a plugin callback (or a self-modifying store) while
     // the previous block was executing, or between runs; apply at the
     // block boundary.
     if (tb_maint_pending_) apply_tb_maintenance();
+    if (cycle_.armed && icount_ >= cycle_.from && icount_cbs_.empty())
+        [[unlikely]] {
+      if (cycle_.repeated || state_repeats()) {
+        // The run can only end at its budget: report that stop.
+        ++snap_stats_.hangs_stopped;
+        snap_stats_.hang_insns += limit - icount_;
+        icount_ = limit;
+        continue;
+      }
+    }
 
     const u64 dispatch_limit = smp_ ? std::min(limit, slice_end_) : limit;
     if (fast_path_ok()) {

@@ -184,7 +184,44 @@ class Machine {
   // source bytes the restore changes are dropped — the rest of the TB cache
   // stays warm. Plugin callbacks are untouched; campaign drivers
   // that re-attach per-run plugins call clear_plugins() first.
+  //
+  // `snap` may also be a rung (save_rung) whose base is the full snapshot
+  // last saved or restored here; a restore switching between the base and
+  // its rungs copies the pages either one, or the run since, has dirtied.
   void restore_state(const Snapshot& snap);
+
+  // Capture a rung into `snap`: complete machine state like save_state(),
+  // but RAM as only the pages written since `base` — the full snapshot this
+  // machine last saved or restored — which must outlive the rung. Nothing
+  // is reset: the next restore still copies back everything since `base`.
+  void save_rung(Snapshot& snap, const Snapshot& base);
+
+  // Run to the first block head at or after instruction `icount` and stop
+  // there. True when the head is quiet — a dispatch boundary whose
+  // interrupt check changes nothing — so a rung captured there resumes
+  // exactly as a run passing through it continues. False when the program
+  // ended first, or the head is not quiet: continuing from there would
+  // run an interrupt check a full run may not, so no later rung matches a
+  // full run either.
+  bool run_to_block_head(u64 icount);
+
+  // Stop this run() as soon as its state provably cycles: from the first
+  // block head at or after instruction `from` with no icount callback
+  // armed, compare the state at block heads (pc, GPRs, CSRs other than the
+  // counters, LR/SC reservation, RAM pages written since the restore). Two
+  // equal heads with no input between them that the compare cannot see —
+  // a time-dependent read (a counter CSR or mip, a wfi, MTIE/MSIE armed at
+  // a head) or any device access (device state is not compared, so it
+  // must not have changed) — repeat forever, so the run is reported
+  // exactly like an exhausted budget of run(): kMaxInstructions, exit code
+  // -1, instructions = the budget. Single-hart machines only (ignored on
+  // SMP); per-run state like plugins, cleared by reset() and
+  // restore_state(). The caller guarantees that no attached plugin acts on
+  // anything but icount callbacks.
+  void arm_cycle_stop(u64 from = 0) noexcept {
+    cycle_.armed = !smp_;
+    cycle_.from = from;
+  }
 
   // Cumulative save/restore cost counters for this machine.
   const SnapshotStats& snapshot_stats() const noexcept { return snap_stats_; }
@@ -455,6 +492,18 @@ class Machine {
   // retiring an instruction, so no budget would ever end it.
   void take_fetch_trap(u32 cause, u32 tval);
   void check_interrupts();
+  // True when check_interrupts() would change nothing.
+  bool quiet_head() const noexcept;
+  // The repeated-state check of arm_cycle_stop() at one block head.
+  bool state_repeats();
+  void take_cycle_reference();
+  // Instructions to the next compared head of arm_cycle_stop(): short at
+  // first, then growing with the reference distance, so a run that never
+  // repeats pays for few compares.
+  u64 cycle_check_quantum() const noexcept {
+    return std::min(kCycleCheckQuantum * cycle_.period, kChainQuantum);
+  }
+  void save_core(Snapshot& snap);
   void probe_icache(u32 block_pc);
   void fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,
                    bool is_store);
@@ -535,6 +584,37 @@ class Machine {
   IcacheSim icache_;
   BimodalPredictor bimodal_;
   SnapshotStats snap_stats_;
+  // run_to_block_head's target (~0 when not running to one).
+  u64 head_stop_at_ = ~u64{0};
+  // Inputs a block-head compare cannot see, so far: time-dependent reads
+  // and device accesses (see arm_cycle_stop).
+  u64 unseen_inputs_ = 0;
+  // arm_cycle_stop() state: Brent's cycle finding over block-head states.
+  // The reference state is compared with every later head and moves on
+  // when `distance` reaches `period`, which then doubles.
+  struct CycleWatch {
+    bool armed = false;
+    bool has_ref = false;
+    u64 from = 0;  // first instruction at which heads are compared
+    u64 checked_at = 0;  // icount of the last head compared
+    u64 distance = 0;
+    u64 period = 1;
+    bool repeated = false;  // a head compared inside a chain repeated
+    u64 unseen_inputs = 0;  // unseen_inputs_ at the reference
+    std::array<u32, isa::kGprCount> gpr{};
+    u32 pc = 0;
+    CsrFile csr;
+    bool res_valid = false;
+    u32 res_addr = 0;
+    std::vector<RamDelta> ram;  // pages written since the restore
+    void disarm() noexcept {
+      armed = false;
+      has_ref = false;
+      repeated = false;
+      period = 1;
+    }
+  };
+  CycleWatch cycle_;
   // Translated-code byte runs changed by the last restore_state() (reused,
   // not reallocated, across per-mutant restores).
   std::vector<std::pair<u32, u32>> restore_changes_;

@@ -17,7 +17,21 @@ std::string SnapshotStats::to_string() const {
       static_cast<unsigned long long>(restores),
       static_cast<unsigned long long>(pages_copied),
       static_cast<unsigned long long>(pages_total), copied_pct,
-      static_cast<unsigned long long>(tb_blocks_invalidated));
+      static_cast<unsigned long long>(tb_blocks_invalidated)) +
+         format("\nshortcuts: %llu dead skipped (%llu insns), %llu "
+                "fast-forwards (%llu golden insns not re-run), %llu hangs "
+                "stopped (%llu insns not run), %llu/%llu insns "
+                "executed/reported, %llu rungs (%llu pages)",
+                static_cast<unsigned long long>(dead_skipped),
+                static_cast<unsigned long long>(dead_insns),
+                static_cast<unsigned long long>(fast_forwards),
+                static_cast<unsigned long long>(prefix_insns),
+                static_cast<unsigned long long>(hangs_stopped),
+                static_cast<unsigned long long>(hang_insns),
+                static_cast<unsigned long long>(insns_executed),
+                static_cast<unsigned long long>(insns_reported),
+                static_cast<unsigned long long>(rungs),
+                static_cast<unsigned long long>(rung_pages));
 }
 
 }  // namespace s4e::vp

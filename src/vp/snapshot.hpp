@@ -12,6 +12,14 @@
 // snapshot once per worker and restore per mutant, keeping the translation-
 // block cache warm across runs.
 //
+// A *rung* (Machine::save_rung) is a snapshot taken later on the same run
+// as a full one, its `base`: it holds only the pages written since the base
+// (RamDelta), and reads every other page from the base's images. A worker
+// keeps a ladder of rungs along the golden run, so a transient fault starts
+// at the rung below its trigger instead of re-running the golden prefix. A
+// restore to a different snapshot than the last one copies every page that
+// either snapshot's delta, or the run since, has dirtied.
+//
 // Invariants:
 //   * A translation block survives a restore iff its source bytes (its
 //     instructions, plus the parcel it was cut before, if any) equal the
@@ -20,7 +28,10 @@
 //     the blocks over the bytes that differ.
 //   * A run on a restored machine is bit-identical — RunResult, UART
 //     output, memory hash, cycle counts — to the same run on a freshly
-//     constructed machine (property-tested over generated programs).
+//     constructed machine (property-tested over generated programs). For a
+//     rung this holds because rungs sit at quiet block heads: the dispatch
+//     the restored run starts with changes nothing a run through that point
+//     would not, and the icache model probes once per dispatched block.
 #pragma once
 
 #include <array>
@@ -47,9 +58,10 @@ class StateWriter {
  public:
   void put_u8(u8 value) { bytes_.push_back(value); }
   void put_u32(u32 value) {
-    for (unsigned i = 0; i < 4; ++i) {
-      bytes_.push_back(static_cast<u8>(value >> (8 * i)));
-    }
+    const u8 bytes[4] = {static_cast<u8>(value), static_cast<u8>(value >> 8),
+                         static_cast<u8>(value >> 16),
+                         static_cast<u8>(value >> 24)};
+    put_bytes(bytes, 4);
   }
   void put_u64(u64 value) {
     put_u32(static_cast<u32>(value));
@@ -82,11 +94,11 @@ class StateReader {
     return (*bytes_)[pos_++];
   }
   u32 get_u32() {
-    u32 value = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-      value |= static_cast<u32>(get_u8()) << (8 * i);
-    }
-    return value;
+    S4E_CHECK_MSG(pos_ + 4 <= bytes_->size(), "device state blob underflow");
+    const u8* p = bytes_->data() + pos_;
+    pos_ += 4;
+    return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+           (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
   }
   u64 get_u64() {
     const u64 lo = get_u32();
@@ -116,7 +128,18 @@ struct RamImage {
   PageBuffer bytes;
 };
 
-// Complete machine state captured by Machine::save_state().
+// The pages of one bus RAM region a rung holds: those written since its
+// base snapshot, as a bitmap (one bit per kRamPageBytes page) and as their
+// contents, kRamPageBytes per page in page order.
+struct RamDelta {
+  std::vector<u64> bitmap;
+  std::vector<u32> pages;
+  std::vector<u8> bytes;
+};
+
+// Complete machine state captured by Machine::save_state() (`ram` holds
+// full images) or Machine::save_rung() (`ram_delta` holds the pages written
+// since `base`, which supplies the rest and must outlive the rung).
 struct Snapshot {
   CpuState cpu;
   u64 icount = 0;
@@ -125,6 +148,8 @@ struct Snapshot {
   std::vector<u32> icache_tags;
   std::array<u8, kBimodalEntries> bimodal{};
   std::vector<RamImage> ram;
+  const Snapshot* base = nullptr;
+  std::vector<RamDelta> ram_delta;
   std::vector<std::vector<u8>> device_state;  // one blob per mapped device
   // SMP extension: every hart (architectural state + LR/SC reservation) and
   // the round-robin scheduler position. The legacy `cpu` field stays the
@@ -149,6 +174,23 @@ struct SnapshotStats {
   // source bytes changed; pending TB maintenance a restore applies is not
   // counted here.
   u64 tb_blocks_invalidated = 0;
+  // The golden checkpoint ladder: rungs captured, and the pages they copied.
+  u64 rungs = 0;
+  u64 rung_pages = 0;
+  // The campaign driver's exact shortcuts. Items reported from the golden
+  // recording without a run (dead faults), and the instructions those
+  // reports carry; restores to a rung, and the golden instructions they did
+  // not re-execute; runs stopped at a repeated state, and the instructions
+  // between that stop and the budget they report.
+  u64 dead_skipped = 0;
+  u64 dead_insns = 0;
+  u64 fast_forwards = 0;
+  u64 prefix_insns = 0;
+  u64 hangs_stopped = 0;
+  u64 hang_insns = 0;
+  // Instructions the items report, and those their runs executed.
+  u64 insns_reported = 0;
+  u64 insns_executed = 0;
 
   SnapshotStats& operator+=(const SnapshotStats& other) noexcept {
     snapshots += other.snapshots;
@@ -157,6 +199,16 @@ struct SnapshotStats {
     pages_copied += other.pages_copied;
     pages_total += other.pages_total;
     tb_blocks_invalidated += other.tb_blocks_invalidated;
+    rungs += other.rungs;
+    rung_pages += other.rung_pages;
+    dead_skipped += other.dead_skipped;
+    dead_insns += other.dead_insns;
+    fast_forwards += other.fast_forwards;
+    prefix_insns += other.prefix_insns;
+    hangs_stopped += other.hangs_stopped;
+    hang_insns += other.hang_insns;
+    insns_reported += other.insns_reported;
+    insns_executed += other.insns_executed;
     return *this;
   }
 

@@ -37,22 +37,28 @@ void expect_matches_fresh(const Model& model,
 // newly built machine. Besides bucket, exit code and instruction count the
 // two runs must take the same modelled cycles. A warm TB cache whose
 // blocks end where a fresh machine's would not shows only there: the
-// icache model probes once per dispatched block.
+// icache model probes once per dispatched block. With `fast_forward` the
+// WorkerVm holds the golden checkpoint ladder and each item starts at the
+// rung below Model::start_icount(item), as the driver starts it.
 template <class Model>
 void expect_reuse_matches_fresh_cycles(const Model& model,
-                                       const std::string& label) {
+                                       const std::string& label,
+                                       bool fast_forward = false) {
   vp::GoldenRun golden;
   auto items = model.enumerate(golden);
   ASSERT_TRUE(items.ok()) << label;
   const vp::MachineConfig config =
       model.config().item_machine(golden.result.instructions);
-  auto vm = vp::WorkerVm::create(config, model.program());
+  auto vm = vp::WorkerVm::create(
+      config, model.program(),
+      fast_forward ? golden.result.instructions : 0);
   ASSERT_TRUE(vm.ok()) << label;
   for (std::size_t i = 0; i < items->size(); ++i) {
     vp::Machine fresh(config);
     ASSERT_TRUE(fresh.load_program(model.program()).ok()) << label;
     const auto want = model.run_one(fresh, (*items)[i], golden);
-    vp::Machine& reused = (*vm)->prepare();
+    vp::Machine& reused = (*vm)->prepare(
+        fast_forward ? Model::start_icount((*items)[i]) : 0);
     const auto got = model.run_one(reused, (*items)[i], golden);
     ASSERT_TRUE(want.ok() && got.ok()) << label << " item " << i;
     EXPECT_EQ(Model::bucket(*want), Model::bucket(*got))
