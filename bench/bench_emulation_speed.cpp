@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "asm/assembler.hpp"
 #include "common/json.hpp"
@@ -76,11 +77,10 @@ void run_emulation(benchmark::State& state, const vp::MachineConfig& config) {
 vp::MachineConfig cached_config() { return vp::MachineConfig{}; }
 
 // Ablation: TB cache on, but every block returns to central dispatch (no
-// chain links, no jump cache follows, no superblocks).
+// chain links, no jump cache follows).
 vp::MachineConfig nochain_config() {
   vp::MachineConfig config;
   config.enable_chaining = false;
-  config.enable_superblocks = false;
   return config;
 }
 
@@ -226,7 +226,9 @@ int main(int argc, char** argv) {
         ", \"interp_mips\": " + json_number(uncached) +
         ", \"cached_vs_interp\": " + json_number(cached / uncached) +
         ", \"chain_speedup\": " + json_number(cached / nochain) +
-        ", \"smp2_mips\": " + json_number(smp2) + "}");
+        ", \"smp2_mips\": " + json_number(smp2) +
+        ", \"host_cores\": " +
+        std::to_string(std::thread::hardware_concurrency()) + "}");
     S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_emulation.json)\n");
   }

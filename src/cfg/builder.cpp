@@ -3,7 +3,6 @@
 
 #include "cfg/cfg.hpp"
 #include "common/strings.hpp"
-#include "isa/decoder.hpp"
 #include "isa/rvc.hpp"
 #include "isa/disasm.hpp"
 
@@ -37,11 +36,12 @@ Terminator classify(const Instr& instr) {
 // Fetch and decode the (possibly compressed) instruction at `address`.
 Result<Instr> fetch_instr(const assembler::Program& program, u32 address) {
   S4E_TRY(half, program.read_half(address));
-  if (isa::is_compressed(static_cast<u16>(half))) {
-    return isa::decompress(static_cast<u16>(half));
+  u32 bits = half;
+  if (!isa::is_compressed(static_cast<u16>(half))) {
+    S4E_TRY(word, program.read_word(address));
+    bits = word;
   }
-  S4E_TRY(word, program.read_word(address));
-  return isa::decoder().decode(word);
+  return isa::decode_parcel(bits);
 }
 
 // Per-function discovery state.

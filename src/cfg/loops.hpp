@@ -31,14 +31,6 @@ struct Loop {
 
 struct LoopForest {
   std::vector<Loop> loops;  // sorted innermost-first (deepest depth first)
-
-  // Index of the innermost loop headed by `header`, or -1.
-  int loop_with_header(BlockId header) const {
-    for (std::size_t i = 0; i < loops.size(); ++i) {
-      if (loops[i].header == header) return static_cast<int>(i);
-    }
-    return -1;
-  }
 };
 
 // Find natural loops (back edge = edge whose target dominates its source),

@@ -42,11 +42,6 @@ constexpr bool fits_signed(i64 value, unsigned width) {
   return value >= lo && value <= hi;
 }
 
-// True if `value` fits in an unsigned `width`-bit immediate.
-constexpr bool fits_unsigned(i64 value, unsigned width) {
-  return value >= 0 && value < (i64{1} << width);
-}
-
 // Count of set bits.
 constexpr unsigned popcount32(u32 value) {
   unsigned count = 0;

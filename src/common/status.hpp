@@ -106,8 +106,6 @@ class [[nodiscard]] Status {
   Status() = default;  // ok
   Status(Error error) : error_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
 
-  static Status ok_status() { return Status(); }
-
   bool ok() const noexcept { return !error_.has_value(); }
   explicit operator bool() const noexcept { return ok(); }
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 namespace s4e {
 
@@ -69,7 +70,12 @@ Result<std::int64_t> parse_integer(std::string_view text) {
     base = 2;
     text.remove_prefix(2);
   }
-  std::int64_t value = 0;
+  // The magnitude accumulates unsigned: the most negative literal's is one
+  // past INT64_MAX.
+  const std::uint64_t max_magnitude =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+      (negative ? 1 : 0);
+  std::uint64_t value = 0;
   for (char c : text) {
     int digit;
     if (c >= '0' && c <= '9') {
@@ -88,12 +94,13 @@ Result<std::int64_t> parse_integer(std::string_view text) {
       return Error(ErrorCode::kParseError,
                    std::string("digit '") + c + "' out of range for base");
     }
-    value = value * base + digit;
-    if (value > (std::int64_t{1} << 40)) {
+    const auto udigit = static_cast<std::uint64_t>(digit);
+    if (value > (max_magnitude - udigit) / static_cast<std::uint64_t>(base)) {
       return Error(ErrorCode::kOutOfRange, "integer literal too large");
     }
+    value = value * static_cast<std::uint64_t>(base) + udigit;
   }
-  return negative ? -value : value;
+  return static_cast<std::int64_t>(negative ? 0 - value : value);
 }
 
 std::string format(const char* fmt, ...) {

@@ -32,13 +32,6 @@ struct CallGraph {
   std::vector<bool> recursive;       // member of a call-graph cycle
   std::vector<u32> scc_id;           // Tarjan SCC index per function
   std::vector<u32> bottom_up;        // function indices, callees before callers
-
-  bool any_recursive() const noexcept {
-    for (bool r : recursive) {
-      if (r) return true;
-    }
-    return false;
-  }
 };
 
 // Build the call graph. `block_reachable` (parallel to functions/blocks)

@@ -35,8 +35,6 @@ class MemModel {
   // True when no recorded store may overlap [lo, hi] (canonical addresses).
   bool range_clean(i64 lo, i64 hi) const;
 
-  bool all_dirty() const noexcept { return all_dirty_; }
-
   // Abstract result of an aligned or unaligned load of `size` bytes.
   AbsValue load(const AbsValue& addr, u32 size, bool sign_extend) const;
 

@@ -15,8 +15,4 @@ bool writes_gpr(const Instr& instr, unsigned reg) noexcept {
   return reg != 0 && (def_use(instr).writes & (u32{1} << reg)) != 0;
 }
 
-bool reads_gpr(const Instr& instr, unsigned reg) noexcept {
-  return (def_use(instr).reads & (u32{1} << reg)) != 0;
-}
-
 }  // namespace s4e::isa

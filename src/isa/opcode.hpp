@@ -99,9 +99,6 @@ const OpInfo& op_info(Op op) noexcept;
 // Mnemonic ("addi", ...). Precondition: op != Op::kCount.
 std::string_view mnemonic(Op op) noexcept;
 
-// Human-readable class name ("arith", "load", ...).
-std::string_view op_class_name(OpClass c) noexcept;
-
 // Human-readable module name ("RV32I", "RV32M", "Zicsr", "priv").
 std::string_view isa_module_name(IsaModule m) noexcept;
 

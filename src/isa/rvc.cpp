@@ -1,6 +1,7 @@
 #include "isa/rvc.hpp"
 
 #include "common/strings.hpp"
+#include "isa/decoder.hpp"
 #include "isa/encoder.hpp"
 
 namespace s4e::isa {
@@ -58,6 +59,12 @@ i32 ci_imm(u16 half) {
 }
 
 }  // namespace
+
+Result<Instr> decode_parcel(u32 bits) {
+  const u16 half = static_cast<u16>(bits);
+  if (is_compressed(half)) return decompress(half);
+  return decoder().decode(bits);
+}
 
 Result<Instr> decompress(u16 half) {
   if (!is_compressed(half)) {

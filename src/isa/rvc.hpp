@@ -21,6 +21,11 @@ constexpr bool is_compressed(u16 half) { return (half & 0x3) != 0x3; }
 // raw = half). Fails on illegal/reserved encodings and on RV64-only ones.
 Result<Instr> decompress(u16 half);
 
+// Decode one instruction parcel: decompress `bits` if its low halfword is
+// an RVC encoding (the upper half is ignored), else decode it as a 32-bit
+// word. Callers fetch the upper half only when is_compressed() says so.
+Result<Instr> decode_parcel(u32 bits);
+
 // Produce the RVC encoding for `instr` if one exists within the supported
 // emit subset (ALU, loads/stores, li/lui — never branches or jumps).
 std::optional<u16> compress(const Instr& instr);

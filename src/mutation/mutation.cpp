@@ -6,7 +6,6 @@
 
 #include "campaign/driver.hpp"
 #include "common/strings.hpp"
-#include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encoder.hpp"
 #include "isa/rvc.hpp"
@@ -207,28 +206,22 @@ std::vector<Mutant> enumerate_mutants(const assembler::Program& program,
   while (address + 2 <= text->end()) {
     auto half = program.read_half(address);
     if (!half.ok()) break;
-    Instr instr;
-    if (isa::is_compressed(static_cast<u16>(*half))) {
-      auto decompressed = isa::decompress(static_cast<u16>(*half));
-      if (!decompressed.ok()) {
-        address += 2;
-        continue;
-      }
-      instr = *decompressed;
-    } else {
+    const bool compressed = isa::is_compressed(static_cast<u16>(*half));
+    u32 bits = *half;
+    if (!compressed) {
       auto word = program.read_word(address);
       if (!word.ok()) break;
-      auto decoded = isa::decoder().decode(*word);
-      if (!decoded.ok()) {
-        address += 4;
-        continue;
-      }
-      instr = *decoded;
+      bits = *word;
+    }
+    auto instr = isa::decode_parcel(bits);
+    if (!instr.ok()) {
+      address += compressed ? 2 : 4;
+      continue;
     }
     if (filter.empty() || filter.count(address) != 0) {
-      mutants_for(mutants, address, instr);
+      mutants_for(mutants, address, *instr);
     }
-    address += instr.length;
+    address += instr->length;
   }
   return mutants;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/opcode.hpp"
 #include "isa/rvc.hpp"
@@ -24,11 +23,7 @@ bool is_control_flow_class(u32 op_class) {
 }
 
 std::string describe_insn(const FlightEvent& event) {
-  auto decoded = isa::decoder().decode(event.a);
-  if (!decoded.ok() && isa::is_compressed(static_cast<u16>(event.a))) {
-    auto decompressed = isa::decompress(static_cast<u16>(event.a));
-    if (decompressed.ok()) decoded = *decompressed;
-  }
+  auto decoded = isa::decode_parcel(event.a);
   return decoded.ok() ? isa::disassemble_at(*decoded, event.pc) : "<illegal>";
 }
 

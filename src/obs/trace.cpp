@@ -4,7 +4,6 @@
 
 #include "common/hex.hpp"
 #include "common/json.hpp"
-#include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/rvc.hpp"
 
@@ -13,15 +12,8 @@ namespace s4e::obs {
 namespace {
 
 std::string disassemble_encoding(u32 encoding, u32 pc) {
-  auto decoded = s4e::isa::decoder().decode(encoding);
-  if (decoded.ok()) return s4e::isa::disassemble_at(*decoded, pc);
-  if (s4e::isa::is_compressed(static_cast<u16>(encoding))) {
-    auto decompressed = s4e::isa::decompress(static_cast<u16>(encoding));
-    if (decompressed.ok()) {
-      return s4e::isa::disassemble_at(*decompressed, pc);
-    }
-  }
-  return "<illegal>";
+  auto decoded = s4e::isa::decode_parcel(encoding);
+  return decoded.ok() ? s4e::isa::disassemble_at(*decoded, pc) : "<illegal>";
 }
 
 }  // namespace

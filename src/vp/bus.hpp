@@ -73,9 +73,6 @@ class Bus {
   // Advance all devices to cycle `now`.
   void tick(u64 now);
 
-  // Device registered at `base`, or nullptr (tests and example wiring).
-  Device* device_at(u32 base) noexcept;
-
   // Reset every mapped device to power-on state (Machine::reset).
   void reset_devices();
 

@@ -22,13 +22,10 @@ struct DecodedInsn;
 // decide whether to keep running the block, follow a chain edge, or return
 // to central dispatch.
 enum class ExecOutcome : u8 {
-  kNext = 0,         // fell through; execution continues at d.link
-  kNextSpliced = 1,  // continued inside a superblock splice (target != link);
-                     // the handler set cpu.pc itself
-  kTakenStatic,      // redirected to the precomputed d.target (branch/jal)
-  kTakenIndirect,    // redirected through a register (jalr/mret): jump-cache
-  kSideExit,         // superblock interior edge left the trace; pc already set
-  kStop,             // block must end now: trap taken, stop pending, or flush
+  kNext,           // fell through; execution continues at d.link
+  kTakenStatic,    // redirected to the precomputed d.target (branch/jal)
+  kTakenIndirect,  // redirected through a register (jalr/mret): jump-cache
+  kStop,           // block must end now: trap taken, stop pending, or flush
 };
 
 using ExecHandler = ExecOutcome (*)(Machine&, const DecodedInsn&);
@@ -58,7 +55,7 @@ struct DecodedInsn {
 };
 static_assert(sizeof(DecodedInsn) == 48);
 
-// Engine-level counters (chaining, jump cache, superblocks, dispatch mix).
+// Engine-level counters (chaining, jump cache, dispatch mix).
 // Cumulative per machine; reset() clears them with the rest of the
 // performance counters. The TB-cache-level counters (front-cache hit rate,
 // chain severs) live on TbCache.
@@ -67,7 +64,6 @@ struct EngineStats {
   u64 chain_follows = 0;     // dispatches that rode an existing link
   u64 jump_cache_hits = 0;   // indirect targets resolved from the 2-entry jc
   u64 jump_cache_misses = 0;
-  u64 superblocks_formed = 0;
   u64 blocks_fast = 0;     // blocks run by the chained threaded engine
   u64 blocks_careful = 0;  // blocks run by the exact per-insn loop
   // Why blocks ran carefully; the four sum to blocks_careful.
@@ -86,10 +82,5 @@ inline constexpr u64 kChainQuantum = 4096;
 // heads start this many instructions apart (the gap then grows with the
 // compare's reference distance): short, so a small cycle shows early.
 inline constexpr u64 kCycleCheckQuantum = 16;
-
-// A chain edge followed this many times is spliced into a superblock.
-inline constexpr u32 kSuperblockHotThreshold = 64;
-// Superblocks stop growing here (old engine's block bound is 64 insns).
-inline constexpr std::size_t kMaxSuperblockInsns = 256;
 
 }  // namespace s4e::vp

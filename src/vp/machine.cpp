@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
-#include "isa/decoder.hpp"
 #include "isa/rvc.hpp"
 
 // The C-API handle just wraps the Machine pointer; defined here so both
@@ -175,7 +174,6 @@ void Machine::save_rung(Snapshot& snap, const Snapshot& base) {
 
 void Machine::save_core(Snapshot& snap) {
   sync_active_hart();
-  snap.cpu = cpu_;
   snap.harts = harts_;
   snap.active_hart = active_hart_;
   snap.slice_end = slice_end_;
@@ -203,7 +201,7 @@ void Machine::restore_state(const Snapshot& snap) {
   for (const Hart& hart : harts_) {
     if (hart.res_valid) ++reservations_active_;
   }
-  cpu_ = snap.cpu;
+  cpu_ = harts_[active_hart_].cpu;
   icount_ = snap.icount;
   cycles_ = snap.cycles;
   icache_.restore(snap.icache_tags, snap.icache_misses);
@@ -412,36 +410,29 @@ TranslationBlock* Machine::translate(u32 pc) {
       }
       break;  // fault will be taken when (if) execution reaches it
     }
-    Instr instr;
-    if (isa::is_compressed(static_cast<u16>(*half))) {
-      auto decompressed = isa::decompress(static_cast<u16>(*half));
-      if (!decompressed.ok()) {
-        if (insns.empty()) {
-          take_fetch_trap(kCauseIllegalInstruction, *half);
-          return nullptr;
-        }
-        block->cut_bytes = 2;
-        break;
-      }
-      instr = *decompressed;
-    } else {
+    const bool compressed = isa::is_compressed(static_cast<u16>(*half));
+    u32 bits = *half;
+    bool fetched = true;
+    if (!compressed) {
       auto word = bus_.fetch_word(address);
-      if (!word.ok() || !isa::decoder().try_decode(*word, instr)) {
-        if (insns.empty()) {
-          take_fetch_trap(kCauseIllegalInstruction,
-                          word.ok() ? *word : *half);
-          return nullptr;
-        }
-        block->cut_bytes = 4;
-        break;
-      }
+      fetched = word.ok();
+      if (fetched) bits = *word;
     }
-    insns.push_back(instr);
-    address += instr.length;
-    if (instr.is_control_flow()) break;
+    auto instr = isa::decode_parcel(bits);
+    if (!fetched || !instr.ok()) {
+      if (insns.empty()) {
+        take_fetch_trap(kCauseIllegalInstruction, bits);
+        return nullptr;
+      }
+      block->cut_bytes = compressed ? 2 : 4;
+      break;
+    }
+    insns.push_back(*instr);
+    address += instr->length;
+    if (instr->is_control_flow()) break;
     // WFI must end the block: the timer interrupt it waits for is only
     // delivered at block boundaries.
-    if (instr.op == Op::kWfi) break;
+    if (instr->op == Op::kWfi) break;
   }
   block->byte_size = address - pc;
   lower_block(*block, insns);
@@ -522,19 +513,16 @@ void Machine::take_fetch_trap(u32 cause, u32 tval) {
   }
 }
 
+u32 Machine::mirrored_mip() const noexcept {
+  u32 mip = cpu_.csr.mip & ~(kMipMtip | kMipMsip);
+  if (clint_->timer_pending(active_hart_)) mip |= kMipMtip;
+  if (clint_->software_pending(active_hart_)) mip |= kMipMsip;
+  return mip;
+}
+
 void Machine::check_interrupts() {
   if (clint_ == nullptr) return;
-  // Level-triggered MIP bits mirror the active hart's CLINT banks.
-  if (clint_->timer_pending(active_hart_)) {
-    cpu_.csr.mip |= kMipMtip;
-  } else {
-    cpu_.csr.mip &= ~kMipMtip;
-  }
-  if (clint_->software_pending(active_hart_)) {
-    cpu_.csr.mip |= kMipMsip;
-  } else {
-    cpu_.csr.mip &= ~kMipMsip;
-  }
+  cpu_.csr.mip = mirrored_mip();
   if ((cpu_.csr.mstatus & kMstatusMie) == 0) return;
   const u32 pending = cpu_.csr.mie & cpu_.csr.mip;
   // Architectural priority: software interrupts before timer.
@@ -581,9 +569,7 @@ void Machine::fire_mem_cb(u32 pc, u32 vaddr, u32 value, unsigned size,
 //                  skips the store; the careful loop writes d.link).
 //                  Handlers that can also stop (loads/stores) write d.link
 //                  themselves before returning kNext — a harmless re-store.
-//   kNextSpliced   superblock interior edge continued off the fall-through
-//                  (jal splice, taken-branch splice); the handler set pc.
-//   kTakenStatic / kTakenIndirect / kSideExit / kStop
+//   kTakenStatic / kTakenIndirect / kStop
 //                  the handler set cpu_.pc (for traps: before take_trap, so
 //                  mepc and the trap-callback pc are exact).
 
@@ -749,13 +735,6 @@ struct ExecOps {
     m.cpu_.pc = d.target;
     return O::kTakenStatic;
   }
-  // Superblock splice: the jump continues inline into the spliced target.
-  static O jal_spliced(Machine& m, const DecodedInsn& d) {
-    m.cpu_.write_gpr(d.rd, d.link);
-    m.cycles_ += d.c_taken;
-    m.cpu_.pc = d.target;
-    return O::kNextSpliced;
-  }
   static O jalr(Machine& m, const DecodedInsn& d) {
     const u32 target =
         (m.cpu_.read_gpr(d.rs1) + static_cast<u32>(d.imm)) & ~u32{1};
@@ -765,10 +744,7 @@ struct ExecOps {
     return O::kTakenIndirect;
   }
 
-  // kMode 0: block terminator. kMode 1: spliced fall-through edge (a taken
-  // branch side-exits the superblock). kMode 2: spliced taken edge (the
-  // taken path continues inline; fall-through side-exits).
-  template <typename Cmp, bool kPredictor, int kMode>
+  template <typename Cmp, bool kPredictor>
   static O branch(Machine& m, const DecodedInsn& d) {
     const bool taken = Cmp::eval(m.cpu_.read_gpr(d.rs1), m.cpu_.read_gpr(d.rs2));
     bool penalize = taken;
@@ -778,20 +754,11 @@ struct ExecOps {
       penalize = m.bimodal_.mispredict(d.pc, taken);
     }
     m.cycles_ += penalize ? d.c_taken : d.c_fall;
-    if constexpr (kMode == 2) {
-      if (taken) {
-        m.cpu_.pc = d.target;
-        return O::kNextSpliced;
-      }
-      m.cpu_.pc = d.link;
-      return O::kSideExit;
-    } else {
-      if (taken) {
-        m.cpu_.pc = d.target;
-        return kMode == 1 ? O::kSideExit : O::kTakenStatic;
-      }
-      return O::kNext;
+    if (taken) {
+      m.cpu_.pc = d.target;
+      return O::kTakenStatic;
     }
+    return O::kNext;
   }
 
   template <unsigned kSize, unsigned kSignBits>
@@ -923,15 +890,11 @@ struct ExecOps {
     const bool wants_write =
         is_write_op || (imm_form ? d.rs2 != 0 : d.rs1 != 0);
     if (wants_read && d.csr == isa::kCsrMip && m.clint_ != nullptr) {
-      // Keep MTIP exact at read time in every dispatch mode: the chained
-      // engine ticks devices only at chain exits, and even the careful loop
-      // previously refreshed mip only at block dispatch.
+      // Keep MTIP and MSIP exact at read time in every dispatch mode: the
+      // chained engine ticks devices and polls interrupts only at chain
+      // exits, the careful loop only at block dispatch.
       m.clint_->tick(m.cycles_);
-      if (m.clint_->timer_pending()) {
-        m.cpu_.csr.mip |= kMipMtip;
-      } else {
-        m.cpu_.csr.mip &= ~kMipMtip;
-      }
+      m.cpu_.csr.mip = m.mirrored_mip();
     }
     u32 old_value = 0;
     if (wants_read) {
@@ -1203,27 +1166,8 @@ struct ExecOps {
   }
 
   template <typename Cmp>
-  static ExecHandler pick_branch(bool predictor, int mode) {
-    switch (mode) {
-      case 1:
-        return predictor ? &branch<Cmp, true, 1> : &branch<Cmp, false, 1>;
-      case 2:
-        return predictor ? &branch<Cmp, true, 2> : &branch<Cmp, false, 2>;
-      default:
-        return predictor ? &branch<Cmp, true, 0> : &branch<Cmp, false, 0>;
-    }
-  }
-
-  static ExecHandler branch_variant(Op op, bool predictor, int mode) {
-    switch (op) {
-      case Op::kBeq: return pick_branch<CmpEq>(predictor, mode);
-      case Op::kBne: return pick_branch<CmpNe>(predictor, mode);
-      case Op::kBlt: return pick_branch<CmpLt>(predictor, mode);
-      case Op::kBge: return pick_branch<CmpGe>(predictor, mode);
-      case Op::kBltu: return pick_branch<CmpLtu>(predictor, mode);
-      case Op::kBgeu: return pick_branch<CmpGeu>(predictor, mode);
-      default: return nullptr;
-    }
+  static ExecHandler pick_branch(bool predictor) {
+    return predictor ? &branch<Cmp, true> : &branch<Cmp, false>;
   }
 
   static ExecHandler select(const Instr& in, bool predictor) {
@@ -1232,12 +1176,12 @@ struct ExecOps {
       case Op::kAuipc: return &auipc;
       case Op::kJal: return &jal;
       case Op::kJalr: return &jalr;
-      case Op::kBeq:
-      case Op::kBne:
-      case Op::kBlt:
-      case Op::kBge:
-      case Op::kBltu:
-      case Op::kBgeu: return branch_variant(in.op, predictor, 0);
+      case Op::kBeq: return pick_branch<CmpEq>(predictor);
+      case Op::kBne: return pick_branch<CmpNe>(predictor);
+      case Op::kBlt: return pick_branch<CmpLt>(predictor);
+      case Op::kBge: return pick_branch<CmpGe>(predictor);
+      case Op::kBltu: return pick_branch<CmpLtu>(predictor);
+      case Op::kBgeu: return pick_branch<CmpGeu>(predictor);
       case Op::kLb: return &load<1, 8>;
       case Op::kLh: return &load<2, 16>;
       case Op::kLw: return &load<4, 0>;
@@ -1368,8 +1312,7 @@ Machine::BlockExit Machine::exec_block_fast(TranslationBlock* tb) {
   for (;;) {
     ++icount_;
     const ExecOutcome out = d->fn(*this, *d);
-    if (static_cast<u8>(out) <=
-        static_cast<u8>(ExecOutcome::kNextSpliced)) [[likely]] {
+    if (out == ExecOutcome::kNext) [[likely]] {
       if (++d != end) continue;
       cpu_.pc = tb->fall_pc;
       return BlockExit::kFall;
@@ -1377,7 +1320,6 @@ Machine::BlockExit Machine::exec_block_fast(TranslationBlock* tb) {
     switch (out) {
       case ExecOutcome::kTakenStatic: return BlockExit::kTaken;
       case ExecOutcome::kTakenIndirect: return BlockExit::kIndirect;
-      case ExecOutcome::kSideExit: return BlockExit::kSide;
       default: return BlockExit::kStopped;
     }
   }
@@ -1391,11 +1333,8 @@ void Machine::exec_insns_careful(TranslationBlock* tb, u64 limit) {
     if (icount_ >= icount_cb_at_ && !is_hooked(d)) fire_icount_cbs();
     ++icount_;
     const ExecOutcome out = d.fn(*this, d);
-    if (out == ExecOutcome::kNext) {
-      cpu_.pc = d.link;
-    } else if (out != ExecOutcome::kNextSpliced) {
-      break;  // redirect or stop: the block ends here
-    }
+    if (out != ExecOutcome::kNext) break;  // redirect or stop: block ends
+    cpu_.pc = d.link;
     if (pending_stop_ || tb_maint_pending_) break;
   }
 }
@@ -1438,69 +1377,6 @@ u64 EngineStats::*Machine::careful_reason() const noexcept {
   return &EngineStats::careful_timer;
 }
 
-TranslationBlock* Machine::maybe_form_superblock(TranslationBlock* src,
-                                                 BlockExit ex,
-                                                 TranslationBlock* dst) {
-  if (!config_.enable_superblocks) return dst;
-  // The icache model charges one probe per dispatched block; splicing would
-  // skip interior probes and change modelled cycles, so superblocks form
-  // only with the icache model off.
-  if (icache_.enabled()) return dst;
-  if (src->code.empty() || dst->code.empty()) return dst;
-  if (src->code.size() + dst->code.size() > kMaxSuperblockInsns) return dst;
-
-  const DecodedInsn& terminator = src->code.back();
-  const bool predictor = timing_.params().branch_predictor;
-  const bool terminator_is_branch =
-      isa::op_info(terminator.op).op_class == isa::OpClass::kBranch;
-  ExecHandler spliced_fn = nullptr;
-  if (ex == BlockExit::kTaken) {
-    if (terminator.op == Op::kJal) {
-      spliced_fn = &ExecOps::jal_spliced;
-    } else if (terminator_is_branch) {
-      spliced_fn = ExecOps::branch_variant(terminator.op, predictor, 2);
-    }
-    if (spliced_fn == nullptr) return dst;
-  } else {  // BlockExit::kFall
-    // WFI must stay a block end (interrupt delivery at the boundary).
-    if (terminator.op == Op::kWfi) return dst;
-    if (terminator_is_branch) {
-      spliced_fn = ExecOps::branch_variant(terminator.op, predictor, 1);
-      if (spliced_fn == nullptr) return dst;
-    }
-    // Any other fall-through terminator keeps its handler and flows on.
-  }
-
-  auto sb = std::make_unique<TranslationBlock>();
-  sb->start = src->start;
-  sb->byte_size = src->byte_size;  // entry span; full extent in `ranges`
-  sb->is_superblock = true;
-  sb->fall_pc = dst->fall_pc;
-  sb->taken_pc = dst->taken_pc;
-  sb->code = src->code;
-  // The terminator keeps its hooks (and a spliced block head its tb_exec
-  // mark): callbacks fire inside the superblock as they would at the
-  // careful loop's per-block dispatch.
-  if (spliced_fn != nullptr) {
-    set_hooks(sb->code.back(), spliced_fn, hook_requests(sb->code.back()));
-  }
-  sb->code.insert(sb->code.end(), dst->code.begin(), dst->code.end());
-  const auto append_ranges = [&sb](const TranslationBlock* block) {
-    if (block->is_superblock) {
-      sb->ranges.insert(sb->ranges.end(), block->ranges.begin(),
-                        block->ranges.end());
-    } else {
-      sb->ranges.emplace_back(block->start,
-                              block->source_end() - block->start);
-    }
-  };
-  append_ranges(src);
-  append_ranges(dst);
-  ++estats_.superblocks_formed;
-  tb_cache_.install_superblock(std::move(sb));
-  return nullptr;  // epoch bumped; the caller re-dispatches centrally
-}
-
 void Machine::run_tb_careful(TranslationBlock* tb, u64 limit) {
   ++tb->exec_count;
   count_careful(&EngineStats::careful_boundary);
@@ -1512,7 +1388,6 @@ void Machine::run_chain(u64 limit) {
   const u64 epoch = tb_cache_.chain_epoch();
   TranslationBlock* tb = lookup_or_translate(cpu_.pc);
   if (tb == nullptr) return;  // fetch trap taken (or a stop is pending)
-  if (tb->superblock != nullptr) tb = tb->superblock;
   // From `careful_from` on, instructions run one at a time: the budget ends
   // there, or an armed icount callback must fire between two instructions.
   u64 careful_from = std::min(limit, icount_cb_at_);
@@ -1563,7 +1438,7 @@ void Machine::run_chain(u64 limit) {
   // resume), or after running the block that holds the budget end or the
   // armed icount with exact per-instruction semantics (at least one
   // instruction runs, so exec_count stays truthful).
-  const auto admit = [&](TranslationBlock*& block) {
+  const auto admit = [&](TranslationBlock* block) {
     if (icount_ >= chain_end) [[unlikely]] {
       if (icount_ >= stop_end) return false;  // epoch due (or head stop)
       if (state_repeats()) {
@@ -1574,14 +1449,8 @@ void Machine::run_chain(u64 limit) {
       chain_end = std::min(stop_end, check_at);
     }
     if (block->code.size() > quantum_end - icount_) {
-      if (quantum_end != careful_from) return false;
-      // A superblock holding the careful point gives way to its entry basic
-      // block, which may end before that point and so still run chained.
-      if (block->base != nullptr) block = block->base;
-      if (block->code.size() > quantum_end - icount_) {
-        run_tb_careful(block, limit);
-        return false;
-      }
+      if (quantum_end == careful_from) run_tb_careful(block, limit);
+      return false;
     }
     ++block->exec_count;
     if (icache_.enabled()) probe_icache(block->start);
@@ -1592,7 +1461,7 @@ void Machine::run_chain(u64 limit) {
   for (;;) {
     ++estats_.blocks_fast;
     const BlockExit ex = exec_block_fast(tb);
-    if (ex == BlockExit::kStopped || ex == BlockExit::kSide) return;
+    if (ex == BlockExit::kStopped) return;
     if (tb_maint_pending_ || chain_epoch_recheck_) return;
     if (!config_.enable_chaining) return;  // ablation: per-block dispatch
 
@@ -1613,7 +1482,6 @@ void Machine::run_chain(u64 limit) {
         ++estats_.jump_cache_misses;
         next = lookup_or_translate(next_pc);
         if (next == nullptr || tb_maint_pending_) return;
-        if (next->superblock != nullptr) next = next->superblock;
         jc[1] = jc[0];
         jc[0] = {next_pc, next, epoch};
       }
@@ -1623,15 +1491,10 @@ void Machine::run_chain(u64 limit) {
       if (slot.target != nullptr && slot.epoch == epoch) {
         next = slot.target;
         ++estats_.chain_follows;
-        if (++slot.hot == kSuperblockHotThreshold) {
-          next = maybe_form_superblock(tb, ex, next);
-          if (next == nullptr) return;  // superblock installed: epoch bumped
-        }
       } else {
         next = lookup_or_translate(cpu_.pc);
         if (next == nullptr || tb_maint_pending_) return;
-        if (next->superblock != nullptr) next = next->superblock;
-        slot = ChainSlot{next, epoch, 0};
+        slot = ChainSlot{next, epoch};
         ++estats_.chain_patches;
       }
     }
@@ -1662,9 +1525,7 @@ bool Machine::run_to_block_head(u64 icount) {
 
 bool Machine::quiet_head() const noexcept {
   if (clint_ == nullptr) return true;
-  u32 mip = cpu_.csr.mip & ~(kMipMtip | kMipMsip);
-  if (clint_->timer_pending(active_hart_)) mip |= kMipMtip;
-  if (clint_->software_pending(active_hart_)) mip |= kMipMsip;
+  const u32 mip = mirrored_mip();
   if (mip != cpu_.csr.mip) return false;
   return (cpu_.csr.mstatus & kMstatusMie) == 0 ||
          (cpu_.csr.mie & mip & (kMipMsip | kMipMtip)) == 0;

@@ -31,11 +31,10 @@ struct MachineConfig {
   u32 ram_size = 4u << 20;  // 4 MiB
   TimingParams timing;
   bool enable_tb_cache = true;  // E1 ablation switch
-  // Engine ablation switches (BENCH_emulation.json records the chained vs
+  // Engine ablation switch (BENCH_emulation.json records the chained vs
   // unchained split): chaining links blocks directly so hot code never
-  // returns to central dispatch; superblocks splice hot edges into traces.
+  // returns to central dispatch.
   bool enable_chaining = true;
-  bool enable_superblocks = true;
   u64 max_instructions = 200'000'000;
   bool map_uart = true;
   bool map_clint = true;
@@ -274,10 +273,10 @@ class Machine {
   TbCache& tb_cache() noexcept { return tb_cache_; }
   const TbCache& tb_cache() const noexcept { return tb_cache_; }
 
-  // Execution-engine counters (chain links, jump cache, superblocks,
-  // dispatch mix); cleared by reset() with the other performance counters.
-  // The no-arg form is the active hart's counters (== machine-wide for one
-  // hart); the per-hart form resolves staged vs parked copies like cpu(h).
+  // Execution-engine counters (chain links, jump cache, dispatch mix);
+  // cleared by reset() with the other performance counters. The no-arg form
+  // is the active hart's counters (== machine-wide for one hart); the
+  // per-hart form resolves staged vs parked copies like cpu(h).
   const EngineStats& engine_stats() const noexcept { return estats_; }
   const EngineStats& engine_stats(unsigned hart) const noexcept {
     return hart == active_hart_ ? estats_ : hart_stats_[hart];
@@ -404,7 +403,7 @@ class Machine {
   //            icount-callback or budget boundary.
   // Plugin exec callbacks are lowered into the translated code (hooked
   // instructions, see set_hooks) and fire identically in both modes.
-  enum class BlockExit : u8 { kFall, kTaken, kIndirect, kSide, kStopped };
+  enum class BlockExit : u8 { kFall, kTaken, kIndirect, kStopped };
   bool fast_path_ok() const noexcept;
   // Count one careful block under `reason` (an EngineStats careful_* field).
   void count_careful(u64 EngineStats::*reason) noexcept {
@@ -425,11 +424,6 @@ class Machine {
   void lower_block(TranslationBlock& block,
                    const std::vector<isa::Instr>& insns);
   TranslationBlock* lookup_or_translate(u32 pc);
-  // Splice `dst` onto `src`'s hot exit edge; returns the block to continue
-  // with, or nullptr when a superblock was installed (epoch bumped — the
-  // caller must return to central dispatch).
-  TranslationBlock* maybe_form_superblock(TranslationBlock* src, BlockExit ex,
-                                          TranslationBlock* dst);
   // The careful run of one block from the fast path (budget end or armed
   // icount callback inside it).
   void run_tb_careful(TranslationBlock* tb, u64 limit);
@@ -492,6 +486,9 @@ class Machine {
   // retiring an instruction, so no budget would ever end it.
   void take_fetch_trap(u32 cause, u32 tval);
   void check_interrupts();
+  // mip with its level-triggered MTIP/MSIP bits mirroring the active hart's
+  // CLINT banks (the CLINT must be mapped).
+  u32 mirrored_mip() const noexcept;
   // True when check_interrupts() would change nothing.
   bool quiet_head() const noexcept;
   // The repeated-state check of arm_cycle_stop() at one block head.

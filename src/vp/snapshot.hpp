@@ -141,7 +141,6 @@ struct RamDelta {
 // full images) or Machine::save_rung() (`ram_delta` holds the pages written
 // since `base`, which supplies the rest and must outlive the rung).
 struct Snapshot {
-  CpuState cpu;
   u64 icount = 0;
   u64 cycles = 0;
   u64 icache_misses = 0;
@@ -151,9 +150,8 @@ struct Snapshot {
   const Snapshot* base = nullptr;
   std::vector<RamDelta> ram_delta;
   std::vector<std::vector<u8>> device_state;  // one blob per mapped device
-  // SMP extension: every hart (architectural state + LR/SC reservation) and
-  // the round-robin scheduler position. The legacy `cpu` field stays the
-  // *active* hart's state so single-hart consumers are unchanged.
+  // Every hart (architectural state + LR/SC reservation; the active hart's
+  // is `harts[active_hart]`) and the round-robin scheduler position.
   std::vector<Hart> harts;
   u32 active_hart = 0;
   u64 slice_end = 0;
@@ -170,9 +168,8 @@ struct SnapshotStats {
   u64 pages_saved = 0;    // populated pages copied in across all captures
   u64 pages_copied = 0;   // dirty pages written back across all restores
   u64 pages_total = 0;    // pages a full-RAM restore would copy, summed
-  // Translations (blocks and superblocks) restores dropped because their
-  // source bytes changed; pending TB maintenance a restore applies is not
-  // counted here.
+  // Translation blocks restores dropped because their source bytes
+  // changed; pending TB maintenance a restore applies is not counted here.
   u64 tb_blocks_invalidated = 0;
   // The golden checkpoint ladder: rungs captured, and the pages they copied.
   u64 rungs = 0;

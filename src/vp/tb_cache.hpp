@@ -11,10 +11,11 @@
 // static-branch edges) plus a 2-entry jump cache per indirect exit, patched
 // lazily by the execution engine. Links are severed *logically*, not by
 // walking back-pointers: every slot records the cache's chain epoch at patch
-// time, and any invalidation (flush, invalidate_range, re-insert, superblock
-// replacement) bumps the epoch, making every outstanding link stale in O(1).
-// A stale link is never dereferenced — the epoch is checked first — so block
-// destruction needs no unlinking pass.
+// time, and any invalidation (flush, invalidate_range, re-insert) bumps the
+// epoch, making every outstanding link stale in O(1). A stale link is never
+// dereferenced — the epoch is checked first — so block destruction needs no
+// unlinking pass. Only code changes move the epoch: a run that changes no
+// code severs no chain.
 #pragma once
 
 #include <algorithm>
@@ -32,11 +33,10 @@ namespace s4e::vp {
 struct TranslationBlock;
 
 // A direct chain edge: valid iff `epoch` matches the cache's current chain
-// epoch. `hot` counts follows and triggers superblock formation.
+// epoch.
 struct ChainSlot {
   TranslationBlock* target = nullptr;
   u64 epoch = 0;
-  u32 hot = 0;
 };
 
 struct TranslationBlock {
@@ -47,9 +47,10 @@ struct TranslationBlock {
   // and the code watermark cover [start, source_end()).
   u32 cut_bytes = 0;
   // The lowered threaded form the execution engine actually runs, one entry
-  // per instruction in address order for basic blocks; superblocks splice
-  // several blocks' entries.
+  // per instruction in address order.
   std::vector<DecodedInsn> code;
+  // Times the block was dispatched (chained or careful): an exact
+  // per-basic-block execution count.
   u64 exec_count = 0;
 
   // --- Chaining metadata (engine-owned, see machine.cpp run_chain). ---
@@ -65,17 +66,6 @@ struct TranslationBlock {
     u64 epoch = 0;
   };
   std::array<JumpCacheEntry, 2> jc{};
-  // Hot-trace alias: when set, the fast engine dispatches this superblock
-  // instead of the basic block. Owned by the cache's superblock registry.
-  TranslationBlock* superblock = nullptr;
-  bool is_superblock = false;
-  // A superblock's entry basic block (the one whose `superblock` it is);
-  // both die together, see install_superblock and invalidate_ranges.
-  TranslationBlock* base = nullptr;
-  // Source [address, size) spans a superblock was spliced from, for
-  // invalidate_range overlap checks. Empty for basic blocks (which use
-  // [start, source_end())).
-  std::vector<std::pair<u32, u32>> ranges;
 
   u32 end() const noexcept { return start + byte_size; }
   u32 source_end() const noexcept { return end() + cut_bytes; }
@@ -113,9 +103,8 @@ class TbCache {
     auto& slot = blocks_[raw->start];
     if (slot != nullptr) {
       // Re-inserting at a live pc destroys the old block: sever every link
-      // that may point at it, and drop a superblock built over it. (The
-      // normal paths invalidate first, so this is a defensive rarity.)
-      drop_superblock_at(raw->start);
+      // that may point at it. (The normal paths invalidate first, so this is
+      // a defensive rarity.)
       sever_chains();
     }
     slot = std::move(block);
@@ -125,7 +114,6 @@ class TbCache {
 
   void flush() noexcept {
     blocks_.clear();
-    super_.clear();
     front_.fill(FrontEntry{});
     code_lo_ = ~u32{0};
     code_hi_ = 0;
@@ -137,9 +125,8 @@ class TbCache {
   // patched in that range (a mutant, a code fault) but the rest of the
   // translated code is still valid and stays warm. Returns the number of
   // blocks dropped. The code watermarks stay (conservative: they may only
-  // over-approximate translated code). Superblocks spliced from any
-  // overlapping source range are dropped too, and all chain links are
-  // severed (epoch bump) whenever anything was dropped.
+  // over-approximate translated code). All chain links are severed (epoch
+  // bump) whenever anything was dropped.
   u64 invalidate_range(u32 address, u32 size) noexcept {
     const std::pair<u32, u32> range{address, size};
     return invalidate_ranges({&range, 1});
@@ -177,50 +164,16 @@ class TbCache {
         ++it;
       }
     }
-    for (auto it = super_.begin(); it != super_.end();) {
-      const auto& spans = it->second->ranges;
-      const bool overlap =
-          std::any_of(spans.begin(), spans.end(), [&](const auto& span) {
-            return overlaps(span.first,
-                            static_cast<u64>(span.first) + span.second);
-          });
-      if (overlap) {
-        if (auto base = blocks_.find(it->first); base != blocks_.end()) {
-          base->second->superblock = nullptr;
-        }
-        it = super_.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
     if (dropped != 0) sever_chains();
     invalidated_blocks_ += dropped;
     return dropped;
   }
 
-  // Register a superblock as the fast-dispatch alias of the basic block at
-  // its entry pc, replacing (and destroying) any previous superblock there.
-  // Severs all chains: links into the old superblock die with it, and links
-  // into the entry block get re-resolved to the new superblock on re-patch.
-  TranslationBlock* install_superblock(
-      std::unique_ptr<TranslationBlock> superblock) {
-    TranslationBlock* raw = superblock.get();
-    super_[raw->start] = std::move(superblock);
-    if (auto base = blocks_.find(raw->start); base != blocks_.end()) {
-      base->second->superblock = raw;
-      raw->base = base->second.get();
-    }
-    sever_chains();
-    return raw;
-  }
-
-  // Visit every live basic block and superblock (the engine re-lowers their
-  // exec-callback hooks in place when plugin subscriptions change).
+  // Visit every live block (the engine re-lowers their exec-callback hooks
+  // in place when plugin subscriptions change).
   template <typename Visit>
   void for_each_block(Visit&& visit) {
     for (auto& entry : blocks_) visit(*entry.second);
-    for (auto& entry : super_) visit(*entry.second);
   }
 
   // Conservative self-modification check: true if [address, address+size)
@@ -243,7 +196,6 @@ class TbCache {
   u64 chain_epoch() const noexcept { return chain_epoch_; }
 
   std::size_t size() const noexcept { return blocks_.size(); }
-  std::size_t superblock_count() const noexcept { return super_.size(); }
   u64 flush_count() const noexcept { return flush_count_; }
   u64 invalidated_blocks() const noexcept { return invalidated_blocks_; }
   u64 chain_severs() const noexcept { return chain_severs_; }
@@ -263,21 +215,7 @@ class TbCache {
     return (pc >> 1) & (kFrontEntries - 1);
   }
 
-  void drop_superblock_at(u32 pc) noexcept {
-    if (super_.empty()) return;
-    if (auto it = super_.find(pc); it != super_.end()) {
-      if (auto base = blocks_.find(pc); base != blocks_.end()) {
-        base->second->superblock = nullptr;
-      }
-      super_.erase(it);
-    }
-  }
-
   std::unordered_map<u32, std::unique_ptr<TranslationBlock>> blocks_;
-  // Superblocks live outside `blocks_`: lookup() must keep returning the
-  // basic block (exact per-block semantics for the careful loop); only the
-  // fast engine follows the `superblock` alias.
-  std::unordered_map<u32, std::unique_ptr<TranslationBlock>> super_;
   std::array<FrontEntry, kFrontEntries> front_{};
   u32 code_lo_ = ~u32{0};
   u32 code_hi_ = 0;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/bits.hpp"
@@ -159,6 +160,20 @@ TEST(Strings, ParseIntegerHexBinary) {
   EXPECT_EQ(*parse_integer("0xFF"), 255);
   EXPECT_EQ(*parse_integer("0b101"), 5);
   EXPECT_EQ(*parse_integer("-0x10"), -16);
+}
+
+TEST(Strings, ParseIntegerTakesTheWholeInt64Range) {
+  EXPECT_EQ(*parse_integer("20261016000048"), 20261016000048);
+  EXPECT_EQ(*parse_integer("9223372036854775807"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(*parse_integer("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(*parse_integer("0x7fffffffffffffff"),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_FALSE(parse_integer("9223372036854775808").ok());
+  EXPECT_FALSE(parse_integer("-9223372036854775809").ok());
+  EXPECT_FALSE(parse_integer("0x8000000000000000").ok());
+  EXPECT_FALSE(parse_integer("99999999999999999999999").ok());
 }
 
 TEST(Strings, ParseIntegerRejectsGarbage) {

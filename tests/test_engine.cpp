@@ -11,7 +11,7 @@
 //   E-R3  snapshot-restore with live chains replays to the same final state
 //   E-C1  the engine counters move the way the design says they must
 //   E-I1  the one-shot icount callback fires exactly once, at the exact
-//         instruction, in fast and careful modes and inside a superblock
+//         instruction, in fast and careful modes and inside a warm block
 //   E-I2  it never fires when the budget ends first, does not outlive
 //         WorkerVm::prepare, and never stalls a run
 //   E-I3  a range invalidation from the callback keeps unrelated blocks warm
@@ -54,8 +54,7 @@ std::vector<testgen::GeneratedProgram> programs_for_seed(u64 seed,
 }
 
 // A call-heavy hot loop: exercises fall-through chains, the taken-edge
-// chain (bnez), the indirect jump cache (ret), and — at 2000 iterations —
-// superblock formation (threshold 64).
+// chain (bnez) and the indirect jump cache (ret), 2000 times over.
 const char* kCallLoop = R"(
 _start:
     li s0, 0
@@ -137,7 +136,6 @@ void force_careful(vp::Machine& machine) {
 vp::MachineConfig unchained_config() {
   vp::MachineConfig config;
   config.enable_chaining = false;
-  config.enable_superblocks = false;
   return config;
 }
 
@@ -161,14 +159,14 @@ void expect_same_state(vp::Machine& a, vp::Machine& b,
 class EngineTortureSeed : public ::testing::TestWithParam<u64> {};
 
 // E-P1 — the strongest engine property: over generated torture programs,
-// full chaining + superblocks produces *exactly* what per-block dispatch
-// produces, down to the cycle count and the final data-memory hash.
+// chained dispatch produces *exactly* what per-block dispatch produces,
+// down to the cycle count and the final data-memory hash.
 TEST_P(EngineTortureSeed, ChainedAndUnchainedBitIdentical) {
   for (const auto& test : programs_for_seed(GetParam(), 3)) {
     auto program = assembler::assemble(test.source);
     ASSERT_TRUE(program.ok()) << test.name;
 
-    vp::Machine chained;  // default config: chaining + superblocks on
+    vp::Machine chained;  // default config: chaining on
     ASSERT_TRUE(chained.load_program(*program).ok());
     const auto chained_result = chained.run();
 
@@ -178,15 +176,6 @@ TEST_P(EngineTortureSeed, ChainedAndUnchainedBitIdentical) {
 
     expect_same_state(chained, unchained, chained_result, unchained_result,
                       *program, test.name);
-
-    // Middle ablation point: chaining without superblocks.
-    vp::MachineConfig no_super;
-    no_super.enable_superblocks = false;
-    vp::Machine chain_only(no_super);
-    ASSERT_TRUE(chain_only.load_program(*program).ok());
-    const auto chain_only_result = chain_only.run();
-    expect_same_state(chained, chain_only, chained_result, chain_only_result,
-                      *program, test.name + " (no superblocks)");
   }
 }
 
@@ -301,28 +290,35 @@ TEST(EngineChaining, SnapshotRestoreWithLiveChains) {
 }
 
 // E-C1 — the counters must reflect the mechanisms: a hot call loop patches
-// chains, rides them, hits the jump cache on `ret`, and crosses the
-// superblock threshold; the unchained ablation does none of that.
+// chains, rides them and hits the jump cache on `ret`, and, changing no
+// code, severs no chain; the unchained ablation does none of that.
 TEST(EngineCounters, HotLoopExercisesEveryMechanism) {
   const assembler::Program program = assemble_or_die(kCallLoop);
 
   vp::Machine chained;
   ASSERT_TRUE(chained.load_program(program).ok());
+  // Construction and load_program each flush the (empty) cache.
+  const u64 severs_before_run = chained.tb_cache().chain_severs();
   ASSERT_EQ(chained.run().reason, vp::StopReason::kExitEcall);
   const vp::EngineStats& stats = chained.engine_stats();
   EXPECT_GT(stats.blocks_fast, 0u);
   EXPECT_GT(stats.chain_patches, 0u);
   EXPECT_GT(stats.chain_follows, stats.chain_patches);
   EXPECT_GT(stats.jump_cache_hits, 0u);
-  EXPECT_GT(stats.superblocks_formed, 0u);
-  EXPECT_GT(chained.tb_cache().superblock_count(), 0u);
+  EXPECT_EQ(chained.tb_cache().chain_severs() - severs_before_run, 0u);
+  // One block head is one dispatch: the blocks' execution counts sum to
+  // the blocks the engine ran.
+  u64 executions = 0;
+  chained.tb_cache().for_each_block([&](const vp::TranslationBlock& block) {
+    executions += block.exec_count;
+  });
+  EXPECT_EQ(executions, stats.blocks_fast + stats.blocks_careful);
 
   vp::Machine unchained(unchained_config());
   ASSERT_TRUE(unchained.load_program(program).ok());
   ASSERT_EQ(unchained.run().reason, vp::StopReason::kExitEcall);
   EXPECT_EQ(unchained.engine_stats().chain_patches, 0u);
   EXPECT_EQ(unchained.engine_stats().jump_cache_hits, 0u);
-  EXPECT_EQ(unchained.engine_stats().superblocks_formed, 0u);
   EXPECT_GT(unchained.engine_stats().blocks_fast, 0u);
 
   // A per-instruction plugin keeps the chained path: its callbacks are
@@ -340,7 +336,7 @@ TEST(EngineCounters, HotLoopExercisesEveryMechanism) {
   EXPECT_EQ(calls, run.instructions);
   EXPECT_GT(instrumented.engine_stats().blocks_fast, 0u);
   EXPECT_EQ(instrumented.engine_stats().blocks_careful, 0u);
-  EXPECT_GT(instrumented.engine_stats().superblocks_formed, 0u);
+  EXPECT_GT(instrumented.engine_stats().chain_follows, 0u);
 
   // Debug state forces the careful loop — the fast-block counter must stay
   // frozen while careful dispatch takes over.
@@ -511,30 +507,27 @@ TEST(IcountCallback, FiresOnceAtExactInstructionFastAndCareful) {
           // the chain boundary and the run stays chained.
           EXPECT_EQ(machine.engine_stats().blocks_careful, 0u) << label;
         } else {
-          // The block holding the armed count runs carefully — plus, at
-          // most, a superblock before it whose full length overhangs the
-          // count but which side-exits first.
-          EXPECT_GE(machine.engine_stats().blocks_careful, 1u) << label;
-          EXPECT_LE(machine.engine_stats().blocks_careful, 2u) << label;
+          // The block holding the armed count runs carefully.
+          EXPECT_EQ(machine.engine_stats().blocks_careful, 1u) << label;
         }
       }
     }
   }
 }
 
-// E-I1 — armed in the middle of a hot superblock: the spliced trace is
+// E-I1 — armed in the middle of a warm chained block: that one block is
 // executed one instruction at a time up to the exact instruction.
-TEST(IcountCallback, FiresInsideSuperblock) {
+TEST(IcountCallback, FiresMidWarmChainedBlock) {
   const assembler::Program program = assemble_or_die(kCallLoop);
   const std::vector<u32> pcs = profile_golden({}, program).pcs;
   vp::Machine machine;
   ASSERT_TRUE(machine.load_program(program).ok());
   ASSERT_EQ(machine.run_slice(3000).reason, vp::StopReason::kDebugSlice);
-  ASSERT_GT(machine.tb_cache().superblock_count(), 0u);
+  ASSERT_GT(machine.engine_stats().chain_follows, 0u);
 
-  // The second `addi s0, s0, 1` of `bump` sits mid-trace once `call bump`
-  // and the callee are spliced together.
+  // The second `addi s0, s0, 1` of `bump`, mid-way through its block.
   const u32 interior = find_word(machine, program.entry, 0x00140413u) + 4;
+  ASSERT_NE(machine.tb_cache().lookup(interior - 4), nullptr);
   u64 at = machine.icount() + 100;
   while (pcs[at] != interior) ++at;
 
@@ -550,21 +543,20 @@ TEST(IcountCallback, FiresInsideSuperblock) {
   EXPECT_EQ(done.instructions, pcs.size());
 }
 
-// A count at the head of a block spliced into a superblock: the superblock
-// gives way to its entry basic block, which runs chained up to the count,
-// so the count fires at a chain boundary and no block runs carefully.
-TEST(IcountCallback, FiresAtSplicedBlockHeadWithoutCarefulBlock) {
+// A count at the head of a warm block: the chain runs up to it, the count
+// fires at a chain boundary, and no block runs carefully.
+TEST(IcountCallback, FiresAtWarmBlockHeadWithoutCarefulBlock) {
   const assembler::Program program = assemble_or_die(kCallLoop);
   const std::vector<u32> pcs = profile_golden({}, program).pcs;
   vp::Machine machine;
   ASSERT_TRUE(machine.load_program(program).ok());
   ASSERT_EQ(machine.run_slice(3000).reason, vp::StopReason::kDebugSlice);
-  ASSERT_GT(machine.tb_cache().superblock_count(), 0u);
+  ASSERT_GT(machine.engine_stats().chain_follows, 0u);
 
-  // `call bump` and the callee are spliced together: `bump` is the head of
-  // the second block of that superblock.
+  // `bump`, the callee, heads its own warm block.
   const auto bump = program.symbol("bump");
   ASSERT_TRUE(bump.ok());
+  ASSERT_NE(machine.tb_cache().lookup(*bump), nullptr);
   u64 at = machine.icount() + 100;
   while (pcs[at] != *bump) ++at;
 
@@ -652,8 +644,7 @@ TEST(IcountCallback, RangeInvalidationKeepsUnrelatedBlocksWarm) {
   const vp::TranslationBlock* entry_block =
       machine.tb_cache().lookup(program.entry);
   ASSERT_NE(entry_block, nullptr);
-  const std::size_t warm =
-      machine.tb_cache().size() + machine.tb_cache().superblock_count();
+  const std::size_t warm = machine.tb_cache().size();
   const u64 flushes = machine.tb_cache().flush_count();
   const u64 invalidated = machine.tb_cache().invalidated_blocks();
 
@@ -1372,7 +1363,7 @@ std::vector<OracleSubject> oracle_subjects() {
            false});
     }
   }
-  // Hot enough to splice superblocks; timer interrupts and their traps.
+  // Long chains and the jump cache; timer interrupts and their traps.
   subjects.push_back({"call_loop", kCallLoop, true});
   subjects.push_back({"timer_loop", kTimerLoop, false});
   return subjects;
@@ -1412,18 +1403,15 @@ Counts pick_counts(const assembler::Program& program) {
 }
 
 // E-O1 — chained vs breakpoint-forced careful execution, over every
-// single-hart workload and torture programs, RV32C on and off, superblocks
-// on and off, chaining on and off, an icount event at a block head and
+// single-hart workload and torture programs, RV32C on and off, chaining
+// on and off, an icount event at a block head and
 // inside a block, and a callback that stops the run or flushes the TB
 // cache mid-block: identical callback streams.
 TEST(CallbackStream, ChainedMatchesCareful) {
-  vp::MachineConfig superblocks;
-  vp::MachineConfig chained_only;
-  chained_only.enable_superblocks = false;
-  const vp::MachineConfig engines[] = {superblocks, chained_only,
+  const vp::MachineConfig engines[] = {vp::MachineConfig{},
                                        unchained_config()};
   u64 fast_blocks = 0;
-  u64 superblocks_formed = 0;
+  u64 chain_follows = 0;
   for (const OracleSubject& subject : oracle_subjects()) {
     for (const bool compress : {false, true}) {
       assembler::Options options;
@@ -1459,19 +1447,19 @@ TEST(CallbackStream, ChainedMatchesCareful) {
           EXPECT_EQ(chained.result.cycles, careful.result.cycles) << label;
           EXPECT_EQ(careful.stats.blocks_fast, 0u) << label;
           // Only the icount event's block (and an armed timer) is careful.
-          EXPECT_LE(chained.stats.careful_boundary, 2u) << label;
+          EXPECT_LE(chained.stats.careful_boundary, 1u) << label;
           EXPECT_EQ(chained.stats.blocks_careful,
                     chained.stats.careful_boundary +
                         chained.stats.careful_timer)
               << label;
           fast_blocks += chained.stats.blocks_fast;
-          superblocks_formed += chained.stats.superblocks_formed;
+          chain_follows += chained.stats.chain_follows;
         }
       }
     }
   }
   EXPECT_GT(fast_blocks, 0u);
-  EXPECT_GT(superblocks_formed, 0u);
+  EXPECT_GT(chain_follows, 0u);
 }
 
 // E-O1 — the observers built on requested callbacks: the trace recorder's

@@ -619,8 +619,7 @@ TEST_F(Fleet, CraftedCheckpointNeverAborts) {
            fingerprint + "\n" + records + format("{\"commit\":%u}\n", shard);
   };
   const char* negative = "\"begin\":-1,\"end\":-1,\"total\":-1";
-  // 2^40, the largest integer the field parser takes: far more records
-  // than memory holds.
+  // 2^40: far more records than memory holds.
   const char* huge =
       "\"begin\":0,\"end\":1099511627776,\"total\":1099511627776";
   const std::string one_record =

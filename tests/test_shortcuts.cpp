@@ -136,18 +136,44 @@ void expect_rungs_resume_as_full_runs(const std::string& source,
   }
 }
 
-TEST(CampaignShortcuts, RungsResumeAsFullRuns) {
-  for (const char* name : {"sieve", "lock_ctrl", "pid"}) {
-    expect_rungs_resume_as_full_runs(core::find_workload(name)->source, name);
-  }
-  // MSIP turns pending with mie clear: mip shows it only after the next
-  // interrupt check, which a chained full run does not reach before the
-  // read. A rung after the store would run that check early.
+// Raises MSIP with mie clear, runs on, then exits with the mip it reads.
+std::string msip_read_source() {
   std::string source =
       "_start:\n    li t0, 0x02000000\n    li t1, 1\n    sw t1, 0(t0)\n";
   for (int i = 0; i < 90; ++i) source += "    addi t2, t2, 1\n";
   source += "    csrr a0, mip\n    li a7, 93\n    ecall\n";
-  expect_rungs_resume_as_full_runs(source, "msip");
+  return source;
+}
+
+TEST(CampaignShortcuts, RungsResumeAsFullRuns) {
+  for (const char* name : {"sieve", "lock_ctrl", "pid"}) {
+    expect_rungs_resume_as_full_runs(core::find_workload(name)->source, name);
+  }
+  // MSIP turns pending with no interrupt check between the store and the
+  // read in a chained full run; a rung after the store would run one.
+  expect_rungs_resume_as_full_runs(msip_read_source(), "msip");
+}
+
+// A mip read shows MSIP wherever the engine last returned to central
+// dispatch: chained from icount 0, resumed from any rung, or resumed after
+// a stop at any instruction.
+TEST(CampaignShortcuts, MipReadsMsipFromEveryStart) {
+  const auto program = assemble_or_die(msip_read_source());
+  vp::Machine fresh;
+  ASSERT_TRUE(fresh.load_program(program).ok());
+  const vp::RunResult want = fresh.run();
+  ASSERT_EQ(want.reason, vp::StopReason::kExitEcall) << want.detail;
+  EXPECT_EQ(want.exit_code, 8);  // MSIP
+  auto vm = vp::WorkerVm::create(vp::MachineConfig{}, program,
+                                 want.instructions);
+  ASSERT_TRUE(vm.ok());
+  for (u64 start = 0; start < want.instructions; ++start) {
+    EXPECT_EQ((*vm)->prepare(start).run().exit_code, 8) << "rung " << start;
+    vp::Machine split;
+    ASSERT_TRUE(split.load_program(program).ok());
+    split.run(start);
+    EXPECT_EQ(split.run().exit_code, 8) << "stop at " << start;
+  }
 }
 
 // --- Every shortcut against the fresh-machine oracle.

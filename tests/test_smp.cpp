@@ -471,6 +471,38 @@ handler:
   EXPECT_EQ(result.hart, 1u);
 }
 
+TEST(SmpClint, MipReadShowsOnlyTheReadingHartsTimer) {
+  // Hart 0's mtimecmp has passed, hart 1's never does: hart 1 reads mip
+  // with MTIP clear (mie is clear, so no interrupt is taken).
+  Machine machine(smp_config(2));
+  ASSERT_TRUE(machine
+                  .load_program(assemble_or_die(R"(
+.equ CLINT, 0x2000000
+_start:
+    csrr t2, mhartid
+    bnez t2, hart1
+    li t3, CLINT + 0x4000
+    sw zero, 0(t3)
+    sw zero, 4(t3)      # mtimecmp[0] = 0
+spin0:
+    j spin0
+hart1:
+    li t4, 200
+delay:
+    addi t4, t4, -1
+    bnez t4, delay
+    csrr a0, mip
+    li a7, 93
+    ecall
+)"))
+                  .ok());
+  const RunResult result = machine.run();
+  ASSERT_EQ(result.reason, StopReason::kExitEcall) << result.detail;
+  EXPECT_EQ(result.hart, 1u);
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(machine.clint()->timer_pending(0));
+}
+
 TEST(SmpClint, BankedRegistersResetAndRoundTrip) {
   vp::Clint clint;
   // Per-hart addressing: msip[h] at 4*h, mtimecmp[h] at 0x4000 + 8*h.

@@ -541,7 +541,10 @@ TEST(RestorePrecision, MutationPatchDropsOnlyTheBlocksOverIt) {
   ASSERT_TRUE(vm.ok());
   const RunObservation first = observe_run((*vm)->prepare(), program);
   const TbCache& cache = (*vm)->machine().tb_cache();
-  ASSERT_EQ(cache.superblock_count(), 2u);  // one per hot loop
+  // _start (running into loop1), loop1, the block running into loop2,
+  // loop2, and the exit block.
+  const std::size_t blocks = cache.size();
+  ASSERT_EQ(blocks, 5u);
 
   // addi a0, a0, 2 -> addi a0, a0, 3 at loop2 (immediate in bits 31:20).
   mutation::Mutant mutant;
@@ -554,17 +557,17 @@ TEST(RestorePrecision, MutationPatchDropsOnlyTheBlocksOverIt) {
   auto killed = model.run_one(machine, mutant, *golden);
   ASSERT_TRUE(killed.ok());
   EXPECT_EQ(killed->verdict, mutation::Verdict::kKilledResult);
-  // The patch dropped the translations over it: the fall-through block
-  // that runs into loop2, loop2's own block and loop2's superblock. The
-  // mutant run built their patched twins again.
-  ASSERT_EQ(cache.invalidated_blocks() - dropped_before, 3u);
-  ASSERT_EQ(cache.superblock_count(), 2u);
+  // The patch dropped the two blocks over it: the fall-through block that
+  // runs into loop2 and loop2's own block. The mutant run built their
+  // patched twins again.
+  ASSERT_EQ(cache.invalidated_blocks() - dropped_before, 2u);
+  ASSERT_EQ(cache.size(), blocks);
 
   // The restore puts back the original addi and the `out` word: it drops
-  // the three patched translations and nothing else.
+  // the two patched blocks and nothing else.
   (*vm)->prepare();
-  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 3u);
-  EXPECT_EQ(cache.superblock_count(), 1u);
+  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 2u);
+  EXPECT_EQ(cache.size(), blocks - 2);
   EXPECT_NE((*vm)->machine().tb_cache().lookup(program.entry), nullptr);
   EXPECT_NE((*vm)->machine().tb_cache().lookup(loop1), nullptr);
   EXPECT_EQ((*vm)->machine().tb_cache().lookup(loop2), nullptr);

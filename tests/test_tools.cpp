@@ -409,6 +409,25 @@ TEST(ToolFlags, BadOrMissingValueIsRejected) {
   std::remove(elf_path.c_str());
 }
 
+// --seed takes every value it declares (0..2^63-1), and only those.
+TEST(ToolFlags, SeedTakesTheWholeDeclaredRange) {
+  const std::string elf_path = temp_path("tools_seed.elf");
+  ASSERT_EQ(run_command(tool("s4e-as") + " --workload bubble_sort -o " +
+                        elf_path)
+                .exit_code,
+            0);
+  const auto big = run_command(tool("s4e-faultsim") + " " + elf_path +
+                               " --mutants 5 --seed 20261016000048");
+  EXPECT_EQ(big.exit_code, 0) << big.output;
+  const auto past = run_command(tool("s4e-faultsim") + " " + elf_path +
+                                " --mutants 5 --seed 9223372036854775808");
+  EXPECT_EQ(past.exit_code, 2) << past.output;
+  EXPECT_NE(past.output.find("s4e-faultsim: --seed expects"),
+            std::string::npos)
+      << past.output;
+  std::remove(elf_path.c_str());
+}
+
 TEST(ToolFlags, EveryToolRejectsUnknownFlags) {
   for (const char* name : kAllTools) {
     auto result = run_command(tool(name) + " --no-such-flag-zz");

@@ -8,7 +8,6 @@
 
 #include "cfg/cfg.hpp"
 #include "elf/elf32.hpp"
-#include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/rvc.hpp"
 #include "tools/tool_util.hpp"
@@ -72,29 +71,23 @@ int main(int argc, char** argv) {
     }
     auto half = program->read_half(address);
     if (!half.ok()) break;
-    if (isa::is_compressed(static_cast<u16>(*half))) {
-      auto instr = isa::decompress(static_cast<u16>(*half));
-      if (instr.ok()) {
-        std::printf("  %08x:  %04x      %s\n", address,
-                    static_cast<u16>(*half),
-                    isa::disassemble_at(*instr, address).c_str());
-      } else {
-        std::printf("  %08x:  %04x      .half\n", address,
-                    static_cast<u16>(*half));
-      }
-      offset += 2;
-      continue;
+    const bool compressed = isa::is_compressed(static_cast<u16>(*half));
+    u32 bits = *half;
+    if (!compressed) {
+      auto word = program->read_word(address);
+      if (!word.ok()) break;
+      bits = *word;
     }
-    auto word = program->read_word(address);
-    if (!word.ok()) break;
-    auto instr = isa::decoder().decode(*word);
-    if (instr.ok()) {
-      std::printf("  %08x:  %08x  %s\n", address, *word,
-                  isa::disassemble_at(*instr, address).c_str());
-    } else {
-      std::printf("  %08x:  %08x  .word\n", address, *word);
-    }
-    offset += 4;
+    auto instr = isa::decode_parcel(bits);
+    const std::string text =
+        instr.ok() ? isa::disassemble_at(*instr, address)
+                   : (compressed ? ".half" : ".word");
+    // The encoding column is 10 wide: 4 hex digits for a parcel, 8 for a
+    // word.
+    std::printf("  %08x:  %-10s%s\n", address,
+                format("%0*x", compressed ? 4 : 8, bits).c_str(),
+                text.c_str());
+    offset += compressed ? 2 : 4;
   }
   return tools::finish_stdout("s4e-objdump");
 }

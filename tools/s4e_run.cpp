@@ -246,9 +246,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(es.jump_cache_hits),
                 static_cast<unsigned long long>(es.jump_cache_misses),
                 rate(es.jump_cache_hits, es.jump_cache_misses));
-    std::printf("superblk : %llu formed, %zu live\n",
-                static_cast<unsigned long long>(es.superblocks_formed),
-                tc.superblock_count());
     std::printf("tb-front : %llu front hits, %llu deep hits, %llu misses "
                 "(%.1f%% front)\n",
                 static_cast<unsigned long long>(tc.front_hits()),
