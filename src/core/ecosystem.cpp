@@ -15,13 +15,10 @@ Result<RunOutcome> Ecosystem::run(const assembler::Program& program,
                                   const std::string& uart_input) const {
   vp::Machine machine(machine_config_);
   S4E_TRY_STATUS(machine.load_program(program));
-  if (!uart_input.empty() && machine.uart() != nullptr) {
-    machine.uart()->push_rx(uart_input);
-  }
+  if (!uart_input.empty()) machine.uart()->push_rx(uart_input);
   RunOutcome outcome;
   outcome.result = machine.run();
-  outcome.uart_output =
-      machine.uart() != nullptr ? machine.uart()->tx_log() : "";
+  outcome.uart_output = machine.uart()->tx_log();
   return outcome;
 }
 
@@ -44,8 +41,7 @@ Result<Ecosystem::QtaOutcome> Ecosystem::run_qta(
 
   QtaOutcome outcome;
   outcome.run.result = machine.run();
-  outcome.run.uart_output =
-      machine.uart() != nullptr ? machine.uart()->tx_log() : "";
+  outcome.run.uart_output = machine.uart()->tx_log();
   outcome.report = plugin.report(outcome.run.result.cycles);
   outcome.analysis = std::move(analysis);
   return outcome;

@@ -16,13 +16,16 @@ constexpr int kSigTrap = 5;
 // SIGINT for Ctrl-C interrupts.
 constexpr int kSigInt = 2;
 
-// Parse "ADDR,LEN" (both hex). Returns false on malformed input.
+// Parse "ADDR,LEN" (both hex). Returns false on malformed input or a value
+// past 32 bits.
 bool parse_addr_len(std::string_view text, u32& address, u32& length) {
   const std::size_t comma = text.find(',');
   if (comma == std::string_view::npos) return false;
   const auto addr = parse_hex(text.substr(0, comma));
   const auto len = parse_hex(text.substr(comma + 1));
-  if (!addr || !len) return false;
+  if (!addr || !len || *addr > 0xffff'ffff || *len > 0xffff'ffff) {
+    return false;
+  }
   address = static_cast<u32>(*addr);
   length = static_cast<u32>(*len);
   return true;

@@ -1,6 +1,7 @@
 #include "debug/target.hpp"
 
 #include "common/hex.hpp"
+#include "common/strings.hpp"
 #include "vp/bus.hpp"
 
 namespace s4e::debug {
@@ -63,6 +64,12 @@ bool DebugTarget::write_register(unsigned hart, unsigned regnum, u32 value) {
 
 Status DebugTarget::read_memory(u32 address, u32 length,
                                 std::string& hex_out) const {
+  // Range first: `length` comes from the client, so no buffer is sized by
+  // it before the bus accepts it.
+  if (!machine_.bus().is_ram(address, length)) {
+    return Error(ErrorCode::kOutOfRange,
+                 format("RAM read outside RAM at 0x%08x", address));
+  }
   std::vector<u8> bytes(length);
   S4E_TRY_STATUS(machine_.bus().ram_read(address, bytes.data(), length));
   hex_out = to_hex(bytes.data(), bytes.size());

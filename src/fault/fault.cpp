@@ -308,9 +308,8 @@ Result<MutantResult> FaultModel::run_one(vp::Machine& machine,
   mutant.exit_code = run.exit_code;
   mutant.instructions = run.instructions;
   mutant.outcome = classify(
-      run, machine.uart() != nullptr ? machine.uart()->tx_log() : "",
-      vp::data_memory_hash(machine, program_), golden,
-      config_.compare_memory);
+      run, machine.uart()->tx_log(), vp::data_memory_hash(machine, program_),
+      golden, config_.compare_memory);
   if (recorder != nullptr && (mutant.outcome == Outcome::kHang ||
                               mutant.outcome == Outcome::kCrash)) {
     mutant.post_mortem = recorder->post_mortem(config_.post_mortem_events);

@@ -279,7 +279,7 @@ Result<MutantResult> MutationModel::run_one(
   } else if (!run.normal_exit()) {
     result.verdict = Verdict::kKilledCrash;
   } else if (run.exit_code != golden.result.exit_code ||
-             (vm.uart() != nullptr && vm.uart()->tx_log() != golden.uart)) {
+             vm.uart()->tx_log() != golden.uart) {
     result.verdict = Verdict::kKilledResult;
   } else {
     result.verdict = Verdict::kSurvived;

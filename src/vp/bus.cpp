@@ -36,16 +36,14 @@ void append_changed_runs(const u8* live, const u8* image, u32 size, u32 base,
 
 }  // namespace
 
-void Bus::add_ram(u32 base, u32 size) {
-  S4E_CHECK_MSG(size > 0, "RAM region must be non-empty");
-  RamRegion region;
-  region.base = base;
-  region.bytes = PageBuffer(size);
-  const std::size_t pages = (size + kRamPageBytes - 1) / kRamPageBytes;
-  region.dirty.assign((pages + 63) / 64, 0);
-  region.populated.assign(region.dirty.size(), 0);
-  region.basis.assign(region.dirty.size(), 0);
-  ram_.push_back(std::move(region));
+Bus::Bus(u32 ram_base, u32 ram_size)
+    : ram_base_(ram_base), ram_size_(ram_size), ram_(ram_size) {
+  S4E_CHECK_MSG(ram_size > 0, "RAM must be non-empty");
+  S4E_CHECK_MSG(u64{ram_base} + ram_size <= (u64{1} << 32),
+                "RAM must end at or below 2^32");
+  dirty_.assign((ram_pages() + 63) / 64, 0);
+  populated_.assign(dirty_.size(), 0);
+  basis_.assign(dirty_.size(), 0);
 }
 
 void Bus::add_device(u32 base, u32 size, std::unique_ptr<Device> device) {
@@ -53,23 +51,18 @@ void Bus::add_device(u32 base, u32 size, std::unique_ptr<Device> device) {
   devices_.push_back(DeviceMapping{base, size, std::move(device)});
 }
 
-Bus::RamRegion* Bus::find_ram(u32 address, u32 size) noexcept {
-  for (auto& region : ram_) {
-    if (address >= region.base && address + size <= region.end() &&
-        address + size >= address) {
-      return &region;
-    }
+u32 Bus::load(u32 address, unsigned size) const noexcept {
+  const u32 offset = address - ram_base_;
+  u32 value = 0;
+  for (unsigned i = 0; i < size; ++i) {
+    value |= static_cast<u32>(ram_[offset + i]) << (8 * i);
   }
-  return nullptr;
-}
-
-const Bus::RamRegion* Bus::find_ram(u32 address, u32 size) const noexcept {
-  return const_cast<Bus*>(this)->find_ram(address, size);
+  return value;
 }
 
 Bus::DeviceMapping* Bus::find_device(u32 address) noexcept {
   for (auto& mapping : devices_) {
-    if (address >= mapping.base && address < mapping.base + mapping.size) {
+    if (address - mapping.base < mapping.size) {
       return &mapping;
     }
   }
@@ -77,14 +70,7 @@ Bus::DeviceMapping* Bus::find_device(u32 address) noexcept {
 }
 
 Result<BusRead> Bus::read(u32 address, unsigned size) {
-  if (RamRegion* region = find_ram(address, size)) {
-    const std::size_t offset = address - region->base;
-    u32 value = 0;
-    for (unsigned i = 0; i < size; ++i) {
-      value |= static_cast<u32>(region->bytes[offset + i]) << (8 * i);
-    }
-    return BusRead{value, false};
-  }
+  if (is_ram(address, size)) return BusRead{load(address, size), false};
   if (DeviceMapping* mapping = find_device(address)) {
     if (address % size != 0) {
       return Error(ErrorCode::kInvalidArgument,
@@ -98,12 +84,12 @@ Result<BusRead> Bus::read(u32 address, unsigned size) {
 }
 
 Result<bool> Bus::write(u32 address, unsigned size, u32 value) {
-  if (RamRegion* region = find_ram(address, size)) {
-    const std::size_t offset = address - region->base;
+  if (is_ram(address, size)) {
+    const u32 offset = address - ram_base_;
     for (unsigned i = 0; i < size; ++i) {
-      region->bytes[offset + i] = static_cast<u8>(value >> (8 * i));
+      ram_[offset + i] = static_cast<u8>(value >> (8 * i));
     }
-    region->mark_dirty(offset, size);
+    mark_dirty(offset, size);
     return false;
   }
   if (DeviceMapping* mapping = find_device(address)) {
@@ -119,59 +105,34 @@ Result<bool> Bus::write(u32 address, unsigned size, u32 value) {
 }
 
 Result<u32> Bus::fetch_word(u32 address) {
-  if (const RamRegion* region = find_ram(address, 4)) {
-    const std::size_t offset = address - region->base;
-    u32 value = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-      value |= static_cast<u32>(region->bytes[offset + i]) << (8 * i);
-    }
-    return value;
-  }
+  if (is_ram(address, 4)) return load(address, 4);
   return Error(ErrorCode::kOutOfRange,
                format("instruction access fault at 0x%08x", address));
 }
 
 Result<u32> Bus::fetch_half(u32 address) {
-  if (const RamRegion* region = find_ram(address, 2)) {
-    const std::size_t offset = address - region->base;
-    return static_cast<u32>(region->bytes[offset]) |
-           (static_cast<u32>(region->bytes[offset + 1]) << 8);
-  }
+  if (is_ram(address, 2)) return load(address, 2);
   return Error(ErrorCode::kOutOfRange,
                format("instruction access fault at 0x%08x", address));
 }
 
 Status Bus::ram_read(u32 address, void* buffer, u32 size) const {
-  const RamRegion* region = find_ram(address, size);
-  if (region == nullptr) {
+  if (!is_ram(address, size)) {
     return Error(ErrorCode::kOutOfRange,
                  format("RAM read outside RAM at 0x%08x", address));
   }
-  std::memcpy(buffer, region->bytes.data() + (address - region->base), size);
+  std::memcpy(buffer, ram_.data() + (address - ram_base_), size);
   return Status();
 }
 
 Status Bus::ram_write(u32 address, const void* buffer, u32 size) {
-  RamRegion* region = find_ram(address, size);
-  if (region == nullptr) {
+  if (!is_ram(address, size)) {
     return Error(ErrorCode::kOutOfRange,
                  format("RAM write outside RAM at 0x%08x", address));
   }
-  std::memcpy(region->bytes.data() + (address - region->base), buffer, size);
-  if (size > 0) region->mark_dirty(address - region->base, size);
+  std::memcpy(ram_.data() + (address - ram_base_), buffer, size);
+  if (size > 0) mark_dirty(address - ram_base_, size);
   return Status();
-}
-
-bool Bus::is_ram(u32 address, u32 size) const noexcept {
-  return find_ram(address, size) != nullptr;
-}
-
-Bus::RamWindow Bus::ram_window(u32 address) noexcept {
-  if (RamRegion* region = find_ram(address, 1)) {
-    return RamWindow{region->bytes.data(), region->dirty.data(), region->base,
-                     static_cast<u32>(region->bytes.size())};
-  }
-  return RamWindow{};
 }
 
 void Bus::tick(u64 now) {
@@ -182,147 +143,105 @@ void Bus::reset_devices() {
   for (auto& mapping : devices_) mapping.device->reset();
 }
 
-u64 Bus::ram_snapshot(std::vector<RamImage>& images) {
-  images.clear();
-  images.reserve(ram_.size());
+u64 Bus::ram_snapshot(RamImage& image) {
+  image.bytes = PageBuffer(ram_size_);
   u64 copied = 0;
-  for (auto& region : ram_) {
-    RamImage image;
-    image.base = region.base;
-    image.bytes = PageBuffer(region.bytes.size());
-    for (std::size_t word = 0; word < region.dirty.size(); ++word) {
-      region.populated[word] |= region.dirty[word];
-      region.dirty[word] = 0;
-      region.basis[word] = 0;
-      u64 bits = region.populated[word];
-      while (bits != 0) {
-        const std::size_t offset =
-            (word * 64 + static_cast<unsigned>(std::countr_zero(bits))) *
-            kRamPageBytes;
-        bits &= bits - 1;
-        const std::size_t size =
-            std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
-        std::memcpy(image.bytes.data() + offset, region.bytes.data() + offset,
-                    size);
-        ++copied;
-      }
+  for (std::size_t word = 0; word < dirty_.size(); ++word) {
+    populated_[word] |= dirty_[word];
+    dirty_[word] = 0;
+    basis_[word] = 0;
+    u64 bits = populated_[word];
+    while (bits != 0) {
+      const std::size_t offset =
+          (word * 64 + static_cast<unsigned>(std::countr_zero(bits))) *
+          kRamPageBytes;
+      bits &= bits - 1;
+      std::memcpy(image.bytes.data() + offset, ram_.data() + offset,
+                  page_bytes(offset));
+      ++copied;
     }
-    images.push_back(std::move(image));
   }
   return copied;
 }
 
-u64 Bus::ram_restore(const std::vector<RamImage>& images,
-                     const std::vector<RamDelta>* delta,
+u64 Bus::ram_restore(const RamImage& image, const RamDelta* delta,
                      std::pair<u32, u32> watch,
                      std::vector<std::pair<u32, u32>>& changed) {
-  S4E_CHECK_MSG(images.size() == ram_.size() &&
-                    (delta == nullptr || delta->size() == ram_.size()),
+  S4E_CHECK_MSG(image.bytes.size() == ram_size_,
                 "RAM restore from a foreign snapshot");
   u64 copied = 0;
-  for (std::size_t r = 0; r < ram_.size(); ++r) {
-    RamRegion& region = ram_[r];
-    const RamImage& image = images[r];
-    S4E_CHECK_MSG(image.base == region.base &&
-                      image.bytes.size() == region.bytes.size(),
-                  "RAM restore shape mismatch");
-    const RamDelta* pages_of = delta != nullptr ? &(*delta)[r] : nullptr;
-    std::size_t slot = 0;  // cursor into pages_of->pages (ascending)
-    const std::size_t pages =
-        (region.bytes.size() + kRamPageBytes - 1) / kRamPageBytes;
-    for (std::size_t word = 0; word < region.dirty.size(); ++word) {
-      const u64 own = pages_of != nullptr ? pages_of->bitmap[word] : 0;
-      u64 bits = region.dirty[word] | region.basis[word] | own;
-      while (bits != 0) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t page = word * 64 + bit;
-        if (page >= pages) break;
-        const std::size_t offset = page * kRamPageBytes;
-        const std::size_t size =
-            std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
-        const u8* source = image.bytes.data() + offset;
-        if (((own >> bit) & 1) != 0) {
-          while (pages_of->pages[slot] < page) ++slot;
-          source = pages_of->bytes.data() + slot * kRamPageBytes;
-        }
-        const u64 page_lo = u64{region.base} + offset;
-        const u64 lo = std::max<u64>(page_lo, watch.first);
-        const u64 hi = std::min<u64>(page_lo + size, watch.second);
-        if (lo < hi) {
-          const std::size_t at = static_cast<std::size_t>(lo - page_lo);
-          append_changed_runs(region.bytes.data() + offset + at, source + at,
-                              static_cast<u32>(hi - lo),
-                              static_cast<u32>(lo), changed);
-        }
-        std::memcpy(region.bytes.data() + offset, source, size);
-        ++copied;
+  std::size_t slot = 0;  // cursor into delta->pages (ascending)
+  const u64 pages = ram_pages();
+  for (std::size_t word = 0; word < dirty_.size(); ++word) {
+    const u64 own = delta != nullptr ? delta->bitmap[word] : 0;
+    u64 bits = dirty_[word] | basis_[word] | own;
+    while (bits != 0) {
+      const unsigned bit = static_cast<unsigned>(std::countr_zero(bits));
+      bits &= bits - 1;
+      const std::size_t page = word * 64 + bit;
+      if (page >= pages) break;
+      const std::size_t offset = page * kRamPageBytes;
+      const u32 size = page_bytes(offset);
+      const u8* source = image.bytes.data() + offset;
+      if (((own >> bit) & 1) != 0) {
+        while (delta->pages[slot] < page) ++slot;
+        source = delta->bytes.data() + slot * kRamPageBytes;
       }
-      region.populated[word] |= region.dirty[word];
-      region.dirty[word] = 0;
-      region.basis[word] = own;
+      const u64 page_lo = u64{ram_base_} + offset;
+      const u64 lo = std::max<u64>(page_lo, watch.first);
+      const u64 hi = std::min<u64>(page_lo + size, watch.second);
+      if (lo < hi) {
+        const std::size_t at = static_cast<std::size_t>(lo - page_lo);
+        append_changed_runs(ram_.data() + offset + at, source + at,
+                            static_cast<u32>(hi - lo), static_cast<u32>(lo),
+                            changed);
+      }
+      std::memcpy(ram_.data() + offset, source, size);
+      ++copied;
     }
+    populated_[word] |= dirty_[word];
+    dirty_[word] = 0;
+    basis_[word] = own;
   }
-  if (ram_.size() > 1) std::sort(changed.begin(), changed.end());
   return copied;
 }
 
-u64 Bus::ram_capture(std::vector<RamDelta>& deltas, bool with_basis) const {
-  deltas.resize(ram_.size());
+u64 Bus::ram_capture(RamDelta& delta, bool with_basis) const {
+  delta.bitmap.assign(dirty_.size(), 0);
+  delta.pages.clear();
+  delta.bytes.clear();
+  const u64 pages = ram_pages();
   u64 copied = 0;
-  for (std::size_t r = 0; r < ram_.size(); ++r) {
-    const RamRegion& region = ram_[r];
-    RamDelta& delta = deltas[r];
-    delta.bitmap.assign(region.dirty.size(), 0);
-    delta.pages.clear();
-    delta.bytes.clear();
-    for (std::size_t word = 0; word < region.dirty.size(); ++word) {
-      u64 bits = region.dirty[word] | (with_basis ? region.basis[word] : 0);
-      delta.bitmap[word] = bits;
-      while (bits != 0) {
-        const std::size_t page =
-            word * 64 + static_cast<unsigned>(std::countr_zero(bits));
-        bits &= bits - 1;
-        const std::size_t offset = page * kRamPageBytes;
-        if (offset >= region.bytes.size()) break;
-        const std::size_t size =
-            std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
-        delta.pages.push_back(static_cast<u32>(page));
-        delta.bytes.resize(delta.bytes.size() + kRamPageBytes);
-        std::memcpy(delta.bytes.data() + delta.bytes.size() - kRamPageBytes,
-                    region.bytes.data() + offset, size);
-        ++copied;
-      }
+  for (std::size_t word = 0; word < dirty_.size(); ++word) {
+    u64 bits = dirty_[word] | (with_basis ? basis_[word] : 0);
+    delta.bitmap[word] = bits;
+    while (bits != 0) {
+      const std::size_t page =
+          word * 64 + static_cast<unsigned>(std::countr_zero(bits));
+      bits &= bits - 1;
+      if (page >= pages) break;
+      const std::size_t offset = page * kRamPageBytes;
+      delta.pages.push_back(static_cast<u32>(page));
+      delta.bytes.resize(delta.bytes.size() + kRamPageBytes);
+      std::memcpy(delta.bytes.data() + delta.bytes.size() - kRamPageBytes,
+                  ram_.data() + offset, page_bytes(offset));
+      ++copied;
     }
   }
   return copied;
 }
 
-bool Bus::ram_matches(const std::vector<RamDelta>& deltas) const {
-  if (deltas.size() != ram_.size()) return false;
-  for (std::size_t r = 0; r < ram_.size(); ++r) {
-    const RamRegion& region = ram_[r];
-    const RamDelta& delta = deltas[r];
-    if (delta.bitmap != region.dirty) return false;
-    for (std::size_t slot = 0; slot < delta.pages.size(); ++slot) {
-      const std::size_t offset = std::size_t{delta.pages[slot]} * kRamPageBytes;
-      const std::size_t size =
-          std::min<std::size_t>(kRamPageBytes, region.bytes.size() - offset);
-      if (std::memcmp(region.bytes.data() + offset,
-                      delta.bytes.data() + slot * kRamPageBytes, size) != 0) {
-        return false;
-      }
+bool Bus::ram_matches(const RamDelta& delta) const {
+  if (delta.bitmap != dirty_) return false;
+  for (std::size_t slot = 0; slot < delta.pages.size(); ++slot) {
+    const std::size_t offset = std::size_t{delta.pages[slot]} * kRamPageBytes;
+    if (std::memcmp(ram_.data() + offset,
+                    delta.bytes.data() + slot * kRamPageBytes,
+                    page_bytes(offset)) != 0) {
+      return false;
     }
   }
   return true;
-}
-
-u64 Bus::ram_pages() const noexcept {
-  u64 pages = 0;
-  for (const auto& region : ram_) {
-    pages += (region.bytes.size() + kRamPageBytes - 1) / kRamPageBytes;
-  }
-  return pages;
 }
 
 void Bus::save_device_state(std::vector<std::vector<u8>>& blobs) const {

@@ -37,7 +37,9 @@ std::string_view to_string(StopReason reason) noexcept {
 }
 
 Machine::Machine(const MachineConfig& config)
-    : config_(config), timing_(config.timing) {
+    : config_(config),
+      timing_(config.timing),
+      bus_(config.ram_base, config.ram_size) {
   num_harts_ = std::clamp(config_.num_harts, 1u, Clint::kMaxHarts);
   config_.num_harts = num_harts_;
   if (config_.smp_slice_quantum == 0) config_.smp_slice_quantum = 1;
@@ -45,42 +47,29 @@ Machine::Machine(const MachineConfig& config)
   harts_.resize(num_harts_);
   hart_stats_.resize(num_harts_);
   hart_icount_.resize(num_harts_);
-  bus_.add_ram(config_.ram_base, config_.ram_size);
-  if (config_.map_uart) {
-    auto uart = std::make_unique<Uart>();
-    uart_ = uart.get();
-    bus_.add_device(Uart::kDefaultBase, Uart::kWindowSize, std::move(uart));
-  }
-  if (config_.map_clint) {
-    auto clint = std::make_unique<Clint>();
-    clint_ = clint.get();
-    bus_.add_device(Clint::kDefaultBase, Clint::kWindowSize, std::move(clint));
-  }
-  if (config_.map_gpio) {
-    auto gpio = std::make_unique<Gpio>();
-    gpio_ = gpio.get();
-    bus_.add_device(Gpio::kDefaultBase, Gpio::kWindowSize, std::move(gpio));
-  }
-  if (config_.map_testdev) {
-    auto testdev = std::make_unique<TestDevice>([this](int code) {
-      if (!pending_stop_) {
-        pending_stop_ = PendingStop{StopReason::kExitTestDevice, code, 0, ""};
-      }
-    });
-    bus_.add_device(TestDevice::kDefaultBase, TestDevice::kWindowSize,
-                    std::move(testdev));
-  }
+  auto uart = std::make_unique<Uart>();
+  uart_ = uart.get();
+  bus_.add_device(Uart::kDefaultBase, Uart::kWindowSize, std::move(uart));
+  auto clint = std::make_unique<Clint>();
+  clint_ = clint.get();
+  bus_.add_device(Clint::kDefaultBase, Clint::kWindowSize, std::move(clint));
+  auto gpio = std::make_unique<Gpio>();
+  gpio_ = gpio.get();
+  bus_.add_device(Gpio::kDefaultBase, Gpio::kWindowSize, std::move(gpio));
+  bus_.add_device(TestDevice::kDefaultBase, TestDevice::kWindowSize,
+                  std::make_unique<TestDevice>([this](int code) {
+                    if (!pending_stop_) {
+                      pending_stop_ = PendingStop{StopReason::kExitTestDevice,
+                                                  code, 0, ""};
+                    }
+                  }));
   vm_handle_ = std::make_unique<s4e_vm>(s4e_vm{this});
-  refresh_ram_window();
-  reset();
-}
-
-void Machine::refresh_ram_window() noexcept {
-  const Bus::RamWindow window = bus_.ram_window(config_.ram_base);
+  const Bus::RamWindow window = bus_.ram_window();
   ram_data_ = window.data;
   ram_dirty_ = window.dirty;
   ram_base_ = window.base;
   ram_size_ = window.size;
+  reset();
 }
 
 Machine::~Machine() = default;
@@ -157,7 +146,7 @@ void Machine::clear_remote_reservations(u32 address, unsigned size) noexcept {
 void Machine::save_state(Snapshot& snap) {
   save_core(snap);
   snap.base = nullptr;
-  snap.ram_delta.clear();
+  snap.ram_delta = RamDelta{};
   snap_stats_.pages_saved += bus_.ram_snapshot(snap.ram);
   ++snap_stats_.snapshots;
 }
@@ -167,7 +156,7 @@ void Machine::save_rung(Snapshot& snap, const Snapshot& base) {
                 "a rung needs a full snapshot as its base");
   save_core(snap);
   snap.base = &base;
-  snap.ram.clear();
+  snap.ram = RamImage{};
   snap_stats_.rung_pages += bus_.ram_capture(snap.ram_delta, true);
   ++snap_stats_.rungs;
 }
@@ -249,13 +238,12 @@ bool Machine::force_gpr_bit(unsigned hart, unsigned reg, unsigned bit,
 }
 
 bool Machine::force_mem_bit(u32 address, unsigned bit, bool value) {
-  const Bus::RamWindow window = bus_.ram_window(address);
-  if (bit > 7 || window.data == nullptr) return false;  // not RAM
+  if (bit > 7 || !bus_.is_ram(address, 1)) return false;
   if (forced_mem_.byte != nullptr && forced_mem_.address != address) {
     return false;
   }
   const u8 mask = static_cast<u8>(1u << bit);
-  forced_mem_.byte = window.data + (address - window.base);
+  forced_mem_.byte = ram_data_ + (address - ram_base_);
   forced_mem_.address = address;
   forced_mem_.keep = static_cast<u8>(forced_mem_.keep & ~mask);
   forced_mem_.set = static_cast<u8>(value ? (forced_mem_.set | mask)
@@ -521,7 +509,6 @@ u32 Machine::mirrored_mip() const noexcept {
 }
 
 void Machine::check_interrupts() {
-  if (clint_ == nullptr) return;
   cpu_.csr.mip = mirrored_mip();
   if ((cpu_.csr.mstatus & kMstatusMie) == 0) return;
   const u32 pending = cpu_.csr.mie & cpu_.csr.mip;
@@ -889,7 +876,7 @@ struct ExecOps {
     const bool wants_read = !is_write_op || d.rd != 0;
     const bool wants_write =
         is_write_op || (imm_form ? d.rs2 != 0 : d.rs1 != 0);
-    if (wants_read && d.csr == isa::kCsrMip && m.clint_ != nullptr) {
+    if (wants_read && d.csr == isa::kCsrMip) {
       // Keep MTIP and MSIP exact at read time in every dispatch mode: the
       // chained engine ticks devices and polls interrupts only at chain
       // exits, the careful loop only at block dispatch.
@@ -982,7 +969,7 @@ struct ExecOps {
       m.chain_epoch_recheck_ = true;
       return O::kNext;
     }
-    if ((m.cpu_.csr.mie & kMieMtie) != 0 && m.clint_ != nullptr &&
+    if ((m.cpu_.csr.mie & kMieMtie) != 0 &&
         m.clint_->mtimecmp() != ~u64{0}) {
       // Sleep until the timer fires: fast-forward modelled time.
       if (m.cycles_ < m.clint_->mtimecmp()) m.cycles_ = m.clint_->mtimecmp();
@@ -1367,8 +1354,7 @@ bool Machine::fast_path_ok() const noexcept {
   // lowered into the translated code and memory callbacks fire from the
   // slow load/store handlers, identically in both modes.
   return config_.enable_tb_cache && !debug_check_ &&
-         !(clint_ != nullptr &&
-           (cpu_.csr.mie & (kMieMtie | kMieMsie)) != 0);
+         (cpu_.csr.mie & (kMieMtie | kMieMsie)) == 0;
 }
 
 u64 EngineStats::*Machine::careful_reason() const noexcept {
@@ -1524,7 +1510,6 @@ bool Machine::run_to_block_head(u64 icount) {
 }
 
 bool Machine::quiet_head() const noexcept {
-  if (clint_ == nullptr) return true;
   const u32 mip = mirrored_mip();
   if (mip != cpu_.csr.mip) return false;
   return (cpu_.csr.mstatus & kMstatusMie) == 0 ||
@@ -1546,7 +1531,7 @@ void Machine::take_cycle_reference() {
 }
 
 bool Machine::state_repeats() {
-  if (clint_ != nullptr && (cpu_.csr.mie & (kMieMtie | kMieMsie)) != 0) {
+  if ((cpu_.csr.mie & (kMieMtie | kMieMsie)) != 0) {
     ++unseen_inputs_;  // an armed interrupt arrives with time
   }
   CycleWatch& w = cycle_;
@@ -1792,10 +1777,7 @@ void Machine::fire_icount_cbs() {
 
 void Machine::apply_tb_maintenance() {
   if (tb_flush_all_) {
-    // Nothing translated since the last flush (a plugin's attach-time
-    // flush on a fresh machine): nothing to drop, and no flush counted.
-    const auto [lo, hi] = tb_cache_.code_extent();
-    if (lo < hi) tb_cache_.flush();
+    tb_cache_.flush();
   } else {
     for (const auto& [address, size] : tb_invalidations_) {
       tb_cache_.invalidate_range(address, size);

@@ -36,10 +36,6 @@ struct MachineConfig {
   // returns to central dispatch.
   bool enable_chaining = true;
   u64 max_instructions = 200'000'000;
-  bool map_uart = true;
-  bool map_clint = true;
-  bool map_testdev = true;
-  bool map_gpio = true;
   // SMP: number of harts (clamped to [1, Clint::kMaxHarts]). Harts execute
   // deterministic round-robin slices of `smp_slice_quantum` instructions on
   // the single global icount/cycle timeline — a fixed quantum makes the
@@ -318,6 +314,7 @@ class Machine {
     }
   }
 
+  // The SoC's devices (always mapped; see vp/bus.hpp for the map).
   Uart* uart() noexcept { return uart_; }
   Clint* clint() noexcept { return clint_; }
   Gpio* gpio() noexcept { return gpio_; }
@@ -460,7 +457,6 @@ class Machine {
   // in the careful order: tb_exec at a block head, a due icount callback,
   // then insn_exec (whole-run subscribers, then requests).
   void fire_insn_hooks(const DecodedInsn& d, u64 requests);
-  void refresh_ram_window() noexcept;
   void update_mem_slow() noexcept {
     mem_slow_ = !mem_cbs_.empty() || !watchpoints_.empty();
   }
@@ -551,8 +547,8 @@ class Machine {
   // True while loads/stores must take the slow path even for RAM (memory
   // callbacks or watchpoints registered); kept in sync by update_mem_slow().
   bool mem_slow_ = false;
-  // Cached view of the primary RAM region for the inline load/store fast
-  // path (stable for the machine's lifetime; see Bus::ram_window).
+  // Cached view of RAM for the inline load/store fast path (stable for the
+  // machine's lifetime; see Bus::ram_window).
   u8* ram_data_ = nullptr;
   u64* ram_dirty_ = nullptr;
   u32 ram_base_ = 0;
@@ -603,7 +599,7 @@ class Machine {
     CsrFile csr;
     bool res_valid = false;
     u32 res_addr = 0;
-    std::vector<RamDelta> ram;  // pages written since the restore
+    RamDelta ram;  // pages written since the restore
     void disarm() noexcept {
       armed = false;
       has_ref = false;

@@ -13,12 +13,11 @@ namespace s4e::vp {
 u64 data_memory_hash(Machine& machine, const assembler::Program& program) {
   const assembler::Section* data = program.find_section(".data");
   if (data == nullptr || data->bytes.empty()) return 0;
-  // Hashed in place: .data must lie wholly inside one RAM region.
-  const Bus::RamWindow window = machine.bus().ram_window(data->base);
-  if (window.data == nullptr) return 0;
-  const u64 offset = u64{data->base} - window.base;
-  if (offset + data->bytes.size() > window.size) return 0;
-  return fnv1a(window.data + offset, data->bytes.size());
+  // Hashed in place: .data must lie wholly inside RAM.
+  const Bus::RamWindow ram = machine.bus().ram_window();
+  const u32 offset = data->base - ram.base;
+  if (offset >= ram.size || data->bytes.size() > ram.size - offset) return 0;
+  return fnv1a(ram.data + offset, data->bytes.size());
 }
 
 u64 hang_budget(u64 golden_instructions, u64 factor,
@@ -136,8 +135,7 @@ struct GoldenRecorder {
     if ((instr.info().op_class == isa::OpClass::kCsr &&
          isa::csr_reads_time(insn->csr)) ||
         instr.op == isa::Op::kWfi ||
-        (machine.clint() != nullptr &&
-         (machine.cpu().csr.mie & (kMieMtie | kMieMsie)) != 0)) {
+        (machine.cpu().csr.mie & (kMieMtie | kMieMsie)) != 0) {
       self->reads_time(index);
     }
   }
@@ -176,7 +174,7 @@ Result<GoldenRun> run_golden(Machine& machine,
                  "golden run did not terminate normally: " +
                      std::string(to_string(golden.result.reason)));
   }
-  golden.uart = machine.uart() != nullptr ? machine.uart()->tx_log() : "";
+  golden.uart = machine.uart()->tx_log();
   golden.memory_hash = data_memory_hash(machine, program);
   const auto sorted = [](std::vector<u32>& list) {
     std::sort(list.begin(), list.end());

@@ -20,7 +20,7 @@ namespace s4e::vp {
 
 // FNV-1a over the program's final .data contents in `machine`'s RAM — the
 // deep-state comparison surface of the campaign engines. 0 when the program
-// has no .data section (or it does not lie wholly inside one RAM region).
+// has no .data section (or it does not lie wholly inside RAM).
 u64 data_memory_hash(Machine& machine, const assembler::Program& program);
 
 // Instruction budget for one mutant run: `golden_instructions * factor`

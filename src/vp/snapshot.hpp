@@ -2,19 +2,19 @@
 //
 // A Snapshot captures complete machine state: hart (GPRs/PC/CSRs), cycle
 // and instret counters, microarchitectural model state (icache tags, branch
-// predictor), RAM images, and one opaque blob per mapped device. Both
-// directions cost what the program touched, not the configured RAM size:
-// the bus maintains a per-page dirty bitmap on its RAM write path, folded
-// into a `populated` bitmap (every page written since construction) at each
-// capture and restore. A capture copies only the populated pages into a
-// lazily zeroed image (vp/page_buffer.hpp) — every other page is known to be
-// zero — and a restore copies back only the dirty pages. Campaign engines
-// snapshot once per worker and restore per mutant, keeping the translation-
-// block cache warm across runs.
+// predictor), an image of the bus's one RAM, and one opaque blob per mapped
+// device. Both directions cost what the program touched, not the configured
+// RAM size: the bus maintains a per-page dirty bitmap on its RAM write path,
+// folded into a `populated` bitmap (every page written since construction)
+// at each capture and restore. A capture copies only the populated pages
+// into a lazily zeroed image (vp/page_buffer.hpp) — every other page is
+// known to be zero — and a restore copies back only the dirty pages.
+// Campaign engines snapshot once per worker and restore per mutant, keeping
+// the translation-block cache warm across runs.
 //
 // A *rung* (Machine::save_rung) is a snapshot taken later on the same run
 // as a full one, its `base`: it holds only the pages written since the base
-// (RamDelta), and reads every other page from the base's images. A worker
+// (RamDelta), and reads every other page from the base's image. A worker
 // keeps a ladder of rungs along the golden run, so a transient fault starts
 // at the rung below its trigger instead of re-running the golden prefix. A
 // restore to a different snapshot than the last one copies every page that
@@ -46,7 +46,7 @@
 
 namespace s4e::vp {
 
-// Dirty-tracking granule of the bus RAM regions. Small enough that a short
+// Dirty-tracking granule of the bus RAM. Small enough that a short
 // mutant run touching a few stack/data words restores in a handful of page
 // copies, large enough to keep the bitmap negligible (4 MiB -> 4096 bits).
 inline constexpr u32 kRamPageBytes = 1024;
@@ -121,16 +121,15 @@ class StateReader {
   std::size_t pos_ = 0;
 };
 
-// Image of one bus RAM region at snapshot time: the region's populated
-// pages are copied in, every other page reads as zero.
+// Image of the bus RAM at snapshot time: its populated pages are copied
+// in, every other page reads as zero.
 struct RamImage {
-  u32 base = 0;
   PageBuffer bytes;
 };
 
-// The pages of one bus RAM region a rung holds: those written since its
-// base snapshot, as a bitmap (one bit per kRamPageBytes page) and as their
-// contents, kRamPageBytes per page in page order.
+// The RAM pages a rung holds: those written since its base snapshot, as a
+// bitmap (one bit per kRamPageBytes page) and as their contents,
+// kRamPageBytes per page in page order.
 struct RamDelta {
   std::vector<u64> bitmap;
   std::vector<u32> pages;
@@ -138,17 +137,18 @@ struct RamDelta {
 };
 
 // Complete machine state captured by Machine::save_state() (`ram` holds
-// full images) or Machine::save_rung() (`ram_delta` holds the pages written
-// since `base`, which supplies the rest and must outlive the rung).
+// the full image) or Machine::save_rung() (`ram_delta` holds the pages
+// written since `base`, which supplies the rest and must outlive the
+// rung).
 struct Snapshot {
   u64 icount = 0;
   u64 cycles = 0;
   u64 icache_misses = 0;
   std::vector<u32> icache_tags;
   std::array<u8, kBimodalEntries> bimodal{};
-  std::vector<RamImage> ram;
+  RamImage ram;
   const Snapshot* base = nullptr;
-  std::vector<RamDelta> ram_delta;
+  RamDelta ram_delta;
   std::vector<std::vector<u8>> device_state;  // one blob per mapped device
   // Every hart (architectural state + LR/SC reservation; the active hart's
   // is `harts[active_hart]`) and the round-robin scheduler position.

@@ -112,13 +112,18 @@ class TbCache {
     return raw;
   }
 
+  // Drop every block. Counted as a flush, and severing every chain, only
+  // when there was a block to drop: an empty cache holds no link.
   void flush() noexcept {
+    const bool dropped = !blocks_.empty();
     blocks_.clear();
     front_.fill(FrontEntry{});
     code_lo_ = ~u32{0};
     code_hi_ = 0;
-    ++flush_count_;
-    sever_chains();
+    if (dropped) {
+      ++flush_count_;
+      sever_chains();
+    }
   }
 
   // Drop only the blocks overlapping [address, address+size) — code was

@@ -2,6 +2,8 @@
 // devices, the CSR file and the TB cache.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "vp/bus.hpp"
 #include "vp/cpu.hpp"
 #include "vp/devices/clint.hpp"
@@ -14,8 +16,7 @@ namespace s4e::vp {
 namespace {
 
 Bus make_bus() {
-  Bus bus;
-  bus.add_ram(0x8000'0000, 0x1000);
+  Bus bus(0x8000'0000, 0x1000);
   bus.add_device(Uart::kDefaultBase, Uart::kWindowSize,
                  std::make_unique<Uart>());
   return bus;
@@ -76,6 +77,71 @@ TEST(Bus, FetchRequiresRam) {
   EXPECT_TRUE(bus.fetch_half(0x8000'0ffe).ok());
   EXPECT_FALSE(bus.fetch_word(Uart::kDefaultBase).ok());
   EXPECT_FALSE(bus.fetch_half(0x8000'0fff).ok());
+}
+
+// Accesses at the end of RAM through every bus path: the last 1-4 bytes
+// are accepted, a range straddling the end or wrapping past 2^32 is
+// refused. The second bus's RAM ends exactly at 2^32. Only the direct RAM
+// paths take sizes above 4.
+struct EdgeAccess {
+  u32 ram_base;
+  u32 ram_size;
+  u32 address;
+  u32 size;
+  bool accepted;
+};
+
+constexpr EdgeAccess kEdgeAccesses[] = {
+    {0x8000'0000, 0x1000, 0x8000'0fff, 1, true},
+    {0x8000'0000, 0x1000, 0x8000'0ffe, 2, true},
+    {0x8000'0000, 0x1000, 0x8000'0ffc, 4, true},
+    {0x8000'0000, 0x1000, 0x8000'0ffe, 4, false},  // straddles the end
+    {0x8000'0000, 0x1000, 0x8000'0fff, 2, false},
+    {0x8000'0000, 0x1000, 0x7fff'fffe, 4, false},  // straddles the base
+    {0x8000'0000, 0x1000, 0xffff'fffe, 4, false},  // wraps past 2^32
+    {0x8000'0000, 0x1000, 0x8000'0010, 0xffff'fff8, false},  // size wraps
+    {0x8000'0000, 0x1000, 0x8000'0000, 0x1001, false},  // larger than RAM
+    {0x8000'0000, 0x1000, 0x8000'0000, 0x1000, true},   // all of RAM
+    {0x8000'0000, 0x8000'0000, 0xffff'ffff, 1, true},
+    {0x8000'0000, 0x8000'0000, 0xffff'fffe, 2, true},
+    {0x8000'0000, 0x8000'0000, 0xffff'fffc, 4, true},
+    {0x8000'0000, 0x8000'0000, 0x8000'0000, 4, true},
+    {0x8000'0000, 0x8000'0000, 0xffff'fffe, 4, false},  // wraps past 2^32
+    {0x8000'0000, 0x8000'0000, 0xffff'ffff, 2, false},
+    {0x8000'0000, 0x8000'0000, 0x7fff'ffff, 2, false},  // straddles the base
+};
+
+TEST(Bus, RamEdgeAccessesAcceptedOrRefused) {
+  for (const EdgeAccess& row : kEdgeAccesses) {
+    SCOPED_TRACE(testing::Message()
+                 << std::hex << "RAM 0x" << row.ram_base << "+0x"
+                 << row.ram_size << ", access 0x" << row.address << " size "
+                 << std::dec << row.size);
+    Bus bus(row.ram_base, row.ram_size);
+    EXPECT_EQ(bus.is_ram(row.address, row.size), row.accepted);
+    std::vector<u8> bytes(row.accepted ? row.size : 4, 0x5a);
+    std::vector<u8> back(bytes.size());
+    EXPECT_EQ(bus.ram_write(row.address, bytes.data(), row.size).ok(),
+              row.accepted);
+    EXPECT_EQ(bus.ram_read(row.address, back.data(), row.size).ok(),
+              row.accepted);
+    EXPECT_EQ(back == bytes, row.accepted);
+    if (row.size > 4) continue;
+    const u32 mask = row.size == 4 ? ~0u : (1u << (8 * row.size)) - 1;
+    const u32 value = 0x11223344u & mask;
+    EXPECT_EQ(bus.write(row.address, row.size, value).ok(), row.accepted);
+    const auto read = bus.read(row.address, row.size);
+    ASSERT_EQ(read.ok(), row.accepted);
+    if (row.accepted) {
+      EXPECT_EQ(read->value, value);
+    }
+    if (row.size == 2) {
+      EXPECT_EQ(bus.fetch_half(row.address).ok(), row.accepted);
+    }
+    if (row.size == 4) {
+      EXPECT_EQ(bus.fetch_word(row.address).ok(), row.accepted);
+    }
+  }
 }
 
 TEST(Uart, TxAccumulatesAndCounts) {
@@ -244,6 +310,11 @@ TEST(TbCache, InsertLookupFlush) {
   EXPECT_EQ(cache.lookup(0x8000'0000), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.flush_count(), 1u);
+  EXPECT_EQ(cache.chain_severs(), 1u);
+  // Flushing the now-empty cache drops nothing, so counts nothing.
+  cache.flush();
+  EXPECT_EQ(cache.flush_count(), 1u);
+  EXPECT_EQ(cache.chain_severs(), 1u);
 }
 
 TEST(TbCache, WatermarkOverlapDetection) {

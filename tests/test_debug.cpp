@@ -1,5 +1,7 @@
-// GDB remote-debug subsystem tests (ctest -L debug; also tsan-labeled —
-// the loopback test runs a real client thread against the TCP transport):
+// GDB remote-debug subsystem tests (ctest -L debug; also tsan- and
+// asan-labeled — the loopback test runs a real client thread against the
+// TCP transport, and the memory packets carry addresses and lengths from
+// outside the program):
 //   * RSP packet codec: checksum, framing, escaping, RLE, incremental
 //     decoding across arbitrary chunk boundaries
 //   * Machine run control: breakpoints (cold and hot translation blocks),
@@ -9,6 +11,8 @@
 //     programs, including across a snapshot save/restore mid-stepping
 //   * a scripted in-process RSP session covering the full attach ->
 //     breakpoint -> watchpoint -> step -> detach acceptance flow
+//   * `m`/`M` packets and s4e_read_mem/s4e_write_mem at the end of RAM,
+//     straddling it and wrapping past 2^32
 //   * the same flow over a real loopback TCP connection (port 0)
 //   * `s4e-run --gdb=0` end to end: attach to the spawned tool through the
 //     port it announces, detach, and watch it free-run to completion
@@ -17,6 +21,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <thread>
 
@@ -30,6 +35,7 @@
 #include "testgen/testgen.hpp"
 #include "vp/machine.hpp"
 #include "vp/runner.hpp"
+#include "vp/s4e_plugin.h"
 #include "vp/snapshot.hpp"
 
 #include <netinet/in.h>
@@ -606,6 +612,86 @@ TEST(RspSession, RegisterAndMemoryWritesLand) {
   EXPECT_EQ(replies[2], "OK");
   EXPECT_EQ(replies[3], "aabbccdd");
   EXPECT_EQ(replies[4], "");
+}
+
+// Memory accesses from outside the program at the end of RAM (default
+// 4 MiB at 0x8000_0000), through the `m`/`M` packets and the plugin C API:
+// the last 1-4 bytes are accepted; a range straddling the end, or one
+// whose address plus length wraps past 2^32, is refused.
+struct MemEdge {
+  u32 address;
+  u32 length;
+  bool accepted;
+};
+
+constexpr MemEdge kMemEdges[] = {
+    {0x803f'ffff, 1, true},
+    {0x803f'fffe, 2, true},
+    {0x803f'fffd, 3, true},
+    {0x803f'fffc, 4, true},
+    {0x803f'fffe, 4, false},  // straddles the end of RAM
+    {0x803f'ffff, 2, false},
+    {0xffff'fffe, 4, false},  // wraps past 2^32
+    {0xffff'ffff, 2, false},
+    {0x8000'0010, 0xffff'fff8, false},  // the length alone wraps
+};
+
+TEST(RspSession, MemoryPacketsAtTheEndOfRam) {
+  Machine machine;
+  ScriptChannel channel;
+  channel.push(rsp_frame("QStartNoAckMode"));
+  channel.push("+");
+  const std::string data = "a1b2c3d4";
+  for (const MemEdge& row : kMemEdges) {
+    const std::string range = hex32(row.address) + "," + hex32(row.length);
+    if (row.length <= 4) {
+      channel.push(
+          rsp_frame("M" + range + ":" + data.substr(0, 2 * row.length)));
+    }
+    channel.push(rsp_frame("m" + range));
+  }
+  // An address or length past 32 bits is malformed, not truncated into RAM.
+  channel.push(rsp_frame("m180000000,4"));
+  channel.push(rsp_frame("m80000000,100000004"));
+  channel.push(rsp_frame("k"));
+
+  DebugTarget target(machine);
+  RspServer server(target, channel);
+  EXPECT_EQ(server.serve(), RspServer::ServeResult::kKilled);
+
+  const auto replies = channel.replies();
+  std::size_t next = 1;  // replies[0] acknowledges QStartNoAckMode
+  for (const MemEdge& row : kMemEdges) {
+    SCOPED_TRACE(testing::Message() << std::hex << "0x" << row.address
+                                    << ",0x" << row.length);
+    if (row.length <= 4) {
+      ASSERT_LT(next, replies.size());
+      EXPECT_EQ(replies[next++], row.accepted ? "OK" : "E02");
+    }
+    ASSERT_LT(next, replies.size());
+    EXPECT_EQ(replies[next++],
+              row.accepted ? data.substr(0, 2 * row.length) : "E02");
+  }
+  ASSERT_EQ(replies.size(), next + 2);
+  EXPECT_EQ(replies[next], "E01");
+  EXPECT_EQ(replies[next + 1], "E01");
+}
+
+TEST(PluginMemApi, AccessesAtTheEndOfRam) {
+  Machine machine;
+  s4e_vm* vm = machine.vm_handle();
+  for (const MemEdge& row : kMemEdges) {
+    SCOPED_TRACE(testing::Message() << std::hex << "0x" << row.address
+                                    << ",0x" << row.length);
+    const u8 bytes[4] = {0x5a, 0x6b, 0x7c, 0x8d};
+    u8 back[4] = {};
+    const int expected = row.accepted ? 0 : -1;
+    EXPECT_EQ(s4e_write_mem(vm, row.address, bytes, row.length), expected);
+    EXPECT_EQ(s4e_read_mem(vm, row.address, back, row.length), expected);
+    if (row.accepted) {
+      EXPECT_EQ(std::memcmp(bytes, back, row.length), 0);
+    }
+  }
 }
 
 TEST(RspSession, ProgramExitReportsWStatus) {

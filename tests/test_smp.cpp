@@ -1,5 +1,5 @@
-// Multi-hart SMP suite (ctest -L smp; tsan-matched via the combined
-// "smp-tsan" label):
+// Multi-hart SMP suite (ctest -L smp; tsan- and asan-matched via the
+// combined "smp-tsan-asan" label):
 //   * the determinism contract: --harts 1 under the forced slice scheduler
 //     is bit-identical to the legacy single-hart engine on torture programs,
 //     and multi-hart runs are bit-reproducible run to run

@@ -377,7 +377,7 @@ RunObservation observe_run(Machine& machine,
                            const assembler::Program& program) {
   RunObservation obs;
   obs.result = machine.run();
-  obs.uart = machine.uart() != nullptr ? machine.uart()->tx_log() : "";
+  obs.uart = machine.uart()->tx_log();
   obs.memory_hash = data_memory_hash(machine, program);
   obs.cycles = machine.cycles();
   obs.gpr = machine.cpu().gpr;

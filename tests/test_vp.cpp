@@ -548,9 +548,26 @@ patch_site:
   )");
   EXPECT_EQ(result.exit_code, 1);
   // The store dropped the patched block (a range invalidation, not a flush
-  // of the whole cache: only construction and load_program flushed).
+  // of the whole cache; construction and load_program flushed an empty
+  // cache, which counts nothing).
   EXPECT_GE(machine.tb_cache().invalidated_blocks(), 1u);
-  EXPECT_EQ(machine.tb_cache().flush_count(), 2u);
+  EXPECT_EQ(machine.tb_cache().flush_count(), 0u);
+}
+
+// RAM may end exactly at 2^32: the bus and the engine check ranges by
+// offset, so base + size wrapping to 0 refuses nothing.
+TEST(Machine, RamEndingAtTopOfAddressSpaceRuns) {
+  MachineConfig config;
+  config.ram_size = 0x8000'0000;
+  Machine machine(config);
+  const RunResult result = run_source(machine, R"(
+    li a0, 7
+    li a7, 93
+    ecall
+  )");
+  EXPECT_EQ(result.reason, StopReason::kExitEcall);
+  EXPECT_EQ(result.exit_code, 7);
+  EXPECT_EQ(machine.cpu().read_gpr(2), 0xffff'fff0u);  // sp: top of RAM - 16
 }
 
 TEST(Machine, TbCacheReusesBlocks) {
