@@ -21,9 +21,13 @@
 //      path accumulator): it is the path-aware counterpart of the
 //      instrumented re-execution.
 //
+// The capture cost is reported too: the recorded run plus the recorder's
+// finish (record_ms), and its ratio to a plain run (record_vs_plain).
+//
 // The measured row lands in BENCH_replay.json (merge semantics, so other
 // benches' rows survive). `--no-report` skips the write; `--quick` shrinks
 // the kernel for the ctest smoke run (bench.replay_smoke).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -119,8 +123,8 @@ struct Capture {
   vp::RunResult result;
   u64 taints = 0;
   std::size_t stream_bytes = 0;
-  double record_seconds = 0;
-  double parse_seconds = 0;  // Trace::parse: the stream's one walk
+  double record_seconds = 0;  // the recorded run plus the recorder's finish
+  double parse_seconds = 0;   // Trace::parse: the stream's one walk
 };
 
 // One execution with the recorder attached, under the default
@@ -135,10 +139,10 @@ Capture record_once(const assembler::Program& program) {
   S4E_CHECK(recorder.attach_checked(machine.vm_handle()).ok());
   const auto start = std::chrono::steady_clock::now();
   const vp::RunResult result = machine.run();
-  const double seconds = seconds_since(start);
   const u64 taints = recorder.taints();
   const std::size_t stream_bytes = recorder.stream_size();
   std::vector<u8> bytes = recorder.finish_bytes(result);
+  const double seconds = seconds_since(start);
   const auto parse_start = std::chrono::steady_clock::now();
   auto parsed = trace::Trace::parse(std::move(bytes));
   const double parse_seconds = seconds_since(parse_start);
@@ -251,17 +255,40 @@ int main(int argc, char** argv) {
   const unsigned iterations = quick ? 2000 : 60000;
   auto kernel = assembler::assemble(kernel_source(iterations));
   S4E_CHECK(kernel.ok());
+  // The capture cost: the recorded run plus finish, against a plain run of
+  // the same kernel, each the median of `reps` alternating repetitions.
+  const unsigned reps = quick ? 1 : 7;
+  std::vector<double> record_s, plain_s;
+  const auto time_plain = [&] {
+    const auto plain_start = std::chrono::steady_clock::now();
+    live_run(*kernel, vp::TimingParams{});
+    plain_s.push_back(seconds_since(plain_start));
+  };
+  time_plain();
+  // The first recording is the one the rest of the bench uses.
   Capture capture = record_once(*kernel);
+  record_s.push_back(capture.record_seconds);
+  for (unsigned rep = 1; rep < reps; ++rep) {
+    time_plain();
+    record_s.push_back(record_once(*kernel).record_seconds);
+  }
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  const double record_ms = median(record_s) * 1e3;
+  const double plain_ms = median(plain_s) * 1e3;
   S4E_CHECK(capture.taints == 0);
   S4E_CHECK(trace::self_check(capture.trace).ok());
 
   std::printf("\nkernel: %llu instructions, %zu stream bytes "
-              "(%.2f bytes/insn), recorded in %.3f s\n",
+              "(%.2f bytes/insn)\nrecorded (run + finish) in %.3f ms, "
+              "%.2fx a plain run's %.3f ms (medians of %u)\n",
               static_cast<unsigned long long>(capture.result.instructions),
               capture.stream_bytes,
               static_cast<double>(capture.stream_bytes) /
                   static_cast<double>(capture.result.instructions),
-              capture.record_seconds);
+              record_ms, record_ms / plain_ms, plain_ms, reps);
 
   // Decode once: it shares the profile Trace::parse built in its one walk
   // of the stream (timed above, with the recording), so the varint stream
@@ -338,7 +365,7 @@ int main(int argc, char** argv) {
               reexec_seconds, reexec_seconds * per_config);
   std::printf("%-30s %8.3f s %11.3f ms\n", "re-exec, fast path (serial)",
               fast_seconds, fast_seconds * per_config);
-  std::printf("%-30s %8.3f s %11.3f ms  (parse once: %.3f ms, decode "
+  std::printf("%-30s %8.6f s %11.6f ms  (parse once: %.3f ms, decode "
               "once: %.3f ms)\n",
               "replay (serial)", replay_seconds, replay_seconds * per_config,
               capture.parse_seconds * 1e3, decode_seconds * 1e3);
@@ -364,6 +391,9 @@ int main(int argc, char** argv) {
                "\"reexec_fast_per_config_ms\": %s, "
                "\"replay_per_config_ms\": %s, "
                "\"replay_hooked_per_config_ms\": %s, "
+               "\"record_ms\": %s, "
+               "\"record_vs_plain\": %s, "
+               "\"reps\": %u, "
                "\"parse_once_ms\": %s, "
                "\"decode_once_ms\": %s, "
                "\"speedup\": %s, "
@@ -376,8 +406,10 @@ int main(int argc, char** argv) {
                kernel_identical && all_identical ? "true" : "false",
                json_number(reexec_seconds * per_config, 3).c_str(),
                json_number(fast_seconds * per_config, 3).c_str(),
-               json_number(replay_seconds * per_config, 3).c_str(),
+               json_number(replay_seconds * per_config, 6).c_str(),
                json_number(hooked_seconds * per_config, 3).c_str(),
+               json_number(record_ms, 3).c_str(),
+               json_number(record_ms / plain_ms, 2).c_str(), reps,
                json_number(capture.parse_seconds * 1e3, 3).c_str(),
                json_number(decode_seconds * 1e3, 3).c_str(),
                json_number(speedup, 1).c_str(),

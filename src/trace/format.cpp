@@ -13,11 +13,12 @@ namespace s4e::trace {
 
 namespace {
 
-// Fixed-size chunk layout. The header and footer are plain little-endian
-// u32/u64 fields — no varints, so a truncated file is length-checkable
-// before any field is read.
-constexpr std::size_t kHeaderBytes = 80;
-constexpr std::size_t kFooterBytes = 64;
+// The writer's buffer reserves address space for this many bytes up front
+// and is sized (zero-filled, so its pages are touched) in steps of
+// kWriterStep as the stream grows: a trace up to the reservation is never
+// copied, and no page is touched before the stream reaches it.
+constexpr std::size_t kWriterReserve = 1u << 20;
+constexpr std::size_t kWriterStep = 1u << 14;
 
 void put_u32(std::vector<u8>& out, u32 value) {
   for (unsigned i = 0; i < 4; ++i) {
@@ -78,27 +79,6 @@ Error parse_error(const std::string& message) {
   return Error(ErrorCode::kParseError, message);
 }
 
-// The recorded icache geometry sizes the self check's tag array and indexes
-// it, so a header naming a geometry the model cannot hold is refused here.
-Status check_icache_geometry(const vp::TimingParams& params) {
-  if (!std::has_single_bit(params.icache_lines)) {
-    return parse_error(format("header field icache_lines = %u is not a "
-                              "nonzero power of two",
-                              params.icache_lines));
-  }
-  if (!std::has_single_bit(params.icache_line_bytes)) {
-    return parse_error(format("header field icache_line_bytes = %u is not a "
-                              "nonzero power of two",
-                              params.icache_line_bytes));
-  }
-  if (params.icache_lines > kMaxIcacheLines) {
-    return parse_error(format("header field icache_lines = %u exceeds the "
-                              "cap of %u lines",
-                              params.icache_lines, kMaxIcacheLines));
-  }
-  return Status();
-}
-
 // Builds the span list for the walk. The span being extended stays in
 // locals until one does not continue it: the walk appends once per retired
 // instruction event, and a span kept in the vector would put a load-modify-
@@ -152,6 +132,26 @@ std::string_view to_string(TaintKind kind) noexcept {
   return "unknown";
 }
 
+Status check_icache_geometry(const vp::TimingParams& params) {
+  const auto refuse = [](const std::string& message) {
+    return Error(ErrorCode::kInvalidArgument, message);
+  };
+  if (!std::has_single_bit(params.icache_lines)) {
+    return refuse(format("icache_lines = %u is not a nonzero power of two",
+                         params.icache_lines));
+  }
+  if (!std::has_single_bit(params.icache_line_bytes)) {
+    return refuse(format("icache_line_bytes = %u is not a nonzero power of "
+                         "two",
+                         params.icache_line_bytes));
+  }
+  if (params.icache_lines > kMaxIcacheLines) {
+    return refuse(format("icache_lines = %u exceeds the cap of %u lines",
+                         params.icache_lines, kMaxIcacheLines));
+  }
+  return Status();
+}
+
 u64 program_fingerprint(const assembler::Program& program) {
   u64 hash = kFnv1aOffsetBasis;
   const auto mix32 = [&hash](u32 value) {  // little-endian bytes
@@ -169,26 +169,38 @@ u64 program_fingerprint(const assembler::Program& program) {
   return hash;
 }
 
+Writer::Writer(const Header& header) : header_(header) {
+  buffer_.reserve(kWriterReserve);
+  const auto put_magic = [this](const char (&magic)[8]) {
+    for (const char c : magic) buffer_.push_back(static_cast<u8>(c));
+  };
+  put_magic(kTraceMagic);
+  put_u32(buffer_, header_.version);
+  put_u32(buffer_, header_.flags);
+  put_u64(buffer_, header_.fingerprint);
+  put_u32(buffer_, header_.entry_pc);
+  put_params(buffer_, header_.recorded);
+  end_ = buffer_.data() + buffer_.size();
+  grow(0);
+}
+
+void Writer::grow(std::size_t size) {
+  const std::size_t used = static_cast<std::size_t>(end_ - buffer_.data());
+  buffer_.resize(used + std::max(size, kWriterStep));
+  end_ = buffer_.data() + used;
+  limit_ = buffer_.data() + buffer_.size();
+}
+
 std::vector<u8> Writer::finish(Footer footer) {
   hash_appended();
   footer.stream_checksum = checksum_;
-
-  std::vector<u8> out;
-  out.reserve(kHeaderBytes + stream_.size() + 1 + kFooterBytes);
-  const auto put_magic = [&out](const char (&magic)[8]) {
-    for (const char c : magic) out.push_back(static_cast<u8>(c));
-  };
-  put_magic(kTraceMagic);
-  put_u32(out, header_.version);
-  put_u32(out, header_.flags);
-  put_u64(out, header_.fingerprint);
-  put_u32(out, header_.entry_pc);
-  put_params(out, header_.recorded);
-
-  out.insert(out.end(), stream_.begin(), stream_.end());
+  finished_size_ = stream_size();
+  std::vector<u8> out = std::move(buffer_);
+  out.resize(static_cast<std::size_t>(end_ - out.data()));
+  end_ = limit_ = nullptr;
+  out.reserve(out.size() + 1 + kFooterBytes);
   out.push_back(static_cast<u8>(Tag::kEnd));
-
-  put_magic(kFooterMagic);
+  for (const char c : kFooterMagic) out.push_back(static_cast<u8>(c));
   put_u32(out, footer.stop_reason);
   put_u32(out, static_cast<u32>(footer.exit_code));
   put_u64(out, footer.instructions);
@@ -258,7 +270,12 @@ Result<Trace> Trace::parse(std::vector<u8> bytes) {
   header.fingerprint = get_u64(raw.data() + 16);
   header.entry_pc = get_u32(raw.data() + 24);
   header.recorded = get_params(raw.data() + 28);
-  S4E_TRY_STATUS(check_icache_geometry(header.recorded));
+  // The recorded geometry sizes the icache walk decode() makes and indexes
+  // its tag array.
+  const Status geometry = check_icache_geometry(header.recorded);
+  if (!geometry.ok()) {
+    return parse_error("header's recorded " + geometry.error().message());
+  }
 
   // Footer: present, magicked, and self-consistent with the stream. A
   // recorder that died mid-run fails here (the footer is written last).

@@ -39,16 +39,18 @@
 //            last (after an fsync-able temp file), so a truncated or
 //            crashed recording is detected by its absence, not by UB.
 //
-// Who walks the stream: the Writer hashes each event's bytes as the next
-// event starts, so finish() hashes only the last one and copies. Trace::parse() reads the stream exactly once,
-// through Cursor, which hashes each byte as it decodes it; that one
-// validating walk checks the checksum, cross-checks the footer, collects
-// the taint sites, and builds the replay Profile, the block-PC sequence and
-// the instruction spans, which the Trace keeps in one immutable shared
-// body. DecodedTrace::decode (replay.hpp) walks nothing: it refuses taints
-// and shares that body.
+// Who walks the stream: the Writer checksums the bytes appended since the
+// last block dispatch at each dispatch, so finish() hashes only the last
+// block's. Trace::parse() reads the stream exactly once, through Cursor,
+// which hashes each byte as it decodes it; that one validating walk checks
+// the checksum, cross-checks the footer, collects the taint sites, and
+// builds the replay Profile, the block-PC sequence and the instruction
+// spans, which the Trace keeps in one immutable shared body.
+// DecodedTrace::decode (replay.hpp) walks no events: it refuses taints,
+// shares that body and counts the icache misses over the block PCs once.
 #pragma once
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,12 +147,23 @@ std::string_view to_string(TaintKind kind) noexcept;
 
 // --- Varint codec (LEB128 + zigzag), shared by writer, reader and tests.
 
-inline void put_varint(std::vector<u8>& out, u64 value) {
+// A u64 takes at most 10 varint bytes.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+// Writes `value` at `out`, which has room for kMaxVarintBytes; returns the
+// byte after it.
+inline u8* put_varint(u8* out, u64 value) noexcept {
   while (value >= 0x80) {
-    out.push_back(static_cast<u8>(value) | 0x80);
+    *out++ = static_cast<u8>(value) | 0x80;
     value >>= 7;
   }
-  out.push_back(static_cast<u8>(value));
+  *out++ = static_cast<u8>(value);
+  return out;
+}
+
+inline void put_varint(std::vector<u8>& out, u64 value) {
+  u8 bytes[kMaxVarintBytes];
+  out.insert(out.end(), bytes, put_varint(bytes, value));
 }
 
 inline u64 zigzag(i64 value) noexcept {
@@ -182,10 +195,22 @@ struct Event {
   TaintKind taint = TaintKind::kCsrCycleRead;
 };
 
-// Largest icache a trace header may name: parse() refuses more lines (a
-// self check would size its tag array from the file), as it refuses line
-// counts and line sizes that are not nonzero powers of two.
+// Largest icache a trace header or a replay may name: an icache walk sizes
+// its tag array from the line count.
 inline constexpr u32 kMaxIcacheLines = 1u << 20;
+
+// Refuses (kInvalidArgument, naming the field) an icache geometry the model
+// cannot hold: a line count or line size that is not a nonzero power of
+// two, or more than kMaxIcacheLines lines. parse() applies it to the
+// header's recorded configuration, replay() to every configuration that
+// turns the icache on.
+Status check_icache_geometry(const vp::TimingParams& params);
+
+// Fixed-size chunk layout: the header and the footer are plain
+// little-endian u32/u64 fields — no varints, so a truncated file is
+// length-checkable before any field is read.
+inline constexpr std::size_t kHeaderBytes = 80;
+inline constexpr std::size_t kFooterBytes = 64;
 
 // Trace header: everything replay needs to refuse the wrong workload and to
 // self-check against the recording run.
@@ -217,106 +242,143 @@ u64 program_fingerprint(const assembler::Program& program);
 
 // --- Writer -----------------------------------------------------------------
 //
-// Append-only in-memory encoder; save() writes header + stream + footer via
-// a temp file + rename, so a crashed recorder never leaves a
-// well-formed-looking partial trace behind. The stream's FNV-1a checksum is
-// kept current event by event as the bytes are appended.
+// Append-only in-memory encoder. Its buffer holds the serialized header from
+// the start, so finish() appends the terminator and the footer and hands the
+// buffer over without copying the stream; save() writes it via a temp file +
+// rename, so a crashed recorder never leaves a well-formed-looking partial
+// trace behind. Appends write through a raw pointer, checking the room left
+// once per event or pre-encoded chunk, and the stream's FNV-1a checksum is
+// kept current block by block.
 class Writer {
  public:
-  explicit Writer(const Header& header) : header_(header) {
-    stream_.reserve(1u << 16);
-  }
+  explicit Writer(const Header& header);
+  // Appends write through pointers into the writer's own buffer.
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
 
   const Header& header() const noexcept { return header_; }
 
-  void block() { begin(Tag::kBlock); }
+  void block() {
+    hash_appended();
+    put(Tag::kBlock);
+  }
   void block_at(u32 pc, u32 cursor) {
-    begin(Tag::kBlockAt);
-    put_varint(stream_, zigzag(static_cast<i64>(pc) - cursor));
+    hash_appended();
+    put(Tag::kBlockAt, zigzag(static_cast<i64>(pc) - cursor));
   }
   void run(u32 length, u32 count) {
-    begin(length == 4 ? Tag::kRun4 : Tag::kRun2);
-    put_varint(stream_, count);
+    put(length == 4 ? Tag::kRun4 : Tag::kRun2, count);
   }
   void jump(u32 pc, u32 target) { redirect(Tag::kJump, pc, target); }
   void branch_taken(u32 pc, u32 target) { redirect(Tag::kBranchT, pc, target); }
   void branch_not_taken(u32 length) {
-    begin(length == 4 ? Tag::kBranchN4 : Tag::kBranchN2);
+    put(length == 4 ? Tag::kBranchN4 : Tag::kBranchN2);
   }
   void mret(u32 pc, u32 target) { redirect(Tag::kMret, pc, target); }
   void mem(Tag tag, u32 addr, u8 size) {
-    begin(tag);
-    mem_payload(addr, size);
+    const u32 log2_size = size == 4 ? 2 : (size == 2 ? 1 : 0);
+    put(tag, (zigzag(static_cast<i64>(addr) - prev_addr_) << 2) | log2_size);
+    prev_addr_ = addr;
   }
-  void amo_fail() { begin(Tag::kAmoFail); }
-  void mul(u32 length) { begin(length == 4 ? Tag::kMul4 : Tag::kMul2); }
+  void amo_fail() { put(Tag::kAmoFail); }
+  void mul(u32 length) { put(length == 4 ? Tag::kMul4 : Tag::kMul2); }
   void div(u32 length, u32 dividend) {
-    begin(length == 4 ? Tag::kDiv4 : Tag::kDiv2);
-    put_varint(stream_, dividend);
+    put(length == 4 ? Tag::kDiv4 : Tag::kDiv2, dividend);
   }
-  void csr(u32 length) { begin(length == 4 ? Tag::kCsr4 : Tag::kCsr2); }
-  void sys_exit() { begin(Tag::kSysExit); }
-  void wfi_halt() { begin(Tag::kWfiHalt); }
-  void wfi_sleep() { begin(Tag::kWfiSleep); }
+  void csr(u32 length) { put(length == 4 ? Tag::kCsr4 : Tag::kCsr2); }
+  void sys_exit() { put(Tag::kSysExit); }
+  void wfi_halt() { put(Tag::kWfiHalt); }
+  void wfi_sleep() { put(Tag::kWfiSleep); }
   void trap_insn(u8 op_class, u32 length, bool handled, u32 cause, u32 pc,
                  u32 handler) {
-    begin(Tag::kTrapInsn);
-    stream_.push_back(static_cast<u8>((op_class & kTrapClassMask) |
-                                      (length == 4 ? kTrapLen4 : 0) |
-                                      (handled ? kTrapHandled : 0)));
-    put_varint(stream_, cause);
-    if (handled) put_varint(stream_, zigzag(static_cast<i64>(handler) - pc));
+    trap(Tag::kTrapInsn,
+         static_cast<u8>((op_class & kTrapClassMask) |
+                         (length == 4 ? kTrapLen4 : 0) |
+                         (handled ? kTrapHandled : 0)),
+         handled, cause, zigzag(static_cast<i64>(handler) - pc));
   }
   void trap_fetch(bool handled, u32 cause, u32 cursor, u32 handler) {
-    begin(Tag::kTrapFetch);
-    stream_.push_back(static_cast<u8>(handled ? kTrapHandled : 0));
-    put_varint(stream_, cause);
-    if (handled) {
-      put_varint(stream_, zigzag(static_cast<i64>(handler) - cursor));
+    trap(Tag::kTrapFetch, handled ? kTrapHandled : 0, handled, cause,
+         zigzag(static_cast<i64>(handler) - cursor));
+  }
+  void taint(TaintKind kind) { put(Tag::kTaint, static_cast<u64>(kind)); }
+
+  // Appends `size` pre-encoded event bytes (a recorder's block template).
+  // The copy moves whole 16-byte grains, so `bytes` must stay readable
+  // kAppendSlack bytes past its end.
+  static constexpr std::size_t kAppendSlack = 15;
+  void append(const u8* bytes, std::size_t size) {
+    u8* out = room(size + kAppendSlack);
+    for (std::size_t i = 0; i < size; i += 16) {
+      std::memcpy(out + i, bytes + i, 16);
     }
-  }
-  void taint(TaintKind kind) {
-    begin(Tag::kTaint);
-    put_varint(stream_, static_cast<u64>(kind));
+    end_ = out + size;
   }
 
-  std::size_t stream_size() const noexcept { return stream_.size(); }
+  // Stream bytes appended so far; after finish(), the whole stream's.
+  std::size_t stream_size() const noexcept {
+    return end_ != nullptr
+               ? static_cast<std::size_t>(end_ - buffer_.data()) - kHeaderBytes
+               : finished_size_;
+  }
 
-  // Serialize header + stream + kEnd + footer. `footer.stream_checksum` is
-  // the checksum kept while appending; the caller fills the run facts.
+  // Serialize header + stream + kEnd + footer, with `footer.stream_checksum`
+  // computed here; the caller fills the run facts. Ends the writer: its
+  // buffer becomes the result.
   std::vector<u8> finish(Footer footer);
 
   // finish() + atomic write (temp + fsync + rename).
   Status save(const std::string& path, Footer footer);
 
  private:
-  // Starts an event. The previous event's bytes are mixed into the
-  // checksum first: one pass per event with the hash in a register, and
-  // finish() has only the last event left to hash.
-  void begin(Tag tag) {
-    hash_appended();
-    stream_.push_back(static_cast<u8>(tag));
+  // The longest event: tag, trap info byte and two varints.
+  static constexpr std::size_t kMaxEventBytes = 2 + 2 * kMaxVarintBytes;
+
+  // Where the next `size` bytes go; the buffer grows to hold them.
+  u8* room(std::size_t size) {
+    if (static_cast<std::size_t>(limit_ - end_) < size) [[unlikely]] {
+      grow(size);
+    }
+    return end_;
   }
+  void grow(std::size_t size);
+  // Mixes the bytes appended since the last call into the checksum: once
+  // per block, so the hash's serial chain overlaps the run instead of
+  // adding to it.
   void hash_appended() {
-    checksum_ = fnv1a(stream_.data() + hashed_, stream_.size() - hashed_,
-                      checksum_);
-    hashed_ = stream_.size();
+    const u8* from = buffer_.data() + hashed_;
+    checksum_ = fnv1a(from, static_cast<std::size_t>(end_ - from), checksum_);
+    hashed_ = static_cast<std::size_t>(end_ - buffer_.data());
+  }
+  void put(Tag tag) {
+    u8* out = room(1);
+    *out = static_cast<u8>(tag);
+    end_ = out + 1;
+  }
+  void put(Tag tag, u64 value) {
+    u8* out = room(1 + kMaxVarintBytes);
+    *out = static_cast<u8>(tag);
+    end_ = put_varint(out + 1, value);
   }
   void redirect(Tag tag, u32 pc, u32 target) {
-    begin(tag);
-    put_varint(stream_, zigzag(static_cast<i64>(target) - pc));
+    put(tag, zigzag(static_cast<i64>(target) - pc));
   }
-  void mem_payload(u32 addr, u8 size) {
-    const u32 log2_size = size == 4 ? 2 : (size == 2 ? 1 : 0);
-    put_varint(stream_,
-               (zigzag(static_cast<i64>(addr) - prev_addr_) << 2) | log2_size);
-    prev_addr_ = addr;
+  void trap(Tag tag, u8 info, bool handled, u32 cause, u64 handler_delta) {
+    u8* out = room(kMaxEventBytes);
+    out[0] = static_cast<u8>(tag);
+    out[1] = info;
+    out = put_varint(out + 2, cause);
+    end_ = handled ? put_varint(out, handler_delta) : out;
   }
 
   Header header_;
-  std::vector<u8> stream_;
-  u64 checksum_ = kFnv1aOffsetBasis;  // FNV-1a over stream_[0, hashed_)
-  std::size_t hashed_ = 0;
+  // The header, then the stream up to end_; sized to its capacity, limit_.
+  std::vector<u8> buffer_;
+  u8* end_ = nullptr;
+  u8* limit_ = nullptr;
+  std::size_t hashed_ = kHeaderBytes;  // buffer_ offset the checksum covers
+  std::size_t finished_size_ = 0;     // stream_size() once finish() ran
+  u64 checksum_ = kFnv1aOffsetBasis;
   u32 prev_addr_ = 0;
 };
 

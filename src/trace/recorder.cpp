@@ -1,6 +1,8 @@
 #include "trace/recorder.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 
 #include "asm/program.hpp"
 #include "isa/csr.hpp"
@@ -70,70 +72,138 @@ Status TraceRecorder::attach_checked(s4e_vm* vm) {
   return Status();
 }
 
-TraceRecorder::StaticInsn& TraceRecorder::static_slot(u32 pc) {
-  const u32 aligned = pc & ~u32{1};
-  if (static_.empty()) static_base_ = aligned;
-  if (aligned < static_base_) {
-    static_.insert(static_.begin(), (static_base_ - aligned) / 2,
-                   StaticInsn{});
-    static_base_ = aligned;
-  }
-  const std::size_t slot = (aligned - static_base_) / 2;
-  if (slot >= static_.size()) static_.resize(slot + 1);
-  return static_[slot];
+namespace {
+
+constexpr std::size_t align_up(std::size_t value, std::size_t to) {
+  return (value + to - 1) / to * to;
 }
 
+}  // namespace
+
 void TraceRecorder::on_tb_trans(const s4e_tb_info& tb) {
-  // Walk backwards so each plain instruction knows its run.
-  u16 run = 0;
-  u8 run_length = 0;
-  for (u32 i = tb.n_insns; i-- > 0;) {
+  // An event takes at most 6 template bytes (a jal: tag and a 5-byte
+  // varint), and the u8 indexes below hold 255 instructions.
+  constexpr u32 kMaxInsns = 255;
+  constexpr std::size_t kMaxEventBytes = 6;
+  S4E_CHECK_MSG(tb.n_insns <= kMaxInsns,
+                "a block plan indexes instructions by u8");
+  const u32 n = tb.n_insns;
+  PlanInsn insns[kMaxInsns + 1];
+  for (u32 i = 0; i < n; ++i) {
     const s4e_insn_info& insn = tb.insns[i];
-    StaticInsn info;
-    info.length = static_cast<u8>(insn_length(insn.encoding));
-    info.imm = insn.imm;
+    PlanInsn& in = insns[i];
+    in.pc = insn.address;
+    in.imm = insn.imm;
+    in.length = static_cast<u8>(insn_length(insn.encoding));
     switch (static_cast<OpClass>(insn.op_class)) {
       case OpClass::kArith:
       case OpClass::kFence:
-        info.kind = StaticInsn::kPlain;
+        in.kind = Kind::kPlain;
         break;
       case OpClass::kMul:
-        info.kind = StaticInsn::kMul;
+        in.kind = Kind::kMul;
         break;
       case OpClass::kJump:
-        info.kind = static_cast<Op>(insn.op) == Op::kJal ? StaticInsn::kJal
-                                                         : StaticInsn::kJalr;
+        in.kind = static_cast<Op>(insn.op) == Op::kJal ? Kind::kJal
+                                                       : Kind::kJalr;
         break;
       case OpClass::kLoad:
-        info.kind = StaticInsn::kLoad;
+        in.kind = Kind::kLoad;
         break;
       case OpClass::kStore:
-        info.kind = StaticInsn::kStore;
+        in.kind = Kind::kStore;
         break;
       case OpClass::kBranch:
         // A branch to its own fall-through leaves no trace in the next
         // block head: read its operands at issue.
-        info.kind = static_cast<u32>(insn.imm) == info.length
-                        ? StaticInsn::kObserved
-                        : StaticInsn::kBranch;
+        in.kind = static_cast<u32>(insn.imm) == in.length ? Kind::kIssue
+                                                          : Kind::kBranch;
+        break;
+      case OpClass::kDiv:
+        in.kind = Kind::kIssue;
         break;
       default:
-        info.kind = static_cast<Op>(insn.op) == Op::kMret
-                        ? StaticInsn::kMret
-                        : StaticInsn::kObserved;
+        in.kind = static_cast<Op>(insn.op) == Op::kMret ? Kind::kMret
+                                                        : Kind::kPending;
         break;
     }
-    if (info.kind == StaticInsn::kPlain) {
-      run = run_length == info.length ? static_cast<u16>(run + 1) : 1;
-      run_length = info.length;
-      info.plain_run = run;
-    } else {
-      run = 0;
-      run_length = 0;
+    if (in.kind == Kind::kIssue || in.kind == Kind::kPending) {
+      request_insn_exec(i);
     }
-    if (info.kind == StaticInsn::kObserved) request_insn_exec(i);
-    static_slot(insn.address) = info;
   }
+
+  // The template: one event per static instruction, one per plain run. A
+  // jal ends its block, so the sentinel after it holds the jal's target.
+  u8 bytes[kMaxInsns * kMaxEventBytes];
+  u8* out = bytes;
+  PlanInsn& end = insns[n];
+  end = PlanInsn{tb.start, 0, 0, 0, Kind::kEnd, 0, 0};
+  for (u32 i = 0; i < n;) {
+    PlanInsn& in = insns[i];
+    in.bytes = static_cast<u16>(out - bytes);
+    in.event = static_cast<u8>(i);
+    end.pc = in.pc + in.length;
+    ++i;
+    if (in.kind == Kind::kPlain) {
+      u32 count = 1;
+      for (; i < n && insns[i].kind == Kind::kPlain &&
+             insns[i].length == in.length;
+           ++i, ++count) {
+        insns[i].bytes = in.bytes;
+        insns[i].event = in.event;
+        end.pc = insns[i].pc + in.length;
+      }
+      *out++ = static_cast<u8>(in.length == 4 ? Tag::kRun4 : Tag::kRun2);
+      out = put_varint(out, count);
+    } else if (in.kind == Kind::kMul) {
+      *out++ = static_cast<u8>(in.length == 4 ? Tag::kMul4 : Tag::kMul2);
+    } else if (in.kind == Kind::kJal) {
+      end.pc = in.pc + static_cast<u32>(in.imm);
+      *out++ = static_cast<u8>(Tag::kJump);
+      out = put_varint(out, zigzag(static_cast<i64>(end.pc) - in.pc));
+    }
+  }
+  const std::size_t template_size = static_cast<std::size_t>(out - bytes);
+  end.bytes = static_cast<u16>(template_size);
+  end.event = static_cast<u8>(n);
+  u8 stop = static_cast<u8>(n);
+  for (u32 i = n + 1; i-- > 0;) {
+    if (!is_static(insns[i].kind)) stop = static_cast<u8>(i);
+    insns[i].stop = stop;
+  }
+
+  // One slot: header, instructions, template, and the slack Writer::append
+  // reads past a template.
+  Plan plan;
+  std::size_t size = align_up(sizeof(Plan), alignof(PlanInsn));
+  plan.insns_at = static_cast<u16>(size);
+  size += (n + 1) * sizeof(PlanInsn);
+  plan.template_at = static_cast<u16>(size);
+  size += template_size + Writer::kAppendSlack;
+  std::unique_ptr<u8[]> slot(new u8[size]);
+  new (slot.get()) Plan(plan);
+  std::memcpy(slot.get() + plan.insns_at, insns, (n + 1) * sizeof(PlanInsn));
+  std::memcpy(slot.get() + plan.template_at, bytes, template_size);
+  install(tb.start, std::move(slot));
+}
+
+void TraceRecorder::install(u32 start, std::unique_ptr<u8[]> slot) {
+  start &= ~u32{1};
+  if (plan_at_.empty()) plan_base_ = start;
+  if (start < plan_base_) {
+    const std::size_t shift = (plan_base_ - start) / 2;
+    std::vector<std::unique_ptr<u8[]>> grown(shift + plan_at_.size());
+    std::move(plan_at_.begin(), plan_at_.end(), grown.begin() + shift);
+    plan_at_.swap(grown);
+    plan_base_ = start;
+  }
+  const std::size_t index = (start - plan_base_) / 2;
+  if (index >= plan_at_.size()) plan_at_.resize(index + 1);
+  std::unique_ptr<u8[]>& entry = plan_at_[index];
+  if (reinterpret_cast<const Plan*>(entry.get()) == plan_) {
+    replaced_ = std::move(entry);
+  }
+  entry = std::move(slot);
 }
 
 void TraceRecorder::catch_up(u64 icount, u32 next_pc) {
@@ -141,77 +211,75 @@ void TraceRecorder::catch_up(u64 icount, u32 next_pc) {
   u64 remaining = icount - accounted_;
   accounted_ = icount;
   flush_pending(nullptr);
-  while (remaining != 0) {
-    const StaticInsn info = static_at(cursor_);
-    switch (info.kind) {
-      case StaticInsn::kPlain: {
-        const u32 count =
-            static_cast<u32>(std::min<u64>(remaining, info.plain_run));
-        if (run_count_ != 0 && run_length_ != info.length) flush_run();
-        run_length_ = info.length;
-        run_count_ += count;
-        instructions_ += count;
-        advance(info.length * count);
-        remaining -= count;
-        break;
-      }
-      case StaticInsn::kMul:
-        flush_run();
-        writer_.mul(info.length);
-        ++instructions_;
-        advance(info.length);
-        --remaining;
-        break;
-      case StaticInsn::kJal: {
-        const u32 target = cursor_ + static_cast<u32>(info.imm);
-        flush_run();
-        writer_.jump(cursor_, target);
-        ++instructions_;
-        cursor_ = target;
-        --remaining;
-        break;
-      }
-      case StaticInsn::kBranch:
-      case StaticInsn::kJalr:
-      case StaticInsn::kMret: {
-        // It ended its block: `next_pc` is where it went.
-        if (remaining != 1) {
-          taint_at(TaintKind::kCursorResync);
-          remaining = 0;
-          break;
-        }
-        flush_run();
-        if (info.kind == StaticInsn::kJalr) {
-          writer_.jump(cursor_, next_pc);
-          cursor_ = next_pc;
-        } else if (info.kind == StaticInsn::kMret) {
-          writer_.mret(cursor_, next_pc);
-          cursor_ = next_pc;
-        } else if (next_pc == cursor_ + static_cast<u32>(info.imm)) {
-          writer_.branch_taken(cursor_, next_pc);
-          cursor_ = next_pc;
-        } else {
-          writer_.branch_not_taken(info.length);
-          advance(info.length);
-        }
-        ++instructions_;
-        remaining = 0;
-        break;
-      }
-      default:
-        // The cursor left the translated code the block lists describe:
-        // a contract violation the trace must not hide.
-        taint_at(TaintKind::kCursorResync);
-        remaining = 0;
-        break;
-    }
+  if (plan_ == nullptr) {
+    lose_track();
+    return;
   }
+  const PlanInsn* insns = plan_->insns();
+  const u32 stop = insns[pos_].stop;
+  if (stop != pos_) {
+    const u32 to =
+        remaining < stop - pos_ ? pos_ + static_cast<u32>(remaining) : stop;
+    emit_static(pos_, to);
+    instructions_ += to - pos_;
+    remaining -= to - pos_;
+    pos_ = to;
+    cursor_ = insns[to].pc;
+    if (remaining == 0) return;
+  }
+  // Of the rest, only control flow that ends the block may run unobserved:
+  // `next_pc` is where it went.
+  const PlanInsn& insn = insns[pos_];
+  if (remaining != 1 || !is_exit(insn.kind)) {
+    lose_track();
+    return;
+  }
+  flush_run();
+  if (insn.kind == Kind::kJalr) {
+    writer_.jump(cursor_, next_pc);
+    cursor_ = next_pc;
+  } else if (insn.kind == Kind::kMret) {
+    writer_.mret(cursor_, next_pc);
+    cursor_ = next_pc;
+  } else if (next_pc == cursor_ + static_cast<u32>(insn.imm)) {
+    writer_.branch_taken(cursor_, next_pc);
+    cursor_ = next_pc;
+  } else {
+    writer_.branch_not_taken(insn.length);
+    advance(insn.length);
+  }
+  ++instructions_;
+  ++pos_;
 }
 
-void TraceRecorder::flush_run() {
-  if (run_count_ == 0) return;
-  writer_.run(run_length_, run_count_);
-  run_count_ = 0;
+void TraceRecorder::emit_static(u32 from, u32 to) {
+  const PlanInsn* insns = plan_->insns();
+  const u8* bytes = plan_->at(plan_->template_at);
+  // A plain run that `to` cuts, or that a pending instruction follows,
+  // stays open in the RLE state until the next event (as a per-instruction
+  // walk keeps it, so stream_size() agrees); every other event is written
+  // whole.
+  const bool hold =
+      is_static(insns[to].kind) || insns[to].kind == Kind::kPending;
+  const u32 last = to - 1;
+  const u32 whole_end =
+      hold && insns[last].kind == Kind::kPlain ? insns[last].event : to;
+  while (from < to) {
+    if (insns[from].event == from && whole_end > from) {
+      // Whole events, copied from the template.
+      flush_run();
+      writer_.append(bytes + insns[from].bytes,
+                     insns[whole_end].bytes - insns[from].bytes);
+      from = whole_end;
+      continue;
+    }
+    // A run entered after its head, or held open: the RLE state merges it
+    // with the run's other part when no event falls between them.
+    u32 end = from + 1;
+    while (end < to && insns[end].event == insns[from].event) ++end;
+    add_run(insns[from].length, end - from);
+    from = end;
+  }
 }
 
 void TraceRecorder::taint_at(TaintKind kind) {
@@ -227,28 +295,6 @@ void TraceRecorder::flush_pending(const vp::RunResult* result) {
   flush_run();
   ++instructions_;
   switch (static_cast<OpClass>(pending.op_class)) {
-    case OpClass::kLoad:
-    case OpClass::kStore: {
-      // Exactly one access on the non-trap path (a trapped access never
-      // reaches here — on_trap flushed it as kTrapInsn).
-      const MemAccess& access = pending.mem[0];
-      const bool is_store =
-          static_cast<OpClass>(pending.op_class) == OpClass::kStore;
-      Tag tag;
-      if (access.mmio) {
-        tag = is_store ? (pending.length == 4 ? Tag::kStoreMmio4
-                                              : Tag::kStoreMmio2)
-                       : (pending.length == 4 ? Tag::kLoadMmio4
-                                              : Tag::kLoadMmio2);
-      } else {
-        tag = is_store ? (pending.length == 4 ? Tag::kStore4 : Tag::kStore2)
-                       : (pending.length == 4 ? Tag::kLoad4 : Tag::kLoad2);
-      }
-      writer_.mem(tag, access.addr, access.size);
-      ++mem_accesses_;
-      advance(pending.length);
-      break;
-    }
     case OpClass::kAmo:
       if (pending.mem_count == 2) {
         writer_.mem(Tag::kAmoRmw, pending.mem[0].addr, pending.mem[0].size);
@@ -296,6 +342,8 @@ void TraceRecorder::on_tb_exec(u32 tb_start) {
   catch_up(s4e_icount(vm()), tb_start);
   flush_pending(nullptr);
   ++blocks_;
+  plan_ = plan_at(tb_start);
+  pos_ = 0;
   if (cursor_valid_ && tb_start == cursor_) {
     flush_run();
     writer_.block();
@@ -312,7 +360,8 @@ void TraceRecorder::on_tb_exec(u32 tb_start) {
   cursor_valid_ = true;
 }
 
-void TraceRecorder::begin_insn(u64 icount, u32 pc) {
+const TraceRecorder::PlanInsn* TraceRecorder::begin_insn(u64 icount,
+                                                         u32 pc) {
   catch_up(icount, pc);
   accounted_ = icount + 1;
   flush_pending(nullptr);
@@ -324,19 +373,15 @@ void TraceRecorder::begin_insn(u64 icount, u32 pc) {
     cursor_ = pc;
     cursor_valid_ = true;
   }
-}
-
-void TraceRecorder::begin_mem_insn(u64 icount, u32 pc) {
-  begin_insn(icount, pc);
-  const StaticInsn info = static_at(pc);
-  pending_ = Pending{pc,
-                     info.length,
-                     0,
-                     static_cast<u8>(info.kind == StaticInsn::kStore
-                                         ? OpClass::kStore
-                                         : OpClass::kLoad),
-                     {},
-                     0};
+  if (plan_ != nullptr) {
+    const PlanInsn& insn = plan_->insns()[pos_];
+    if (insn.kind != Kind::kEnd && insn.pc == pc) {
+      ++pos_;
+      return &insn;
+    }
+  }
+  plan_ = nullptr;
+  return nullptr;
 }
 
 void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
@@ -412,66 +457,93 @@ void TraceRecorder::on_insn_exec(const s4e_insn_info& insn) {
 }
 
 void TraceRecorder::on_mem(const s4e_mem_event& event) {
+  const bool store = event.is_store != 0;
+  const bool mmio = !(event.vaddr >= config_.ram_base &&
+                      event.vaddr - config_.ram_base <=
+                          config_.ram_size - event.size);
   // The count includes the accessing instruction. A load or store has no
-  // insn_exec request: its access opens it (an AMO is open already).
+  // insn_exec request: it is accounted here, and its access completes its
+  // event (an AMO is pending already).
   const u64 icount = s4e_icount(vm());
-  if (accounted_ < icount) begin_mem_insn(icount - 1, event.pc);
-  if (!pending_ || pending_->mem_count >= 2) return;
-  MemAccess access;
-  access.addr = event.vaddr;
-  access.size = event.size;
-  access.store = event.is_store != 0;
-  access.mmio = !(event.vaddr >= config_.ram_base &&
-                  event.vaddr - config_.ram_base <=
-                      config_.ram_size - event.size);
-  if (access.mmio) {
+  const bool opened = accounted_ < icount;
+  const PlanInsn* insn = nullptr;
+  if (opened) {
+    insn = begin_insn(icount - 1, event.pc);
+  } else if (!pending_ || pending_->mem_count >= 2) {
+    return;
+  }
+  if (mmio) {
     // CLINT and GPIO state is a function of modelled time; the UART and the
     // test finisher are not. CLINT *stores* arm interrupts whose delivery
     // point is cycle-exact, so they taint too.
     if (event.vaddr - vp::Clint::kDefaultBase < vp::Clint::kWindowSize) {
-      taint_at(access.store ? TaintKind::kClintStore : TaintKind::kClintLoad);
-    } else if (!access.store &&
+      taint_at(store ? TaintKind::kClintStore : TaintKind::kClintLoad);
+    } else if (!store &&
                event.vaddr - vp::Gpio::kDefaultBase < vp::Gpio::kWindowSize) {
       taint_at(TaintKind::kGpioLoad);
     }
   }
-  pending_->mem[pending_->mem_count++] = access;
+  if (!opened) {  // the AMO pending since its issue
+    pending_->mem[pending_->mem_count++] =
+        MemAccess{event.vaddr, event.size, store, mmio};
+    return;
+  }
+  // The instruction kind decides the tag (a store's access is a write).
+  const bool is_store = insn != nullptr && insn->kind == Kind::kStore;
+  const u32 length = insn != nullptr ? insn->length : 0;
+  static constexpr Tag kTags[2][2][2] = {
+      {{Tag::kLoad2, Tag::kLoad4}, {Tag::kLoadMmio2, Tag::kLoadMmio4}},
+      {{Tag::kStore2, Tag::kStore4}, {Tag::kStoreMmio2, Tag::kStoreMmio4}}};
+  flush_run();
+  writer_.mem(kTags[is_store][mmio][length == 4], event.vaddr, event.size);
+  ++instructions_;
+  ++mem_accesses_;
+  advance(length);
 }
 
 void TraceRecorder::on_trap(const s4e_trap_event& event) {
   const u64 icount = s4e_icount(vm());
-  // A load or store access fault: the faulting instruction (counted, not
-  // requested, no memory event) opens here. Every other instruction that
-  // traps was requested, so it is accounted already, and a fetch trap or
-  // an interrupt has epc = the next PC.
-  if ((event.cause == vp::kCauseLoadFault ||
-       event.cause == vp::kCauseStoreFault) &&
-      accounted_ < icount) {
-    begin_mem_insn(icount - 1, event.epc);
-  }
-  catch_up(icount, event.epc);
   const bool interrupt = (event.cause & 0x8000'0000u) != 0;
   const u32 mtvec = s4e_read_csr(vm(), isa::kCsrMtvec);
   const bool handled = mtvec != 0;
   const u32 handler = mtvec & ~u32{3};  // sync traps: base, never vectored
-
-  if (!interrupt && pending_ && event.epc == pending_->pc) {
-    // Synchronous trap raised by the pending instruction's handler.
-    const Pending pending = *pending_;
-    pending_.reset();
+  // Whatever happens next starts in another block.
+  const auto trapped = [&](u8 op_class, u32 length, u32 pc) {
     flush_run();
-    writer_.trap_insn(pending.op_class, pending.length, handled, event.cause,
-                      pending.pc, handler);
+    writer_.trap_insn(op_class, length, handled, event.cause, pc, handler);
     ++instructions_;
     if (handled) {
       cursor_ = handler;
     } else {
       cursor_valid_ = false;  // run ends here
     }
+    plan_ = nullptr;
+  };
+
+  // A load or store access fault: the faulting instruction (counted, not
+  // requested, no memory event) is accounted here. Every other instruction
+  // that traps was requested, so it is accounted already, and a fetch trap
+  // or an interrupt has epc = the next PC.
+  if ((event.cause == vp::kCauseLoadFault ||
+       event.cause == vp::kCauseStoreFault) &&
+      accounted_ < icount) {
+    const PlanInsn* insn = begin_insn(icount - 1, event.epc);
+    const bool store = insn != nullptr && insn->kind == Kind::kStore;
+    trapped(static_cast<u8>(store ? OpClass::kStore : OpClass::kLoad),
+            insn != nullptr ? insn->length : 0, event.epc);
+    return;
+  }
+  catch_up(icount, event.epc);
+  if (!interrupt && pending_ && event.epc == pending_->pc) {
+    // Synchronous trap raised by the pending instruction's handler.
+    const Pending pending = *pending_;
+    pending_.reset();
+    trapped(pending.op_class, pending.length, pending.pc);
     return;
   }
 
   flush_pending(nullptr);
+  plan_ = nullptr;
   if (interrupt) {
     // Asynchronous: the delivery point is a function of the cycle count, so
     // the path from here on is configuration-specific.

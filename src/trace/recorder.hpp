@@ -15,20 +15,27 @@
 //   - each divide's dividend (iterative-divider early-out),
 //   - synchronous traps with cause and handler entry.
 //
-// Only the instructions whose event needs run-time state get a callback:
-// divides read their dividend at issue, before execution can overwrite
-// it; atomics, CSR ops and ecall/ebreak/wfi stay pending until their
-// outcome (memory event, trap, run end) arrives. Loads and stores are
-// opened by their memory event (or their access-fault trap), which names
-// their PC. Everything else is derived from the block lists tb_trans
-// hands over: at each
+// Each block is compiled once, at tb_trans, into a plan. Its static
+// instructions — straight-line arithmetic (run-length encoded), multiplies,
+// jal — are pre-encoded into a template, split into stretches at the
+// dynamic ones: a load or store (its access gives the address delta and
+// RAM vs MMIO), a divide (its dividend, read at issue, before execution
+// can overwrite it), a branch to its own fall-through (its operands, read
+// at issue), and the CSR, system and atomic instructions that stay pending
+// until their outcome (memory event, trap, run end) arrives. Only the
+// divides, those branches and the pending kinds get a callback. At each
 // callback the icount delta says how many instructions ran unobserved
-// since the last one, and they are replayed from the cursor — straight-
-// line arithmetic runs, multiplies and jal statically; branches, jalr and
-// mret, which always end a block, from the PC the next event reports (the
-// next block head, a fetch trap or interrupt, or the run's final PC). A
-// branch to its own fall-through is the exception and reads its operands
-// at issue.
+// since the last one: they are the stretch up to it, appended as one slice
+// of the template. A block's exit — a branch, jalr or mret, which always
+// ends it — is resolved from the PC the next event reports (the next block
+// head, a fetch trap or interrupt, or the run's final PC). A stretch cut
+// short (a budget stop, a trap, a careful-mode boundary) re-encodes only
+// the part of the plain run it cut, and a run that ends a stretch before a
+// pending instruction stays open until the next event, so the bytes after
+// finish() are those a per-instruction walk of the same callbacks writes.
+// stream_size() before finish() may differ from that walk's: a load or
+// store is written when its access arrives, so a run stopped right after
+// one already counts its event.
 //
 // Timing-path-sensitive sites (cycle/time CSR reads, CLINT/GPIO loads,
 // CLINT stores, interrupts, non-final wfi) are recorded as taint events:
@@ -36,6 +43,7 @@
 // replay refuses such traces per-site instead of producing fiction.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -102,30 +110,58 @@ class TraceRecorder final : public vp::PluginBase {
     bool store = false;
     bool mmio = false;
   };
-  // What a translated block's instruction list says about the instruction
-  // at one PC: whether it needs a callback (kObserved) or which event it
-  // emits without one.
-  struct StaticInsn {
-    enum Kind : u8 {
-      kUnknown,
-      kPlain,
-      kMul,
-      kJal,
-      // Control flow that ends its block: resolved from the next PC.
-      kBranch,
-      kJalr,
-      kMret,
-      // Opened by their memory event (or access-fault trap).
-      kLoad,
-      kStore,
-      kObserved,  // needs an insn_exec callback
-    };
-    Kind kind = kUnknown;
-    u8 length = 0;
-    // kPlain: this and the next plain_run - 1 instructions of its block
-    // are plain and of this length.
-    u16 plain_run = 0;
-    i32 imm = 0;  // kJal, kBranch: target offset
+  // What a translated block's instruction list says about one instruction:
+  // its event is fixed at translation (the static kinds), written when its
+  // memory access arrives, read at issue by a callback, or, for control
+  // flow that ends the block, resolved from the next PC.
+  enum class Kind : u8 {
+    kPlain,
+    kMul,
+    kJal,  // ends its block
+    kLoad,
+    kStore,
+    // Need an insn_exec callback: an instruction whose event is written at
+    // issue (a divide, a branch to its own fall-through), or one pending
+    // until its outcome arrives (CSR, system and atomic instructions).
+    kIssue,
+    kPending,
+    kBranch,
+    kJalr,
+    kMret,
+    kEnd,  // the plan's sentinel, after its last instruction
+  };
+  static bool is_static(Kind kind) noexcept { return kind <= Kind::kJal; }
+  // Control flow that ends its block, resolved from the next PC.
+  static bool is_exit(Kind kind) noexcept {
+    return kind == Kind::kBranch || kind == Kind::kJalr ||
+           kind == Kind::kMret;
+  }
+  // Every field is set when the plan is compiled.
+  struct PlanInsn {
+    u32 pc;     // the sentinel: where the block continues (a jal's target)
+    i32 imm;    // kBranch: target offset
+    u16 bytes;  // where this instruction's event starts in the template (a
+                // dynamic one: where the events after it start)
+    u8 length;
+    Kind kind;
+    u8 event;  // first instruction of this one's event (a run's head)
+    u8 stop;   // first non-static instruction at or after this one
+  };
+  // A translated block compiled at tb_trans into one allocation: this
+  // header, its instructions plus a sentinel, and its template, the
+  // pre-encoded events of its static instructions in order. The static
+  // instructions between two dynamic ones form a stretch, whose events are
+  // one slice of the template.
+  struct Plan {
+    u16 insns_at = 0;
+    u16 template_at = 0;
+
+    const u8* at(u16 offset) const noexcept {
+      return reinterpret_cast<const u8*>(this) + offset;
+    }
+    const PlanInsn* insns() const noexcept {
+      return reinterpret_cast<const PlanInsn*>(at(insns_at));
+    }
   };
   struct Pending {
     u32 pc = 0;
@@ -136,30 +172,55 @@ class TraceRecorder final : public vp::PluginBase {
     unsigned mem_count = 0;
   };
 
+  // Makes the plan in `slot` the one dispatched at `start`.
+  void install(u32 start, std::unique_ptr<u8[]> slot);
   // Emit the events of the unobserved instructions retired up to `icount`;
   // `next_pc` is where execution continues after them.
   void catch_up(u64 icount, u32 next_pc);
-  StaticInsn& static_slot(u32 pc);
-  StaticInsn static_at(u32 pc) const noexcept {
-    const u32 slot = (pc - static_base_) / 2;
-    return pc >= static_base_ && slot < static_.size() ? static_[slot]
-                                                       : StaticInsn{};
+  // Emit the static instructions [from, to) of the current block.
+  void emit_static(u32 from, u32 to);
+  // Add `count` plain instructions of `length` bytes to the open run.
+  void add_run(u32 length, u32 count) {
+    if (run_count_ != 0 && run_length_ != length) flush_run();
+    run_length_ = length;
+    run_count_ += count;
+  }
+  // The instructions ran where no block describes them: a contract
+  // violation the trace must not hide.
+  void lose_track() {
+    taint_at(TaintKind::kCursorResync);
+    plan_ = nullptr;
+  }
+  const Plan* plan_at(u32 pc) const noexcept {
+    const u32 slot = (pc - plan_base_) / 2;
+    return pc >= plan_base_ && slot < plan_at_.size()
+               ? reinterpret_cast<const Plan*>(plan_at_[slot].get())
+               : nullptr;
   }
   // Account the instruction at `pc` (retiring after `icount` others):
-  // catch up to it, flush the pending one and check the cursor.
-  void begin_insn(u64 icount, u32 pc);
-  // begin_insn() for a load or store, which becomes the pending one.
-  void begin_mem_insn(u64 icount, u32 pc);
-  void flush_run();
+  // catch up to it, flush the pending one and check the cursor. Returns
+  // the block's entry for it (nullptr when no block describes it).
+  const PlanInsn* begin_insn(u64 icount, u32 pc);
+  void flush_run() {
+    if (run_count_ == 0) return;
+    writer_.run(run_length_, run_count_);
+    run_count_ = 0;
+  }
   void taint_at(TaintKind kind);
   void flush_pending(const vp::RunResult* result);
   void advance(u32 length) { cursor_ += length; }
 
   Config config_;
   Writer writer_;
-  // StaticInsn per 2-byte PC slot from static_base_ on.
-  std::vector<StaticInsn> static_;
-  u32 static_base_ = 0;
+  // The latest plan per 2-byte block-start slot from plan_base_ on.
+  std::vector<std::unique_ptr<u8[]>> plan_at_;
+  // A block re-translated at the same PC (self-modifying code) may be the
+  // one executing: the plan it replaced lives here until the next
+  // replacement.
+  std::unique_ptr<u8[]> replaced_;
+  u32 plan_base_ = 0;
+  const Plan* plan_ = nullptr;  // the block executing
+  u32 pos_ = 0;                 // its instructions the stream covers
   u64 accounted_ = 0;  // icount of the instructions the stream covers
   std::optional<Pending> pending_;
   u32 run_length_ = 0;   // RLE state: instruction byte length of the run

@@ -45,11 +45,40 @@ Status check_replayable(const Trace& trace, u64 expected_fingerprint) {
   return Status();
 }
 
+namespace {
+
+u64 simulate_icache(const std::vector<u32>& block_pcs,
+                    const vp::TimingParams& params) {
+  vp::TimingParams geometry;
+  geometry.icache_miss_cycles = 1;  // any nonzero cost turns the model on
+  geometry.icache_lines = params.icache_lines;
+  geometry.icache_line_bytes = params.icache_line_bytes;
+  vp::IcacheSim icache(geometry);
+  for (const u32 pc : block_pcs) icache.probe(pc);
+  return icache.misses();
+}
+
+bool same_geometry(const vp::TimingParams& a, const vp::TimingParams& b) {
+  return a.icache_lines == b.icache_lines &&
+         a.icache_line_bytes == b.icache_line_bytes;
+}
+
+}  // namespace
+
 Result<DecodedTrace> DecodedTrace::decode(const Trace& trace) {
   if (!trace.taints().empty() || trace.profile().wfi_sleeps != 0) {
     return taint_error(trace);
   }
-  return DecodedTrace(trace);
+  // parse() accepted the recorded geometry.
+  const u64 misses = simulate_icache(trace.block_pcs(),
+                                     trace.header().recorded);
+  return DecodedTrace(trace, misses);
+}
+
+u64 DecodedTrace::icache_misses(const vp::TimingParams& params) const {
+  return same_geometry(params, header().recorded)
+             ? recorded_misses_
+             : simulate_icache(block_pcs(), params);
 }
 
 void DecodedTrace::for_each_insn(const InsnHook& on_insn) const {
@@ -111,9 +140,7 @@ ReplayResult charge(const DecodedTrace& trace, const vp::TimingParams& params) {
   }
 
   if (params.icache_miss_cycles != 0) {
-    vp::IcacheSim icache(params);
-    for (const u32 pc : trace.block_pcs()) icache.probe(pc);
-    out.icache_misses = icache.misses();
+    out.icache_misses = trace.icache_misses(params);
     cycles += out.icache_misses * params.icache_miss_cycles;
   }
   out.cycles = cycles;
@@ -125,6 +152,9 @@ ReplayResult charge(const DecodedTrace& trace, const vp::TimingParams& params) {
 Result<ReplayResult> replay(const DecodedTrace& trace,
                             const vp::TimingParams& params,
                             const InsnHook& on_insn) {
+  if (params.icache_miss_cycles != 0) {
+    S4E_TRY_STATUS(check_icache_geometry(params));
+  }
   if (on_insn) trace.for_each_insn(on_insn);
   return charge(trace, params);
 }

@@ -5,22 +5,23 @@
 // latency class ran, divides bucketed by the dividend's significant-bit
 // count, trapped instructions by (class, handled), handled fetch traps, the
 // bimodal predictor's mispredict count, and the block-dispatch PC sequence.
-// DecodedTrace::decode() walks nothing — it refuses tainted traces and
-// shares the parsed body — and replay() then charges any TimingParams from
-// that profile:
+// DecodedTrace::decode() walks no events — it refuses tainted traces,
+// shares the parsed body, and counts the icache misses once (below) — and
+// replay() then charges any TimingParams from that profile:
 //
 //   cycles = profile · TimingModel::class_cycles() costs
 //          + icache misses × icache_miss_cycles
 //
-// The icache is the one model simulated per configuration: its miss count
-// depends on the line geometry, so vp::IcacheSim runs over the block-PC
-// array (only when icache_miss_cycles != 0). Everything else is a count
-// times a configuration constant, so a replay costs O(classes) plus that
-// one pass. Because the exec engine's lowering precomputes every
-// per-instruction cost from the same class_cycles()/divide_cycles() the
-// profile is charged through, and the recorder preserves every input those
-// costs depend on, the replayed cycle count is bit-identical to what a live
-// run under the same configuration would report — without booting a VP.
+// The icache miss count depends on the line geometry only, so decode()
+// runs vp::IcacheSim over the block-PC array once, under the recorded
+// geometry, and a replay with the icache on charges that count; only a
+// configuration with another geometry simulates again. Everything else is
+// a count times a configuration constant, so a replay costs O(classes).
+// Because the exec engine's lowering precomputes every per-instruction
+// cost from the same class_cycles()/divide_cycles() the profile is charged
+// through, and the recorder preserves every input those costs depend on,
+// the replayed cycle count is bit-identical to what a live run under the
+// same configuration would report — without booting a VP.
 //
 // Tainted traces (any timing-path-sensitive site: cycle CSR reads,
 // CLINT/GPIO loads, interrupts, non-final wfi) are refused with a per-site
@@ -57,8 +58,8 @@ Status check_replayable(const Trace& trace, u64 expected_fingerprint);
 // A trace cleared for replay: it shares the parsed trace's immutable body
 // (profile, block PCs, instruction spans — the stream decode, the footer
 // cross-check and the branch-predictor run were paid once, by parse()), so
-// it costs no walk and no copy, and it stays valid after the Trace it came
-// from is gone. Every per-configuration replay charges the shared read-only
+// it costs no event walk and no copy, only one icache pass over the block
+// PCs, and it stays valid after the Trace it came from is gone. Every per-configuration replay charges the shared read-only
 // profile: replay_matrix() and s4e-qta --replay decode once and fan the
 // configurations out over it.
 class DecodedTrace {
@@ -80,13 +81,23 @@ class DecodedTrace {
   // order (RLE runs are expanded).
   void for_each_insn(const InsnHook& on_insn) const;
 
+  // Icache misses over block_pcs() under the line geometry `params` names
+  // (its icache_lines and icache_line_bytes; check_icache_geometry() must
+  // accept them). decode() counted them once for the recorded geometry,
+  // which every timing_matrix() configuration keeps; any other is
+  // simulated.
+  u64 icache_misses(const vp::TimingParams& params) const;
+
  private:
-  explicit DecodedTrace(Trace trace) : trace_(std::move(trace)) {}
+  DecodedTrace(Trace trace, u64 recorded_misses)
+      : trace_(std::move(trace)), recorded_misses_(recorded_misses) {}
   Trace trace_;
+  u64 recorded_misses_ = 0;  // icache misses under the recorded geometry
 };
 
 // Charge the trace under `params`: decode() (which refuses tainted traces),
-// then the replay below.
+// then the replay below. Both replays refuse (kInvalidArgument) an icache
+// geometry check_icache_geometry() refuses when the icache model is on.
 Result<ReplayResult> replay(const Trace& trace, const vp::TimingParams& params,
                             const InsnHook& on_insn = nullptr);
 

@@ -1,18 +1,23 @@
 // Trace subsystem suite: codec units, the truncated/corrupt-trace gauntlet,
 // and the capture-once / replay-many properties:
 //
-//   T1  varint/zigzag codec edges and RLE boundaries survive a round trip
+//   T1  varint/zigzag codec edges and RLE boundaries survive a round trip,
+//       and the recorder's bytes on the standard workloads and torture
+//       suites are pinned
 //   T2  every torn/corrupt trace shape is refused with a diagnostic
 //   T3  record -> replay is cycle-identical to live execution for EVERY
 //       timing configuration in the matrix (the bit-identity contract),
-//       over random torture programs
+//       over random torture programs; recordings cut short by a budget
+//       stop, a trap or self-modifying code are the same bytes in the
+//       chained and the careful engine and replay to the live cycles
 //   T4  the replayed PC sequence drives the QTA path accumulator to the
 //       same WC-path time the live co-simulation computes
 //   T5  the matrix fan-out on the thread pool agrees with serial replay
 //       (tsan-matched: the trace is shared read-only across workers)
 //   T6  the closed-form charge equals live execution on every standard
-//       workload, and a hooked replay returns what an unhooked one does;
-//       a decoded trace replays the same after its Trace is gone
+//       workload, under the recorded icache geometry and under others, and
+//       a hooked replay returns what an unhooked one does; a decoded trace
+//       replays the same after its Trace is gone
 //
 // The seeded mutation fuzzer over recorded traces is test_trace_fuzz.cpp.
 #include <gtest/gtest.h>
@@ -40,6 +45,8 @@ namespace {
 struct Recording {
   std::vector<u8> bytes;
   vp::RunResult result;
+  std::size_t open_bytes = 0;    // stream_size() when the run ended
+  std::size_t closed_bytes = 0;  // stream_size() after finish
 };
 
 Recording record_program(const assembler::Program& program,
@@ -53,7 +60,9 @@ Recording record_program(const assembler::Program& program,
   EXPECT_TRUE(recorder.attach_checked(machine.vm_handle()).ok());
   Recording recording;
   recording.result = machine.run();
+  recording.open_bytes = recorder.stream_size();
   recording.bytes = recorder.finish_bytes(recording.result);
+  recording.closed_bytes = recorder.stream_size();
   return recording;
 }
 
@@ -189,6 +198,133 @@ TEST(TraceCodec, MemDeltasAndRedirectsRoundTrip) {
   EXPECT_EQ(event.target, 0x8000'0000u);
   EXPECT_FALSE(cursor.next(event));
   EXPECT_TRUE(cursor.ok()) << cursor.error();
+}
+
+// --- T1b: the recorder's bytes, pinned --------------------------------------
+
+// Stream size before and after finish() and footer checksum of every
+// recording below, as the recorder's per-instruction walk wrote them
+// before it compiled blocks into templates: the 13 single-hart standard
+// workloads with RV32C off and on, and the default torture suites of
+// seeds 1-4 (CSR segments on, so cycle-CSR taints are pinned too). Any
+// byte a recorder change moves fails here. The size before finish() is
+// what a caller reads from stream_size() once the run ends (perfbench's
+// trace_bytes): the events of the run's last instruction and of the plain
+// run before it are still open.
+struct PinnedStream {
+  const char* name;
+  std::size_t open_bytes;
+  std::size_t stream_bytes;
+  u64 checksum;
+};
+
+constexpr PinnedStream kPinnedStreams[] = {
+      {"checksum", 118, 121, 0xddfcc5df1d81ed4bULL},
+      {"fir", 604, 607, 0xdeb1c15ebc9d9bccULL},
+      {"bubble_sort", 502, 505, 0xaa094c106fe5363dULL},
+      {"crc32", 750, 753, 0x0876bd88ebaa3e4bULL},
+      {"matmul", 1314, 1317, 0x89096367ea36306bULL},
+      {"sieve", 3780, 3783, 0x3ceb002332820ecfULL},
+      {"lock_ctrl", 128, 131, 0xe9d0d214b427c79eULL},
+      {"attack_lock", 136, 139, 0x33379bba6702d323ULL},
+      {"pid", 408, 411, 0xa30bed493f8b7e43ULL},
+      {"histogram", 1090, 1093, 0xcdff644a2216a4c0ULL},
+      {"bsearch", 64, 67, 0x4ef793f02acda32bULL},
+      {"jumptab", 154, 157, 0x11b82ffd44a828afULL},
+      {"callchain", 67, 70, 0x99f38d7b2bc2b92fULL},
+      {"checksum rvc", 120, 123, 0x70772ffd6d583b50ULL},
+      {"fir rvc", 602, 605, 0xf9315387e6abc7e2ULL},
+      {"bubble_sort rvc", 522, 525, 0x6e7c43c2212ca7bbULL},
+      {"crc32 rvc", 1004, 1007, 0x2e8d5c6f894bb2a9ULL},
+      {"matmul rvc", 1638, 1641, 0x980f6296dc8be40aULL},
+      {"sieve rvc", 4270, 4273, 0x59604a871fcf85f9ULL},
+      {"lock_ctrl rvc", 134, 137, 0x01d8d3cd26938069ULL},
+      {"attack_lock rvc", 142, 145, 0x9a688802453e00f4ULL},
+      {"pid rvc", 516, 519, 0x2aaee7680da3f6bdULL},
+      {"histogram rvc", 1218, 1221, 0xdb0dfa2c74a4497dULL},
+      {"bsearch rvc", 76, 79, 0xb2cd35468a2642e2ULL},
+      {"jumptab rvc", 204, 207, 0x08c194ac3ad30f8fULL},
+      {"callchain rvc", 71, 74, 0x07ca3922f5e1f2f6ULL},
+      {"seed1 torture_000", 1027, 1030, 0xffa94f67960f7c8bULL},
+      {"seed1 torture_001", 530, 533, 0xa6cfc6710d3a0defULL},
+      {"seed1 torture_002", 559, 562, 0x00aa9b6d8cd74b60ULL},
+      {"seed1 torture_003", 776, 779, 0x63015ef2373aaba6ULL},
+      {"seed1 torture_004", 610, 613, 0x137f0357bcfdd730ULL},
+      {"seed1 torture_005", 1190, 1193, 0xf54051813d92c178ULL},
+      {"seed1 torture_006", 1619, 1622, 0x39a512da376a8113ULL},
+      {"seed1 torture_007", 950, 953, 0x9965c9783a1b52e6ULL},
+      {"seed1 torture_008", 1478, 1481, 0x5c34f0e53cb661eaULL},
+      {"seed1 torture_009", 1186, 1189, 0x69e1d5082317877eULL},
+      {"seed2 torture_000", 536, 539, 0x91c00a0a1bc7eeb2ULL},
+      {"seed2 torture_001", 2257, 2260, 0x4fc6dd6ba684df13ULL},
+      {"seed2 torture_002", 1460, 1463, 0xb5ecf51b0c4c6f5cULL},
+      {"seed2 torture_003", 502, 505, 0xaa3bc965cf3ae0bcULL},
+      {"seed2 torture_004", 962, 965, 0x03a706c5aabc027cULL},
+      {"seed2 torture_005", 1193, 1196, 0x31cc0481a8a42a10ULL},
+      {"seed2 torture_006", 1096, 1099, 0x98dbf042f30118feULL},
+      {"seed2 torture_007", 1091, 1094, 0x37ebe7f8be4dbe5aULL},
+      {"seed2 torture_008", 1941, 1944, 0x7df4aa11b41df497ULL},
+      {"seed2 torture_009", 1698, 1701, 0xa6fc26bbe04372dfULL},
+      {"seed3 torture_000", 1526, 1529, 0x768646c8b6003693ULL},
+      {"seed3 torture_001", 967, 970, 0xb012caf673a4b188ULL},
+      {"seed3 torture_002", 486, 489, 0x00e1e856fc1c86dbULL},
+      {"seed3 torture_003", 879, 882, 0xdb6ecb101dec9f73ULL},
+      {"seed3 torture_004", 1189, 1192, 0xe83b2f228b4d5204ULL},
+      {"seed3 torture_005", 910, 913, 0xa23d7ef202c89441ULL},
+      {"seed3 torture_006", 880, 883, 0x4c186d4f5a17e0a7ULL},
+      {"seed3 torture_007", 1881, 1884, 0x1324e51e4492ea39ULL},
+      {"seed3 torture_008", 2015, 2018, 0x5497bb60623e7fb0ULL},
+      {"seed3 torture_009", 1984, 1987, 0x536a429bc0a60ec6ULL},
+      {"seed4 torture_000", 1616, 1619, 0xc3d2900f067b9200ULL},
+      {"seed4 torture_001", 1051, 1054, 0xc1e4dc2e58188356ULL},
+      {"seed4 torture_002", 1410, 1413, 0x7faf7f984e68c2f9ULL},
+      {"seed4 torture_003", 1458, 1461, 0x6dceb4116ffcf20aULL},
+      {"seed4 torture_004", 1467, 1470, 0xa36cd3d2954e6826ULL},
+      {"seed4 torture_005", 1461, 1464, 0x7111bc6e9bd33c00ULL},
+      {"seed4 torture_006", 524, 527, 0x9b5361534518124bULL},
+      {"seed4 torture_007", 556, 559, 0xd8665e2288df70b5ULL},
+      {"seed4 torture_008", 1310, 1313, 0xf3d32ce5ce138105ULL},
+      {"seed4 torture_009", 840, 843, 0x009bccdbeb00b25eULL},
+};
+
+TEST(TraceGolden, RecordedStreamsArePinned) {
+  std::vector<std::pair<std::string, Recording>> recorded;
+  for (const bool compress : {false, true}) {
+    assembler::Options options;
+    options.compress = compress;
+    for (const core::Workload& workload : core::standard_workloads()) {
+      if (workload.name.rfind("smp_", 0) == 0) continue;
+      auto program = assembler::assemble(workload.source, options);
+      ASSERT_TRUE(program.ok()) << workload.name;
+      recorded.emplace_back(workload.name + (compress ? " rvc" : ""),
+                            record_program(*program, vp::TimingParams{}));
+    }
+  }
+  for (const u64 seed : {1u, 2u, 3u, 4u}) {
+    testgen::TortureConfig torture;
+    torture.seed = seed;
+    for (const auto& test : testgen::torture_suite(torture)) {
+      auto program = assembler::assemble(test.source);
+      ASSERT_TRUE(program.ok()) << test.name;
+      recorded.emplace_back("seed" + std::to_string(seed) + " " + test.name,
+                            record_program(*program, vp::TimingParams{}));
+    }
+  }
+  ASSERT_EQ(recorded.size(), std::size(kPinnedStreams));
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    const PinnedStream& pinned = kPinnedStreams[i];
+    ASSERT_EQ(recorded[i].first, pinned.name);
+    auto parsed = trace::Trace::parse(recorded[i].second.bytes);
+    ASSERT_TRUE(parsed.ok()) << pinned.name << ": "
+                             << parsed.error().to_string();
+    EXPECT_EQ(recorded[i].second.open_bytes, pinned.open_bytes)
+        << pinned.name;
+    EXPECT_EQ(parsed->stream_size(), pinned.stream_bytes) << pinned.name;
+    EXPECT_EQ(recorded[i].second.closed_bytes, pinned.stream_bytes)
+        << pinned.name;
+    EXPECT_EQ(parsed->footer().stream_checksum, pinned.checksum)
+        << pinned.name;
+  }
 }
 
 // --- T2: the torn/corrupt gauntlet ------------------------------------------
@@ -350,6 +486,55 @@ TEST(TraceGauntlet, RefusesHugeIcache) {
       trace::Trace::parse(icache_header_trace(trace::kMaxIcacheLines, 32));
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_TRUE(trace::replay(*parsed, parsed->header().recorded).ok());
+}
+
+TEST(TraceGauntlet, ReplayRefusesBadIcacheGeometry) {
+  auto program = assembler::assemble(R"(
+    .text
+    li a0, 0
+    li a1, 5
+  loop:
+    addi a0, a0, 1
+    blt a0, a1, loop
+    li a7, 93
+    ecall
+  )");
+  ASSERT_TRUE(program.ok()) << program.error().to_string();
+  const auto recording = record_program(*program, vp::TimingParams{});
+  auto parsed = trace::Trace::parse(recording.bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  struct Geometry {
+    u32 lines;
+    u32 line_bytes;
+    const char* field;
+  };
+  for (const Geometry& bad :
+       {Geometry{48, 32, "icache_lines = 48"},
+        Geometry{64, 0, "icache_line_bytes = 0"},
+        Geometry{1u << 21, 32, "icache_lines = 2097152"}}) {
+    vp::TimingParams params;
+    params.icache_miss_cycles = 12;
+    params.icache_lines = bad.lines;
+    params.icache_line_bytes = bad.line_bytes;
+    auto replayed = trace::replay(*parsed, params);
+    ASSERT_FALSE(replayed.ok()) << bad.field;
+    EXPECT_EQ(replayed.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(replayed.error().message().find(bad.field), std::string::npos)
+        << replayed.error().to_string();
+
+    auto rows = trace::replay_matrix(
+        *parsed, {{"base", vp::TimingParams{}}, {"bad", params}}, 2);
+    ASSERT_FALSE(rows.ok()) << bad.field;
+    EXPECT_EQ(rows.error().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(rows.error().message().find("config 'bad'"), std::string::npos)
+        << rows.error().to_string();
+    EXPECT_NE(rows.error().message().find(bad.field), std::string::npos)
+        << rows.error().to_string();
+
+    // With the icache off the geometry is never used.
+    params.icache_miss_cycles = 0;
+    EXPECT_TRUE(trace::replay(*parsed, params).ok()) << bad.field;
+  }
 }
 
 TEST(TraceGauntlet, RecorderSaveIsAtomicAndLoadable) {
@@ -648,6 +833,257 @@ TEST(TraceLifetime, DecodedTraceOutlivesItsTrace) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceSeed,
                          ::testing::Values(11u, 29u, 83u, 191u));
 
+// --- T3b: blocks cut short ---------------------------------------------------
+
+// A breakpoint at an address no test program executes (the top of RAM) turns
+// on the per-block debug check: the whole run takes the careful loop.
+void force_careful(vp::Machine& machine) {
+  machine.add_breakpoint(machine.config().ram_base +
+                         machine.config().ram_size - 2);
+}
+
+// The live run's retired-instruction PCs, as an insn_exec observer sees them.
+class PcLog final : public vp::PluginBase {
+ public:
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.insn_exec = true;
+    return subs;
+  }
+  void on_insn_exec(const s4e_insn_info& insn) override {
+    pcs.push_back(insn.address);
+  }
+  std::vector<u32> pcs;
+};
+
+// Record `program`, optionally in the careful loop, first for `budget`
+// instructions (0: no budget stop), then, when `resume`, on to its end.
+// `pcs`, when given, logs the PCs the run retires.
+Recording record_cut(const assembler::Program& program, bool careful,
+                     u64 budget, bool resume, PcLog* pcs = nullptr) {
+  vp::MachineConfig config;
+  vp::Machine machine(config);
+  EXPECT_TRUE(machine.load_program(program).ok());
+  if (careful) force_careful(machine);
+  if (pcs != nullptr) pcs->attach(machine.vm_handle());
+  trace::TraceRecorder recorder(
+      trace::TraceRecorder::config_for(config, program));
+  EXPECT_TRUE(recorder.attach_checked(machine.vm_handle()).ok());
+  Recording recording;
+  recording.result = budget != 0 ? machine.run(budget) : machine.run();
+  if (budget != 0 && resume) recording.result = machine.run();
+  recording.bytes = recorder.finish_bytes(recording.result);
+  return recording;
+}
+
+// The chained and the careful recording of one run are the same bytes
+// (also with a whole-run observer logging the live PCs), and the trace
+// checks itself, replays the recording configuration to the live run's
+// cycles and retraces the live PC sequence.
+void expect_recording_holds(const assembler::Program& program, u64 budget,
+                            bool resume, const std::string& label) {
+  const Recording chained = record_cut(program, false, budget, resume);
+  const Recording careful = record_cut(program, true, budget, resume);
+  PcLog live;
+  const Recording observed = record_cut(program, false, budget, resume, &live);
+  EXPECT_EQ(chained.bytes, careful.bytes) << label;
+  EXPECT_EQ(chained.bytes, observed.bytes) << label;
+  EXPECT_EQ(chained.result.instructions, careful.result.instructions)
+      << label;
+  auto parsed = trace::Trace::parse(chained.bytes);
+  ASSERT_TRUE(parsed.ok()) << label << ": " << parsed.error().to_string();
+  ASSERT_TRUE(parsed->taints().empty()) << label;
+  EXPECT_EQ(parsed->footer().instructions, chained.result.instructions)
+      << label;
+  EXPECT_TRUE(trace::self_check(*parsed).ok()) << label;
+  std::vector<u32> pcs;
+  auto replayed = trace::replay(*parsed, vp::TimingParams{},
+                                [&pcs](u32 pc) { pcs.push_back(pc); });
+  ASSERT_TRUE(replayed.ok()) << label;
+  EXPECT_EQ(replayed->cycles, chained.result.cycles) << label;
+  EXPECT_EQ(pcs, live.pcs) << label;
+}
+
+// A loop whose blocks hold a plain run, a mul, a load, a divide, a store
+// and exit branches, one of them a 2-byte c.beqz (planted with .half: the
+// assembler never compresses control flow) over a 2-byte c.nop: a budget of
+// every length stops the recording inside the plain run, on the load, on
+// the divide and on each exit branch, among the rest.
+constexpr const char* kCutLoop = R"(
+    li s0, 4
+    li t0, 0x80001000
+    li s1, 1
+  loop:
+    addi s1, s1, 3
+    xor s2, s1, s0
+    slli s3, s2, 2
+    add s1, s1, s3
+    mul t3, s1, s0
+    lw t1, 0(t0)
+    add s1, s1, t1
+    divu t2, s1, s0
+    sw t2, 0(t0)
+    andi a0, s0, 1
+    .half 0xc501
+    addi t4, s1, 7
+    .half 0x0001
+    add s1, s1, t4
+    addi s0, s0, -1
+    bnez s0, loop
+    andi a0, s1, 127
+    li a7, 93
+    ecall
+)";
+
+TEST(TraceCut, EveryBudgetStopRecordsTheRunItCut) {
+  for (const bool compress : {false, true}) {
+    assembler::Options options;
+    options.compress = compress;
+    auto program = assembler::assemble(kCutLoop, options);
+    ASSERT_TRUE(program.ok()) << program.error().to_string();
+    const u64 total = record_cut(*program, false, 0, false).result.instructions;
+    ASSERT_GT(total, 60u);
+    for (u64 budget = 1; budget < total; ++budget) {
+      for (const bool resume : {false, true}) {
+        expect_recording_holds(
+            *program, budget, resume,
+            "compress=" + std::to_string(compress) +
+                " budget=" + std::to_string(budget) +
+                (resume ? " resumed" : " stopped"));
+      }
+    }
+  }
+}
+
+TEST(TraceCut, SelfModifyingCodeRetranslatesAtTheSamePc) {
+  // The store patches the loop head's first instruction (addi a0, a0, 1
+  // becomes addi a0, a0, 5) while that block is warm: the next dispatch
+  // translates a new block at the same PC, twice. RV32C stays off so the
+  // patched word holds exactly one instruction.
+  auto program = assembler::assemble(R"(
+    la t0, site
+    li t1, 0x00550513
+    li s0, 3
+    li a0, 0
+  loop:
+  site:
+    addi a0, a0, 1
+    addi s0, s0, -1
+    beqz s0, done
+    sw t1, 0(t0)
+    j loop
+  done:
+    li a7, 93
+    ecall
+  )");
+  ASSERT_TRUE(program.ok()) << program.error().to_string();
+  const Recording recording = record_cut(*program, false, 0, false);
+  EXPECT_EQ(recording.result.exit_code, 11);
+  vp::Machine machine;
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  machine.run();
+  EXPECT_GE(machine.tb_cache().invalidated_blocks(), 2u);
+  expect_recording_holds(*program, 0, false, "self-modifying");
+}
+
+// Invalidates the block at `head` each time the instruction at `at` retires.
+class Invalidator final : public vp::PluginBase {
+ public:
+  Invalidator(u32 head, u32 at) : head_(head), at_(at) {}
+  Subscriptions subscriptions() const override {
+    Subscriptions subs;
+    subs.insn_exec = true;
+    return subs;
+  }
+  void on_insn_exec(const s4e_insn_info& insn) override {
+    if (insn.address == at_) s4e_invalidate_tb_range(vm(), head_, 4);
+  }
+
+ private:
+  u32 head_;
+  u32 at_;
+};
+
+TEST(TraceCut, ExecutingBlockRetranslatedAtItsOwnPc) {
+  // The loop is one block that branches back to itself. Invalidating it as
+  // its exit branch retires makes the next dispatch translate it again
+  // while its old plan still has that branch to resolve.
+  auto program = assembler::assemble(R"(
+    li s0, 4
+    li a0, 0
+  loop:
+    addi a0, a0, 3
+    addi s0, s0, -1
+  exit:
+    bnez s0, loop
+    li a7, 93
+    ecall
+  )");
+  ASSERT_TRUE(program.ok()) << program.error().to_string();
+  const auto record = [&](bool careful) {
+    vp::MachineConfig config;
+    vp::Machine machine(config);
+    EXPECT_TRUE(machine.load_program(*program).ok());
+    if (careful) force_careful(machine);
+    Invalidator invalidator(*program->symbol("loop"), *program->symbol("exit"));
+    invalidator.attach(machine.vm_handle());
+    trace::TraceRecorder recorder(
+        trace::TraceRecorder::config_for(config, *program));
+    EXPECT_TRUE(recorder.attach_checked(machine.vm_handle()).ok());
+    Recording recording;
+    recording.result = machine.run();
+    EXPECT_GE(machine.tb_cache().invalidated_blocks(), 3u);
+    recording.bytes = recorder.finish_bytes(recording.result);
+    return recording;
+  };
+  const Recording chained = record(false);
+  EXPECT_EQ(chained.result.exit_code, 12);
+  EXPECT_EQ(chained.bytes, record(true).bytes);
+  auto parsed = trace::Trace::parse(chained.bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_TRUE(parsed->taints().empty());
+  EXPECT_TRUE(trace::self_check(*parsed).ok());
+  auto replayed = trace::replay(*parsed, vp::TimingParams{});
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed->cycles, chained.result.cycles);
+}
+
+TEST(TraceCut, LoadAccessFaultTraps) {
+  // A load outside every device window traps, handled and unhandled.
+  for (const bool handled : {true, false}) {
+    const std::string source = std::string(handled ? R"(
+    la t0, handler
+    csrw mtvec, t0
+)"
+                                                   : "") +
+                               R"(
+    li t1, 0x70000000
+    li a0, 5
+    addi a0, a0, 1
+    lw a1, 0(t1)
+    li a0, 99
+    li a7, 93
+    ecall
+  handler:
+    csrr t2, mcause
+    andi a0, t2, 127
+    li a7, 93
+    ecall
+  )";
+    auto program = assembler::assemble(source);
+    ASSERT_TRUE(program.ok()) << program.error().to_string();
+    const Recording recording = record_cut(*program, false, 0, false);
+    EXPECT_EQ(recording.result.reason, handled
+                                           ? vp::StopReason::kExitEcall
+                                           : vp::StopReason::kTrapUnhandled);
+    if (handled) {
+      EXPECT_EQ(recording.result.exit_code, 5);
+    }
+    expect_recording_holds(*program, 0, false,
+                           handled ? "handled fault" : "unhandled fault");
+  }
+}
+
 // --- T4: QTA path-accumulator equivalence -----------------------------------
 
 TEST(TraceQta, ReplayedPathMatchesLiveCoSimulation) {
@@ -736,20 +1172,6 @@ TEST(TraceMatrix, PoolFanOutAgreesWithSerialReplay) {
 
 // --- T6: the closed form on the standard workloads --------------------------
 
-// The live run's retired-instruction PCs, as an insn_exec observer sees them.
-class PcLog final : public vp::PluginBase {
- public:
-  Subscriptions subscriptions() const override {
-    Subscriptions subs;
-    subs.insn_exec = true;
-    return subs;
-  }
-  void on_insn_exec(const s4e_insn_info& insn) override {
-    pcs.push_back(insn.address);
-  }
-  std::vector<u32> pcs;
-};
-
 TEST(TraceWorkloads, HookedPcSequenceMatchesLiveRun) {
   // With and without RV32C encodings, so straight-line code mixes 2- and
   // 4-byte instructions: the hook must see exactly the live PC sequence.
@@ -800,6 +1222,50 @@ TEST(TraceWorkloads, ClosedFormMatchesLiveOnEveryStandardWorkload) {
       ASSERT_TRUE(result.ok()) << workload.name;
       EXPECT_EQ(result->cycles, live_cycles(*program, config.params))
           << workload.name << " diverged under " << config.name;
+    }
+  }
+}
+
+TEST(TraceWorkloads, IcacheGeometriesMatchLive) {
+  // decode() counts the misses once under the recorded geometry; a replay
+  // with that geometry charges the count, any other simulates. Both must
+  // equal a live run, in cycles and in misses, from recordings made under
+  // the default geometry and under another one.
+  const auto with_icache = [](u32 lines, u32 line_bytes) {
+    vp::TimingParams params;
+    params.icache_miss_cycles = 12;
+    params.icache_lines = lines;
+    params.icache_line_bytes = line_bytes;
+    return params;
+  };
+  const vp::TimingParams geometries[] = {
+      with_icache(64, 32), with_icache(16, 16), with_icache(256, 64)};
+  for (const core::Workload& workload : core::standard_workloads()) {
+    auto program = assembler::assemble(workload.source);
+    ASSERT_TRUE(program.ok()) << workload.name;
+    for (const vp::TimingParams& recorded :
+         {vp::TimingParams{}, geometries[1]}) {
+      const auto recording = record_program(*program, recorded);
+      auto parsed = trace::Trace::parse(recording.bytes);
+      ASSERT_TRUE(parsed.ok()) << workload.name;
+      auto decoded = trace::DecodedTrace::decode(*parsed);
+      ASSERT_TRUE(decoded.ok()) << workload.name;
+      for (const vp::TimingParams& params : geometries) {
+        const std::string label =
+            workload.name + " recorded " +
+            std::to_string(recorded.icache_lines) + " replayed " +
+            std::to_string(params.icache_lines) + "x" +
+            std::to_string(params.icache_line_bytes);
+        vp::MachineConfig config;
+        config.timing = params;
+        vp::Machine machine(config);
+        ASSERT_TRUE(machine.load_program(*program).ok());
+        const vp::RunResult live = machine.run();
+        auto result = trace::replay(*decoded, params);
+        ASSERT_TRUE(result.ok()) << label;
+        EXPECT_EQ(result->cycles, live.cycles) << label;
+        EXPECT_EQ(result->icache_misses, machine.icache_misses()) << label;
+      }
     }
   }
 }
