@@ -6,9 +6,11 @@
 // metric that drives test-suite improvement in the original flow. Dynamic-
 // translation execution keeps whole campaigns in the thousands-of-runs-per-
 // second range (XEMU's headline over interpretation).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "asm/assembler.hpp"
 #include "bench/fresh_campaign.hpp"
@@ -216,8 +218,10 @@ int main(int argc, char** argv) {
   // Fresh-vs-reuse x serial-vs-parallel matrix: the campaign's per-worker
   // machine reuse (snapshot once, dirty-page restore + patch per mutant)
   // against a fresh machine per mutant (bench/fresh_campaign), at jobs=1
-  // and jobs=hw. All four scores must be bit-identical.
+  // and jobs=hw. All four scores must be bit-identical. Each cell reports
+  // the median of `reps` timings, the four cells taking turns.
   {
+    constexpr unsigned reps = 7;
     // Floor at 2 so the pooled path is exercised even on a 1-core host
     // (there the comparison degenerates to ~1.0x, as expected).
     const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
@@ -232,32 +236,39 @@ int main(int argc, char** argv) {
       bool reuse;
       double seconds = 0;
       mutation::MutationScore score;
+      std::vector<double> timings;
     } cells[] = {
-        {"fresh serial", 1, false, 0, {}},
-        {"reuse serial", 1, true, 0, {}},
-        {"fresh parallel", hw, false, 0, {}},
-        {"reuse parallel", hw, true, 0, {}},
+        {"fresh serial", 1, false, 0, {}, {}},
+        {"reuse serial", 1, true, 0, {}, {}},
+        {"fresh parallel", hw, false, 0, {}, {}},
+        {"reuse parallel", hw, true, 0, {}, {}},
     };
-    for (Cell& cell : cells) {
-      mutation::MutationConfig config;
-      config.jobs = cell.jobs;
-      const auto start = std::chrono::steady_clock::now();
-      if (cell.reuse) {
-        auto score = mutation::MutationCampaign(*program, config).run();
-        S4E_CHECK_MSG(score.ok(), cell.name);
-        cell.score = std::move(*score);
-      } else {
-        cell.score = bench::fresh_campaign(
-            mutation::MutationModel(*program, config), cell.jobs);
+    for (unsigned rep = 0; rep < reps; ++rep) {
+      for (Cell& cell : cells) {
+        mutation::MutationConfig config;
+        config.jobs = cell.jobs;
+        const auto start = std::chrono::steady_clock::now();
+        if (cell.reuse) {
+          auto score = mutation::MutationCampaign(*program, config).run();
+          S4E_CHECK_MSG(score.ok(), cell.name);
+          cell.score = std::move(*score);
+        } else {
+          cell.score = bench::fresh_campaign(
+              mutation::MutationModel(*program, config), cell.jobs);
+        }
+        cell.timings.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
       }
-      cell.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+    }
+    for (Cell& cell : cells) {
+      std::sort(cell.timings.begin(), cell.timings.end());
+      cell.seconds = cell.timings[reps / 2];
     }
     const double runs = static_cast<double>(cells[0].score.results.size());
     std::printf("\n[E10-reuse] bubble_sort, %.0f mutants, fresh vs reused "
-                "machines, jobs 1 and %u:\n",
-                runs, hw);
+                "machines, jobs 1 and %u (medians of %u):\n",
+                runs, hw, reps);
     bool all_identical = true;
     for (const Cell& cell : cells) {
       std::printf("  %-15s (jobs=%-2u): %6.2f s  (%7.0f runs/s)\n",
@@ -282,7 +293,9 @@ int main(int argc, char** argv) {
                "\"fresh_parallel_runs_per_s\": %s, "
                "\"reuse_parallel_runs_per_s\": %s, "
                "\"reuse_serial_speedup\": %s, "
-               "\"pages_copied_fraction\": %s}",
+               "\"pages_copied_fraction\": %s, "
+               "\"reps\": %u, \"stat\": \"median\", "
+               "\"host_cores\": %u}",
                runs, hw,
                json_number(runs / cells[0].seconds).c_str(),
                json_number(runs / cells[1].seconds).c_str(),
@@ -297,7 +310,8 @@ int main(int argc, char** argv) {
                                             static_cast<double>(
                                                 stats.pages_total),
                                   6)
-                   .c_str()));
+                   .c_str(),
+               reps, std::thread::hardware_concurrency()));
     S4E_CHECK_MSG(merged.ok(), merged.to_string());
     std::printf("  (recorded in BENCH_campaign.json)\n");
   }

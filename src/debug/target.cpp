@@ -79,7 +79,7 @@ Status DebugTarget::read_memory(u32 address, u32 length,
 Status DebugTarget::write_memory(u32 address, const std::vector<u8>& bytes) {
   S4E_TRY_STATUS(machine_.bus().ram_write(address, bytes.data(),
                                           static_cast<u32>(bytes.size())));
-  machine_.invalidate_code(address, static_cast<u32>(bytes.size()));
+  machine_.code_changed(address, static_cast<u32>(bytes.size()));
   return Status();
 }
 

@@ -252,14 +252,15 @@ Result<MutantResult> MutationModel::run_one(
     const vp::GoldenRun& golden) const {
   // Patch the mutated encoding over the original bytes. On a reused
   // machine warm translation blocks cover the patched address, so the
-  // overlapping blocks must be dropped explicitly (ram_write bypasses the
-  // bus's self-modification detection).
+  // change must be reported explicitly (ram_write bypasses the engine's
+  // self-modification detection): the blocks over it are re-lowered in
+  // place, or dropped when the mutant changes their shape.
   u8 bytes[4];
   for (unsigned i = 0; i < mutant.length; ++i) {
     bytes[i] = static_cast<u8>(mutant.mutated >> (8 * i));
   }
   S4E_TRY_STATUS(vm.bus().ram_write(mutant.address, bytes, mutant.length));
-  vm.tb_cache().invalidate_range(mutant.address, mutant.length);
+  vm.code_changed(mutant.address, mutant.length);
 
   // The recorder is passive (it only reads the event structs), so verdicts
   // are bit-identical with and without it.

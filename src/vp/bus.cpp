@@ -165,7 +165,7 @@ u64 Bus::ram_snapshot(RamImage& image) {
 }
 
 u64 Bus::ram_restore(const RamImage& image, const RamDelta* delta,
-                     std::pair<u32, u32> watch,
+                     std::pair<u32, u64> watch,
                      std::vector<std::pair<u32, u32>>& changed) {
   S4E_CHECK_MSG(image.bytes.size() == ram_size_,
                 "RAM restore from a foreign snapshot");

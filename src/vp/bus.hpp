@@ -101,7 +101,7 @@ class Bus {
   // other page from `image` (the rung's base), and the pages of the delta
   // the machine was last restored to are copied back too.
   u64 ram_restore(const RamImage& image, const RamDelta* delta,
-                  std::pair<u32, u32> watch,
+                  std::pair<u32, u64> watch,
                   std::vector<std::pair<u32, u32>>& changed);
 
   // Copy the pages written since the last ram_snapshot()/ram_restore()

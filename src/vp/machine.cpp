@@ -18,6 +18,37 @@ namespace s4e::vp {
 using isa::Instr;
 using isa::Op;
 
+namespace {
+
+// How an instruction ends its translation block: a body instruction does
+// not; the others end it, each leaving it by its own kind of exit (a static
+// taken edge, an indirect one through the jump cache, or a trap/stop).
+enum class BlockRole : u8 { kBody, kStatic, kIndirect, kSystem };
+
+BlockRole block_role(Op op) noexcept {
+  switch (op) {
+    case Op::kJal: return BlockRole::kStatic;
+    case Op::kJalr:
+    case Op::kMret: return BlockRole::kIndirect;
+    case Op::kEcall:
+    case Op::kEbreak:
+    // WFI ends its block: the timer interrupt it waits for is only
+    // delivered at block boundaries.
+    case Op::kWfi: return BlockRole::kSystem;
+    default:
+      return isa::op_info(op).op_class == isa::OpClass::kBranch
+                 ? BlockRole::kStatic
+                 : BlockRole::kBody;
+  }
+}
+
+// The static target of a block ending in `last` (its taken edge), else 0.
+u32 taken_pc_of(const DecodedInsn& last) noexcept {
+  return block_role(last.op) == BlockRole::kStatic ? last.target : 0;
+}
+
+}  // namespace
+
 std::string_view to_string(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kExitEcall: return "exit-ecall";
@@ -202,8 +233,8 @@ void Machine::restore_state(const Snapshot& snap) {
   if (tb_maint_pending_) apply_tb_maintenance();
   chain_epoch_recheck_ = false;
   scratch_block_.reset();
-  // Drop exactly the blocks whose source bytes the restore changes; a data
-  // store that dirtied a code page leaves that page's translations warm.
+  // Only the code bytes the restore changes go through code_changed; a data
+  // store that dirtied a code page leaves that page's translations alone.
   restore_changes_.clear();
   const bool rung = snap.base != nullptr;
   snap_stats_.pages_copied += bus_.ram_restore(
@@ -214,8 +245,9 @@ void Machine::restore_state(const Snapshot& snap) {
     snap_stats_.prefix_insns += snap.icount;
   }
   snap_stats_.pages_total += bus_.ram_pages();
-  snap_stats_.tb_blocks_invalidated +=
-      tb_cache_.invalidate_ranges(restore_changes_);
+  const TbCache::CodeChange change = code_changed(restore_changes_);
+  snap_stats_.tb_blocks_invalidated += change.dropped;
+  snap_stats_.tb_blocks_relowered += change.relowered;
   bus_.restore_device_state(snap.device_state);
   clear_forced();
   cycle_.disarm();
@@ -257,11 +289,6 @@ bool Machine::force_mem_bit(u32 address, unsigned bit, bool value) {
     if (tb_cache_.overlaps_code(address, 1)) request_tb_invalidate(address, 1);
   }
   return true;
-}
-
-void Machine::invalidate_code(u32 address, u32 size) {
-  tb_cache_.invalidate_range(address, size);
-  scratch_block_.reset();
 }
 
 void Machine::add_breakpoint(u32 address) {
@@ -417,10 +444,7 @@ TranslationBlock* Machine::translate(u32 pc) {
     }
     insns.push_back(*instr);
     address += instr->length;
-    if (instr->is_control_flow()) break;
-    // WFI must end the block: the timer interrupt it waits for is only
-    // delivered at block boundaries.
-    if (instr->op == Op::kWfi) break;
+    if (block_role(instr->op) != BlockRole::kBody) break;
   }
   block->byte_size = address - pc;
   lower_block(*block, insns);
@@ -1247,50 +1271,104 @@ s4e_insn_info Machine::to_insn_info(const DecodedInsn& decoded) {
   return info;
 }
 
+DecodedInsn Machine::lower_insn(const Instr& in, u32 pc) const {
+  const TimingParams& params = timing_.params();
+  DecodedInsn d;
+  d.pc = pc;
+  d.link = pc + in.length;
+  d.imm = in.imm;
+  d.target = pc + static_cast<u32>(in.imm);
+  d.raw = in.raw;
+  d.csr = in.csr;
+  d.op = in.op;
+  d.rd = in.rd;
+  d.rs1 = in.rs1;
+  d.rs2 = in.rs2;
+  if (in.info().op_class == isa::OpClass::kDiv) {
+    // Divides charge base + divide_cycles(rs1) in the handler (the
+    // operand-dependent part cannot be precomputed).
+    d.c_fall = params.base_cycles;
+    d.c_taken = params.base_cycles;
+    d.c_mmio = params.base_cycles;
+  } else {
+    const isa::OpClass op = in.info().op_class;
+    d.c_fall = timing_.class_cycles(op, false, false);
+    d.c_taken = timing_.class_cycles(op, true, false);
+    d.c_mmio = timing_.class_cycles(op, false, true);
+  }
+  d.fn = ExecOps::select(in, params.branch_predictor);
+  return d;
+}
+
 void Machine::lower_block(TranslationBlock& block,
                           const std::vector<Instr>& insns) {
-  const TimingParams& params = timing_.params();
-  const bool predictor = params.branch_predictor;
   block.code.clear();
   block.code.reserve(insns.size());
   u32 pc = block.start;
   for (const Instr& in : insns) {
-    DecodedInsn d;
-    d.pc = pc;
-    d.link = pc + in.length;
-    d.imm = in.imm;
-    d.target = pc + static_cast<u32>(in.imm);
-    d.raw = in.raw;
-    d.csr = in.csr;
-    d.op = in.op;
-    d.rd = in.rd;
-    d.rs1 = in.rs1;
-    d.rs2 = in.rs2;
-    if (in.info().op_class == isa::OpClass::kDiv) {
-      // Divides charge base + divide_cycles(rs1) in the handler (the
-      // operand-dependent part cannot be precomputed).
-      d.c_fall = params.base_cycles;
-      d.c_taken = params.base_cycles;
-      d.c_mmio = params.base_cycles;
-    } else {
-      const isa::OpClass op = in.info().op_class;
-      d.c_fall = timing_.class_cycles(op, false, false);
-      d.c_taken = timing_.class_cycles(op, true, false);
-      d.c_mmio = timing_.class_cycles(op, false, true);
-    }
-    d.fn = ExecOps::select(in, predictor);
-    block.code.push_back(d);
-    pc = d.link;
+    block.code.push_back(lower_insn(in, pc));
+    pc = block.code.back().link;
   }
-  if (!block.code.empty()) block.code.front().hook = kHookHead;
   block.fall_pc = block.start + block.byte_size;
   block.taken_pc = 0;
-  if (!insns.empty()) {
-    const Instr& last = insns.back();
-    if (last.is_branch() || last.op == Op::kJal) {
-      block.taken_pc = block.code.back().target;
-    }
+  if (!block.code.empty()) {
+    block.code.front().hook = kHookHead;
+    block.taken_pc = taken_pc_of(block.code.back());
   }
+}
+
+std::optional<Instr> Machine::decode_at(u32 address) {
+  auto half = bus_.fetch_half(address);
+  if (!half.ok()) return std::nullopt;
+  u32 bits = *half;
+  if (!isa::is_compressed(static_cast<u16>(bits))) {
+    auto word = bus_.fetch_word(address);
+    if (!word.ok()) return std::nullopt;
+    bits = *word;
+  }
+  auto instr = isa::decode_parcel(bits);
+  if (!instr.ok()) return std::nullopt;
+  return *instr;
+}
+
+bool Machine::relower(TranslationBlock& block,
+                      std::span<const std::pair<u32, u32>> ranges) {
+  // Plugins must see every re-translation, and a breakpoint may have to
+  // split the new code differently: drop.
+  if (!tb_trans_cbs_.empty() || !breakpoints_.empty()) return false;
+  // The cut parcel decided where the block ends.
+  if (block.cut_bytes != 0 &&
+      overlaps_any(ranges, block.end(), block.source_end())) {
+    return false;
+  }
+  const u64 changed_end = u64{ranges.back().first} + ranges.back().second;
+  for (DecodedInsn& d : block.code) {
+    if (d.pc >= changed_end) break;
+    const u32 length = d.link - d.pc;
+    if (!overlaps_any(ranges, d.pc, u64{d.pc} + length)) continue;
+    const std::optional<Instr> in = decode_at(d.pc);
+    if (!in || in->length != length ||
+        block_role(in->op) != block_role(d.op)) {
+      return false;  // the block would end elsewhere, or exit differently
+    }
+    DecodedInsn lowered = lower_insn(*in, d.pc);
+    lowered.hook = d.hook & kHookHead;
+    set_hooks(lowered, lowered.fn, hook_requests(d));
+    d = lowered;
+  }
+  const u32 taken = taken_pc_of(block.code.back());
+  if (taken != block.taken_pc) {
+    block.taken_pc = taken;
+    block.chain_taken = ChainSlot{};
+  }
+  return true;
+}
+
+TbCache::CodeChange Machine::code_changed(
+    std::span<const std::pair<u32, u32>> ranges) {
+  return tb_cache_.rewrite(ranges, [this, ranges](TranslationBlock& block) {
+    return relower(block, ranges);
+  });
 }
 
 Machine::BlockExit Machine::exec_block_fast(TranslationBlock* tb) {
@@ -1778,10 +1856,24 @@ void Machine::fire_icount_cbs() {
 void Machine::apply_tb_maintenance() {
   if (tb_flush_all_) {
     tb_cache_.flush();
-  } else {
+  } else if (!tb_invalidations_.empty()) {
+    // Sorted and merged into disjoint runs, as code_changed takes them.
+    std::sort(tb_invalidations_.begin(), tb_invalidations_.end());
+    std::size_t runs = 0;
+    u64 run_end = 0;
     for (const auto& [address, size] : tb_invalidations_) {
-      tb_cache_.invalidate_range(address, size);
+      const u64 end = u64{address} + size;
+      if (runs != 0 && address <= run_end) {
+        run_end = std::max(run_end, end);
+        tb_invalidations_[runs - 1].second = static_cast<u32>(
+            run_end - tb_invalidations_[runs - 1].first);
+      } else {
+        tb_invalidations_[runs++] = {address, size};
+        run_end = end;
+      }
     }
+    tb_invalidations_.resize(runs);
+    code_changed(tb_invalidations_);
   }
   tb_invalidations_.clear();
   tb_flush_all_ = false;

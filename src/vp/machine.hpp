@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -157,9 +158,23 @@ class Machine {
     debug_check_ = true;
   }
 
-  // Drop translation blocks overlapping [address, address+size) — required
-  // after any out-of-band RAM write (debugger `M` packets patching code).
-  void invalidate_code(u32 address, u32 size);
+  // Code bytes in `ranges` ([address, size) pairs, sorted by address and
+  // disjoint) changed under the translations: every path that changes
+  // translated code reports it here (a mutant patch, a restore, a
+  // self-modifying store, a plugin's s4e_invalidate_tb_range, a debugger
+  // `M` write). Each block overlapping a range re-decodes the instructions
+  // in it from RAM. It is re-lowered in place when each keeps its length
+  // and block-ending role and the ranges miss the parcel the block was cut
+  // before; chain links into it stay, and its taken edge is cleared if its
+  // static target moved. It is dropped otherwise, and always while a
+  // breakpoint is set or a tb_trans subscriber must see re-translations;
+  // a drop severs every chain.
+  TbCache::CodeChange code_changed(
+      std::span<const std::pair<u32, u32>> ranges);
+  TbCache::CodeChange code_changed(u32 address, u32 size) {
+    const std::pair<u32, u32> range{address, size};
+    return code_changed({&range, 1});
+  }
 
   // Reset architectural state, counters and every mapped device (keeps
   // loaded RAM contents).
@@ -175,8 +190,8 @@ class Machine {
 
   // Restore the state captured by save_state() on *this* machine. RAM
   // restore is proportional to the pages dirtied since the snapshot. Pending
-  // TB maintenance is applied, then only the translation blocks whose
-  // source bytes the restore changes are dropped — the rest of the TB cache
+  // TB maintenance is applied, then the byte runs the restore changes in
+  // translated code go through code_changed — the rest of the TB cache
   // stays warm. Plugin callbacks are untouched; campaign drivers
   // that re-attach per-run plugins call clear_plugins() first.
   //
@@ -354,8 +369,8 @@ class Machine {
 
   // Deferred TB maintenance: safe to call from plugin callbacks while a
   // block is executing. The executing block ends after its current
-  // instruction and the flush (or the drop of the blocks overlapping
-  // [address, address+size)) happens at that block boundary.
+  // instruction and the flush (or code_changed over [address,
+  // address+size)) happens at that block boundary.
   void request_tb_flush() noexcept {
     tb_flush_all_ = true;
     tb_maint_pending_ = true;
@@ -420,6 +435,16 @@ class Machine {
   // Lower the decoded `insns` of `block` into its threaded `code`.
   void lower_block(TranslationBlock& block,
                    const std::vector<isa::Instr>& insns);
+  // The threaded form of `in` at `pc`, unhooked (lower_block and
+  // code_changed's re-lowering share it).
+  DecodedInsn lower_insn(const isa::Instr& in, u32 pc) const;
+  // The instruction at `address` as translate() fetches and decodes it;
+  // nullopt when it cannot be fetched or does not decode.
+  std::optional<isa::Instr> decode_at(u32 address);
+  // code_changed's per-block step: re-lower `block` in place over the
+  // changed `ranges`, or return false when it must be dropped.
+  bool relower(TranslationBlock& block,
+               std::span<const std::pair<u32, u32>> ranges);
   TranslationBlock* lookup_or_translate(u32 pc);
   // The careful run of one block from the fast path (budget end or armed
   // icount callback inside it).

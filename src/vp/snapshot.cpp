@@ -11,13 +11,15 @@ std::string SnapshotStats::to_string() const {
                              static_cast<double>(pages_total);
   return format(
       "snapshot: %llu snapshots (%llu pages saved), %llu restores, "
-      "%llu/%llu pages copied (%.2f%%), %llu tb blocks invalidated",
+      "%llu/%llu pages copied (%.2f%%), %llu tb blocks invalidated, "
+      "%llu re-lowered",
       static_cast<unsigned long long>(snapshots),
       static_cast<unsigned long long>(pages_saved),
       static_cast<unsigned long long>(restores),
       static_cast<unsigned long long>(pages_copied),
       static_cast<unsigned long long>(pages_total), copied_pct,
-      static_cast<unsigned long long>(tb_blocks_invalidated)) +
+      static_cast<unsigned long long>(tb_blocks_invalidated),
+      static_cast<unsigned long long>(tb_blocks_relowered)) +
          format("\nshortcuts: %llu dead skipped (%llu insns), %llu "
                 "fast-forwards (%llu golden insns not re-run), %llu hangs "
                 "stopped (%llu insns not run), %llu/%llu insns "

@@ -21,11 +21,13 @@
 // either snapshot's delta, or the run since, has dirtied.
 //
 // Invariants:
-//   * A translation block survives a restore iff its source bytes (its
-//     instructions, plus the parcel it was cut before, if any) equal the
-//     snapshot's. The restore applies pending TB maintenance, then compares
-//     the dirty pages that overlap translated code with the image and drops
-//     the blocks over the bytes that differ.
+//   * After a restore every translation block holds the translation of the
+//     snapshot's bytes. The restore applies pending TB maintenance, then
+//     compares the dirty pages that overlap translated code with the image
+//     and passes the bytes that differ to Machine::code_changed, which
+//     re-lowers the blocks over them in place, or drops those whose shape
+//     the bytes change. A block whose source bytes (its instructions, plus
+//     the parcel it was cut before, if any) are unchanged is not touched.
 //   * A run on a restored machine is bit-identical — RunResult, UART
 //     output, memory hash, cycle counts — to the same run on a freshly
 //     constructed machine (property-tested over generated programs). For a
@@ -168,9 +170,11 @@ struct SnapshotStats {
   u64 pages_saved = 0;    // populated pages copied in across all captures
   u64 pages_copied = 0;   // dirty pages written back across all restores
   u64 pages_total = 0;    // pages a full-RAM restore would copy, summed
-  // Translation blocks restores dropped because their source bytes
-  // changed; pending TB maintenance a restore applies is not counted here.
+  // Translation blocks over source bytes a restore changed: dropped, or
+  // re-lowered in place (Machine::code_changed). Pending TB maintenance a
+  // restore applies is not counted here.
   u64 tb_blocks_invalidated = 0;
+  u64 tb_blocks_relowered = 0;
   // The golden checkpoint ladder: rungs captured, and the pages they copied.
   u64 rungs = 0;
   u64 rung_pages = 0;
@@ -196,6 +200,7 @@ struct SnapshotStats {
     pages_copied += other.pages_copied;
     pages_total += other.pages_total;
     tb_blocks_invalidated += other.tb_blocks_invalidated;
+    tb_blocks_relowered += other.tb_blocks_relowered;
     rungs += other.rungs;
     rung_pages += other.rung_pages;
     dead_skipped += other.dead_skipped;

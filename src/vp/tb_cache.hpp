@@ -1,25 +1,31 @@
 // Translation-block cache: the VP's analogue of QEMU's TCG code cache.
 //
 // Guest code is decoded once per basic block, lowered to the threaded
-// DecodedInsn form (see exec_engine.hpp), and reused on every re-execution;
-// only stores into already-translated code (self-modification, or a code
-// fault injected through the plugin API) and snapshot restores that change
-// code bytes drop the overlapping blocks. The E1 experiment ablates this
-// cache against per-instruction re-decoding.
+// DecodedInsn form (see exec_engine.hpp), and reused on every re-execution.
+// A change of translated code bytes (a self-modifying store, a code fault
+// injected through the plugin API, a mutant patch, a snapshot restore that
+// changes code bytes, a debugger write) goes through
+// Machine::code_changed: a block whose re-decoded instructions keep their
+// lengths and block-ending roles is re-lowered in place, every other
+// overlapping block is dropped. The E1 experiment ablates this cache
+// against per-instruction re-decoding.
 //
 // Chaining model: blocks carry direct successor pointers (fall-through and
 // static-branch edges) plus a 2-entry jump cache per indirect exit, patched
 // lazily by the execution engine. Links are severed *logically*, not by
 // walking back-pointers: every slot records the cache's chain epoch at patch
-// time, and any invalidation (flush, invalidate_range, re-insert) bumps the
-// epoch, making every outstanding link stale in O(1). A stale link is never
-// dereferenced — the epoch is checked first — so block destruction needs no
-// unlinking pass. Only code changes move the epoch: a run that changes no
-// code severs no chain.
+// time, and any drop of a block (flush, invalidate_range, a code change
+// that drops one, re-insert) bumps the epoch, making every outstanding link
+// stale in O(1). A stale link is never dereferenced — the epoch is checked
+// first — so block destruction needs no unlinking pass. A block re-lowered
+// in place stays the same object, so links into it stay valid; only its
+// own taken edge is cleared when its static target changed. A run that
+// drops no block severs no chain.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -31,6 +37,20 @@
 namespace s4e::vp {
 
 struct TranslationBlock;
+
+// True if [lo, hi) intersects one of `ranges`: [address, address + size)
+// pairs, sorted by address and disjoint. 64-bit bounds, so a range or a
+// block ending at 2^32 is compared exactly.
+inline bool overlaps_any(std::span<const std::pair<u32, u32>> ranges, u64 lo,
+                         u64 hi) noexcept {
+  // Sorted and disjoint, so range ends ascend too: the first range ending
+  // past `lo` is the only candidate for overlapping [lo, hi).
+  const auto it = std::partition_point(
+      ranges.begin(), ranges.end(), [lo](const std::pair<u32, u32>& r) {
+        return u64{r.first} + r.second <= lo;
+      });
+  return it != ranges.end() && it->first < hi;
+}
 
 // A direct chain edge: valid iff `epoch` matches the cache's current chain
 // epoch.
@@ -67,14 +87,20 @@ struct TranslationBlock {
   };
   std::array<JumpCacheEntry, 2> jc{};
 
-  u32 end() const noexcept { return start + byte_size; }
-  u32 source_end() const noexcept { return end() + cut_bytes; }
+  // One past the last instruction byte and one past the last source byte,
+  // 64-bit: a block may end exactly at 2^32.
+  u64 end() const noexcept { return u64{start} + byte_size; }
+  u64 source_end() const noexcept { return end() + cut_bytes; }
 };
 
 class TbCache {
  public:
   // Max instructions per block (QEMU uses a similar translation bound).
   static constexpr unsigned kMaxBlockInsns = 64;
+  // Most source bytes one block covers: 64 4-byte instructions and the
+  // parcel it was cut before. A block overlapping an address starts at
+  // most this far below it.
+  static constexpr u32 kMaxSourceBytes = kMaxBlockInsns * 4 + 4;
   // Direct-mapped front cache in front of the hash map: the block-dispatch
   // loop hits lookup() once per executed block, and campaign workloads
   // re-execute a handful of hot blocks millions of times. Power of two.
@@ -109,6 +135,7 @@ class TbCache {
     }
     slot = std::move(block);
     front_[front_slot(raw->start)] = {raw->start, raw};
+    index_stale_ = true;
     return raw;
   }
 
@@ -118,6 +145,8 @@ class TbCache {
     const bool dropped = !blocks_.empty();
     blocks_.clear();
     front_.fill(FrontEntry{});
+    by_start_.clear();
+    index_stale_ = false;
     code_lo_ = ~u32{0};
     code_hi_ = 0;
     if (dropped) {
@@ -126,52 +155,56 @@ class TbCache {
     }
   }
 
-  // Drop only the blocks overlapping [address, address+size) — code was
-  // patched in that range (a mutant, a code fault) but the rest of the
-  // translated code is still valid and stays warm. Returns the number of
-  // blocks dropped. The code watermarks stay (conservative: they may only
-  // over-approximate translated code). All chain links are severed (epoch
-  // bump) whenever anything was dropped.
-  u64 invalidate_range(u32 address, u32 size) noexcept {
-    const std::pair<u32, u32> range{address, size};
-    return invalidate_ranges({&range, 1});
-  }
-
-  // invalidate_range over several [address, size) ranges in one pass over
-  // the cache. `ranges` must be sorted by address and disjoint (a snapshot
-  // restore's changed byte runs).
-  u64 invalidate_ranges(std::span<const std::pair<u32, u32>> ranges) noexcept {
-    if (ranges.empty()) return 0;
-    const u32 span_lo = ranges.front().first;
-    const u64 span_hi =
-        static_cast<u64>(ranges.back().first) + ranges.back().second;
-    if (!overlaps_code(span_lo, static_cast<u32>(span_hi - span_lo))) {
-      return 0;
-    }
-    // Sorted and disjoint, so range ends ascend too: the first range ending
-    // past `lo` is the only candidate for overlapping [lo, hi).
-    const auto overlaps = [ranges](u64 lo, u64 hi) {
-      const auto it = std::partition_point(
-          ranges.begin(), ranges.end(), [lo](const std::pair<u32, u32>& r) {
-            return static_cast<u64>(r.first) + r.second <= lo;
-          });
-      return it != ranges.end() && it->first < hi;
-    };
+  // What a code change did to the blocks over the changed bytes.
+  struct CodeChange {
+    u64 relowered = 0;
     u64 dropped = 0;
-    for (auto it = blocks_.begin(); it != blocks_.end();) {
-      TranslationBlock* block = it->second.get();
-      if (overlaps(block->start, block->source_end())) {
-        FrontEntry& front = front_[front_slot(block->start)];
-        if (front.block == block) front = FrontEntry{};
-        it = blocks_.erase(it);
-        ++dropped;
+  };
+
+  // Code bytes in `ranges` ([address, size) pairs, sorted by address and
+  // disjoint) changed. Calls `relower(block)` on every block whose source
+  // bytes [start, source_end()) overlap a range, in address order: a block
+  // it re-lowered in place (returning true) stays, every other is dropped,
+  // and a drop severs every chain. The blocks are found through an
+  // address-ordered index, rebuilt here when blocks were translated or
+  // dropped since it was last built, so translating pays nothing for it
+  // and a change costs the blocks near the ranges, not the whole cache.
+  // The code watermarks stay (conservative: they may only over-approximate
+  // translated code).
+  template <typename Relower>
+  CodeChange rewrite(std::span<const std::pair<u32, u32>> ranges,
+                     Relower&& relower) {
+    CodeChange change;
+    if (ranges.empty()) return change;
+    const u32 lo = ranges.front().first;
+    const u64 hi = u64{ranges.back().first} + ranges.back().second;
+    if (lo >= code_hi_ || hi <= code_lo_) return change;
+    if (index_stale_) rebuild_index();
+    const u32 from = lo > kMaxSourceBytes ? lo - kMaxSourceBytes : 0;
+    std::vector<TranslationBlock*> doomed;
+    for (auto it = std::partition_point(
+             by_start_.begin(), by_start_.end(),
+             [from](const TranslationBlock* b) { return b->start < from; });
+         it != by_start_.end() && (*it)->start < hi; ++it) {
+      TranslationBlock* block = *it;
+      if (!overlaps_any(ranges, block->start, block->source_end())) continue;
+      if (relower(*block)) {
+        ++change.relowered;
       } else {
-        ++it;
+        doomed.push_back(block);
       }
     }
-    if (dropped != 0) sever_chains();
-    invalidated_blocks_ += dropped;
-    return dropped;
+    relowered_blocks_ += change.relowered;
+    change.dropped = drop(doomed);
+    return change;
+  }
+
+  // Drop the blocks overlapping [address, address+size): the rewrite that
+  // re-lowers nothing. Returns the number of blocks dropped.
+  u64 invalidate_range(u32 address, u32 size) {
+    const std::pair<u32, u32> range{address, size};
+    return rewrite({&range, 1}, [](TranslationBlock&) { return false; })
+        .dropped;
   }
 
   // Visit every live block (the engine re-lowers their exec-callback hooks
@@ -184,11 +217,11 @@ class TbCache {
   // Conservative self-modification check: true if [address, address+size)
   // intersects the watermark range of translated code.
   bool overlaps_code(u32 address, u32 size) const noexcept {
-    return code_hi_ != 0 && address < code_hi_ && address + size > code_lo_;
+    return address < code_hi_ && u64{address} + size > code_lo_;
   }
   // The watermark range [lo, hi) itself; empty (lo > hi) when nothing was
-  // translated since the last flush.
-  std::pair<u32, u32> code_extent() const noexcept {
+  // translated since the last flush. `hi` is 2^32 for code ending there.
+  std::pair<u32, u64> code_extent() const noexcept {
     return {code_lo_, code_hi_};
   }
 
@@ -203,6 +236,7 @@ class TbCache {
   std::size_t size() const noexcept { return blocks_.size(); }
   u64 flush_count() const noexcept { return flush_count_; }
   u64 invalidated_blocks() const noexcept { return invalidated_blocks_; }
+  u64 relowered_blocks() const noexcept { return relowered_blocks_; }
   u64 chain_severs() const noexcept { return chain_severs_; }
   u64 front_hits() const noexcept { return front_hits_; }
   u64 deep_hits() const noexcept { return deep_hits_; }
@@ -220,12 +254,41 @@ class TbCache {
     return (pc >> 1) & (kFrontEntries - 1);
   }
 
+  // Drop `blocks`, live blocks of this cache each listed once, severing
+  // every chain when there is one. Returns the number dropped.
+  u64 drop(std::span<TranslationBlock* const> blocks) noexcept {
+    if (blocks.empty()) return 0;
+    for (TranslationBlock* block : blocks) {
+      FrontEntry& front = front_[front_slot(block->start)];
+      if (front.block == block) front = FrontEntry{};
+      blocks_.erase(block->start);
+    }
+    index_stale_ = true;
+    sever_chains();
+    invalidated_blocks_ += blocks.size();
+    return blocks.size();
+  }
+
+  void rebuild_index() {
+    by_start_.clear();
+    by_start_.reserve(blocks_.size());
+    for (const auto& entry : blocks_) by_start_.push_back(entry.second.get());
+    std::sort(by_start_.begin(), by_start_.end(),
+              [](const TranslationBlock* a, const TranslationBlock* b) {
+                return a->start < b->start;
+              });
+    index_stale_ = false;
+  }
+
   std::unordered_map<u32, std::unique_ptr<TranslationBlock>> blocks_;
   std::array<FrontEntry, kFrontEntries> front_{};
   u32 code_lo_ = ~u32{0};
-  u32 code_hi_ = 0;
+  // Set by an insert or a drop: `by_start_` is rebuilt before its next use.
+  bool index_stale_ = false;
+  u64 code_hi_ = 0;
   u64 flush_count_ = 0;
   u64 invalidated_blocks_ = 0;
+  u64 relowered_blocks_ = 0;
   // Chain epoch starts at 1 so a default-constructed ChainSlot (epoch 0)
   // can never validate.
   u64 chain_epoch_ = 1;
@@ -233,6 +296,8 @@ class TbCache {
   u64 front_hits_ = 0;
   u64 deep_hits_ = 0;
   u64 lookup_misses_ = 0;
+  // Every block, ordered by start (rewrite's index).
+  std::vector<TranslationBlock*> by_start_;
 };
 
 }  // namespace s4e::vp

@@ -6,8 +6,8 @@
 //         data-memory hash, icount, cycles) over torture seeds
 //   E-R1  a breakpoint inserted mid-run severs chains and still stops
 //         exactly at the breakpointed pc
-//   E-R2  invalidate_range on a chained successor really drops the stale
-//         code — a host-side patch takes effect in both engines
+//   E-R2  a code change on a chained successor replaces the stale code —
+//         a host-side patch takes effect in both engines
 //   E-R3  snapshot-restore with live chains replays to the same final state
 //   E-C1  the engine counters move the way the design says they must
 //   E-I1  the one-shot icount callback fires exactly once, at the exact
@@ -24,15 +24,22 @@
 //         careful loop's callback stream — and the trace recorder's bytes
 //         and the QTA report — over every single-hart workload and torture
 //         programs; whole-run subscriptions leave warm translations alone
+//   TbRewrite  a code change re-lowers a warm block in place exactly when a
+//         fresh translation of the new bytes has its shape, and the
+//         re-lowered block equals that translation field for field
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
 #include "asm/assembler.hpp"
+#include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "fault/fault.hpp"
+#include "isa/encoder.hpp"
+#include "mutation/mutation.hpp"
 #include "obs/flight_recorder.hpp"
 #include "qta/qta.hpp"
 #include "testgen/testgen.hpp"
@@ -220,10 +227,11 @@ TEST(EngineChaining, BreakpointSeversChainsMidRun) {
   EXPECT_EQ(done.cycles, ref.cycles);
 }
 
-// E-R2 — invalidate_range on a chained successor: patch the callee body
-// from the host mid-run, invalidate, and resume. A stale chain or jump
-// cache entry would keep executing the old translation; both engines must
-// instead pick up the patched code and agree exactly.
+// E-R2 — a code change on a chained successor: patch the callee body
+// from the host mid-run, report it (code_changed re-lowers the warm block
+// in place), and resume. A stale chain or jump cache entry would keep
+// executing the old translation; both engines must instead pick up the
+// patched code and agree exactly.
 TEST(EngineChaining, InvalidateRangeOnChainedSuccessor) {
   const assembler::Program program = assemble_or_die(kCallLoop);
 
@@ -235,10 +243,10 @@ TEST(EngineChaining, InvalidateRangeOnChainedSuccessor) {
 
     // The first `addi s0, s0, 1` of `bump`.
     const u32 target = find_word(machine, program.entry, 0x00140413u);
-    // Patch the immediate from 1 to 5 and drop the stale translation.
+    // Patch the immediate from 1 to 5 and report the change.
     const u32 patched = 0x00540413u;  // addi s0, s0, 5
     S4E_CHECK(machine.bus().ram_write(target, &patched, 4).ok());
-    machine.invalidate_code(target, 4);
+    machine.code_changed(target, 4);
 
     const auto done = machine.run();
     S4E_CHECK(done.reason == vp::StopReason::kExitEcall);
@@ -622,9 +630,10 @@ TEST(IcountCallback, UnfiredCallbackDoesNotSurvivePrepare) {
 }
 
 // E-I3 — a code patch from inside the callback, made visible with a range
-// invalidation: only the overlapping translations are dropped (no flush),
-// unrelated warm blocks keep their translation, and the result matches the
-// careful loop's.
+// invalidation: only the overlapping translations are touched — re-lowered
+// in place, as the patch keeps their shape, so nothing is dropped or
+// flushed and no chain is severed — unrelated warm blocks keep their
+// translation, and the result matches the careful loop's.
 TEST(IcountCallback, RangeInvalidationKeepsUnrelatedBlocksWarm) {
   const assembler::Program program = assemble_or_die(kCallLoop);
   struct Patch {
@@ -648,14 +657,17 @@ TEST(IcountCallback, RangeInvalidationKeepsUnrelatedBlocksWarm) {
   const std::size_t warm = machine.tb_cache().size();
   const u64 flushes = machine.tb_cache().flush_count();
   const u64 invalidated = machine.tb_cache().invalidated_blocks();
+  const u64 severs = machine.tb_cache().chain_severs();
 
   s4e_register_icount_cb(machine.vm_handle(), kAt, patch_cb, &patch);
   const auto done = machine.run();
   ASSERT_EQ(done.reason, vp::StopReason::kExitEcall);
-  const u64 dropped = machine.tb_cache().invalidated_blocks() - invalidated;
+  const u64 relowered = machine.tb_cache().relowered_blocks();
   EXPECT_EQ(machine.tb_cache().flush_count(), flushes);
-  EXPECT_GT(dropped, 0u);
-  EXPECT_LT(dropped, warm);
+  EXPECT_EQ(machine.tb_cache().invalidated_blocks(), invalidated);
+  EXPECT_EQ(machine.tb_cache().chain_severs(), severs);
+  EXPECT_GT(relowered, 0u);
+  EXPECT_LT(relowered, warm);
   EXPECT_EQ(machine.tb_cache().lookup(program.entry), entry_block);
   EXPECT_GT(done.exit_code, 4000);  // the patched +5 took effect
 
@@ -1544,6 +1556,378 @@ TEST(CallbackStream, WholeRunSubscribersKeepWarmTranslations) {
       }
       EXPECT_EQ(machine.tb_cache().flush_count(), flushes);
       EXPECT_EQ(machine.tb_cache().invalidated_blocks(), invalidated);
+    }
+  }
+}
+
+
+// --- TbRewrite: a code change re-lowers warm blocks in place.
+
+// The block-ending role translate() gives an instruction: 0 body, 1 branch
+// or jal, 2 jalr or mret, 3 ecall, ebreak or wfi.
+int block_role(isa::Op op) {
+  switch (op) {
+    case isa::Op::kJal: return 1;
+    case isa::Op::kJalr:
+    case isa::Op::kMret: return 2;
+    case isa::Op::kEcall:
+    case isa::Op::kEbreak:
+    case isa::Op::kWfi: return 3;
+    default:
+      return isa::op_info(op).op_class == isa::OpClass::kBranch ? 1 : 0;
+  }
+}
+
+// What decides where a block ends: each instruction's length and role,
+// then the parcel it was cut before.
+std::vector<std::pair<u32, int>> block_shape(const vp::TranslationBlock& b) {
+  std::vector<std::pair<u32, int>> shape;
+  for (const vp::DecodedInsn& d : b.code) {
+    shape.emplace_back(d.link - d.pc, block_role(d.op));
+  }
+  shape.emplace_back(b.cut_bytes, -1);
+  return shape;
+}
+
+// The first field in which two translations differ, or "" when they are
+// equal: the block's extent and static edges, and every DecodedInsn field.
+std::string translation_diff(const vp::TranslationBlock& a,
+                             const vp::TranslationBlock& b) {
+  if (a.start != b.start) return "start";
+  if (a.byte_size != b.byte_size) return "byte_size";
+  if (a.cut_bytes != b.cut_bytes) return "cut_bytes";
+  if (a.fall_pc != b.fall_pc) return "fall_pc";
+  if (a.taken_pc != b.taken_pc) return "taken_pc";
+  if (a.code.size() != b.code.size()) return "code.size()";
+  for (std::size_t i = 0; i < a.code.size(); ++i) {
+    const vp::DecodedInsn& x = a.code[i];
+    const vp::DecodedInsn& y = b.code[i];
+#define S4E_FIELD(f) \
+  if (x.f != y.f) return "code[" + std::to_string(i) + "]." #f
+    S4E_FIELD(fn);
+    S4E_FIELD(pc);
+    S4E_FIELD(link);
+    S4E_FIELD(imm);
+    S4E_FIELD(target);
+    S4E_FIELD(c_fall);
+    S4E_FIELD(c_taken);
+    S4E_FIELD(c_mmio);
+    S4E_FIELD(raw);
+    S4E_FIELD(csr);
+    S4E_FIELD(op);
+    S4E_FIELD(rd);
+    S4E_FIELD(rs1);
+    S4E_FIELD(rs2);
+    S4E_FIELD(hook);
+#undef S4E_FIELD
+  }
+  return "";
+}
+
+void write_code(vp::Machine& machine, u32 address, u32 encoding,
+                unsigned length) {
+  S4E_CHECK(machine.bus().ram_write(address, &encoding, length).ok());
+}
+
+// Translates blocks the way a fresh machine would: the program as loaded,
+// one code change written, the cache empty, then one instruction stepped
+// from the block's head translates it.
+class FreshTranslator {
+ public:
+  explicit FreshTranslator(const assembler::Program& program) {
+    S4E_CHECK(machine_.load_program(program).ok());
+    machine_.save_state(loaded_);
+  }
+
+  // nullptr when no block can be translated at `pc` (its head does not
+  // fetch or decode).
+  const vp::TranslationBlock* translate(u32 pc,
+                                        const mutation::Mutant& mutant) {
+    machine_.request_tb_flush();
+    machine_.restore_state(loaded_);
+    write_code(machine_, mutant.address, mutant.mutated, mutant.length);
+    machine_.cpu().pc = pc;
+    machine_.step();
+    return machine_.tb_cache().lookup(pc);
+  }
+
+ private:
+  vp::Machine machine_;
+  vp::Snapshot loaded_;
+};
+
+// Check 1 and 3 — every mutant of every translated instruction, over every
+// single-hart workload and torture programs, RV32C on and off, is patched
+// into a warm machine through code_changed and taken back out: a block
+// over it is kept exactly when a fresh translation of the patched bytes
+// has its shape, a kept block equals that fresh translation field for
+// field (and, after the patch is taken back, its own golden translation),
+// and a change that keeps every block severs no chain.
+TEST(TbRewrite, KeptBlocksMatchAFreshTranslation) {
+  u64 kept = 0;
+  u64 dropped = 0;
+  for (const OracleSubject& subject : oracle_subjects()) {
+    for (const bool compress : {false, true}) {
+      assembler::Options options;
+      options.compress = compress;
+      auto program = assembler::assemble(subject.source, options);
+      ASSERT_TRUE(program.ok()) << subject.name;
+      const std::string label = subject.name + (compress ? " rvc" : "");
+      vp::Machine warm;
+      ASSERT_TRUE(warm.load_program(*program).ok());
+      vp::Snapshot loaded;
+      warm.save_state(loaded);
+      warm.run();
+      std::map<u32, vp::DecodedInsn> translated;
+      warm.tb_cache().for_each_block([&](const vp::TranslationBlock& block) {
+        for (const vp::DecodedInsn& d : block.code) translated[d.pc] = d;
+      });
+      std::vector<u32> pcs;
+      for (const auto& entry : translated) pcs.push_back(entry.first);
+      std::vector<mutation::Mutant> mutants =
+          mutation::enumerate_mutants(*program, pcs);
+      // The campaign's mutants keep nearly every block's shape. An ebreak
+      // of the same length over each instruction ends its block there
+      // instead (or keeps the role of an ecall, ebreak or wfi).
+      for (const auto& [pc, d] : translated) {
+        mutation::Mutant ebreak;
+        ebreak.address = pc;
+        ebreak.original = d.raw;
+        ebreak.length = static_cast<u8>(d.link - d.pc);
+        ebreak.mutated = ebreak.length == 2 ? 0x9002u : 0x0010'0073u;
+        ebreak.description = "ebreak";
+        if (ebreak.mutated != ebreak.original) mutants.push_back(ebreak);
+      }
+      FreshTranslator fresh(*program);
+      for (const mutation::Mutant& mutant : mutants) {
+        const std::string where =
+            label + " " + format("0x%08x", mutant.address) + " " +
+            mutant.description;
+        // The blocks over the patched bytes, as they were.
+        struct Touched {
+          const vp::TranslationBlock* block;
+          vp::TranslationBlock before;
+        };
+        std::vector<Touched> touched;
+        warm.tb_cache().for_each_block([&](const vp::TranslationBlock& b) {
+          if (b.start < mutant.address + mutant.length &&
+              b.source_end() > mutant.address) {
+            touched.push_back({&b, b});
+          }
+        });
+        const u64 severs = warm.tb_cache().chain_severs();
+        write_code(warm, mutant.address, mutant.mutated, mutant.length);
+        const vp::TbCache::CodeChange patched =
+            warm.code_changed(mutant.address, mutant.length);
+        EXPECT_EQ(patched.relowered + patched.dropped, touched.size())
+            << where;
+        if (patched.dropped == 0) {
+          EXPECT_EQ(warm.tb_cache().chain_severs(), severs) << where;
+        }
+        for (const Touched& t : touched) {
+          const vp::TranslationBlock* now =
+              warm.tb_cache().lookup(t.before.start);
+          const vp::TranslationBlock* want =
+              fresh.translate(t.before.start, mutant);
+          const bool same_shape =
+              want != nullptr && block_shape(*want) == block_shape(t.before);
+          EXPECT_EQ(now != nullptr, same_shape) << where;
+          if (now == nullptr) {
+            ++dropped;
+            continue;
+          }
+          ++kept;
+          EXPECT_EQ(now, t.block) << where;  // in place
+          if (want != nullptr) {
+            EXPECT_EQ(translation_diff(*now, *want), "") << where;
+          }
+        }
+
+        const u64 severs_patched = warm.tb_cache().chain_severs();
+        write_code(warm, mutant.address, mutant.original, mutant.length);
+        const vp::TbCache::CodeChange restored =
+            warm.code_changed(mutant.address, mutant.length);
+        EXPECT_EQ(restored.dropped, 0u) << where;
+        EXPECT_EQ(warm.tb_cache().chain_severs(), severs_patched) << where;
+        for (const Touched& t : touched) {
+          if (warm.tb_cache().lookup(t.before.start) != nullptr) {
+            EXPECT_EQ(translation_diff(*t.block, t.before), "") << where;
+          }
+        }
+        if (patched.dropped != 0) {
+          // Translate the dropped blocks again for the next mutant.
+          warm.restore_state(loaded);
+          warm.run();
+        }
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, 0u);
+}
+
+// kCallLoop's loop without the call: `_start` runs into `loop`, so two
+// blocks hold `loop`'s instructions.
+const char* kCountLoop = R"(
+_start:
+    li a0, 0
+    li t0, 3
+loop:
+    addi a0, a0, 1
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, 93
+    ecall
+)";
+
+// A block cut before a parcel that does not decode: its trap vectors to
+// `handler`, which exits.
+const char* kCutBlock = R"(
+_start:
+    la t0, handler
+    csrw mtvec, t0
+    li a0, 1
+bad:
+    .word 0
+handler:
+    li a7, 93
+    ecall
+)";
+
+u32 symbol(const assembler::Program& program, const char* name) {
+  auto address = program.symbol(name);
+  S4E_CHECK(address.ok());
+  return *address;
+}
+
+// Check 2 — every change of a block's shape drops it, as does a change
+// while a breakpoint is set or a tb_trans subscriber must see the new
+// translation; the same patch without them re-lowers.
+TEST(TbRewrite, ShapeChangesDropTheBlock) {
+  const assembler::Program plain = assemble_or_die(kCountLoop);
+  assembler::Options rvc_options;
+  rvc_options.compress = true;
+  auto rvc = assembler::assemble(kCountLoop, rvc_options);
+  ASSERT_TRUE(rvc.ok());
+  const assembler::Program cut = assemble_or_die(kCutBlock);
+  const u32 loop = symbol(plain, "loop");
+  const u32 addi_a0_2 = 0x0025'0513u;  // addi a0, a0, 2
+  enum class Setup { kNone, kTbTrans, kBreakpoint };
+  const struct Case {
+    const char* name;
+    const assembler::Program* program;
+    Setup setup;
+    u32 address;
+    u32 encoding;
+    unsigned length;
+    u64 relowered;
+    u64 dropped;
+  } cases[] = {
+      // Same shape: `_start`'s block and `loop`'s block are re-lowered.
+      {"addi imm", &plain, Setup::kNone, loop, addi_a0_2, 4, 2, 0},
+      {"branch -> addi", &plain, Setup::kNone, loop + 8, 0x0000'0013u, 4, 0,
+       2},
+      {"illegal", &plain, Setup::kNone, loop, 0, 4, 0, 2},
+      // The low half of a 32-bit addi over c.addi a0, 1.
+      {"rvc -> 4-byte parcel", &*rvc, Setup::kNone, symbol(*rvc, "loop"),
+       0x0513u, 2, 0, 2},
+      // `_start`'s block ends before `bad`; decoding it would extend it.
+      {"cut bytes", &cut, Setup::kNone, symbol(cut, "bad"), 0x0015'0513u,
+       4, 0, 1},
+      {"before the cut", &cut, Setup::kNone, symbol(cut, "bad") - 4,
+       0x0020'0513u, 4, 1, 0},
+      {"tb_trans subscriber", &plain, Setup::kTbTrans, loop, addi_a0_2, 4, 0,
+       2},
+      // Stopped at the breakpoint on `loop`, then stepped: only `loop`'s
+      // block (which starts at the breakpoint) holds it.
+      {"breakpoint", &plain, Setup::kBreakpoint, loop, addi_a0_2, 4, 0, 1},
+  };
+  for (const Case& c : cases) {
+    vp::Machine machine;
+    ASSERT_TRUE(machine.load_program(*c.program).ok());
+    if (c.setup == Setup::kTbTrans) {
+      machine.add_tb_trans_cb([](void*, s4e_vm*, const s4e_tb_info*) {},
+                              nullptr);
+    }
+    if (c.setup == Setup::kBreakpoint) {
+      machine.add_breakpoint(c.address);
+      ASSERT_EQ(machine.run().reason, vp::StopReason::kDebugBreak) << c.name;
+      ASSERT_EQ(machine.step().reason, vp::StopReason::kDebugStep) << c.name;
+    } else {
+      machine.run();
+    }
+    const std::size_t blocks = machine.tb_cache().size();
+    const u64 severs = machine.tb_cache().chain_severs();
+    write_code(machine, c.address, c.encoding, c.length);
+    const vp::TbCache::CodeChange change =
+        machine.code_changed(c.address, c.length);
+    EXPECT_EQ(change.relowered, c.relowered) << c.name;
+    EXPECT_EQ(change.dropped, c.dropped) << c.name;
+    EXPECT_EQ(machine.tb_cache().size(), blocks - c.dropped) << c.name;
+    EXPECT_EQ(machine.tb_cache().chain_severs() - severs,
+              c.dropped != 0 ? 1u : 0u)
+        << c.name;
+  }
+}
+
+// Check 4 — a loop that patches its own head each iteration runs the same
+// chained, careful and uncached: with a patch that keeps the block's shape
+// (addi a0, a0, 5, then 6, 7: re-lowered in place) and one that changes it
+// (a jump to `done`: dropped).
+TEST(TbRewrite, SelfModifyingLoopMatchesCarefulAndUncached) {
+  const u32 jump_to_done =
+      *isa::encode(isa::make_j(isa::Op::kJal, 0, 24));  // site -> done
+  const struct {
+    const char* name;
+    u32 patch;
+    u32 step;  // added to the patch word after each store
+    int exit_code;
+  } variants[] = {{"same shape", 0x0055'0513u, u32{1} << 20, 1 + 5 + 6 + 7},
+                  {"new shape", jump_to_done, 0, 1}};
+  for (const auto& v : variants) {
+    const std::string source = format(R"(
+_start:
+    la t0, site
+    li t1, %u
+    li t3, %u
+    li s0, 4
+    li a0, 0
+loop:
+site:
+    addi a0, a0, 1
+    addi s0, s0, -1
+    beqz s0, done
+    sw t1, 0(t0)
+    add t1, t1, t3
+    j loop
+done:
+    li a7, 93
+    ecall
+)",
+                                      v.patch, v.step);
+    const assembler::Program program = assemble_or_die(source.c_str());
+    vp::MachineConfig uncached_config;
+    uncached_config.enable_tb_cache = false;
+    vp::Machine chained;
+    vp::Machine careful;
+    vp::Machine uncached(uncached_config);
+    vp::RunResult results[3];
+    vp::Machine* machines[3] = {&chained, &careful, &uncached};
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(machines[i]->load_program(program).ok());
+      if (i == 1) force_careful(careful);
+      results[i] = machines[i]->run();
+      EXPECT_EQ(results[i].reason, vp::StopReason::kExitEcall) << v.name;
+      EXPECT_EQ(results[i].exit_code, v.exit_code) << v.name << " " << i;
+      EXPECT_EQ(results[i].instructions, results[0].instructions) << v.name;
+      EXPECT_EQ(results[i].cycles, results[0].cycles) << v.name;
+    }
+    EXPECT_GT(chained.engine_stats().blocks_fast, 0u) << v.name;
+    if (v.step != 0) {
+      EXPECT_GT(chained.tb_cache().relowered_blocks(), 0u) << v.name;
+      EXPECT_EQ(chained.tb_cache().invalidated_blocks(), 0u) << v.name;
+    } else {
+      EXPECT_GT(chained.tb_cache().invalidated_blocks(), 0u) << v.name;
     }
   }
 }

@@ -546,37 +546,64 @@ TEST(RestorePrecision, MutationPatchDropsOnlyTheBlocksOverIt) {
   const std::size_t blocks = cache.size();
   ASSERT_EQ(blocks, 5u);
 
-  // addi a0, a0, 2 -> addi a0, a0, 3 at loop2 (immediate in bits 31:20).
+  // addi a0, a0, 2 -> addi a0, a0, 3 at loop2 (immediate in bits 31:20):
+  // the patched blocks keep their shape.
   mutation::Mutant mutant;
   mutant.address = loop2;
   mutant.original = read_word((*vm)->machine(), loop2);
   mutant.mutated = mutant.original + (u32{1} << 20);
   const mutation::MutationModel model(program, mutation::MutationConfig{});
   Machine& machine = (*vm)->prepare();
-  const u64 dropped_before = cache.invalidated_blocks();
+  const u64 severs = cache.chain_severs();
+  const u64 misses = cache.lookup_misses();
   auto killed = model.run_one(machine, mutant, *golden);
   ASSERT_TRUE(killed.ok());
   EXPECT_EQ(killed->verdict, mutation::Verdict::kKilledResult);
-  // The patch dropped the two blocks over it: the fall-through block that
-  // runs into loop2 and loop2's own block. The mutant run built their
-  // patched twins again.
-  ASSERT_EQ(cache.invalidated_blocks() - dropped_before, 2u);
-  ASSERT_EQ(cache.size(), blocks);
+  // The patch re-lowered the two blocks over it in place: the fall-through
+  // block that runs into loop2 and loop2's own block. Nothing was dropped
+  // or translated again, and every chain link stayed.
+  EXPECT_EQ(cache.invalidated_blocks(), 0u);
+  EXPECT_EQ(cache.relowered_blocks(), 2u);
+  EXPECT_EQ(cache.size(), blocks);
+  EXPECT_EQ(cache.lookup_misses(), misses);
+  EXPECT_EQ(cache.chain_severs(), severs);
 
-  // The restore puts back the original addi and the `out` word: it drops
-  // the two patched blocks and nothing else.
+  // The restore puts back the original addi and the `out` word: it
+  // re-lowers the same two blocks and drops nothing.
   (*vm)->prepare();
-  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 2u);
-  EXPECT_EQ(cache.size(), blocks - 2);
+  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 0u);
+  EXPECT_EQ((*vm)->stats().tb_blocks_relowered, 2u);
+  EXPECT_EQ(cache.size(), blocks);
   EXPECT_NE((*vm)->machine().tb_cache().lookup(program.entry), nullptr);
   EXPECT_NE((*vm)->machine().tb_cache().lookup(loop1), nullptr);
-  EXPECT_EQ((*vm)->machine().tb_cache().lookup(loop2), nullptr);
+  EXPECT_NE((*vm)->machine().tb_cache().lookup(loop2), nullptr);
+  const u64 restored_misses = cache.lookup_misses();
   expect_same_observation(observe_run(machine, program), first, "restored");
+  EXPECT_EQ(cache.lookup_misses(), restored_misses);  // every lookup hit
+  EXPECT_EQ(cache.chain_severs(), severs);
+
+  // ebreak over the addi ends the fall-through block at loop2: a new
+  // shape, so the patch drops exactly the two blocks over it. The run
+  // stops at the ebreak, and the restore drops the block translated up to
+  // it.
+  mutation::Mutant cut = mutant;
+  cut.mutated = 0x0010'0073u;  // ebreak
+  Machine& again = (*vm)->prepare();
+  auto crashed = model.run_one(again, cut, *golden);
+  ASSERT_TRUE(crashed.ok());
+  EXPECT_EQ(crashed->verdict, mutation::Verdict::kKilledCrash);
+  EXPECT_EQ(cache.invalidated_blocks(), 2u);
+  EXPECT_EQ(cache.relowered_blocks(), 4u);  // the patch's and the restore's
+  (*vm)->prepare();
+  EXPECT_EQ((*vm)->stats().tb_blocks_invalidated, 1u);
+  EXPECT_EQ((*vm)->stats().tb_blocks_relowered, 2u);
+  expect_same_observation(observe_run(again, program), first, "reshaped");
+  EXPECT_EQ(cache.size(), blocks);
 }
 
 // Exit callback of a plugin that undoes its code patch when the run ends:
-// the original bytes go back, and the stale translations are queued for
-// invalidation. A budget stop leaves that request pending.
+// the original bytes go back, and the code change is queued for the TB
+// cache. A budget stop leaves that request pending.
 struct PatchUndo {
   u32 address = 0;
   u32 original = 0;
@@ -601,7 +628,7 @@ TEST(RestorePrecision, InvalidationPendingAtBudgetStopIsApplied) {
   PatchUndo undo{symbol_or_die(program, "loop2"), 0};
   undo.original = read_word(machine, undo.address);
   write_word(machine, undo.address, undo.original + (u32{1} << 20));
-  machine.invalidate_code(undo.address, 4);
+  machine.code_changed(undo.address, 4);
   machine.add_exit_cb(&undo_patch_at_exit, &undo);
   // Stop inside loop2, after its patched translation ran.
   const RunResult stopped = machine.run(golden.result.instructions - 20);
@@ -609,7 +636,7 @@ TEST(RestorePrecision, InvalidationPendingAtBudgetStopIsApplied) {
   EXPECT_EQ(read_word(machine, undo.address), undo.original);
 
   // RAM at loop2 already equals the snapshot, so only the pending request
-  // can drop the patched translations.
+  // can replace the patched translations.
   machine.clear_plugins();
   machine.restore_state(snap);
   expect_same_observation(observe_run(machine, program), golden, "restored");

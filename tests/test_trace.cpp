@@ -979,10 +979,24 @@ TEST(TraceCut, SelfModifyingCodeRetranslatesAtTheSamePc) {
   ASSERT_TRUE(program.ok()) << program.error().to_string();
   const Recording recording = record_cut(*program, false, 0, false);
   EXPECT_EQ(recording.result.exit_code, 11);
-  vp::Machine machine;
-  ASSERT_TRUE(machine.load_program(*program).ok());
-  machine.run();
-  EXPECT_GE(machine.tb_cache().invalidated_blocks(), 2u);
+  // The recorder subscribes to tb_trans, so each patch drops the block and
+  // re-translates it. A machine with no such subscriber re-lowers the
+  // block in place instead: the patch keeps its shape.
+  for (const bool observed : {true, false}) {
+    vp::Machine machine;
+    ASSERT_TRUE(machine.load_program(*program).ok());
+    if (observed) {
+      machine.add_tb_trans_cb([](void*, s4e_vm*, const s4e_tb_info*) {},
+                              nullptr);
+    }
+    machine.run();
+    if (observed) {
+      EXPECT_GE(machine.tb_cache().invalidated_blocks(), 2u);
+    } else {
+      EXPECT_EQ(machine.tb_cache().invalidated_blocks(), 0u);
+      EXPECT_GE(machine.tb_cache().relowered_blocks(), 2u);
+    }
+  }
   expect_recording_holds(*program, 0, false, "self-modifying");
 }
 

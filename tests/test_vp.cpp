@@ -547,11 +547,70 @@ patch_site:
     ecall
   )");
   EXPECT_EQ(result.exit_code, 1);
-  // The store dropped the patched block (a range invalidation, not a flush
-  // of the whole cache; construction and load_program flushed an empty
-  // cache, which counts nothing).
-  EXPECT_GE(machine.tb_cache().invalidated_blocks(), 1u);
+  // The store re-lowered the patched block in place (li stays an addi, so
+  // the block keeps its shape): nothing was dropped, and nothing flushed
+  // (construction and load_program flushed an empty cache, which counts
+  // nothing).
+  EXPECT_EQ(machine.tb_cache().relowered_blocks(), 1u);
+  EXPECT_EQ(machine.tb_cache().invalidated_blocks(), 0u);
   EXPECT_EQ(machine.tb_cache().flush_count(), 0u);
+}
+
+// Code whose last byte is the last byte of the address space: RAM ends at
+// 2^32, and a block ending there is still seen by the self-modification
+// check. `bump` (three `addi a0, a0, 1` and a `ret`) is written to the top
+// 16 bytes; `_start` calls it, patches its first word to
+// `addi a0, a0, 100`, calls it again and exits with a0: 3 + 102 = 105.
+const char* kTopOfAddressSpaceSource = R"(
+    li a0, 0
+    li s0, 0xfffffff0
+    jalr ra, 0(s0)
+    li t1, 0x06450513
+    sw t1, 0(s0)
+    jalr ra, 0(s0)
+    li a7, 93
+    ecall
+)";
+
+void write_top_of_address_space_code(Machine& machine) {
+  const u32 bump[4] = {0x00150513u, 0x00150513u, 0x00150513u, 0x00008067u};
+  ASSERT_TRUE(machine.bus().ram_write(0xffff'fff0u, bump, sizeof bump).ok());
+}
+
+TEST(Machine, SelfModifyingCodeAtTopOfAddressSpace) {
+  auto program = assembler::assemble(kTopOfAddressSpaceSource);
+  ASSERT_TRUE(program.ok());
+  for (const bool cached : {true, false}) {
+    MachineConfig config;
+    config.ram_size = 0x8000'0000;
+    config.enable_tb_cache = cached;
+    Machine machine(config);
+    ASSERT_TRUE(machine.load_program(*program).ok());
+    write_top_of_address_space_code(machine);
+    const RunResult result = machine.run();
+    EXPECT_EQ(result.reason, StopReason::kExitEcall) << cached;
+    EXPECT_EQ(result.exit_code, 105) << cached;
+  }
+}
+
+// A restore that changes that code reaches its translation too: the run
+// after it starts from the original `bump` again.
+TEST(Machine, RestoreChangesCodeAtTopOfAddressSpace) {
+  auto program = assembler::assemble(kTopOfAddressSpaceSource);
+  ASSERT_TRUE(program.ok());
+  MachineConfig config;
+  config.ram_size = 0x8000'0000;
+  Machine machine(config);
+  ASSERT_TRUE(machine.load_program(*program).ok());
+  write_top_of_address_space_code(machine);
+  Snapshot snap;
+  machine.save_state(snap);
+  for (int round = 0; round < 3; ++round) {
+    if (round != 0) machine.restore_state(snap);
+    const RunResult result = machine.run();
+    EXPECT_EQ(result.exit_code, 105) << round;
+  }
+  EXPECT_EQ(machine.snapshot_stats().tb_blocks_relowered, 2u);
 }
 
 // RAM may end exactly at 2^32: the bus and the engine check ranges by

@@ -218,10 +218,15 @@ int main(int argc, char** argv) {
                     machine.cpu(hart).pc);
       }
     }
-    std::printf("tb-cache : %zu blocks, %llu flushes\n",
+    std::printf("tb-cache : %zu blocks, %llu flushes, %llu dropped, "
+                "%llu re-lowered\n",
                 machine.tb_cache().size(),
                 static_cast<unsigned long long>(
-                    machine.tb_cache().flush_count()));
+                    machine.tb_cache().flush_count()),
+                static_cast<unsigned long long>(
+                    machine.tb_cache().invalidated_blocks()),
+                static_cast<unsigned long long>(
+                    machine.tb_cache().relowered_blocks()));
     const vp::EngineStats& es = machine.engine_stats();
     const vp::TbCache& tc = machine.tb_cache();
     const auto rate = [](u64 hits, u64 misses) {
