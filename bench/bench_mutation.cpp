@@ -20,6 +20,7 @@
 #include "elf/elf32.hpp"
 #include "fleet/orchestrator.hpp"
 #include "mutation/mutation.hpp"
+#include "testgen/testgen.hpp"
 
 namespace {
 
@@ -41,69 +42,129 @@ bool identical_scores(const s4e::mutation::MutationScore& a,
   return true;
 }
 
-// Static triage ablation: the same campaign with triage off and on. The
-// triage contract is checked here, not just timed — pruned mutants must
-// report kSurvived, and every non-pruned result must be bit-identical to
-// the untriaged run. `write_report` off is the ctest smoke mode
-// (bench.triage_smoke): one pass, no BENCH_campaign.json write.
+// Static triage ablation: the same campaign with triage off and on, over
+// three standard workloads and one no-CSR torture program (the shape that
+// carries most of the mutation benchmark's prunes). The triage contract is
+// checked here, not just timed — pruned mutants must report kSurvived, and
+// every non-pruned result must be bit-identical to the untriaged run.
+// Each cell is the median of `reps` timings, off and on taking turns, next
+// to the median StaticTriage::build time and the per-mutant decide time.
+// `write_report` off is the ctest smoke mode (bench.triage_smoke): one
+// pass, no BENCH_campaign.json write.
 void run_triage_section(bool write_report) {
   using namespace s4e;
+  const unsigned reps = write_report ? 7 : 1;
   std::printf("\n[E10-triage] static equivalent-mutant pruning "
-              "(triage off vs on):\n");
-  std::printf("  %-12s %8s %7s %9s %9s %8s\n", "workload", "mutants",
-              "pruned", "off r/s", "on r/s", "speedup");
-  std::string rows;
+              "(triage off vs on, medians of %u):\n", reps);
+  std::printf("  %-12s %8s %7s %9s %9s %8s %9s %10s\n", "workload", "mutants",
+              "pruned", "off r/s", "on r/s", "speedup", "build ms",
+              "decide us");
+
+  struct Subject {
+    std::string name;
+    std::string source;
+  };
+  std::vector<Subject> subjects;
   for (const char* name : {"callchain", "pid", "checksum"}) {
     auto workload = core::find_workload(name);
     S4E_CHECK(workload.ok());
-    auto program = assembler::assemble(workload->source);
-    S4E_CHECK(program.ok());
+    subjects.push_back({name, workload->source});
+  }
+  testgen::TortureConfig torture;
+  torture.programs = 1;
+  torture.segments = 60;
+  torture.use_csr = false;
+  for (testgen::GeneratedProgram& generated : testgen::torture_suite(torture)) {
+    subjects.push_back({generated.name, std::move(generated.source)});
+  }
 
-    mutation::MutationConfig config;
-    mutation::MutationCampaign off_campaign(*program, config);
-    auto start = std::chrono::steady_clock::now();
-    auto off = off_campaign.run();
-    const double off_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    config.triage = dataflow::TriageMode::kOn;
-    mutation::MutationCampaign on_campaign(*program, config);
-    start = std::chrono::steady_clock::now();
-    auto on = on_campaign.run();
-    const double on_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    S4E_CHECK_MSG(off.ok() && on.ok(), name);
+  const auto seconds_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const auto median = [](std::vector<double> timings) {
+    std::sort(timings.begin(), timings.end());
+    return timings[timings.size() / 2];
+  };
 
-    S4E_CHECK(off->results.size() == on->results.size());
-    for (std::size_t i = 0; i < off->results.size(); ++i) {
-      const auto& base = off->results[i];
-      const auto& triaged = on->results[i];
-      S4E_CHECK(base.mutant.address == triaged.mutant.address &&
-                base.mutant.mutated == triaged.mutant.mutated);
-      if (triaged.pruned) {
-        S4E_CHECK_MSG(triaged.verdict == mutation::Verdict::kSurvived, name);
-      } else {
-        S4E_CHECK_MSG(base.verdict == triaged.verdict &&
-                          base.exit_code == triaged.exit_code,
-                      name);
+  std::string rows;
+  for (const Subject& subject : subjects) {
+    const char* name = subject.name.c_str();
+    auto program = assembler::assemble(subject.source);
+    S4E_CHECK_MSG(program.ok(), name);
+
+    std::vector<double> off_timings, on_timings, build_timings, decide_timings;
+    double runs = 0;
+    u64 pruned = 0;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+      mutation::MutationConfig config;
+      auto start = std::chrono::steady_clock::now();
+      auto off = mutation::MutationCampaign(*program, config).run();
+      off_timings.push_back(seconds_since(start));
+      config.triage = dataflow::TriageMode::kOn;
+      start = std::chrono::steady_clock::now();
+      auto on = mutation::MutationCampaign(*program, config).run();
+      on_timings.push_back(seconds_since(start));
+      S4E_CHECK_MSG(off.ok() && on.ok(), name);
+
+      S4E_CHECK(off->results.size() == on->results.size());
+      std::vector<mutation::Mutant> mutants;
+      for (std::size_t i = 0; i < off->results.size(); ++i) {
+        const auto& base = off->results[i];
+        const auto& triaged = on->results[i];
+        S4E_CHECK(base.mutant.address == triaged.mutant.address &&
+                  base.mutant.mutated == triaged.mutant.mutated);
+        if (triaged.pruned) {
+          S4E_CHECK_MSG(triaged.verdict == mutation::Verdict::kSurvived, name);
+        } else {
+          S4E_CHECK_MSG(base.verdict == triaged.verdict &&
+                            base.exit_code == triaged.exit_code,
+                        name);
+        }
+        mutants.push_back(base.mutant);
       }
+      runs = static_cast<double>(off->results.size());
+      pruned = on->pruned_count;
+
+      // The triage's own two phases, as the campaign driver runs them.
+      dataflow::TriageOptions options;
+      options.stack_top = config.machine.ram_base + config.machine.ram_size;
+      start = std::chrono::steady_clock::now();
+      auto triage = dataflow::StaticTriage::build(*program, options);
+      build_timings.push_back(seconds_since(start));
+      S4E_CHECK_MSG(triage.ok(), name);
+      const mutation::MutationModel model(*program, config);
+      start = std::chrono::steady_clock::now();
+      const auto decisions = model.decide(*triage, mutants);
+      decide_timings.push_back(seconds_since(start));
+      u64 decided = 0;
+      for (const auto& decision : decisions) decided += decision.pruned;
+      S4E_CHECK_MSG(decided == pruned, name);
     }
 
-    const double runs = static_cast<double>(off->results.size());
-    std::printf("  %-12s %8.0f %7llu %9.0f %9.0f %7.2fx\n", name, runs,
-                static_cast<unsigned long long>(on->pruned_count),
-                runs / off_seconds, runs / on_seconds,
-                off_seconds / on_seconds);
+    const double off_seconds = median(off_timings);
+    const double on_seconds = median(on_timings);
+    const double build_ms = median(build_timings) * 1e3;
+    const double decide_us = median(decide_timings) * 1e6 / std::max(runs, 1.0);
+    std::printf("  %-12s %8.0f %7llu %9.0f %9.0f %7.2fx %9.3f %10.3f\n", name,
+                runs, static_cast<unsigned long long>(pruned),
+                runs / off_seconds, runs / on_seconds, off_seconds / on_seconds,
+                build_ms, decide_us);
     if (!rows.empty()) rows += ", ";
     rows += format("{\"workload\": \"%s\", \"mutants\": %.0f, "
                    "\"pruned\": %llu, \"pruned_fraction\": %s, "
-                   "\"off_runs_per_s\": %s, \"on_runs_per_s\": %s}",
-                   name, runs,
-                   static_cast<unsigned long long>(on->pruned_count),
-                   json_number(on->pruned_count / runs, 4).c_str(),
+                   "\"off_runs_per_s\": %s, \"on_runs_per_s\": %s, "
+                   "\"build_ms\": %s, \"decide_us\": %s, "
+                   "\"reps\": %u, \"stat\": \"median\", "
+                   "\"host_cores\": %u}",
+                   name, runs, static_cast<unsigned long long>(pruned),
+                   json_number(pruned / runs, 4).c_str(),
                    json_number(runs / off_seconds).c_str(),
-                   json_number(runs / on_seconds).c_str());
+                   json_number(runs / on_seconds).c_str(),
+                   json_number(build_ms, 3).c_str(),
+                   json_number(decide_us, 3).c_str(), reps,
+                   std::thread::hardware_concurrency());
   }
   if (write_report) {
     const Status merged = merge_bench_entry(

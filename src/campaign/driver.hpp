@@ -26,7 +26,7 @@
 //   kBuckets                          telemetry names of the result buckets
 //   config(), program()
 //   enumerate(golden&, recording*)    golden run (recorded) + the item list
-//   decide(triage, item)              static triage of one item
+//   decide(triage, items)             static triage of the item list
 //   known(recording, item, golden)    the result, if the recording proves it
 //   start_icount(item)                instructions the run shares with golden
 //   run_one(machine, item, golden)    inject/patch, run, classify
@@ -79,9 +79,7 @@ Result<typename Model::Report> Campaign<Model>::run() {
         config.machine.ram_base + config.machine.ram_size;
     S4E_TRY(triage, dataflow::StaticTriage::build(model_.program(),
                                                   triage_options));
-    for (std::size_t i = 0; i < items_.size(); ++i) {
-      decisions[i] = model_.decide(triage, items_[i]);
-    }
+    decisions = model_.decide(triage, items_);
   }
   const bool skip_pruned = config.triage == dataflow::TriageMode::kOn;
   const vp::MachineConfig item_machine =

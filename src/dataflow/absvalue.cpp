@@ -19,10 +19,11 @@ i64 canon(u32 raw) { return static_cast<i64>(static_cast<i32>(raw)); }
 
 // Common stride of a sorted value set: gcd of consecutive differences
 // (0 for a singleton).
-i64 stride_of(const std::vector<i64>& values) {
+template <typename T>
+i64 stride_of(std::span<const T> values) {
   i64 g = 0;
   for (std::size_t i = 1; i < values.size(); ++i) {
-    g = std::gcd(g, values[i] - values[i - 1]);
+    g = std::gcd(g, i64{values[i]} - i64{values[i - 1]});
   }
   return g;
 }
@@ -36,14 +37,13 @@ std::optional<AbsValue> elementwise(const AbsValue& a, const AbsValue& b,
   const u64 ca = a.count();
   const u64 cb = b.count();
   if (ca == 0 || cb == 0 || ca * cb > AbsValue::kMaxEnum) return std::nullopt;
-  const auto va = a.enumerate();
-  const auto vb = b.enumerate();
-  std::vector<i64> out;
-  out.reserve(va.size() * vb.size());
-  for (u32 x : va) {
-    for (u32 y : vb) out.push_back(canon(f(x, y)));
+  std::array<i64, AbsValue::kMaxEnum> out;
+  std::size_t n = 0;
+  for (u64 i = 0; i < ca; ++i) {
+    const u32 x = a.nth(i);
+    for (u64 j = 0; j < cb; ++j) out[n++] = canon(f(x, b.nth(j)));
   }
-  return AbsValue::from_values(std::move(out));
+  return AbsValue::from_values(std::span<i64>(out.data(), n));
 }
 
 // Interval hull of two bounded values with a sound common stride.
@@ -74,40 +74,39 @@ AbsValue AbsValue::top() {
 AbsValue AbsValue::constant(u32 raw) {
   AbsValue v;
   v.kind_ = Kind::kConsts;
-  v.values_ = {canon(raw)};
+  v.count_ = 1;
+  v.values_[0] = static_cast<i32>(raw);
   return v;
 }
 
-AbsValue AbsValue::from_values(std::vector<i64> values) {
+AbsValue AbsValue::from_values(std::span<i64> values) {
   if (values.empty()) return bottom();
   std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
-  for (i64 v : values) {
-    if (!fits_i32(v)) return top();
-  }
-  if (values.size() > kMaxConsts) {
-    const i64 g = stride_of(values);
-    return range(values.front(), values.back(), g);
+  const auto end = std::unique(values.begin(), values.end());
+  const std::span<const i64> set(values.begin(), end);
+  if (!fits_i32(set.front()) || !fits_i32(set.back())) return top();
+  if (set.size() > kMaxConsts) {
+    return range(set.front(), set.back(), stride_of(set));
   }
   AbsValue v;
   v.kind_ = Kind::kConsts;
-  v.values_ = std::move(values);
+  v.count_ = static_cast<u8>(set.size());
+  std::copy(set.begin(), set.end(), v.values_.begin());
   return v;
 }
 
 AbsValue AbsValue::range(i64 lo, i64 hi, i64 stride) {
   if (lo > hi) return bottom();
   if (!fits_i32(lo) || !fits_i32(hi)) return top();
-  if (lo == hi) return from_values({lo});
+  if (lo == hi) return constant(static_cast<u32>(lo));
   if (stride < 1) stride = 1;
   // The stride must tile the interval; widening it to a divisor of the
   // span only adds values (sound).
   stride = std::gcd(stride, hi - lo);
   AbsValue v;
   v.kind_ = Kind::kRange;
-  v.lo_ = lo;
-  v.hi_ = hi;
-  v.stride_ = stride;
+  v.bounds_ = {static_cast<i32>(lo), static_cast<i32>(hi),
+               static_cast<u32>(stride)};
   return v;
 }
 
@@ -115,50 +114,69 @@ AbsValue AbsValue::stack(i64 lo, i64 hi, i64 stride) {
   if (lo > hi || !fits_i32(lo) || !fits_i32(hi)) return top();
   AbsValue v;
   v.kind_ = Kind::kStack;
-  v.lo_ = lo;
-  v.hi_ = hi;
-  v.stride_ = lo == hi ? 1 : std::gcd(stride < 1 ? 1 : stride, hi - lo);
+  v.bounds_ = {static_cast<i32>(lo), static_cast<i32>(hi),
+               static_cast<u32>(lo == hi ? 1
+                                         : std::gcd(stride < 1 ? 1 : stride,
+                                                    hi - lo))};
   return v;
 }
 
 i64 AbsValue::lo() const noexcept {
-  return kind_ == Kind::kConsts ? values_.front() : lo_;
+  return kind_ == Kind::kConsts ? values_[0] : bounds_.lo;
 }
 
 i64 AbsValue::hi() const noexcept {
-  return kind_ == Kind::kConsts ? values_.back() : hi_;
+  return kind_ == Kind::kConsts ? values_[count_ - 1] : bounds_.hi;
 }
 
 i64 AbsValue::stride() const noexcept {
   if (kind_ == Kind::kConsts) {
-    const i64 g = stride_of(values_);
+    const i64 g = stride_of(values());
     return g == 0 ? 1 : g;
   }
-  return stride_;
+  return bounds_.stride;
 }
 
 u64 AbsValue::count() const noexcept {
   switch (kind_) {
     case Kind::kConsts:
-      return values_.size();
+      return count_;
     case Kind::kRange:
-      return static_cast<u64>((hi_ - lo_) / stride_) + 1;
+      return static_cast<u64>((i64{bounds_.hi} - bounds_.lo) /
+                              bounds_.stride) +
+             1;
     default:
       return 0;
   }
 }
 
+u32 AbsValue::nth(u64 i) const noexcept {
+  if (kind_ == Kind::kConsts) return static_cast<u32>(values_[i]);
+  return static_cast<u32>(bounds_.lo) + static_cast<u32>(i * bounds_.stride);
+}
+
 std::vector<u32> AbsValue::enumerate(u64 limit) const {
   const u64 n = count();
   if (n == 0 || n > limit) return {};
-  std::vector<u32> out;
-  out.reserve(n);
-  if (kind_ == Kind::kConsts) {
-    for (i64 v : values_) out.push_back(static_cast<u32>(v));
-  } else {
-    for (i64 v = lo_; v <= hi_; v += stride_) out.push_back(static_cast<u32>(v));
-  }
+  std::vector<u32> out(n);
+  for (u64 i = 0; i < n; ++i) out[i] = nth(i);
   return out;
+}
+
+bool AbsValue::operator==(const AbsValue& other) const noexcept {
+  if (kind_ != other.kind_) return false;
+  switch (kind_) {
+    case Kind::kConsts:
+      return count_ == other.count_ &&
+             std::equal(values_.begin(), values_.begin() + count_,
+                        other.values_.begin());
+    case Kind::kRange:
+    case Kind::kStack:
+      return bounds_.lo == other.bounds_.lo && bounds_.hi == other.bounds_.hi &&
+             bounds_.stride == other.bounds_.stride;
+    default:
+      return true;
+  }
 }
 
 AbsValue AbsValue::join(const AbsValue& a, const AbsValue& b) {
@@ -174,9 +192,11 @@ AbsValue AbsValue::join(const AbsValue& a, const AbsValue& b) {
     return top();  // stack pointer joined with a plain value
   }
   if (a.is_consts() && b.is_consts()) {
-    std::vector<i64> merged = a.values_;
-    merged.insert(merged.end(), b.values_.begin(), b.values_.end());
-    return from_values(std::move(merged));
+    std::array<i64, 2 * kMaxConsts> merged;
+    const auto end = std::merge(a.values().begin(), a.values().end(),
+                                b.values().begin(), b.values().end(),
+                                merged.begin());
+    return from_values(std::span<i64>(merged.begin(), end));
   }
   return hull(a, b);
 }
@@ -188,15 +208,18 @@ std::string AbsValue::describe() const {
     case Kind::kTop:
       return "unknown";
     case Kind::kStack:
-      if (lo_ == hi_) return format("sp%+lld", static_cast<long long>(lo_));
-      return format("sp+[%lld..%lld]", static_cast<long long>(lo_),
-                    static_cast<long long>(hi_));
+      if (bounds_.lo == bounds_.hi) {
+        return format("sp%+lld", static_cast<long long>(bounds_.lo));
+      }
+      return format("sp+[%lld..%lld]", static_cast<long long>(bounds_.lo),
+                    static_cast<long long>(bounds_.hi));
     case Kind::kRange:
-      return format("[0x%08x..0x%08x step %lld]", static_cast<u32>(lo_),
-                    static_cast<u32>(hi_), static_cast<long long>(stride_));
+      return format("[0x%08x..0x%08x step %lld]",
+                    static_cast<u32>(bounds_.lo), static_cast<u32>(bounds_.hi),
+                    static_cast<long long>(bounds_.stride));
     case Kind::kConsts: {
       std::string out = "{";
-      for (std::size_t i = 0; i < values_.size(); ++i) {
+      for (std::size_t i = 0; i < count_; ++i) {
         if (i != 0) out += ",";
         out += format("0x%x", static_cast<u32>(values_[i]));
       }

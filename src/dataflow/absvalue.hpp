@@ -2,8 +2,9 @@
 //
 // One AbsValue approximates the set of 32-bit patterns a GPR may hold at a
 // program point. Values are canonicalized as the sign-extended i32 reading
-// (i64 internally), which makes signed branch folding a plain integer
-// comparison; raw u32 patterns are recovered by truncation.
+// (widened to i64 by the accessors and the arithmetic), which makes signed
+// branch folding a plain integer comparison; raw u32 patterns are recovered
+// by truncation.
 //
 //   kBottom  — no value (unreached)
 //   kConsts  — explicit set of at most kMaxConsts values (sorted, unique)
@@ -15,8 +16,15 @@
 // Joins stay exact (set union) up to kMaxConsts values, then decay to a
 // stride-aware interval hull. All operations are *sound* over-approximations:
 // the concrete result set is always contained in the abstract result.
+//
+// The value is heap-free and trivially copyable: the const set is stored
+// inline as i32 (every canonical value fits by construction, and range() /
+// stack() send out-of-i32 bounds to top) in a union with the range/stack
+// bounds, so copying a whole RegState is one memcpy.
 #pragma once
 
+#include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,9 +45,9 @@ class AbsValue {
   static AbsValue bottom() { return AbsValue(); }
   static AbsValue top();
   static AbsValue constant(u32 raw);
-  // Canonical (sign-extended) values; deduplicated and sorted. More than
-  // kMaxConsts values decay to their interval hull.
-  static AbsValue from_values(std::vector<i64> values);
+  // Canonical (sign-extended) values in any order; sorted and deduplicated
+  // in place. More than kMaxConsts values decay to their interval hull.
+  static AbsValue from_values(std::span<i64> values);
   // Interval [lo, hi] with stride; normalized (singleton -> kConsts, bounds
   // outside i32 -> kTop, stride adjusted to divide hi - lo).
   static AbsValue range(i64 lo, i64 hi, i64 stride);
@@ -54,13 +62,15 @@ class AbsValue {
   bool is_stack() const noexcept { return kind_ == Kind::kStack; }
 
   bool is_const() const noexcept {
-    return kind_ == Kind::kConsts && values_.size() == 1;
+    return kind_ == Kind::kConsts && count_ == 1;
   }
-  u32 const_raw() const noexcept { return static_cast<u32>(values_.front()); }
-  i64 const_value() const noexcept { return values_.front(); }
+  u32 const_raw() const noexcept { return static_cast<u32>(values_[0]); }
+  i64 const_value() const noexcept { return values_[0]; }
 
-  // kConsts only: the canonical values.
-  const std::vector<i64>& values() const noexcept { return values_; }
+  // kConsts only: the canonical values, ascending.
+  std::span<const i32> values() const noexcept {
+    return {values_.data(), count_};
+  }
 
   // Bounds. Valid for kConsts / kRange (canonical values) and kStack
   // (offsets from the incoming sp).
@@ -74,6 +84,10 @@ class AbsValue {
   // Cardinality when enumerable (kConsts / kRange); 0 otherwise.
   u64 count() const noexcept;
 
+  // The raw u32 pattern of the i-th value in ascending canonical order.
+  // Precondition: i < count().
+  u32 nth(u64 i) const noexcept;
+
   // All raw u32 patterns, if enumerable within `limit`; else empty.
   std::vector<u32> enumerate(u64 limit = kMaxEnum) const;
 
@@ -86,14 +100,25 @@ class AbsValue {
     if (kind_ != Kind::kBottom) *this = top();
   }
 
-  bool operator==(const AbsValue&) const = default;
+  // Compares the kind and its live payload only: the const slots past
+  // count_ and the bounds of a const set are not part of the value.
+  bool operator==(const AbsValue& other) const noexcept;
 
   std::string describe() const;
 
  private:
+  struct Bounds {
+    i32 lo;
+    i32 hi;
+    u32 stride;  // divides hi - lo, which can reach 2^32 - 1
+  };
+
   Kind kind_ = Kind::kBottom;
-  std::vector<i64> values_;  // kConsts
-  i64 lo_ = 0, hi_ = 0, stride_ = 1;  // kRange / kStack
+  u8 count_ = 0;  // kConsts: live entries of values_
+  union {
+    std::array<i32, kMaxConsts> values_{};  // kConsts, ascending
+    Bounds bounds_;                         // kRange / kStack
+  };
 };
 
 // Abstract transfer of the ALU. All are sound; `top` in means `top` out

@@ -1,5 +1,6 @@
 #include "dataflow/memmodel.hpp"
 
+#include <array>
 #include <optional>
 
 namespace s4e::dataflow {
@@ -49,11 +50,13 @@ AbsValue MemModel::load(const AbsValue& addr, u32 size,
                         bool sign_extend) const {
   if (addr.is_bottom()) return AbsValue::bottom();
   if (!loads_enabled_ || program_ == nullptr) return AbsValue::top();
-  const std::vector<u32> targets = addr.enumerate();
-  if (targets.empty()) return AbsValue::top();  // stack, top, or too many
-  std::vector<i64> loaded;
-  loaded.reserve(targets.size());
-  for (u32 a : targets) {
+  const u64 targets = addr.count();
+  if (targets == 0 || targets > AbsValue::kMaxEnum) {
+    return AbsValue::top();  // stack, top, or too many
+  }
+  std::array<i64, AbsValue::kMaxEnum> loaded;
+  for (u64 t = 0; t < targets; ++t) {
+    const u32 a = addr.nth(t);
     if (!range_clean(canon(a), canon(a) + size - 1)) return AbsValue::top();
     u32 raw = 0;
     for (u32 i = 0; i < size; ++i) {
@@ -61,13 +64,11 @@ AbsValue MemModel::load(const AbsValue& addr, u32 size,
       if (!byte) return AbsValue::top();
       raw |= u32{*byte} << (8 * i);
     }
-    if (sign_extend && size < 4) {
-      loaded.push_back(static_cast<i64>(s4e::sign_extend(raw, 8 * size)));
-    } else {
-      loaded.push_back(canon(raw));
-    }
+    loaded[t] = sign_extend && size < 4
+                    ? static_cast<i64>(s4e::sign_extend(raw, 8 * size))
+                    : canon(raw);
   }
-  return AbsValue::from_values(std::move(loaded));
+  return AbsValue::from_values(std::span<i64>(loaded.data(), targets));
 }
 
 }  // namespace s4e::dataflow

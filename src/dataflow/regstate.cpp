@@ -110,11 +110,12 @@ bool RegDomain::join(State& into, const State& from, bool widen) const {
   }
   bool changed = false;
   for (unsigned r = 0; r < isa::kGprCount; ++r) {
+    if (into.regs[r] == from.regs[r]) continue;  // the join is `into` itself
     AbsValue joined = AbsValue::join(into.regs[r], from.regs[r]);
     if (joined != into.regs[r]) {
       if (widen) joined.widen();
       if (joined != into.regs[r]) {
-        into.regs[r] = std::move(joined);
+        into.regs[r] = joined;
         changed = true;
       }
     }
@@ -137,88 +138,65 @@ bool RegDomain::edge_feasible(const cfg::Function& fn,
   return *taken == (edge.kind == cfg::EdgeKind::kTaken);
 }
 
-void RegDomain::apply(const Instr& instr, u32 pc, const MemModel* mem,
-                      State& state) {
-  auto rv = [&](unsigned r) -> const AbsValue& { return state.regs[r]; };
-  auto set = [&](unsigned r, AbsValue v) {
-    if (r == 0) return;
-    state.regs[r] = std::move(v);
-    state.maybe_uninit &= ~reg_bit(r);
+AbsValue RegDomain::result(const Instr& instr, u32 pc, const MemModel* mem,
+                           const State& state) {
+  const AbsValue& a = state.regs[instr.rs1];
+  const AbsValue& b = state.regs[instr.rs2];
+  const auto imm = [&] {
+    return AbsValue::constant(static_cast<u32>(instr.imm));
   };
-  const AbsValue imm = AbsValue::constant(static_cast<u32>(instr.imm));
-  const AbsValue shamt = AbsValue::constant(instr.rs2);  // kIShift encoding
+  const auto shamt = [&] {  // kIShift encoding
+    return AbsValue::constant(instr.rs2);
+  };
 
   switch (instr.op) {
     case Op::kLui:
-      set(instr.rd, imm);  // imm is pre-shifted by the decoder
-      break;
+      return imm();  // imm is pre-shifted by the decoder
     case Op::kAuipc:
-      set(instr.rd, AbsValue::constant(pc + static_cast<u32>(instr.imm)));
-      break;
+      return AbsValue::constant(pc + static_cast<u32>(instr.imm));
     case Op::kJal:
     case Op::kJalr:
-      set(instr.rd, AbsValue::constant(pc + instr.length));
-      break;
+      return AbsValue::constant(pc + instr.length);
     case Op::kAddi:
-      set(instr.rd, av_add(rv(instr.rs1), imm));
-      break;
+      return av_add(a, imm());
     case Op::kSlti:
-      set(instr.rd, av_slt(rv(instr.rs1), imm, false));
-      break;
+      return av_slt(a, imm(), false);
     case Op::kSltiu:
-      set(instr.rd, av_slt(rv(instr.rs1), imm, true));
-      break;
+      return av_slt(a, imm(), true);
     case Op::kXori:
-      set(instr.rd, av_xor(rv(instr.rs1), imm));
-      break;
+      return av_xor(a, imm());
     case Op::kOri:
-      set(instr.rd, av_or(rv(instr.rs1), imm));
-      break;
+      return av_or(a, imm());
     case Op::kAndi:
-      set(instr.rd, av_and(rv(instr.rs1), imm));
-      break;
+      return av_and(a, imm());
     case Op::kSlli:
-      set(instr.rd, av_sll(rv(instr.rs1), shamt));
-      break;
+      return av_sll(a, shamt());
     case Op::kSrli:
-      set(instr.rd, av_srl(rv(instr.rs1), shamt));
-      break;
+      return av_srl(a, shamt());
     case Op::kSrai:
-      set(instr.rd, av_sra(rv(instr.rs1), shamt));
-      break;
+      return av_sra(a, shamt());
     case Op::kAdd:
-      set(instr.rd, av_add(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_add(a, b);
     case Op::kSub:
-      set(instr.rd, av_sub(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_sub(a, b);
     case Op::kSll:
-      set(instr.rd, av_sll(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_sll(a, b);
     case Op::kSlt:
-      set(instr.rd, av_slt(rv(instr.rs1), rv(instr.rs2), false));
-      break;
+      return av_slt(a, b, false);
     case Op::kSltu:
-      set(instr.rd, av_slt(rv(instr.rs1), rv(instr.rs2), true));
-      break;
+      return av_slt(a, b, true);
     case Op::kXor:
-      set(instr.rd, av_xor(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_xor(a, b);
     case Op::kSrl:
-      set(instr.rd, av_srl(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_srl(a, b);
     case Op::kSra:
-      set(instr.rd, av_sra(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_sra(a, b);
     case Op::kOr:
-      set(instr.rd, av_or(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_or(a, b);
     case Op::kAnd:
-      set(instr.rd, av_and(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_and(a, b);
     case Op::kMul:
-      set(instr.rd, av_mul(rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_mul(a, b);
     case Op::kMulh:
     case Op::kMulhsu:
     case Op::kMulhu:
@@ -226,19 +204,16 @@ void RegDomain::apply(const Instr& instr, u32 pc, const MemModel* mem,
     case Op::kDivu:
     case Op::kRem:
     case Op::kRemu:
-      set(instr.rd, av_muldiv(instr.op, rv(instr.rs1), rv(instr.rs2)));
-      break;
+      return av_muldiv(instr.op, a, b);
     case Op::kLb:
     case Op::kLh:
     case Op::kLw:
     case Op::kLbu:
     case Op::kLhu: {
-      const AbsValue addr = effective_address(instr, state);
+      if (mem == nullptr) return AbsValue::top();
       const bool sext = instr.op == Op::kLb || instr.op == Op::kLh;
-      set(instr.rd, mem != nullptr
-                        ? mem->load(addr, access_size(instr.op), sext)
-                        : AbsValue::top());
-      break;
+      return mem->load(effective_address(instr, state), access_size(instr.op),
+                       sext);
     }
     case Op::kCsrrw:
     case Op::kCsrrs:
@@ -260,8 +235,7 @@ void RegDomain::apply(const Instr& instr, u32 pc, const MemModel* mem,
     case Op::kAmomaxW:
     case Op::kAmominuW:
     case Op::kAmomaxuW:
-      set(instr.rd, AbsValue::top());
-      break;
+      return AbsValue::top();
     case Op::kSb:
     case Op::kSh:
     case Op::kSw:
@@ -279,6 +253,14 @@ void RegDomain::apply(const Instr& instr, u32 pc, const MemModel* mem,
     case Op::kCount:
       break;  // no GPR effect
   }
+  return AbsValue::bottom();
+}
+
+void RegDomain::apply(const Instr& instr, u32 pc, const MemModel* mem,
+                      State& state) {
+  if (!instr.info().writes_rd || instr.rd == 0) return;
+  state.regs[instr.rd] = result(instr, pc, mem, state);
+  state.maybe_uninit &= ~reg_bit(instr.rd);
 }
 
 void RegDomain::finish_block(const cfg::BasicBlock& block, State& state,
@@ -323,12 +305,12 @@ std::optional<bool> RegDomain::eval_branch(const Instr& branch,
   const u64 ca = a.count();
   const u64 cb = b.count();
   if (ca != 0 && cb != 0 && ca * cb <= 256) {
-    const auto va = a.enumerate(256);
-    const auto vb = b.enumerate(256);
     bool any_true = false;
     bool any_false = false;
-    for (u32 x : va) {
-      for (u32 y : vb) {
+    for (u64 i = 0; i < ca; ++i) {
+      const u32 x = a.nth(i);
+      for (u64 j = 0; j < cb; ++j) {
+        const u32 y = b.nth(j);
         bool t = false;
         switch (branch.op) {
           case Op::kBeq: t = x == y; break;

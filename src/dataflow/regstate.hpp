@@ -92,8 +92,14 @@ class RegDomain {
   bool edge_feasible(const cfg::Function& fn, const cfg::BasicBlock& block,
                      const State& out, const cfg::Edge& edge) const;
 
-  // Small-step update for one instruction at `pc`. Public so linter walks
-  // can replay blocks from a solved in-state.
+  // The abstract value `instr` at `pc` writes to its rd in `state` — the
+  // one ALU/load switch. Bottom for ops that write no GPR.
+  static AbsValue result(const isa::Instr& instr, u32 pc, const MemModel* mem,
+                         const State& state);
+
+  // Small-step update for one instruction at `pc`: rd := result(...) for
+  // the ops that write one. Public so linter walks can replay blocks from a
+  // solved in-state.
   static void apply(const isa::Instr& instr, u32 pc, const MemModel* mem,
                     State& state);
 

@@ -31,6 +31,11 @@ bool pure_alu(const Instr& instr) {
   }
 }
 
+// The pc a branch at `pc` continues at.
+u32 successor(const Instr& branch, u32 pc, bool taken) {
+  return taken ? pc + static_cast<u32>(branch.imm) : pc + branch.length;
+}
+
 // Both abstract values collapse to the same single concrete value (or the
 // same single stack offset).
 bool singleton_equal(const AbsValue& a, const AbsValue& b) {
@@ -100,8 +105,8 @@ Result<StaticTriage> StaticTriage::build(const assembler::Program& program,
           block, &a.mem, fa.reg.in[block.id],
           [&](u32 pc, const Instr& instr, const RegState& state) {
             t.ever_read_ |= isa::def_use(instr).reads;
-            t.occurrences_[pc].push_back(
-                {static_cast<u32>(f), block.id, index++});
+            t.occurrences_.push_back(
+                {pc, static_cast<u32>(f), block.id, index++});
             if (!instr.reads_memory() && !instr.writes_memory()) return;
             const AbsValue addr = effective_address(instr, state);
             const i64 size = access_size(instr.op);
@@ -150,6 +155,7 @@ Result<StaticTriage> StaticTriage::build(const assembler::Program& program,
   merge_ranges(t.code_ranges_);
   merge_ranges(t.read_ranges_);
   merge_ranges(t.write_ranges_);
+  std::ranges::stable_sort(t.occurrences_, {}, &Occurrence::pc);
   return t;
 }
 
@@ -210,49 +216,47 @@ TriageDecision StaticTriage::code_fault(u32 address, bool stuck_at, u8 bit,
   return {};
 }
 
-TriageDecision StaticTriage::mutant(u32 address, u8 length, u32 original,
-                                    u32 mutated) const {
+StaticTriage::Site StaticTriage::site(u32 address, u8 length) const {
+  Site site;
+  site.address_ = address;
+  site.length_ = length;
   const i64 lo = canon(address);
   const i64 hi = lo + length - 1;
-  const u32 mask = length == 2 ? 0xffffu : ~u32{0};
-  if ((original & mask) == (mutated & mask)) return {true, "identical"};
   // Any data read of the patched bytes makes the encoding itself
   // observable; no equivalence class below survives that.
-  if (data_readable(lo, hi)) return {};
-  if (!overlaps_code(lo, hi)) return {true, "unreachable-code"};
-
-  auto it = occurrences_.find(address);
-  if (it == occurrences_.end()) return {};  // partial overlap: must run
-  const Analysis& a = *analysis_;
-
-  Instr mut;
-  if (length == 2) {
-    auto decoded = isa::decompress(static_cast<u16>(mutated));
-    if (!decoded.ok()) return {};
-    mut = *decoded;
-  } else {
-    auto decoded = isa::decoder().decode(mutated);
-    if (!decoded.ok()) return {};
-    mut = *decoded;
+  if (data_readable(lo, hi)) return site;
+  if (!overlaps_code(lo, hi)) {
+    site.verdict_ = {true, "unreachable-code"};
+    return site;
   }
-  mut.length = length;
 
-  bool value_equiv = true;
-  bool branch_equiv = true;
-  bool dead_write = true;
-  for (const Occurrence& o : it->second) {
-    const cfg::Function& fn = a.cfg.functions[o.function];
-    const cfg::BasicBlock& block = fn.blocks[o.block];
+  const auto occurrences =
+      std::ranges::equal_range(occurrences_, address, {}, &Occurrence::pc);
+  const Analysis& a = *analysis_;
+  // A partial overlap must run; so must loads, stores, jumps and CSRs (no
+  // static equivalence class).
+  if (occurrences.empty()) return site;
+  for (const Occurrence& o : occurrences) {
+    const Instr& orig =
+        a.cfg.functions[o.function].blocks[o.block].insns[o.index];
+    if (orig.length != length || !(pure_alu(orig) || orig.is_branch())) {
+      return site;
+    }
+  }
+
+  site.contexts_.reserve(occurrences.size());
+  for (const Occurrence& o : occurrences) {
+    const cfg::BasicBlock& block = a.cfg.functions[o.function].blocks[o.block];
     const FunctionAnalysis& fa = a.functions[o.function];
-    const Instr& orig = block.insns[o.index];
-    if (orig.length != length) return {};
+    Site::Context& ctx = site.contexts_.emplace_back();
+    ctx.original = &block.insns[o.index];
 
     // State before the instruction: replay the block prefix.
-    RegState state = fa.reg.in[o.block];
-    u32 pc = block.start;
+    ctx.before = fa.reg.in[o.block];
+    ctx.pc = block.start;
     for (u32 i = 0; i < o.index; ++i) {
-      RegDomain::apply(block.insns[i], pc, &a.mem, state);
-      pc += block.insns[i].length;
+      RegDomain::apply(block.insns[i], ctx.pc, &a.mem, ctx.before);
+      ctx.pc += block.insns[i].length;
     }
 
     // Live set after the instruction: fold the block suffix backward.
@@ -264,43 +268,76 @@ TriageDecision StaticTriage::mutant(u32 address, u8 length, u32 original,
       const isa::DefUse du = isa::def_use(block.insns[i]);
       live = (live & ~du.writes) | du.reads;
     }
-    live &= ~u32{1};
+    ctx.live_after = live & ~u32{1};
 
+    const Instr& orig = *ctx.original;
+    if (pure_alu(orig)) {
+      ctx.value = RegDomain::result(orig, ctx.pc, &a.mem, ctx.before);
+    } else if (const auto taken = RegDomain::eval_branch(orig, ctx.before)) {
+      ctx.next = successor(orig, ctx.pc, *taken);
+    }
+  }
+  return site;
+}
+
+TriageDecision StaticTriage::mutant(const Site& site, u32 original,
+                                    u32 mutated) const {
+  const u32 mask = site.length_ == 2 ? 0xffffu : ~u32{0};
+  if ((original & mask) == (mutated & mask)) return {true, "identical"};
+  if (site.contexts_.empty()) return site.verdict_;
+
+  Instr mut;
+  if (site.length_ == 2) {
+    auto decoded = isa::decompress(static_cast<u16>(mutated));
+    if (!decoded.ok()) return {};
+    mut = *decoded;
+  } else {
+    auto decoded = isa::decoder().decode(mutated);
+    if (!decoded.ok()) return {};
+    mut = *decoded;
+  }
+  mut.length = site.length_;
+
+  const Analysis& a = *analysis_;
+  bool value_equiv = true;
+  bool branch_equiv = true;
+  bool dead_write = true;
+  for (const Site::Context& ctx : site.contexts_) {
+    const Instr& orig = *ctx.original;
     if (pure_alu(orig) && pure_alu(mut)) {
-      if (orig.rd == mut.rd && orig.rd != 0) {
-        RegState so = state;
-        RegState sm = state;
-        RegDomain::apply(orig, pc, &a.mem, so);
-        RegDomain::apply(mut, pc, &a.mem, sm);
-        if (!singleton_equal(so.regs[orig.rd], sm.regs[mut.rd])) {
-          value_equiv = false;
-        }
-      } else {
+      if (value_equiv &&
+          (orig.rd != mut.rd || orig.rd == 0 ||
+           !singleton_equal(ctx.value, RegDomain::result(mut, ctx.pc, &a.mem,
+                                                         ctx.before)))) {
         value_equiv = false;
       }
       const u32 written = isa::def_use(orig).writes | isa::def_use(mut).writes;
-      if ((written & live) != 0) dead_write = false;
+      if ((written & ctx.live_after) != 0) dead_write = false;
       branch_equiv = false;
     } else if (orig.is_branch() && mut.is_branch()) {
-      const auto to = RegDomain::eval_branch(orig, state);
-      const auto tm = RegDomain::eval_branch(mut, state);
-      const auto next = [&](const Instr& i, bool taken) {
-        return taken ? pc + static_cast<u32>(i.imm) : pc + i.length;
-      };
-      if (!to.has_value() || !tm.has_value() ||
-          next(orig, *to) != next(mut, *tm)) {
-        branch_equiv = false;
+      if (branch_equiv) {
+        const auto taken = RegDomain::eval_branch(mut, ctx.before);
+        if (!ctx.next.has_value() || !taken.has_value() ||
+            *ctx.next != successor(mut, ctx.pc, *taken)) {
+          branch_equiv = false;
+        }
       }
       value_equiv = false;
       dead_write = false;
     } else {
-      return {};  // loads, stores, jumps, CSRs: no static equivalence class
+      return {};  // the mutant leaves the original's class
     }
+    if (!value_equiv && !branch_equiv && !dead_write) return {};
   }
   if (value_equiv) return {true, "value-equivalent"};
   if (branch_equiv) return {true, "branch-equivalent"};
   if (dead_write) return {true, "dead-write"};
   return {};
+}
+
+TriageDecision StaticTriage::mutant(u32 address, u8 length, u32 original,
+                                    u32 mutated) const {
+  return mutant(site(address, length), original, mutated);
 }
 
 }  // namespace s4e::dataflow

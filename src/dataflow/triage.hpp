@@ -26,6 +26,13 @@
 // `--triage=verify` (campaign layer) still executes pruned candidates and
 // asserts the dynamic outcome matches — the regression harness for this
 // contract.
+//
+// Mutant decisions split into a per-address part and a per-mutant part.
+// site() computes what every mutant of one address shares once: the
+// address-level verdict, or, for each reachable occurrence of a pure-ALU
+// or branch original, the abstract state before it, its live-after mask
+// and the original's abstract effect. mutant(site, ...) then evaluates only
+// the mutated instruction against that context.
 #pragma once
 
 #include <memory>
@@ -79,8 +86,41 @@ class StaticTriage {
   TriageDecision code_fault(u32 address, bool stuck_at, u8 bit,
                             bool stuck_value) const;
 
+  // The context all mutation candidates of `length` bytes at `address`
+  // share. Refers into this triage's analysis: it must not outlive it.
+  class Site {
+   public:
+    u32 address() const noexcept { return address_; }
+    u8 length() const noexcept { return length_; }
+
+   private:
+    friend class StaticTriage;
+    // One reachable occurrence of a pure-ALU or branch original.
+    struct Context {
+      const isa::Instr* original = nullptr;
+      u32 pc = 0;
+      RegState before;     // abstract state ahead of the instruction
+      u32 live_after = 0;  // registers live after it (x0 masked)
+      AbsValue value;      // pure-ALU original: its abstract rd value
+      std::optional<u32> next;  // branch original: its decided successor
+    };
+
+    u32 address_ = 0;
+    u8 length_ = 0;
+    // Without contexts, the address-level checks decided every
+    // non-identical mutant of the site as `verdict_`.
+    TriageDecision verdict_;
+    std::vector<Context> contexts_;
+  };
+
+  Site site(u32 address, u8 length) const;
+
   // Mutation candidate (mutation::Mutant patch model: `length` bytes at
-  // `address` change from `original` to `mutated` encoding).
+  // `address` change from `original` to `mutated` encoding), decided
+  // against the site of its address.
+  TriageDecision mutant(const Site& site, u32 original, u32 mutated) const;
+  // One candidate on its own: mutant(site(address, length), ...). Callers
+  // with several candidates per address build the site once instead.
   TriageDecision mutant(u32 address, u8 length, u32 original,
                         u32 mutated) const;
 
@@ -88,6 +128,7 @@ class StaticTriage {
 
  private:
   struct Occurrence {
+    u32 pc = 0;
     u32 function = 0;
     cfg::BlockId block = cfg::kNoBlock;
     u32 index = 0;  // instruction position within the block
@@ -106,8 +147,9 @@ class StaticTriage {
   std::vector<Range> write_ranges_;  // whole-program may-write windows
   bool reads_unknown_ = true;
   bool writes_unknown_ = true;
-  // pc -> every reachable (function, block, index) decoding that address.
-  std::map<u32, std::vector<Occurrence>> occurrences_;
+  // Every reachable (function, block, index) decoding, sorted by pc: all
+  // decodings of one address are adjacent.
+  std::vector<Occurrence> occurrences_;
 };
 
 }  // namespace s4e::dataflow

@@ -274,18 +274,26 @@ std::optional<MutantResult> FaultModel::known(
   return mutant;
 }
 
-dataflow::TriageDecision FaultModel::decide(
-    const dataflow::StaticTriage& triage, const FaultSpec& spec) const {
-  switch (spec.target) {
-    case FaultTarget::kGpr:
-      return triage.gpr_fault(spec.reg);
-    case FaultTarget::kMemory:
-      break;  // the flipped byte lands in the hashed .data image
-    case FaultTarget::kCode:
-      return triage.code_fault(spec.address, spec.kind == FaultKind::kStuckAt,
-                               spec.bit, spec.stuck_value);
+std::vector<dataflow::TriageDecision> FaultModel::decide(
+    const dataflow::StaticTriage& triage,
+    std::span<const FaultSpec> specs) const {
+  std::vector<dataflow::TriageDecision> decisions(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const FaultSpec& spec = specs[i];
+    switch (spec.target) {
+      case FaultTarget::kGpr:
+        decisions[i] = triage.gpr_fault(spec.reg);
+        break;
+      case FaultTarget::kMemory:
+        break;  // the flipped byte lands in the hashed .data image
+      case FaultTarget::kCode:
+        decisions[i] = triage.code_fault(
+            spec.address, spec.kind == FaultKind::kStuckAt, spec.bit,
+            spec.stuck_value);
+        break;
+    }
   }
-  return {};
+  return decisions;
 }
 
 Result<MutantResult> FaultModel::run_one(vp::Machine& machine,

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,8 +206,10 @@ class FaultModel {
   static u64 start_icount(const FaultSpec& spec) {
     return spec.kind == FaultKind::kTransient ? spec.trigger : 0;
   }
-  dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
-                                  const FaultSpec& spec) const;
+  // One decision per fault, in order.
+  std::vector<dataflow::TriageDecision> decide(
+      const dataflow::StaticTriage& triage,
+      std::span<const FaultSpec> specs) const;
   // One mutant simulation on `machine`, which must hold the freshly loaded
   // (or snapshot-restored) program with no plugins attached, configured
   // with the campaign's item_machine(). Thread-safe: shares only the

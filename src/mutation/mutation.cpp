@@ -241,10 +241,20 @@ Result<std::vector<Mutant>> MutationModel::enumerate(
   return mutants;
 }
 
-dataflow::TriageDecision MutationModel::decide(
-    const dataflow::StaticTriage& triage, const Mutant& mutant) const {
-  return triage.mutant(mutant.address, mutant.length, mutant.original,
-                       mutant.mutated);
+std::vector<dataflow::TriageDecision> MutationModel::decide(
+    const dataflow::StaticTriage& triage,
+    std::span<const Mutant> mutants) const {
+  std::vector<dataflow::TriageDecision> decisions;
+  decisions.reserve(mutants.size());
+  std::optional<dataflow::StaticTriage::Site> site;
+  for (const Mutant& mutant : mutants) {
+    if (!site || site->address() != mutant.address ||
+        site->length() != mutant.length) {
+      site = triage.site(mutant.address, mutant.length);
+    }
+    decisions.push_back(triage.mutant(*site, mutant.original, mutant.mutated));
+  }
+  return decisions;
 }
 
 Result<MutantResult> MutationModel::run_one(

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -142,8 +143,12 @@ class MutationModel {
   // golden run is not recorded: no mutant result is known without a run.
   Result<std::vector<Mutant>> enumerate(
       vp::GoldenRun& golden, vp::GoldenRecording* recording = nullptr) const;
-  dataflow::TriageDecision decide(const dataflow::StaticTriage& triage,
-                                  const Mutant& mutant) const;
+  // One decision per mutant, in order. The mutants of one address share
+  // one StaticTriage::Site (the enumeration is address-ordered, so they
+  // are adjacent).
+  std::vector<dataflow::TriageDecision> decide(
+      const dataflow::StaticTriage& triage,
+      std::span<const Mutant> mutants) const;
   // One mutant run on `machine`, which must hold the freshly loaded (or
   // snapshot-restored) unmutated program with no plugins attached,
   // configured with the campaign's item_machine(); the mutated encoding is

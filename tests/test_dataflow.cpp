@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "asm/assembler.hpp"
+#include "common/fnv1a.hpp"
+#include "common/strings.hpp"
 #include "core/workloads.hpp"
 #include "dataflow/absvalue.hpp"
 #include "dataflow/analyze.hpp"
@@ -17,6 +19,8 @@
 #include "fault/fault.hpp"
 #include "memwatch/policy_file.hpp"
 #include "mutation/mutation.hpp"
+#include "testgen/testgen.hpp"
+#include "vp/runner.hpp"
 
 #ifndef S4E_SOURCE_DIR
 #error "S4E_SOURCE_DIR must be defined by the build system"
@@ -34,7 +38,8 @@ TEST(AbsValue, ConstantAndJoin) {
   EXPECT_EQ(a.const_value(), 3);
   auto joined = AbsValue::join(a, b);
   ASSERT_TRUE(joined.is_consts());
-  EXPECT_EQ(joined.values(), (std::vector<i64>{3, 7}));
+  EXPECT_EQ(std::vector<i64>(joined.values().begin(), joined.values().end()),
+            (std::vector<i64>{3, 7}));
   EXPECT_EQ(AbsValue::join(a, AbsValue::bottom()), a);
   EXPECT_TRUE(AbsValue::join(a, AbsValue::top()).is_top());
 }
@@ -77,6 +82,130 @@ TEST(AbsValue, WidenGoesToTop) {
   auto b = AbsValue::bottom();
   b.widen();
   EXPECT_TRUE(b.is_bottom());
+}
+
+// The const set is stored inline: kMaxConsts values, no more.
+TEST(AbsValue, SixteenValuesStayExactSeventeenDecayToHull) {
+  std::vector<i64> values;
+  for (i64 i = 0; i < 16; ++i) values.push_back(100 - 6 * i);
+  auto exact = AbsValue::from_values(values);
+  ASSERT_TRUE(exact.is_consts());
+  ASSERT_EQ(exact.values().size(), AbsValue::kMaxConsts);
+  EXPECT_EQ(exact.values().front(), 10);
+  EXPECT_EQ(exact.values().back(), 100);
+  EXPECT_EQ(exact.stride(), 6);
+  EXPECT_EQ(exact.count(), 16u);
+
+  values.push_back(4);  // 17th value, same stride
+  auto hull = AbsValue::from_values(values);
+  ASSERT_TRUE(hull.is_range());
+  EXPECT_EQ(hull.lo(), 4);
+  EXPECT_EQ(hull.hi(), 100);
+  EXPECT_EQ(hull.stride(), 6);
+  EXPECT_EQ(hull.count(), 17u);
+
+  // The same decay through joins: 16 singletons then one more.
+  AbsValue joined;
+  for (i64 i = 0; i < 16; ++i) {
+    joined =
+        AbsValue::join(joined, AbsValue::constant(static_cast<u32>(8 * i)));
+  }
+  ASSERT_TRUE(joined.is_consts());
+  EXPECT_EQ(joined.count(), 16u);
+  joined = AbsValue::join(joined, AbsValue::constant(8 * 16));
+  ASSERT_TRUE(joined.is_range());
+  EXPECT_EQ(joined.lo(), 0);
+  EXPECT_EQ(joined.hi(), 128);
+  EXPECT_EQ(joined.stride(), 8);
+}
+
+TEST(AbsValue, I32ExtremesRoundTrip) {
+  const u32 raws[] = {0x80000000u, 0x7fffffffu, 0xffffffffu};
+  const i64 canonical[] = {INT32_MIN, INT32_MAX, -1};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto v = AbsValue::constant(raws[i]);
+    ASSERT_TRUE(v.is_const());
+    EXPECT_EQ(v.const_raw(), raws[i]);
+    EXPECT_EQ(v.const_value(), canonical[i]);
+    ASSERT_EQ(v.values().size(), 1u);
+    EXPECT_EQ(v.values()[0], canonical[i]);
+    EXPECT_EQ(v.enumerate(), (std::vector<u32>{raws[i]}));
+  }
+  std::vector<i64> all(std::begin(canonical), std::end(canonical));
+  const auto set = AbsValue::from_values(all);
+  ASSERT_TRUE(set.is_consts());
+  EXPECT_EQ(std::vector<i64>(set.values().begin(), set.values().end()),
+            (std::vector<i64>{INT32_MIN, -1, INT32_MAX}));
+  EXPECT_EQ(set.enumerate(),
+            (std::vector<u32>{0x80000000u, 0xffffffffu, 0x7fffffffu}));
+  // One past either end is not a canonical value.
+  std::vector<i64> outside{i64{INT32_MAX} + 1};
+  EXPECT_TRUE(AbsValue::from_values(outside).is_top());
+  EXPECT_TRUE(AbsValue::range(INT32_MIN - i64{1}, 0, 1).is_top());
+  // A full-width range keeps its stride and endpoints.
+  const auto full = AbsValue::range(INT32_MIN, INT32_MAX, 1);
+  ASSERT_TRUE(full.is_range());
+  EXPECT_EQ(full.lo(), INT32_MIN);
+  EXPECT_EQ(full.hi(), INT32_MAX);
+  EXPECT_EQ(full.count(), u64{1} << 32);
+}
+
+TEST(AbsValue, EqualSetsFromDifferentJoinHistoriesCompareEqual) {
+  // {1,2,3} built as ({1} join {2}) join {3} and as
+  // ({3} join ({2} join {1})) join {2}; then a value whose dead slots once
+  // held other numbers, and the same set from from_values.
+  const auto one = AbsValue::constant(1);
+  const auto two = AbsValue::constant(2);
+  const auto three = AbsValue::constant(3);
+  const auto a = AbsValue::join(AbsValue::join(one, two), three);
+  const auto b = AbsValue::join(AbsValue::join(three, AbsValue::join(two, one)),
+                                two);
+  EXPECT_EQ(a, b);
+  std::vector<i64> wide{9, 8, 7, 6, 5, 4};
+  AbsValue reused = AbsValue::from_values(wide);
+  reused = a;
+  EXPECT_EQ(reused, b);
+  std::vector<i64> direct{3, 1, 2, 2};
+  EXPECT_EQ(AbsValue::from_values(direct), a);
+  EXPECT_NE(a, AbsValue::join(a, AbsValue::constant(4)));
+  // A range and a const set over the same bounds are different values.
+  EXPECT_NE(AbsValue::range(1, 3, 1), a);
+  EXPECT_EQ(AbsValue::range(1, 3, 1), AbsValue::range(1, 3, 1));
+  EXPECT_NE(AbsValue::range(1, 3, 1), AbsValue::stack(1, 3, 1));
+}
+
+TEST(AbsValue, StackJoinedWithConstIsTopAndWidens) {
+  const auto sp = AbsValue::stack(-16, -16, 1);
+  EXPECT_TRUE(AbsValue::join(sp, AbsValue::constant(0)).is_top());
+  EXPECT_TRUE(AbsValue::join(AbsValue::range(0, 8, 4), sp).is_top());
+  const auto frames = AbsValue::join(sp, AbsValue::stack(-32, -32, 1));
+  ASSERT_TRUE(frames.is_stack());
+  EXPECT_EQ(frames.lo(), -32);
+  EXPECT_EQ(frames.hi(), -16);
+  EXPECT_EQ(frames.stride(), 1);  // a single offset carries stride 1
+  auto widened = frames;
+  widened.widen();
+  EXPECT_TRUE(widened.is_top());
+  auto range = AbsValue::range(0, 8, 4);
+  range.widen();
+  EXPECT_TRUE(range.is_top());
+}
+
+TEST(AbsValue, DescribeText) {
+  EXPECT_EQ(AbsValue::bottom().describe(), "unreached");
+  EXPECT_EQ(AbsValue::top().describe(), "unknown");
+  EXPECT_EQ(AbsValue::stack(-16, -16, 1).describe(), "sp-16");
+  EXPECT_EQ(AbsValue::stack(4, 4, 1).describe(), "sp+4");
+  EXPECT_EQ(AbsValue::stack(-16, 8, 8).describe(), "sp+[-16..8]");
+  EXPECT_EQ(AbsValue::range(0, 12, 4).describe(),
+            "[0x00000000..0x0000000c step 4]");
+  EXPECT_EQ(AbsValue::range(-8, 8, 4).describe(),
+            "[0xfffffff8..0x00000008 step 4]");
+  EXPECT_EQ(AbsValue::range(INT32_MIN, INT32_MAX, 1).describe(),
+            "[0x80000000..0x7fffffff step 1]");
+  std::vector<i64> values{7, 3, -1, 3};
+  EXPECT_EQ(AbsValue::from_values(values).describe(), "{0xffffffff,0x3,0x7}");
+  EXPECT_EQ(AbsValue::constant(0x80000000u).describe(), "{0x80000000}");
 }
 
 TEST(AbsValue, AddAndSub) {
@@ -818,6 +947,147 @@ TEST(Triage, MutationVerifyPassesOnStandardWorkloads) {
     EXPECT_TRUE(score.ok())
         << workload.name << ": "
         << (score.ok() ? "" : score.error().to_string());
+  }
+}
+
+TEST(Triage, MutationVerifyPassesOnTorturePrograms) {
+  // Torture programs carry most of the mutation benchmark's prunes: run
+  // every pruned mutant of two seeds anyway, RVC off and on.
+  for (u64 seed : {u64{1}, u64{2}}) {
+    testgen::TortureConfig torture;
+    torture.seed = seed;
+    torture.programs = 1;
+    torture.segments = 60;
+    torture.use_csr = false;
+    const auto generated = testgen::torture_suite(torture);
+    ASSERT_EQ(generated.size(), 1u);
+    for (bool compress : {false, true}) {
+      assembler::Options options;
+      options.compress = compress;
+      auto program = assembler::assemble(generated[0].source, options);
+      ASSERT_TRUE(program.ok()) << program.error().to_string();
+      mutation::MutationConfig config;
+      config.triage = TriageMode::kVerify;
+      mutation::MutationCampaign campaign(*program, config);
+      auto score = campaign.run();
+      ASSERT_TRUE(score.ok())
+          << "seed " << seed << (compress ? " rvc: " : ": ")
+          << score.error().to_string();
+      EXPECT_GT(score->pruned_count, 0u) << "seed " << seed;
+    }
+  }
+}
+
+// The decision oracle: every fault-site and mutant decision over the
+// single-hart standard workloads and six no-CSR torture programs (the
+// mutation benchmark's shape), RVC off and on, folded into one hash per
+// program family. The constants were recorded before the triage's site
+// context, RegDomain::result and the inline AbsValue set existed; any
+// change to a decision moves them.
+struct DecisionHash {
+  u64 hash = kFnv1aOffsetBasis;
+  u64 pruned = 0;
+
+  void add(const TriageDecision& decision) {
+    hash = fnv1a_byte(hash, decision.pruned ? 1 : 0);
+    for (const char* c = decision.reason; *c != '\0'; ++c) {
+      hash = fnv1a_byte(hash, static_cast<u8>(*c));
+    }
+    hash = fnv1a_byte(hash, 0xff);
+    if (decision.pruned) ++pruned;
+  }
+};
+
+void hash_program(const assembler::Program& program, DecisionHash& out) {
+  vp::Machine machine;
+  auto golden = vp::run_golden(machine, program);
+  ASSERT_TRUE(golden.ok()) << golden.error().to_string();
+  const vp::MachineConfig config;
+  TriageOptions options;
+  options.stack_top = config.ram_base + config.ram_size;
+  auto triage = StaticTriage::build(program, options);
+  ASSERT_TRUE(triage.ok()) << triage.error().to_string();
+  for (unsigned reg = 0; reg < isa::kGprCount; ++reg) {
+    out.add(triage->gpr_fault(reg));
+  }
+  std::vector<u32> words;
+  for (u32 pc : golden->executed_code) words.push_back(pc & ~u32{3});
+  words.erase(std::unique(words.begin(), words.end()), words.end());
+  for (u32 word : words) {
+    for (u8 bit = 0; bit < 32; ++bit) {
+      out.add(triage->code_fault(word, false, bit, false));
+      out.add(triage->code_fault(word, true, bit, false));
+      out.add(triage->code_fault(word, true, bit, true));
+    }
+  }
+  // The campaign decides a mutant list site by site; a lone mutant builds
+  // its own site. Both must agree on every candidate.
+  const std::vector<mutation::Mutant> mutants =
+      mutation::enumerate_mutants(program, golden->executed_code);
+  const mutation::MutationModel model(program, mutation::MutationConfig{});
+  const auto decisions = model.decide(*triage, mutants);
+  ASSERT_EQ(decisions.size(), mutants.size());
+  for (std::size_t i = 0; i < mutants.size(); ++i) {
+    const mutation::Mutant& mutant = mutants[i];
+    const TriageDecision alone = triage->mutant(
+        mutant.address, mutant.length, mutant.original, mutant.mutated);
+    ASSERT_EQ(decisions[i].pruned, alone.pruned)
+        << mutation::MutationModel::describe(mutant);
+    ASSERT_STREQ(decisions[i].reason, alone.reason);
+    out.add(decisions[i]);
+  }
+}
+
+std::vector<std::string> oracle_sources(bool torture) {
+  std::vector<std::string> sources;
+  if (torture) {
+    for (u64 seed = 1; seed <= 6; ++seed) {
+      testgen::TortureConfig config;
+      config.seed = seed;
+      config.programs = 1;
+      config.segments = 60;
+      config.use_csr = false;
+      for (testgen::GeneratedProgram& generated :
+           testgen::torture_suite(config)) {
+        sources.push_back(std::move(generated.source));
+      }
+    }
+  } else {
+    for (const core::Workload& workload : core::standard_workloads()) {
+      if (workload.name.rfind("smp_", 0) == 0) continue;
+      sources.push_back(workload.source);
+    }
+  }
+  return sources;
+}
+
+TEST(Triage, DecisionOracleMatchesRecordedHashes) {
+  struct Family {
+    bool torture;
+    bool compress;
+    u64 expected;
+  };
+  const Family families[] = {
+      {false, false, 0xe7a7ee11323ca281ull},
+      {false, true, 0xd9c621bb4b67cab0ull},
+      {true, false, 0xbaf3f6d5d29ab95full},
+      {true, true, 0x66439084e33f2a0cull},
+  };
+  for (const Family& family : families) {
+    DecisionHash hash;
+    for (const std::string& source : oracle_sources(family.torture)) {
+      assembler::Options options;
+      options.compress = family.compress;
+      auto program = assembler::assemble(source, options);
+      ASSERT_TRUE(program.ok()) << program.error().to_string();
+      hash_program(*program, hash);
+    }
+    EXPECT_GT(hash.pruned, 0u);
+    EXPECT_EQ(hash.hash, family.expected)
+        << (family.torture ? "torture" : "standard")
+        << (family.compress ? " rvc" : "") << format(": 0x%llx, %llu pruned",
+                  static_cast<unsigned long long>(hash.hash),
+                  static_cast<unsigned long long>(hash.pruned));
   }
 }
 

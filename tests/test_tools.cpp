@@ -546,6 +546,30 @@ TEST(ToolCampaign, ReportsMatchCheckedInBytes) {
   std::remove(sum_elf.c_str());
 }
 
+// The snapshot ledger is a sum over lanes that claim items dynamically, so
+// only a single lane makes it a reproducible artifact: at --jobs 1 two runs
+// print the same stderr ledger byte for byte.
+TEST(ToolCampaign, SnapshotLedgerIsReproducibleAtJobsOne) {
+  const std::string elf = temp_path("tools_ledger_fir.elf");
+  ASSERT_EQ(run_command(tool("s4e-as") + " --workload fir -o " + elf).exit_code,
+            0);
+  for (const std::string& campaign :
+       {tool("s4e-faultsim") + " " + elf + " --mutants 400 --seed 5",
+        tool("s4e-mutate") + " " + elf}) {
+    // stderr into the pipe, stdout (the report) discarded.
+    const std::string command =
+        campaign + " --jobs 1 --snapshot-stats 2>&1 >/dev/null";
+    const auto first = run_command(command, false);
+    const auto second = run_command(command, false);
+    ASSERT_EQ(first.exit_code, 0) << first.output;
+    ASSERT_EQ(second.exit_code, 0) << second.output;
+    EXPECT_NE(first.output.find("snapshot: "), std::string::npos)
+        << first.output;
+    EXPECT_EQ(first.output, second.output) << campaign;
+  }
+  std::remove(elf.c_str());
+}
+
 TEST(ToolRun, UartInputReachesGuest) {
   const std::string elf_path = temp_path("tools_lock.elf");
   auto assembled = run_command(tool("s4e-as") + " --workload lock_ctrl -o " +
